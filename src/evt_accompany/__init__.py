@@ -23,6 +23,8 @@ from .approx import (
     TwoTerm,
     accompanying_law,
     evaluate,
+    evaluate_at,
+    exact_and_gamma,
     exact_max_cdf,
     first_order_corrected,
     gumbel_cdf,

@@ -19,12 +19,11 @@ from .approx import (
     ApproximantKind,
     EvalPoint,
     SecondOrder,
-    evaluate,
-    exact_max_cdf,
+    evaluate_at,
+    exact_and_gamma,
     gumbel_cdf,
 )
 from .errors import DegenerateError, DomainError, EvtError
-from .gamma import gamma_exact
 from .norming import NormingPair, norming_exact
 from .tails import DistributionSpec
 
@@ -99,9 +98,10 @@ class RateFit:
     r_squared: float
 
 
-def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
-               kind: ApproximantKind | None = None) -> list[float]:
-    """Grid points surviving the support and series-convergence guards."""
+def guarded_points(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
+                   kind: ApproximantKind | None = None) -> list[tuple[float, float, float]]:
+    """(x, exact law, gamma) at the grid points surviving the support and
+    series-convergence guards, from one tail evaluation per point."""
     cut = -math.log(pair.n) + GUARD_SLACK
     out = []
     for x in metric.grid():
@@ -109,10 +109,17 @@ def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
             continue
         if pair.b + pair.a * x < dist.x0:
             continue
-        if gamma_exact(dist, pair, x).value < cut:
+        exact, gamma = exact_and_gamma(dist, pair, x)
+        if gamma < cut:
             continue
-        out.append(x)
+        out.append((x, exact, gamma))
     return out
+
+
+def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
+               kind: ApproximantKind | None = None) -> list[float]:
+    """Grid points surviving the support and series-convergence guards."""
+    return [x for x, _, _ in guarded_points(dist, pair, metric, kind)]
 
 
 def evaluation_points(dist: DistributionSpec, pair: NormingPair,
@@ -120,8 +127,8 @@ def evaluation_points(dist: DistributionSpec, pair: NormingPair,
     """Exact vs approximant values with signed errors, for diagnosing sign."""
     out = []
     for x in xs:
-        out.append(EvalPoint(x=x, exact=exact_max_cdf(dist, pair, x),
-                             approx=evaluate(dist, pair, x, kind)))
+        exact, gamma = exact_and_gamma(dist, pair, x)
+        out.append(EvalPoint(x=x, exact=exact, approx=evaluate_at(kind, x, gamma, pair.n)))
     return out
 
 
@@ -129,7 +136,8 @@ def error_curve(dist: DistributionSpec, approximant: ApproximantKind,
                 metric: SupOnGrid | AtPoint, n_grid: Sequence[int]) -> ErrorCurve:
     """|exact - approximant| per n, under exact norming.
 
-    Evaluation failures are re-raised with the offending (n, x) attached.
+    Evaluation failures are re-raised with the offending n (and x, where
+    one point failed) attached.
     """
     ns = [int(n) for n in n_grid]
     if any(hi <= lo for lo, hi in zip(ns, ns[1:])):
@@ -137,18 +145,18 @@ def error_curve(dist: DistributionSpec, approximant: ApproximantKind,
     points = []
     for n in ns:
         pair = norming_exact(dist, n)
-        if isinstance(metric, AtPoint):
-            xs = [metric.x]
-        else:
-            xs = guarded_xs(dist, pair, metric, approximant)
-        worst = 0.0
-        for x in xs:
-            try:
-                err = abs(exact_max_cdf(dist, pair, x)
-                          - evaluate(dist, pair, x, approximant))
-            except EvtError as exc:
-                raise type(exc)(f"at n={n}, x={x}: {exc}") from exc
-            worst = max(worst, err)
+        x = metric.x if isinstance(metric, AtPoint) else None
+        try:
+            if x is None:
+                grid = guarded_points(dist, pair, metric, approximant)
+            else:
+                grid = [(x, *exact_and_gamma(dist, pair, x))]
+            worst = 0.0
+            for x, exact, gamma in grid:
+                worst = max(worst, abs(exact - evaluate_at(approximant, x, gamma, n)))
+        except EvtError as exc:
+            where = f"n={n}" if x is None else f"n={n}, x={x}"
+            raise type(exc)(f"at {where}: {exc}") from exc
         points.append((n, worst))
     return ErrorCurve(dist_label=dist.label, approximant=approximant,
                       metric=metric, points=tuple(points))
@@ -198,8 +206,8 @@ def weighted_residual(dist: DistributionSpec, n: int, rho: float,
     metric = metric if metric is not None else SupOnGrid()
     pair = norming_exact(dist, n, centering="logcdf")
     worst = 0.0
-    for x in guarded_xs(dist, pair, metric):
-        gap = (exact_max_cdf(dist, pair, x) - gumbel_cdf(x)) / a_n_value
+    for x, exact, _ in guarded_points(dist, pair, metric):
+        gap = (exact - gumbel_cdf(x)) / a_n_value
         shape = math.exp(-x + rho * x) * gumbel_cdf(x) / rho
         worst = max(worst, math.exp((1.0 - eps) * x) * abs(gap + shape))
     return worst

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DivergenceError, DomainError
-from .gamma import gamma_exact
+from .gamma import gamma_exact, require_finite
 from .norming import NormingPair
 from .tails import DistributionSpec
 
@@ -95,16 +95,48 @@ class EvalPoint:
 # Exact law and approximants
 # ---------------------------------------------------------------------------
 
+def _law(log_s: float, n: int) -> float:
+    # exp(n log(1 - s)) via log1p; s = 1 (tail(x0) = 1) means F = 0
+    s = math.exp(log_s)
+    if s >= 1.0:
+        return 0.0
+    return math.exp(n * math.log1p(-s))
+
+
+def exact_and_gamma(dist: DistributionSpec, pair: NormingPair,
+                    x: float) -> tuple[float, float | None]:
+    """(F^n(a x + b), gamma(x)) from a single tail evaluation.
+
+    log tail(z) at z = b + a x is evaluated from log tail(b), which exact
+    pairs carry, so for families whose tail is an integral it costs one
+    short quadrature from b to z; gamma = log tail(b) - log tail(z). Every
+    column of a grid point derives from this one gamma. Below the support
+    edge the law is the atom completion F(x0)^n and gamma is None.
+    """
+    require_finite(x)
+    z = pair.b + pair.a * x
+    if z < dist.x0:
+        return _law(dist.log_tail(dist.x0), pair.n), None
+    log_tail_b = pair.log_tail_b if pair.log_tail_b is not None else dist.log_tail(pair.b)
+    log_tail_z = dist.log_tail_from(z, pair.b, log_tail_b)
+    # rounds exactly as gamma_exact's -(log_tail(z) - log_tail(b)), signed zero included
+    return _law(log_tail_z, pair.n), -(log_tail_z - log_tail_b)
+
+
 def exact_max_cdf(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
     """F^n(a x + b) = exp(n log(1 - tail(a x + b))), via log1p for stability.
 
     Below the support edge the atom completion gives F(x0)^n.
     """
-    z = pair.b + pair.a * x
-    s = dist.tail(dist.x0) if z < dist.x0 else dist.tail(z)
-    if s >= 1.0:  # tail(x0) = 1: all mass above, F(x0) = 0
-        return 0.0
-    return math.exp(pair.n * math.log1p(-s))
+    return exact_and_gamma(dist, pair, x)[0]
+
+
+def require_gamma(gamma: float | None, x: float) -> float:
+    """gamma as returned by exact_and_gamma; DomainError where it is None."""
+    if gamma is None:
+        raise DomainError(f"x = {x!r} puts b + a x below the support edge x0; "
+                          f"gamma is defined only at x0 <= b + a x")
+    return gamma
 
 
 def gumbel_cdf(x: float) -> float:
@@ -114,12 +146,26 @@ def gumbel_cdf(x: float) -> float:
     return math.exp(-math.exp(-x))
 
 
-def _gamma_or_cutoff(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
+def _gamma_or_none(dist: DistributionSpec, pair: NormingPair, x: float) -> float | None:
+    require_finite(x)
+    if pair.b + pair.a * x < dist.x0:
+        return None
+    return gamma_exact(dist, pair, x).value
+
+
+def _cutoff(gamma: float | None, n: int) -> float:
     # below the support edge the tail ratio is 1/tail(b) = n: gamma = -log n,
     # the exact cutoff boundary
-    if pair.b + pair.a * x < dist.x0:
-        return -math.log(pair.n)
-    return gamma_exact(dist, pair, x).value
+    return -math.log(n) if gamma is None else gamma
+
+
+def _accompanying(gamma: float | None, n: int) -> float:
+    g = _cutoff(gamma, n)
+    if g < -math.log(n):
+        return 0.0
+    if g < -700.0:  # e^-gamma would overflow; the value is already sub-underflow
+        return 0.0
+    return math.exp(-math.exp(-g))
 
 
 def accompanying_law(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
@@ -127,24 +173,11 @@ def accompanying_law(dist: DistributionSpec, pair: NormingPair, x: float) -> flo
 
     At the cutoff itself the closed branch applies: exp(-e^(log n)) = e^-n.
     """
-    g = _gamma_or_cutoff(dist, pair, x)
-    if g < -math.log(pair.n):
-        return 0.0
-    if g < -700.0:  # e^-gamma would overflow; the value is already sub-underflow
-        return 0.0
-    return math.exp(-math.exp(-g))
+    return _accompanying(_gamma_or_none(dist, pair, x), pair.n)
 
 
-def sigma_series(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
-    """Sigma(x) = sum_{k>=0} exp(-(k+2) gamma) / ((k+2) n^k).
-
-    Converges iff e^-gamma/n < 1, i.e. gamma > -log n; outside that the
-    series diverges and the accompanying law's cutoff branch is in force.
-    Partial sums stop once the next term drops below 1e-16 of the running
-    sum (never more than ~90 terms inside the guarded region).
-    """
-    g = gamma_exact(dist, pair, x).value
-    n = float(pair.n)
+def _sigma(g: float, n: int) -> float:
+    n = float(n)
     if g <= -math.log(n):
         raise DivergenceError(
             f"sigma series diverges at gamma = {g!r} <= -log n = {-math.log(n)!r}")
@@ -164,13 +197,27 @@ def sigma_series(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
         f"is too close to the -log n cutoff)")
 
 
-def two_term(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
-    """exp(-e^-gamma) * exp(-Sigma/n); equals exact_max_cdf up to rounding."""
-    g = gamma_exact(dist, pair, x).value
-    sigma = sigma_series(dist, pair, x)
+def sigma_series(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
+    """Sigma(x) = sum_{k>=0} exp(-(k+2) gamma) / ((k+2) n^k).
+
+    Converges iff e^-gamma/n < 1, i.e. gamma > -log n; outside that the
+    series diverges and the accompanying law's cutoff branch is in force.
+    Partial sums stop once the next term drops below 1e-16 of the running
+    sum (never more than ~90 terms inside the guarded region).
+    """
+    return _sigma(gamma_exact(dist, pair, x).value, pair.n)
+
+
+def _two_term(g: float, n: int) -> float:
+    sigma = _sigma(g, n)
     if g < -700.0:
         return 0.0
-    return math.exp(-math.exp(-g) - sigma / pair.n)
+    return math.exp(-math.exp(-g) - sigma / n)
+
+
+def two_term(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
+    """exp(-e^-gamma) * exp(-Sigma/n); equals exact_max_cdf up to rounding."""
+    return _two_term(gamma_exact(dist, pair, x).value, pair.n)
 
 
 def first_order_corrected(x: float, gamma_value: float) -> float:
@@ -204,27 +251,41 @@ def h_function(x: float, rho: float) -> float:
     return (math.expm1(u) - u) / (rho * rho)
 
 
+def _second_order(x: float, g: float, n: int, rho: float, a_n_value: float) -> float:
+    if x <= 0.0:
+        raise DomainError(f"second_order_approx needs x > 0 (H involves log x), got {x!r}")
+    exponent = -math.exp(-x) - a_n_value * h_function(x, rho) - _sigma(g, n) / n
+    return math.exp(exponent)
+
+
 def second_order_approx(dist: DistributionSpec, pair: NormingPair, x: float,
                         rho: float, a_n_value: float) -> float:
     """exp(-e^-x - A(n) H(x)) * exp(-Sigma/n), the second-order-condition law."""
-    if x <= 0.0:
-        raise DomainError(f"second_order_approx needs x > 0 (H involves log x), got {x!r}")
-    sigma = sigma_series(dist, pair, x)
-    exponent = -math.exp(-x) - a_n_value * h_function(x, rho) - sigma / pair.n
-    return math.exp(exponent)
+    return _second_order(x, gamma_exact(dist, pair, x).value, pair.n, rho, a_n_value)
+
+
+def evaluate_at(kind: ApproximantKind, x: float, gamma: float | None, n: int) -> float:
+    """One approximant at x from gamma(x) as returned by exact_and_gamma.
+
+    gamma is None below the support edge: the accompanying and first-order
+    laws then use the cutoff gamma = -log n, and the series-based ones
+    raise DomainError.
+    """
+    if isinstance(kind, Gumbel):
+        return gumbel_cdf(x)
+    if isinstance(kind, Accompanying):
+        return _accompanying(gamma, n)
+    if isinstance(kind, TwoTerm):
+        return _two_term(require_gamma(gamma, x), n)
+    if isinstance(kind, FirstOrderCorrected):
+        return first_order_corrected(x, _cutoff(gamma, n))
+    if isinstance(kind, SecondOrder):
+        return _second_order(x, require_gamma(gamma, x), n, kind.rho, kind.a_n(n))
+    raise DomainError(f"unknown approximant kind {kind!r}")
 
 
 def evaluate(dist: DistributionSpec, pair: NormingPair, x: float,
              kind: ApproximantKind) -> float:
     """Evaluate one approximant at one scaled coordinate."""
-    if isinstance(kind, Gumbel):
-        return gumbel_cdf(x)
-    if isinstance(kind, Accompanying):
-        return accompanying_law(dist, pair, x)
-    if isinstance(kind, TwoTerm):
-        return two_term(dist, pair, x)
-    if isinstance(kind, FirstOrderCorrected):
-        return first_order_corrected(x, _gamma_or_cutoff(dist, pair, x))
-    if isinstance(kind, SecondOrder):
-        return second_order_approx(dist, pair, x, kind.rho, kind.a_n(pair.n))
-    raise DomainError(f"unknown approximant kind {kind!r}")
+    gamma = None if isinstance(kind, Gumbel) else _gamma_or_none(dist, pair, x)
+    return evaluate_at(kind, x, gamma, pair.n)

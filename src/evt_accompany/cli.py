@@ -31,7 +31,7 @@ from .analysis import (
     SupOnGrid,
     error_curve,
     fit_rate,
-    guarded_xs,
+    guarded_points,
     simulate_max,
 )
 from .approx import (
@@ -41,12 +41,11 @@ from .approx import (
     Gumbel,
     SecondOrder,
     TwoTerm,
-    evaluate,
-    exact_max_cdf,
-    two_term,
+    evaluate_at,
+    exact_and_gamma,
+    require_gamma,
 )
 from .errors import DomainError, EvtError, ParseError
-from .gamma import gamma_exact
 from .norming import (
     norming_exact,
     norming_logweibull_closed,
@@ -215,15 +214,16 @@ def _cmd_table(args) -> int:
     out.row(_header(dist.label, "table"))
     out.row(TABLE_COLUMNS)
     for x in _grid(window):
-        cells = [_fmt(x), _fmt(exact_max_cdf(dist, pair, x))]
-        for name in ("gumbel", "accompanying", "two_term", "first_order", "second_order"):
+        exact, gamma = exact_and_gamma(dist, pair, x)
+        cells = [_fmt(x), _fmt(exact)]
+        for name in _APPROX_NAMES:
             if name not in kinds:
                 cells.append("")
             elif name == "second_order" and x <= 0.0:
                 cells.append("")  # H(x) involves log x; undefined at x <= 0
             else:
-                cells.append(_fmt(evaluate(dist, pair, x, kinds[name])))
-        cells.append(_fmt(gamma_exact(dist, pair, x).value))
+                cells.append(_fmt(evaluate_at(kinds[name], x, gamma, n)))
+        cells.append(_fmt(require_gamma(gamma, x)))
         out.row(",".join(cells))
     out.finish([f"table: {window[2]} rows for dist={dist.label} n={n}"])
     return 0
@@ -299,9 +299,8 @@ def _cmd_check_identity(args) -> int:
     out.row(_header(dist.label, "check-identity"))
     out.row(IDENTITY_COLUMNS)
     worst = 0.0
-    for x in guarded_xs(dist, pair, metric):
-        exact = exact_max_cdf(dist, pair, x)
-        tt = two_term(dist, pair, x)
+    for x, exact, gamma in guarded_points(dist, pair, metric):
+        tt = evaluate_at(TwoTerm(), x, gamma, n)
         gap = abs(exact - tt)
         worst = max(worst, gap)
         out.row(",".join([str(n), _fmt(x), _fmt(exact), _fmt(tt), _fmt(gap)]))
@@ -420,8 +419,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         kind = type(exc).__name__
         print(f"error ({kind}): {exc}", file=sys.stderr)
         return code
-    except ValueError as exc:
-        print(f"error (ValueError): {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError) as exc:
+        # last resort: a numerical failure without a typed error still exits 4
+        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 4
 
 

@@ -36,7 +36,14 @@ class GammaValue:
     route: str
 
 
+def require_finite(x: float) -> None:
+    """DomainError unless the scaled coordinate x is a finite real."""
+    if not math.isfinite(x):
+        raise DomainError(f"scaled coordinate x must be finite, got {x!r}")
+
+
 def _eval_point(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
+    require_finite(x)
     z = pair.b + pair.a * x
     if z < dist.x0 - 1e-12 * max(1.0, abs(dist.x0)):
         x_min = (dist.x0 - pair.b) / pair.a

@@ -28,12 +28,18 @@ _LOGWEIBULL_ITERATIONS = 4
 
 @dataclass(frozen=True)
 class NormingPair:
-    """Location/scale pair for P(M_n <= a*x + b), tagged with its origin."""
+    """Location/scale pair for P(M_n <= a*x + b), tagged with its origin.
+
+    Exact pairs also carry log_tail_b = log tail(b) of the family they were
+    normed for, so the exact law at b + a x needs only the tail between b
+    and b + a x. Pairs without it have it computed where needed.
+    """
 
     n: int
     a: float
     b: float
     method: str = EXACT_QUANTILE
+    log_tail_b: float | None = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -55,17 +61,22 @@ def norming_exact(dist: DistributionSpec, n: int, centering: str = "quantile") -
     n = int(n)
     if n < 2:
         raise DomainError(f"norming_exact needs n >= 2, got {n!r}")
+    try:
+        inv_n = 1.0 / n
+    except OverflowError:
+        raise DomainError(f"norming_exact needs n within the float range, "
+                          f"got n >= 2**{n.bit_length() - 1}") from None
     if centering == "quantile":
-        q = 1.0 / n
+        q = inv_n
     elif centering == "logcdf":
-        q = -math.expm1(-1.0 / n)
+        q = -math.expm1(-inv_n)
     else:
         raise DomainError(f"unknown centering {centering!r}")
     b = dist.quantile_tail(q)
     f, g, _ = dist.von_mises_components(b)
     if g <= 0.0:
         raise DomainError(f"g(b_n) = {g!r} <= 0 at b_n = {b!r}; not a usable scale")
-    return NormingPair(n=n, a=f / g, b=b, method=EXACT_QUANTILE)
+    return NormingPair(n=n, a=f / g, b=b, method=EXACT_QUANTILE, log_tail_b=dist.log_tail(b))
 
 
 def norming_weibull_closed(c: float, p: float, alpha: float,

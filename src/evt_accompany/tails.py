@@ -101,10 +101,17 @@ def iterated_log(t: float, k: int) -> float:
 
 
 def exp_tower(k: int) -> float:
-    """exp applied k times to 1; iterated_log(exp_tower(k), k) == 1."""
+    """exp applied k times to 1; iterated_log(exp_tower(k), k) == 1.
+
+    DomainError when the tower is not representable as a float (k >= 4).
+    """
     v = 1.0
     for _ in range(k):
-        v = math.exp(v)
+        try:
+            v = math.exp(v)
+        except OverflowError:
+            raise DomainError(
+                f"the {k}-fold exp tower of 1 overflows a float (exp of {v!r})") from None
     return v
 
 
@@ -143,8 +150,21 @@ class DistributionSpec:
         """log_tail(z) - log_tail(b); overridden where a single pass is cheaper."""
         return self.log_tail(z) - self.log_tail(b)
 
+    def log_tail_from(self, x: float, anchor: float, log_tail_anchor: float) -> float:
+        """log_tail(x), given log_tail_anchor = log_tail(anchor) at another point >= x0.
+
+        Families whose tail is an integral only integrate between anchor and
+        x; closed forms ignore the anchor and return exactly log_tail(x).
+        """
+        if _below(min(x, anchor), self._x0):
+            raise DomainError(f"log_tail_from needs both points >= x0 = {self._x0!r}")
+        return self._log_tail_from(x, anchor, log_tail_anchor)
+
     def _log_tail_raw(self, x: float) -> float:
         raise NotImplementedError
+
+    def _log_tail_from(self, x: float, anchor: float, log_tail_anchor: float) -> float:
+        return self._log_tail_raw(x)
 
     # -- quantile ----------------------------------------------------------
 
@@ -153,7 +173,9 @@ class DistributionSpec:
 
         Bracket by doubling outward from x0 (tail monotonicity guarantees a
         bracket exists), then polish with bisection/secant steps until
-        |log_tail(x) - log q| <= 1e-12 * max(1, |log q|).
+        |log_tail(x) - log q| <= 1e-12 * max(1, |log q|). Each new point is
+        evaluated from the nearest bracket end, so a family whose tail is an
+        integral covers [x0, x] about once per search.
         """
         if not (0.0 < q):
             raise DomainError(f"quantile_tail needs q in (0, tail(x0)], got {q!r}")
@@ -173,7 +195,7 @@ class DistributionSpec:
         step = 1.0 if self._x0 <= 0.0 else max(self._x0, 1e-12)
         for _ in range(_BRACKET_CAP):
             hi = lo + step
-            f_hi = self._log_tail_raw(hi)
+            f_hi = self._log_tail_from(hi, lo, f_lo)
             if f_hi <= log_q:
                 return lo, f_lo, hi, f_hi
             lo, f_lo, step = hi, f_hi, 2.0 * step
@@ -189,7 +211,10 @@ class DistributionSpec:
                 sec = lo + (f_lo - log_q) * (hi - lo) / (f_lo - f_hi)
                 if lo < sec < hi:
                     mid = sec
-            f_mid = self._log_tail_raw(mid)
+            if mid - lo <= hi - mid:
+                f_mid = self._log_tail_from(mid, lo, f_lo)
+            else:
+                f_mid = self._log_tail_from(mid, hi, f_hi)
             if abs(f_mid - log_q) <= tol:
                 return mid
             if f_mid > log_q:
@@ -379,15 +404,18 @@ class _HandleFamily(DistributionSpec):
     def _log_tail_raw(self, x: float) -> float:
         return self._log_c(x) - self._integral(self._x0, x)
 
+    def _log_tail_from(self, x: float, anchor: float, log_tail_anchor: float) -> float:
+        return log_tail_anchor + (self._log_c(x) - self._log_c(anchor)) - self._integral(anchor, x)
+
     def log_tail_diff(self, z: float, b: float) -> float:
         if _below(min(z, b), self._x0):
             raise DomainError(f"log_tail_diff needs both points >= x0 = {self._x0!r}")
-        return (self._log_c(z) - self._log_c(b)) - self._integral(b, z)
+        return self._log_tail_from(z, b, 0.0)
 
     def _integral(self, a: float, b: float) -> float:
         if a == b:
             return 0.0
-        if a > 0.0:
+        if min(a, b) > 0.0:
             return quadrature.integrate_log_substituted(self._over_f, a, b)
         return quadrature.integrate(self._over_f, a, b)
 
@@ -468,26 +496,6 @@ class IteratedLogScale(_HandleFamily):
 
     def _components(self, t: float):
         return self.aux_f(t), 1.0, 1.0
-
-
-# ---------------------------------------------------------------------------
-# Module-level operation surface
-# ---------------------------------------------------------------------------
-
-def log_tail(dist: DistributionSpec, x: float) -> float:
-    return dist.log_tail(x)
-
-
-def tail(dist: DistributionSpec, x: float) -> float:
-    return dist.tail(x)
-
-
-def quantile_tail(dist: DistributionSpec, q: float) -> float:
-    return dist.quantile_tail(q)
-
-
-def von_mises_components(dist: DistributionSpec, t: float):
-    return dist.von_mises_components(t)
 
 
 # ---------------------------------------------------------------------------

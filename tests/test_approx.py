@@ -11,6 +11,8 @@ from evt_accompany.approx import (
     TwoTerm,
     accompanying_law,
     evaluate,
+    evaluate_at,
+    exact_and_gamma,
     exact_max_cdf,
     first_order_corrected,
     gumbel_cdf,
@@ -24,6 +26,7 @@ from evt_accompany.gamma import gamma_exact
 from evt_accompany.norming import norming_exact
 from evt_accompany.tails import (
     ExponentialUnit,
+    GeneralizedVonMises,
     IteratedLogScale,
     LogWeibullLike,
     WeibullLike,
@@ -88,6 +91,77 @@ def test_exact_cdf_atom_completion_below_support():
     pair = norming_exact(d, 100)
     floor = math.exp(100 * math.log1p(-d.tail(d.x0)))
     assert exact_max_cdf(d, pair, -1e9) == pytest.approx(floor, rel=1e-12)
+
+
+# tail e^-(t^2 - 1) on [1, inf), given through handles: f = 1/(2t), g = c = 1
+HANDLE_FAMILIES = [
+    IteratedLogScale(2, 1.0, 1.0),
+    IteratedLogScale(3, 1.0, 1.0),
+    GeneralizedVonMises(f=lambda t: 0.5 / t, g=lambda t: 1.0, c=lambda t: 1.0, x0=1.0),
+]
+
+
+def law_from_x0(dist, pair, x):
+    """F^n through dist.tail(z), which integrates from x0; exact_max_cdf
+    integrates only from b, so this is an independent route to the same law."""
+    return math.exp(pair.n * math.log1p(-dist.tail(pair.b + pair.a * x)))
+
+
+@pytest.mark.parametrize("dist", HANDLE_FAMILIES, ids=lambda d: d.label)
+@pytest.mark.parametrize("n", [10 ** 3, 10 ** 6, 10 ** 9])
+def test_handle_law_matches_tail_integrated_from_x0(dist, n):
+    pair = norming_exact(dist, n)
+    xs = guarded_grid(dist, pair, steps=17)
+    assert len(xs) >= 10
+    for x in xs:
+        want = law_from_x0(dist, pair, x)
+        assert abs(exact_max_cdf(dist, pair, x) - want) <= 1e-10
+        assert abs(two_term(dist, pair, x) - want) <= 1e-10
+
+
+@pytest.mark.parametrize("dist", FAMILIES + HANDLE_FAMILIES[1:], ids=lambda d: d.label)
+def test_exact_and_gamma_match_single_point_routes(dist):
+    pair = norming_exact(dist, 10 ** 6)
+    kinds = (Gumbel(), Accompanying(), TwoTerm(), FirstOrderCorrected(),
+             SecondOrder(rho=-0.5, a_n=lambda n: 0.01))
+    closed = not isinstance(dist, (IteratedLogScale, GeneralizedVonMises))
+    for x in guarded_grid(dist, pair, steps=17):
+        _, g = exact_and_gamma(dist, pair, x)
+        want = gamma_exact(dist, pair, x).value
+        if closed:  # same rounding, signed zero at x = 0 included
+            assert repr(g) == repr(want)
+        else:
+            assert g == pytest.approx(want, abs=1e-12)
+        for kind in kinds:
+            if isinstance(kind, SecondOrder) and x <= 0.0:
+                continue
+            got = evaluate_at(kind, x, g, pair.n)
+            if closed:
+                assert got == evaluate(dist, pair, x, kind)
+            else:
+                assert got == pytest.approx(evaluate(dist, pair, x, kind), abs=1e-13)
+
+
+def test_exact_and_gamma_below_support():
+    d = WeibullLike(1.0, 0.5, 2.0)  # x0 ~ 87, tail(x0) ~ 0.67
+    pair = norming_exact(d, 100)
+    exact, g = exact_and_gamma(d, pair, -50.0)
+    assert g is None
+    assert exact == exact_max_cdf(d, pair, -50.0)
+    assert evaluate_at(Accompanying(), -50.0, g, 100) == accompanying_law(d, pair, -50.0)
+    assert evaluate_at(Gumbel(), -50.0, g, 100) == gumbel_cdf(-50.0)
+    with pytest.raises(DomainError):
+        evaluate_at(TwoTerm(), -50.0, g, 100)
+
+
+@pytest.mark.parametrize("dist", [WeibullLike(1.0, 2.0, 0.0), IteratedLogScale(2, 1.0, 1.0)],
+                         ids=lambda d: d.label)
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_x_is_a_domain_error(dist, x):
+    pair = norming_exact(dist, 1000)
+    for fn in (exact_max_cdf, exact_and_gamma, gamma_exact, accompanying_law, two_term):
+        with pytest.raises(DomainError, match="finite"):
+            fn(dist, pair, x)
 
 
 # -- gumbel ------------------------------------------------------------------

@@ -148,6 +148,46 @@ def test_exit_domain_error_below_support(tmp_path, capsys):
     assert "DomainError" in capsys.readouterr().err
 
 
+def test_exit_domain_error_unrepresentable_tower(tmp_path, capsys):
+    # iterlog k = 4 needs x0 above exp(exp(exp(e))), which overflows a float
+    code, _ = run(tmp_path, "x.csv", [
+        "table", "--dist", "iterlog:k=4,a=1,C=1", "--n", "1000", "--x", "-2:6:9",
+        "--approx", "gumbel"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error (DomainError)" in err
+    assert "Traceback" not in err
+
+
+def test_exit_domain_error_non_finite_x(tmp_path, capsys):
+    # an infinite end point puts NaN on the grid
+    code, _ = run(tmp_path, "x.csv", [
+        "table", "--dist", "exp", "--n", "1000", "--x=-inf:1:3", "--approx", "gumbel"])
+    assert code == 3
+    assert "DomainError" in capsys.readouterr().err
+
+
+def test_last_resort_handler_catches_arithmetic_errors(tmp_path, capsys, monkeypatch):
+    import evt_accompany.cli as cli
+
+    def overflow(args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(cli._DISPATCH, "table", overflow)
+    code, _ = run(tmp_path, "x.csv", [
+        "table", "--dist", "exp", "--n", "1000", "--x", "0:1:3"])
+    assert code == 4
+    assert "error (OverflowError): math range error" in capsys.readouterr().err
+
+
+def test_overflowing_grid_exits_without_traceback(tmp_path, capsys):
+    code, _ = run(tmp_path, "x.csv", [
+        "table", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1", "--n", "1000",
+        "--x", "-2:1e300:3", "--approx", "gumbel"])
+    assert code in (3, 4)
+    assert capsys.readouterr().err.startswith("error (")
+
+
 def test_exit_domain_error_no_closed_form(tmp_path):
     code, _ = run(tmp_path, "x.csv", ["norming", "--dist", "exp", "--n", "1000"])
     assert code == 3

@@ -16,6 +16,7 @@ from evt_accompany.norming import (
 )
 from evt_accompany.tails import (
     ExponentialUnit,
+    IteratedLogScale,
     LogWeibullLike,
     SlowlyVarying,
     WeibullLike,
@@ -80,6 +81,22 @@ def test_exact_centering_options():
     assert 0.0 < shift_gap < 1e-4
     with pytest.raises(DomainError):
         norming_exact(d, 100, centering="banana")
+
+
+def test_exact_rejects_n_beyond_float_range():
+    with pytest.raises(DomainError, match="float range"):
+        norming_exact(WeibullLike(1.0, 2.0, 0.0), 10 ** 400)
+    with pytest.raises(DomainError):
+        norming_exact(WeibullLike(1.0, 2.0, 0.0), 10 ** 400, centering="logcdf")
+
+
+@pytest.mark.parametrize("dist", [WeibullLike(1.0, 2.0, 0.0), IteratedLogScale(2, 1.0, 1.0)],
+                         ids=lambda d: d.label)
+def test_exact_pair_carries_log_tail_at_b(dist):
+    pair = norming_exact(dist, 10 ** 6)
+    assert pair.log_tail_b == dist.log_tail(pair.b)
+    assert pair.log_tail_b == pytest.approx(-math.log(1e6), rel=1e-11)
+    assert norming_weibull_closed(1.0, 2.0, 0.0, CONST1, 10 ** 6).log_tail_b is None
 
 
 def test_exact_requires_reachable_quantile():

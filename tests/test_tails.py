@@ -251,6 +251,16 @@ def test_iterated_log_tower_guard():
         IteratedLogScale(1, 1.0, 1.0)
 
 
+def test_exp_tower_overflow_is_a_domain_error():
+    # exp(exp(exp(e))) = exp(3.8e6) is not a float: k = 4 has no representable x0
+    with pytest.raises(DomainError, match="overflows"):
+        exp_tower(4)
+    with pytest.raises(DomainError):
+        IteratedLogScale(4, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        parse_dist("iterlog:k=4,a=1,C=1")
+
+
 def test_generalized_von_mises_matches_exponential():
     gvm = GeneralizedVonMises(f=lambda t: 1.0, g=lambda t: 1.0, c=lambda t: 1.0, x0=0.0)
     assert gvm.log_tail(4.0) == pytest.approx(-4.0, abs=1e-12)
@@ -295,3 +305,52 @@ def test_parse_is_exact_about_numbers():
         parse_dist("weibull:c=one,p=2,alpha=0,ell=const:1")
     with pytest.raises(ParseError):
         parse_dist("iterlog:k=2.5,a=1,C=1")
+
+
+# -- anchored tail evaluation --------------------------------------------------
+
+# tail e^-(t^2 - 1) on [1, inf), given through handles: f = 1/(2t), g = c = 1
+GVM_SQUARE = GeneralizedVonMises(f=lambda t: 0.5 / t, g=lambda t: 1.0, c=lambda t: 1.0, x0=1.0)
+HANDLES = [IteratedLogScale(2, 1.0, 1.0), IteratedLogScale(3, 1.0, 1.0), GVM_SQUARE]
+
+
+@pytest.mark.parametrize("dist", HANDLES, ids=lambda d: d.label)
+def test_log_tail_from_agrees_with_log_tail(dist):
+    # log_tail integrates from x0; log_tail_from only between the two points
+    points = [dist.x0 * s for s in (1.0, 1.3, 2.0, 7.5, 40.0)]
+    for anchor in points:
+        f_anchor = dist.log_tail(anchor)
+        for x in points:
+            assert abs(dist.log_tail_from(x, anchor, f_anchor) - dist.log_tail(x)) <= 1e-11
+
+
+def test_log_tail_from_handle_square_closed_form():
+    for anchor, x in ((1.0, 3.0), (3.0, 1.5), (2.0, 6.0)):
+        got = GVM_SQUARE.log_tail_from(x, anchor, -(anchor * anchor - 1.0))
+        assert got == pytest.approx(-(x * x - 1.0), abs=1e-11)
+
+
+@pytest.mark.parametrize("dist", BUILTINS[:-1], ids=lambda d: d.label)
+def test_log_tail_from_is_log_tail_on_closed_forms(dist):
+    # closed forms ignore the anchor value, so their numbers stay bit-identical
+    for x in (dist.x0 + 0.5, dist.x0 * 3.0 + 2.0):
+        assert dist.log_tail_from(x, dist.x0, 123.0) == dist.log_tail(x)
+
+
+def test_log_tail_from_rejects_points_below_x0():
+    d = IteratedLogScale(2, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        d.log_tail_from(d.x0 - 1.0, d.x0, 0.0)
+    with pytest.raises(DomainError):
+        d.log_tail_from(d.x0 + 1.0, d.x0 - 1.0, 0.0)
+
+
+@pytest.mark.parametrize("dist", HANDLES, ids=lambda d: d.label)
+def test_anchored_quantile_round_trips_under_direct_integral(dist):
+    # quantile_tail evaluates each iterate from a bracket end; log_tail still
+    # integrates from x0, so this checks the whole chain of short integrals
+    for k in range(1, 31):
+        q = 10.0 ** -k
+        log_q = math.log(q)
+        x = dist.quantile_tail(q)
+        assert abs(dist.log_tail(x) - log_q) <= 1e-11 * max(1.0, abs(log_q))
