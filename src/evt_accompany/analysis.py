@@ -39,8 +39,6 @@ RNG_ALGORITHM = "philox4x64"
 # summable with a uniformly bounded term count.
 GUARD_SLACK = 0.5
 
-_SIM_CHUNK_VALUES = 8_000_000
-
 
 @dataclass(frozen=True)
 class SupOnGrid:
@@ -213,34 +211,43 @@ def weighted_residual(dist: DistributionSpec, n: int, rho: float,
     return worst
 
 
+def _min_tail_levels(u: np.ndarray, n: int) -> np.ndarray:
+    """Tail levels distributed as the minimum of n i.i.d. uniform levels.
+
+    That minimum has P(min > t) = (1 - t)^n, so 1 - u^(1/n) with u uniform on
+    [0, 1) draws it exactly; u = 0 gives the level 1. DomainError when n is
+    so large that log(u)/n underflows and a level rounds to 0.
+    """
+    with np.errstate(divide="ignore"):
+        q = -np.expm1(np.log(u) / n)
+    if not q.all():
+        raise DomainError(
+            f"simulate_max: n={n} is too large to sample, a minimum tail level "
+            f"underflows to 0")
+    return q
+
+
 def simulate_max(dist: DistributionSpec, n: int, replications: int,
                  seed: int) -> np.ndarray:
     """Scaled maxima (M - b_n)/a_n of `replications` batches of n draws.
 
     Inverse-transform sampling through the tail quantile with the atom
-    completion at x0; the per-batch maximum is quantile_tail(min of the n
-    uniform tail levels), which is the same random variable drawn with one
-    inversion. Deterministic for a fixed seed (Philox counter stream).
+    completion at x0. A batch maximum is the quantile of the smallest of its
+    n uniform tail levels, and that smallest level is drawn directly from its
+    exact law with one uniform per replication, so time and memory are
+    O(replications) whatever n is. All levels are inverted with one
+    dist.quantile_tails call. Deterministic for a fixed non-negative seed
+    (Philox counter stream).
     """
     if replications < 1:
         raise DomainError(f"simulate_max needs replications >= 1, got {replications!r}")
+    if seed < 0:
+        raise DomainError(f"simulate_max needs a non-negative seed, got {seed!r}")
     n = int(n)
     pair = norming_exact(dist, n)
     rng = np.random.Generator(np.random.Philox(seed))
-    tail_floor = dist.tail(dist.x0)
-    chunk = max(1, _SIM_CHUNK_VALUES // n)
-    mins = np.empty(replications)
-    done = 0
-    while done < replications:
-        m = min(chunk, replications - done)
-        u = rng.random((m, n))
-        np.subtract(1.0, u, out=u)  # tail levels in (0, 1]
-        mins[done:done + m] = u.min(axis=1)
-        done += m
-    out = np.empty(replications)
-    for i, q in enumerate(mins):
-        out[i] = dist.x0 if q >= tail_floor else dist.quantile_tail(q)
-    return (out - pair.b) / pair.a
+    levels = _min_tail_levels(rng.random(replications), n)
+    return (dist.quantile_tails(levels) - pair.b) / pair.a
 
 
 def empirical_cdf(samples: np.ndarray, xs: Sequence[float]) -> np.ndarray:

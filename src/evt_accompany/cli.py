@@ -319,6 +319,8 @@ def _cmd_simulate(args) -> int:
     n = _single_n(args)
     if args.reps < 1:
         raise ParseError(f"--reps: needs a positive count, got {args.reps!r}")
+    if args.seed < 0:
+        raise ParseError(f"--seed: needs a non-negative integer, got {args.seed!r}")
     samples = simulate_max(dist, n, args.reps, seed=args.seed)
     out = _Output(args.out)
     out.row(_header(dist.label, "simulate", extra=f"seed={args.seed} rng={RNG_ALGORITHM}"))

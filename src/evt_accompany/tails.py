@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import quadrature
 from .errors import ConvergenceError, DomainError, ParseError
 
@@ -120,6 +122,19 @@ def _below(x: float, x0: float) -> bool:
     return x < x0 - 1e-12 * max(1.0, abs(x0))
 
 
+def _levels(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    bad = ~((q > 0.0) & (q <= 1.0))
+    if bad.any():
+        raise DomainError(f"quantile_tails needs levels in (0, 1], got {float(q[bad].flat[0])!r}")
+    return q
+
+
+def _overflow(x: float, base: float, p: float) -> DomainError:
+    return DomainError(
+        f"tail at x={x!r} is outside the float range ({base!r} ** {p!r} overflows)")
+
+
 class DistributionSpec:
     """Base class for tail families. Subclasses set _x0 and _label."""
 
@@ -189,6 +204,35 @@ class DistributionSpec:
             return self._x0
         lo, f_lo, hi, f_hi = self._bracket(log_q, f_lo)
         return self._polish(log_q, lo, f_lo, hi, f_hi, tol)
+
+    def quantile_tails(self, q) -> np.ndarray:
+        """quantile_tail over an array of levels in (0, 1], completed by the
+        atom: levels q >= tail(x0) map to x0.
+
+        This default runs one root search per level; families whose quantile
+        is closed form override it with a numpy formula.
+        """
+        q = _levels(q)
+        f0 = self._log_tail_raw(self._x0)
+        # the atom test uses math.log, as quantile_tail does, so a level
+        # within an ulp of tail(x0) never reaches its out-of-range check
+        xs = [self._x0 if math.log(v) >= f0 else self.quantile_tail(v)
+              for v in q.ravel().tolist()]
+        return np.array(xs, dtype=float).reshape(q.shape)
+
+    def _closed_quantiles(self, q, inverse: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """quantile_tails from a closed-form inverse x = inverse(log q), which
+        is evaluated only at levels below tail(x0)."""
+        log_q = np.log(_levels(q))
+        x = np.full(log_q.shape, self._x0)
+        inside = log_q < self._log_tail_raw(self._x0)
+        with np.errstate(over="ignore"):
+            x[inside] = inverse(log_q[inside])
+        if not np.isfinite(x).all():
+            raise DomainError(
+                f"a quantile of {self._label} overflows a float (smallest level "
+                f"{float(np.exp(log_q.min()))!r})")
+        return x
 
     def _bracket(self, log_q: float, f_lo: float):
         lo = self._x0
@@ -299,6 +343,9 @@ class ExponentialUnit(DistributionSpec):
             raise DomainError(f"quantile_tail needs q in (0, 1], got {q!r}")
         return -math.log(q)
 
+    def quantile_tails(self, q) -> np.ndarray:
+        return self._closed_quantiles(q, np.negative)
+
     def _components(self, t: float):
         return 1.0, 1.0, 1.0
 
@@ -335,7 +382,19 @@ class WeibullLike(DistributionSpec):
     def _log_tail_raw(self, x: float) -> float:
         if x <= 0.0:
             raise DomainError(f"Weibull-like tail needs x > 0, got {x!r}")
-        return self.ell.log_value(x) + self.alpha * math.log(x) - self.c * x ** self.p
+        try:
+            power = x ** self.p
+        except OverflowError:
+            raise _overflow(x, x, self.p) from None
+        return self.ell.log_value(x) + self.alpha * math.log(x) - self.c * power
+
+    def quantile_tails(self, q) -> np.ndarray:
+        # log tail = log ell0 - c x^p when alpha = 0 and ell is constant
+        if self.alpha != 0.0 or not self.ell.is_const:
+            return super().quantile_tails(q)
+        log_ell0 = math.log(self.ell.scale)
+        return self._closed_quantiles(
+            q, lambda log_q: ((log_ell0 - log_q) / self.c) ** (1.0 / self.p))
 
     def _components(self, t: float):
         cp = self.c * self.p
@@ -382,7 +441,19 @@ class LogWeibullLike(DistributionSpec):
         if x < 1.0:
             raise DomainError(f"log-Weibull-like tail needs x >= 1, got {x!r}")
         lx = math.log(x)
-        return self.ell.log_value(x) + self.alpha * lx - self.c * lx ** self.p
+        try:
+            power = lx ** self.p
+        except OverflowError:
+            raise _overflow(x, lx, self.p) from None
+        return self.ell.log_value(x) + self.alpha * lx - self.c * power
+
+    def quantile_tails(self, q) -> np.ndarray:
+        # log tail = log ell0 - c log^p x when alpha = 0 and ell is constant
+        if self.alpha != 0.0 or not self.ell.is_const:
+            return super().quantile_tails(q)
+        log_ell0 = math.log(self.ell.scale)
+        return self._closed_quantiles(
+            q, lambda log_q: np.exp(((log_ell0 - log_q) / self.c) ** (1.0 / self.p)))
 
     def _components(self, t: float):
         cp = self.c * self.p

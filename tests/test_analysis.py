@@ -13,6 +13,7 @@ from evt_accompany.analysis import (
     error_curve,
     evaluation_points,
     fit_rate,
+    _min_tail_levels,
     guarded_xs,
     simulate_max,
     weighted_residual,
@@ -20,7 +21,12 @@ from evt_accompany.analysis import (
 from evt_accompany.approx import Accompanying, Gumbel, TwoTerm, exact_max_cdf, gumbel_cdf
 from evt_accompany.errors import DegenerateError, DomainError
 from evt_accompany.norming import norming_exact
-from evt_accompany.tails import ExponentialUnit, GeneralizedVonMises, WeibullLike
+from evt_accompany.tails import (
+    ExponentialUnit,
+    GeneralizedVonMises,
+    LogWeibullLike,
+    WeibullLike,
+)
 
 
 def synthetic_curve(ns, errs):
@@ -224,3 +230,46 @@ def test_empirical_cdf_monotone():
 def test_simulate_rejects_bad_replications():
     with pytest.raises(DomainError):
         simulate_max(ExponentialUnit(), 10, 0, seed=1)
+
+
+def test_simulate_rejects_negative_seed():
+    with pytest.raises(DomainError, match="seed"):
+        simulate_max(ExponentialUnit(), 10, 5, seed=-1)
+
+
+# Kolmogorov band: sqrt(m) * D <= 2.47 has false-alarm probability 1e-5.
+KS_LIMIT = 2.47
+
+
+@pytest.mark.parametrize("dist, n, seed", [
+    (ExponentialUnit(), 10 ** 9, 11),  # O(n * reps) draws before the one-uniform sampler
+    (WeibullLike(1.0, 0.5, 0.0), 10 ** 4, 12),
+    (LogWeibullLike(1.0, 2.0, 0.0), 10 ** 4, 13),
+    (WeibullLike(1.0, 2.0, 2.0), 10 ** 4, 14),  # no closed-form quantile: scalar loop
+], ids=lambda v: getattr(v, "label", str(v)))
+def test_simulate_kolmogorov_band_against_exact_law(dist, n, seed):
+    m = 2000
+    samples = np.sort(simulate_max(dist, n, m, seed=seed))
+    pair = norming_exact(dist, n)
+    cdf = np.array([exact_max_cdf(dist, pair, x) for x in samples])
+    i = np.arange(1, m + 1)
+    d = max(np.max(i / m - cdf), np.max(cdf - (i - 1) / m))
+    assert math.sqrt(m) * d <= KS_LIMIT
+
+
+def test_min_tail_levels_follow_the_minimum_law():
+    u = np.array([0.0, 0.25, 0.5, 1.0 - 2.0 ** -53])
+    q = _min_tail_levels(u, 10)
+    assert q[0] == 1.0  # u = 0: the level 1, which the quantile maps to x0
+    # P(min > q) = (1 - q)^n = u
+    assert np.allclose((1.0 - q[1:]) ** 10, u[1:], rtol=1e-14, atol=0.0)
+
+
+def test_simulate_at_huge_n_is_finite_or_a_domain_error():
+    # at n = 1e300 the smallest levels are subnormal but still positive
+    assert 0.0 < _min_tail_levels(np.array([1.0 - 2.0 ** -53]), 10 ** 300)[0] < 1e-307
+    samples = simulate_max(ExponentialUnit(), 10 ** 300, 500, seed=3)
+    assert np.all(np.isfinite(samples))
+    # a level that underflows to 0 has no quantile
+    with pytest.raises(DomainError, match="underflows"):
+        _min_tail_levels(np.array([0.5, 1.0 - 2.0 ** -53]), 10 ** 308)

@@ -184,8 +184,17 @@ def test_overflowing_grid_exits_without_traceback(tmp_path, capsys):
     code, _ = run(tmp_path, "x.csv", [
         "table", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1", "--n", "1000",
         "--x", "-2:1e300:3", "--approx", "gumbel"])
-    assert code in (3, 4)
-    assert capsys.readouterr().err.startswith("error (")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error (DomainError): tail at x=")
+    assert "Traceback" not in err
+
+
+def test_exit_parse_error_negative_seed(tmp_path, capsys):
+    code, _ = run(tmp_path, "x.csv", [
+        "simulate", "--dist", "exp", "--n", "10", "--reps", "5", "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error (ParseError): --seed")
 
 
 def test_exit_domain_error_no_closed_form(tmp_path):

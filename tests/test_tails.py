@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evt_accompany import quadrature
 from evt_accompany.errors import DomainError, ParseError
@@ -68,6 +71,13 @@ def test_tail_logweibull_at_e_squared():
     assert d.tail(math.e ** 2) == pytest.approx(math.exp(-4.0), rel=1e-12)
 
 
+def test_log_tail_power_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="x=1e"):
+        WeibullLike(1.0, 2.0, 0.0).log_tail(1e300)
+    with pytest.raises(DomainError, match="x=1e"):
+        LogWeibullLike(1.0, 150.0, 0.0).log_tail(1e300)
+
+
 def test_log_tail_below_support_rejected():
     d = LogWeibullLike(1.0, 2.0, 0.0)
     with pytest.raises(DomainError):
@@ -120,6 +130,75 @@ def test_quantile_round_trip(dist):
             continue
         x = dist.quantile_tail(q)
         assert abs(dist.log_tail(x) - math.log(q)) <= 1e-10
+
+
+# -- array quantile ----------------------------------------------------------
+
+HALF = SlowlyVarying.const(0.5)
+ARRAY_QUANTILE_FAMILIES = [
+    ExponentialUnit(),
+    WeibullLike(1.0, 0.5, 0.0),
+    WeibullLike(1.0, 2.0, 0.0),
+    WeibullLike(2.0, 3.0, 0.0, HALF),
+    WeibullLike(1.0, 0.5, 0.0, HALF),
+    LogWeibullLike(1.0, 2.0, 0.0),
+    LogWeibullLike(1.0, 3.0, 0.0, HALF),
+    # no closed form: the default loop over quantile_tail
+    WeibullLike(1.0, 2.0, 2.0),
+    WeibullLike(1.0, 2.0, 0.0, SlowlyVarying.log_power(1.0, 1.0)),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dist", ARRAY_QUANTILE_FAMILIES, ids=lambda d: d.label)
+def test_quantile_tails_matches_scalar_loop(dist):
+    qs = np.geomspace(1e-30, 1.0, 121)
+    floor = dist.tail(dist.x0)
+    want = np.array([dist.x0 if q >= floor else dist.quantile_tail(q) for q in qs])
+    got = dist.quantile_tails(qs)
+    assert got.shape == qs.shape
+    assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
+    atoms = qs >= floor
+    assert atoms.any()
+    assert np.all(got[atoms] == dist.x0)
+
+
+def test_quantile_tails_rejects_levels_outside_unit_interval():
+    for dist in (ExponentialUnit(), WeibullLike(1.0, 2.0, 0.0), WeibullLike(1.0, 2.0, 2.0)):
+        for bad in (0.0, -1e-3, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                dist.quantile_tails(np.array([0.5, bad]))
+
+
+def test_quantile_tails_overflow_is_a_domain_error():
+    # log x = (745 / 0.01)^(2/3) ~ 1770 at the smallest positive level
+    with pytest.raises(DomainError):
+        LogWeibullLike(0.01, 1.5, 0.0).quantile_tails(np.array([5e-324]))
+
+
+@st.composite
+def tail_families(draw):
+    kind = draw(st.sampled_from(["exp", "weibull", "logweibull"]))
+    if kind == "exp":
+        return ExponentialUnit()
+    ell = SlowlyVarying.const(draw(st.floats(0.5, 2.0)))
+    if kind == "weibull":
+        # alpha != 0 takes the default loop over quantile_tail
+        alpha = draw(st.sampled_from([0.0, 0.0, 1.5]))
+        return WeibullLike(draw(st.floats(0.1, 10.0)), draw(st.floats(0.3, 5.0)), alpha, ell)
+    return LogWeibullLike(draw(st.floats(0.5, 5.0)), draw(st.floats(1.2, 4.0)), 0.0, ell)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tail_families(), st.floats(-300.0, 0.0))
+def test_quantile_tails_round_trip_property(dist, log10_q):
+    q = 10.0 ** log10_q
+    x = dist.quantile_tails(np.array([q]))[0]
+    if q >= dist.tail(dist.x0):
+        assert x == dist.x0
+    else:
+        log_q = math.log(q)
+        assert abs(dist.log_tail(x) - log_q) <= 1e-12 * max(1.0, abs(log_q))
 
 
 # -- von Mises components ----------------------------------------------------
