@@ -16,6 +16,7 @@ as caller-supplied function handles are themselves pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +31,9 @@ _E = math.e
 QUANTILE_LOG_TOL = 1e-12
 _BRACKET_CAP = 200
 _POLISH_CAP = 200
+_NEWTON_CAP = 100
+_X_MAX = sys.float_info.max
+_LOG_X_MAX = math.log(_X_MAX)
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,12 @@ class SlowlyVarying:
         if t <= 1.0:
             raise DomainError(f"delta(t) of a log-power factor needs t > 1, got {t!r}")
         return self.beta / math.log(t)
+
+    def log_values_deltas(self, lx: np.ndarray):
+        """log ell(x) and delta(x) on an array of lx = log x (lx > 0 for a log power)."""
+        if self.is_const:
+            return math.log(self.scale), 0.0
+        return math.log(self.scale) + self.beta * np.log(lx), self.beta / lx
 
     @property
     def label(self) -> str:
@@ -187,10 +197,12 @@ class DistributionSpec:
         """The x >= x0 with tail(x) = q, for 0 < q <= tail(x0).
 
         Bracket by doubling outward from x0 (tail monotonicity guarantees a
-        bracket exists), then polish with bisection/secant steps until
-        |log_tail(x) - log q| <= 1e-12 * max(1, |log q|). Each new point is
-        evaluated from the nearest bracket end, so a family whose tail is an
-        integral covers [x0, x] about once per search.
+        bracket exists) until the upper end would leave the float range, where
+        the quantile raises DomainError. Then polish with Illinois-modified
+        regula falsi (Dowell & Jarratt 1971), falling back to bisection,
+        until |log_tail(x) - log q| <= 1e-12 * max(1, |log q|). Each new point
+        is evaluated from the nearest bracket end, so a family whose tail is
+        an integral covers [x0, x] about once per search.
         """
         if not (0.0 < q):
             raise DomainError(f"quantile_tail needs q in (0, tail(x0)], got {q!r}")
@@ -209,8 +221,9 @@ class DistributionSpec:
         """quantile_tail over an array of levels in (0, 1], completed by the
         atom: levels q >= tail(x0) map to x0.
 
-        This default runs one root search per level; families whose quantile
-        is closed form override it with a numpy formula.
+        This default runs one root search per level. ExponentialUnit uses
+        -log q, and the Weibull-like and log-Weibull-like families run one
+        vectorised Newton search over all levels at once.
         """
         q = _levels(q)
         f0 = self._log_tail_raw(self._x0)
@@ -220,51 +233,49 @@ class DistributionSpec:
               for v in q.ravel().tolist()]
         return np.array(xs, dtype=float).reshape(q.shape)
 
-    def _closed_quantiles(self, q, inverse: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """quantile_tails from a closed-form inverse x = inverse(log q), which
-        is evaluated only at levels below tail(x0)."""
-        log_q = np.log(_levels(q))
-        x = np.full(log_q.shape, self._x0)
-        inside = log_q < self._log_tail_raw(self._x0)
-        with np.errstate(over="ignore"):
-            x[inside] = inverse(log_q[inside])
-        if not np.isfinite(x).all():
-            raise DomainError(
-                f"a quantile of {self._label} overflows a float (smallest level "
-                f"{float(np.exp(log_q.min()))!r})")
-        return x
-
     def _bracket(self, log_q: float, f_lo: float):
         lo = self._x0
         step = 1.0 if self._x0 <= 0.0 else max(self._x0, 1e-12)
-        for _ in range(_BRACKET_CAP):
+        while True:
             hi = lo + step
+            if not math.isfinite(hi):
+                raise DomainError(
+                    f"the quantile of {self._label} at log q = {log_q!r} lies beyond "
+                    f"the float range (tail({lo!r}) is still above q)")
             f_hi = self._log_tail_from(hi, lo, f_lo)
             if f_hi <= log_q:
                 return lo, f_lo, hi, f_hi
             lo, f_lo, step = hi, f_hi, 2.0 * step
-        raise ConvergenceError(
-            f"could not bracket quantile for log q = {log_q!r} within {_BRACKET_CAP} doublings")
 
     def _polish(self, log_q, lo, f_lo, hi, f_hi, tol):
-        # Bisection with a secant attempt each round; the secant step is kept
-        # only when it lands strictly inside the current bracket.
+        # Regula falsi on the residuals r = f - log q, with the Illinois
+        # modification: when the same end is kept twice in a row, its stored
+        # residual is halved, so the next secant point moves past the root
+        # instead of creeping toward it from one side. f_lo and f_hi stay the
+        # true log tails, since they anchor the evaluation of the next point.
+        r_lo, r_hi = f_lo - log_q, f_hi - log_q
+        kept = 0  # +1: lo was kept last round, -1: hi was
         for _ in range(_POLISH_CAP):
-            mid = 0.5 * (lo + hi)
-            if f_lo != f_hi:
-                sec = lo + (f_lo - log_q) * (hi - lo) / (f_lo - f_hi)
-                if lo < sec < hi:
-                    mid = sec
+            mid = lo + r_lo * (hi - lo) / (r_lo - r_hi)
+            if not lo < mid < hi:
+                mid = 0.5 * (lo + hi)
             if mid - lo <= hi - mid:
                 f_mid = self._log_tail_from(mid, lo, f_lo)
             else:
                 f_mid = self._log_tail_from(mid, hi, f_hi)
-            if abs(f_mid - log_q) <= tol:
+            r_mid = f_mid - log_q
+            if abs(r_mid) <= tol:
                 return mid
-            if f_mid > log_q:
-                lo, f_lo = mid, f_mid
+            if r_mid > 0.0:
+                lo, f_lo, r_lo = mid, f_mid, r_mid
+                if kept == -1:
+                    r_hi *= 0.5
+                kept = -1
             else:
-                hi, f_hi = mid, f_mid
+                hi, f_hi, r_hi = mid, f_mid, r_mid
+                if kept == 1:
+                    r_lo *= 0.5
+                kept = 1
             if hi - lo <= 1e-15 * max(1.0, abs(lo)):
                 return 0.5 * (lo + hi)
         raise ConvergenceError(
@@ -344,13 +355,105 @@ class ExponentialUnit(DistributionSpec):
         return -math.log(q)
 
     def quantile_tails(self, q) -> np.ndarray:
-        return self._closed_quantiles(q, np.negative)
+        # 0.0 - log q rather than -log q, so the atom level 1 maps to +0.0 = x0
+        return 0.0 - np.log(_levels(q))
 
     def _components(self, t: float):
         return 1.0, 1.0, 1.0
 
 
-class WeibullLike(DistributionSpec):
+class _PowerFamily(DistributionSpec):
+    """Tails ell(x) x^alpha exp(-c h(x)^p), with h(x) = x (WeibullLike) or
+    h(x) = log x (LogWeibullLike), which share one array quantile.
+
+    Subclasses give the closed-form inverse of the alpha = 0, constant-ell
+    member and the log tail with its exact slope in log x, on arrays.
+    """
+
+    c: float
+    p: float
+    alpha: float
+    ell: SlowlyVarying
+
+    def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
+        """The x with log ell0 - c h(x)^p = log q."""
+        raise NotImplementedError
+
+    def _log_tails_slopes(self, x: np.ndarray, lx: np.ndarray):
+        """log tail(x) and d log tail / d log x, given lx = log x."""
+        raise NotImplementedError
+
+    def quantile_tails(self, q) -> np.ndarray:
+        """quantile_tail over an array of levels in (0, 1], completed by the
+        atom: levels q >= tail(x0) map to x0.
+
+        Safeguarded Newton in u = log x, run on all levels at once. The start
+        is the closed-form inverse, clipped to [x0, largest float]; for alpha
+        = 0 and constant ell it already meets the tolerance and is returned
+        unchanged. Every step uses the exact slope d log tail / d log x. Below
+        its quantile a level steps on log tail = log q; above it, on
+        log(-log tail) = log(-log q), which is close to p u + log c (Weibull)
+        or p log u + log c (log-Weibull) there, where a step on log tail
+        itself would advance by only about 1/p. Each level keeps its own
+        bracket in u, from log x0 to the log of the largest float. A step
+        that leaves the bracket or is not finite, or that follows a step
+        which did not halve |log(log tail / log q)|, becomes a bisection.
+        A level stops on quantile_tail's criterion |log_tail(x) - log q| <=
+        1e-12 * max(1, |log q|), or when its bracket has shrunk to rounding.
+        A quantile beyond the float range raises DomainError.
+        """
+        log_q = np.log(_levels(q))
+        x = np.full(log_q.shape, self._x0)
+        inside = log_q < self._log_tail_raw(self._x0)
+        if not inside.any():
+            return x
+        lq = log_q[inside]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f_max = self._log_tails_slopes(np.array(_X_MAX), np.array(_LOG_X_MAX))[0]
+            if lq.min() < f_max:
+                raise DomainError(
+                    f"a quantile of {self._label} overflows a float (smallest level "
+                    f"{float(np.exp(lq.min()))!r})")
+            start = np.fmin(np.fmax(self._closed_inverse(lq), self._x0), _X_MAX)
+            x[inside] = self._newton(lq, start)
+        return x
+
+    def _newton(self, lq: np.ndarray, x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        idx = np.arange(lq.size)
+        tol = QUANTILE_LOG_TOL * np.maximum(1.0, np.abs(lq))
+        lo = np.full(lq.shape, math.log(self._x0))
+        hi = np.full(lq.shape, _LOG_X_MAX)
+        g_prev = np.full(lq.shape, np.inf)
+        for _ in range(_NEWTON_CAP):
+            lx = np.log(x)
+            f, slope = self._log_tails_slopes(x, lx)
+            r = f - lq
+            below = r > 0.0  # x is below its quantile
+            lo = np.where(below, lx, lo)
+            hi = np.where(below, hi, lx)
+            done = (np.abs(r) <= tol) | (hi - lo <= 1e-15 * np.maximum(1.0, np.abs(lo)))
+            out[idx[done]] = x[done]
+            todo = ~done
+            if not todo.any():
+                return out
+            g = np.log(f / lq)  # log(-log tail) - log(-log q)
+            u = (lx - np.where(below, r, g * f) / slope)[todo]
+            g = np.abs(g[todo])
+            lq, tol, lo, hi, idx = lq[todo], tol[todo], lo[todo], hi[todo], idx[todo]
+            # from a point where the tail is nearly flat, Newton can jump back
+            # and forth across the root without closing in; the halving test
+            # turns such a step into a bisection
+            bisect = ~((lo < u) & (u < hi) & (g <= 0.5 * g_prev[todo]))
+            u[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+            g_prev = np.where(bisect, np.inf, g)
+            x = np.exp(u)
+        raise ConvergenceError(
+            f"array quantile of {self._label} exceeded {_NEWTON_CAP} Newton passes "
+            f"({idx.size} levels left, e.g. log q = {float(lq[0])!r})")
+
+
+class WeibullLike(_PowerFamily):
     """Tail ell(x) * x^alpha * exp(-c x^p) for x >= x0, with c > 0, p > 0.
 
     Components (C = 1/(cp)):
@@ -388,13 +491,13 @@ class WeibullLike(DistributionSpec):
             raise _overflow(x, x, self.p) from None
         return self.ell.log_value(x) + self.alpha * math.log(x) - self.c * power
 
-    def quantile_tails(self, q) -> np.ndarray:
-        # log tail = log ell0 - c x^p when alpha = 0 and ell is constant
-        if self.alpha != 0.0 or not self.ell.is_const:
-            return super().quantile_tails(q)
-        log_ell0 = math.log(self.ell.scale)
-        return self._closed_quantiles(
-            q, lambda log_q: ((log_ell0 - log_q) / self.c) ** (1.0 / self.p))
+    def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
+        return ((math.log(self.ell.scale) - log_q) / self.c) ** (1.0 / self.p)
+
+    def _log_tails_slopes(self, x: np.ndarray, lx: np.ndarray):
+        log_ell, delta = self.ell.log_values_deltas(lx)
+        cxp = self.c * x ** self.p
+        return log_ell + self.alpha * lx - cxp, self.alpha + delta - self.p * cxp
 
     def _components(self, t: float):
         cp = self.c * self.p
@@ -403,7 +506,7 @@ class WeibullLike(DistributionSpec):
         return f, g, 1.0
 
 
-class LogWeibullLike(DistributionSpec):
+class LogWeibullLike(_PowerFamily):
     """Tail ell(x) * x^alpha * exp(-c log^p x) for x >= x0 >= e, with c > 0, p > 1.
 
     For p <= 1 these tails leave the Gumbel domain, so p is rejected there.
@@ -447,13 +550,13 @@ class LogWeibullLike(DistributionSpec):
             raise _overflow(x, lx, self.p) from None
         return self.ell.log_value(x) + self.alpha * lx - self.c * power
 
-    def quantile_tails(self, q) -> np.ndarray:
-        # log tail = log ell0 - c log^p x when alpha = 0 and ell is constant
-        if self.alpha != 0.0 or not self.ell.is_const:
-            return super().quantile_tails(q)
-        log_ell0 = math.log(self.ell.scale)
-        return self._closed_quantiles(
-            q, lambda log_q: np.exp(((log_ell0 - log_q) / self.c) ** (1.0 / self.p)))
+    def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
+        return np.exp(((math.log(self.ell.scale) - log_q) / self.c) ** (1.0 / self.p))
+
+    def _log_tails_slopes(self, x: np.ndarray, lx: np.ndarray):
+        log_ell, delta = self.ell.log_values_deltas(lx)
+        clp = self.c * lx ** self.p
+        return log_ell + self.alpha * lx - clp, self.alpha + delta - self.p * clp / lx
 
     def _components(self, t: float):
         cp = self.c * self.p

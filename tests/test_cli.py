@@ -190,6 +190,18 @@ def test_overflowing_grid_exits_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_steep_logweibull_table_solves_its_norming(tmp_path):
+    # plain regula falsi stalled on this norming quantile (exit 4)
+    code, payload = run(tmp_path, "t.csv", [
+        "table", "--dist", "logweibull:c=1,p=200,alpha=0,ell=const:1", "--n", "1000",
+        "--x", "-2:6:9"])
+    assert code == 0
+    _, body = rows(payload)
+    assert len(body) == 9
+    exact = [float(cells[1]) for cells in body]
+    assert exact == sorted(exact) and 0.0 < exact[0] and exact[-1] < 1.0
+
+
 def test_exit_parse_error_negative_seed(tmp_path, capsys):
     code, _ = run(tmp_path, "x.csv", [
         "simulate", "--dist", "exp", "--n", "10", "--reps", "5", "--seed", "-1"])

@@ -90,6 +90,20 @@ def test_exact_rejects_n_beyond_float_range():
         norming_exact(WeibullLike(1.0, 2.0, 0.0), 10 ** 400, centering="logcdf")
 
 
+@pytest.mark.parametrize("dist, b_approx", [
+    # a steep tail where plain regula falsi stalls on one bracket end
+    (WeibullLike(1.0, 50.0, 0.0), 1.054),
+    # b ~ 1.09e114, far beyond 200 doublings from x0
+    (WeibullLike(1.0, 0.01, 0.0), 1.088e114),
+], ids=["weibull-p50", "weibull-p0.01"])
+def test_exact_converges_at_extreme_shapes(dist, b_approx):
+    pair = norming_exact(dist, 10 ** 6)
+    assert pair.b == pytest.approx(b_approx, rel=1e-3)
+    # the closed form is exact for alpha = 0 and constant ell
+    assert pair.b == pytest.approx(math.log(1e6) ** (1.0 / dist.p), rel=1e-11)
+    assert abs(1e6 * dist.tail(pair.b) - 1.0) <= 1e-11
+
+
 @pytest.mark.parametrize("dist", [WeibullLike(1.0, 2.0, 0.0), IteratedLogScale(2, 1.0, 1.0)],
                          ids=lambda d: d.label)
 def test_exact_pair_carries_log_tail_at_b(dist):
