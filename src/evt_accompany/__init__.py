@@ -25,6 +25,7 @@ from .approx import (
     evaluate,
     evaluate_at,
     exact_and_gamma,
+    exact_and_gammas,
     exact_max_cdf,
     first_order_corrected,
     gumbel_cdf,

@@ -21,6 +21,7 @@ from .approx import (
     SecondOrder,
     evaluate_at,
     exact_and_gamma,
+    exact_and_gammas,
     gumbel_cdf,
 )
 from .errors import DegenerateError, DomainError, EvtError
@@ -101,17 +102,9 @@ def guarded_points(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
     """(x, exact law, gamma) at the grid points surviving the support and
     series-convergence guards, from one tail evaluation per point."""
     cut = -math.log(pair.n) + GUARD_SLACK
-    out = []
-    for x in metric.grid():
-        if isinstance(kind, SecondOrder) and x <= 0.0:
-            continue
-        if pair.b + pair.a * x < dist.x0:
-            continue
-        exact, gamma = exact_and_gamma(dist, pair, x)
-        if gamma < cut:
-            continue
-        out.append((x, exact, gamma))
-    return out
+    xs = [x for x in metric.grid() if x > 0.0 or not isinstance(kind, SecondOrder)]
+    return [(x, exact, gamma) for x, (exact, gamma) in zip(xs, exact_and_gammas(dist, pair, xs))
+            if gamma is not None and gamma >= cut]
 
 
 def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
@@ -123,19 +116,16 @@ def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
 def evaluation_points(dist: DistributionSpec, pair: NormingPair,
                       kind: ApproximantKind, xs: Sequence[float]) -> list[EvalPoint]:
     """Exact vs approximant values with signed errors, for diagnosing sign."""
-    out = []
-    for x in xs:
-        exact, gamma = exact_and_gamma(dist, pair, x)
-        out.append(EvalPoint(x=x, exact=exact, approx=evaluate_at(kind, x, gamma, pair.n)))
-    return out
+    return [EvalPoint(x=x, exact=exact, approx=evaluate_at(kind, x, gamma, pair.n))
+            for x, (exact, gamma) in zip(xs, exact_and_gammas(dist, pair, xs))]
 
 
 def error_curve(dist: DistributionSpec, approximant: ApproximantKind,
                 metric: SupOnGrid | AtPoint, n_grid: Sequence[int]) -> ErrorCurve:
     """|exact - approximant| per n, under exact norming.
 
-    Evaluation failures are re-raised with the offending n (and x, where
-    one point failed) attached.
+    Evaluation failures are re-raised with the offending n attached; a
+    failing grid point also names its x.
     """
     ns = [int(n) for n in n_grid]
     if any(hi <= lo for lo, hi in zip(ns, ns[1:])):
@@ -143,18 +133,16 @@ def error_curve(dist: DistributionSpec, approximant: ApproximantKind,
     points = []
     for n in ns:
         pair = norming_exact(dist, n)
-        x = metric.x if isinstance(metric, AtPoint) else None
         try:
-            if x is None:
-                grid = guarded_points(dist, pair, metric, approximant)
+            if isinstance(metric, AtPoint):
+                grid = [(metric.x, *exact_and_gamma(dist, pair, metric.x))]
             else:
-                grid = [(x, *exact_and_gamma(dist, pair, x))]
+                grid = guarded_points(dist, pair, metric, approximant)
             worst = 0.0
             for x, exact, gamma in grid:
                 worst = max(worst, abs(exact - evaluate_at(approximant, x, gamma, n)))
         except EvtError as exc:
-            where = f"n={n}" if x is None else f"n={n}, x={x}"
-            raise type(exc)(f"at {where}: {exc}") from exc
+            raise exc.at(f"n={n}") from exc
         points.append((n, worst))
     return ErrorCurve(dist_label=dist.label, approximant=approximant,
                       metric=metric, points=tuple(points))
@@ -204,10 +192,13 @@ def weighted_residual(dist: DistributionSpec, n: int, rho: float,
     metric = metric if metric is not None else SupOnGrid()
     pair = norming_exact(dist, n, centering="logcdf")
     worst = 0.0
-    for x, exact, _ in guarded_points(dist, pair, metric):
-        gap = (exact - gumbel_cdf(x)) / a_n_value
-        shape = math.exp(-x + rho * x) * gumbel_cdf(x) / rho
-        worst = max(worst, math.exp((1.0 - eps) * x) * abs(gap + shape))
+    try:
+        for x, exact, _ in guarded_points(dist, pair, metric):
+            gap = (exact - gumbel_cdf(x)) / a_n_value
+            shape = math.exp(-x + rho * x) * gumbel_cdf(x) / rho
+            worst = max(worst, math.exp((1.0 - eps) * x) * abs(gap + shape))
+    except EvtError as exc:
+        raise exc.at(f"n={n}") from exc
     return worst
 
 

@@ -15,11 +15,12 @@ an O(1/n) error for the Gumbel limit's logarithmic one.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, EvtError
 from .gamma import gamma_exact, require_finite
 from .norming import NormingPair
 from .tails import DistributionSpec
@@ -103,24 +104,45 @@ def _law(log_s: float, n: int) -> float:
     return math.exp(n * math.log1p(-s))
 
 
+def exact_and_gammas(dist: DistributionSpec, pair: NormingPair,
+                     xs: Sequence[float]) -> list[tuple[float, float | None]]:
+    """[(F^n(a x + b), gamma(x)) for x in xs], one tail evaluation per point.
+
+    The points are walked outward from b, whose log tail exact pairs carry:
+    x >= 0 ascending, x < 0 descending. Each log tail(b + a x) is evaluated
+    from the previous point of its walk, so a tail that is an integral costs
+    one short quadrature per point; gamma = log tail(b) - log tail(b + a x).
+    Below the support edge the law is the atom completion F(x0)^n and gamma
+    is None. xs may be unsorted or repeat points; errors name their x.
+    """
+    a, b, n, x0 = pair.a, pair.b, pair.n, dist.x0
+    log_tail_b = pair.log_tail_b if pair.log_tail_b is not None else dist.log_tail(b)
+    out: list = [None] * len(xs)
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    split = bisect.bisect_left(order, 0.0, key=xs.__getitem__)
+    for walk in (order[split:], reversed(order[:split])):
+        anchor, log_tail_anchor = b, log_tail_b
+        for i in walk:
+            x = xs[i]
+            require_finite(x)
+            z = b + a * x
+            if z < x0:
+                out[i] = (_law(dist.log_tail(x0), n), None)
+                continue
+            try:
+                log_tail_z = dist.log_tail_from(z, anchor, log_tail_anchor)
+            except EvtError as exc:
+                raise exc.at(f"grid x={x!r}") from exc
+            # rounds as gamma_exact's -(log_tail(z) - log_tail(b)), signed zero included
+            out[i] = (_law(log_tail_z, n), -(log_tail_z - log_tail_b))
+            anchor, log_tail_anchor = z, log_tail_z
+    return out
+
+
 def exact_and_gamma(dist: DistributionSpec, pair: NormingPair,
                     x: float) -> tuple[float, float | None]:
-    """(F^n(a x + b), gamma(x)) from a single tail evaluation.
-
-    log tail(z) at z = b + a x is evaluated from log tail(b), which exact
-    pairs carry, so for families whose tail is an integral it costs one
-    short quadrature from b to z; gamma = log tail(b) - log tail(z). Every
-    column of a grid point derives from this one gamma. Below the support
-    edge the law is the atom completion F(x0)^n and gamma is None.
-    """
-    require_finite(x)
-    z = pair.b + pair.a * x
-    if z < dist.x0:
-        return _law(dist.log_tail(dist.x0), pair.n), None
-    log_tail_b = pair.log_tail_b if pair.log_tail_b is not None else dist.log_tail(pair.b)
-    log_tail_z = dist.log_tail_from(z, pair.b, log_tail_b)
-    # rounds exactly as gamma_exact's -(log_tail(z) - log_tail(b)), signed zero included
-    return _law(log_tail_z, pair.n), -(log_tail_z - log_tail_b)
+    """exact_and_gammas at one point, anchored at b."""
+    return exact_and_gammas(dist, pair, (x,))[0]
 
 
 def exact_max_cdf(dist: DistributionSpec, pair: NormingPair, x: float) -> float:

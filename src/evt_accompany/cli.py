@@ -42,7 +42,7 @@ from .approx import (
     SecondOrder,
     TwoTerm,
     evaluate_at,
-    exact_and_gamma,
+    exact_and_gammas,
     require_gamma,
 )
 from .errors import DomainError, EvtError, ParseError
@@ -213,18 +213,21 @@ def _cmd_table(args) -> int:
     out = _Output(args.out)
     out.row(_header(dist.label, "table"))
     out.row(TABLE_COLUMNS)
-    for x in _grid(window):
-        exact, gamma = exact_and_gamma(dist, pair, x)
-        cells = [_fmt(x), _fmt(exact)]
-        for name in _APPROX_NAMES:
-            if name not in kinds:
-                cells.append("")
-            elif name == "second_order" and x <= 0.0:
-                cells.append("")  # H(x) involves log x; undefined at x <= 0
-            else:
-                cells.append(_fmt(evaluate_at(kinds[name], x, gamma, n)))
-        cells.append(_fmt(require_gamma(gamma, x)))
-        out.row(",".join(cells))
+    xs = _grid(window)
+    try:
+        for x, (exact, gamma) in zip(xs, exact_and_gammas(dist, pair, xs)):
+            cells = [_fmt(x), _fmt(exact)]
+            for name in _APPROX_NAMES:
+                if name not in kinds:
+                    cells.append("")
+                elif name == "second_order" and x <= 0.0:
+                    cells.append("")  # H(x) involves log x; undefined at x <= 0
+                else:
+                    cells.append(_fmt(evaluate_at(kinds[name], x, gamma, n)))
+            cells.append(_fmt(require_gamma(gamma, x)))
+            out.row(",".join(cells))
+    except EvtError as exc:
+        raise exc.at(f"n={n}") from exc
     out.finish([f"table: {window[2]} rows for dist={dist.label} n={n}"])
     return 0
 
@@ -299,11 +302,14 @@ def _cmd_check_identity(args) -> int:
     out.row(_header(dist.label, "check-identity"))
     out.row(IDENTITY_COLUMNS)
     worst = 0.0
-    for x, exact, gamma in guarded_points(dist, pair, metric):
-        tt = evaluate_at(TwoTerm(), x, gamma, n)
-        gap = abs(exact - tt)
-        worst = max(worst, gap)
-        out.row(",".join([str(n), _fmt(x), _fmt(exact), _fmt(tt), _fmt(gap)]))
+    try:
+        for x, exact, gamma in guarded_points(dist, pair, metric):
+            tt = evaluate_at(TwoTerm(), x, gamma, n)
+            gap = abs(exact - tt)
+            worst = max(worst, gap)
+            out.row(",".join([str(n), _fmt(x), _fmt(exact), _fmt(tt), _fmt(gap)]))
+    except EvtError as exc:
+        raise exc.at(f"n={n}") from exc
     ok = worst <= tol
     out.finish([f"check-identity: dist={dist.label} n={n} max|gap|={worst:.3e} "
                 f"tol={tol:.3e} -> {'OK' if ok else 'FAIL'}"])

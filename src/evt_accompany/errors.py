@@ -8,6 +8,10 @@ Library code raises the specific class; the CLI maps it to the category.
 class EvtError(Exception):
     """Base class for all package errors."""
 
+    def at(self, where: str) -> "EvtError":
+        """The same error with `where` (e.g. "n=1000") appended to its message."""
+        return type(self)(f"{self} (at {where})")
+
 
 class ParseError(EvtError):
     """A distribution spec string or CLI flag could not be parsed."""

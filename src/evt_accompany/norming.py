@@ -185,28 +185,3 @@ def types_equivalence_gap(pair_a: NormingPair, pair_b: NormingPair):
     shift_gap = abs(pair_a.b - pair_b.b) / pair_a.a
     return ratio_gap, shift_gap
 
-
-def weibull_example_centering_variants(c: float, p: float, n: int):
-    """Two readings of an alternative pure-Weibull centering with a log(1/c) term.
-
-    Diagnostic only. A centering of the form u^(1/p) + (1/(pc)) log (1/c) (...)
-    is sometimes quoted for the tail e^(-c x^p); its grouping is ambiguous, and
-    exact inversion has no second term at all (the extra term is O(a_n), not
-    o(a_n), whenever c != 1). Returns (product_parse, inside_parse):
-
-        product: b = u^(1/p) + (1/(pc)) * log(1/c) * u^(1/p-1)
-        inside:  b = u^(1/p) + (1/(pc)) * log((1/c) * u^(1/p-1))
-
-    with u = log(n)/c. Neither is used by any default path.
-    """
-    n = int(n)
-    if not (c > 0.0 and p > 0.0):
-        raise DomainError("weibull_example_centering_variants needs c > 0 and p > 0")
-    u = math.log(n) / c
-    if u <= 1.0:
-        raise DomainError(f"needs log(n)/c > 1, got {u!r}")
-    lead = u ** (1.0 / p)
-    trail = u ** (1.0 / p - 1.0)
-    product = lead + math.log(1.0 / c) * trail / (p * c)
-    inside = lead + math.log(trail / c) / (p * c)
-    return product, inside

@@ -178,6 +178,17 @@ def test_weighted_residual_decreases_along_n():
     assert values[0] > values[1] > values[2]
 
 
+def test_weighted_residual_error_names_n_and_the_grid_point():
+    # f turns non-positive at t = 10: b + a x crosses it near x = 3.1
+    d = GeneralizedVonMises(f=lambda t: 1.0 if t < 10.0 else -1.0,
+                            g=lambda t: 1.0, c=lambda t: 1.0, x0=0.0)
+    pair = norming_exact(d, 1000, centering="logcdf")
+    first_bad = next(x for x in SupOnGrid().grid() if pair.b + pair.a * x >= 10.0)
+    with pytest.raises(DomainError, match="f must be positive") as info:
+        weighted_residual(d, 1000, rho=-0.5, a_n_value=1e-3, eps=0.5)
+    assert str(info.value).endswith(f" (at grid x={first_bad!r}) (at n=1000)")
+
+
 def test_weighted_residual_domain_checks():
     d = second_order_instance()
     with pytest.raises(DomainError):

@@ -13,6 +13,7 @@ from evt_accompany.approx import (
     evaluate,
     evaluate_at,
     exact_and_gamma,
+    exact_and_gammas,
     exact_max_cdf,
     first_order_corrected,
     gumbel_cdf,
@@ -152,6 +153,108 @@ def test_exact_and_gamma_below_support():
     assert evaluate_at(Gumbel(), -50.0, g, 100) == gumbel_cdf(-50.0)
     with pytest.raises(DomainError):
         evaluate_at(TwoTerm(), -50.0, g, 100)
+
+
+# -- the grid walk ------------------------------------------------------------
+
+SUP_GRID = [-2.0 + 0.05 * i for i in range(161)]
+CLOSED_FAMILIES = [d for d in FAMILIES if not isinstance(d, IteratedLogScale)]
+
+
+@pytest.mark.parametrize("dist", CLOSED_FAMILIES, ids=lambda d: d.label)
+def test_grid_walk_is_bit_identical_on_closed_forms(dist):
+    # closed forms ignore the anchor, so walking changes no bit
+    pair = norming_exact(dist, 10 ** 6)
+    xs = SUP_GRID + [0.0, -0.0]
+    got = exact_and_gammas(dist, pair, xs)
+    assert repr(got) == repr([exact_and_gamma(dist, pair, x) for x in xs])
+    assert repr(got[-2][1]) == "-0.0"
+
+
+@pytest.mark.parametrize("dist", HANDLE_FAMILIES, ids=lambda d: d.label)
+@pytest.mark.parametrize("n", [10 ** 3, 10 ** 6, 10 ** 9])
+def test_grid_walk_matches_points_anchored_at_b(dist, n):
+    pair = norming_exact(dist, n)
+    got = exact_and_gammas(dist, pair, SUP_GRID)
+    assert sum(g is not None for _, g in got) >= 100
+    for x, (exact, g) in zip(SUP_GRID, got):
+        want_exact, want_g = exact_and_gamma(dist, pair, x)
+        if want_g is None:
+            assert g is None and exact == want_exact
+        else:
+            assert abs(g - want_g) <= 1e-12
+            assert abs(exact - want_exact) <= 1e-14
+    laws = [exact for exact, _ in got]
+    assert all(lo <= hi for lo, hi in zip(laws, laws[1:]))
+
+
+def test_grid_walk_anchors_each_point_at_its_neighbour_toward_b():
+    dist = IteratedLogScale(2, 1.0, 1.0)
+    pair = norming_exact(dist, 10 ** 6)
+    calls = []
+    hook = dist.log_tail_from
+
+    def recording(z, anchor, log_tail_anchor):
+        calls.append((z, anchor))
+        return hook(z, anchor, log_tail_anchor)
+
+    dist.log_tail_from = recording
+    xs = [0.5, -1.0, 2.0, 0.0, -0.25, 1.0]
+    exact_and_gammas(dist, pair, xs)
+    up = [pair.b + pair.a * x for x in (0.0, 0.5, 1.0, 2.0)]
+    down = [pair.b + pair.a * x for x in (-0.25, -1.0)]
+    assert calls == (list(zip(up, [pair.b] + up[:-1]))
+                     + list(zip(down, [pair.b] + down[:-1])))
+
+
+@pytest.mark.parametrize("dist", [WeibullLike(1.0, 0.5, 2.0), IteratedLogScale(2, 1.0, 1.0),
+                                  HANDLE_FAMILIES[2]], ids=lambda d: d.label)
+def test_grid_walk_unsorted_repeated_and_below_support(dist):
+    pair = norming_exact(dist, 100)
+    below = (dist.x0 - pair.b) / pair.a - 1.0
+    xs = [3.0, below, 0.5, -0.5, 3.0, below - 7.0, 0.0, 0.5, -0.5]
+    got = exact_and_gammas(dist, pair, xs)
+    assert got[0] == got[4] and got[2] == got[7] and got[3] == got[8]
+    assert got[1][1] is None and got[5][1] is None
+    assert got[1][0] == got[5][0] == exact_max_cdf(dist, pair, below)
+    for x, (exact, g) in zip(xs, got):
+        want_exact, want_g = exact_and_gamma(dist, pair, x)
+        assert exact == pytest.approx(want_exact, rel=1e-13, abs=1e-15)
+        if want_g is not None:
+            assert g == pytest.approx(want_g, abs=1e-12)
+    assert exact_and_gammas(dist, pair, []) == []
+
+
+def test_grid_walk_integrates_each_point_from_its_neighbour():
+    dist = IteratedLogScale(2, 1.0, 1.0)
+    pair = norming_exact(dist, 10 ** 6)
+    count = [0]
+    over_f = dist._over_f
+
+    def counting(t):
+        count[0] += 1
+        return over_f(t)
+
+    dist._over_f = counting
+    exact_and_gammas(dist, pair, SUP_GRID)
+    walked = count[0]
+    count[0] = 0
+    for x in SUP_GRID:
+        exact_and_gamma(dist, pair, x)
+    # each point anchored at b integrates about 43 times per point here
+    assert walked <= 10 * len(SUP_GRID)
+    assert count[0] >= 3 * walked
+
+
+def test_grid_walk_names_the_failing_point():
+    # f turns non-positive at t = 10, inside the grid's reach
+    dist = GeneralizedVonMises(f=lambda t: 1.0 if t < 10.0 else -1.0,
+                               g=lambda t: 1.0, c=lambda t: 1.0, x0=0.0)
+    pair = norming_exact(dist, 1000)
+    first_bad = next(x for x in SUP_GRID if pair.b + pair.a * x >= 10.0)
+    with pytest.raises(DomainError, match="f must be positive") as info:
+        exact_and_gammas(dist, pair, SUP_GRID)
+    assert str(info.value).endswith(f" (at grid x={first_bad!r})")
 
 
 @pytest.mark.parametrize("dist", [WeibullLike(1.0, 2.0, 0.0), IteratedLogScale(2, 1.0, 1.0)],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -188,6 +189,30 @@ def test_overflowing_grid_exits_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error (DomainError): tail at x=")
     assert "Traceback" not in err
+
+
+def test_grid_errors_name_n_and_the_grid_point(tmp_path, capsys):
+    code, _ = run(tmp_path, "x.csv", [
+        "table", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1", "--n", "1000",
+        "--x", "-2:1e300:3", "--approx", "gumbel"])
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    assert err.endswith(" (at grid x=5e+299) (at n=1000)")
+
+
+def test_check_identity_error_names_n_and_the_grid_point(tmp_path, capsys, monkeypatch):
+    # a library-only family whose f turns non-positive at t = 10, inside the grid
+    import evt_accompany.cli as cli
+    from evt_accompany.tails import GeneralizedVonMises
+
+    dist = GeneralizedVonMises(f=lambda t: 1.0 if t < 10.0 else -1.0,
+                               g=lambda t: 1.0, c=lambda t: 1.0, x0=0.0)
+    monkeypatch.setattr(cli, "parse_dist", lambda spec: dist)
+    code, _ = run(tmp_path, "x.csv", ["check-identity", "--dist", "gvm", "--n", "1000"])
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error (DomainError): auxiliary function f must be positive")
+    assert re.search(r" \(at grid x=[0-9.]+\) \(at n=1000\)$", err)
 
 
 def test_steep_logweibull_table_solves_its_norming(tmp_path):

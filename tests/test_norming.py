@@ -12,7 +12,6 @@ from evt_accompany.norming import (
     norming_logweibull_closed,
     norming_weibull_closed,
     types_equivalence_gap,
-    weibull_example_centering_variants,
 )
 from evt_accompany.tails import (
     ExponentialUnit,
@@ -311,18 +310,3 @@ def test_logpower_ell_gaps_settle():
     assert gaps[-1][1] <= 0.1
     assert gaps[-1][1] <= gaps[-2][1] <= gaps[-3][1]
 
-
-# -- the ambiguous pure-Weibull example centering (diagnostic) ----------------
-
-def test_weibull_example_variants_diagnostic():
-    c, p, n = 2.0, 2.0, 10 ** 8
-    d = WeibullLike(c, p, 0.0)
-    exact = norming_exact(d, n)
-    product, inside = weibull_example_centering_variants(c, p, n)
-    # at c = 1 the product parse collapses to the exact closed form
-    prod1, _ = weibull_example_centering_variants(1.0, p, n)
-    assert prod1 == pytest.approx(math.sqrt(math.log(n)), rel=1e-12)
-    # at c != 1 the extra term is O(a_n): the shift gap stalls near |log(1/c)|
-    gap_product = abs(product - exact.b) / exact.a
-    assert gap_product == pytest.approx(abs(math.log(1.0 / c)), rel=0.25)
-    assert abs(inside - exact.b) / exact.a > 0.1  # the other parse is no better
