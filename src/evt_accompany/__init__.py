@@ -59,6 +59,7 @@ from .norming import (
     NormingPair,
     asymptotic_iterate,
     norming_exact,
+    norming_exacts,
     norming_logweibull_closed,
     norming_weibull_closed,
     types_equivalence_gap,

@@ -25,7 +25,7 @@ from .approx import (
     gumbel_cdf,
 )
 from .errors import DegenerateError, DomainError, EvtError
-from .norming import NormingPair, norming_exact
+from .norming import NormingPair, norming_exact, norming_exacts
 from .tails import DistributionSpec
 
 POWER_IN_N = "power-in-n"
@@ -122,17 +122,14 @@ def evaluation_points(dist: DistributionSpec, pair: NormingPair,
 
 def error_curve(dist: DistributionSpec, approximant: ApproximantKind,
                 metric: SupOnGrid | AtPoint, n_grid: Sequence[int]) -> ErrorCurve:
-    """|exact - approximant| per n, under exact norming.
+    """|exact - approximant| per n, under exact norming walked along n_grid.
 
     Evaluation failures are re-raised with the offending n attached; a
     failing grid point also names its x.
     """
-    ns = [int(n) for n in n_grid]
-    if any(hi <= lo for lo, hi in zip(ns, ns[1:])):
-        raise DomainError("n_grid must be strictly increasing")
     points = []
-    for n in ns:
-        pair = norming_exact(dist, n)
+    for pair in norming_exacts(dist, n_grid):
+        n = pair.n
         try:
             if isinstance(metric, AtPoint):
                 grid = [(metric.x, *exact_and_gamma(dist, pair, metric.x))]

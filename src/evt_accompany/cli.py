@@ -48,6 +48,7 @@ from .approx import (
 from .errors import DomainError, EvtError, ParseError
 from .norming import (
     norming_exact,
+    norming_exacts,
     norming_logweibull_closed,
     norming_weibull_closed,
     types_equivalence_gap,
@@ -88,11 +89,29 @@ def _parse_window(raw: str, flag: str):
     return lo, hi, steps
 
 
-def _parse_n_list(raw: str, flag: str) -> list[int]:
+def _parse_n(tok: str, flag: str, raw: str) -> int:
     try:
-        ns = [int(tok) for tok in raw.split(",")]
+        n = int(tok)
     except ValueError:
-        raise ParseError(f"{flag}: expected comma-separated integers, got {raw!r}") from None
+        # a float literal, read exactly ("1e300" is 10**300); decimal takes
+        # about 2 ms to import, so plain integers never load it
+        import decimal
+        try:
+            n = decimal.Decimal(tok)
+        except decimal.InvalidOperation:
+            raise ParseError(f"{flag}: not a number: {tok!r} in {raw!r}") from None
+        if not n.is_finite():
+            raise ParseError(f"{flag}: not a finite number: {tok!r} in {raw!r}")
+    # checked before any int(Decimal), so "1e999999999" never builds its int
+    if not -sys.float_info.max <= n <= sys.float_info.max:
+        raise ParseError(f"{flag}: {tok!r} is beyond the float range in {raw!r}")
+    if n != int(n):
+        raise ParseError(f"{flag}: {tok!r} is not an integer in {raw!r}")
+    return int(n)
+
+
+def _parse_n_list(raw: str, flag: str) -> list[int]:
+    ns = [_parse_n(tok, flag, raw) for tok in raw.split(",")]
     if any(n < 2 for n in ns):
         raise ParseError(f"{flag}: every n must be >= 2, got {raw!r}")
     if any(hi <= lo for lo, hi in zip(ns, ns[1:])):
@@ -104,8 +123,9 @@ def _parse_n_geom(raw: str, flag: str) -> list[int]:
     parts = raw.split(":")
     if len(parts) != 3:
         raise ParseError(f"{flag}: expected start:stop:count, got {raw!r}")
+    start, stop = _parse_n(parts[0], flag, raw), _parse_n(parts[1], flag, raw)
     try:
-        start, stop, count = int(parts[0]), int(parts[1]), int(parts[2])
+        count = int(parts[2])
     except ValueError:
         raise ParseError(f"{flag}: malformed geometric grid {raw!r}") from None
     if start < 2 or stop <= start or count < 2:
@@ -113,7 +133,8 @@ def _parse_n_geom(raw: str, flag: str) -> list[int]:
     la, lb = math.log(start), math.log(stop)
     out: list[int] = []
     for i in range(count):
-        n = round(math.exp(la + (lb - la) * i / (count - 1)))
+        # the last point is stop itself, not exp(log stop) rounded
+        n = stop if i == count - 1 else round(math.exp(la + (lb - la) * i / (count - 1)))
         if not out or n > out[-1]:
             out.append(n)
     return out
@@ -279,8 +300,8 @@ def _cmd_norming(args) -> int:
     out.row(_header(dist.label, "norming"))
     out.row(NORMING_COLUMNS)
     last = None
-    for n in ns:
-        exact = norming_exact(dist, n)
+    for exact in norming_exacts(dist, ns):
+        n = exact.n
         closed = _closed_pair(dist, n)
         ratio_gap, shift_gap = types_equivalence_gap(exact, closed)
         out.row(",".join([str(n), _fmt(exact.a), _fmt(exact.b), _fmt(closed.a),

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from .errors import DivergenceError, DomainError, MismatchError
+from .errors import DivergenceError, DomainError, EvtError, MismatchError
 from .tails import DistributionSpec, LogWeibullLike, SlowlyVarying
 
 EXACT_QUANTILE = "exact-quantile"
@@ -56,9 +56,12 @@ def norming_exact(dist: DistributionSpec, n: int, centering: str = "quantile") -
     centering="quantile" solves tail(b) = 1/n (the default); "logcdf" solves
     tail(b) = 1 - e^(-1/n), which pins F(b_n)^n = e^-1 exactly; the
     weighted-residual diagnostic expects that convention. The two are
-    types-equivalent.
+    types-equivalent. This is norming_exacts on a one-point grid.
     """
-    n = int(n)
+    return norming_exacts(dist, [n], centering)[0]
+
+
+def _level(n: int, centering: str) -> float:
     if n < 2:
         raise DomainError(f"norming_exact needs n >= 2, got {n!r}")
     try:
@@ -66,17 +69,41 @@ def norming_exact(dist: DistributionSpec, n: int, centering: str = "quantile") -
     except OverflowError:
         raise DomainError(f"norming_exact needs n within the float range, "
                           f"got n >= 2**{n.bit_length() - 1}") from None
-    if centering == "quantile":
-        q = inv_n
-    elif centering == "logcdf":
-        q = -math.expm1(-inv_n)
-    else:
+    return inv_n if centering == "quantile" else -math.expm1(-inv_n)
+
+
+def norming_exacts(dist: DistributionSpec, ns: Sequence[int],
+                   centering: str = "quantile") -> list[NormingPair]:
+    """[norming_exact(dist, n, centering) for n in ns], walked along the n-grid.
+
+    ns must be strictly increasing. The first b is searched from x0; each
+    later b brackets upward from the previous (b, log tail(b)), with the
+    previous a as the first step, so a tail that is an integral covers
+    [x0, b] about once over the whole grid. Each pair's log_tail_b is the
+    search's own last iterate. Errors name their n.
+    """
+    if centering not in ("quantile", "logcdf"):
         raise DomainError(f"unknown centering {centering!r}")
-    b = dist.quantile_tail(q)
-    f, g, _ = dist.von_mises_components(b)
-    if g <= 0.0:
-        raise DomainError(f"g(b_n) = {g!r} <= 0 at b_n = {b!r}; not a usable scale")
-    return NormingPair(n=n, a=f / g, b=b, method=EXACT_QUANTILE, log_tail_b=dist.log_tail(b))
+    ns = [int(n) for n in ns]
+    if any(hi <= lo for lo, hi in zip(ns, ns[1:])):
+        raise DomainError(f"norming_exacts needs strictly increasing n, got {ns!r}")
+    pairs: list[NormingPair] = []
+    for n in ns:
+        try:
+            q = _level(n, centering)
+            if pairs:
+                prev = pairs[-1]
+                b, log_tail_b = dist.quantile_log_tail(q, prev.b, prev.log_tail_b, prev.a)
+            else:
+                b, log_tail_b = dist.quantile_log_tail(q)
+            f, g, _ = dist.von_mises_components(b)
+            if g <= 0.0:
+                raise DomainError(f"g(b_n) = {g!r} <= 0 at b_n = {b!r}; not a usable scale")
+            pairs.append(NormingPair(n=n, a=f / g, b=b, method=EXACT_QUANTILE,
+                                     log_tail_b=log_tail_b))
+        except EvtError as exc:
+            raise exc.at(f"n={n}") from exc
+    return pairs
 
 
 def norming_weibull_closed(c: float, p: float, alpha: float,

@@ -204,17 +204,34 @@ class DistributionSpec:
         is evaluated from the nearest bracket end, so a family whose tail is
         an integral covers [x0, x] about once per search.
         """
+        return self.quantile_log_tail(q)[0]
+
+    def quantile_log_tail(self, q: float, start: float | None = None,
+                          log_tail_start: float | None = None, step: float | None = None):
+        """(x, log tail(x)) at the quantile tail(x) = q, searched as quantile_tail.
+
+        The log tail is the search's own last iterate, so the caller needs no
+        second evaluation at x. Given a start >= x0 with log_tail_start =
+        log tail(start), the bracket doubles upward from it with `step` as its
+        first step: a walk along decreasing levels passes the previous
+        quantile and its scale, and a tail that is an integral then covers
+        only the ground between the two quantiles. A start whose tail is
+        already below q (beyond tolerance) falls back to x0, as does no start.
+        """
         if not (0.0 < q):
             raise DomainError(f"quantile_tail needs q in (0, tail(x0)], got {q!r}")
         log_q = math.log(q)
-        f_lo = self._log_tail_raw(self._x0)
-        if log_q > f_lo:
-            raise DomainError(
-                f"q={q!r} exceeds tail(x0)={math.exp(f_lo)!r}; no quantile above x0")
         tol = QUANTILE_LOG_TOL * max(1.0, abs(log_q))
-        if abs(f_lo - log_q) <= tol:
-            return self._x0
-        lo, f_lo, hi, f_hi = self._bracket(log_q, f_lo)
+        if start is None or log_tail_start < log_q - tol:
+            start, log_tail_start = self._x0, self._log_tail_raw(self._x0)
+            step = 1.0 if self._x0 <= 0.0 else max(self._x0, 1e-12)
+            if log_q > log_tail_start:
+                raise DomainError(
+                    f"q={q!r} exceeds tail(x0)={math.exp(log_tail_start)!r}; "
+                    f"no quantile above x0")
+        if abs(log_tail_start - log_q) <= tol:
+            return start, log_tail_start
+        lo, f_lo, hi, f_hi = self._bracket(log_q, start, log_tail_start, step)
         return self._polish(log_q, lo, f_lo, hi, f_hi, tol)
 
     def quantile_tails(self, q) -> np.ndarray:
@@ -233,9 +250,7 @@ class DistributionSpec:
               for v in q.ravel().tolist()]
         return np.array(xs, dtype=float).reshape(q.shape)
 
-    def _bracket(self, log_q: float, f_lo: float):
-        lo = self._x0
-        step = 1.0 if self._x0 <= 0.0 else max(self._x0, 1e-12)
+    def _bracket(self, log_q: float, lo: float, f_lo: float, step: float):
         while True:
             hi = lo + step
             if not math.isfinite(hi):
@@ -246,6 +261,12 @@ class DistributionSpec:
             if f_hi <= log_q:
                 return lo, f_lo, hi, f_hi
             lo, f_lo, step = hi, f_hi, 2.0 * step
+
+    def _from_nearer(self, x, lo, f_lo, hi, f_hi):
+        # log tail at lo <= x <= hi, integrated from the nearer bracket end
+        if x - lo <= hi - x:
+            return self._log_tail_from(x, lo, f_lo)
+        return self._log_tail_from(x, hi, f_hi)
 
     def _polish(self, log_q, lo, f_lo, hi, f_hi, tol):
         # Regula falsi on the residuals r = f - log q, with the Illinois
@@ -259,13 +280,10 @@ class DistributionSpec:
             mid = lo + r_lo * (hi - lo) / (r_lo - r_hi)
             if not lo < mid < hi:
                 mid = 0.5 * (lo + hi)
-            if mid - lo <= hi - mid:
-                f_mid = self._log_tail_from(mid, lo, f_lo)
-            else:
-                f_mid = self._log_tail_from(mid, hi, f_hi)
+            f_mid = self._from_nearer(mid, lo, f_lo, hi, f_hi)
             r_mid = f_mid - log_q
             if abs(r_mid) <= tol:
-                return mid
+                return mid, f_mid
             if r_mid > 0.0:
                 lo, f_lo, r_lo = mid, f_mid, r_mid
                 if kept == -1:
@@ -277,7 +295,8 @@ class DistributionSpec:
                     r_lo *= 0.5
                 kept = 1
             if hi - lo <= 1e-15 * max(1.0, abs(lo)):
-                return 0.5 * (lo + hi)
+                mid = 0.5 * (lo + hi)
+                return mid, self._from_nearer(mid, lo, f_lo, hi, f_hi)
         raise ConvergenceError(
             f"quantile polish exceeded {_POLISH_CAP} iterations (bracket [{lo!r}, {hi!r}])")
 
@@ -349,10 +368,12 @@ class ExponentialUnit(DistributionSpec):
     def _log_tail_raw(self, x: float) -> float:
         return -x
 
-    def quantile_tail(self, q: float) -> float:
+    def quantile_log_tail(self, q: float, start: float | None = None,
+                          log_tail_start: float | None = None, step: float | None = None):
         if not (0.0 < q <= 1.0):
             raise DomainError(f"quantile_tail needs q in (0, 1], got {q!r}")
-        return -math.log(q)
+        log_q = math.log(q)
+        return -log_q, log_q
 
     def quantile_tails(self, q) -> np.ndarray:
         # 0.0 - log q rather than -log q, so the atom level 1 maps to +0.0 = x0

@@ -215,6 +215,60 @@ def test_check_identity_error_names_n_and_the_grid_point(tmp_path, capsys, monke
     assert re.search(r" \(at grid x=[0-9.]+\) \(at n=1000\)$", err)
 
 
+# b at n = 1e300 is about 1e1200 for this tail, beyond the float range
+FAR_WEIBULL = "weibull:c=1,p=0.005,alpha=0,ell=const:1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["norming", "--dist", FAR_WEIBULL, "--n", "1000,1e300"],
+    ["rates", "--dist", FAR_WEIBULL, "--approx", "gumbel", "--n", "1000,10000,1e300",
+     "--at", "0"],
+    ["simulate", "--dist", FAR_WEIBULL, "--n", "1e300", "--reps", "5"],
+], ids=lambda argv: argv[0])
+def test_norming_errors_name_their_n(tmp_path, capsys, argv):
+    code, _ = run(tmp_path, "x.csv", argv)
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error (DomainError): the quantile of")
+    assert err.endswith(f" (at n={10 ** 300})")
+    assert err.count("(at n=") == 1
+
+
+def test_n_flags_accept_integral_float_literals(tmp_path):
+    code, payload = run(tmp_path, "n.csv", [
+        "norming", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1", "--n", "1e3,1.5e4,1E300"])
+    assert code == 0
+    _, body = rows(payload)
+    assert [cells[0] for cells in body] == ["1000", "15000", str(10 ** 300)]
+    code, payload = run(tmp_path, "g.csv", [
+        "rates", "--dist", "iterlog:k=2,a=1,C=1", "--approx", "gumbel",
+        "--n-geom", "1000:1e300:12", "--sup"])
+    assert code == 0
+    _, body = rows(payload)
+    # the last point of a geometric grid is stop exactly, not exp(log stop)
+    assert {cells[4] for cells in body} == {str(10 ** 300)}
+    assert {cells[5] for cells in body} == {"12"}
+
+
+@pytest.mark.parametrize("flag, value, needle", [
+    ("--n", "1.5", "not an integer"),
+    ("--n", "1000,1e-3", "not an integer"),
+    ("--n", "1e999999999", "beyond the float range"),
+    ("--n", "nan", "not a finite number"),
+    ("--n", "1e3x", "not a number"),
+    ("--n-geom", "1000:1.5e4:0.5", "malformed"),
+    ("--n-geom", "1000.5:1e6:4", "not an integer"),
+    ("--n-geom", "1000:1e999999999:4", "beyond the float range"),
+])
+def test_n_flags_reject_non_integral_literals(tmp_path, capsys, flag, value, needle):
+    code, _ = run(tmp_path, "x.csv", [
+        "norming", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1", flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (ParseError): {flag}: ")
+    assert needle in err
+
+
 def test_steep_logweibull_table_solves_its_norming(tmp_path):
     # plain regula falsi stalled on this norming quantile (exit 4)
     code, payload = run(tmp_path, "t.csv", [

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import pytest
 
+from evt_accompany.cli import _parse_n_geom
 from evt_accompany.errors import DivergenceError, DomainError, MismatchError
 from evt_accompany.norming import (
     CLOSED_FORM,
@@ -9,6 +11,7 @@ from evt_accompany.norming import (
     NormingPair,
     asymptotic_iterate,
     norming_exact,
+    norming_exacts,
     norming_logweibull_closed,
     norming_weibull_closed,
     types_equivalence_gap,
@@ -24,6 +27,25 @@ from evt_accompany.tails import (
 CONST1 = SlowlyVarying.const(1.0)
 N_E16 = round(math.exp(16.0))
 N_E8 = round(math.exp(8.0))
+
+
+def iterlog_log_tail_ref(dist, x):
+    """log tail(x) of IteratedLogScale(k in (2, 3), a = 1, C) to 30 digits.
+
+    With s = log t the tail's exponent is (1/C) times the integral of
+    log_(k-1)(s) ds, whose primitive is s log s - s for k = 2 and
+    s log log s - li(s) for k = 3.
+    """
+    assert dist.a == 1.0 and dist.k in (2, 3)
+
+    def primitive(s):
+        if dist.k == 2:
+            return s * mpmath.log(s) - s
+        return s * mpmath.log(mpmath.log(s)) - mpmath.li(s)
+
+    with mpmath.workdps(30):
+        s0, s = mpmath.log(mpmath.mpf(dist.x0)), mpmath.log(mpmath.mpf(x))
+        return float(-(primitive(s) - primitive(s0)) / dist.C)
 
 
 def newton_log_fixed_point(u, tol=1e-14):
@@ -107,7 +129,12 @@ def test_exact_converges_at_extreme_shapes(dist, b_approx):
                          ids=lambda d: d.label)
 def test_exact_pair_carries_log_tail_at_b(dist):
     pair = norming_exact(dist, 10 ** 6)
-    assert pair.log_tail_b == dist.log_tail(pair.b)
+    if isinstance(dist, IteratedLogScale):
+        # the search's last iterate was integrated from a bracket end, not
+        # from x0, so it can differ from dist.log_tail(b) in the last digits
+        assert abs(pair.log_tail_b - iterlog_log_tail_ref(dist, pair.b)) <= 1e-13
+    else:
+        assert pair.log_tail_b == dist.log_tail(pair.b)
     assert pair.log_tail_b == pytest.approx(-math.log(1e6), rel=1e-11)
     assert norming_weibull_closed(1.0, 2.0, 0.0, CONST1, 10 ** 6).log_tail_b is None
 
@@ -124,6 +151,91 @@ def test_exact_b_strictly_increases_with_n():
         bs = [norming_exact(d, 10 ** k).b for k in range(2, 8)]
         for lo, hi in zip(bs, bs[1:]):
             assert hi > lo
+
+
+# -- norming_exacts: the walk along the n-grid ----------------------------------
+
+# the bench's handle-sweep grid, --n-geom 1000:1000000000:9
+SWEEP_NS = [1000, 5623, 31623, 177828, 1000000, 5623413, 31622777, 177827941, 1000000000]
+# tail(x0) of the log-power family is 6e-4, so the grid starts at 1e4; the
+# pair 10**15, 10**15 + 1 puts two levels within one search tolerance
+WALK_NS = [10 ** 4, 10 ** 5, 10 ** 6, 10 ** 8, 10 ** 10, 10 ** 15, 10 ** 15 + 1,
+           10 ** 20, 10 ** 30, 10 ** 50, 10 ** 100, 10 ** 200, 10 ** 300]
+
+
+@pytest.mark.parametrize("dist", [
+    ExponentialUnit(),
+    WeibullLike(1.0, 0.5, 0.0), WeibullLike(1.0, 0.5, 2.0),
+    WeibullLike(1.0, 2.0, 0.0), WeibullLike(1.0, 2.0, 2.0),
+    WeibullLike(1.0, 3.0, 0.0), WeibullLike(1.0, 3.0, 2.0),
+    WeibullLike(1.0, 2.0, 0.0, SlowlyVarying.log_power(1.0, 1.0)),
+    LogWeibullLike(1.0, 2.0, 0.0), LogWeibullLike(1.0, 3.0, 0.0),
+], ids=lambda d: d.label)
+def test_walk_matches_fresh_closed_form_pairs(dist):
+    for pair in norming_exacts(dist, WALK_NS):
+        fresh = norming_exact(dist, pair.n)
+        log_n = math.log(pair.n)
+        # both b meet the search tolerance on log tail, whose slope at b is
+        # -1/a, so they may sit up to twice that tolerance apart in units of a
+        assert types_equivalence_gap(pair, fresh)[1] <= 2e-12 * log_n
+        # closed forms ignore the anchor, so the carried log tail is exact
+        assert pair.log_tail_b == dist.log_tail(pair.b)
+        assert abs(pair.log_tail_b + log_n) <= 1e-12 * log_n
+        if pair.n <= 10 ** 9:
+            assert abs(pair.b / fresh.b - 1.0) <= 2e-12
+            assert abs(pair.n * dist.tail(pair.b) - 1.0) <= 1e-10  # the bench's oracle
+
+
+@pytest.mark.parametrize("centering", ["quantile", "logcdf"])
+def test_walk_exponential_pairs_are_bit_identical(centering):
+    for pair in norming_exacts(ExponentialUnit(), WALK_NS, centering):
+        q = 1.0 / pair.n if centering == "quantile" else -math.expm1(-1.0 / pair.n)
+        assert pair == NormingPair(n=pair.n, a=1.0, b=-math.log(q), log_tail_b=math.log(q))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_walk_log_tail_b_matches_mpmath_reference(k):
+    dist = IteratedLogScale(k, 1.0, 1.0)
+    ns = _parse_n_geom("1000:1e300:40", "--n-geom")
+    assert ns[-1] == 10 ** 300
+    for pair in norming_exacts(dist, ns):
+        assert abs(pair.log_tail_b - iterlog_log_tail_ref(dist, pair.b)) <= 1e-12
+        log_n = math.log(pair.n)
+        assert abs(pair.log_tail_b + log_n) <= 1e-12 * log_n
+
+
+@pytest.mark.parametrize("k, budget", [(2, 2000), (3, 1000)])
+def test_walk_integrand_budget_on_handle_sweep_grid(k, budget):
+    # a search per n from x0 costs 7,124 (k=2) and 3,026 (k=3) evaluations
+    dist = IteratedLogScale(k, 1.0, 1.0)
+    calls = [0]
+    over_f = dist._over_f
+
+    def counted(t):
+        calls[0] += 1
+        return over_f(t)
+
+    dist._over_f = counted
+    pairs = norming_exacts(dist, SWEEP_NS)
+    assert calls[0] <= budget
+    assert [p.n for p in pairs] == SWEEP_NS
+
+
+@pytest.mark.parametrize("ns", [[1000, 1000], [10 ** 6, 1000], [1000, 10 ** 6, 10 ** 5]])
+def test_walk_rejects_non_increasing_n(ns):
+    with pytest.raises(DomainError, match="strictly increasing"):
+        norming_exacts(WeibullLike(1.0, 2.0, 0.0), ns)
+
+
+def test_walk_errors_name_their_n():
+    # b at n = 10**300 is about 1e1200, beyond the float range
+    dist = WeibullLike(1.0, 0.005, 0.0)
+    with pytest.raises(DomainError) as info:
+        norming_exacts(dist, [1000, 10 ** 300])
+    message = str(info.value)
+    assert message.startswith("the quantile of ")
+    assert message.endswith(f" (at n={10 ** 300})")
+    assert message.count("(at n=") == 1
 
 
 # -- closed forms ------------------------------------------------------------

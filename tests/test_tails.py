@@ -146,6 +146,52 @@ def test_quantile_round_trip(dist):
         assert abs(dist.log_tail(x) - math.log(q)) <= 1e-10
 
 
+# -- quantile_log_tail -------------------------------------------------------
+
+@pytest.mark.parametrize("dist", BUILTINS, ids=lambda d: d.label)
+def test_quantile_log_tail_pairs_the_quantile_with_its_log_tail(dist):
+    for k in range(1, 13):
+        q = 10.0 ** -k
+        if q > dist.tail(dist.x0):
+            continue
+        x, log_tail_x = dist.quantile_log_tail(q)
+        assert x == dist.quantile_tail(q)
+        assert abs(log_tail_x - math.log(q)) <= 1e-12 * max(1.0, -math.log(q))
+        if isinstance(dist, IteratedLogScale):
+            # integrated from a bracket end rather than from x0
+            assert log_tail_x == pytest.approx(dist.log_tail(x), abs=1e-12)
+        else:
+            assert log_tail_x == dist.log_tail(x)
+
+
+def test_quantile_log_tail_exponential_is_closed_form():
+    assert ExponentialUnit().quantile_log_tail(0.3) == (-math.log(0.3), math.log(0.3))
+    assert ExponentialUnit().quantile_log_tail(0.3, 5.0, -5.0, 1.0) == (-math.log(0.3),
+                                                                       math.log(0.3))
+
+
+def test_quantile_log_tail_resumes_from_a_start():
+    d = IteratedLogScale(2, 1.0, 1.0)
+    x1, f1 = d.quantile_log_tail(1e-3)
+    x2, f2 = d.quantile_log_tail(1e-6, x1, f1, 100.0)
+    assert x2 == pytest.approx(d.quantile_tail(1e-6), rel=1e-11)
+    assert abs(f2 - math.log(1e-6)) <= 1e-12 * math.log(1e6)
+    # a start within tolerance of the level is its own quantile
+    assert d.quantile_log_tail(math.exp(f1), x1, f1, 100.0) == (x1, f1)
+    # a start beyond the quantile falls back to the search from x0
+    assert d.quantile_log_tail(1e-3, x2, f2, 100.0) == (x1, f1)
+
+
+def test_quantile_log_tail_is_fresh_at_the_bracket_collapse_exit():
+    # log tail = -1e6 (x - 1000): one ulp of x near 1000 moves it by 1.1e-7,
+    # far beyond the tolerance, so every search ends by bracket collapse
+    d = GeneralizedVonMises(f=lambda t: 1e-6, g=lambda t: 1.0, c=lambda t: 1.0, x0=1000.0)
+    for q in (1e-3, 1e-6, 1e-9, 1e-30):
+        x, log_tail_x = d.quantile_log_tail(q)
+        assert abs(log_tail_x - math.log(q)) > 1e-12 * max(1.0, -math.log(q))
+        assert log_tail_x == pytest.approx(d.log_tail(x), abs=1e-12)
+
+
 # -- array quantile ----------------------------------------------------------
 
 HALF = SlowlyVarying.const(0.5)
