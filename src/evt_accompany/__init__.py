@@ -14,6 +14,7 @@ from .analysis import (
     weighted_residual,
 )
 from .approx import (
+    APPROXIMANTS,
     Accompanying,
     ApproximantKind,
     EvalPoint,

@@ -15,15 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import (
-    ApproximantKind,
-    EvalPoint,
-    SecondOrder,
-    evaluate_at,
-    exact_and_gamma,
-    exact_and_gammas,
-    gumbel_cdf,
-)
+from .approx import ApproximantKind, EvalPoint, evaluate_at, exact_and_gammas, gumbel_cdf
 from .errors import DegenerateError, DomainError, EvtError
 from .norming import NormingPair, norming_exact, norming_exacts
 from .tails import DistributionSpec
@@ -98,49 +90,53 @@ class RateFit:
 
 
 def guarded_points(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
-                   kind: ApproximantKind | None = None) -> list[tuple[float, float, float]]:
-    """(x, exact law, gamma) at the grid points surviving the support and
-    series-convergence guards, from one tail evaluation per point."""
-    cut = -math.log(pair.n) + GUARD_SLACK
-    xs = [x for x in metric.grid() if x > 0.0 or not isinstance(kind, SecondOrder)]
-    return [(x, exact, gamma) for x, (exact, gamma) in zip(xs, exact_and_gammas(dist, pair, xs))
-            if gamma is not None and gamma >= cut]
+                   kind: ApproximantKind | None = None):
+    """(x, exact law, gamma) as arrays, at the grid points where kind is
+    defined that survive the support and series-convergence guards; one tail
+    evaluation per point."""
+    xs = np.array(metric.grid())
+    if kind is not None:
+        xs = xs[kind.defined_at(xs)]
+    exact, gamma = exact_and_gammas(dist, pair, xs)
+    keep = gamma >= -math.log(pair.n) + GUARD_SLACK  # False where gamma is NaN
+    return xs[keep], exact[keep], gamma[keep]
 
 
 def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
                kind: ApproximantKind | None = None) -> list[float]:
     """Grid points surviving the support and series-convergence guards."""
-    return [x for x, _, _ in guarded_points(dist, pair, metric, kind)]
+    return guarded_points(dist, pair, metric, kind)[0].tolist()
 
 
 def evaluation_points(dist: DistributionSpec, pair: NormingPair,
                       kind: ApproximantKind, xs: Sequence[float]) -> list[EvalPoint]:
     """Exact vs approximant values with signed errors, for diagnosing sign."""
-    return [EvalPoint(x=x, exact=exact, approx=evaluate_at(kind, x, gamma, pair.n))
-            for x, (exact, gamma) in zip(xs, exact_and_gammas(dist, pair, xs))]
+    exact, gamma = exact_and_gammas(dist, pair, xs)
+    approx = evaluate_at(kind, xs, gamma, pair.n)
+    return [EvalPoint(x=float(x), exact=e, approx=v)
+            for x, e, v in zip(xs, exact.tolist(), approx.tolist())]
 
 
 def error_curve(dist: DistributionSpec, approximant: ApproximantKind,
                 metric: SupOnGrid | AtPoint, n_grid: Sequence[int]) -> ErrorCurve:
-    """|exact - approximant| per n, under exact norming walked along n_grid.
+    """max |exact - approximant| over the metric's points per n, under exact
+    norming walked along n_grid.
 
     Evaluation failures are re-raised with the offending n attached; a
     failing grid point also names its x.
     """
     points = []
     for pair in norming_exacts(dist, n_grid):
-        n = pair.n
         try:
             if isinstance(metric, AtPoint):
-                grid = [(metric.x, *exact_and_gamma(dist, pair, metric.x))]
+                xs = np.array([metric.x])
+                exact, gamma = exact_and_gammas(dist, pair, xs)
             else:
-                grid = guarded_points(dist, pair, metric, approximant)
-            worst = 0.0
-            for x, exact, gamma in grid:
-                worst = max(worst, abs(exact - evaluate_at(approximant, x, gamma, n)))
+                xs, exact, gamma = guarded_points(dist, pair, metric, approximant)
+            errors = np.abs(exact - evaluate_at(approximant, xs, gamma, pair.n))
         except EvtError as exc:
-            raise exc.at(f"n={n}") from exc
-        points.append((n, worst))
+            raise exc.at(f"n={pair.n}") from exc
+        points.append((pair.n, float(errors.max(initial=0.0))))
     return ErrorCurve(dist_label=dist.label, approximant=approximant,
                       metric=metric, points=tuple(points))
 
@@ -188,15 +184,14 @@ def weighted_residual(dist: DistributionSpec, n: int, rho: float,
         raise DomainError("weighted_residual needs a nonzero A(n)")
     metric = metric if metric is not None else SupOnGrid()
     pair = norming_exact(dist, n, centering="logcdf")
-    worst = 0.0
     try:
-        for x, exact, _ in guarded_points(dist, pair, metric):
-            gap = (exact - gumbel_cdf(x)) / a_n_value
-            shape = math.exp(-x + rho * x) * gumbel_cdf(x) / rho
-            worst = max(worst, math.exp((1.0 - eps) * x) * abs(gap + shape))
+        xs, exact, _ = guarded_points(dist, pair, metric)
     except EvtError as exc:
         raise exc.at(f"n={n}") from exc
-    return worst
+    lam = gumbel_cdf(xs)
+    shape = np.exp(-xs + rho * xs) * lam / rho
+    weighted = np.exp((1.0 - eps) * xs) * np.abs((exact - lam) / a_n_value + shape)
+    return float(weighted.max(initial=0.0))
 
 
 def _min_tail_levels(u: np.ndarray, n: int) -> np.ndarray:

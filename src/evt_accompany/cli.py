@@ -22,6 +22,8 @@ import re
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .analysis import (
     POWER_IN_LOG_N,
@@ -35,15 +37,14 @@ from .analysis import (
     simulate_max,
 )
 from .approx import (
-    Accompanying,
+    APPROXIMANTS,
+    KINDS,
     ApproximantKind,
-    FirstOrderCorrected,
-    Gumbel,
     SecondOrder,
     TwoTerm,
     evaluate_at,
     exact_and_gammas,
-    require_gamma,
+    require_gammas,
 )
 from .errors import DomainError, EvtError, ParseError
 from .norming import (
@@ -55,13 +56,11 @@ from .norming import (
 )
 from .tails import DistributionSpec, LogWeibullLike, WeibullLike, parse_dist
 
-TABLE_COLUMNS = "x,exact,gumbel,accompanying,two_term,first_order,second_order,gamma"
+TABLE_COLUMNS = ",".join(["x", "exact", *APPROXIMANTS, "gamma"])
 RATES_COLUMNS = "model,exponent,r_squared,n_min,n_max,points"
 NORMING_COLUMNS = "n,a_exact,b_exact,a_closed,b_closed,ratio_gap,shift_gap"
 IDENTITY_COLUMNS = "n,x,exact,two_term,abs_gap"
 SIMULATE_COLUMNS = "replication,scaled_max"
-
-_APPROX_NAMES = ("gumbel", "accompanying", "two_term", "first_order", "second_order")
 
 
 def _fmt(v: float) -> str:
@@ -140,21 +139,14 @@ def _parse_n_geom(raw: str, flag: str) -> list[int]:
     return out
 
 
-def _grid(window) -> list[float]:
-    lo, hi, steps = window
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-
-
-def _resolve_ns(args, flag_required: bool = True) -> list[int]:
-    if getattr(args, "n", None) and getattr(args, "n_geom", None):
+def _resolve_ns(args) -> list[int]:
+    if args.n and args.n_geom:
         raise ParseError("--n and --n-geom are mutually exclusive")
-    if getattr(args, "n", None):
+    if args.n:
         return _parse_n_list(args.n, "--n")
-    if getattr(args, "n_geom", None):
+    if args.n_geom:
         return _parse_n_geom(args.n_geom, "--n-geom")
-    if flag_required:
-        raise ParseError("one of --n or --n-geom is required")
-    return []
+    raise ParseError("one of --n or --n-geom is required")
 
 
 def _single_n(args) -> int:
@@ -167,57 +159,37 @@ def _single_n(args) -> int:
 def _parse_approx(raw: str) -> list[str]:
     names = [tok.strip() for tok in raw.split(",")]
     for name in names:
-        if name not in _APPROX_NAMES:
+        if name not in APPROXIMANTS:
             raise ParseError(
                 f"--approx: unknown approximant {name!r} (expected subset of "
-                f"{', '.join(_APPROX_NAMES)})")
+                f"{', '.join(APPROXIMANTS)})")
     return names
 
 
-def _second_order_kind(args, dist: DistributionSpec) -> SecondOrder:
+def _make_kind(name: str, args, dist: DistributionSpec) -> ApproximantKind:
+    """The kind of that name; second_order takes rho and A(n) from the flags."""
+    if name in KINDS:
+        return KINDS[name]
     rho = args.rho if args.rho is not None else 0.0
     if args.a_n is not None:
-        value = float(args.a_n)
-        return SecondOrder(rho=rho, a_n=lambda n: value)
+        return SecondOrder(rho=rho, a_n=lambda n: args.a_n)
     if isinstance(dist, WeibullLike):
         return SecondOrder.weibull_preset(dist.p)
     raise DomainError(
         "second_order needs --a-n for families without the Weibull-like preset")
 
 
-def _make_kind(name: str, args, dist: DistributionSpec) -> ApproximantKind:
-    if name == "gumbel":
-        return Gumbel()
-    if name == "accompanying":
-        return Accompanying()
-    if name == "two_term":
-        return TwoTerm()
-    if name == "first_order":
-        return FirstOrderCorrected()
-    return _second_order_kind(args, dist)
-
-
-class _Output:
-    """CSV sink plus a summary channel that never collides with it."""
-
-    def __init__(self, out_path: str | None):
-        self.out_path = out_path
-        self.lines: list[str] = []
-
-    def row(self, line: str) -> None:
-        self.lines.append(line)
-
-    def finish(self, summary: list[str]) -> None:
-        payload = "\n".join(self.lines) + "\n"
-        if self.out_path is not None:
-            with open(self.out_path, "w", newline="\n") as fh:
-                fh.write(payload)
-            for line in summary:
-                print(line)
-        else:
-            sys.stdout.write(payload)
-            for line in summary:
-                print(line, file=sys.stderr)
+def _finish(out_path: str | None, rows: list[str], summary: list[str]) -> None:
+    """The CSV rows to out_path (stdout when None), and the summary to the
+    channel the CSV does not occupy."""
+    payload = "\n".join(rows) + "\n"
+    if out_path is None:
+        sys.stdout.write(payload)
+    else:
+        with open(out_path, "w", newline="\n") as fh:
+            fh.write(payload)
+    for line in summary:
+        print(line, file=sys.stderr if out_path is None else sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -227,29 +199,30 @@ class _Output:
 def _cmd_table(args) -> int:
     dist = parse_dist(args.dist)
     n = _single_n(args)
-    window = _parse_window(args.x, "--x")
+    lo, hi, steps = _parse_window(args.x, "--x")
     names = _parse_approx(args.approx) if args.approx else []
     kinds = {name: _make_kind(name, args, dist) for name in names}
     pair = norming_exact(dist, n)
-    out = _Output(args.out)
-    out.row(_header(dist.label, "table"))
-    out.row(TABLE_COLUMNS)
-    xs = _grid(window)
+    xs = np.array([lo + (hi - lo) * i / (steps - 1) for i in range(steps)])
     try:
-        for x, (exact, gamma) in zip(xs, exact_and_gammas(dist, pair, xs)):
-            cells = [_fmt(x), _fmt(exact)]
-            for name in _APPROX_NAMES:
-                if name not in kinds:
-                    cells.append("")
-                elif name == "second_order" and x <= 0.0:
-                    cells.append("")  # H(x) involves log x; undefined at x <= 0
-                else:
-                    cells.append(_fmt(evaluate_at(kinds[name], x, gamma, n)))
-            cells.append(_fmt(require_gamma(gamma, x)))
-            out.row(",".join(cells))
+        exact, gamma = exact_and_gammas(dist, pair, xs)
+        require_gammas(xs, gamma)
+        columns = [xs.tolist(), exact.tolist()]
+        for name in APPROXIMANTS:
+            cells = [None] * xs.size  # blank where not requested or not defined
+            if name in kinds:
+                at = np.flatnonzero(kinds[name].defined_at(xs))
+                values = evaluate_at(kinds[name], xs[at], gamma[at], n)
+                for i, v in zip(at.tolist(), values.tolist()):
+                    cells[i] = v
+            columns.append(cells)
+        columns.append(gamma.tolist())
     except EvtError as exc:
         raise exc.at(f"n={n}") from exc
-    out.finish([f"table: {window[2]} rows for dist={dist.label} n={n}"])
+    rows = [_header(dist.label, "table"), TABLE_COLUMNS]
+    for row in zip(*columns):
+        rows.append(",".join("" if v is None else repr(v) for v in row))
+    _finish(args.out, rows, [f"table: {steps} rows for dist={dist.label} n={n}"])
     return 0
 
 
@@ -270,16 +243,14 @@ def _cmd_rates(args) -> int:
     else:
         metric = SupOnGrid()
     curve = error_curve(dist, kind, metric, ns)
-    out = _Output(args.out)
-    out.row(_header(dist.label, "rates"))
-    out.row(RATES_COLUMNS)
+    rows = [_header(dist.label, "rates"), RATES_COLUMNS]
     summary = [f"rates: dist={dist.label} approx={names[0]} metric={metric.label}"]
     for model in (POWER_IN_N, POWER_IN_LOG_N):
         fit = fit_rate(curve, model)
-        out.row(",".join([model, _fmt(fit.exponent), _fmt(fit.r_squared),
-                          str(ns[0]), str(ns[-1]), str(len(ns))]))
+        rows.append(",".join([model, _fmt(fit.exponent), _fmt(fit.r_squared),
+                              str(ns[0]), str(ns[-1]), str(len(ns))]))
         summary.append(f"  {model}: exponent={fit.exponent:.4f} r2={fit.r_squared:.5f}")
-    out.finish(summary)
+    _finish(args.out, rows, summary)
     return 0
 
 
@@ -296,19 +267,17 @@ def _closed_pair(dist: DistributionSpec, n: int):
 def _cmd_norming(args) -> int:
     dist = parse_dist(args.dist)
     ns = _resolve_ns(args)
-    out = _Output(args.out)
-    out.row(_header(dist.label, "norming"))
-    out.row(NORMING_COLUMNS)
+    rows = [_header(dist.label, "norming"), NORMING_COLUMNS]
     last = None
     for exact in norming_exacts(dist, ns):
         n = exact.n
         closed = _closed_pair(dist, n)
         ratio_gap, shift_gap = types_equivalence_gap(exact, closed)
-        out.row(",".join([str(n), _fmt(exact.a), _fmt(exact.b), _fmt(closed.a),
-                          _fmt(closed.b), _fmt(ratio_gap), _fmt(shift_gap)]))
+        rows.append(",".join([str(n), _fmt(exact.a), _fmt(exact.b), _fmt(closed.a),
+                              _fmt(closed.b), _fmt(ratio_gap), _fmt(shift_gap)]))
         last = (ratio_gap, shift_gap)
-    out.finish([f"norming: dist={dist.label} n-count={len(ns)} "
-                f"final gaps ratio={last[0]:.3g} shift={last[1]:.3g}"])
+    _finish(args.out, rows, [f"norming: dist={dist.label} n-count={len(ns)} "
+                             f"final gaps ratio={last[0]:.3g} shift={last[1]:.3g}"])
     return 0
 
 
@@ -319,21 +288,19 @@ def _cmd_check_identity(args) -> int:
     window = _parse_window(args.x, "--x") if args.x else (-2.0, 6.0, 61)
     metric = SupOnGrid(x_lo=window[0], x_hi=window[1], steps=window[2])
     pair = norming_exact(dist, n)
-    out = _Output(args.out)
-    out.row(_header(dist.label, "check-identity"))
-    out.row(IDENTITY_COLUMNS)
-    worst = 0.0
+    rows = [_header(dist.label, "check-identity"), IDENTITY_COLUMNS]
     try:
-        for x, exact, gamma in guarded_points(dist, pair, metric):
-            tt = evaluate_at(TwoTerm(), x, gamma, n)
-            gap = abs(exact - tt)
-            worst = max(worst, gap)
-            out.row(",".join([str(n), _fmt(x), _fmt(exact), _fmt(tt), _fmt(gap)]))
+        xs, exact, gamma = guarded_points(dist, pair, metric)
+        two_term = evaluate_at(TwoTerm(), xs, gamma, n)
     except EvtError as exc:
         raise exc.at(f"n={n}") from exc
+    gaps = np.abs(exact - two_term)
+    for row in zip(xs.tolist(), exact.tolist(), two_term.tolist(), gaps.tolist()):
+        rows.append(",".join([str(n), *map(repr, row)]))
+    worst = float(gaps.max(initial=0.0))
     ok = worst <= tol
-    out.finish([f"check-identity: dist={dist.label} n={n} max|gap|={worst:.3e} "
-                f"tol={tol:.3e} -> {'OK' if ok else 'FAIL'}"])
+    _finish(args.out, rows, [f"check-identity: dist={dist.label} n={n} "
+                             f"max|gap|={worst:.3e} tol={tol:.3e} -> {'OK' if ok else 'FAIL'}"])
     if not ok:
         print(f"error: identity violated: max gap {worst!r} > tol {tol!r}",
               file=sys.stderr)
@@ -349,16 +316,15 @@ def _cmd_simulate(args) -> int:
     if args.seed < 0:
         raise ParseError(f"--seed: needs a non-negative integer, got {args.seed!r}")
     samples = simulate_max(dist, n, args.reps, seed=args.seed)
-    out = _Output(args.out)
-    out.row(_header(dist.label, "simulate", extra=f"seed={args.seed} rng={RNG_ALGORITHM}"))
-    out.row(SIMULATE_COLUMNS)
+    rows = [_header(dist.label, "simulate", extra=f"seed={args.seed} rng={RNG_ALGORITHM}"),
+            SIMULATE_COLUMNS]
     # Python floats format faster than numpy scalars, with the same repr;
     # converting in blocks keeps a whole-array list out of the peak memory
     for start in range(0, samples.size, 4096):
         for i, v in enumerate(samples[start:start + 4096].tolist(), start):
-            out.row(f"{i},{_fmt(v)}")
-    out.finish([f"simulate: dist={dist.label} n={n} reps={args.reps} "
-                f"mean={samples.mean():.6f} max={samples.max():.6f}"])
+            rows.append(f"{i},{_fmt(v)}")
+    _finish(args.out, rows, [f"simulate: dist={dist.label} n={n} reps={args.reps} "
+                             f"mean={samples.mean():.6f} max={samples.max():.6f}"])
     return 0
 
 
@@ -366,58 +332,59 @@ def _cmd_simulate(args) -> int:
 # Argument surface
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+_SINGLE_N = "single sample count"
+_SECOND_ORDER_FLAGS = [("--rho", dict(type=float, help="second-order rho (<= 0)")),
+                       ("--a-n", dict(type=float, help="second-order A(n) value"))]
+
+# command -> (function, help, --n help, the flags beyond --dist/--n/--n-geom/--out)
+_COMMANDS = {
+    "table": (_cmd_table, "tabulate exact law and approximants", _SINGLE_N, [
+        ("--x", dict(required=True, help="x grid lo:hi:steps")),
+        ("--approx", dict(help="comma list of approximants")),
+        *_SECOND_ORDER_FLAGS]),
+    "rates": (_cmd_rates, "fit error decay across n", "sample count(s)", [
+        ("--approx", dict(required=True, help="one approximant")),
+        ("--at", dict(type=float, help="fixed-x error metric")),
+        ("--sup", dict(nargs="?", const="-2:6:161",
+                       help="sup-error metric, optional window lo:hi:steps")),
+        *_SECOND_ORDER_FLAGS]),
+    "norming": (_cmd_norming, "exact vs closed-form norming", "sample count(s)", []),
+    "check-identity": (_cmd_check_identity, "two-term factorization against the exact law",
+                       _SINGLE_N, [
+        ("--x", dict(help="x grid lo:hi:steps (default -2:6:61)")),
+        ("--tol", dict(default="1e-10", help="identity tolerance"))]),
+    "simulate": (_cmd_simulate, "Monte Carlo scaled maxima", _SINGLE_N, [
+        ("--reps", dict(type=int, required=True, help="replication count")),
+        ("--seed", dict(type=int, default=0, help="RNG seed"))]),
+}
+_DISPATCH = {name: spec[0] for name, spec in _COMMANDS.items()}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; given a command, with only that command's subparser.
+
+    Each subparser costs about as much to build as the rest of the tree, so
+    main builds only the one it runs. Its metavar then spells out every
+    command, so usage lines read as they do with the full tree.
+    """
     parser = argparse.ArgumentParser(
         prog="evt-accompany",
         description="Scaled-maximum laws in the Gumbel domain: tables, "
                     "convergence rates, norming pairs, identity checks, simulation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, n_help="sample count(s)"):
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name, (_, help_, n_help, flags) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--dist", required=True, help="distribution spec string")
         p.add_argument("--n", help=n_help)
         p.add_argument("--n-geom", help="geometric n grid start:stop:count")
         p.add_argument("--out", help="CSV output path (stdout when omitted)")
-
-    p_table = sub.add_parser("table", help="tabulate exact law and approximants")
-    common(p_table, "single sample count")
-    p_table.add_argument("--x", required=True, help="x grid lo:hi:steps")
-    p_table.add_argument("--approx", help="comma list of approximants")
-    p_table.add_argument("--rho", type=float, help="second-order rho (<= 0)")
-    p_table.add_argument("--a-n", type=float, help="second-order A(n) value")
-
-    p_rates = sub.add_parser("rates", help="fit error decay across n")
-    common(p_rates)
-    p_rates.add_argument("--approx", required=True, help="one approximant")
-    p_rates.add_argument("--at", type=float, help="fixed-x error metric")
-    p_rates.add_argument("--sup", nargs="?", const="-2:6:161",
-                         help="sup-error metric, optional window lo:hi:steps")
-    p_rates.add_argument("--rho", type=float, help="second-order rho (<= 0)")
-    p_rates.add_argument("--a-n", type=float, help="second-order A(n) value")
-
-    p_norming = sub.add_parser("norming", help="exact vs closed-form norming")
-    common(p_norming)
-
-    p_check = sub.add_parser("check-identity",
-                             help="two-term factorization against the exact law")
-    common(p_check, "single sample count")
-    p_check.add_argument("--x", help="x grid lo:hi:steps (default -2:6:61)")
-    p_check.add_argument("--tol", default="1e-10", help="identity tolerance")
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo scaled maxima")
-    common(p_sim, "single sample count")
-    p_sim.add_argument("--reps", type=int, required=True, help="replication count")
-    p_sim.add_argument("--seed", type=int, default=0, help="RNG seed")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return parser
-
-
-_DISPATCH = {
-    "table": _cmd_table,
-    "rates": _cmd_rates,
-    "norming": _cmd_norming,
-    "check-identity": _cmd_check_identity,
-    "simulate": _cmd_simulate,
-}
 
 
 _GRID_FLAGS = {"--x", "--sup", "--at"}
@@ -441,9 +408,10 @@ def _merge_negative_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_merge_negative_values(
-        argv if argv is not None else sys.argv[1:]))
+    argv = _merge_negative_values(argv if argv is not None else sys.argv[1:])
+    # an unknown first token (a typo, --help) gets the full tree and its message
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except EvtError as exc:

@@ -172,8 +172,14 @@ class DistributionSpec:
         return math.exp(self.log_tail(x))
 
     def log_tail_diff(self, z: float, b: float) -> float:
-        """log_tail(z) - log_tail(b); overridden where a single pass is cheaper."""
-        return self.log_tail(z) - self.log_tail(b)
+        """log_tail(z) - log_tail(b). A closed form takes both from one log_tails
+        call, so the difference rounds as it does in approx.exact_and_gammas."""
+        if self.log_tails is None or _below(min(z, b), self._x0):
+            return self.log_tail_from(z, b, 0.0)  # integrates b to z; raises below x0
+        with np.errstate(all="ignore"):
+            diff = float(np.subtract(*self.log_tails(np.array([z, b]))))
+        # outside the float range, the scalar tail raises its typed error
+        return diff if math.isfinite(diff) else self.log_tail(z) - self.log_tail(b)
 
     def log_tail_from(self, x: float, anchor: float, log_tail_anchor: float) -> float:
         """log_tail(x), given log_tail_anchor = log_tail(anchor) at another point >= x0.
@@ -184,6 +190,9 @@ class DistributionSpec:
         if _below(min(x, anchor), self._x0):
             raise DomainError(f"log_tail_from needs both points >= x0 = {self._x0!r}")
         return self._log_tail_from(x, anchor, log_tail_anchor)
+
+    # log_tail over an array of points >= x0, for the closed forms only
+    log_tails: Callable[[np.ndarray], np.ndarray] | None = None
 
     def _log_tail_raw(self, x: float) -> float:
         raise NotImplementedError
@@ -368,6 +377,9 @@ class ExponentialUnit(DistributionSpec):
     def _log_tail_raw(self, x: float) -> float:
         return -x
 
+    def log_tails(self, z: np.ndarray) -> np.ndarray:
+        return -z
+
     def quantile_log_tail(self, q: float, start: float | None = None,
                           log_tail_start: float | None = None, step: float | None = None):
         if not (0.0 < q <= 1.0):
@@ -403,6 +415,9 @@ class _PowerFamily(DistributionSpec):
     def _log_tails_slopes(self, x: np.ndarray, lx: np.ndarray):
         """log tail(x) and d log tail / d log x, given lx = log x."""
         raise NotImplementedError
+
+    def log_tails(self, z: np.ndarray) -> np.ndarray:
+        return self._log_tails_slopes(z, np.log(z))[0]
 
     def quantile_tails(self, q) -> np.ndarray:
         """quantile_tail over an array of levels in (0, 1], completed by the
@@ -601,11 +616,6 @@ class _HandleFamily(DistributionSpec):
 
     def _log_tail_from(self, x: float, anchor: float, log_tail_anchor: float) -> float:
         return log_tail_anchor + (self._log_c(x) - self._log_c(anchor)) - self._integral(anchor, x)
-
-    def log_tail_diff(self, z: float, b: float) -> float:
-        if _below(min(z, b), self._x0):
-            raise DomainError(f"log_tail_diff needs both points >= x0 = {self._x0!r}")
-        return self._log_tail_from(z, b, 0.0)
 
     def _integral(self, a: float, b: float) -> float:
         if a == b:

@@ -18,7 +18,14 @@ from evt_accompany.analysis import (
     simulate_max,
     weighted_residual,
 )
-from evt_accompany.approx import Accompanying, Gumbel, TwoTerm, exact_max_cdf, gumbel_cdf
+from evt_accompany.approx import (
+    Accompanying,
+    Gumbel,
+    TwoTerm,
+    exact_and_gammas,
+    exact_max_cdf,
+    gumbel_cdf,
+)
 from evt_accompany.errors import DegenerateError, DomainError
 from evt_accompany.norming import norming_exact
 from evt_accompany.tails import (
@@ -262,7 +269,7 @@ def test_simulate_kolmogorov_band_against_exact_law(dist, n, seed):
     m = 2000
     samples = np.sort(simulate_max(dist, n, m, seed=seed))
     pair = norming_exact(dist, n)
-    cdf = np.array([exact_max_cdf(dist, pair, x) for x in samples])
+    cdf, _ = exact_and_gammas(dist, pair, samples)
     i = np.arange(1, m + 1)
     d = max(np.max(i / m - cdf), np.max(cdf - (i - 1) / m))
     assert math.sqrt(m) * d <= KS_LIMIT

@@ -312,3 +312,55 @@ def test_csv_to_stdout_when_out_omitted(capsys):
     assert lines[0].startswith("# evt-accompany")
     assert lines[1] == TABLE_COLUMNS
     assert "table:" in captured.err
+
+
+# -- argument parsing ---------------------------------------------------------------
+
+def _parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of one parse that exits, as argparse does
+    on --help and on a malformed command line."""
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return info.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    [],
+    ["bogus", "--dist", "exp"],
+    ["table", "--help"],
+    ["rates", "-h"],
+    ["norming", "--help"],
+    ["check-identity", "--help"],
+    ["simulate", "--help"],
+    ["table", "--dist", "exp", "--n", "10"],
+    ["rates", "--dist", "exp", "--n-geom", "100:1000:3"],
+    ["simulate", "--dist", "exp", "--n", "10", "--reps", "x"],
+    ["table", "--dist", "exp", "--n", "10", "--x", "0:1:3", "--bogus", "1"],
+], ids=lambda argv: " ".join(argv) or "no-args")
+def test_parser_built_for_one_command_reads_as_the_full_tree(argv, capsys):
+    from evt_accompany import cli
+
+    full = _parse_outcome(cli._build_parser().parse_args, argv, capsys)
+    got = _parse_outcome(main, argv, capsys)
+    assert got == full
+    assert got[0] == (0 if {"-h", "--help"} & set(argv) else 2)
+
+
+def test_main_builds_only_the_subparser_it_runs():
+    from evt_accompany import cli
+
+    sub = cli._build_parser("rates")._subparsers._group_actions[0]
+    assert list(sub.choices) == ["rates"]
+    full = cli._build_parser()._subparsers._group_actions[0]
+    assert list(full.choices) == list(cli._DISPATCH)
+    assert cli._build_parser("rates").format_usage() == cli._build_parser().format_usage()
+
+
+def test_negative_grid_values_still_parse(tmp_path):
+    for argv in (["table", "--dist", "exp", "--n", "1000", "--x", "-2:6:9"],
+                 ["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "100:10000:3",
+                  "--at", "-1"]):
+        code, payload = run(tmp_path, "neg.csv", argv)
+        assert code == 0 and payload
