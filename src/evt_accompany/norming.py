@@ -77,10 +77,9 @@ def norming_exacts(dist: DistributionSpec, ns: Sequence[int],
     """[norming_exact(dist, n, centering) for n in ns], walked along the n-grid.
 
     ns must be strictly increasing. The first b is searched from x0; each
-    later b brackets upward from the previous (b, log tail(b)), with the
-    previous a as the first step, so a tail that is an integral covers
-    [x0, b] about once over the whole grid. Each pair's log_tail_b is the
-    search's own last iterate. Errors name their n.
+    later b is searched from the previous (b, log tail(b)), so a tail that
+    is an integral covers [x0, b] about once over the whole grid. Each
+    pair's log_tail_b is the search's own last iterate. Errors name their n.
     """
     if centering not in ("quantile", "logcdf"):
         raise DomainError(f"unknown centering {centering!r}")
@@ -93,7 +92,7 @@ def norming_exacts(dist: DistributionSpec, ns: Sequence[int],
             q = _level(n, centering)
             if pairs:
                 prev = pairs[-1]
-                b, log_tail_b = dist.quantile_log_tail(q, prev.b, prev.log_tail_b, prev.a)
+                b, log_tail_b = dist.quantile_log_tail(q, prev.b, prev.log_tail_b)
             else:
                 b, log_tail_b = dist.quantile_log_tail(q)
             f, g, _ = dist.von_mises_components(b)

@@ -30,8 +30,11 @@ _E = math.e
 # Root tolerance for quantile inversion, relative on the log-tail scale.
 QUANTILE_LOG_TOL = 1e-12
 _BRACKET_CAP = 200
-_POLISH_CAP = 200
 _NEWTON_CAP = 100
+# Newton passes plus growth steps: each growth step adds log 2 to log(x - s),
+# and the float range spans fewer than 2,100 doublings.
+_SEARCH_CAP = _NEWTON_CAP + 2100
+_LOG2 = math.log(2.0)
 _X_MAX = sys.float_info.max
 _LOG_X_MAX = math.log(_X_MAX)
 
@@ -205,27 +208,32 @@ class DistributionSpec:
     def quantile_tail(self, q: float) -> float:
         """The x >= x0 with tail(x) = q, for 0 < q <= tail(x0).
 
-        Bracket by doubling outward from x0 (tail monotonicity guarantees a
-        bracket exists) until the upper end would leave the float range, where
-        the quantile raises DomainError. Then polish with Illinois-modified
-        regula falsi (Dowell & Jarratt 1971), falling back to bisection,
-        until |log_tail(x) - log q| <= 1e-12 * max(1, |log q|). Each new point
-        is evaluated from the nearest bracket end, so a family whose tail is
-        an integral covers [x0, x] about once per search.
+        Safeguarded Newton in u = log(x - s), s = 0 if x0 > 0 else x0 - 1,
+        with slope d log tail / du = -(x - s) g/f from the von Mises
+        components (exact when c is constant; the safeguard absorbs the
+        dropped (log c)'). Below the root it steps on log tail, above it on
+        log(-log tail), which is close to linear in u there. A step that
+        leaves the bracket, is not finite or follows one that did not halve
+        |log(log tail / log q)| bisects. Until an upper end is known, a step
+        grows u by at most log 2, and a quantile beyond the float range
+        raises DomainError. It stops when |log_tail(x) - log q| <= 1e-12 *
+        max(1, |log q|) or the bracket shrinks to rounding. Each iterate is
+        evaluated from the nearer bracket end, so a tail that is an integral
+        covers [x0, x] about once per search.
         """
         return self.quantile_log_tail(q)[0]
 
     def quantile_log_tail(self, q: float, start: float | None = None,
-                          log_tail_start: float | None = None, step: float | None = None):
+                          log_tail_start: float | None = None):
         """(x, log tail(x)) at the quantile tail(x) = q, searched as quantile_tail.
 
         The log tail is the search's own last iterate, so the caller needs no
         second evaluation at x. Given a start >= x0 with log_tail_start =
-        log tail(start), the bracket doubles upward from it with `step` as its
-        first step: a walk along decreasing levels passes the previous
-        quantile and its scale, and a tail that is an integral then covers
-        only the ground between the two quantiles. A start whose tail is
-        already below q (beyond tolerance) falls back to x0, as does no start.
+        log tail(start), the bracket starts there: a walk along decreasing
+        levels passes the previous quantile, and a tail that is an integral
+        then covers only the ground between the two quantiles. A start whose
+        tail is already below q (beyond tolerance) falls back to x0, as does
+        no start.
         """
         if not (0.0 < q):
             raise DomainError(f"quantile_tail needs q in (0, tail(x0)], got {q!r}")
@@ -233,81 +241,72 @@ class DistributionSpec:
         tol = QUANTILE_LOG_TOL * max(1.0, abs(log_q))
         if start is None or log_tail_start < log_q - tol:
             start, log_tail_start = self._x0, self._log_tail_raw(self._x0)
-            step = 1.0 if self._x0 <= 0.0 else max(self._x0, 1e-12)
             if log_q > log_tail_start:
                 raise DomainError(
                     f"q={q!r} exceeds tail(x0)={math.exp(log_tail_start)!r}; "
                     f"no quantile above x0")
-        if abs(log_tail_start - log_q) <= tol:
-            return start, log_tail_start
-        lo, f_lo, hi, f_hi = self._bracket(log_q, start, log_tail_start, step)
-        return self._polish(log_q, lo, f_lo, hi, f_hi, tol)
+        s = 0.0 if self._x0 > 0.0 else self._x0 - 1.0
+        lo_u, lo_x, lo_f = math.log(start - s), start, log_tail_start
+        hi_u = hi_x = hi_f = math.inf  # no upper end yet
+        x, f = self._start(log_q, start, log_tail_start)
+        u = math.log(x - s)
+        g_prev = math.inf
+        for _ in range(_SEARCH_CAP):
+            r = f - log_q
+            if r > 0.0:  # x is below its quantile
+                if u >= _LOG_X_MAX:
+                    raise DomainError(
+                        f"the quantile of {self._label} at log q = {log_q!r} lies beyond "
+                        f"the float range (tail({x!r}) is still above q)")
+                lo_u, lo_x, lo_f = u, x, f
+            else:
+                hi_u, hi_x, hi_f = u, x, f
+            if abs(r) <= tol or hi_u - lo_u <= 1e-15 * max(1.0, abs(lo_u)):
+                return x, f
+            g = abs(math.log(f / log_q)) if f < 0.0 else math.inf
+            f_x, g_x, _ = self._components(x)
+            d = (x - s) * g_x  # -slope * f(x); positive where the tail falls
+            u = u + (r if r > 0.0 else g * f) * f_x / d if d > 0.0 else math.nan
+            if not (lo_u < u < hi_u and g <= 0.5 * g_prev):
+                u, g = 0.5 * (lo_u + hi_u), math.inf
+            g_prev = g
+            if hi_u == math.inf:
+                u = min(u, lo_u + _LOG2, _LOG_X_MAX)
+            x = s + math.exp(u)
+            if u - lo_u <= hi_u - u:
+                f = self._log_tail_from(x, lo_x, lo_f)
+            else:
+                f = self._log_tail_from(x, hi_x, hi_f)
+        raise ConvergenceError(
+            f"quantile search of {self._label} exceeded {_SEARCH_CAP} steps "
+            f"(bracket in log x: [{lo_u!r}, {hi_u!r}])")
 
     def quantile_tails(self, q) -> np.ndarray:
         """quantile_tail over an array of levels in (0, 1], completed by the
         atom: levels q >= tail(x0) map to x0.
 
-        This default runs one root search per level. ExponentialUnit uses
-        -log q, and the Weibull-like and log-Weibull-like families run one
-        vectorised Newton search over all levels at once.
+        This default walks the levels in decreasing order, and each search
+        starts from the previous quantile, so a tail that is an integral
+        covers [x0, largest quantile] about once. ExponentialUnit uses
+        -log q, and the Weibull-like and log-Weibull-like families run the
+        same Newton search on all levels at once.
         """
         q = _levels(q)
         f0 = self._log_tail_raw(self._x0)
-        # the atom test uses math.log, as quantile_tail does, so a level
-        # within an ulp of tail(x0) never reaches its out-of-range check
-        xs = [self._x0 if math.log(v) >= f0 else self.quantile_tail(v)
-              for v in q.ravel().tolist()]
-        return np.array(xs, dtype=float).reshape(q.shape)
+        levels = q.ravel().tolist()
+        xs = np.full(len(levels), self._x0)
+        x = f = None
+        for i in np.argsort(q.ravel())[::-1].tolist():
+            # the atom test uses math.log, as quantile_tail does, so a level
+            # within an ulp of tail(x0) never reaches its out-of-range check
+            if math.log(levels[i]) < f0:
+                x, f = self.quantile_log_tail(levels[i], x, f)
+                xs[i] = x
+        return xs.reshape(q.shape)
 
-    def _bracket(self, log_q: float, lo: float, f_lo: float, step: float):
-        while True:
-            hi = lo + step
-            if not math.isfinite(hi):
-                raise DomainError(
-                    f"the quantile of {self._label} at log q = {log_q!r} lies beyond "
-                    f"the float range (tail({lo!r}) is still above q)")
-            f_hi = self._log_tail_from(hi, lo, f_lo)
-            if f_hi <= log_q:
-                return lo, f_lo, hi, f_hi
-            lo, f_lo, step = hi, f_hi, 2.0 * step
-
-    def _from_nearer(self, x, lo, f_lo, hi, f_hi):
-        # log tail at lo <= x <= hi, integrated from the nearer bracket end
-        if x - lo <= hi - x:
-            return self._log_tail_from(x, lo, f_lo)
-        return self._log_tail_from(x, hi, f_hi)
-
-    def _polish(self, log_q, lo, f_lo, hi, f_hi, tol):
-        # Regula falsi on the residuals r = f - log q, with the Illinois
-        # modification: when the same end is kept twice in a row, its stored
-        # residual is halved, so the next secant point moves past the root
-        # instead of creeping toward it from one side. f_lo and f_hi stay the
-        # true log tails, since they anchor the evaluation of the next point.
-        r_lo, r_hi = f_lo - log_q, f_hi - log_q
-        kept = 0  # +1: lo was kept last round, -1: hi was
-        for _ in range(_POLISH_CAP):
-            mid = lo + r_lo * (hi - lo) / (r_lo - r_hi)
-            if not lo < mid < hi:
-                mid = 0.5 * (lo + hi)
-            f_mid = self._from_nearer(mid, lo, f_lo, hi, f_hi)
-            r_mid = f_mid - log_q
-            if abs(r_mid) <= tol:
-                return mid, f_mid
-            if r_mid > 0.0:
-                lo, f_lo, r_lo = mid, f_mid, r_mid
-                if kept == -1:
-                    r_hi *= 0.5
-                kept = -1
-            else:
-                hi, f_hi, r_hi = mid, f_mid, r_mid
-                if kept == 1:
-                    r_lo *= 0.5
-                kept = 1
-            if hi - lo <= 1e-15 * max(1.0, abs(lo)):
-                mid = 0.5 * (lo + hi)
-                return mid, self._from_nearer(mid, lo, f_lo, hi, f_hi)
-        raise ConvergenceError(
-            f"quantile polish exceeded {_POLISH_CAP} iterations (bracket [{lo!r}, {hi!r}])")
+    def _start(self, log_q: float, start: float, log_tail_start: float):
+        # the search's first iterate (x, log tail(x)); closed forms use their inverse
+        return start, log_tail_start
 
     # -- von Mises components ----------------------------------------------
 
@@ -380,11 +379,7 @@ class ExponentialUnit(DistributionSpec):
     def log_tails(self, z: np.ndarray) -> np.ndarray:
         return -z
 
-    def quantile_log_tail(self, q: float, start: float | None = None,
-                          log_tail_start: float | None = None, step: float | None = None):
-        if not (0.0 < q <= 1.0):
-            raise DomainError(f"quantile_tail needs q in (0, 1], got {q!r}")
-        log_q = math.log(q)
+    def _start(self, log_q: float, start: float, log_tail_start: float):
         return -log_q, log_q
 
     def quantile_tails(self, q) -> np.ndarray:
@@ -419,24 +414,26 @@ class _PowerFamily(DistributionSpec):
     def log_tails(self, z: np.ndarray) -> np.ndarray:
         return self._log_tails_slopes(z, np.log(z))[0]
 
+    def _closed_start(self, log_q):
+        # the closed-form inverse clipped to [x0, largest float]; it is NaN for a
+        # level above ell0 and inf past the float range, so callers hold errstate
+        return np.fmin(np.fmax(self._closed_inverse(log_q), self._x0), _X_MAX)
+
+    def _start(self, log_q: float, start: float, log_tail_start: float):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = float(self._closed_start(np.float64(log_q)))
+        return x, self._log_tail_raw(x)
+
     def quantile_tails(self, q) -> np.ndarray:
         """quantile_tail over an array of levels in (0, 1], completed by the
         atom: levels q >= tail(x0) map to x0.
 
-        Safeguarded Newton in u = log x, run on all levels at once. The start
-        is the closed-form inverse, clipped to [x0, largest float]; for alpha
-        = 0 and constant ell it already meets the tolerance and is returned
-        unchanged. Every step uses the exact slope d log tail / d log x. Below
-        its quantile a level steps on log tail = log q; above it, on
-        log(-log tail) = log(-log q), which is close to p u + log c (Weibull)
-        or p log u + log c (log-Weibull) there, where a step on log tail
-        itself would advance by only about 1/p. Each level keeps its own
-        bracket in u, from log x0 to the log of the largest float. A step
-        that leaves the bracket or is not finite, or that follows a step
-        which did not halve |log(log tail / log q)|, becomes a bisection.
-        A level stops on quantile_tail's criterion |log_tail(x) - log q| <=
-        1e-12 * max(1, |log q|), or when its bracket has shrunk to rounding.
-        A quantile beyond the float range raises DomainError.
+        quantile_tail's safeguarded Newton on all levels at once, from the
+        closed-form start; for alpha = 0 and constant ell that start already
+        meets the tolerance and is returned unchanged. The slope is the exact
+        one of _log_tails_slopes. The levels are checked against
+        tail(largest float) first, so every bracket has both ends from the
+        outset: log x0 and the log of the largest float.
         """
         log_q = np.log(_levels(q))
         x = np.full(log_q.shape, self._x0)
@@ -450,8 +447,7 @@ class _PowerFamily(DistributionSpec):
                 raise DomainError(
                     f"a quantile of {self._label} overflows a float (smallest level "
                     f"{float(np.exp(lq.min()))!r})")
-            start = np.fmin(np.fmax(self._closed_inverse(lq), self._x0), _X_MAX)
-            x[inside] = self._newton(lq, start)
+            x[inside] = self._newton(lq, self._closed_start(lq))
         return x
 
     def _newton(self, lq: np.ndarray, x: np.ndarray) -> np.ndarray:

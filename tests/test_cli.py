@@ -1,7 +1,11 @@
+import contextlib
+import io
 import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evt_accompany.cli import (
     IDENTITY_COLUMNS,
@@ -364,3 +368,53 @@ def test_negative_grid_values_still_parse(tmp_path):
                   "--at", "-1"]):
         code, payload = run(tmp_path, "neg.csv", argv)
         assert code == 0 and payload
+
+
+# -- fuzz ----------------------------------------------------------------------
+
+@st.composite
+def dist_specs(draw):
+    kind = draw(st.sampled_from(["weibull", "logweibull", "iterlog"]))
+    if kind == "iterlog":
+        k = draw(st.sampled_from([2, 3, 4]))
+        return f"iterlog:k={k},a={draw(st.floats(0.1, 5.0))!r},C={draw(st.floats(0.1, 5.0))!r}"
+    scale = draw(st.floats(0.1, 10.0))
+    if draw(st.booleans()):
+        ell = f"const:{scale!r}"
+    else:
+        ell = f"logpow:{scale!r}:{draw(st.floats(-3.0, 3.0))!r}"
+    p = draw(st.floats(0.01, 50.0) if kind == "weibull"
+             else st.floats(1.0, 10.0, exclude_min=True))
+    alpha = draw(st.floats(-20.0, 20.0))
+    return f"{kind}:c={draw(st.floats(0.1, 10.0))!r},p={p!r},alpha={alpha!r},ell={ell}"
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["norming", "simulate", "table", "check-identity"]))
+    n = max(2, round(10.0 ** draw(st.floats(math.log10(2.0), 300.0))))
+    argv = [command, "--dist", draw(dist_specs()), "--n", str(n)]
+    if command == "simulate":
+        argv += ["--reps", str(draw(st.integers(1, 50))), "--seed", str(draw(st.integers(0, 99)))]
+    elif command in ("table", "check-identity"):
+        lo = draw(st.floats(-5.0, 5.0))
+        argv += ["--x", f"{lo!r}:{lo + draw(st.floats(0.5, 10.0))!r}:{draw(st.integers(2, 9))}"]
+    if command == "table":
+        argv += ["--approx", ",".join(draw(st.lists(
+            st.sampled_from(["gumbel", "accompanying", "two_term", "first_order"]),
+            min_size=1, max_size=4, unique=True)))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+def test_cli_fuzz_exits_with_a_category_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code:
+        # every failure is one of the package's typed errors
+        assert re.match(r"error \((Parse|Domain|Mismatch|Quadrature|Convergence|Divergence"
+                        r"|Degenerate)Error\)", err.getvalue()), (argv, err.getvalue())

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evt_accompany import quadrature
+from evt_accompany.analysis import _min_tail_levels
 from evt_accompany.errors import DomainError, ParseError
 from evt_accompany.tails import (
     ExponentialUnit,
@@ -166,20 +167,20 @@ def test_quantile_log_tail_pairs_the_quantile_with_its_log_tail(dist):
 
 def test_quantile_log_tail_exponential_is_closed_form():
     assert ExponentialUnit().quantile_log_tail(0.3) == (-math.log(0.3), math.log(0.3))
-    assert ExponentialUnit().quantile_log_tail(0.3, 5.0, -5.0, 1.0) == (-math.log(0.3),
-                                                                       math.log(0.3))
+    assert ExponentialUnit().quantile_log_tail(0.3, 5.0, -5.0) == (-math.log(0.3),
+                                                                  math.log(0.3))
 
 
 def test_quantile_log_tail_resumes_from_a_start():
     d = IteratedLogScale(2, 1.0, 1.0)
     x1, f1 = d.quantile_log_tail(1e-3)
-    x2, f2 = d.quantile_log_tail(1e-6, x1, f1, 100.0)
+    x2, f2 = d.quantile_log_tail(1e-6, x1, f1)
     assert x2 == pytest.approx(d.quantile_tail(1e-6), rel=1e-11)
     assert abs(f2 - math.log(1e-6)) <= 1e-12 * math.log(1e6)
     # a start within tolerance of the level is its own quantile
-    assert d.quantile_log_tail(math.exp(f1), x1, f1, 100.0) == (x1, f1)
+    assert d.quantile_log_tail(math.exp(f1), x1, f1) == (x1, f1)
     # a start beyond the quantile falls back to the search from x0
-    assert d.quantile_log_tail(1e-3, x2, f2, 100.0) == (x1, f1)
+    assert d.quantile_log_tail(1e-3, x2, f2) == (x1, f1)
 
 
 def test_quantile_log_tail_is_fresh_at_the_bracket_collapse_exit():
@@ -190,6 +191,59 @@ def test_quantile_log_tail_is_fresh_at_the_bracket_collapse_exit():
         x, log_tail_x = d.quantile_log_tail(q)
         assert abs(log_tail_x - math.log(q)) > 1e-12 * max(1.0, -math.log(q))
         assert log_tail_x == pytest.approx(d.log_tail(x), abs=1e-12)
+
+
+def test_closed_form_quantile_takes_two_tail_evaluations(monkeypatch):
+    # tail(x0) for the range check, then the closed-form start, which already
+    # meets the tolerance (doubling out from x0 = e 2^-60 took about 50)
+    d = WeibullLike(1.0, 2.0, 0.0)
+    calls = []
+    raw = WeibullLike._log_tail_raw
+    monkeypatch.setattr(WeibullLike, "_log_tail_raw",
+                        lambda self, x: calls.append(x) or raw(self, x))
+    d.quantile_tail(1e-6)
+    assert len(calls) <= 2
+
+
+def test_handle_quantile_tails_walk_the_levels(monkeypatch):
+    # simulate_max's levels at n = 1e6; each search starts from the previous
+    # quantile, where one search from x0 per level took about 800 evaluations
+    d = IteratedLogScale(2, 1.0, 1.0)
+    levels = _min_tail_levels(np.random.Generator(np.random.Philox(7)).random(2000), 10**6)
+    evals = []
+    over_f = IteratedLogScale._over_f
+    monkeypatch.setattr(IteratedLogScale, "_over_f",
+                        lambda self, t: evals.append(t) or over_f(self, t))
+    got = d.quantile_tails(levels)
+    assert len(evals) <= 20 * levels.size
+    monkeypatch.undo()
+    # every tenth level against its own search from x0 (all 2,000 take seconds)
+    for q, x in zip(levels[::10].tolist(), got[::10].tolist()):
+        assert x == pytest.approx(d.quantile_tail(q), rel=1e-11)
+
+
+def c_from(x0):
+    # c(x0) = 1/2, rising to 1; (log c)' is what the Newton slope leaves out
+    return lambda t: 1.0 - 0.5 * math.exp(x0 - t)
+
+
+@pytest.mark.parametrize("x0", [0.0, -3.0])
+def test_quantile_with_non_constant_c_and_x0_at_most_zero(x0):
+    # u = log(x - x0 + 1) here, since log x is undefined at x0
+    d = GeneralizedVonMises(f=lambda t: 1.0, g=lambda t: 1.0, c=c_from(x0), x0=x0)
+    for k in range(1, 301):
+        log_q = math.log(10.0 ** -k)
+        x = d.quantile_tail(10.0 ** -k)
+        assert abs(d.log_tail(x) - log_q) <= 1e-12 * max(1.0, abs(log_q))
+
+
+def test_handle_quantile_beyond_the_float_range_is_a_domain_error():
+    # tail(x) = 1 / log x, so tail(x) = 1e-3 needs log x = 1000 > 709.8
+    d = GeneralizedVonMises(f=lambda t: t * math.log(t), g=lambda t: 1.0, c=lambda t: 1.0,
+                            x0=math.e)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        d.quantile_tail(1e-3)
+    assert d.quantile_tail(0.1) == pytest.approx(math.exp(10.0), rel=1e-11)
 
 
 # -- array quantile ----------------------------------------------------------
