@@ -130,10 +130,11 @@ def exact_and_gammas(dist: DistributionSpec, pair: NormingPair,
     gamma = log tail(b) - log tail(b + a x). Closed forms take every log tail
     from one dist.log_tails call. A tail that is an integral is walked out
     from b (x >= 0 ascending, x < 0 descending), each point from the last,
-    so each costs one short quadrature. Below the support edge the law is
-    the atom completion F(x0)^n and gamma is NaN. A non-finite x or log tail
-    is redone in walk order by the scalar log_tail_from, so the first one
-    raises its typed error, naming its x.
+    with all the steps in one dist.log_tail_steps call, summed along each
+    direction in walk order. Below the support edge the law is the atom
+    completion F(x0)^n and gamma is NaN. A non-finite x or log tail, or a
+    failed step, is redone in walk order by the scalar log_tail_from, so the
+    first one raises its typed error, naming its x.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
     b, x0 = pair.b, dist.x0
@@ -142,16 +143,22 @@ def exact_and_gammas(dist: DistributionSpec, pair: NormingPair,
     log_tail = np.full(xs.shape, math.nan)
     if dist.log_tails is None:
         log_tail_b = pair.log_tail_b if pair.log_tail_b is not None else dist.log_tail(b)
-        redo = np.ones(xs.shape, dtype=bool)
+        walk = _walk_order(xs)
+        walked = walk[inside[walk]]
+        if walked.size and np.isfinite(xs).all():
+            try:
+                log_tail[walked] = _walk(dist, xs[walked] < 0.0, z[walked], b, log_tail_b)
+            except EvtError:
+                pass  # the scalar walk below raises it again, naming its x
     else:
         with np.errstate(all="ignore"):
             values = dist.log_tails(np.append(z[inside], b))
         log_tail[inside], log_tail_b = values[:-1], float(values[-1])
-        redo = ~np.isfinite(xs) | (inside & ~np.isfinite(log_tail))
+    redo = ~np.isfinite(xs) | (inside & ~np.isfinite(log_tail))
     if redo.any():
-        walk = np.lexsort((np.abs(xs), xs < 0.0))  # x >= 0 ascending, then x < 0 descending
         xl, zl, il = xs.tolist(), z.tolist(), inside.tolist()
         anchors = {False: (b, log_tail_b), True: (b, log_tail_b)}  # keyed by x < 0
+        walk = _walk_order(xs)
         for i in walk[redo[walk]].tolist():
             x = xl[i]
             require_finite(x)
@@ -168,6 +175,23 @@ def exact_and_gammas(dist: DistributionSpec, pair: NormingPair,
     if not inside.all():
         log_tail[~inside] = dist.log_tail(x0)
     return _law(log_tail, pair.n), gamma
+
+
+def _walk_order(xs: np.ndarray) -> np.ndarray:
+    return np.lexsort((np.abs(xs), xs < 0.0))  # x >= 0 ascending, then x < 0 descending
+
+
+def _walk(dist: DistributionSpec, negative: np.ndarray, z: np.ndarray, b: float,
+          log_tail_b: float) -> np.ndarray:
+    # log tails at z in walk order (the x >= 0 run, then the x < 0 run), each
+    # run from b; cumsum adds the steps one by one, as the scalar walk does
+    split = int(np.count_nonzero(~negative))
+    starts = np.concatenate(([b], z[:-1]))
+    if split < z.size:
+        starts[split] = b
+    steps = dist.log_tail_steps(starts, z)
+    return np.concatenate([np.cumsum(np.concatenate(([log_tail_b], run)))[1:]
+                           for run in (steps[:split], steps[split:])])
 
 
 def exact_and_gamma(dist: DistributionSpec, pair: NormingPair, x: float) -> tuple[float, float]:

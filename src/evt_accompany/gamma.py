@@ -76,7 +76,7 @@ def gamma_quadrature(dist: DistributionSpec, pair: NormingPair, x: float) -> Gam
         f_v, g_v, _ = dist.von_mises_components(pair.b + pair.a * v)
         return g_v * f_b / (f_v * g_b) - 1.0
 
-    total = quadrature.integrate(integrand, 0.0, x)
+    total = quadrature.integrate(quadrature.elementwise(integrand), 0.0, x)
     c_z = dist.von_mises_components(z)[2]
     value = total - math.log(c_z / c_b) + x
     return GammaValue(x=x, n=pair.n, value=value, route=QUADRATURE)
@@ -132,7 +132,8 @@ def correction_generalized_weibull(C: float, p: float,
     _taylor_guard(p, log_n, x)
     first = (p - 1.0) * x * x / (2.0 * p * log_n)
     shift = C * pair.b ** (1.0 - p)
-    tail_term = quadrature.integrate(lambda v: alpha_fn(pair.b + shift * v), 0.0, x)
+    tail_term = quadrature.integrate(
+        quadrature.elementwise(lambda v: alpha_fn(pair.b + shift * v)), 0.0, x)
     return first + tail_term
 
 
@@ -169,7 +170,8 @@ def correction_logweibull(C: float, p: float, alpha_fn: Callable[[float], float]
     first = (-0.5 * C ** (1.0 / p) * p ** ((1.0 - p) / p) * x * x
              * log_n ** (1.0 / p - 1.0) * (1.0 - (p - 1.0) / big_l))
     shift = C * pair.b ** (1.0 - p)
-    tail_term = quadrature.integrate(lambda v: alpha_fn(pair.b + shift * v), 0.0, x)
+    tail_term = quadrature.integrate(
+        quadrature.elementwise(lambda v: alpha_fn(pair.b + shift * v)), 0.0, x)
     return first + tail_term
 
 

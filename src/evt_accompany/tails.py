@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import ConvergenceError, DomainError, ParseError
+from .errors import ConvergenceError, DomainError, EvtError, ParseError
 
 _E = math.e
 
@@ -35,6 +35,8 @@ _NEWTON_CAP = 100
 # and the float range spans fewer than 2,100 doublings.
 _SEARCH_CAP = _NEWTON_CAP + 2100
 _LOG2 = math.log(2.0)
+# levels per cell of the table that starts a handle family's array quantile
+_CELL_LEVELS = 8
 _X_MAX = sys.float_info.max
 _LOG_X_MAX = math.log(_X_MAX)
 
@@ -245,7 +247,7 @@ class DistributionSpec:
                 raise DomainError(
                     f"q={q!r} exceeds tail(x0)={math.exp(log_tail_start)!r}; "
                     f"no quantile above x0")
-        s = 0.0 if self._x0 > 0.0 else self._x0 - 1.0
+        s = self._shift()
         lo_u, lo_x, lo_f = math.log(start - s), start, log_tail_start
         hi_u = hi_x = hi_f = math.inf  # no upper end yet
         x, f = self._start(log_q, start, log_tail_start)
@@ -288,8 +290,8 @@ class DistributionSpec:
         This default walks the levels in decreasing order, and each search
         starts from the previous quantile, so a tail that is an integral
         covers [x0, largest quantile] about once. ExponentialUnit uses
-        -log q, and the Weibull-like and log-Weibull-like families run the
-        same Newton search on all levels at once.
+        -log q; the other families run the same Newton search on all levels
+        at once (_newton) and the handle families fall back on this walk.
         """
         q = _levels(q)
         f0 = self._log_tail_raw(self._x0)
@@ -307,6 +309,60 @@ class DistributionSpec:
     def _start(self, log_q: float, start: float, log_tail_start: float):
         # the search's first iterate (x, log tail(x)); closed forms use their inverse
         return start, log_tail_start
+
+    def _shift(self) -> float:
+        # the s of the search variable u = log(x - s)
+        return 0.0 if self._x0 > 0.0 else self._x0 - 1.0
+
+    def _newton(self, lq: np.ndarray, v: np.ndarray, lo, hi, anchor=None) -> np.ndarray:
+        """quantile_tail's Newton passes on all levels at once; returns x.
+
+        The iterates are v = x - s with u = log v: lq are the log levels, v
+        their first iterates, and lo < hi the ends of their brackets in u,
+        floats or arrays. Each pass takes the log tails and slopes of all
+        iterates from one _log_tails_slopes_from call. A family whose tail
+        is an integral passes the (v, log tail) arrays `anchor` to integrate
+        the first pass from, and each later pass integrates from the
+        previous iterates; closed forms pass none.
+        """
+        out = np.empty_like(v)
+        idx = np.arange(lq.size)
+        tol = QUANTILE_LOG_TOL * np.maximum(1.0, np.abs(lq))
+        lo, hi = np.full(lq.shape, lo), np.full(lq.shape, hi)
+        g_prev = np.full(lq.shape, np.inf)
+        for _ in range(_NEWTON_CAP):
+            lv = np.log(v)
+            f, slope = self._log_tails_slopes_from(v, lv, anchor)
+            r = f - lq
+            below = r > 0.0  # x is below its quantile
+            lo = np.where(below, lv, lo)
+            hi = np.where(below, hi, lv)
+            done = (np.abs(r) <= tol) | (hi - lo <= 1e-15 * np.maximum(1.0, np.abs(lo)))
+            out[idx[done]] = v[done]
+            todo = ~done
+            if not todo.any():
+                return out + self._shift()
+            g = np.log(f / lq)  # log(-log tail) - log(-log q)
+            u = (lv - np.where(below, r, g * f) / slope)[todo]
+            g = np.abs(g[todo])
+            lq, tol, lo, hi, idx = lq[todo], tol[todo], lo[todo], hi[todo], idx[todo]
+            if anchor is not None:
+                anchor = v[todo], f[todo]
+            # from a point where the tail is nearly flat, Newton can jump back
+            # and forth across the root without closing in; the halving test
+            # turns such a step into a bisection
+            bisect = ~((lo < u) & (u < hi) & (g <= 0.5 * g_prev[todo]))
+            u[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+            g_prev = np.where(bisect, np.inf, g)
+            v = np.exp(u)
+        raise ConvergenceError(
+            f"array quantile of {self._label} exceeded {_NEWTON_CAP} Newton passes "
+            f"({idx.size} levels left, e.g. log q = {float(lq[0])!r})")
+
+    def _log_tails_slopes_from(self, v, lv, anchor):
+        """log tail(x) and d log tail / du at x = v + s, u = lv, for _newton,
+        given anchor = (v, log tail) arrays of points to integrate from."""
+        raise NotImplementedError
 
     # -- von Mises components ----------------------------------------------
 
@@ -345,8 +401,11 @@ def _auto_x0(raw: Callable[[float], float], floor: float) -> float:
     Starts at max(1, e) and doubles outward until the raw tail is <= 1 with a
     negative numeric slope, then walks the same grid back down toward `floor`
     so that fast tails (e.g. exp(-x^3)) keep their natural support edge and
-    tail(x0) stays near 1. Only the tail above x0 is ever used; everything
-    below is completed by an atom at x0.
+    tail(x0) stays near 1. A tail steep enough to underflow to 0 at that
+    grid point is bisected in log x toward the inadmissible point below it,
+    the grid point or `floor`, down to the edge of admissibility. Only the
+    tail above x0 is ever used; everything below is completed by an atom at
+    x0.
     """
     x = _E
     for _ in range(_BRACKET_CAP):
@@ -357,6 +416,16 @@ def _auto_x0(raw: Callable[[float], float], floor: float) -> float:
         raise DomainError("no admissible x0 found on the doubling grid")
     while x * 0.5 >= floor and _admissible(raw, x * 0.5):
         x *= 0.5
+    lo = max(x * 0.5, floor)
+    if lo < x and math.exp(raw(x)) == 0.0 and not _admissible(raw, lo):
+        for _ in range(_BRACKET_CAP):
+            mid = math.sqrt(lo * x)
+            if not lo < mid < x:
+                break
+            if _admissible(raw, mid):
+                x = mid
+            else:
+                lo = mid
     return x
 
 
@@ -447,42 +516,11 @@ class _PowerFamily(DistributionSpec):
                 raise DomainError(
                     f"a quantile of {self._label} overflows a float (smallest level "
                     f"{float(np.exp(lq.min()))!r})")
-            x[inside] = self._newton(lq, self._closed_start(lq))
+            x[inside] = self._newton(lq, self._closed_start(lq), math.log(self._x0), _LOG_X_MAX)
         return x
 
-    def _newton(self, lq: np.ndarray, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        idx = np.arange(lq.size)
-        tol = QUANTILE_LOG_TOL * np.maximum(1.0, np.abs(lq))
-        lo = np.full(lq.shape, math.log(self._x0))
-        hi = np.full(lq.shape, _LOG_X_MAX)
-        g_prev = np.full(lq.shape, np.inf)
-        for _ in range(_NEWTON_CAP):
-            lx = np.log(x)
-            f, slope = self._log_tails_slopes(x, lx)
-            r = f - lq
-            below = r > 0.0  # x is below its quantile
-            lo = np.where(below, lx, lo)
-            hi = np.where(below, hi, lx)
-            done = (np.abs(r) <= tol) | (hi - lo <= 1e-15 * np.maximum(1.0, np.abs(lo)))
-            out[idx[done]] = x[done]
-            todo = ~done
-            if not todo.any():
-                return out
-            g = np.log(f / lq)  # log(-log tail) - log(-log q)
-            u = (lx - np.where(below, r, g * f) / slope)[todo]
-            g = np.abs(g[todo])
-            lq, tol, lo, hi, idx = lq[todo], tol[todo], lo[todo], hi[todo], idx[todo]
-            # from a point where the tail is nearly flat, Newton can jump back
-            # and forth across the root without closing in; the halving test
-            # turns such a step into a bisection
-            bisect = ~((lo < u) & (u < hi) & (g <= 0.5 * g_prev[todo]))
-            u[bisect] = 0.5 * (lo[bisect] + hi[bisect])
-            g_prev = np.where(bisect, np.inf, g)
-            x = np.exp(u)
-        raise ConvergenceError(
-            f"array quantile of {self._label} exceeded {_NEWTON_CAP} Newton passes "
-            f"({idx.size} levels left, e.g. log q = {float(lq[0])!r})")
+    def _log_tails_slopes_from(self, v, lv, anchor):
+        return self._log_tails_slopes(v, lv)  # s = 0, as x0 > 0
 
 
 class WeibullLike(_PowerFamily):
@@ -599,25 +637,120 @@ class LogWeibullLike(_PowerFamily):
 
 
 class _HandleFamily(DistributionSpec):
-    """Shared tail evaluation for families defined through g/f handles."""
+    """Shared tail evaluation for families defined through g/f handles.
 
-    def _over_f(self, t: float) -> float:
+    The tail integral of g/f runs in s = log t when all its ranges lie in
+    t > 0, where wide ranges of slowly varying integrands condition far
+    better, and in t otherwise. Both integrands take arrays of nodes.
+    """
+
+    def _over_f(self, t: np.ndarray) -> np.ndarray:
+        """g/f at an array of t."""
         raise NotImplementedError
 
-    def _log_c(self, x: float) -> float:
+    def _over_f_log(self, s: np.ndarray) -> np.ndarray:
+        """The integrand in s = log t, (g/f)(e^s) e^s, at an array of s."""
+        t = np.exp(s)
+        return self._over_f(t) * t
+
+    def _log_c(self, x):
         return 0.0
 
     def _log_tail_raw(self, x: float) -> float:
         return self._log_c(x) - self._integral(self._x0, x)
 
     def _log_tail_from(self, x: float, anchor: float, log_tail_anchor: float) -> float:
-        return log_tail_anchor + (self._log_c(x) - self._log_c(anchor)) - self._integral(anchor, x)
+        return log_tail_anchor + self.log_tail_steps(anchor, x)
 
-    def _integral(self, a: float, b: float) -> float:
-        if a == b:
-            return 0.0
-        if min(a, b) > 0.0:
-            return quadrature.integrate_log_substituted(self._over_f, a, b)
+    def log_tail_steps(self, starts, ends):
+        """log tail(ends) - log tail(starts) at points >= x0, floats or arrays
+        of one shape, with every integral in one quadrature call; so
+        log_tail_from(x, anchor, f) is f + log_tail_steps(anchor, x)."""
+        return (self._log_c(ends) - self._log_c(starts)) - self._integral(starts, ends)
+
+    def quantile_tails(self, q) -> np.ndarray:
+        """quantile_tail over an array of levels in (0, 1], completed by the
+        atom: levels q >= tail(x0) map to x0.
+
+        The largest and the smallest level below tail(x0) are searched as
+        quantile_tail, the second from the first's quantile. Between the two
+        quantiles a table of log tails, uniform in u = log(x - s) with a cell
+        per _CELL_LEVELS levels, takes one log_tail_steps call. Its cubic
+        Hermite interpolant of u in log tail, with the search's slopes,
+        starts every level inside the table, and _newton finishes them with
+        their cell as bracket, integrating from the nearer cell end and then
+        from the previous iterate, so most levels cost one short integral. Levels beyond the table's ends, by rounding,
+        search from the nearer end. A table that is not finite or rises, or
+        an error, sends all levels through the default walk, which raises
+        what it raises.
+        """
+        q = _levels(q)
+        try:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                xs = self._tabled_quantiles(q.ravel())
+        except EvtError:
+            xs = None
+        return super().quantile_tails(q) if xs is None else xs.reshape(q.shape)
+
+    def _tabled_quantiles(self, q: np.ndarray) -> np.ndarray | None:
+        # math.log, as quantile_tail takes it, for the atom test and the searches
+        lq = np.array([math.log(v) for v in q.tolist()])
+        xs = np.full(q.size, self._x0)
+        inside = np.flatnonzero(lq < self._log_tail_raw(self._x0))
+        if inside.size == 0:
+            return xs
+        order = inside[np.argsort(-lq[inside], kind="stable")]
+        first = self.quantile_log_tail(float(q[order[0]]))
+        last = self.quantile_log_tail(float(q[order[-1]]), *first)
+        s = self._shift()
+        u = np.linspace(math.log(first[0] - s), math.log(last[0] - s),
+                        inside.size // _CELL_LEVELS + 2)
+        tx = s + np.exp(u)
+        tx[0], tx[-1] = first[0], last[0]
+        u = np.log(tx - s)
+        tf = np.cumsum(np.concatenate(([first[1]], self.log_tail_steps(tx[:-1], tx[1:]))))
+        if not (np.isfinite(tf).all() and (np.diff(tf) <= 0.0).all()):
+            return None
+        lq = lq[order]
+        for ends, start in ((lq >= tf[0], first), (lq < tf[-1], last)):
+            for i in order[ends].tolist():
+                xs[i] = self.quantile_log_tail(float(q[i]), *start)[0]
+        inner = (lq < tf[0]) & (lq >= tf[-1])
+        if not inner.any():
+            return xs
+        lq = lq[inner]
+        j = np.searchsorted(-tf, -lq) - 1  # tf[j] > lq >= tf[j + 1]
+        h = tf[j + 1] - tf[j]
+        m = 1.0 / self._log_slopes(tx - s, u)  # du / d log tail at the table points
+        t = (lq - tf[j]) / h
+        u0 = ((1.0 + 2.0 * t) * u[j] + t * h * m[j]) * (1.0 - t) ** 2 \
+            + ((3.0 - 2.0 * t) * u[j + 1] + (t - 1.0) * h * m[j + 1]) * t ** 2
+        u0 = np.where((u[j] < u0) & (u0 < u[j + 1]), u0, 0.5 * (u[j] + u[j + 1]))
+        end = np.where(u0 - u[j] <= u[j + 1] - u0, j, j + 1)  # the nearer cell end
+        xs[order[inner]] = self._newton(lq, np.exp(u0), u[j], u[j + 1], (tx[end] - s, tf[end]))
+        return xs
+
+    def _log_tails_slopes_from(self, v, lv, anchor):
+        s = self._shift()
+        return (anchor[1] + self.log_tail_steps(anchor[0] + s, v + s),
+                self._log_slopes(v, lv))
+
+    def _log_slopes(self, v: np.ndarray, lv: np.ndarray) -> np.ndarray:
+        # the search's d log tail / du = -(x - s) g/f at x = v + s, u = lv,
+        # without (log c)'
+        s = self._shift()
+        return -self._over_f_log(lv) if s == 0.0 else -v * self._over_f(v + s)
+
+    def _integral(self, a, b):
+        """The integral of g/f from a to b, floats or arrays of one shape."""
+        if not isinstance(a, np.ndarray):
+            if a == b:
+                return 0.0
+            positive = min(a, b) > 0.0
+        else:
+            positive = (np.minimum(a, b) > 0.0).all()
+        if positive:
+            return quadrature.integrate(self._over_f_log, np.log(a), np.log(b))
         return quadrature.integrate(self._over_f, a, b)
 
 
@@ -641,13 +774,18 @@ class GeneralizedVonMises(_HandleFamily):
             raise DomainError(f"c(x0) = {c0!r} must lie in (0, 1] for a valid tail")
         self._label = f"vonmises:x0={self._x0:g}"
 
-    def _over_f(self, t: float) -> float:
+    def _over_f(self, t: np.ndarray) -> np.ndarray:
+        return quadrature.elementwise(self._g_over_f)(t)
+
+    def _g_over_f(self, t: float) -> float:
         ft = self.f(t)
         if ft <= 0.0:
             raise DomainError(f"auxiliary function f must be positive, got f({t!r}) = {ft!r}")
         return self.g(t) / ft
 
-    def _log_c(self, x: float) -> float:
+    def _log_c(self, x):
+        if np.ndim(x):
+            return np.array([self._log_c(v) for v in x.tolist()])
         cx = self.c(x)
         if cx <= 0.0:
             raise DomainError(f"c(x) must be positive, got c({x!r}) = {cx!r}")
@@ -692,8 +830,11 @@ class IteratedLogScale(_HandleFamily):
             raise DomainError(f"log_({self.k})(t) must be positive at t = {t!r}")
         return self.C * t * lk ** (-self.a)
 
-    def _over_f(self, t: float) -> float:
-        return 1.0 / self.aux_f(t)
+    def _over_f_log(self, s: np.ndarray) -> np.ndarray:
+        # g/f (e^s) e^s = (log_(k-1) s)^a / C
+        for _ in range(self.k - 1):
+            s = np.log(s)
+        return s ** self.a / self.C
 
     def _components(self, t: float):
         return self.aux_f(t), 1.0, 1.0

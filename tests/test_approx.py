@@ -200,19 +200,20 @@ def test_grid_walk_anchors_each_point_at_its_neighbour_toward_b():
     dist = IteratedLogScale(2, 1.0, 1.0)
     pair = norming_exact(dist, 10 ** 6)
     calls = []
-    hook = dist.log_tail_from
+    hook = dist.log_tail_steps
 
-    def recording(z, anchor, log_tail_anchor):
-        calls.append((z, anchor))
-        return hook(z, anchor, log_tail_anchor)
+    def recording(starts, ends):
+        calls.append(list(zip(ends.tolist(), starts.tolist())))
+        return hook(starts, ends)
 
-    dist.log_tail_from = recording
+    dist.log_tail_steps = recording
     xs = [0.5, -1.0, 2.0, 0.0, -0.25, 1.0]
     exact_and_gammas(dist, pair, xs)
     up = [pair.b + pair.a * x for x in (0.0, 0.5, 1.0, 2.0)]
     down = [pair.b + pair.a * x for x in (-0.25, -1.0)]
-    assert calls == (list(zip(up, [pair.b] + up[:-1]))
-                     + list(zip(down, [pair.b] + down[:-1])))
+    # one batch of (point, anchor) steps, in walk order
+    assert calls == [list(zip(up, [pair.b] + up[:-1]))
+                     + list(zip(down, [pair.b] + down[:-1]))]
 
 
 @pytest.mark.parametrize("dist", [WeibullLike(1.0, 0.5, 2.0), IteratedLogScale(2, 1.0, 1.0),
@@ -234,24 +235,30 @@ def test_grid_walk_unsorted_repeated_and_below_support(dist):
 
 
 def test_grid_walk_integrates_each_point_from_its_neighbour():
+    # the walk hands all its steps to one quadrature call, about one 15-point
+    # rule per step, where points taken one by one from b make a call each.
+    # One 15-point rule also meets the tolerance on every range from b here,
+    # so in nodes the points one by one cost no less, but no more either.
     dist = IteratedLogScale(2, 1.0, 1.0)
     pair = norming_exact(dist, 10 ** 6)
-    count = [0]
-    over_f = dist._over_f
+    count, nodes = [0], [0]
+    over_f_log = dist._over_f_log
 
-    def counting(t):
+    def counting(s):
         count[0] += 1
-        return over_f(t)
+        nodes[0] += s.size
+        return over_f_log(s)
 
-    dist._over_f = counting
+    dist._over_f_log = counting
     exact_and_gammas(dist, pair, SUP_GRID)
-    walked = count[0]
-    count[0] = 0
+    walked, walked_nodes = count[0], nodes[0]
+    count[0] = nodes[0] = 0
+    assert walked_nodes <= 2 * 15 * len(SUP_GRID)
     for x in SUP_GRID:
         exact_and_gamma(dist, pair, x)
-    # each point anchored at b integrates about 43 times per point here
     assert walked <= 10 * len(SUP_GRID)
     assert count[0] >= 3 * walked
+    assert nodes[0] >= walked_nodes
 
 
 def test_grid_walk_names_the_failing_point():

@@ -123,6 +123,17 @@ def test_handle_families_match_the_scalar_reference(k, n):
     assert_matches_reference(dist, norming_exact(dist, n), SUP_GRID)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_handle_grid_gammas_equal_the_scalar_walk_bit_for_bit(k):
+    # one quadrature call for the whole grid rounds each step as the scalar
+    # log_tail_from does, and the running sums add them in the same order
+    dist = IteratedLogScale(k, 1.0, 1.0)
+    pair = norming_exact(dist, 10 ** 6)
+    _, gamma = exact_and_gammas(dist, pair, SUP_GRID)
+    want = [g for _, g in scalar_reference(dist, pair, SUP_GRID)]
+    np.testing.assert_array_equal(gamma, want)
+
+
 @pytest.mark.parametrize("spec", ["weibull:c=1,p=0.5,alpha=2,ell=const:1",
                                   "iterlog:k=2,a=1,C=1"])
 def test_support_edge_is_exactly_z_below_x0(spec):

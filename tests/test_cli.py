@@ -15,6 +15,7 @@ from evt_accompany.cli import (
     TABLE_COLUMNS,
     main,
 )
+from evt_accompany.tails import QUANTILE_LOG_TOL, parse_dist
 
 
 def run(tmp_path, name, argv):
@@ -283,6 +284,38 @@ def test_steep_logweibull_table_solves_its_norming(tmp_path):
     assert len(body) == 9
     exact = [float(cells[1]) for cells in body]
     assert exact == sorted(exact) and 0.0 < exact[0] and exact[-1] < 1.0
+
+
+def test_steep_weibull_support_edge_is_not_stepped_over(tmp_path):
+    # tail = 1 at x = 0.966; the doubling grid's e/2 = 1.359 has log tail
+    # -88105, where tail(x0) underflowed to 0 and every solve exited 3
+    spec = ("weibull:c=1.5,p=35.785223188129414,alpha=-8.23087585389495,"
+            "ell=const:1.1740262427814638")
+    code, payload = run(tmp_path, "n.csv", ["norming", "--dist", spec, "--n", "1000"])
+    assert code == 0
+    _, body = rows(payload)
+    dist = parse_dist(spec)
+    assert 0.96 < dist.x0 < 0.97 and dist.tail(dist.x0) > 0.99
+    log_q = math.log(1e-3)
+    assert abs(dist.log_tail(float(body[0][2])) - log_q) <= QUANTILE_LOG_TOL * -log_q
+
+
+def test_steep_logweibull_x0_is_refined_but_stays_at_least_e(tmp_path):
+    # log tail(2e) = -37485 underflows and e is inadmissible (log tail 1 > 0):
+    # x0 is refined between the two, where the doubling grid left 2e
+    spec = "logweibull:c=1,p=20,alpha=2,ell=const:1"
+    code, payload = run(tmp_path, "n.csv", ["norming", "--dist", spec, "--n", "1000"])
+    assert code == 0
+    _, body = rows(payload)
+    dist = parse_dist(spec)
+    assert math.e < dist.x0 < 2.0 * math.e and dist.tail(dist.x0) > 0.99
+    log_q = math.log(1e-3)
+    assert abs(dist.log_tail(float(body[0][2])) - log_q) <= QUANTILE_LOG_TOL * -log_q
+    # tail(e) = e^-1000 underflows, but x0 >= e holds: no refinement below it
+    spec = "logweibull:c=3000,p=2,alpha=2000,ell=const:1"
+    assert parse_dist(spec).x0 == math.e
+    code, _ = run(tmp_path, "m.csv", ["norming", "--dist", spec, "--n", "1000"])
+    assert code == 3
 
 
 def test_exit_parse_error_negative_seed(tmp_path, capsys):

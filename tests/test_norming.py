@@ -209,13 +209,13 @@ def test_walk_integrand_budget_on_handle_sweep_grid(k, budget):
     # a search per n from x0 costs 7,124 (k=2) and 3,026 (k=3) evaluations
     dist = IteratedLogScale(k, 1.0, 1.0)
     calls = [0]
-    over_f = dist._over_f
+    over_f_log = dist._over_f_log
 
-    def counted(t):
-        calls[0] += 1
-        return over_f(t)
+    def counted(s):
+        calls[0] += s.size  # integrand nodes
+        return over_f_log(s)
 
-    dist._over_f = counted
+    dist._over_f_log = counted
     pairs = norming_exacts(dist, SWEEP_NS)
     assert calls[0] <= budget
     assert [p.n for p in pairs] == SWEEP_NS

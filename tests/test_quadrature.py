@@ -1,0 +1,123 @@
+"""The adaptive Gauss-Kronrod integrator: accuracy, batching, work and failure modes."""
+
+import math
+
+import numpy as np
+import pytest
+
+from evt_accompany import quadrature
+from evt_accompany.errors import QuadratureError
+from evt_accompany.tails import GeneralizedVonMises, IteratedLogScale
+
+
+class Counted:
+    """An array integrand that counts its calls and nodes."""
+
+    def __init__(self, f):
+        self.f, self.calls, self.nodes = f, 0, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        self.nodes += t.size
+        return self.f(t)
+
+
+def test_smooth_integrals_take_one_rule():
+    f = Counted(np.exp)
+    assert quadrature.integrate(f, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
+    assert (f.calls, f.nodes) == (1, 15)
+    assert quadrature.integrate(np.cos, 0.0, 1.0) == pytest.approx(math.sin(1.0), rel=1e-15)
+
+
+def test_signed_zero_width_and_shapes():
+    assert quadrature.integrate(np.sin, 1.0, 0.0) == pytest.approx(math.cos(1.0) - 1.0,
+                                                                   rel=1e-15)
+    assert quadrature.integrate(np.sin, 2.0, 2.0) == 0.0
+    got = quadrature.integrate(np.exp, np.zeros((2, 3)), np.arange(6.0).reshape(2, 3))
+    assert isinstance(got, np.ndarray) and got.shape == (2, 3)
+    np.testing.assert_allclose(got, np.expm1(np.arange(6.0).reshape(2, 3)), rtol=1e-14)
+    assert isinstance(quadrature.integrate(np.exp, 0.0, 1.0), float)
+    assert quadrature.integrate(np.exp, np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+def test_an_interval_integrates_alike_alone_and_in_any_batch():
+    # one interval needs bisections, the others do not; each result is
+    # bit-identical to the interval integrated alone
+    f = lambda s: np.log(s) ** 1.7  # noqa: E731
+    a = np.array([2.8, 3.0, 5.0, 2.8, 40.0])
+    b = np.array([690.0, 3.1, 4.0, 2.8, 41.0])
+    batch = quadrature.integrate(f, a, b)
+    alone = [quadrature.integrate(f, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert batch.tolist() == alone
+    assert quadrature.integrate(f, a[::-1], b[::-1]).tolist() == alone[::-1]
+
+
+def test_a_jump_converges_once_its_intervals_cannot_be_split():
+    step = lambda t: np.where(t < 1.0 / 3.0, 0.0, 1.0)  # noqa: E731
+    assert quadrature.integrate(step, 0.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def test_depth_cap_raises():
+    step = lambda t: np.where(t < 1.0 / 3.0, 0.0, 1.0)  # noqa: E731
+    with pytest.raises(QuadratureError, match="depth cap"):
+        quadrature.integrate(step, 0.0, 1.0, depth=5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_value_raises_before_any_bisection(bad):
+    f = Counted(lambda t: np.where(t > 0.5, bad, 1.0))
+    with pytest.raises(QuadratureError, match="integrand is not finite at t="):
+        quadrature.integrate(f, np.zeros(100), np.ones(100))
+    assert f.calls == 1
+
+
+def test_live_subintervals_are_capped():
+    # noise never passes the test, so every pass doubles the live intervals
+    rng = np.random.default_rng(0)
+    f = Counted(lambda t: rng.random(t.size))
+    with pytest.raises(QuadratureError, match="live subintervals"):
+        quadrature.integrate(f, 0.0, 1.0)
+    assert f.nodes <= 2 * 15 * quadrature.MAX_LIVE
+
+
+# -- the handle families' work ---------------------------------------------------
+
+def flat_handle():
+    # log tail = log(1 - e^-t / 2) - t: g/f = 1, so the integrand is flat in t
+    return GeneralizedVonMises(f=lambda t: 1.0, g=lambda t: 1.0,
+                               c=lambda t: 1.0 - 0.5 * math.exp(-t), x0=0.0)
+
+
+def count_nodes(monkeypatch, cls, name):
+    counted = []
+    orig = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, t: counted.append(t.size) or orig(self, t))
+    return counted
+
+
+def test_flat_integrand_anchored_far_out_takes_few_nodes(monkeypatch):
+    # adaptive Simpson in s = log t took 1,025 evaluations here, e^s being far
+    # from flat on its scale; the 15-point rule needs one bisection
+    d = flat_handle()
+    log_tail_345 = d.log_tail(345.0)
+    nodes = count_nodes(monkeypatch, GeneralizedVonMises, "_over_f")
+    got = d.log_tail_from(690.0, 345.0, log_tail_345)
+    assert sum(nodes) <= 45
+    assert got == pytest.approx(math.log1p(-0.5 * math.exp(-690.0)) - 690.0, rel=1e-14)
+
+
+def test_flat_integrand_deep_quantile_takes_few_nodes(monkeypatch):
+    # adaptive Simpson took 6,125 evaluations
+    d = flat_handle()
+    nodes = count_nodes(monkeypatch, GeneralizedVonMises, "_over_f")
+    x = d.quantile_tail(1e-300)
+    assert sum(nodes) <= 400
+    assert x == pytest.approx(300.0 * math.log(10.0), rel=1e-12)
+
+
+def test_iterlog_log_tail_to_the_float_range_takes_few_rules(monkeypatch):
+    # adaptive Simpson took about 9 ms for log_tail(1e30)
+    d = IteratedLogScale(2, 1.0, 1.0)
+    nodes = count_nodes(monkeypatch, IteratedLogScale, "_over_f_log")
+    d.log_tail(1e300)
+    assert sum(nodes) <= 15 * 40

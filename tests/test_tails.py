@@ -9,6 +9,7 @@ from evt_accompany import quadrature
 from evt_accompany.analysis import _min_tail_levels
 from evt_accompany.errors import DomainError, ParseError
 from evt_accompany.tails import (
+    DistributionSpec,
     ExponentialUnit,
     GeneralizedVonMises,
     IteratedLogScale,
@@ -206,16 +207,18 @@ def test_closed_form_quantile_takes_two_tail_evaluations(monkeypatch):
 
 
 def test_handle_quantile_tails_walk_the_levels(monkeypatch):
-    # simulate_max's levels at n = 1e6; each search starts from the previous
-    # quantile, where one search from x0 per level took about 800 evaluations
+    # simulate_max's levels at n = 1e6; one search from x0 per level took
+    # about 800 evaluations, where most levels now take one 15-point rule
+    # from the nearer end of their table cell
     d = IteratedLogScale(2, 1.0, 1.0)
     levels = _min_tail_levels(np.random.Generator(np.random.Philox(7)).random(2000), 10**6)
     evals = []
-    over_f = IteratedLogScale._over_f
-    monkeypatch.setattr(IteratedLogScale, "_over_f",
-                        lambda self, t: evals.append(t) or over_f(self, t))
+    over_f_log = IteratedLogScale._over_f_log
+    monkeypatch.setattr(IteratedLogScale, "_over_f_log",
+                        lambda self, s: evals.append(s.size) or over_f_log(self, s))
     got = d.quantile_tails(levels)
-    assert len(evals) <= 20 * levels.size
+    # integrand evaluations: the nodes of every array call
+    assert sum(evals) <= 20 * levels.size
     monkeypatch.undo()
     # every tenth level against its own search from x0 (all 2,000 take seconds)
     for q, x in zip(levels[::10].tolist(), got[::10].tolist()):
@@ -225,6 +228,36 @@ def test_handle_quantile_tails_walk_the_levels(monkeypatch):
 def c_from(x0):
     # c(x0) = 1/2, rising to 1; (log c)' is what the Newton slope leaves out
     return lambda t: 1.0 - 0.5 * math.exp(x0 - t)
+
+
+@pytest.mark.parametrize("d", [
+    IteratedLogScale(3, 1.0, 1.0),
+    IteratedLogScale(2, 2.5, 0.5),
+    GeneralizedVonMises(f=lambda t: math.sqrt(t), g=lambda t: 1.0 + 1.0 / t,
+                        c=lambda t: 1.0, x0=1.0),
+    GeneralizedVonMises(f=lambda t: 1.0, g=lambda t: 1.0, c=c_from(0.0), x0=0.0),
+    GeneralizedVonMises(f=lambda t: 1.0, g=lambda t: 1.0, c=c_from(-3.0), x0=-3.0),
+], ids=lambda d: d.label)
+@pytest.mark.parametrize("n", [10, 10**4, 10**12])
+def test_handle_quantile_tails_match_the_walk(d, n):
+    # the table, its Hermite starts and the Newton passes against the default
+    # walk of scalar searches; both stop within 1e-12 max(1, |log q|) of
+    # log q, and a slope |d log tail / d log(x - s)| above 0.3 keeps the two
+    # within 1e-10 in log(x - s)
+    levels = _min_tail_levels(np.random.Generator(np.random.Philox(3)).random(300), n)
+    got = d.quantile_tails(levels)
+    want = DistributionSpec.quantile_tails(d, levels)
+    s = d._shift()
+    assert np.all(np.abs(np.log(got - s) - np.log(want - s)) <= 1e-10)
+    assert np.all(got[levels >= d.tail(d.x0)] == d.x0)
+
+
+def test_handle_quantile_tails_raise_what_the_walk_raises():
+    # f turns non-positive at t = 10, between the quantiles of the levels
+    d = GeneralizedVonMises(f=lambda t: 1.0 if t < 10.0 else -1.0,
+                            g=lambda t: 1.0, c=lambda t: 1.0, x0=0.0)
+    with pytest.raises(DomainError, match="f must be positive"):
+        d.quantile_tails(np.geomspace(1e-6, 0.5, 50))
 
 
 @pytest.mark.parametrize("x0", [0.0, -3.0])
@@ -439,9 +472,11 @@ def test_representation_consistency(dist):
             continue
         direct = dist.log_tail(x) - dist.log_tail(dist.x0)
         lo = max(dist.x0, 1e-300)
-        integral = quadrature.integrate_log_substituted(
-            lambda t: dist.von_mises_components(t)[1] / dist.von_mises_components(t)[0],
-            lo, x)
+        # in s = log t, as the handle families integrate
+        integral = quadrature.integrate(
+            quadrature.elementwise(lambda s: math.exp(s) * dist.von_mises_components(
+                math.exp(s))[1] / dist.von_mises_components(math.exp(s))[0]),
+            math.log(lo), math.log(x))
         assert direct == pytest.approx(-integral, rel=1e-8, abs=1e-10)
 
 
