@@ -1,25 +1,17 @@
 """Command-line front end.
 
-Five single-shot commands, CSV out, deterministic byte-for-byte for a fixed
-configuration (seed included):
-
-    table           exact law and requested approximants over an x-grid
-    rates           error curve across n plus both decay-rate fits
-    norming         exact vs closed-form norming pairs and their types gaps
-    check-identity  two-term factorization vs the exact law at tolerance
-    simulate        Monte Carlo scaled maxima
-
-Exit codes: 0 success, 2 parse, 3 domain, 4 numerical. The CSV goes to
---out when given (stdout otherwise); the human-readable summary goes to
-stdout (stderr when the CSV itself occupies stdout).
+Five single-shot commands (the `_COMMANDS` table, which also writes the
+help), CSV out, deterministic byte-for-byte for a fixed configuration (seed
+included). Exit codes: 0 success (and help), 2 parse, 3 domain, 4 numerical.
+The CSV goes to --out when given (stdout otherwise); the human-readable
+summary goes to stdout (stderr when the CSV itself occupies stdout).
 """
 
 from __future__ import annotations
 
-import argparse
 import math
-import re
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -170,9 +162,8 @@ def _make_kind(name: str, args, dist: DistributionSpec) -> ApproximantKind:
     """The kind of that name; second_order takes rho and A(n) from the flags."""
     if name in KINDS:
         return KINDS[name]
-    rho = args.rho if args.rho is not None else 0.0
     if args.a_n is not None:
-        return SecondOrder(rho=rho, a_n=lambda n: args.a_n)
+        return SecondOrder(rho=args.rho, a_n=lambda n: args.a_n)
     if isinstance(dist, WeibullLike):
         return SecondOrder.weibull_preset(dist.p)
     raise DomainError(
@@ -284,7 +275,6 @@ def _cmd_norming(args) -> int:
 def _cmd_check_identity(args) -> int:
     dist = parse_dist(args.dist)
     n = _single_n(args)
-    tol = float(args.tol)
     window = _parse_window(args.x, "--x") if args.x else (-2.0, 6.0, 61)
     metric = SupOnGrid(x_lo=window[0], x_hi=window[1], steps=window[2])
     pair = norming_exact(dist, n)
@@ -298,11 +288,11 @@ def _cmd_check_identity(args) -> int:
     for row in zip(xs.tolist(), exact.tolist(), two_term.tolist(), gaps.tolist()):
         rows.append(",".join([str(n), *map(repr, row)]))
     worst = float(gaps.max(initial=0.0))
-    ok = worst <= tol
-    _finish(args.out, rows, [f"check-identity: dist={dist.label} n={n} "
-                             f"max|gap|={worst:.3e} tol={tol:.3e} -> {'OK' if ok else 'FAIL'}"])
+    ok = worst <= args.tol
+    _finish(args.out, rows, [f"check-identity: dist={dist.label} n={n} max|gap|={worst:.3e} "
+                             f"tol={args.tol:.3e} -> {'OK' if ok else 'FAIL'}"])
     if not ok:
-        print(f"error: identity violated: max gap {worst!r} > tol {tol!r}",
+        print(f"error: identity violated: max gap {worst!r} > tol {args.tol!r}",
               file=sys.stderr)
         return 4
     return 0
@@ -332,11 +322,15 @@ def _cmd_simulate(args) -> int:
 # Argument surface
 # ---------------------------------------------------------------------------
 
+_ABOUT = ("Scaled-maximum laws in the Gumbel domain: tables, convergence rates, "
+          "norming pairs, identity checks, simulation.")
+_HELP = ("-h", "--help")
 _SINGLE_N = "single sample count"
-_SECOND_ORDER_FLAGS = [("--rho", dict(type=float, help="second-order rho (<= 0)")),
+_SECOND_ORDER_FLAGS = [("--rho", dict(type=float, default=0.0, help="second-order rho (<= 0)")),
                        ("--a-n", dict(type=float, help="second-order A(n) value"))]
 
-# command -> (function, help, --n help, the flags beyond --dist/--n/--n-geom/--out)
+# command -> (function, help, --n help, the flags beyond --dist/--n/--n-geom/--out);
+# a flag with a const takes its value only when the next token is not a flag
 _COMMANDS = {
     "table": (_cmd_table, "tabulate exact law and approximants", _SINGLE_N, [
         ("--x", dict(required=True, help="x grid lo:hi:steps")),
@@ -345,84 +339,90 @@ _COMMANDS = {
     "rates": (_cmd_rates, "fit error decay across n", "sample count(s)", [
         ("--approx", dict(required=True, help="one approximant")),
         ("--at", dict(type=float, help="fixed-x error metric")),
-        ("--sup", dict(nargs="?", const="-2:6:161",
+        ("--sup", dict(const="-2:6:161",
                        help="sup-error metric, optional window lo:hi:steps")),
         *_SECOND_ORDER_FLAGS]),
     "norming": (_cmd_norming, "exact vs closed-form norming", "sample count(s)", []),
     "check-identity": (_cmd_check_identity, "two-term factorization against the exact law",
                        _SINGLE_N, [
         ("--x", dict(help="x grid lo:hi:steps (default -2:6:61)")),
-        ("--tol", dict(default="1e-10", help="identity tolerance"))]),
+        ("--tol", dict(type=float, default=1e-10, help="identity tolerance (default 1e-10)"))]),
     "simulate": (_cmd_simulate, "Monte Carlo scaled maxima", _SINGLE_N, [
         ("--reps", dict(type=int, required=True, help="replication count")),
-        ("--seed", dict(type=int, default=0, help="RNG seed"))]),
+        ("--seed", dict(type=int, default=0, help="RNG seed (default 0)"))]),
 }
-_DISPATCH = {name: spec[0] for name, spec in _COMMANDS.items()}
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; given a command, with only that command's subparser.
+def _flags(command: str) -> dict[str, dict]:
+    return dict([("--dist", dict(required=True, help="distribution spec string")),
+                 ("--n", dict(help=_COMMANDS[command][2])),
+                 ("--n-geom", dict(help="geometric n grid start:stop:count")),
+                 ("--out", dict(help="CSV output path (stdout when omitted)")),
+                 *_COMMANDS[command][3]])
 
-    Each subparser costs about as much to build as the rest of the tree, so
-    main builds only the one it runs. Its metavar then spells out every
-    command, so usage lines read as they do with the full tree.
+
+def _help(command: str | None) -> str:
+    """Help for one command, or for the program when command is None."""
+    if command is None:
+        usage = ["{" + ",".join(_COMMANDS) + "} [flags]"]
+        rows = {name: spec[1] for name, spec in _COMMANDS.items()}
+    else:
+        usage, rows = [command], {}
+        for flag, spec in _flags(command).items():
+            rows[flag] = spec["help"]
+            word = ("{} [{}]" if "const" in spec else "{} {}").format(flag, flag[2:].upper())
+            usage.append(word if spec.get("required") else f"[{word}]")
+    about = _COMMANDS[command][1] if command else _ABOUT
+    return "\n".join([f"usage: evt-accompany {' '.join(usage)}", "", about, "",
+                      *(f"  {name:<16}{text}" for name, text in rows.items())]) + "\n"
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The command and flag values of argv; None once help is printed.
+
+    Flags are `--flag value` or `--flag=value`, spelled in full; a value may
+    begin with "-" (as in "--x -2:6:9"). The last of a repeated flag wins.
     """
-    parser = argparse.ArgumentParser(
-        prog="evt-accompany",
-        description="Scaled-maximum laws in the Gumbel domain: tables, "
-                    "convergence rates, norming pairs, identity checks, simulation.")
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
-    for name, (_, help_, n_help, flags) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--dist", required=True, help="distribution spec string")
-        p.add_argument("--n", help=n_help)
-        p.add_argument("--n-geom", help="geometric n grid start:stop:count")
-        p.add_argument("--out", help="CSV output path (stdout when omitted)")
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-    return parser
-
-
-_GRID_FLAGS = {"--x", "--sup", "--at"}
-_NEGATIVE_VALUE = re.compile(r"^-(\d|\.)")
-
-
-def _merge_negative_values(argv: Sequence[str]) -> list[str]:
-    # lets "--x -2:6:9" work: argparse would otherwise read "-2:6:9" as a flag
-    out: list[str] = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in _GRID_FLAGS and i + 1 < len(argv) and _NEGATIVE_VALUE.match(argv[i + 1]):
-            out.append(f"{tok}={argv[i + 1]}")
-            skip = True
-        else:
-            out.append(tok)
-    return out
+    if argv and argv[0] in _HELP:
+        sys.stdout.write(_help(None))
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        found = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise ParseError(f"{found} (expected one of {', '.join(_COMMANDS)})")
+    command, flags, values, i = argv[0], _flags(argv[0]), {}, 1
+    while i < len(argv):
+        if argv[i] in _HELP:
+            sys.stdout.write(_help(command))
+            return None
+        flag, eq, value = argv[i].partition("=")
+        if flag not in flags:
+            raise ParseError(f"{command}: unrecognized argument {argv[i]!r} "
+                             f"(flags: {', '.join(flags)})")
+        spec, i = flags[flag], i + 1
+        if not eq and i < len(argv) and not ("const" in spec and argv[i].startswith("--")):
+            value, i = argv[i], i + 1
+        elif not eq and (value := spec.get("const")) is None:
+            raise ParseError(f"{flag}: expected a value")
+        try:
+            values[flag] = spec.get("type", str)(value)
+        except ValueError:
+            raise ParseError(f"{flag}: invalid value {value!r}") from None
+    missing = [flag for flag, spec in flags.items() if spec.get("required") and flag not in values]
+    if missing:
+        raise ParseError(f"{command}: missing required {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{
+        flag[2:].replace("-", "_"): values.get(flag, spec.get("default"))
+        for flag, spec in flags.items()})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = _merge_negative_values(argv if argv is not None else sys.argv[1:])
-    # an unknown first token (a typo, --help) gets the full tree and its message
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
-    except EvtError as exc:
-        code = getattr(exc, "exit_code", 4)
-        kind = type(exc).__name__
-        print(f"error ({kind}): {exc}", file=sys.stderr)
-        return code
-    except (ValueError, ArithmeticError) as exc:
-        # last resort: a numerical failure without a typed error still exits 4
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else _COMMANDS[args.command][0](args)
+    except (EvtError, ValueError, ArithmeticError) as exc:
+        # the last resort: a numerical failure without a typed error exits 4
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 4)
 
 
 if __name__ == "__main__":

@@ -165,6 +165,8 @@ def norming_logweibull_closed(c: float, p: float, alpha: float,
     inv_p = 1.0 / p
 
     def residual(y: float, u0: float) -> float:
+        if not y > 0.0:  # y ** inv_p would be complex
+            raise DivergenceError(f"log-Weibull fixed-point iterate is not positive: y = {y!r}")
         root = y ** inv_p
         return y - u0 - (alpha / c) * root - _log_ell_at_exp(ell, root) / c
 

@@ -1,7 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evt_accompany.analysis import SupOnGrid, guarded_points
 from evt_accompany.approx import (
     Accompanying,
     EvalPoint,
@@ -518,3 +522,26 @@ def test_accompanying_monotone_in_x():
 def test_eval_point_signed_error():
     pt = EvalPoint(x=1.0, exact=0.7, approx=0.65)
     assert pt.signed_error == pytest.approx(0.05, abs=1e-15)
+
+
+# -- properties of the closed-form families ---------------------------------------
+
+@st.composite
+def closed_forms(draw):
+    """(dist, n) over the ranges of the benchmark's closed-form families."""
+    n = round(10.0 ** draw(st.floats(3.0, 12.0)))
+    if draw(st.booleans()):
+        return WeibullLike(1.0, draw(st.floats(0.5, 3.0)), draw(st.floats(-2.0, 2.0))), n
+    return LogWeibullLike(1.0, draw(st.floats(1.0, 3.0, exclude_min=True))), n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(closed_forms())
+def test_closed_form_law_is_monotone_and_meets_the_identity(case):
+    dist, n = case
+    pair = norming_exact(dist, n)
+    exact, _ = exact_and_gammas(dist, pair, np.linspace(-5.0, 10.0, 301))
+    assert np.all(np.diff(exact) >= 0.0)
+    # the gap check-identity reports on its default grid
+    xs, exact, gamma = guarded_points(dist, pair, SupOnGrid(x_lo=-2.0, x_hi=6.0, steps=61))
+    assert np.abs(exact - evaluate_at(TwoTerm(), xs, gamma, n)).max(initial=0.0) <= 1e-10
