@@ -12,13 +12,13 @@ import math
 
 from evt_accompany import (
     GeneralizedVonMises,
-    SecondOrder,
     WeibullLike,
     evaluate,
-    exact_max_cdf,
+    exact_and_gammas,
     gumbel_cdf,
     h_function,
     norming_exact,
+    weibull_preset,
     weighted_residual,
 )
 
@@ -30,12 +30,14 @@ for x in (0.5, 1.0, 2.0, math.e, 10.0):
 
 print("\nWeibull-like preset (rho = 0, A(n) = 1/(p log n)) on e^(-x^2), n = 1e6")
 d = WeibullLike(1.0, 2.0, 0.0)
-kind = SecondOrder.weibull_preset(2.0)
 pair = norming_exact(d, 10 ** 6)
+xs = [0.5, 1.0, 2.0, 4.0]
+exact, gamma = exact_and_gammas(d, pair, xs)
+# second_order's params are (rho, A(n))
+second = evaluate("second_order", xs, gamma, pair.n, 0.0, weibull_preset(2.0, pair.n))
 print(f"  {'x':>5s} {'exact':>12s} {'gumbel':>12s} {'second order':>13s}")
-for x in (0.5, 1.0, 2.0, 4.0):
-    print(f"  {x:>5.1f} {exact_max_cdf(d, pair, x):>12.8f} {gumbel_cdf(x):>12.8f}"
-          f" {evaluate(d, pair, x, kind):>13.8f}")
+for x, e, s in zip(xs, exact.tolist(), second.tolist()):
+    print(f"  {x:>5.1f} {e:>12.8f} {gumbel_cdf(x):>12.8f} {s:>13.8f}")
 
 print("\nweighted residual on a constructed rho = -1/2 tail: exp(-y + kappa e^(-y/2))")
 kappa, rho = -0.2, -0.5

@@ -8,32 +8,22 @@ from .analysis import (
     SupOnGrid,
     empirical_cdf,
     error_curve,
-    evaluation_points,
     fit_rate,
+    guarded_xs,
     simulate_max,
     weighted_residual,
 )
 from .approx import (
     APPROXIMANTS,
-    Accompanying,
-    ApproximantKind,
-    EvalPoint,
-    FirstOrderCorrected,
-    Gumbel,
-    SecondOrder,
-    TwoTerm,
-    accompanying_law,
     evaluate,
-    evaluate_at,
-    exact_and_gamma,
     exact_and_gammas,
     exact_max_cdf,
     first_order_corrected,
     gumbel_cdf,
     h_function,
-    second_order_approx,
     sigma_series,
     two_term,
+    weibull_preset,
 )
 from .errors import (
     ConvergenceError,
@@ -46,7 +36,6 @@ from .errors import (
     QuadratureError,
 )
 from .gamma import (
-    GammaValue,
     correction_generalized_weibull,
     correction_logweibull,
     correction_weibull_like,

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .approx import ApproximantKind, EvalPoint, evaluate_at, exact_and_gammas, gumbel_cdf
+from .approx import APPROXIMANTS, evaluate, exact_and_gammas, gumbel_cdf
 from .errors import DegenerateError, DomainError, EvtError
 from .norming import NormingPair, norming_exact, norming_exacts
 from .tails import DistributionSpec
@@ -70,7 +70,7 @@ class AtPoint:
 @dataclass(frozen=True)
 class ErrorCurve:
     dist_label: str
-    approximant: ApproximantKind
+    approximant: str
     metric: SupOnGrid | AtPoint
     points: tuple[tuple[int, float], ...]
 
@@ -89,38 +89,25 @@ class RateFit:
     r_squared: float
 
 
-def guarded_points(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
-                   kind: ApproximantKind | None = None):
-    """(x, exact law, gamma) as arrays, at the grid points where kind is
-    defined that survive the support and series-convergence guards; one tail
-    evaluation per point."""
+def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
+               approximant: str | None = None):
+    """(x, exact law, gamma) as arrays, at the grid points where the named
+    approximant is defined that survive the support and series-convergence
+    guards; one tail evaluation per point."""
     xs = np.array(metric.grid())
-    if kind is not None:
-        xs = xs[kind.defined_at(xs)]
+    where = APPROXIMANTS[approximant][1] if approximant is not None else None
+    if where is not None:
+        xs = xs[where(xs)]
     exact, gamma = exact_and_gammas(dist, pair, xs)
     keep = gamma >= -math.log(pair.n) + GUARD_SLACK  # False where gamma is NaN
     return xs[keep], exact[keep], gamma[keep]
 
 
-def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
-               kind: ApproximantKind | None = None) -> list[float]:
-    """Grid points surviving the support and series-convergence guards."""
-    return guarded_points(dist, pair, metric, kind)[0].tolist()
-
-
-def evaluation_points(dist: DistributionSpec, pair: NormingPair,
-                      kind: ApproximantKind, xs: Sequence[float]) -> list[EvalPoint]:
-    """Exact vs approximant values with signed errors, for diagnosing sign."""
-    exact, gamma = exact_and_gammas(dist, pair, xs)
-    approx = evaluate_at(kind, xs, gamma, pair.n)
-    return [EvalPoint(x=float(x), exact=e, approx=v)
-            for x, e, v in zip(xs, exact.tolist(), approx.tolist())]
-
-
-def error_curve(dist: DistributionSpec, approximant: ApproximantKind,
-                metric: SupOnGrid | AtPoint, n_grid: Sequence[int]) -> ErrorCurve:
+def error_curve(dist: DistributionSpec, approximant: str, metric: SupOnGrid | AtPoint,
+                n_grid: Sequence[int],
+                params: Callable[[int], tuple] = lambda n: ()) -> ErrorCurve:
     """max |exact - approximant| over the metric's points per n, under exact
-    norming walked along n_grid.
+    norming walked along n_grid; params(n) are the approximant's params at n.
 
     Evaluation failures are re-raised with the offending n attached; a
     failing grid point also names its x.
@@ -132,8 +119,8 @@ def error_curve(dist: DistributionSpec, approximant: ApproximantKind,
                 xs = np.array([metric.x])
                 exact, gamma = exact_and_gammas(dist, pair, xs)
             else:
-                xs, exact, gamma = guarded_points(dist, pair, metric, approximant)
-            errors = np.abs(exact - evaluate_at(approximant, xs, gamma, pair.n))
+                xs, exact, gamma = guarded_xs(dist, pair, metric, approximant)
+            errors = np.abs(exact - evaluate(approximant, xs, gamma, pair.n, *params(pair.n)))
         except EvtError as exc:
             raise exc.at(f"n={pair.n}") from exc
         points.append((pair.n, float(errors.max(initial=0.0))))
@@ -185,7 +172,7 @@ def weighted_residual(dist: DistributionSpec, n: int, rho: float,
     metric = metric if metric is not None else SupOnGrid()
     pair = norming_exact(dist, n, centering="logcdf")
     try:
-        xs, exact, _ = guarded_points(dist, pair, metric)
+        xs, exact, _ = guarded_xs(dist, pair, metric)
     except EvtError as exc:
         raise exc.at(f"n={n}") from exc
     lam = gumbel_cdf(xs)

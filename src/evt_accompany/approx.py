@@ -16,13 +16,11 @@ an O(1/n) error for the Gumbel limit's logarithmic one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError, EvtError
-from .gamma import gamma_exact, require_finite
 from .norming import NormingPair
 from .tails import DistributionSpec
 
@@ -30,86 +28,16 @@ _SIGMA_TERM_CAP = 200
 _SIGMA_REL_STOP = 1e-16
 
 
-# ---------------------------------------------------------------------------
-# Approximant kinds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ApproximantKind:
-    """An approximant: its APPROXIMANTS entry is found by name and takes
-    params(n) after (x, gamma, n); it is defined where defined_at(x) holds."""
-
-    name: str = field(init=False, default="")
-
-    def params(self, n: int) -> tuple:
-        return ()
-
-    def defined_at(self, x: np.ndarray) -> np.ndarray:
-        return np.ones(x.shape, dtype=bool)
+def require_finite(x: float) -> None:
+    """DomainError unless the scaled coordinate x is a finite real."""
+    if not math.isfinite(x):
+        raise DomainError(f"scaled coordinate x must be finite, got {x!r}")
 
 
-@dataclass(frozen=True)
-class Gumbel(ApproximantKind):
-    name: str = field(init=False, default="gumbel")
-
-
-@dataclass(frozen=True)
-class Accompanying(ApproximantKind):
-    name: str = field(init=False, default="accompanying")
-
-
-@dataclass(frozen=True)
-class TwoTerm(ApproximantKind):
-    name: str = field(init=False, default="two_term")
-
-
-@dataclass(frozen=True)
-class FirstOrderCorrected(ApproximantKind):
-    name: str = field(init=False, default="first_order")
-
-
-@dataclass(frozen=True)
-class SecondOrder(ApproximantKind):
-    """Second-order-condition approximant; the caller supplies the regular
-    variation index rho <= 0 and the rate handle A(n) -> 0."""
-
-    rho: float = 0.0
-    a_n: Callable[[float], float] = lambda n: 0.0
-    name: str = field(init=False, default="second_order")
-
-    def __post_init__(self) -> None:
-        if self.rho > 0.0:
-            raise DomainError(f"SecondOrder needs rho <= 0, got {self.rho!r}")
-
-    @classmethod
-    def weibull_preset(cls, p: float) -> "SecondOrder":
-        """rho = 0 with A(n) = 1/(p log n), the Weibull-like rate scale."""
-        if p <= 0.0:
-            raise DomainError(f"weibull_preset needs p > 0, got {p!r}")
-        return cls(rho=0.0, a_n=lambda n: 1.0 / (p * math.log(n)))
-
-    def params(self, n: int) -> tuple:
-        return self.rho, self.a_n(n)
-
-    def defined_at(self, x: np.ndarray) -> np.ndarray:
-        return x > 0.0  # H(x) involves log x
-
-
-# The kinds without parameters, by name
-KINDS = {kind.name: kind for kind in (Gumbel(), Accompanying(), TwoTerm(), FirstOrderCorrected())}
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """One grid evaluation: exact value, approximant value, signed gap."""
-
-    x: float
-    exact: float
-    approx: float
-
-    @property
-    def signed_error(self) -> float:
-        return self.exact - self.approx
+def _shaped(values: np.ndarray, like):
+    """values, computed over the flattened like, as a float for a scalar like
+    and in the shape of like otherwise."""
+    return float(values[0]) if np.ndim(like) == 0 else values.reshape(np.shape(like))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +98,7 @@ def exact_and_gammas(dist: DistributionSpec, pair: NormingPair,
                 raise exc.at(f"grid x={x!r}") from exc
             log_tail[i] = value
             anchors[x < 0.0] = (zl[i], value)
-    # NaN below x0; rounds as gamma_exact's -(log_tail(z) - log_tail(b)), signed zero included
+    # NaN below x0; -0.0 at x = 0, where log_tail(z) is log_tail(b)
     gamma = -(log_tail - log_tail_b)
     if not inside.all():
         log_tail[~inside] = dist.log_tail(x0)
@@ -194,20 +122,15 @@ def _walk(dist: DistributionSpec, negative: np.ndarray, z: np.ndarray, b: float,
                            for run in (steps[:split], steps[split:])])
 
 
-def exact_and_gamma(dist: DistributionSpec, pair: NormingPair, x: float) -> tuple[float, float]:
-    """exact_and_gammas at one point, anchored at b; gamma is NaN below the support edge."""
-    exact, gamma = exact_and_gammas(dist, pair, (x,))
-    return float(exact[0]), float(gamma[0])
-
-
-def exact_max_cdf(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
+def exact_max_cdf(dist: DistributionSpec, pair: NormingPair, x):
     """F^n(a x + b) = exp(n log(1 - tail(a x + b))), via log1p for stability;
-    F(x0)^n, the atom completion, below the support edge."""
-    return exact_and_gamma(dist, pair, x)[0]
+    F(x0)^n, the atom completion, below the support edge. x is a float or an
+    array, and the law has its shape: exact_and_gammas's first array."""
+    return _shaped(exact_and_gammas(dist, pair, x)[0], x)
 
 
 # ---------------------------------------------------------------------------
-# Approximants, elementwise over arrays of x and gamma(x)
+# Approximants, elementwise over x and gamma(x)
 # ---------------------------------------------------------------------------
 
 def require_gammas(x: np.ndarray, gamma: np.ndarray) -> None:
@@ -224,14 +147,16 @@ def gumbel_cdf(x):
         return np.exp(-np.exp(-x))
 
 
-def _sigma(g: np.ndarray, n: int) -> np.ndarray:
-    """Sigma = sum_{k>=0} exp(-(k+2) gamma) / ((k+2) n^k) at each gamma in g.
+def sigma_series(gamma, n: int):
+    """Sigma = sum_{k>=0} exp(-(k+2) gamma) / ((k+2) n^k) at gamma, a float or
+    an array; the result has its shape.
 
     Converges iff e^-gamma/n < 1, i.e. gamma > -log n; outside that the
     series diverges and the accompanying law's cutoff branch is in force.
     Each sum stops once its next term drops below 1e-16 of it (at most ~90
     terms inside the guarded region). Sigma is inf where e^-2gamma is.
     """
+    g = np.asarray(gamma, dtype=float).reshape(-1)
     n = float(n)
     diverge = ~(g > -math.log(n))
     if diverge.any():
@@ -256,7 +181,7 @@ def _sigma(g: np.ndarray, n: int) -> np.ndarray:
                     f"sigma series needed more than {_SIGMA_TERM_CAP} terms (gamma = "
                     f"{float(g[i])!r} is too close to the -log n cutoff)")
             totals[i] = total
-    return totals
+    return _shaped(totals, gamma)
 
 
 def first_order_corrected(x, gamma):
@@ -272,7 +197,7 @@ def first_order_corrected(x, gamma):
 def h_function(x, rho: float):
     """Second-order shape H(x), elementwise: (1/rho)((x^rho - 1)/rho - log x)
     for rho < 0, continuously extended to log^2(x)/2 at rho = 0. Defined for
-    x > 0 only."""
+    x > 0 and rho <= 0 only."""
     x = np.asarray(x, dtype=float)
     if (x <= 0.0).any():
         raise DomainError(f"h_function needs x > 0, got {float(x[x <= 0.0][0])!r}")
@@ -287,6 +212,14 @@ def h_function(x, rho: float):
                     (np.expm1(u) - u) / (rho * rho))
 
 
+def weibull_preset(p: float, n: float) -> float:
+    """A(n) = 1/(p log n), the Weibull-like rate scale that second_order pairs
+    with rho = 0."""
+    if p <= 0.0:
+        raise DomainError(f"weibull_preset needs p > 0, got {p!r}")
+    return 1.0 / (p * math.log(n))
+
+
 def _cutoff(gamma: np.ndarray, n: int) -> np.ndarray:
     # below the support edge the tail ratio is 1/tail(b) = n: gamma = -log n,
     # the exact cutoff boundary
@@ -294,64 +227,45 @@ def _cutoff(gamma: np.ndarray, n: int) -> np.ndarray:
 
 
 def _accompanying(x, gamma, n):
+    # B_n = exp(-e^-gamma) for gamma >= -log n, else 0; at the cutoff itself
+    # the closed branch applies: exp(-e^(log n)) = e^-n
     g = _cutoff(gamma, n)
     return np.where(g < -math.log(n), 0.0, gumbel_cdf(g))
 
 
-def _two_term(x, gamma, n):
-    require_gammas(x, gamma)
+def two_term(x, gamma, n: int):
+    """exp(-e^-gamma) * exp(-Sigma/n) at x from gamma(x), floats or arrays of
+    one shape; equals exact_max_cdf up to rounding."""
+    flat = np.asarray(gamma, dtype=float).reshape(-1)
+    require_gammas(np.asarray(x, dtype=float).reshape(-1), flat)
     with np.errstate(over="ignore"):
-        return np.exp(-np.exp(-gamma) - _sigma(gamma, n) / float(n))
+        return _shaped(np.exp(-np.exp(-flat) - sigma_series(flat, n) / float(n)), gamma)
 
 
 def _second_order(x, gamma, n, rho, a_n_value):
+    # exp(-e^-x - A(n) H(x)) * exp(-Sigma/n), the second-order-condition law
     require_gammas(x, gamma)
-    return np.exp(-np.exp(-x) - a_n_value * h_function(x, rho) - _sigma(gamma, n) / float(n))
+    return np.exp(-np.exp(-x) - a_n_value * h_function(x, rho) - sigma_series(gamma, n) / float(n))
 
 
-# name -> function of (x, gamma, n, *kind.params(n)) on arrays; gamma is NaN
-# below the support edge, where the accompanying and first-order laws take
-# the cutoff gamma = -log n and the series-based ones raise DomainError.
+# name -> (function of (x, gamma, n, *params) on arrays, and where it is
+# defined as a mask of x, None for everywhere). second_order's params are
+# (rho, A(n)). gamma is NaN below the support edge, where the accompanying
+# and first-order laws take the cutoff gamma = -log n and the series-based
+# ones raise DomainError.
 APPROXIMANTS = {
-    "gumbel": lambda x, gamma, n: gumbel_cdf(x),
-    "accompanying": _accompanying,
-    "two_term": _two_term,
-    "first_order": lambda x, gamma, n: first_order_corrected(x, _cutoff(gamma, n)),
-    "second_order": _second_order,
+    "gumbel": (lambda x, gamma, n: gumbel_cdf(x), None),
+    "accompanying": (_accompanying, None),
+    "two_term": (two_term, None),
+    "first_order": (lambda x, gamma, n: first_order_corrected(x, _cutoff(gamma, n)), None),
+    "second_order": (_second_order, lambda x: x > 0.0),  # H(x) involves log x
 }
 
 
-def evaluate_at(kind: ApproximantKind, x, gamma, n: int) -> np.ndarray:
-    """kind at the points x from gamma(x), as exact_and_gammas returns them."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    gamma = np.asarray(gamma, dtype=float).reshape(-1)
-    return APPROXIMANTS[kind.name](x, gamma, n, *kind.params(n))
-
-
-def evaluate(dist: DistributionSpec, pair: NormingPair, x: float,
-             kind: ApproximantKind) -> float:
-    """Evaluate one approximant at one scaled coordinate."""
-    return float(evaluate_at(kind, x, exact_and_gamma(dist, pair, x)[1], pair.n)[0])
-
-
-def accompanying_law(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
-    """B_n(x) = exp(-e^-gamma(x)) for gamma(x) >= -log n, else 0; at the
-    cutoff itself the closed branch applies: exp(-e^(log n)) = e^-n."""
-    return evaluate(dist, pair, x, Accompanying())
-
-
-def sigma_series(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
-    """Sigma(x) = sum_{k>=0} exp(-(k+2) gamma) / ((k+2) n^k), as _sigma sums it."""
-    return float(_sigma(np.array([gamma_exact(dist, pair, x).value]), pair.n)[0])
-
-
-def two_term(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
-    """exp(-e^-gamma) * exp(-Sigma/n); equals exact_max_cdf up to rounding."""
-    return float(evaluate_at(TwoTerm(), x, gamma_exact(dist, pair, x).value, pair.n)[0])
-
-
-def second_order_approx(dist: DistributionSpec, pair: NormingPair, x: float,
-                        rho: float, a_n_value: float) -> float:
-    """exp(-e^-x - A(n) H(x)) * exp(-Sigma/n), the second-order-condition law."""
-    kind = SecondOrder(rho=rho, a_n=lambda n: a_n_value)
-    return float(evaluate_at(kind, x, gamma_exact(dist, pair, x).value, pair.n)[0])
+def evaluate(name: str, x, gamma, n: int, *params):
+    """The approximant `name` at x from gamma(x), as exact_and_gammas returns
+    it, with its params after n. x and gamma are floats or arrays of one
+    shape, and so is the result."""
+    flat = np.asarray(x, dtype=float).reshape(-1)
+    values = APPROXIMANTS[name][0](flat, np.asarray(gamma, dtype=float).reshape(-1), n, *params)
+    return _shaped(values, x)

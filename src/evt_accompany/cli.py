@@ -25,18 +25,16 @@ from .analysis import (
     SupOnGrid,
     error_curve,
     fit_rate,
-    guarded_points,
+    guarded_xs,
     simulate_max,
 )
 from .approx import (
     APPROXIMANTS,
-    KINDS,
-    ApproximantKind,
-    SecondOrder,
-    TwoTerm,
-    evaluate_at,
+    evaluate,
     exact_and_gammas,
     require_gammas,
+    two_term,
+    weibull_preset,
 )
 from .errors import DomainError, EvtError, ParseError
 from .norming import (
@@ -158,14 +156,15 @@ def _parse_approx(raw: str) -> list[str]:
     return names
 
 
-def _make_kind(name: str, args, dist: DistributionSpec) -> ApproximantKind:
-    """The kind of that name; second_order takes rho and A(n) from the flags."""
-    if name in KINDS:
-        return KINDS[name]
+def _params(name: str, args, dist: DistributionSpec):
+    """n -> the params of the approximant of that name; second_order takes
+    rho and A(n) from the flags, or rho = 0 and the Weibull-like preset."""
+    if name != "second_order":
+        return lambda n: ()
     if args.a_n is not None:
-        return SecondOrder(rho=args.rho, a_n=lambda n: args.a_n)
+        return lambda n: (args.rho, args.a_n)
     if isinstance(dist, WeibullLike):
-        return SecondOrder.weibull_preset(dist.p)
+        return lambda n: (0.0, weibull_preset(dist.p, n))
     raise DomainError(
         "second_order needs --a-n for families without the Weibull-like preset")
 
@@ -192,18 +191,18 @@ def _cmd_table(args) -> int:
     n = _single_n(args)
     lo, hi, steps = _parse_window(args.x, "--x")
     names = _parse_approx(args.approx) if args.approx else []
-    kinds = {name: _make_kind(name, args, dist) for name in names}
+    params = {name: _params(name, args, dist) for name in names}
     pair = norming_exact(dist, n)
     xs = np.array([lo + (hi - lo) * i / (steps - 1) for i in range(steps)])
     try:
         exact, gamma = exact_and_gammas(dist, pair, xs)
         require_gammas(xs, gamma)
         columns = [xs.tolist(), exact.tolist()]
-        for name in APPROXIMANTS:
+        for name, (_, where) in APPROXIMANTS.items():
             cells = [None] * xs.size  # blank where not requested or not defined
-            if name in kinds:
-                at = np.flatnonzero(kinds[name].defined_at(xs))
-                values = evaluate_at(kinds[name], xs[at], gamma[at], n)
+            if name in params:
+                at = np.arange(xs.size) if where is None else np.flatnonzero(where(xs))
+                values = evaluate(name, xs[at], gamma[at], n, *params[name](n))
                 for i, v in zip(at.tolist(), values.tolist()):
                     cells[i] = v
             columns.append(cells)
@@ -222,7 +221,7 @@ def _cmd_rates(args) -> int:
     names = _parse_approx(args.approx) if args.approx else []
     if len(names) != 1:
         raise ParseError("--approx: rates takes exactly one approximant")
-    kind = _make_kind(names[0], args, dist)
+    params = _params(names[0], args, dist)
     ns = _resolve_ns(args)
     if args.at is not None and args.sup is not None:
         raise ParseError("--at and --sup are mutually exclusive")
@@ -233,7 +232,7 @@ def _cmd_rates(args) -> int:
         metric = SupOnGrid(x_lo=lo, x_hi=hi, steps=steps)
     else:
         metric = SupOnGrid()
-    curve = error_curve(dist, kind, metric, ns)
+    curve = error_curve(dist, names[0], metric, ns, params)
     rows = [_header(dist.label, "rates"), RATES_COLUMNS]
     summary = [f"rates: dist={dist.label} approx={names[0]} metric={metric.label}"]
     for model in (POWER_IN_N, POWER_IN_LOG_N):
@@ -245,11 +244,12 @@ def _cmd_rates(args) -> int:
     return 0
 
 
-def _closed_pair(dist: DistributionSpec, n: int):
+def _closed_norming(dist: DistributionSpec):
+    """The closed-form norming of the family, a function of (c, p, alpha, ell, n)."""
     if isinstance(dist, WeibullLike):
-        return norming_weibull_closed(dist.c, dist.p, dist.alpha, dist.ell, n)
+        return norming_weibull_closed
     if isinstance(dist, LogWeibullLike):
-        return norming_logweibull_closed(dist.c, dist.p, dist.alpha, dist.ell, n)
+        return norming_logweibull_closed
     raise DomainError(
         f"no closed-form norming for family {dist.label!r} (Weibull-like and "
         f"log-Weibull-like only)")
@@ -258,11 +258,15 @@ def _closed_pair(dist: DistributionSpec, n: int):
 def _cmd_norming(args) -> int:
     dist = parse_dist(args.dist)
     ns = _resolve_ns(args)
+    closed_norming = _closed_norming(dist)
     rows = [_header(dist.label, "norming"), NORMING_COLUMNS]
     last = None
     for exact in norming_exacts(dist, ns):
         n = exact.n
-        closed = _closed_pair(dist, n)
+        try:
+            closed = closed_norming(dist.c, dist.p, dist.alpha, dist.ell, n)
+        except EvtError as exc:
+            raise exc.at(f"n={n}") from exc
         ratio_gap, shift_gap = types_equivalence_gap(exact, closed)
         rows.append(",".join([str(n), _fmt(exact.a), _fmt(exact.b), _fmt(closed.a),
                               _fmt(closed.b), _fmt(ratio_gap), _fmt(shift_gap)]))
@@ -280,12 +284,12 @@ def _cmd_check_identity(args) -> int:
     pair = norming_exact(dist, n)
     rows = [_header(dist.label, "check-identity"), IDENTITY_COLUMNS]
     try:
-        xs, exact, gamma = guarded_points(dist, pair, metric)
-        two_term = evaluate_at(TwoTerm(), xs, gamma, n)
+        xs, exact, gamma = guarded_xs(dist, pair, metric)
+        law = two_term(xs, gamma, n)
     except EvtError as exc:
         raise exc.at(f"n={n}") from exc
-    gaps = np.abs(exact - two_term)
-    for row in zip(xs.tolist(), exact.tolist(), two_term.tolist(), gaps.tolist()):
+    gaps = np.abs(exact - law)
+    for row in zip(xs.tolist(), exact.tolist(), law.tolist(), gaps.tolist()):
         rows.append(",".join([str(n), *map(repr, row)]))
     worst = float(gaps.max(initial=0.0))
     ok = worst <= args.tol

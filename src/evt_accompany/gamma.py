@@ -3,7 +3,8 @@
 gamma_n(x) = -log[ tail(b_n + a_n x) / tail(b_n) ] drives everything: the
 scaled maximum distribution factorizes through it, the accompanying law is
 exp(-e^-gamma), and its distance to x is the convergence rate against the
-Gumbel limit. The tail-ratio route is exact; the quadrature route evaluates
+Gumbel limit. The tail-ratio route is exact, and is the gamma array of
+approx.exact_and_gammas; the quadrature route evaluates
 the equivalent integral form and serves as an independent cross-check; the
 closed Weibull form and the correction predictors reproduce the asymptotic
 formulas for the built-in classes.
@@ -15,61 +16,49 @@ n >= 2 (norming itself sticks to integers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import quadrature
+from .approx import _shaped, exact_and_gammas, require_finite
 from .errors import DomainError
 from .norming import NormingPair
 from .tails import DistributionSpec
 
-EXACT_TAIL_RATIO = "exact-tail-ratio"
-QUADRATURE = "quadrature"
-CLOSED_FORM_WEIBULL = "closed-form-weibull"
 
+def gamma_exact(dist: DistributionSpec, pair: NormingPair, x):
+    """gamma via the tail ratio, entirely in log-tail space. The ground truth.
 
-@dataclass(frozen=True)
-class GammaValue:
-    x: float
-    n: float
-    value: float
-    route: str
-
-
-def require_finite(x: float) -> None:
-    """DomainError unless the scaled coordinate x is a finite real."""
-    if not math.isfinite(x):
-        raise DomainError(f"scaled coordinate x must be finite, got {x!r}")
-
-
-def _eval_point(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
-    require_finite(x)
-    z = pair.b + pair.a * x
-    if z < dist.x0 - 1e-12 * max(1.0, abs(dist.x0)):
-        x_min = (dist.x0 - pair.b) / pair.a
+    exact_and_gammas's second array: x is a float or an array, and gamma has
+    its shape. DomainError below the support edge, where gamma is undefined.
+    """
+    gamma = exact_and_gammas(dist, pair, x)[1]
+    below = np.isnan(gamma)
+    if below.any():
+        x_below = float(np.reshape(x, -1)[below][0])
         raise DomainError(
-            f"evaluation point b + a*x = {z!r} is below x0 = {dist.x0!r} "
-            f"(needs x >= {x_min!r})")
-    return z
+            f"evaluation point b + a*x = {pair.b + pair.a * x_below!r} is below x0 = "
+            f"{dist.x0!r} (needs x >= {(dist.x0 - pair.b) / pair.a!r})")
+    return _shaped(gamma, x)
 
 
-def gamma_exact(dist: DistributionSpec, pair: NormingPair, x: float) -> GammaValue:
-    """gamma via the tail ratio, entirely in log-tail space. The ground truth."""
-    z = _eval_point(dist, pair, x)
-    value = -dist.log_tail_diff(z, pair.b)
-    return GammaValue(x=x, n=pair.n, value=value, route=EXACT_TAIL_RATIO)
-
-
-def gamma_quadrature(dist: DistributionSpec, pair: NormingPair, x: float) -> GammaValue:
-    """gamma via the integral form.
+def gamma_quadrature(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
+    """gamma via the integral form, at one point.
 
     gamma(x) = integral_0^x [ g(b+av) f(b) / (f(b+av) g(b)) - 1 ] dv
                - log( c(b+ax)/c(b) ) + x
 
     For the built-in families the c-ratio is 0 (constant c). Algebraically
-    equal to the tail-ratio route; numerically an independent check.
+    equal to the tail-ratio route; numerically an independent check, so it
+    checks the support edge itself.
     """
-    z = _eval_point(dist, pair, x)
+    require_finite(x)
+    z = pair.b + pair.a * x
+    if z < dist.x0 - 1e-12 * max(1.0, abs(dist.x0)):
+        raise DomainError(
+            f"evaluation point b + a*x = {z!r} is below x0 = {dist.x0!r} "
+            f"(needs x >= {(dist.x0 - pair.b) / pair.a!r})")
     f_b, g_b, c_b = dist.von_mises_components(pair.b)
 
     def integrand(v: float) -> float:
@@ -78,11 +67,10 @@ def gamma_quadrature(dist: DistributionSpec, pair: NormingPair, x: float) -> Gam
 
     total = quadrature.integrate(quadrature.elementwise(integrand), 0.0, x)
     c_z = dist.von_mises_components(z)[2]
-    value = total - math.log(c_z / c_b) + x
-    return GammaValue(x=x, n=pair.n, value=value, route=QUADRATURE)
+    return total - math.log(c_z / c_b) + x
 
 
-def gamma_closed_weibull(p: float, n: float, x: float) -> GammaValue:
+def gamma_closed_weibull(p: float, n: float, x: float) -> float:
     """Closed form for the pure Weibull tail e^(-c x^p) under its canonical pair.
 
     gamma(x) = log(n) * ((1 + x/(p log n))^p - 1), which is exact (not just
@@ -97,10 +85,8 @@ def gamma_closed_weibull(p: float, n: float, x: float) -> GammaValue:
         raise DomainError(
             f"x = {x!r} is below the representable range (needs x > {-p * log_n!r})")
     if p == 1.0:
-        value = float(x)
-    else:
-        value = log_n * math.expm1(p * math.log1p(x / (p * log_n)))
-    return GammaValue(x=x, n=n, value=value, route=CLOSED_FORM_WEIBULL)
+        return float(x)
+    return log_n * math.expm1(p * math.log1p(x / (p * log_n)))
 
 
 def _log_n(n: float) -> float:

@@ -176,16 +176,6 @@ class DistributionSpec:
         """P(X > x) in (0, 1] for x >= x0."""
         return math.exp(self.log_tail(x))
 
-    def log_tail_diff(self, z: float, b: float) -> float:
-        """log_tail(z) - log_tail(b). A closed form takes both from one log_tails
-        call, so the difference rounds as it does in approx.exact_and_gammas."""
-        if self.log_tails is None or _below(min(z, b), self._x0):
-            return self.log_tail_from(z, b, 0.0)  # integrates b to z; raises below x0
-        with np.errstate(all="ignore"):
-            diff = float(np.subtract(*self.log_tails(np.array([z, b]))))
-        # outside the float range, the scalar tail raises its typed error
-        return diff if math.isfinite(diff) else self.log_tail(z) - self.log_tail(b)
-
     def log_tail_from(self, x: float, anchor: float, log_tail_anchor: float) -> float:
         """log_tail(x), given log_tail_anchor = log_tail(anchor) at another point >= x0.
 
@@ -398,22 +388,20 @@ def _admissible(raw: Callable[[float], float], x: float) -> bool:
 def _auto_x0(raw: Callable[[float], float], floor: float) -> float:
     """Smallest admissible point on the doubling grid e * 2^j.
 
-    Starts at max(1, e) and doubles outward until the raw tail is <= 1 with a
-    negative numeric slope, then walks the same grid back down toward `floor`
-    so that fast tails (e.g. exp(-x^3)) keep their natural support edge and
-    tail(x0) stays near 1. A tail steep enough to underflow to 0 at that
-    grid point is bisected in log x toward the inadmissible point below it,
-    the grid point or `floor`, down to the edge of admissibility. Only the
-    tail above x0 is ever used; everything below is completed by an atom at
-    x0.
+    Starts at max(1, e) and doubles outward, as far as the largest float,
+    until the raw tail is <= 1 with a negative numeric slope, then walks the
+    same grid back down toward `floor` so that fast tails (e.g. exp(-x^3))
+    keep their natural support edge and tail(x0) stays near 1. A tail steep
+    enough to underflow to 0 at that grid point is bisected in log x toward
+    the inadmissible point below it, the grid point or `floor`, down to the
+    edge of admissibility. Only the tail above x0 is ever used; everything
+    below is completed by an atom at x0.
     """
     x = _E
-    for _ in range(_BRACKET_CAP):
-        if _admissible(raw, x):
-            break
+    while not _admissible(raw, x):
         x *= 2.0
-    else:
-        raise DomainError("no admissible x0 found on the doubling grid")
+        if x > _X_MAX:
+            raise DomainError("no admissible x0 found on the doubling grid")
     while x * 0.5 >= floor and _admissible(raw, x * 0.5):
         x *= 0.5
     lo = max(x * 0.5, floor)
@@ -781,6 +769,9 @@ class GeneralizedVonMises(_HandleFamily):
         ft = self.f(t)
         if ft <= 0.0:
             raise DomainError(f"auxiliary function f must be positive, got f({t!r}) = {ft!r}")
+        if not math.isfinite(ft):
+            # g/f would be 0 there, and the tail integral would stop growing
+            raise DomainError(f"auxiliary function f({t!r}) = {ft!r} is beyond the float range")
         return self.g(t) / ft
 
     def _log_c(self, x):

@@ -22,9 +22,7 @@ from evt_accompany.analysis import (
     simulate_max,
 )
 from evt_accompany.approx import (
-    Accompanying,
-    Gumbel,
-    accompanying_law,
+    evaluate,
     exact_max_cdf,
     gumbel_cdf,
     two_term,
@@ -73,7 +71,7 @@ def grid61(dist, pair, lo=-2.0, hi=6.0):
         x = lo + (hi - lo) * i / 60.0
         if pair.b + pair.a * x < dist.x0:
             continue
-        if gamma_exact(dist, pair, x).value < cut:
+        if gamma_exact(dist, pair, x) < cut:
             continue
         xs.append(x)
     return xs
@@ -100,13 +98,15 @@ def test_criterion_1_master_identity():
         for n in (10, 10 ** 3, 10 ** 6):
             pair = norming_exact(dist, n)
             for x in grid61(dist, pair):
-                gap = abs(two_term(dist, pair, x) - exact_max_cdf(dist, pair, x))
+                gap = abs(two_term(x, gamma_exact(dist, pair, x), n)
+                          - exact_max_cdf(dist, pair, x))
                 worst = max(worst, gap)
                 points += 1
     # closed-scalar anchor: exponential, n = 2, x = 0 gives exactly 1/4
     d = ExponentialUnit()
     pair2 = norming_exact(d, 2)
-    anchor = abs(exact_max_cdf(d, pair2, 0.0) - 0.25) + abs(two_term(d, pair2, 0.0) - 0.25)
+    anchor = (abs(exact_max_cdf(d, pair2, 0.0) - 0.25)
+              + abs(two_term(0.0, gamma_exact(d, pair2, 0.0), 2) - 0.25))
     ok = worst <= 1e-10 and anchor <= 1e-13 and points > 1000
     report(1, "master identity", ok,
            f"max |F^n - two-term| = {worst:.3e} over {points} points; anchor gap {anchor:.1e}")
@@ -119,7 +119,7 @@ def test_criterion_2_accompanying_power_rate():
     grid = [10 ** k for k in range(2, 9)]
     results = []
     for metric in (AtPoint(1.0), SupOnGrid()):
-        fit = fit_rate(error_curve(d, Accompanying(), metric, grid), POWER_IN_N)
+        fit = fit_rate(error_curve(d, "accompanying", metric, grid), POWER_IN_N)
         results.append((metric.label, fit))
     ok = all(-1.15 <= f.exponent <= -0.85 and f.r_squared >= 0.99 for _, f in results)
     detail = "; ".join(f"{label}: slope={f.exponent:.3f} r2={f.r_squared:.4f}"
@@ -152,7 +152,7 @@ def test_criterion_4_correction_formulas():
         dist = WeibullLike(1.0, p, alpha)
         pair = norming_weibull_closed(1.0, p, 0.0, CONST1, n)  # canonical pure pair
         for x in xs:
-            gap = gamma_exact(dist, pair, x).value - x
+            gap = gamma_exact(dist, pair, x) - x
             pred = correction_weibull_like(p, alpha, n, x)
             if pred == 0.0:
                 continue
@@ -162,7 +162,7 @@ def test_criterion_4_correction_formulas():
         pair = norming_logweibull_closed(1.0, 2.0, 0.0, CONST1, n)
         fn = logweibull_alpha_fn(1.0, 2.0, alpha)
         for x in xs:
-            gap = gamma_exact(dist, pair, x).value - x
+            gap = gamma_exact(dist, pair, x) - x
             pred = correction_logweibull(0.5, 2.0, fn, pair, x, n)
             checks.append((f"logweibull alpha={alpha:g} x={x:g}", gap / pred))
     bad = [(label, r) for label, r in checks if not 0.85 <= r <= 1.15]
@@ -223,10 +223,11 @@ def test_criterion_6_exponential_exactness():
     for n in (10 ** 2, 10 ** 4, 10 ** 6):
         pair = norming_exact(d, n)
         for x in grid61(d, pair):
-            worst_gamma = max(worst_gamma, abs(gamma_exact(d, pair, x).value - x))
+            worst_gamma = max(worst_gamma, abs(gamma_exact(d, pair, x) - x))
             worst_law = max(worst_law,
-                            abs(accompanying_law(d, pair, x) - gumbel_cdf(x)))
-    fit = fit_rate(error_curve(d, Gumbel(), SupOnGrid(),
+                            abs(evaluate("accompanying", x, gamma_exact(d, pair, x), n)
+                                - gumbel_cdf(x)))
+    fit = fit_rate(error_curve(d, "gumbel", SupOnGrid(),
                                [10 ** k for k in range(2, 7)]), POWER_IN_N)
     ok = worst_gamma <= 1e-12 and worst_law <= 1e-12 and -1.05 <= fit.exponent <= -0.95
     report(6, "exponential calibration", ok,
@@ -259,8 +260,8 @@ def test_criterion_7_gamma_route_agreement():
                 x = -2.0 + 8.0 * i / 60.0
                 if pair.b + pair.a * x < dist.x0:
                     continue
-                gap = abs(gamma_exact(dist, pair, x).value
-                          - gamma_quadrature(dist, pair, x).value)
+                gap = abs(gamma_exact(dist, pair, x)
+                          - gamma_quadrature(dist, pair, x))
                 if gap > worst:
                     worst, where = gap, f"{dist.label} n={n} x={x:.2f}"
     ok = worst <= 1e-8

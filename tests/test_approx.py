@@ -5,26 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evt_accompany.analysis import SupOnGrid, guarded_points
+from evt_accompany.analysis import SupOnGrid, guarded_xs
 from evt_accompany.approx import (
-    Accompanying,
-    EvalPoint,
-    FirstOrderCorrected,
-    Gumbel,
-    SecondOrder,
-    TwoTerm,
-    accompanying_law,
     evaluate,
-    evaluate_at,
-    exact_and_gamma,
     exact_and_gammas,
     exact_max_cdf,
     first_order_corrected,
     gumbel_cdf,
     h_function,
-    second_order_approx,
     sigma_series,
     two_term,
+    weibull_preset,
 )
 from evt_accompany.errors import DivergenceError, DomainError
 from evt_accompany.gamma import gamma_exact
@@ -58,10 +49,21 @@ def guarded_grid(dist, pair, lo=-2.0, hi=6.0, steps=61, slack=0.5):
         x = lo + (hi - lo) * i / (steps - 1)
         if pair.b + pair.a * x < dist.x0:
             continue
-        if gamma_exact(dist, pair, x).value < cut:
+        if gamma_exact(dist, pair, x) < cut:
             continue
         out.append(x)
     return out
+
+
+def exact_and_gamma(dist, pair, x):
+    """(law, gamma) at one point through exact_and_gammas; gamma is NaN below x0."""
+    exact, gamma = exact_and_gammas(dist, pair, [x])
+    return float(exact[0]), float(gamma[0])
+
+
+def approx_at(name, dist, pair, x, *params):
+    """The approximant `name` at one point, from exact_and_gammas's gamma."""
+    return evaluate(name, x, exact_and_gamma(dist, pair, x)[1], pair.n, *params)
 
 
 # -- exact_max_cdf -----------------------------------------------------------
@@ -121,30 +123,30 @@ def test_handle_law_matches_tail_integrated_from_x0(dist, n):
     for x in xs:
         want = law_from_x0(dist, pair, x)
         assert abs(exact_max_cdf(dist, pair, x) - want) <= 1e-10
-        assert abs(two_term(dist, pair, x) - want) <= 1e-10
+        assert abs(two_term(x, gamma_exact(dist, pair, x), pair.n) - want) <= 1e-10
 
 
 @pytest.mark.parametrize("dist", FAMILIES + HANDLE_FAMILIES[1:], ids=lambda d: d.label)
 def test_exact_and_gamma_match_single_point_routes(dist):
     pair = norming_exact(dist, 10 ** 6)
-    kinds = (Gumbel(), Accompanying(), TwoTerm(), FirstOrderCorrected(),
-             SecondOrder(rho=-0.5, a_n=lambda n: 0.01))
+    kinds = (("gumbel", ()), ("accompanying", ()), ("two_term", ()), ("first_order", ()),
+             ("second_order", (-0.5, 0.01)))
     closed = not isinstance(dist, (IteratedLogScale, GeneralizedVonMises))
     for x in guarded_grid(dist, pair, steps=17):
         _, g = exact_and_gamma(dist, pair, x)
-        want = gamma_exact(dist, pair, x).value
+        want = gamma_exact(dist, pair, x)
         if closed:  # same rounding, signed zero at x = 0 included
             assert repr(g) == repr(want)
         else:
             assert g == pytest.approx(want, abs=1e-12)
-        for kind in kinds:
-            if isinstance(kind, SecondOrder) and x <= 0.0:
+        for name, params in kinds:
+            if name == "second_order" and x <= 0.0:
                 continue
-            got = evaluate_at(kind, x, g, pair.n)
+            got = evaluate(name, [x], [g], pair.n, *params)
             if closed:
-                assert got == evaluate(dist, pair, x, kind)
+                assert got == evaluate(name, x, want, pair.n, *params)
             else:
-                assert got == pytest.approx(evaluate(dist, pair, x, kind), abs=1e-13)
+                assert got == pytest.approx(evaluate(name, x, want, pair.n, *params), abs=1e-13)
 
 
 def test_exact_and_gamma_below_support():
@@ -153,13 +155,13 @@ def test_exact_and_gamma_below_support():
     exact, g = exact_and_gamma(d, pair, -50.0)
     assert math.isnan(g)
     assert exact == exact_max_cdf(d, pair, -50.0)
-    assert evaluate_at(Accompanying(), [-50.0], [g], 100)[0] == accompanying_law(d, pair, -50.0)
-    assert evaluate_at(Gumbel(), [-50.0], [g], 100)[0] == gumbel_cdf(-50.0)
+    assert evaluate("accompanying", [-50.0], [g], 100)[0] == approx_at("accompanying", d, pair, -50.0)
+    assert evaluate("gumbel", [-50.0], [g], 100)[0] == gumbel_cdf(-50.0)
     # the first-order charge takes the cutoff gamma = -log n there
-    assert (evaluate_at(FirstOrderCorrected(), [-50.0], [g], 100)[0]
+    assert (evaluate("first_order", [-50.0], [g], 100)[0]
             == first_order_corrected(-50.0, -math.log(100)))
     with pytest.raises(DomainError):
-        evaluate_at(TwoTerm(), [-50.0], [g], 100)
+        evaluate("two_term", [-50.0], [g], 100)
 
 
 # -- the grid walk ------------------------------------------------------------
@@ -259,7 +261,7 @@ def test_grid_walk_integrates_each_point_from_its_neighbour():
     count[0] = nodes[0] = 0
     assert walked_nodes <= 2 * 15 * len(SUP_GRID)
     for x in SUP_GRID:
-        exact_and_gamma(dist, pair, x)
+        exact_max_cdf(dist, pair, x)
     assert walked <= 10 * len(SUP_GRID)
     assert count[0] >= 3 * walked
     assert nodes[0] >= walked_nodes
@@ -281,7 +283,10 @@ def test_grid_walk_names_the_failing_point():
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_non_finite_x_is_a_domain_error(dist, x):
     pair = norming_exact(dist, 1000)
-    for fn in (exact_max_cdf, exact_and_gamma, gamma_exact, accompanying_law, two_term):
+    routes = (exact_max_cdf, exact_and_gamma, gamma_exact,
+              lambda dist, pair, x: approx_at("accompanying", dist, pair, x),
+              lambda dist, pair, x: two_term(x, gamma_exact(dist, pair, x), pair.n))
+    for fn in routes:
         with pytest.raises(DomainError, match="finite"):
             fn(dist, pair, x)
 
@@ -302,23 +307,23 @@ def test_accompanying_equals_gumbel_for_exponential():
     for n in (10, 10 ** 5):
         pair = norming_exact(d, n)
         for x in (-math.log(n) + 0.01, -1.0, 0.0, 3.0):
-            assert accompanying_law(d, pair, x) == pytest.approx(
+            assert approx_at("accompanying", d, pair, x) == pytest.approx(
                 gumbel_cdf(x), abs=1e-12)
 
 
 def test_accompanying_cutoff_branch():
     d = ExponentialUnit()
     pair = norming_exact(d, 1000)
-    assert accompanying_law(d, pair, -math.log(1000) - 0.5) == 0.0
+    assert approx_at("accompanying", d, pair, -math.log(1000) - 0.5) == 0.0
 
 
 def test_accompanying_weibull_anchor():
     # gamma(1) = 1 + 1/(4 log n) at log n = 16, so B_n(1) = exp(-e^-gamma)
     d = WeibullLike(1.0, 2.0, 0.0)
     pair = norming_exact(d, N_E16)
-    g = gamma_exact(d, pair, 1.0).value
+    g = gamma_exact(d, pair, 1.0)
     want = math.exp(-math.exp(-g))  # exp-of-exp oracle
-    got = accompanying_law(d, pair, 1.0)
+    got = approx_at("accompanying", d, pair, 1.0)
     assert got == pytest.approx(want, rel=1e-13)
     assert got == pytest.approx(0.6961598, abs=2e-6)
 
@@ -329,7 +334,7 @@ def test_accompanying_pointwise_limit():
             gaps = []
             for k in (2, 4, 6, 8):
                 pair = norming_exact(d, 10 ** k)
-                gaps.append(abs(accompanying_law(d, pair, x) - gumbel_cdf(x)))
+                gaps.append(abs(approx_at("accompanying", d, pair, x) - gumbel_cdf(x)))
             for lo, hi in zip(gaps, gaps[1:]):
                 assert hi <= lo + 1e-14
 
@@ -342,21 +347,21 @@ def test_sigma_closed_form_oracle():
     d = ExponentialUnit()
     pair = norming_exact(d, 2)
     want = 4.0 * (math.log(2.0) - 0.5)
-    assert sigma_series(d, pair, 0.0) == pytest.approx(want, rel=1e-14)
+    assert sigma_series(gamma_exact(d, pair, 0.0), pair.n) == pytest.approx(want, rel=1e-14)
 
 
 def test_sigma_vanishes_for_large_gamma():
     d = ExponentialUnit()
     pair = norming_exact(d, 1000)
-    assert sigma_series(d, pair, 400.0) == 0.0
+    assert sigma_series(gamma_exact(d, pair, 400.0), pair.n) == 0.0
 
 
 def test_sigma_geometric_tail_bound():
     d = ExponentialUnit()
     for n, x in ((2, 0.0), (10, 0.5), (1000, -2.0)):
         pair = norming_exact(d, n)
-        g = gamma_exact(d, pair, x).value
-        sigma = sigma_series(d, pair, x)
+        g = gamma_exact(d, pair, x)
+        sigma = sigma_series(g, n)
         lead = math.exp(-2.0 * g) / 2.0
         bound = math.exp(-3.0 * g) / (3.0 * n) / (1.0 - math.exp(-g) / n)
         assert 0.0 <= sigma - lead <= bound * (1.0 + 1e-12)
@@ -368,8 +373,9 @@ def test_sigma_diverges_at_cutoff():
     # the boundary point
     d = ExponentialUnit()
     pair = norming_exact(d, 10)
+    edge = (d.x0 - pair.b) / pair.a  # -log 10, where b + a x is x0 without rounding
     with pytest.raises(DivergenceError):
-        sigma_series(d, pair, -math.log(10.0))
+        sigma_series(gamma_exact(d, pair, edge), pair.n)
 
 
 # -- two-term / master identity ------------------------------------------------
@@ -377,16 +383,17 @@ def test_sigma_diverges_at_cutoff():
 def test_two_term_identity_small_n():
     d = ExponentialUnit()
     pair = norming_exact(d, 2)
-    assert two_term(d, pair, 0.0) == pytest.approx(0.25, abs=1e-14)
-    assert two_term(d, pair, 0.0) == pytest.approx(exact_max_cdf(d, pair, 0.0), abs=1e-14)
+    g = gamma_exact(d, pair, 0.0)
+    assert two_term(0.0, g, pair.n) == pytest.approx(0.25, abs=1e-14)
+    assert two_term(0.0, g, pair.n) == pytest.approx(exact_max_cdf(d, pair, 0.0), abs=1e-14)
 
 
 def test_two_term_close_to_accompanying_for_large_gamma():
     d = ExponentialUnit()
     pair = norming_exact(d, 1000)
     x = 8.0
-    g = gamma_exact(d, pair, x).value
-    assert abs(two_term(d, pair, x) - accompanying_law(d, pair, x)) <= (
+    g = gamma_exact(d, pair, x)
+    assert abs(two_term(x, g, pair.n) - approx_at("accompanying", d, pair, x)) <= (
         math.exp(-2.0 * g) / 1000.0)
 
 
@@ -397,7 +404,7 @@ def test_master_identity_on_guarded_grid(dist, n):
         pytest.skip("quantile level below the tail at x0")
     pair = norming_exact(dist, n)
     for x in guarded_grid(dist, pair):
-        gap = abs(two_term(dist, pair, x) - exact_max_cdf(dist, pair, x))
+        gap = abs(two_term(x, gamma_exact(dist, pair, x), n) - exact_max_cdf(dist, pair, x))
         assert gap <= 1e-10
 
 
@@ -420,7 +427,7 @@ def test_first_order_consistency_rate():
     pair = norming_exact(d, 10 ** 8)
     for x in (0.5, 1.0, 2.0):
         exact = exact_max_cdf(d, pair, x)
-        g = gamma_exact(d, pair, x).value
+        g = gamma_exact(d, pair, x)
         corrected = first_order_corrected(x, g)
         ratio = abs(exact - corrected) / abs(exact - gumbel_cdf(x))
         assert ratio <= 0.3
@@ -454,8 +461,9 @@ def test_second_order_reduces_to_two_term_when_h_vanishes():
     # the bare Gumbel exponent
     d = WeibullLike(1.0, 2.0, 0.0)
     pair = norming_exact(d, 10 ** 4)
-    got = second_order_approx(d, pair, 1.0, 0.0, 0.123)
-    want = math.exp(-math.exp(-1.0) - sigma_series(d, pair, 1.0) / pair.n)
+    g = gamma_exact(d, pair, 1.0)
+    got = evaluate("second_order", 1.0, g, pair.n, 0.0, 0.123)
+    want = math.exp(-math.exp(-1.0) - sigma_series(g, pair.n) / pair.n)
     assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -463,29 +471,27 @@ def test_second_order_rejects_nonpositive_x():
     d = WeibullLike(1.0, 2.0, 0.0)
     pair = norming_exact(d, 10 ** 4)
     with pytest.raises(DomainError):
-        second_order_approx(d, pair, 0.0, 0.0, 0.1)
+        evaluate("second_order", 0.0, gamma_exact(d, pair, 0.0), pair.n, 0.0, 0.1)
 
 
 def test_second_order_weibull_preset():
     # rho = 0 with A(n) = 1/(p log n): the rate handle vanishes along n and
     # the approximant stays a proper probability on x > 0
-    kind = SecondOrder.weibull_preset(2.0)
-    assert kind.rho == 0.0
-    rates = [kind.a_n(10 ** k) for k in range(2, 9)]
+    rates = [weibull_preset(2.0, 10 ** k) for k in range(2, 9)]
     assert all(hi < lo for lo, hi in zip(rates, rates[1:]))
     assert rates[-1] < 0.03
     d = WeibullLike(1.0, 2.0, 0.0)
     pair = norming_exact(d, 10 ** 6)
     for x in (0.5, 1.0, 2.0, 5.0):
-        v = evaluate(d, pair, x, kind)
+        v = approx_at("second_order", d, pair, x, 0.0, weibull_preset(2.0, pair.n))
         assert 0.0 < v <= 1.0
 
 
 def test_second_order_requires_valid_rho():
     with pytest.raises(DomainError):
-        SecondOrder(rho=0.5)
+        evaluate("second_order", 1.0, 1.0, 10 ** 4, 0.5, 0.1)
     with pytest.raises(DomainError):
-        SecondOrder.weibull_preset(0.0)
+        weibull_preset(0.0, 10 ** 4)
 
 
 # -- dispatcher / ranges -------------------------------------------------------
@@ -494,19 +500,19 @@ def test_evaluate_dispatch_matches_direct_calls():
     d = WeibullLike(1.0, 2.0, 0.0)
     pair = norming_exact(d, 10 ** 4)
     x = 1.2
-    assert evaluate(d, pair, x, Gumbel()) == gumbel_cdf(x)
-    assert evaluate(d, pair, x, Accompanying()) == accompanying_law(d, pair, x)
-    assert evaluate(d, pair, x, TwoTerm()) == two_term(d, pair, x)
-    g = gamma_exact(d, pair, x).value
-    assert evaluate(d, pair, x, FirstOrderCorrected()) == first_order_corrected(x, g)
+    g = gamma_exact(d, pair, x)
+    assert evaluate("gumbel", x, g, pair.n) == gumbel_cdf(x)
+    assert evaluate("accompanying", x, g, pair.n) == approx_at("accompanying", d, pair, x)
+    assert evaluate("two_term", x, g, pair.n) == two_term(x, g, pair.n)
+    assert evaluate("first_order", x, g, pair.n) == first_order_corrected(x, g)
 
 
 def test_ranges_on_guarded_grid():
     for d in FAMILIES:
         pair = norming_exact(d, 10 ** 3)
         for x in guarded_grid(d, pair, steps=31):
-            for kind in (Gumbel(), Accompanying(), TwoTerm()):
-                v = evaluate(d, pair, x, kind)
+            for name in ("gumbel", "accompanying", "two_term"):
+                v = approx_at(name, d, pair, x)
                 assert 0.0 <= v <= 1.0
             assert 0.0 <= exact_max_cdf(d, pair, x) <= 1.0
 
@@ -514,14 +520,9 @@ def test_ranges_on_guarded_grid():
 def test_accompanying_monotone_in_x():
     for d in FAMILIES:
         pair = norming_exact(d, 10 ** 4)
-        vals = [accompanying_law(d, pair, -3.0 + 0.3 * i) for i in range(31)]
+        vals = [approx_at("accompanying", d, pair, -3.0 + 0.3 * i) for i in range(31)]
         for lo, hi in zip(vals, vals[1:]):
             assert hi >= lo
-
-
-def test_eval_point_signed_error():
-    pt = EvalPoint(x=1.0, exact=0.7, approx=0.65)
-    assert pt.signed_error == pytest.approx(0.05, abs=1e-15)
 
 
 # -- properties of the closed-form families ---------------------------------------
@@ -543,5 +544,5 @@ def test_closed_form_law_is_monotone_and_meets_the_identity(case):
     exact, _ = exact_and_gammas(dist, pair, np.linspace(-5.0, 10.0, 301))
     assert np.all(np.diff(exact) >= 0.0)
     # the gap check-identity reports on its default grid
-    xs, exact, gamma = guarded_points(dist, pair, SupOnGrid(x_lo=-2.0, x_hi=6.0, steps=61))
-    assert np.abs(exact - evaluate_at(TwoTerm(), xs, gamma, n)).max(initial=0.0) <= 1e-10
+    xs, exact, gamma = guarded_xs(dist, pair, SupOnGrid(x_lo=-2.0, x_hi=6.0, steps=61))
+    assert np.abs(exact - two_term(xs, gamma, n)).max(initial=0.0) <= 1e-10

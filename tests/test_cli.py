@@ -337,7 +337,9 @@ def test_closed_logweibull_iterate_below_zero_is_a_divergence_error(tmp_path, ca
         "norming", "--dist", "logweibull:c=4.256370307962582,p=1.5103992641596542,"
         "alpha=-8.629761913137253,ell=logpow:9.494696836249073:1e-16", "--n", "199509"])
     assert code == 4
-    assert capsys.readouterr().err.startswith("error (DivergenceError)")
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error (DivergenceError)")
+    assert err.endswith(" (at n=199509)")
 
 
 def test_exit_numerical_error_degenerate_fit(tmp_path, capsys):

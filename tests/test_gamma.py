@@ -4,9 +4,6 @@ import pytest
 
 from evt_accompany.errors import DomainError
 from evt_accompany.gamma import (
-    CLOSED_FORM_WEIBULL,
-    EXACT_TAIL_RATIO,
-    QUADRATURE,
     correction_generalized_weibull,
     correction_logweibull,
     correction_weibull_like,
@@ -61,14 +58,13 @@ def test_exact_exponential_is_identity():
     for n in (10, 10 ** 6):
         pair = norming_exact(d, n)
         got = gamma_exact(d, pair, 2.5)
-        assert got.value == pytest.approx(2.5, abs=1e-12)
-        assert got.route == EXACT_TAIL_RATIO
+        assert got == pytest.approx(2.5, abs=1e-12)
 
 
 def test_exact_zero_at_origin():
     for d in FAMILIES:
         pair = norming_exact(d, 10 ** 4)
-        assert gamma_exact(d, pair, 0.0).value == pytest.approx(0.0, abs=1e-11)
+        assert gamma_exact(d, pair, 0.0) == pytest.approx(0.0, abs=1e-11)
 
 
 def test_exact_weibull_p2_anchor():
@@ -76,7 +72,7 @@ def test_exact_weibull_p2_anchor():
     # which is 1.015625 at log n = 16
     d = WeibullLike(1.0, 2.0, 0.0)
     pair = norming_exact(d, N_E16)
-    got = gamma_exact(d, pair, 1.0).value
+    got = gamma_exact(d, pair, 1.0)
     oracle = (pair.b + pair.a) ** 2 - pair.b ** 2
     assert got == pytest.approx(oracle, abs=1e-10)
     assert got == pytest.approx(1.015625, abs=1e-6)
@@ -90,7 +86,7 @@ def test_exact_increasing_in_x():
         for x in xs:
             if pair.b + pair.a * x < d.x0:
                 continue
-            vals.append(gamma_exact(d, pair, x).value)
+            vals.append(gamma_exact(d, pair, x))
         for lo, hi in zip(vals, vals[1:]):
             assert hi > lo
 
@@ -108,23 +104,22 @@ def test_quadrature_exponential_negative_x():
     d = ExponentialUnit()
     pair = norming_exact(d, 100)
     got = gamma_quadrature(d, pair, -1.0)
-    assert got.value == pytest.approx(-1.0, abs=1e-12)
-    assert got.route == QUADRATURE
+    assert got == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_quadrature_matches_exact_weibull_anchor():
     d = WeibullLike(1.0, 2.0, 0.0)
     pair = norming_exact(d, N_E16)
-    q = gamma_quadrature(d, pair, 1.0).value
-    e = gamma_exact(d, pair, 1.0).value
+    q = gamma_quadrature(d, pair, 1.0)
+    e = gamma_exact(d, pair, 1.0)
     assert q == pytest.approx(e, abs=1e-9)
 
 
 def test_quadrature_matches_exact_iterated_log():
     d = IteratedLogScale(2, 1.0, 1.0)
     pair = norming_exact(d, 10 ** 6)
-    q = gamma_quadrature(d, pair, 1.0).value
-    e = gamma_exact(d, pair, 1.0).value
+    q = gamma_quadrature(d, pair, 1.0)
+    e = gamma_exact(d, pair, 1.0)
     assert q == pytest.approx(e, abs=1e-8)
 
 
@@ -137,10 +132,10 @@ def test_route_agreement_on_grid(dist, n):
         x = -2.0 + 0.5 * i
         if pair.b + pair.a * x < dist.x0:
             continue
-        e = gamma_exact(dist, pair, x).value
+        e = gamma_exact(dist, pair, x)
         if e < guard:
             continue
-        q = gamma_quadrature(dist, pair, x).value
+        q = gamma_quadrature(dist, pair, x)
         assert abs(e - q) <= 1e-8
 
 
@@ -148,21 +143,20 @@ def test_route_agreement_on_grid(dist, n):
 
 def test_closed_weibull_p1_identity():
     got = gamma_closed_weibull(1.0, 10 ** 3, 7.0)
-    assert got.value == 7.0
-    assert got.route == CLOSED_FORM_WEIBULL
+    assert got == 7.0
 
 
 def test_closed_weibull_direct_substitution():
     # log n = 1, p = 2, x = 2: 1 * ((1 + 2/2)^2 - 1) = 3
     got = gamma_closed_weibull(2.0, math.e, 2.0)
-    assert got.value == pytest.approx(3.0, rel=1e-12)
+    assert got == pytest.approx(3.0, rel=1e-12)
 
 
 def test_closed_weibull_correction_scaling():
     # gamma - x = x^2/(4 log n) + O(log^-2 n) at p = 2: ratio test at huge log n
     n = 1e300  # log n ~ 690
     x = 1.5
-    gap = gamma_closed_weibull(2.0, n, x).value - x
+    gap = gamma_closed_weibull(2.0, n, x) - x
     assert gap * 4.0 * math.log(n) / x ** 2 == pytest.approx(1.0, abs=1e-2)
 
 
@@ -178,8 +172,8 @@ def test_closed_form_fidelity_under_canonical_pair(p):
     for n in (10 ** 3, 10 ** 6):
         pair = pure_weibull_pair(1.0, p, n)
         for x in (-1.0, 0.5, 2.0, 5.0):
-            e = gamma_exact(d, pair, x).value
-            c = gamma_closed_weibull(p, n, x).value
+            e = gamma_exact(d, pair, x)
+            c = gamma_closed_weibull(p, n, x)
             assert abs(e - c) <= 1e-10
 
 
@@ -193,7 +187,7 @@ def test_gamma_tends_to_x(dist):
             pair = norming_exact(dist, 10 ** k)
             if pair.b + pair.a * x < dist.x0:
                 continue
-            gaps.append(abs(gamma_exact(dist, pair, x).value - x))
+            gaps.append(abs(gamma_exact(dist, pair, x) - x))
         assert len(gaps) >= 5
         for lo, hi in zip(gaps, gaps[1:]):
             assert hi <= lo + 1e-12
@@ -215,7 +209,7 @@ def test_correction_generalized_first_term_only():
     got = correction_generalized_weibull(0.5, 2.0, lambda t: 0.0, pair, 1.0)
     assert got == pytest.approx(1.0 / 64.0, abs=1e-9)
     d = WeibullLike(1.0, 2.0, 0.0)
-    gap = gamma_exact(d, pair, 1.0).value - 1.0
+    gap = gamma_exact(d, pair, 1.0) - 1.0
     assert got == pytest.approx(gap, rel=1e-9)
 
 
@@ -226,7 +220,7 @@ def test_correction_generalized_with_alpha_term():
     fn = weibull_alpha_fn(c, p, alpha)
     for x in (0.5, 1.0):
         pred = correction_generalized_weibull(1.0 / (c * p), p, fn, pair, x)
-        gap = gamma_exact(d, pair, x).value - x
+        gap = gamma_exact(d, pair, x) - x
         assert gap / pred == pytest.approx(1.0, abs=0.1)
 
 
@@ -246,7 +240,7 @@ def test_correction_weibull_like_tracks_exact():
     d = WeibullLike(c, p, alpha)
     pair = pure_weibull_pair(c, p, n)
     for x in (0.5, 1.0, 2.0):
-        gap = gamma_exact(d, pair, x).value - x
+        gap = gamma_exact(d, pair, x) - x
         pred = correction_weibull_like(p, alpha, n, x)
         assert gap / pred == pytest.approx(1.0, abs=0.1)
 
@@ -263,7 +257,7 @@ def test_correction_logweibull_pure_tracks_exact():
     for n, tol in ((10 ** 6, 0.15), (1e100, 0.03)):
         pair = pure_logweibull_pair(c, p, n) if n <= 2 ** 62 else _huge_pure_pair(c, p, n)
         x = 1.0
-        gap = gamma_exact(d, pair, x).value - x
+        gap = gamma_exact(d, pair, x) - x
         pred = correction_logweibull(1.0 / (c * p), p, lambda t: 0.0, pair, x, n)
         assert pred < 0.0
         assert gap / pred == pytest.approx(1.0, abs=tol)
@@ -283,7 +277,7 @@ def test_correction_logweibull_alpha_tracks_exact():
     pair = pure_logweibull_pair(c, p, n)
     fn = logweibull_alpha_fn(c, p, alpha)
     for x in (0.5, 1.0, 2.0):
-        gap = gamma_exact(d, pair, x).value - x
+        gap = gamma_exact(d, pair, x) - x
         pred = correction_logweibull(1.0 / (c * p), p, fn, pair, x, n)
         assert gap / pred == pytest.approx(1.0, abs=0.12)
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evt_accompany.approx import Accompanying, TwoTerm, _sigma, evaluate_at, first_order_corrected
+from evt_accompany.approx import evaluate, first_order_corrected, sigma_series, two_term
 from evt_accompany.errors import DivergenceError
 
 mpmath = pytest.importorskip("mpmath")
@@ -55,7 +55,7 @@ def assert_close(got, want, condition):
 @given(guarded_gamma_and_n())
 def test_accompanying_law_matches_mpmath(case):
     gamma, n = case
-    got = float(evaluate_at(Accompanying(), [0.0], [gamma], n)[0])
+    got = evaluate("accompanying", 0.0, gamma, n)
     want = mp.exp(-mp.exp(-mp.mpf(gamma)))
     assert_close(got, want, math.exp(min(-gamma, 700.0)))
 
@@ -64,7 +64,7 @@ def test_accompanying_law_matches_mpmath(case):
 @given(guarded_gamma_and_n())
 def test_sigma_matches_mpmath(case):
     gamma, n = case
-    got = float(_sigma(np.array([gamma]), n)[0])
+    got = sigma_series(gamma, n)
     want = mp_sigma(mp.mpf(gamma), n)
     if mp.exp(-2 * mp.mpf(gamma)) > FLOAT_MAX or want > FLOAT_MAX:
         assert got == math.inf  # beyond the float range
@@ -76,7 +76,7 @@ def test_sigma_matches_mpmath(case):
 @given(guarded_gamma_and_n())
 def test_two_term_law_matches_mpmath(case):
     gamma, n = case
-    got = float(evaluate_at(TwoTerm(), [0.0], [gamma], n)[0])
+    got = two_term(0.0, gamma, n)
     exponent = mp.exp(-mp.mpf(gamma)) + mp_sigma(mp.mpf(gamma), n) / n
     want = mp.exp(-exponent)
     assert_close(got, want, float(min(exponent, 1e300)))
@@ -101,9 +101,9 @@ def test_first_order_charge_matches_mpmath(x, shift, far_gamma):
 def test_sigma_diverges_at_and_below_the_cutoff(n):
     for gamma in (-math.log(n), -math.log(n) - 1.0):
         with pytest.raises(DivergenceError, match="diverges"):
-            _sigma(np.array([1.0, gamma]), n)
+            sigma_series(np.array([1.0, gamma]), n)
         with pytest.raises(DivergenceError, match="diverges"):
-            evaluate_at(TwoTerm(), [0.0], [gamma], n)
+            two_term(0.0, gamma, n)
 
 
 @pytest.mark.parametrize("n", [10, 10 ** 6, 10 ** 150], ids=["1e1", "1e6", "1e150"])
@@ -112,4 +112,4 @@ def test_sigma_stops_at_the_term_cap(n):
     # n = 1e154 the leading term e^-2gamma itself overflows there.)
     gamma = -math.log(n) - math.log1p(-1e-9)
     with pytest.raises(DivergenceError, match="more than 200 terms"):
-        _sigma(np.array([1.0, gamma]), n)
+        sigma_series(np.array([1.0, gamma]), n)

@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evt_accompany import quadrature
-from evt_accompany.analysis import _min_tail_levels
+from evt_accompany.analysis import SupOnGrid, _min_tail_levels, guarded_xs
+from evt_accompany.approx import two_term
 from evt_accompany.errors import DomainError, ParseError
+from evt_accompany.norming import norming_exact
 from evt_accompany.tails import (
     DistributionSpec,
     ExponentialUnit,
@@ -279,6 +281,17 @@ def test_handle_quantile_beyond_the_float_range_is_a_domain_error():
     assert d.quantile_tail(0.1) == pytest.approx(math.exp(10.0), rel=1e-11)
 
 
+def test_handle_log_tail_where_f_overflows_is_a_domain_error():
+    # f = t log t overflows past about 2.5e305, where g/f would read 0 and the
+    # log tail would stay flat at -6.5557 instead of -log log x
+    d = GeneralizedVonMises(f=lambda t: t * math.log(t), g=lambda t: 1.0, c=lambda t: 1.0,
+                            x0=math.e)
+    for x in (1e306, 1e307, 1.7e308):
+        with pytest.raises(DomainError, match="beyond the float range"):
+            d.log_tail(x)
+    assert d.log_tail(1e305) == pytest.approx(-math.log(math.log(1e305)), abs=1e-12)
+
+
 # -- array quantile ----------------------------------------------------------
 
 HALF = SlowlyVarying.const(0.5)
@@ -532,6 +545,21 @@ def test_auto_x0_pure_weibull_reaches_support_edge():
     d = WeibullLike(1.0, 3.0, 0.0)
     assert d.x0 < 1e-12
     assert d.tail(d.x0) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_auto_x0_doubles_up_to_the_float_range():
+    # tail <= 1 only from log x = alpha^(1/(p - 1)), about 196, past the
+    # grid point e 2^199 (log x about 139)
+    d = parse_dist("logweibull:c=1,p=1.1281171539682422,alpha=1.965742466111506,ell=const:1")
+    assert 1e84 < d.x0 < 1e86
+    assert d.tail(d.x0) <= 1.0
+    pair = norming_exact(d, 10 ** 6)
+    xs, exact, gamma = guarded_xs(d, pair, SupOnGrid(steps=61))
+    assert xs.size >= 40  # the rest lie below x0
+    assert np.abs(exact - two_term(xs, gamma, pair.n)).max() <= 1e-10
+    # here the tail exceeds 1 up to log x = 2^100, beyond the float range
+    with pytest.raises(DomainError, match="no admissible x0"):
+        parse_dist("logweibull:c=1,p=1.01,alpha=2,ell=const:1")
 
 
 def test_explicit_x0_validated():
