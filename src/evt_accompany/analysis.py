@@ -89,18 +89,44 @@ class RateFit:
     r_squared: float
 
 
+def _guarded_rows(dist: DistributionSpec, pairs: Sequence[NormingPair], metric: SupOnGrid,
+                  approximant: str | None):
+    """(x, exact law, gamma, keep) over the grid points where the named
+    approximant is defined, the last three with a row per pair: keep masks
+    the points of each row that pass the support and series guards."""
+    xs = np.array(metric.grid())
+    where = APPROXIMANTS[approximant][1] if approximant is not None else None
+    if where is not None:
+        xs = xs[where(xs)]
+    exact, gamma = exact_and_gammas(dist, pairs, xs)
+    floors = np.array([-math.log(pair.n) + GUARD_SLACK for pair in pairs])
+    return xs, exact, gamma, gamma >= floors[:, None]  # False where gamma is NaN
+
+
 def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
                approximant: str | None = None):
     """(x, exact law, gamma) as arrays, at the grid points where the named
     approximant is defined that survive the support and series-convergence
     guards; one tail evaluation per point."""
-    xs = np.array(metric.grid())
-    where = APPROXIMANTS[approximant][1] if approximant is not None else None
-    if where is not None:
-        xs = xs[where(xs)]
-    exact, gamma = exact_and_gammas(dist, pair, xs)
-    keep = gamma >= -math.log(pair.n) + GUARD_SLACK  # False where gamma is NaN
+    xs, (exact,), (gamma,), (keep,) = _guarded_rows(dist, [pair], metric, approximant)
     return xs[keep], exact[keep], gamma[keep]
+
+
+def _curve_points(dist: DistributionSpec, approximant: str, metric: SupOnGrid | AtPoint,
+                  pairs: Sequence[NormingPair], params: Callable[[int], tuple]):
+    # (n, max |exact - approximant|) per pair, from one exact_and_gammas call
+    if isinstance(metric, AtPoint):
+        xs = np.array([metric.x])
+        exact, gamma = exact_and_gammas(dist, pairs, xs)
+        keep = np.ones(gamma.shape, dtype=bool)
+    else:
+        xs, exact, gamma, keep = _guarded_rows(dist, pairs, metric, approximant)
+    points = []
+    for pair, row_exact, row_gamma, row_keep in zip(pairs, exact, gamma, keep):
+        errors = np.abs(row_exact[row_keep] - evaluate(
+            approximant, xs[row_keep], row_gamma[row_keep], pair.n, *params(pair.n)))
+        points.append((pair.n, float(errors.max(initial=0.0))))
+    return points
 
 
 def error_curve(dist: DistributionSpec, approximant: str, metric: SupOnGrid | AtPoint,
@@ -109,21 +135,21 @@ def error_curve(dist: DistributionSpec, approximant: str, metric: SupOnGrid | At
     """max |exact - approximant| over the metric's points per n, under exact
     norming walked along n_grid; params(n) are the approximant's params at n.
 
-    Evaluation failures are re-raised with the offending n attached; a
-    failing grid point also names its x.
+    The whole (n, x) grid is one exact_and_gammas call. Evaluation failures
+    are re-raised with the offending n attached, and a failing grid point
+    also names its x: on any error the curve is evaluated again one n at a
+    time, so the error raised is that of the first failing n.
     """
-    points = []
-    for pair in norming_exacts(dist, n_grid):
-        try:
-            if isinstance(metric, AtPoint):
-                xs = np.array([metric.x])
-                exact, gamma = exact_and_gammas(dist, pair, xs)
-            else:
-                xs, exact, gamma = guarded_xs(dist, pair, metric, approximant)
-            errors = np.abs(exact - evaluate(approximant, xs, gamma, pair.n, *params(pair.n)))
-        except EvtError as exc:
-            raise exc.at(f"n={pair.n}") from exc
-        points.append((pair.n, float(errors.max(initial=0.0))))
+    pairs = norming_exacts(dist, n_grid)
+    try:
+        points = _curve_points(dist, approximant, metric, pairs, params)
+    except EvtError:
+        points = []
+        for pair in pairs:
+            try:
+                points += _curve_points(dist, approximant, metric, [pair], params)
+            except EvtError as exc:
+                raise exc.at(f"n={pair.n}") from exc
     return ErrorCurve(dist_label=dist.label, approximant=approximant,
                       metric=metric, points=tuple(points))
 

@@ -44,65 +44,90 @@ def _shaped(values: np.ndarray, like):
 # Exact law
 # ---------------------------------------------------------------------------
 
-def _law(log_s: np.ndarray, n: int) -> np.ndarray:
-    # exp(n log(1 - s)) via log1p; s = 1 (tail(x0) = 1) means F = 0
+def _law(log_s: np.ndarray, n: np.ndarray) -> np.ndarray:
+    # exp(n log(1 - s)) via log1p, n a column of row sizes; s = 1 (tail(x0) = 1)
+    # means F = 0
     s = np.exp(log_s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(s >= 1.0, 0.0, np.exp(float(n) * np.log1p(-s)))
+        return np.where(s >= 1.0, 0.0, np.exp(n * np.log1p(-s)))
 
 
-def exact_and_gammas(dist: DistributionSpec, pair: NormingPair,
+def exact_and_gammas(dist: DistributionSpec, pairs: NormingPair | Sequence[NormingPair],
                      xs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """(F^n(a x + b), gamma(x)) over the points xs (any order), as two arrays.
 
-    gamma = log tail(b) - log tail(b + a x). Closed forms take every log tail
-    from one dist.log_tails call. A tail that is an integral is walked out
-    from b (x >= 0 ascending, x < 0 descending), each point from the last,
-    with all the steps in one dist.log_tail_steps call, summed along each
-    direction in walk order. Below the support edge the law is the atom
-    completion F(x0)^n and gamma is NaN. A non-finite x or log tail, or a
-    failed step, is redone in walk order by the scalar log_tail_from, so the
-    first one raises its typed error, naming its x.
+    pairs is one NormingPair, for two flat arrays, or a sequence of them, for
+    two arrays of shape (len(pairs), len(xs)) whose row i is the one-pair
+    call on pairs[i], bit for bit.
+
+    gamma = log tail(b) - log tail(b + a x). Closed forms take every log tail,
+    each row's log tail(b) included, from one dist.log_tails call. A tail
+    that is an integral is walked out from each row's b (x >= 0 ascending,
+    x < 0 descending), each point from the last, with a row's steps in one
+    dist.log_tail_steps call, summed along each direction in walk order.
+    Below the support edge the law is the atom completion F(x0)^n and gamma
+    is NaN. A non-finite x, b + a x or log tail, or a failed step, is redone
+    row by row in walk order by the scalar log_tail_from, so the first one
+    raises its typed error, naming its x; a finite x whose b + a x leaves the
+    float range is a DomainError.
     """
+    rows = [pairs] if isinstance(pairs, NormingPair) else list(pairs)
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    b, x0 = pair.b, dist.x0
-    z = b + pair.a * xs
-    inside = z >= x0
-    log_tail = np.full(xs.shape, math.nan)
+    abn = np.array([(pair.a, pair.b, float(pair.n)) for pair in rows]).reshape(-1, 3)
+    a, b, n = abn.T[..., None]  # columns of the rows' a, b and n
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = b + a * xs
+    inside = z >= dist.x0
+    log_tail = np.full(z.shape, math.nan)
     if dist.log_tails is None:
-        log_tail_b = pair.log_tail_b if pair.log_tail_b is not None else dist.log_tail(b)
+        log_tail_b = [pair.log_tail_b if pair.log_tail_b is not None else dist.log_tail(pair.b)
+                      for pair in rows]
         walk = _walk_order(xs)
-        walked = walk[inside[walk]]
-        if walked.size and np.isfinite(xs).all():
-            try:
-                log_tail[walked] = _walk(dist, xs[walked] < 0.0, z[walked], b, log_tail_b)
-            except EvtError:
-                pass  # the scalar walk below raises it again, naming its x
+        for i, pair in enumerate(rows):
+            walked = walk[inside[i][walk]]
+            if walked.size and np.isfinite(z[i]).all():
+                try:
+                    log_tail[i][walked] = _walk(dist, xs[walked] < 0.0, z[i][walked], pair.b,
+                                                log_tail_b[i])
+                except EvtError:
+                    pass  # the scalar walk below raises it again, naming its x
     else:
         with np.errstate(all="ignore"):
             values = dist.log_tails(np.append(z[inside], b))
-        log_tail[inside], log_tail_b = values[:-1], float(values[-1])
-    redo = ~np.isfinite(xs) | (inside & ~np.isfinite(log_tail))
+        split = values.size - len(rows)
+        log_tail[inside], log_tail_b = values[:split], values[split:].tolist()
+    redo = ~np.isfinite(z) | (inside & ~np.isfinite(log_tail))
     if redo.any():
-        xl, zl, il = xs.tolist(), z.tolist(), inside.tolist()
-        anchors = {False: (b, log_tail_b), True: (b, log_tail_b)}  # keyed by x < 0
         walk = _walk_order(xs)
-        for i in walk[redo[walk]].tolist():
-            x = xl[i]
-            require_finite(x)
-            if not il[i]:
-                continue
-            try:
-                value = dist.log_tail_from(zl[i], *anchors[x < 0.0])
-            except EvtError as exc:
-                raise exc.at(f"grid x={x!r}") from exc
-            log_tail[i] = value
-            anchors[x < 0.0] = (zl[i], value)
+        for i in np.flatnonzero(redo.any(axis=1)).tolist():
+            _rewalk(dist, rows[i], log_tail_b[i], xs, z[i], walk[redo[i, walk]], log_tail[i])
     # NaN below x0; -0.0 at x = 0, where log_tail(z) is log_tail(b)
-    gamma = -(log_tail - log_tail_b)
+    gamma = -(log_tail - np.array(log_tail_b)[:, None])
     if not inside.all():
-        log_tail[~inside] = dist.log_tail(x0)
-    return _law(log_tail, pair.n), gamma
+        log_tail[~inside] = dist.log_tail(dist.x0)
+    exact = _law(log_tail, n)
+    return (exact[0], gamma[0]) if isinstance(pairs, NormingPair) else (exact, gamma)
+
+
+def _rewalk(dist: DistributionSpec, pair: NormingPair, log_tail_b: float, xs: np.ndarray,
+            z: np.ndarray, redo: np.ndarray, log_tail: np.ndarray) -> None:
+    # the points redo of one row, in walk order, by the scalar walk, each
+    # from the last point redone on its side of b, into that row's log_tail
+    anchors = {False: (pair.b, log_tail_b), True: (pair.b, log_tail_b)}  # keyed by x < 0
+    for i in redo.tolist():
+        x, zi = float(xs[i]), float(z[i])
+        require_finite(x)
+        if not math.isfinite(zi):
+            raise DomainError(f"b + a x = {pair.b!r} + {pair.a!r} x is outside the float "
+                              f"range").at(f"grid x={x!r}")
+        if zi < dist.x0:
+            continue
+        try:
+            value = dist.log_tail_from(zi, *anchors[x < 0.0])
+        except EvtError as exc:
+            raise exc.at(f"grid x={x!r}") from exc
+        log_tail[i] = value
+        anchors[x < 0.0] = (zi, value)
 
 
 def _walk_order(xs: np.ndarray) -> np.ndarray:

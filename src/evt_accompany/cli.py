@@ -186,8 +186,7 @@ def _finish(out_path: str | None, rows: list[str], summary: list[str]) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_table(args) -> int:
-    dist = parse_dist(args.dist)
+def _cmd_table(args, dist: DistributionSpec) -> int:
     n = _single_n(args)
     lo, hi, steps = _parse_window(args.x, "--x")
     names = _parse_approx(args.approx) if args.approx else []
@@ -216,8 +215,7 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _cmd_rates(args) -> int:
-    dist = parse_dist(args.dist)
+def _cmd_rates(args, dist: DistributionSpec) -> int:
     names = _parse_approx(args.approx) if args.approx else []
     if len(names) != 1:
         raise ParseError("--approx: rates takes exactly one approximant")
@@ -255,8 +253,7 @@ def _closed_norming(dist: DistributionSpec):
         f"log-Weibull-like only)")
 
 
-def _cmd_norming(args) -> int:
-    dist = parse_dist(args.dist)
+def _cmd_norming(args, dist: DistributionSpec) -> int:
     ns = _resolve_ns(args)
     closed_norming = _closed_norming(dist)
     rows = [_header(dist.label, "norming"), NORMING_COLUMNS]
@@ -276,8 +273,7 @@ def _cmd_norming(args) -> int:
     return 0
 
 
-def _cmd_check_identity(args) -> int:
-    dist = parse_dist(args.dist)
+def _cmd_check_identity(args, dist: DistributionSpec) -> int:
     n = _single_n(args)
     window = _parse_window(args.x, "--x") if args.x else (-2.0, 6.0, 61)
     metric = SupOnGrid(x_lo=window[0], x_hi=window[1], steps=window[2])
@@ -302,8 +298,7 @@ def _cmd_check_identity(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    dist = parse_dist(args.dist)
+def _cmd_simulate(args, dist: DistributionSpec) -> int:
     n = _single_n(args)
     if args.reps < 1:
         raise ParseError(f"--reps: needs a positive count, got {args.reps!r}")
@@ -422,7 +417,13 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-        return 0 if args is None else _COMMANDS[args.command][0](args)
+        if args is None:
+            return 0
+        dist = parse_dist(args.dist)
+        try:
+            return _COMMANDS[args.command][0](args, dist)
+        except EvtError as exc:
+            raise exc.at(f"dist={dist.label}") from exc
     except (EvtError, ValueError, ArithmeticError) as exc:
         # the last resort: a numerical failure without a typed error exits 4
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

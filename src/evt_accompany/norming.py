@@ -45,7 +45,7 @@ class NormingPair:
         if self.n < 2:
             raise DomainError(f"norming needs n >= 2, got {self.n!r}")
         if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise DomainError(f"norming scale a must be positive, got {self.a!r}")
+            raise DomainError(f"norming scale a must be positive and finite, got {self.a!r}")
         if not math.isfinite(self.b):
             raise DomainError(f"norming location b must be finite, got {self.b!r}")
 

@@ -27,8 +27,12 @@ from .errors import ConvergenceError, DomainError, EvtError, ParseError
 
 _E = math.e
 
-# Root tolerance for quantile inversion, relative on the log-tail scale.
+# Root tolerance for quantile inversion, relative on the log-tail scale up to
+# |log q| = _TOL_SCALE_CAP and absolute (1e-10) beyond: the exact law at b_n
+# is off by about e^-1 |log(n tail(b_n))|, so a relative tolerance would let
+# b_n alone break the 1e-10 master identity for n beyond about 1e117.
 QUANTILE_LOG_TOL = 1e-12
+_TOL_SCALE_CAP = 100.0
 _BRACKET_CAP = 200
 _NEWTON_CAP = 100
 # Newton passes plus growth steps: each growth step adds log 2 to log(x - s),
@@ -209,9 +213,9 @@ class DistributionSpec:
         |log(log tail / log q)| bisects. Until an upper end is known, a step
         grows u by at most log 2, and a quantile beyond the float range
         raises DomainError. It stops when |log_tail(x) - log q| <= 1e-12 *
-        max(1, |log q|) or the bracket shrinks to rounding. Each iterate is
-        evaluated from the nearer bracket end, so a tail that is an integral
-        covers [x0, x] about once per search.
+        min(max(1, |log q|), 100) or the bracket shrinks to rounding. Each
+        iterate is evaluated from the nearer bracket end, so a tail that is an
+        integral covers [x0, x] about once per search.
         """
         return self.quantile_log_tail(q)[0]
 
@@ -230,7 +234,7 @@ class DistributionSpec:
         if not (0.0 < q):
             raise DomainError(f"quantile_tail needs q in (0, tail(x0)], got {q!r}")
         log_q = math.log(q)
-        tol = QUANTILE_LOG_TOL * max(1.0, abs(log_q))
+        tol = QUANTILE_LOG_TOL * min(max(1.0, abs(log_q)), _TOL_SCALE_CAP)
         if start is None or log_tail_start < log_q - tol:
             start, log_tail_start = self._x0, self._log_tail_raw(self._x0)
             if log_q > log_tail_start:
@@ -317,7 +321,7 @@ class DistributionSpec:
         """
         out = np.empty_like(v)
         idx = np.arange(lq.size)
-        tol = QUANTILE_LOG_TOL * np.maximum(1.0, np.abs(lq))
+        tol = QUANTILE_LOG_TOL * np.clip(np.abs(lq), 1.0, _TOL_SCALE_CAP)
         lo, hi = np.full(lq.shape, lo), np.full(lq.shape, hi)
         g_prev = np.full(lq.shape, np.inf)
         for _ in range(_NEWTON_CAP):

@@ -203,5 +203,6 @@ def test_overflowing_grid_names_the_first_point_of_the_walk(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("error (DomainError): tail at x=")
-    assert err.endswith(" (at grid x=5e+299) (at n=1000)")
+    assert err.endswith(" (at grid x=5e+299) (at n=1000) "
+                        "(at dist=weibull:c=1,p=50,alpha=0,ell=const:1)")
     assert "Traceback" not in err

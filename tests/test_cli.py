@@ -176,7 +176,7 @@ def test_exit_domain_error_non_finite_x(tmp_path, capsys):
 def test_last_resort_handler_catches_arithmetic_errors(tmp_path, capsys, monkeypatch):
     import evt_accompany.cli as cli
 
-    def overflow(args):
+    def overflow(args, dist):
         raise OverflowError("math range error")
 
     monkeypatch.setitem(cli._COMMANDS, "table", (overflow, *cli._COMMANDS["table"][1:]))
@@ -202,7 +202,8 @@ def test_grid_errors_name_n_and_the_grid_point(tmp_path, capsys):
         "--x", "-2:1e300:3", "--approx", "gumbel"])
     assert code == 3
     err = capsys.readouterr().err.strip()
-    assert err.endswith(" (at grid x=5e+299) (at n=1000)")
+    assert err.endswith(" (at grid x=5e+299) (at n=1000) "
+                        "(at dist=weibull:c=1,p=2,alpha=0,ell=const:1)")
 
 
 def test_check_identity_error_names_n_and_the_grid_point(tmp_path, capsys, monkeypatch):
@@ -217,7 +218,7 @@ def test_check_identity_error_names_n_and_the_grid_point(tmp_path, capsys, monke
     assert code == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("error (DomainError): auxiliary function f must be positive")
-    assert re.search(r" \(at grid x=[0-9.]+\) \(at n=1000\)$", err)
+    assert re.search(r" \(at grid x=[0-9.]+\) \(at n=1000\) \(at dist=vonmises:x0=0\)$", err)
 
 
 # b at n = 1e300 is about 1e1200 for this tail, beyond the float range
@@ -235,7 +236,7 @@ def test_norming_errors_name_their_n(tmp_path, capsys, argv):
     assert code == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("error (DomainError): the quantile of")
-    assert err.endswith(f" (at n={10 ** 300})")
+    assert err.endswith(f" (at n={10 ** 300}) (at dist=weibull:c=1,p=0.005,alpha=0,ell=const:1)")
     assert err.count("(at n=") == 1
 
 
@@ -339,7 +340,8 @@ def test_closed_logweibull_iterate_below_zero_is_a_divergence_error(tmp_path, ca
     assert code == 4
     err = capsys.readouterr().err.strip()
     assert err.startswith("error (DivergenceError)")
-    assert err.endswith(" (at n=199509)")
+    assert err.endswith(" (at n=199509) (at dist=logweibull:c=4.25637,p=1.5104,"
+                        "alpha=-8.62976,ell=logpow:9.4947:1e-16)")
 
 
 def test_exit_numerical_error_degenerate_fit(tmp_path, capsys):

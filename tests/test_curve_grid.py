@@ -1,0 +1,197 @@
+"""A rates curve as one array over its whole (n, x) grid.
+
+exact_and_gammas takes a sequence of norming pairs and returns a row per
+pair; error_curve makes one such call per curve. The properties below hold
+the many-pair call to its one-pair rows bit for bit, error_curve to a per-n
+loop written here, and the master identity to 1e-10 on the guarded grid,
+over Weibull-like and log-Weibull-like tails with c != 1 and a log-power
+ell, and over iterlog k = 2, 3, on random increasing n-grids up to 1e300.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evt_accompany.analysis import GUARD_SLACK, AtPoint, SupOnGrid, error_curve
+from evt_accompany.approx import APPROXIMANTS, evaluate, exact_and_gammas, two_term
+from evt_accompany.cli import main
+from evt_accompany.errors import DomainError, EvtError
+from evt_accompany.norming import norming_exact, norming_exacts
+from evt_accompany.tails import (
+    IteratedLogScale,
+    LogWeibullLike,
+    SlowlyVarying,
+    WeibullLike,
+    parse_dist,
+)
+
+SECOND_ORDER = (-0.5, 0.01)  # (rho, A(n))
+
+
+def params(name):
+    return (lambda n: SECOND_ORDER) if name == "second_order" else (lambda n: ())
+
+
+@st.composite
+def families(draw):
+    """(family class, its arguments); log-Weibull tails with alpha > 0 and p
+    near 1 may rise through the whole float range, a DomainError."""
+    kind = draw(st.sampled_from([WeibullLike, LogWeibullLike, IteratedLogScale]))
+    if kind is IteratedLogScale:
+        return kind, (draw(st.sampled_from([2, 3])), draw(st.floats(0.5, 3.0)),
+                      draw(st.floats(0.2, 5.0)))
+    c = draw(st.floats(0.1, 10.0).filter(lambda c: c != 1.0))
+    p = draw(st.floats(0.2, 5.0) if kind is WeibullLike
+             else st.floats(1.0, 4.0, exclude_min=True))
+    alpha = draw(st.floats(-5.0, 5.0))
+    ell = SlowlyVarying.log_power(draw(st.floats(0.1, 10.0)), draw(st.floats(-3.0, 3.0)))
+    return kind, (c, p, alpha, ell)
+
+
+@st.composite
+def n_grids(draw):
+    """Strictly increasing n from 10 to 1e300, geometric in spread."""
+    exps = draw(st.lists(st.floats(1.0, 300.0), min_size=1, max_size=6))
+    return sorted({round(10.0 ** e) for e in exps})
+
+
+@st.composite
+def metrics(draw):
+    if draw(st.integers(0, 4)) == 4:
+        return AtPoint(draw(st.floats(-3.0, 10.0)))
+    return SupOnGrid(draw(st.floats(-10.0, 0.0)), draw(st.floats(1.0, 50.0)),
+                     draw(st.integers(2, 80)))
+
+
+def outcome(fn):
+    """fn's value, or the type and message of the EvtError it raises."""
+    try:
+        return fn()
+    except EvtError as exc:
+        return type(exc), str(exc)
+
+
+def reference_curve(dist, name, metric, ns):
+    """error_curve's points by one exact_and_gammas call per n."""
+    points = []
+    for pair in norming_exacts(dist, ns):
+        try:
+            if isinstance(metric, AtPoint):
+                xs = np.array([metric.x])
+            else:
+                xs = np.array(metric.grid())
+                where = APPROXIMANTS[name][1]
+                xs = xs if where is None else xs[where(xs)]
+            exact, gamma = exact_and_gammas(dist, pair, xs)
+            if not isinstance(metric, AtPoint):
+                keep = gamma >= -math.log(pair.n) + GUARD_SLACK
+                xs, exact, gamma = xs[keep], exact[keep], gamma[keep]
+            errors = np.abs(exact - evaluate(name, xs, gamma, pair.n, *params(name)(pair.n)))
+        except EvtError as exc:
+            raise exc.at(f"n={pair.n}") from exc
+        points.append((pair.n, float(errors.max(initial=0.0))))
+    return tuple(points)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(families(), n_grids(), metrics(), st.sampled_from(list(APPROXIMANTS)))
+def test_curve_grid_rows_reference_and_identity(family, ns, metric, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning is a defect too
+        dist = outcome(lambda: family[0](*family[1]))
+        if isinstance(dist, tuple):
+            assert dist[0] is DomainError
+            return
+        pairs = outcome(lambda: norming_exacts(dist, ns))
+        curve = outcome(lambda: error_curve(dist, name, metric, ns, params(name)).points)
+        assert curve == outcome(lambda: reference_curve(dist, name, metric, ns))
+        if not isinstance(pairs, list):
+            return  # no norming: the curve raised the norming's error, as checked
+        xs = [metric.x] if isinstance(metric, AtPoint) else metric.grid()
+        rows = [outcome(lambda: exact_and_gammas(dist, pair, xs)) for pair in pairs]
+        grid = outcome(lambda: exact_and_gammas(dist, pairs, xs))
+        failed = [row for row in rows if not isinstance(row[0], np.ndarray)]
+        if failed:
+            assert grid == failed[0]  # the first failing row's error
+            return
+        for i, (exact, gamma) in enumerate(rows):
+            assert grid[0][i].tobytes() == exact.tobytes()
+            assert grid[1][i].tobytes() == gamma.tobytes()
+        if isinstance(metric, SupOnGrid):
+            floors = np.array([-math.log(pair.n) + GUARD_SLACK for pair in pairs])
+            for pair, exact, gamma, keep in zip(pairs, *grid, grid[1] >= floors[:, None]):
+                law = two_term(np.array(xs)[keep], gamma[keep], pair.n)
+                assert np.abs(exact[keep] - law).max(initial=0.0) <= 1e-10
+
+
+def test_many_pairs_shapes():
+    dist = parse_dist("weibull:c=1,p=2,alpha=0,ell=const:1")
+    pairs = norming_exacts(dist, [100, 1000, 10 ** 6])
+    assert [a.shape for a in exact_and_gammas(dist, pairs, [0.0, 1.0])] == [(3, 2), (3, 2)]
+    assert [a.shape for a in exact_and_gammas(dist, pairs, [])] == [(3, 0), (3, 0)]
+    assert [a.shape for a in exact_and_gammas(dist, [], [0.0, 1.0])] == [(0, 2), (0, 2)]
+    assert [a.shape for a in exact_and_gammas(dist, pairs[0], [0.0, 1.0])] == [(2,), (2,)]
+
+
+def test_rates_overflowing_window_keeps_its_error(tmp_path, capsys):
+    code = main(["rates", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1",
+                 "--approx", "accompanying", "--n-geom", "1000:1e9:5", "--sup", "-2:3e300:5",
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error (DomainError): tail at x=")
+    assert err.endswith(" (at grid x=7.5e+299) (at n=1000) "
+                        "(at dist=weibull:c=1,p=2,alpha=0,ell=const:1)")
+
+
+OVERFLOW_SPECS = ["weibull:c=1,p=0.5,alpha=0,ell=const:1",
+                  "weibull:c=2,p=0.5,alpha=1,ell=logpow:2:1",
+                  "logweibull:c=1,p=2,alpha=0,ell=const:1",
+                  "iterlog:k=2,a=1,C=1",
+                  "iterlog:k=3,a=2,C=0.5"]
+
+
+@pytest.mark.parametrize("spec", OVERFLOW_SPECS)
+def test_overflowing_b_plus_a_x_is_a_domain_error_naming_x(spec):
+    dist = parse_dist(spec)
+    pair = norming_exact(dist, 10 ** 6)
+    assert pair.a > 1.0  # so a x overflows at x = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"is outside the float range") as info:
+            exact_and_gammas(dist, pair, [-1.0, 1.0, 1.7e308])
+        assert str(info.value).endswith(" (at grid x=1.7e+308)")
+        with pytest.raises(DomainError, match=r"is outside the float range"):
+            exact_and_gammas(dist, [pair, pair], [-1.7e308, 0.0])
+
+
+def test_overflowing_check_identity_exits_3_without_warnings(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check-identity", "--dist", "iterlog:k=2,a=1,C=1", "--n", "1e6",
+                     "--x", "-2:1.7e308:3", "--out", str(tmp_path / "c.csv")])
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error (DomainError): b + a x = ")
+    assert err.endswith(" (at grid x=8.5e+307) (at n=1000000) (at dist=iterlog:k=2,a=1,C=1)")
+    assert "Warning" not in err
+
+
+def test_quantile_tolerance_keeps_the_identity_beyond_1e117():
+    # a tolerance relative to |log q| let n tail(b_n) drift 2.5e-10 from 1 here,
+    # and the identity gap with it
+    dist = WeibullLike(1.0, 2.0, 1.0)
+    for n in (10 ** 250, 10 ** 300):
+        pair = norming_exact(dist, n)
+        assert abs(pair.log_tail_b + math.log(n)) <= 1e-10
+
+
+def test_check_identity_holds_at_n_1e300(tmp_path, capsys):
+    # the identity gap here was 1.9e-10 under the relative quantile tolerance
+    code = main(["check-identity", "--dist", "iterlog:k=2,a=1,C=1", "--n", "1e300",
+                 "--out", str(tmp_path / "c.csv")])
+    assert code == 0, capsys.readouterr().err

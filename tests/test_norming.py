@@ -338,6 +338,19 @@ def test_iterate_divergence_guard():
 
 # -- types equivalence -------------------------------------------------------
 
+@pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+def test_pair_scale_must_be_positive_and_finite(a):
+    with pytest.raises(DomainError, match=rf"positive and finite, got {a!r}$"):
+        NormingPair(n=10, a=a, b=0.0)
+
+
+def test_overflowing_scale_is_named_as_such():
+    # a = f(b)/g(b) overflows where b nears the largest float
+    dist = IteratedLogScale(3, 1.21936, 2.78562)
+    with pytest.raises(DomainError, match=r"positive and finite, got inf \(at n=70{209}\)$"):
+        norming_exacts(dist, [7 * 10 ** 209])
+
+
 def test_types_gap_identical_pairs():
     pair = NormingPair(n=100, a=2.0, b=5.0)
     assert types_equivalence_gap(pair, pair) == (0.0, 0.0)
