@@ -60,91 +60,51 @@ def exact_and_gammas(dist: DistributionSpec, pairs: NormingPair | Sequence[Normi
     two arrays of shape (len(pairs), len(xs)) whose row i is the one-pair
     call on pairs[i], bit for bit.
 
-    gamma = log tail(b) - log tail(b + a x). Closed forms take every log tail,
-    each row's log tail(b) included, from one dist.log_tails call. A tail
-    that is an integral is walked out from each row's b (x >= 0 ascending,
-    x < 0 descending), each point from the last, with a row's steps in one
-    dist.log_tail_steps call, summed along each direction in walk order.
-    Below the support edge the law is the atom completion F(x0)^n and gamma
-    is NaN. A non-finite x, b + a x or log tail, or a failed step, is redone
-    row by row in walk order by the scalar log_tail_from, so the first one
-    raises its typed error, naming its x; a finite x whose b + a x leaves the
-    float range is a DomainError.
+    gamma = log tail(b) - log tail(b + a x). Every log tail, each row's log
+    tail(b) included, comes from one dist.log_tails_from call anchored at
+    each row's b: closed forms evaluate their formula, and a tail that is an
+    integral integrates every point from its own row's b. Below the support
+    edge the law is the atom completion F(x0)^n and gamma is NaN. A
+    non-finite x, b + a x or log tail, or a failed call, is redone point by
+    point from b, row by row in grid order, by the scalar log_tail_from, so
+    the first one raises its typed error, naming its x; a finite x whose
+    b + a x leaves the float range is a DomainError.
     """
     rows = [pairs] if isinstance(pairs, NormingPair) else list(pairs)
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    abn = np.array([(pair.a, pair.b, float(pair.n)) for pair in rows]).reshape(-1, 3)
-    a, b, n = abn.T[..., None]  # columns of the rows' a, b and n
+    table = np.array([(pair.a, pair.b, float(pair.n),
+                       pair.log_tail_b if pair.log_tail_b is not None else dist.log_tail(pair.b))
+                      for pair in rows]).reshape(-1, 4)
+    a, b, n, log_tail_b = table.T[..., None]  # columns of the rows' a, b, n and log tail(b)
     with np.errstate(over="ignore", invalid="ignore"):
         z = b + a * xs
     inside = z >= dist.x0
-    log_tail = np.full(z.shape, math.nan)
-    if dist.log_tails is None:
-        log_tail_b = [pair.log_tail_b if pair.log_tail_b is not None else dist.log_tail(pair.b)
-                      for pair in rows]
-        walk = _walk_order(xs)
-        for i, pair in enumerate(rows):
-            walked = walk[inside[i][walk]]
-            if walked.size and np.isfinite(z[i]).all():
-                try:
-                    log_tail[i][walked] = _walk(dist, xs[walked] < 0.0, z[i][walked], pair.b,
-                                                log_tail_b[i])
-                except EvtError:
-                    pass  # the scalar walk below raises it again, naming its x
-    else:
+    # a point below the support edge is taken at b meanwhile; each row's last
+    # column is b itself
+    at = np.concatenate((np.where(inside, z, b), b), axis=1)
+    try:
         with np.errstate(all="ignore"):
-            values = dist.log_tails(np.append(z[inside], b))
-        split = values.size - len(rows)
-        log_tail[inside], log_tail_b = values[:split], values[split:].tolist()
-    redo = ~np.isfinite(z) | (inside & ~np.isfinite(log_tail))
-    if redo.any():
-        walk = _walk_order(xs)
-        for i in np.flatnonzero(redo.any(axis=1)).tolist():
-            _rewalk(dist, rows[i], log_tail_b[i], xs, z[i], walk[redo[i, walk]], log_tail[i])
-    # NaN below x0; -0.0 at x = 0, where log_tail(z) is log_tail(b)
-    gamma = -(log_tail - np.array(log_tail_b)[:, None])
-    if not inside.all():
-        log_tail[~inside] = dist.log_tail(dist.x0)
-    exact = _law(log_tail, n)
-    return (exact[0], gamma[0]) if isinstance(pairs, NormingPair) else (exact, gamma)
-
-
-def _rewalk(dist: DistributionSpec, pair: NormingPair, log_tail_b: float, xs: np.ndarray,
-            z: np.ndarray, redo: np.ndarray, log_tail: np.ndarray) -> None:
-    # the points redo of one row, in walk order, by the scalar walk, each
-    # from the last point redone on its side of b, into that row's log_tail
-    anchors = {False: (pair.b, log_tail_b), True: (pair.b, log_tail_b)}  # keyed by x < 0
-    for i in redo.tolist():
-        x, zi = float(xs[i]), float(z[i])
+            values = dist.log_tails_from(at, b, log_tail_b)
+    except EvtError:  # redone below, which raises it again naming its x
+        values = np.concatenate((np.full(z.shape, math.nan), log_tail_b), axis=1)
+    log_tail = np.where(inside, values[:, :-1], math.nan)
+    log_tail_b = values[:, -1:]
+    for i, j in zip(*np.nonzero(~np.isfinite(z) | (inside & ~np.isfinite(log_tail)))):
+        x, zi, pair = float(xs[j]), float(z[i, j]), rows[i]
         require_finite(x)
         if not math.isfinite(zi):
             raise DomainError(f"b + a x = {pair.b!r} + {pair.a!r} x is outside the float "
                               f"range").at(f"grid x={x!r}")
-        if zi < dist.x0:
-            continue
         try:
-            value = dist.log_tail_from(zi, *anchors[x < 0.0])
+            log_tail[i, j] = dist.log_tail_from(zi, pair.b, float(log_tail_b[i, 0]))
         except EvtError as exc:
             raise exc.at(f"grid x={x!r}") from exc
-        log_tail[i] = value
-        anchors[x < 0.0] = (zi, value)
-
-
-def _walk_order(xs: np.ndarray) -> np.ndarray:
-    return np.lexsort((np.abs(xs), xs < 0.0))  # x >= 0 ascending, then x < 0 descending
-
-
-def _walk(dist: DistributionSpec, negative: np.ndarray, z: np.ndarray, b: float,
-          log_tail_b: float) -> np.ndarray:
-    # log tails at z in walk order (the x >= 0 run, then the x < 0 run), each
-    # run from b; cumsum adds the steps one by one, as the scalar walk does
-    split = int(np.count_nonzero(~negative))
-    starts = np.concatenate(([b], z[:-1]))
-    if split < z.size:
-        starts[split] = b
-    steps = dist.log_tail_steps(starts, z)
-    return np.concatenate([np.cumsum(np.concatenate(([log_tail_b], run)))[1:]
-                           for run in (steps[:split], steps[split:])])
+    # NaN below x0; -0.0 at x = 0, where log_tail(z) is log_tail(b)
+    gamma = -(log_tail - log_tail_b)
+    if not inside.all():
+        log_tail[~inside] = dist.log_tail(dist.x0)
+    exact = _law(log_tail, n)
+    return (exact[0], gamma[0]) if isinstance(pairs, NormingPair) else (exact, gamma)
 
 
 def exact_max_cdf(dist: DistributionSpec, pair: NormingPair, x):

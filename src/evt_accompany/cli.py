@@ -78,6 +78,14 @@ def _parse_window(raw: str, flag: str):
     return lo, hi, steps
 
 
+def _finite(raw: str) -> float:
+    """The float of raw, which must be finite."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _parse_n(tok: str, flag: str, raw: str) -> int:
     try:
         n = int(tok)
@@ -158,11 +166,15 @@ def _parse_approx(raw: str) -> list[str]:
 
 def _params(name: str, args, dist: DistributionSpec):
     """n -> the params of the approximant of that name; second_order takes
-    rho and A(n) from the flags, or rho = 0 and the Weibull-like preset."""
+    rho (0 when not given) and A(n) from the flags, or rho = 0 and the
+    Weibull-like preset. --rho without --a-n is a ParseError."""
+    if args.rho is not None and args.a_n is None:
+        raise ParseError("--rho needs --a-n (without it, second_order takes rho = 0 "
+                         "and the Weibull-like preset)")
     if name != "second_order":
         return lambda n: ()
     if args.a_n is not None:
-        return lambda n: (args.rho, args.a_n)
+        return lambda n: (args.rho or 0.0, args.a_n)
     if isinstance(dist, WeibullLike):
         return lambda n: (0.0, weibull_preset(dist.p, n))
     raise DomainError(
@@ -325,8 +337,9 @@ _ABOUT = ("Scaled-maximum laws in the Gumbel domain: tables, convergence rates, 
           "norming pairs, identity checks, simulation.")
 _HELP = ("-h", "--help")
 _SINGLE_N = "single sample count"
-_SECOND_ORDER_FLAGS = [("--rho", dict(type=float, default=0.0, help="second-order rho (<= 0)")),
-                       ("--a-n", dict(type=float, help="second-order A(n) value"))]
+_SECOND_ORDER_FLAGS = [("--rho", dict(type=_finite,
+                                      help="second-order rho (<= 0, default 0; needs --a-n)")),
+                       ("--a-n", dict(type=_finite, help="second-order A(n) value"))]
 
 # command -> (function, help, --n help, the flags beyond --dist/--n/--n-geom/--out);
 # a flag with a const takes its value only when the next token is not a flag
@@ -345,7 +358,8 @@ _COMMANDS = {
     "check-identity": (_cmd_check_identity, "two-term factorization against the exact law",
                        _SINGLE_N, [
         ("--x", dict(help="x grid lo:hi:steps (default -2:6:61)")),
-        ("--tol", dict(type=float, default=1e-10, help="identity tolerance (default 1e-10)"))]),
+        ("--tol", dict(type=_finite, default=1e-10,
+                       help="identity tolerance (default 1e-10)"))]),
     "simulate": (_cmd_simulate, "Monte Carlo scaled maxima", _SINGLE_N, [
         ("--reps", dict(type=int, required=True, help="replication count")),
         ("--seed", dict(type=int, default=0, help="RNG seed (default 0)"))]),

@@ -11,7 +11,7 @@ from .errors import QuadratureError
 # Absolute target; the max() against float granularity of the running sum keeps
 # large-magnitude integrals (|I| >> 1) from bisecting forever on rounding noise.
 # Each bisection halves the target of both halves.
-DEFAULT_TOL = 1e-12
+TOL = 1e-12
 DEFAULT_DEPTH = 60
 # live subintervals across all intervals of one call; past it the call fails
 # instead of growing its node array without bound
@@ -40,15 +40,14 @@ _PAIRS = [(0.5 * wk, 0.5 * (wk - wg)) for wk, wg in zip(_WK, _WG)]
 _WEIGHTS = np.array(_PAIRS + [(0.5 * _WK0, 0.5 * (_WK0 - _WG0))] + _PAIRS[::-1])[:, :, None]
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], a, b,
-              tol: float = DEFAULT_TOL, depth: int = DEFAULT_DEPTH):
+def integrate(f: Callable[[np.ndarray], np.ndarray], a, b, depth: int = DEFAULT_DEPTH):
     """Integrate f from a_i to b_i for each i by adaptive Gauss-Kronrod (7-15).
 
     f maps a 1-D array of nodes to the array of its values. a and b are
     floats (a float is returned) or arrays of one shape (an array of that
     shape is returned); a > b gives the signed integral. Every pass applies
     the 15-point Kronrod rule to all live subintervals in one call of f and
-    bisects each one whose |Kronrod - Gauss| exceeds max(tol 2^-d, 32 eps
+    bisects each one whose |Kronrod - Gauss| exceeds max(TOL 2^-d, 32 eps
     |Kronrod|), d its number of bisections, unless it is one ulp wide. Each
     rule is summed in node order and each interval's accepted pieces from a
     to b, so an interval's integral does not depend on the other intervals
@@ -82,7 +81,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b,
             i = np.flatnonzero(~np.isfinite(size).all(axis=0))[0]
             raise QuadratureError(f"Gauss-Kronrod sums overflow on [{float(start[i])!r}, "
                                   f"{float(end[i])!r}]")
-        done = size[1] <= np.maximum(tol * 0.5 ** level, (32.0 * _EPS) * size[0])
+        done = size[1] <= np.maximum(TOL * 0.5 ** level, (32.0 * _EPS) * size[0])
         if np.count_nonzero(done) < done.size:
             # bisecting an interval one ulp wide only repeats it; keep its rule
             mid = start + 0.5 * width

@@ -190,8 +190,12 @@ class DistributionSpec:
             raise DomainError(f"log_tail_from needs both points >= x0 = {self._x0!r}")
         return self._log_tail_from(x, anchor, log_tail_anchor)
 
-    # log_tail over an array of points >= x0, for the closed forms only
-    log_tails: Callable[[np.ndarray], np.ndarray] | None = None
+    def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
+        """log_tail over an array z of points >= x0, given log_tail_anchor =
+        log_tail(anchor) at points >= x0, arrays of z's shape or, for a 2-D
+        z, columns of one per row: the array twin of log_tail_from. Closed
+        forms ignore the anchors."""
+        raise NotImplementedError
 
     def _log_tail_raw(self, x: float) -> float:
         raise NotImplementedError
@@ -437,7 +441,7 @@ class ExponentialUnit(DistributionSpec):
     def _log_tail_raw(self, x: float) -> float:
         return -x
 
-    def log_tails(self, z: np.ndarray) -> np.ndarray:
+    def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
         return -z
 
     def _start(self, log_q: float, start: float, log_tail_start: float):
@@ -472,7 +476,7 @@ class _PowerFamily(DistributionSpec):
         """log tail(x) and d log tail / d log x, given lx = log x."""
         raise NotImplementedError
 
-    def log_tails(self, z: np.ndarray) -> np.ndarray:
+    def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
         return self._log_tails_slopes(z, np.log(z))[0]
 
     def _closed_start(self, log_q):
@@ -660,6 +664,18 @@ class _HandleFamily(DistributionSpec):
         log_tail_from(x, anchor, f) is f + log_tail_steps(anchor, x)."""
         return (self._log_c(ends) - self._log_c(starts)) - self._integral(starts, ends)
 
+    def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
+        """log_tail_anchor + log_tail_steps(anchor, z). A 2-D z takes one
+        quadrature call per row, as one call over a many-row grid measured
+        slower, and its points at their anchor take none."""
+        if z.ndim == 2:
+            starts = np.full(z.shape, anchor)
+            out = np.full(z.shape, log_tail_anchor)
+            for i, away in enumerate(z != starts):
+                out[i, away] += self.log_tail_steps(starts[i, away], z[i, away])
+            return out
+        return log_tail_anchor + self.log_tail_steps(anchor, z)
+
     def quantile_tails(self, q) -> np.ndarray:
         """quantile_tail over an array of levels in (0, 1], completed by the
         atom: levels q >= tail(x0) map to x0.
@@ -724,8 +740,7 @@ class _HandleFamily(DistributionSpec):
 
     def _log_tails_slopes_from(self, v, lv, anchor):
         s = self._shift()
-        return (anchor[1] + self.log_tail_steps(anchor[0] + s, v + s),
-                self._log_slopes(v, lv))
+        return self.log_tails_from(v + s, anchor[0] + s, anchor[1]), self._log_slopes(v, lv)
 
     def _log_slopes(self, v: np.ndarray, lv: np.ndarray) -> np.ndarray:
         # the search's d log tail / du = -(x - s) g/f at x = v + s, u = lv,

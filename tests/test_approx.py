@@ -164,7 +164,7 @@ def test_exact_and_gamma_below_support():
         evaluate("two_term", [-50.0], [g], 100)
 
 
-# -- the grid walk ------------------------------------------------------------
+# -- the x-grid, every point from b -------------------------------------------
 
 SUP_GRID = [-2.0 + 0.05 * i for i in range(161)]
 CLOSED_FAMILIES = [d for d in FAMILIES if not isinstance(d, IteratedLogScale)]
@@ -202,7 +202,7 @@ def test_grid_walk_matches_points_anchored_at_b(dist, n):
     assert all(lo <= hi for lo, hi in zip(laws, laws[1:]))
 
 
-def test_grid_walk_anchors_each_point_at_its_neighbour_toward_b():
+def test_grid_anchors_each_point_at_b():
     dist = IteratedLogScale(2, 1.0, 1.0)
     pair = norming_exact(dist, 10 ** 6)
     calls = []
@@ -215,11 +215,9 @@ def test_grid_walk_anchors_each_point_at_its_neighbour_toward_b():
     dist.log_tail_steps = recording
     xs = [0.5, -1.0, 2.0, 0.0, -0.25, 1.0]
     exact_and_gammas(dist, pair, xs)
-    up = [pair.b + pair.a * x for x in (0.0, 0.5, 1.0, 2.0)]
-    down = [pair.b + pair.a * x for x in (-0.25, -1.0)]
-    # one batch of (point, anchor) steps, in walk order
-    assert calls == [list(zip(up, [pair.b] + up[:-1]))
-                     + list(zip(down, [pair.b] + down[:-1]))]
+    # one batch of (point, anchor) steps, in grid order; x = 0 is b itself
+    # and needs none
+    assert calls == [[(pair.b + pair.a * x, pair.b) for x in xs if x != 0.0]]
 
 
 @pytest.mark.parametrize("dist", [WeibullLike(1.0, 0.5, 2.0), IteratedLogScale(2, 1.0, 1.0),
@@ -240,11 +238,11 @@ def test_grid_walk_unsorted_repeated_and_below_support(dist):
     assert [a.size for a in exact_and_gammas(dist, pair, [])] == [0, 0]
 
 
-def test_grid_walk_integrates_each_point_from_its_neighbour():
-    # the walk hands all its steps to one quadrature call, about one 15-point
-    # rule per step, where points taken one by one from b make a call each.
-    # One 15-point rule also meets the tolerance on every range from b here,
-    # so in nodes the points one by one cost no less, but no more either.
+def test_grid_integrates_each_point_from_b():
+    # the grid hands all its points to one quadrature call, about one 15-point
+    # rule per point, where points taken one by one make a call each. Each
+    # point's integral from b is the same either way, so in nodes the points
+    # one by one cost no less, but no more either.
     dist = IteratedLogScale(2, 1.0, 1.0)
     pair = norming_exact(dist, 10 ** 6)
     count, nodes = [0], [0]
@@ -257,22 +255,32 @@ def test_grid_walk_integrates_each_point_from_its_neighbour():
 
     dist._over_f_log = counting
     exact_and_gammas(dist, pair, SUP_GRID)
-    walked, walked_nodes = count[0], nodes[0]
+    grid, grid_nodes = count[0], nodes[0]
     count[0] = nodes[0] = 0
-    assert walked_nodes <= 2 * 15 * len(SUP_GRID)
+    assert grid_nodes <= 2 * 15 * len(SUP_GRID)
     for x in SUP_GRID:
         exact_max_cdf(dist, pair, x)
-    assert walked <= 10 * len(SUP_GRID)
-    assert count[0] >= 3 * walked
-    assert nodes[0] >= walked_nodes
+    assert grid <= 10 * len(SUP_GRID)
+    assert count[0] >= 3 * grid
+    assert nodes[0] == grid_nodes
+
+
+def fails_from_b(dist, pair, x):
+    """Whether the scalar log_tail_from(b + a x, b, log tail(b)) raises."""
+    try:
+        dist.log_tail_from(pair.b + pair.a * x, pair.b, pair.log_tail_b)
+    except DomainError:
+        return True
+    return False
 
 
 def test_grid_walk_names_the_failing_point():
-    # f turns non-positive at t = 10, inside the grid's reach
+    # f turns non-positive at t = 10, inside the grid's reach; an integral
+    # from b whose end is just past 10 may place no node there
     dist = GeneralizedVonMises(f=lambda t: 1.0 if t < 10.0 else -1.0,
                                g=lambda t: 1.0, c=lambda t: 1.0, x0=0.0)
     pair = norming_exact(dist, 1000)
-    first_bad = next(x for x in SUP_GRID if pair.b + pair.a * x >= 10.0)
+    first_bad = next(x for x in SUP_GRID if fails_from_b(dist, pair, x))
     with pytest.raises(DomainError, match="f must be positive") as info:
         exact_and_gammas(dist, pair, SUP_GRID)
     assert str(info.value).endswith(f" (at grid x={first_bad!r})")

@@ -3,11 +3,11 @@
 exact_and_gammas and the APPROXIMANTS table run on numpy, whose exp, log and
 power may round differently from the math module's by an ulp or so. The
 reference below is the scalar code path on Python floats: each point through
-the scalar log tail (walked from its neighbour for a tail that is an
-integral), the law through math.log1p, and each approximant by its formula.
+the scalar log_tail_from anchored at b (a tail that is an integral then
+integrates from b to the point), the law through math.log1p, and each
+approximant by its formula.
 """
 
-import bisect
 import math
 
 import numpy as np
@@ -17,8 +17,8 @@ from evt_accompany.analysis import GUARD_SLACK
 from evt_accompany.approx import APPROXIMANTS, evaluate, exact_and_gammas
 from evt_accompany.cli import main
 from evt_accompany.errors import DomainError
-from evt_accompany.norming import NormingPair, norming_exact
-from evt_accompany.tails import IteratedLogScale, parse_dist
+from evt_accompany.norming import NormingPair, norming_exact, norming_exacts
+from evt_accompany.tails import GeneralizedVonMises, IteratedLogScale, parse_dist
 
 LAW_REL = 1e-13
 GAMMA_ABS = 1e-13
@@ -40,19 +40,14 @@ def scalar_reference(dist, pair, xs):
         s = math.exp(log_s)
         return 0.0 if s >= 1.0 else math.exp(n * math.log1p(-s))
 
-    out = [None] * len(xs)
-    order = sorted(range(len(xs)), key=xs.__getitem__)
-    split = bisect.bisect_left(order, 0.0, key=xs.__getitem__)
-    for walk in (order[split:], reversed(order[:split])):
-        anchor, log_tail_anchor = b, pair.log_tail_b
-        for i in walk:
-            z = b + a * xs[i]
-            if z < dist.x0:
-                out[i] = (law(dist.log_tail(dist.x0)), math.nan)
-                continue
-            log_tail_z = dist.log_tail_from(z, anchor, log_tail_anchor)
-            out[i] = (law(log_tail_z), -(log_tail_z - pair.log_tail_b))
-            anchor, log_tail_anchor = z, log_tail_z
+    out = []
+    for x in xs:
+        z = b + a * x
+        if z < dist.x0:
+            out.append((law(dist.log_tail(dist.x0)), math.nan))
+            continue
+        log_tail_z = dist.log_tail_from(z, b, pair.log_tail_b)
+        out.append((law(log_tail_z), -(log_tail_z - pair.log_tail_b)))
     return out
 
 
@@ -118,13 +113,34 @@ def test_handle_families_match_the_scalar_reference(k, n):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_handle_grid_gammas_equal_the_scalar_walk_bit_for_bit(k):
-    # one quadrature call for the whole grid rounds each step as the scalar
-    # log_tail_from does, and the running sums add them in the same order
+    # one quadrature call for the whole grid integrates each point from b as
+    # the scalar log_tail_from does, whatever the other points of the call
     dist = IteratedLogScale(k, 1.0, 1.0)
     pair = norming_exact(dist, 10 ** 6)
     _, gamma = exact_and_gammas(dist, pair, SUP_GRID)
     want = [g for _, g in scalar_reference(dist, pair, SUP_GRID)]
     np.testing.assert_array_equal(gamma, want)
+
+
+# tail e^-(t^2 - 1) on [1, inf), given through handles: f = 1/(2t), g = c = 1
+SQUARE_TAIL = GeneralizedVonMises(f=lambda t: 0.5 / t, g=lambda t: 1.0, c=lambda t: 1.0,
+                                  x0=1.0)
+
+
+@pytest.mark.parametrize("dist", [IteratedLogScale(2, 1.0, 1.0), IteratedLogScale(3, 2.5, 0.5),
+                                  SQUARE_TAIL], ids=lambda d: d.label)
+def test_handle_rows_pairs_and_points_agree_bit_for_bit(dist):
+    # every point is integrated from its own row's b, so neither the other
+    # rows nor the other points of the call move its bits
+    pairs = norming_exacts(dist, [10 ** 3, 10 ** 6, 10 ** 9])
+    exact, gamma = exact_and_gammas(dist, pairs, SUP_GRID)
+    for row, pair in enumerate(pairs):
+        one_exact, one_gamma = exact_and_gammas(dist, pair, SUP_GRID)
+        assert repr(exact[row].tolist()) == repr(one_exact.tolist())
+        assert repr(gamma[row].tolist()) == repr(one_gamma.tolist())
+        want = [g for _, g in scalar_reference(dist, pair, SUP_GRID)]
+        assert repr(gamma[row].tolist()) == repr(want)
+        assert sum(not math.isnan(g) for g in want) >= 100
 
 
 @pytest.mark.parametrize("spec", ["weibull:c=1,p=0.5,alpha=2,ell=const:1",

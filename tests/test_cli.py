@@ -419,6 +419,36 @@ def test_command_line_contract(argv, summary, capsys):
         assert out.startswith("# evt-accompany v") and summary in err
 
 
+_SECOND_ORDER_TABLE = ["table", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1",
+                       "--n", "1000000", "--x", "0.5:6:3", "--approx", "second_order"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (_SECOND_ORDER_TABLE + ["--a-n", "nan"], "--a-n: invalid value 'nan'"),
+    (_SECOND_ORDER_TABLE + ["--a-n", "inf"], "--a-n: invalid value 'inf'"),
+    (_SECOND_ORDER_TABLE + ["--rho", "-inf", "--a-n", "0.01"], "--rho: invalid value '-inf'"),
+    (["check-identity", "--dist", "exp", "--n", "1000", "--x", "-2:6:3", "--tol", "nan"],
+     "--tol: invalid value 'nan'"),
+    # without --a-n, second_order would drop --rho for the rho = 0 preset
+    (_SECOND_ORDER_TABLE + ["--rho", "-0.5"], "--rho needs --a-n"),
+], ids=["a-n nan", "a-n inf", "rho -inf", "tol nan", "rho without a-n"])
+def test_float_flags_must_be_finite_and_rho_needs_a_n(tmp_path, capsys, argv, needle):
+    code, payload = run(tmp_path, "x.csv", argv)
+    err = capsys.readouterr().err
+    assert code == 2 and payload == b""
+    assert err.startswith(f"error (ParseError): {needle}"), err
+
+
+def test_rho_with_a_n_and_a_non_finite_at_keep_their_outcomes(tmp_path, capsys):
+    code, payload = run(tmp_path, "x.csv", _SECOND_ORDER_TABLE + ["--rho", "-0.5", "--a-n", "0.01"])
+    assert code == 0 and payload
+    # a non-finite --at is a grid point outside the domain, not a malformed flag
+    code, _ = run(tmp_path, "y.csv", ["rates", "--dist", "exp", "--approx", "gumbel",
+                                      "--n-geom", "100:10000:3", "--at", "nan"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error (DomainError): ")
+
+
 def test_negative_grid_values_still_parse(tmp_path):
     for argv in (["table", "--dist", "exp", "--n", "1000", "--x", "-2:6:9"],
                  ["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "100:10000:3",

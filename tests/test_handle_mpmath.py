@@ -45,13 +45,13 @@ def test_log_tail_from_x0_to_the_float_range(k, a, C):
 
 
 @pytest.mark.parametrize("k, a, C", FAMILIES)
-@pytest.mark.parametrize("n", [10 ** 3, 10 ** 9])
+@pytest.mark.parametrize("n", [10 ** 3, 10 ** 9, 10 ** 30])
 def test_grid_gammas(k, a, C, n):
     dist = IteratedLogScale(k, a, C)
     pair = norming_exact(dist, n)
     _, gamma = exact_and_gammas(dist, pair, SUP_GRID)
     checked = 0
-    # every fourth point of the walk, each reference integrated from b
+    # every fourth point of the grid, each reference integrated from b
     for x, g in zip(SUP_GRID[::4], gamma[::4].tolist()):
         z = pair.b + pair.a * x
         if z < dist.x0:
@@ -59,6 +59,6 @@ def test_grid_gammas(k, a, C, n):
             continue
         # gamma = log tail(b) - log tail(z), the integral from b to z
         want = mp_integral(dist, pair.b, z) if z >= pair.b else -mp_integral(dist, z, pair.b)
-        assert abs(g - float(want)) <= 1e-13, x
+        assert abs(g - float(want)) <= 3e-14, x
         checked += 1
     assert checked >= 25
