@@ -167,10 +167,7 @@ def _parse_approx(raw: str) -> list[str]:
 def _params(name: str, args, dist: DistributionSpec):
     """n -> the params of the approximant of that name; second_order takes
     rho (0 when not given) and A(n) from the flags, or rho = 0 and the
-    Weibull-like preset. --rho without --a-n is a ParseError."""
-    if args.rho is not None and args.a_n is None:
-        raise ParseError("--rho needs --a-n (without it, second_order takes rho = 0 "
-                         "and the Weibull-like preset)")
+    Weibull-like preset."""
     if name != "second_order":
         return lambda n: ()
     if args.a_n is not None:
@@ -423,6 +420,9 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
     missing = [flag for flag, spec in flags.items() if spec.get("required") and flag not in values]
     if missing:
         raise ParseError(f"{command}: missing required {', '.join(missing)}")
+    if "--rho" in values and "--a-n" not in values:
+        raise ParseError("--rho needs --a-n (without it, second_order takes rho = 0 "
+                         "and the Weibull-like preset)")
     return SimpleNamespace(command=command, **{
         flag[2:].replace("-", "_"): values.get(flag, spec.get("default"))
         for flag, spec in flags.items()})

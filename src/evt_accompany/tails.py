@@ -665,16 +665,16 @@ class _HandleFamily(DistributionSpec):
         return (self._log_c(ends) - self._log_c(starts)) - self._integral(starts, ends)
 
     def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
-        """log_tail_anchor + log_tail_steps(anchor, z). A 2-D z takes one
-        quadrature call per row, as one call over a many-row grid measured
-        slower, and its points at their anchor take none."""
-        if z.ndim == 2:
-            starts = np.full(z.shape, anchor)
-            out = np.full(z.shape, log_tail_anchor)
-            for i, away in enumerate(z != starts):
-                out[i, away] += self.log_tail_steps(starts[i, away], z[i, away])
-            return out
-        return log_tail_anchor + self.log_tail_steps(anchor, z)
+        """log_tail_anchor + log_tail_steps(anchor, z), with one quadrature
+        call per row of a 2-D z (a 1-D z is one row; one call over a many-row
+        grid measured slower) and none for points at their anchor."""
+        starts = np.full(z.shape, anchor)
+        out = np.full(z.shape, log_tail_anchor)
+        for row, start, log_tail in zip(np.atleast_2d(z), np.atleast_2d(starts),
+                                        np.atleast_2d(out)):
+            away = row != start
+            log_tail[away] += self.log_tail_steps(start[away], row[away])
+        return out
 
     def quantile_tails(self, q) -> np.ndarray:
         """quantile_tail over an array of levels in (0, 1], completed by the
@@ -779,23 +779,32 @@ class GeneralizedVonMises(_HandleFamily):
         c0 = c(self._x0)
         if not (0.0 < c0 <= 1.0):
             raise DomainError(f"c(x0) = {c0!r} must lie in (0, 1] for a valid tail")
+        self._f(self._x0)
         self._label = f"vonmises:x0={self._x0:g}"
 
     def _over_f(self, t: np.ndarray) -> np.ndarray:
         return quadrature.elementwise(self._g_over_f)(t)
 
     def _g_over_f(self, t: float) -> float:
+        ft = self._f(t)
+        return self.g(t) / ft
+
+    def _f(self, t: float) -> float:
+        """f(t), which must be positive and finite."""
         ft = self.f(t)
         if ft <= 0.0:
             raise DomainError(f"auxiliary function f must be positive, got f({t!r}) = {ft!r}")
         if not math.isfinite(ft):
             # g/f would be 0 there, and the tail integral would stop growing
             raise DomainError(f"auxiliary function f({t!r}) = {ft!r} is beyond the float range")
-        return self.g(t) / ft
+        return ft
 
     def _log_c(self, x):
+        # every integral's ends pass through here (x0 through __init__), so f
+        # is checked at them as well as at the quadrature's nodes
         if np.ndim(x):
             return np.array([self._log_c(v) for v in x.tolist()])
+        self._f(x)
         cx = self.c(x)
         if cx <= 0.0:
             raise DomainError(f"c(x) must be positive, got c({x!r}) = {cx!r}")

@@ -265,25 +265,19 @@ def test_grid_integrates_each_point_from_b():
     assert nodes[0] == grid_nodes
 
 
-def fails_from_b(dist, pair, x):
-    """Whether the scalar log_tail_from(b + a x, b, log tail(b)) raises."""
-    try:
-        dist.log_tail_from(pair.b + pair.a * x, pair.b, pair.log_tail_b)
-    except DomainError:
-        return True
-    return False
-
-
 def test_grid_walk_names_the_failing_point():
-    # f turns non-positive at t = 10, inside the grid's reach; an integral
-    # from b whose end is just past 10 may place no node there
+    # f turns non-positive at t = 10, inside the grid's reach; the first
+    # failing point is the first past 10, also where the grid ends there and
+    # no quadrature node of its integral from b lies past 10
     dist = GeneralizedVonMises(f=lambda t: 1.0 if t < 10.0 else -1.0,
                                g=lambda t: 1.0, c=lambda t: 1.0, x0=0.0)
     pair = norming_exact(dist, 1000)
-    first_bad = next(x for x in SUP_GRID if fails_from_b(dist, pair, x))
-    with pytest.raises(DomainError, match="f must be positive") as info:
-        exact_and_gammas(dist, pair, SUP_GRID)
-    assert str(info.value).endswith(f" (at grid x={first_bad!r})")
+    first_bad = next(x for x in SUP_GRID if pair.b + pair.a * x >= 10.0)
+    assert first_bad == 3.1000000000000005
+    for xs in (SUP_GRID, SUP_GRID[:SUP_GRID.index(first_bad) + 1]):
+        with pytest.raises(DomainError, match="f must be positive") as info:
+            exact_and_gammas(dist, pair, xs)
+        assert str(info.value).endswith(f" (at grid x={first_bad!r})")
 
 
 @pytest.mark.parametrize("dist", [WeibullLike(1.0, 2.0, 0.0), IteratedLogScale(2, 1.0, 1.0)],

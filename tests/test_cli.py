@@ -431,7 +431,12 @@ _SECOND_ORDER_TABLE = ["table", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1",
      "--tol: invalid value 'nan'"),
     # without --a-n, second_order would drop --rho for the rho = 0 preset
     (_SECOND_ORDER_TABLE + ["--rho", "-0.5"], "--rho needs --a-n"),
-], ids=["a-n nan", "a-n inf", "rho -inf", "tol nan", "rho without a-n"])
+    # nor may --rho go unread when no approximant takes it
+    (_SECOND_ORDER_TABLE[:-2] + ["--rho", "-0.5"], "--rho needs --a-n"),
+    (["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "100:10000:3",
+      "--rho", "-0.5"], "--rho needs --a-n"),
+], ids=["a-n nan", "a-n inf", "rho -inf", "tol nan", "rho without a-n",
+        "rho without a-n or approx", "rho without a-n for gumbel"])
 def test_float_flags_must_be_finite_and_rho_needs_a_n(tmp_path, capsys, argv, needle):
     code, payload = run(tmp_path, "x.csv", argv)
     err = capsys.readouterr().err

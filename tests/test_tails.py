@@ -262,6 +262,22 @@ def test_handle_quantile_tails_raise_what_the_walk_raises():
         d.quantile_tails(np.geomspace(1e-6, 0.5, 50))
 
 
+def test_handle_log_tail_checks_f_at_the_ends_of_its_integral():
+    # f turns non-positive at t = 10; the last node of one 15-point rule
+    # ending at 10.0078 lies short of 10, so the end itself must be checked
+    d = GeneralizedVonMises(f=lambda t: 1.0 if t < 10.0 else -1.0,
+                            g=lambda t: 1.0, c=lambda t: 1.0, x0=0.0)
+    for call in (lambda: d.log_tail(10.0078),
+                 lambda: d.log_tail_from(10.0078, 6.9, -6.9),
+                 lambda: d.log_tail_from(6.9, 10.0078, -10.0078),
+                 lambda: d.log_tails_from(np.array([8.0, 10.0078]), 6.9, -6.9)):
+        with pytest.raises(DomainError, match=r"f must be positive, got f\(10\.0078\)"):
+            call()
+    assert d.log_tail(9.9) == -9.9
+    with pytest.raises(DomainError, match=r"f must be positive, got f\(0\.0\)"):
+        GeneralizedVonMises(f=lambda t: -1.0, g=lambda t: 1.0, c=lambda t: 1.0, x0=0.0)
+
+
 @pytest.mark.parametrize("x0", [0.0, -3.0])
 def test_quantile_with_non_constant_c_and_x0_at_most_zero(x0):
     # u = log(x - x0 + 1) here, since log x is undefined at x0
