@@ -1,7 +1,9 @@
 import contextlib
 import io
 import math
+import os
 import re
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -435,8 +437,14 @@ _SECOND_ORDER_TABLE = ["table", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1",
     (_SECOND_ORDER_TABLE[:-2] + ["--rho", "-0.5"], "--rho needs --a-n"),
     (["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "100:10000:3",
       "--rho", "-0.5"], "--rho needs --a-n"),
+    # only second_order reads --a-n and --rho
+    (_SECOND_ORDER_TABLE[:-1] + ["gumbel", "--a-n", "0.01"], "--a-n needs --approx second_order"),
+    (_SECOND_ORDER_TABLE[:-2] + ["--a-n", "0.01"], "--a-n needs --approx second_order"),
+    (["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "100:10000:3",
+      "--a-n", "0.01", "--rho", "-0.5"], "--a-n needs --approx second_order"),
 ], ids=["a-n nan", "a-n inf", "rho -inf", "tol nan", "rho without a-n",
-        "rho without a-n or approx", "rho without a-n for gumbel"])
+        "rho without a-n or approx", "rho without a-n for gumbel",
+        "a-n for gumbel", "a-n without approx", "a-n and rho for gumbel rates"])
 def test_float_flags_must_be_finite_and_rho_needs_a_n(tmp_path, capsys, argv, needle):
     code, payload = run(tmp_path, "x.csv", argv)
     err = capsys.readouterr().err
@@ -460,6 +468,48 @@ def test_negative_grid_values_still_parse(tmp_path):
                   "--at", "-1"]):
         code, payload = run(tmp_path, "neg.csv", argv)
         assert code == 0 and payload
+
+
+# -- --out ---------------------------------------------------------------------
+
+_SHORT_TABLE = ["table", "--dist", "exp", "--n", "1000", "--approx", "gumbel", "--x", "-2:6:3"]
+
+
+def test_rewrite_onto_a_longer_out_gives_the_bytes_of_a_fresh_write(tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(_SHORT_TABLE[:-1] + ["-2:6:161", "--out", str(out)]) == 0
+    longer = out.read_bytes()
+    assert main(_SHORT_TABLE + ["--out", str(out)]) == 0
+    _, fresh = run(tmp_path, "fresh.csv", _SHORT_TABLE)
+    assert out.read_bytes() == fresh and len(fresh) < len(longer)
+
+
+def test_rewrite_through_a_symlink_keeps_the_link_inode_and_mode(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n" * 1000)
+    target.chmod(0o600)
+    link.symlink_to(target)
+    inode = target.stat().st_ino
+    assert main(_SHORT_TABLE + ["--out", str(link)]) == 0
+    _, fresh = run(tmp_path, "fresh.csv", _SHORT_TABLE)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh and target.stat().st_ino == inode
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+def test_out_to_devnull(capsys):
+    assert main(_SHORT_TABLE + ["--out", os.devnull]) == 0
+    assert capsys.readouterr().out.startswith("table: 3 rows")
+
+
+@pytest.mark.parametrize("where", ["missing/x.csv", "."], ids=["missing dir", "a directory"])
+def test_unwritable_out_is_a_parse_error(tmp_path, capsys, where):
+    path = os.path.join(tmp_path, where)
+    code = main(_SHORT_TABLE + ["--out", path])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out and "Traceback" not in err
+    assert err.startswith(f"error (ParseError): --out: cannot write {path!r}: "), err
+    assert err.rstrip().endswith("(at dist=exp)"), err
 
 
 # -- fuzz ----------------------------------------------------------------------
