@@ -156,8 +156,12 @@ def _single_n(args) -> int:
     return ns[0]
 
 
+def _approx_names(raw: str) -> list[str]:
+    return [tok.strip() for tok in raw.split(",")]
+
+
 def _parse_approx(raw: str) -> list[str]:
-    names = [tok.strip() for tok in raw.split(",")]
+    names = _approx_names(raw)
     for name in names:
         if name not in APPROXIMANTS:
             raise ParseError(
@@ -184,9 +188,12 @@ def _finish(out_path: str | None, rows: list[str], summary: list[str]) -> None:
     """The CSV rows to out_path (stdout when None), and the summary to the
     channel the CSV does not occupy.
 
-    An existing out_path is rewritten in place and then cut to the new
-    length: truncating it to 0 bytes first makes ext4 flush the old blocks
-    on close, which costs more than the write.
+    An existing out_path is cut to the new length and rewritten in place:
+    on ext4, truncating a file to 0 bytes makes its close start writeback,
+    and once the old data is on disk the truncate frees its blocks; either
+    costs more than the write. A write that stops partway (a full disk,
+    Ctrl-C) cuts the file to what was written, so it holds a prefix of the
+    new CSV and nothing older.
     """
     payload = "\n".join(rows) + "\n"
     if out_path is None:
@@ -194,14 +201,27 @@ def _finish(out_path: str | None, rows: list[str], summary: list[str]) -> None:
     else:
         try:
             fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
-            with open(fd, "w", newline="\n") as fh:
-                fh.write(payload)
-                # /dev/null and pipes have no length to cut
-                if stat.S_ISREG(os.fstat(fd).st_mode):
-                    fh.truncate()
         except OSError as exc:
             raise ParseError(f"--out: cannot write {out_path!r}: "
                              f"{exc.strerror or exc}") from None
+        data = memoryview(payload.encode())  # the CSV is ASCII
+        written, regular = 0, False
+        try:
+            # /dev/null and pipes have no length to cut
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            if regular:
+                os.ftruncate(fd, len(data))
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        except BaseException as exc:
+            if regular:
+                os.ftruncate(fd, written)
+            if isinstance(exc, OSError):
+                raise ParseError(f"--out: writing {out_path!r} stopped after {written} "
+                                 f"of {len(data)} bytes: {exc.strerror or exc}") from None
+            raise
+        finally:
+            os.close(fd)
     for line in summary:
         print(line, file=sys.stderr if out_path is None else sys.stdout)
 
@@ -438,8 +458,7 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
     if "--rho" in values and "--a-n" not in values:
         raise ParseError("--rho needs --a-n (without it, second_order takes rho = 0 "
                          "and the Weibull-like preset)")
-    if "--a-n" in values and "second_order" not in [
-            tok.strip() for tok in values.get("--approx", "").split(",")]:
+    if "--a-n" in values and "second_order" not in _approx_names(values.get("--approx", "")):
         raise ParseError("--a-n needs --approx second_order (no other approximant "
                          "reads A(n) or rho)")
     return SimpleNamespace(command=command, **{

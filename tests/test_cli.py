@@ -3,12 +3,17 @@ import io
 import math
 import os
 import re
+import resource
+import signal
 import stat
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evt_accompany
 from evt_accompany.cli import (
     IDENTITY_COLUMNS,
     NORMING_COLUMNS,
@@ -500,6 +505,50 @@ def test_rewrite_through_a_symlink_keeps_the_link_inode_and_mode(tmp_path):
 def test_out_to_devnull(capsys):
     assert main(_SHORT_TABLE + ["--out", os.devnull]) == 0
     assert capsys.readouterr().out.startswith("table: 3 rows")
+
+
+def test_a_write_that_fails_partway_leaves_a_prefix_of_the_new_csv(tmp_path):
+    # a file-size limit makes the kernel stop the write at 4096 bytes (EFBIG)
+    out = tmp_path / "t.csv"
+    out.write_text("old\n" * 20000)
+    argv = _SHORT_TABLE[:-1] + ["-2:6:161"]
+    _, fresh = run(tmp_path, "fresh.csv", argv)
+    assert 4096 < len(fresh) < out.stat().st_size
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+    src = os.path.dirname(os.path.dirname(evt_accompany.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from evt_accompany.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        preexec_fn=limit_file_size, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith(f"error (ParseError): --out: writing {str(out)!r} stopped "
+                                  f"after 4096 of {len(fresh)} bytes: "), proc.stderr
+    assert out.read_bytes() == fresh[:4096]
+
+
+def test_an_interrupted_write_leaves_a_prefix_of_the_new_csv(tmp_path, monkeypatch):
+    out = tmp_path / "t.csv"
+    out.write_text("old\n" * 20000)
+    argv = _SHORT_TABLE[:-1] + ["-2:6:161"]
+    _, fresh = run(tmp_path, "fresh.csv", argv)
+    real_write, calls = os.write, []
+
+    def write_1000_then_interrupt(fd, data):
+        if calls:
+            raise KeyboardInterrupt
+        calls.append(fd)
+        return real_write(fd, data[:1000])
+
+    monkeypatch.setattr(os, "write", write_1000_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv + ["--out", str(out)])
+    monkeypatch.undo()
+    assert out.read_bytes() == fresh[:1000]
 
 
 @pytest.mark.parametrize("where", ["missing/x.csv", "."], ids=["missing dir", "a directory"])
