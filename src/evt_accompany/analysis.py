@@ -233,7 +233,7 @@ def simulate_max(dist: DistributionSpec, n: int, replications: int,
     exact law with one uniform per replication, so time and memory are
     O(replications) whatever n is. All levels are inverted with one
     dist.quantile_tails call. Deterministic for a fixed non-negative seed
-    (Philox counter stream).
+    (Philox counter stream). Errors name their n.
     """
     if replications < 1:
         raise DomainError(f"simulate_max needs replications >= 1, got {replications!r}")
@@ -242,8 +242,11 @@ def simulate_max(dist: DistributionSpec, n: int, replications: int,
     n = int(n)
     pair = norming_exact(dist, n)
     rng = np.random.Generator(np.random.Philox(seed))
-    levels = _min_tail_levels(rng.random(replications), n)
-    return (dist.quantile_tails(levels) - pair.b) / pair.a
+    try:
+        maxima = dist.quantile_tails(_min_tail_levels(rng.random(replications), n))
+    except EvtError as exc:
+        raise exc.at(f"n={n}") from exc
+    return (maxima - pair.b) / pair.a
 
 
 def empirical_cdf(samples: np.ndarray, xs: Sequence[float]) -> np.ndarray:

@@ -286,20 +286,18 @@ def _cmd_rates(args, dist: DistributionSpec) -> int:
     return 0
 
 
-def _closed_norming(dist: DistributionSpec):
-    """The closed-form norming of the family, a function of (c, p, alpha, ell, n)."""
-    if isinstance(dist, WeibullLike):
-        return norming_weibull_closed
-    if isinstance(dist, LogWeibullLike):
-        return norming_logweibull_closed
-    raise DomainError(
-        f"no closed-form norming for family {dist.label!r} (Weibull-like and "
-        f"log-Weibull-like only)")
+# family -> its closed-form norming, a function of (c, p, alpha, ell, n)
+_CLOSED_NORMINGS = {WeibullLike: norming_weibull_closed,
+                    LogWeibullLike: norming_logweibull_closed}
 
 
 def _cmd_norming(args, dist: DistributionSpec) -> int:
     ns = _resolve_ns(args)
-    closed_norming = _closed_norming(dist)
+    closed_norming = _CLOSED_NORMINGS.get(type(dist))
+    if closed_norming is None:
+        raise DomainError(
+            f"no closed-form norming for family {dist.label!r} (Weibull-like and "
+            f"log-Weibull-like only)")
     rows = [_header(dist.label, "norming"), NORMING_COLUMNS]
     last = None
     for exact in norming_exacts(dist, ns):

@@ -140,7 +140,7 @@ def correction_logweibull(C: float, p: float, alpha_fn: Callable[[float], float]
     """Predicted gamma(x) - x for tails exp(-integral g/(C t log^(1-p) t)), p > 1.
 
     -(1/2) C^(1/p) p^((1-p)/p) x^2 log(n)^(1/p - 1) * (1 - (p-1)/L)
-        + integral_0^x alpha(b + C b^(1-p) v) dv,
+        + integral_0^x alpha(b + f(b) v) dv,   f(b) = C b log^(1-p) b,
     where L = (C p log n)^(1/p) is log b for the canonical pair. The x^2
     coefficient is negative (log-Weibull tails are heavier than exponential,
     so gamma approaches x from below); the (1 - (p-1)/L) factor is the next
@@ -150,12 +150,14 @@ def correction_logweibull(C: float, p: float, alpha_fn: Callable[[float], float]
         raise DomainError(
             f"correction_logweibull needs p > 1 (p <= 1 tails leave the Gumbel "
             f"domain), got {p!r}")
+    if pair.b <= 1.0:
+        raise DomainError("correction_logweibull needs b_n > 1")
     log_n = _log_n(n)
     _taylor_guard(p, log_n, x)
     big_l = (C * p * log_n) ** (1.0 / p)
     first = (-0.5 * C ** (1.0 / p) * p ** ((1.0 - p) / p) * x * x
              * log_n ** (1.0 / p - 1.0) * (1.0 - (p - 1.0) / big_l))
-    shift = C * pair.b ** (1.0 - p)
+    shift = C * pair.b * math.log(pair.b) ** (1.0 - p)
     tail_term = quadrature.integrate(
         quadrature.elementwise(lambda v: alpha_fn(pair.b + shift * v)), 0.0, x)
     return first + tail_term

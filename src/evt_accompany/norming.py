@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import DivergenceError, DomainError, EvtError, MismatchError
-from .tails import DistributionSpec, LogWeibullLike, SlowlyVarying
+from .tails import DistributionSpec, SlowlyVarying
 
 EXACT_QUANTILE = "exact-quantile"
 CLOSED_FORM = "closed-form"
@@ -134,15 +134,6 @@ def norming_weibull_closed(c: float, p: float, alpha: float,
     return NormingPair(n=n, a=a, b=b, method=CLOSED_FORM)
 
 
-def _log_ell_at_exp(ell: SlowlyVarying, y: float) -> float:
-    # log ell(e^y) without forming e^y; for log-power factors log log e^y = log y
-    if ell.is_const:
-        return math.log(ell.scale)
-    if y <= 0.0:
-        raise DomainError(f"log ell(e^y) of a log-power factor needs y > 0, got {y!r}")
-    return math.log(ell.scale) + ell.beta * math.log(y)
-
-
 def norming_logweibull_closed(c: float, p: float, alpha: float,
                               ell: SlowlyVarying, n: int) -> NormingPair:
     """Closed-form norming for tails ell(x) x^alpha e^(-c log^p x), p > 1.
@@ -168,7 +159,7 @@ def norming_logweibull_closed(c: float, p: float, alpha: float,
         if not y > 0.0:  # y ** inv_p would be complex
             raise DivergenceError(f"log-Weibull fixed-point iterate is not positive: y = {y!r}")
         root = y ** inv_p
-        return y - u0 - (alpha / c) * root - _log_ell_at_exp(ell, root) / c
+        return y - u0 - (alpha / c) * root - ell.log_values_deltas(root)[0] / c
 
     y = asymptotic_iterate(residual, u, iterations=_LOGWEIBULL_ITERATIONS)
     log_b = y ** inv_p

@@ -97,11 +97,13 @@ class SlowlyVarying:
             raise DomainError(f"delta(t) of a log-power factor needs t > 1, got {t!r}")
         return self.beta / math.log(t)
 
-    def log_values_deltas(self, lx: np.ndarray):
-        """log ell(x) and delta(x) on an array of lx = log x (lx > 0 for a log power)."""
+    def log_values_deltas(self, lx):
+        """log ell(x) and delta(x) at lx = log x, a float or an array (lx > 0
+        for a log power); a Python float takes math.log, an array np.log."""
         if self.is_const:
             return math.log(self.scale), 0.0
-        return math.log(self.scale) + self.beta * np.log(lx), self.beta / lx
+        log = math.log if type(lx) is float else np.log
+        return math.log(self.scale) + self.beta * log(lx), self.beta / lx
 
     @property
     def label(self) -> str:
@@ -457,16 +459,31 @@ class ExponentialUnit(DistributionSpec):
 
 class _PowerFamily(DistributionSpec):
     """Tails ell(x) x^alpha exp(-c h(x)^p), with h(x) = x (WeibullLike) or
-    h(x) = log x (LogWeibullLike), which share one array quantile.
-
-    Subclasses give the closed-form inverse of the alpha = 0, constant-ell
-    member and the log tail with its exact slope in log x, on arrays.
+    h(x) = log x (LogWeibullLike), which share one constructor and one array
+    quantile. Subclasses give class data (the spec head _head, the bound
+    _p_min that p must exceed, the floor _x0_floor of x0's search, e for a
+    log-power ell) and formulas: the scalar log tail, the closed-form
+    inverse of the alpha = 0, constant-ell member, the log tail with its
+    exact slope in log x on arrays, and the components.
     """
 
-    c: float
-    p: float
-    alpha: float
-    ell: SlowlyVarying
+    def __init__(self, c: float, p: float, alpha: float = 0.0,
+                 ell: SlowlyVarying | None = None) -> None:
+        name = type(self).__name__
+        if not (c > 0.0 and math.isfinite(c)):
+            raise DomainError(f"{name} needs c > 0")
+        if not (p > self._p_min and math.isfinite(p)):
+            raise DomainError(f"{name} needs p > {self._p_min:g}")
+        if not math.isfinite(alpha):
+            raise DomainError(f"{name} needs finite alpha")
+        self.c = float(c)
+        self.p = float(p)
+        self.alpha = float(alpha)
+        self.ell = ell if ell is not None else SlowlyVarying.const(1.0)
+        floor = _E if self.ell.kind == "logpow" else self._x0_floor
+        self._x0 = _auto_x0(self._log_tail_raw, floor)
+        self._label = (f"{self._head}:c={self.c:g},p={self.p:g},alpha={self.alpha:g},"
+                       f"ell={self.ell.label}")
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         """The x with log ell0 - c h(x)^p = log q."""
@@ -527,26 +544,9 @@ class WeibullLike(_PowerFamily):
         g(t) = 1 - (alpha + delta(t)) / (c p t^p)
     """
 
-    def __init__(self, c: float, p: float, alpha: float = 0.0,
-                 ell: SlowlyVarying | None = None, x0: float | None = None) -> None:
-        if not (c > 0.0 and math.isfinite(c)):
-            raise DomainError("WeibullLike needs c > 0")
-        if not (p > 0.0 and math.isfinite(p)):
-            raise DomainError("WeibullLike needs p > 0")
-        if not math.isfinite(alpha):
-            raise DomainError("WeibullLike needs finite alpha")
-        self.c = float(c)
-        self.p = float(p)
-        self.alpha = float(alpha)
-        self.ell = ell if ell is not None else SlowlyVarying.const(1.0)
-        if x0 is None:
-            floor = _E if self.ell.kind == "logpow" else _E * 2.0 ** -60
-            x0 = _auto_x0(self._log_tail_raw, floor)
-        elif not _admissible(self._log_tail_raw, float(x0)):
-            raise DomainError(
-                f"tail exceeds 1 or is not decreasing at the requested x0 = {x0!r}")
-        self._x0 = float(x0)
-        self._label = f"weibull:c={self.c:g},p={self.p:g},alpha={self.alpha:g},ell={self.ell.label}"
+    _head = "weibull"
+    _p_min = 0.0
+    _x0_floor = _E * 2.0 ** -60
 
     def _log_tail_raw(self, x: float) -> float:
         if x <= 0.0:
@@ -581,30 +581,9 @@ class LogWeibullLike(_PowerFamily):
         g(t) = 1 - (alpha + delta(t)) / (c p log^(p-1) t)
     """
 
-    def __init__(self, c: float, p: float, alpha: float = 0.0,
-                 ell: SlowlyVarying | None = None, x0: float | None = None) -> None:
-        if not (c > 0.0 and math.isfinite(c)):
-            raise DomainError("LogWeibullLike needs c > 0")
-        if not (p > 1.0 and math.isfinite(p)):
-            raise DomainError("LogWeibullLike needs p > 1")
-        if not math.isfinite(alpha):
-            raise DomainError("LogWeibullLike needs finite alpha")
-        self.c = float(c)
-        self.p = float(p)
-        self.alpha = float(alpha)
-        self.ell = ell if ell is not None else SlowlyVarying.const(1.0)
-        if x0 is None:
-            x0 = _auto_x0(self._log_tail_raw, _E)
-        else:
-            x0 = float(x0)
-            if x0 < _E:
-                raise DomainError(f"LogWeibullLike needs x0 >= e, got {x0!r}")
-            if not _admissible(self._log_tail_raw, x0):
-                raise DomainError(
-                    f"tail exceeds 1 or is not decreasing at the requested x0 = {x0!r}")
-        self._x0 = float(x0)
-        self._label = (
-            f"logweibull:c={self.c:g},p={self.p:g},alpha={self.alpha:g},ell={self.ell.label}")
+    _head = "logweibull"
+    _p_min = 1.0
+    _x0_floor = _E
 
     def _log_tail_raw(self, x: float) -> float:
         if x < 1.0:
@@ -819,12 +798,11 @@ class IteratedLogScale(_HandleFamily):
 
     The iterated-log order k >= 2 grades tail heaviness inside the Gumbel
     domain beyond the Weibull-like (k = 0 flavour) and log-Weibull-like
-    (k = 1 flavour) classes. x0 must exceed the k-fold exponential tower of 1
-    so every intermediate logarithm stays positive; the default sits just
-    above the tower, where tail(x0) = 1.
+    (k = 1 flavour) classes. x0 sits just above the k-fold exponential tower
+    of 1, so every intermediate logarithm stays positive, and tail(x0) = 1.
     """
 
-    def __init__(self, k: int, a: float, C: float, x0: float | None = None) -> None:
+    def __init__(self, k: int, a: float, C: float) -> None:
         if not (isinstance(k, int) and k >= 2):
             raise DomainError("IteratedLogScale needs integer k >= 2")
         if not (a > 0.0 and math.isfinite(a)):
@@ -834,13 +812,7 @@ class IteratedLogScale(_HandleFamily):
         self.k = k
         self.a = float(a)
         self.C = float(C)
-        tower = exp_tower(k)
-        if x0 is None:
-            x0 = tower + 1.0
-        elif x0 <= tower:
-            raise DomainError(
-                f"IteratedLogScale(k={k}) needs x0 > {tower!r} (k-fold exp tower of 1)")
-        self._x0 = float(x0)
+        self._x0 = exp_tower(k) + 1.0
         self._label = f"iterlog:k={self.k},a={self.a:g},C={self.C:g}"
 
     def aux_f(self, t: float) -> float:
@@ -910,6 +882,9 @@ def _key_values(body: str, wanted: tuple[str, ...]) -> dict[str, str]:
     return out
 
 
+_POWER_FAMILIES = {family._head: family for family in (WeibullLike, LogWeibullLike)}
+
+
 def parse_dist(spec: str) -> DistributionSpec:
     """Parse the distribution grammar used by the CLI and config files.
 
@@ -927,7 +902,8 @@ def parse_dist(spec: str) -> DistributionSpec:
     if spec == "exp":
         return ExponentialUnit()
     head, _, body = spec.partition(":")
-    if head in ("weibull", "logweibull"):
+    family = _POWER_FAMILIES.get(head)
+    if family is not None:
         # ell values contain ':' so key=value splitting on ',' stays unambiguous
         fields = _key_values(body, ("c", "p", "alpha", "ell"))
         c = _parse_float("c", fields["c"])
@@ -936,13 +912,10 @@ def parse_dist(spec: str) -> DistributionSpec:
         ell = _parse_ell(fields["ell"])
         if c <= 0.0:
             raise ParseError(f"field 'c': must be > 0, got {fields['c']!r}")
-        if head == "weibull":
-            if p <= 0.0:
-                raise ParseError(f"field 'p': must be > 0, got {fields['p']!r}")
-            return WeibullLike(c, p, alpha, ell)
-        if p <= 1.0:
-            raise ParseError(f"field 'p': must be > 1 for logweibull, got {fields['p']!r}")
-        return LogWeibullLike(c, p, alpha, ell)
+        if p <= family._p_min:
+            raise ParseError(
+                f"field 'p': must be > {family._p_min:g} for {head}, got {fields['p']!r}")
+        return family(c, p, alpha, ell)
     if head == "iterlog":
         fields = _key_values(body, ("k", "a", "C"))
         try:

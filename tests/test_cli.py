@@ -247,6 +247,19 @@ def test_norming_errors_name_their_n(tmp_path, capsys, argv):
     assert err.count("(at n=") == 1
 
 
+def test_simulate_quantile_errors_name_their_n(tmp_path, capsys):
+    # b at n = 30000 is finite, but the smallest of 1000 drawn levels has its
+    # quantile past the float range
+    spec = "weibull:c=1,p=0.0033333,alpha=0,ell=const:1"
+    code, _ = run(tmp_path, "x.csv", ["simulate", "--dist", spec, "--n", "30000",
+                                      "--reps", "1000", "--seed", "3"])
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error (DomainError): a quantile of {spec} overflows a float")
+    assert err.endswith(f" (at n=30000) (at dist={spec})")
+    assert "Traceback" not in err
+
+
 def test_n_flags_accept_integral_float_literals(tmp_path):
     code, payload = run(tmp_path, "n.csv", [
         "norming", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1", "--n", "1e3,1.5e4,1E300"])

@@ -282,10 +282,27 @@ def test_correction_logweibull_alpha_tracks_exact():
         assert gap / pred == pytest.approx(1.0, abs=0.12)
 
 
+def test_correction_logweibull_steps_with_the_log_weibull_f():
+    # the g-deficit integral runs along b + f(b) v with f(b) = C b log^(1-p) b;
+    # stepping with the Weibull f(b) = C b^(1-p) reads 0.983 at x = 1 here
+    c, p, alpha, n = 1.0, 3.0, 2.0, 10 ** 12
+    d = LogWeibullLike(c, p, alpha)
+    pair = pure_logweibull_pair(c, p, n)
+    fn = logweibull_alpha_fn(c, p, alpha)
+    for x in (0.5, 1.0, 2.0):
+        gap = gamma_exact(d, pair, x) - x
+        pred = correction_logweibull(1.0 / (c * p), p, fn, pair, x, n)
+        assert gap / pred == pytest.approx(1.0, abs=0.015)
+
+
 def test_correction_logweibull_rejects_small_p():
     pair = pure_logweibull_pair(1.0, 2.0, 10 ** 4)
     with pytest.raises(DomainError):
         correction_logweibull(0.5, 1.0, lambda t: 0.0, pair, 1.0, 10 ** 4)
+    # f(b) = C b log^(1-p) b needs log b > 0
+    with pytest.raises(DomainError, match="b_n > 1"):
+        correction_logweibull(0.5, 2.0, lambda t: 0.0, NormingPair(n=100, a=1.0, b=1.0),
+                              1.0, 100)
 
 
 def test_taylor_regime_guard():

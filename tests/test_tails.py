@@ -578,11 +578,45 @@ def test_auto_x0_doubles_up_to_the_float_range():
         parse_dist("logweibull:c=1,p=1.01,alpha=2,ell=const:1")
 
 
-def test_explicit_x0_validated():
-    with pytest.raises(DomainError):
-        WeibullLike(1.0, 1.0, 2.0, x0=1.0)  # raw tail still increasing at 1 (mode is at 2)
-    with pytest.raises(DomainError):
-        LogWeibullLike(1.0, 2.0, 0.0, x0=2.0)  # below e
+@pytest.mark.parametrize("spec, x0", [
+    ("weibull:c=1,p=2,alpha=0,ell=const:1", 2.3577336510745328e-18),  # the floor e 2^-60
+    ("weibull:c=1,p=0.5,alpha=2,ell=const:1", 86.98501851068944),  # doubled up
+    ("weibull:c=1,p=2,alpha=2,ell=const:1", 1.3591409142295225),  # walked down
+    ("weibull:c=1,p=50,alpha=0,ell=const:1", 6.480888911388028e-07),  # bisected
+    ("weibull:c=1,p=2,alpha=0,ell=logpow:1:1", math.e),  # a log power stops at e
+    ("logweibull:c=1,p=2,alpha=0,ell=const:1", math.e),
+    ("logweibull:c=1,p=1.1281171539682422,alpha=1.965742466111506,ell=const:1",
+     1.0561443096899725e+85),
+])
+def test_power_family_x0_and_label_are_pinned(spec, x0):
+    d = parse_dist(spec)
+    assert d.x0 == x0
+    head, _, body = spec.partition(":")
+    c, p, alpha, ell = (field.partition("=")[2] for field in body.split(","))
+    assert d.label == (f"{head}:c={float(c):g},p={float(p):g},alpha={float(alpha):g},"
+                       f"ell={ell}")
+
+
+def test_power_families_share_one_grammar_and_constructor():
+    with pytest.raises(ParseError, match=r"field 'p': must be > 0 for weibull, got '0'"):
+        parse_dist("weibull:c=1,p=0,alpha=0,ell=const:1")
+    with pytest.raises(ParseError, match=r"field 'p': must be > 1 for logweibull, got '1'"):
+        parse_dist("logweibull:c=1,p=1,alpha=0,ell=const:1")
+    for family, p_min in ((WeibullLike, 0), (LogWeibullLike, 1)):
+        name = family.__name__
+        with pytest.raises(DomainError, match=f"^{name} needs c > 0$"):
+            family(0.0, 2.0)
+        with pytest.raises(DomainError, match=f"^{name} needs p > {p_min}$"):
+            family(1.0, float(p_min))
+        with pytest.raises(DomainError, match=f"^{name} needs finite alpha$"):
+            family(1.0, 2.0, math.nan)
+
+
+def test_weibull_log_tail_below_zero_is_a_domain_error():
+    # pure Weibull has x0 of about 2.4e-18, so -5e-13 passes the 1e-12 slack
+    # of the x >= x0 test and reaches the tail formula's own check
+    with pytest.raises(DomainError, match="needs x > 0"):
+        WeibullLike(1.0, 2.0).log_tail(-5e-13)
 
 
 def test_iterated_log_tower_guard():
@@ -590,8 +624,6 @@ def test_iterated_log_tower_guard():
     assert iterated_log(2.0, 2) == pytest.approx(math.log(math.log(2.0)), abs=1e-15)
     with pytest.raises(DomainError):
         iterated_log(0.5, 2)  # first log goes negative, second is undefined
-    with pytest.raises(DomainError):
-        IteratedLogScale(2, 1.0, 1.0, x0=10.0)
     with pytest.raises(DomainError):
         IteratedLogScale(1, 1.0, 1.0)
 
