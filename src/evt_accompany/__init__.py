@@ -35,16 +35,7 @@ from .errors import (
     ParseError,
     QuadratureError,
 )
-from .gamma import (
-    correction_generalized_weibull,
-    correction_logweibull,
-    correction_weibull_like,
-    gamma_closed_weibull,
-    gamma_exact,
-    gamma_quadrature,
-    logweibull_alpha_fn,
-    weibull_alpha_fn,
-)
+from .gamma import gamma_closed_weibull, gamma_exact, gamma_expansion, gamma_quadrature
 from .norming import (
     NormingPair,
     asymptotic_iterate,

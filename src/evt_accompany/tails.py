@@ -372,6 +372,13 @@ class DistributionSpec:
             raise DomainError(f"von Mises components need t >= x0 = {self._x0!r}, got {t!r}")
         return self._components(t)
 
+    def aux_slope(self, t: float) -> float:
+        """f'(t), the slope of the auxiliary function, by a central difference
+        of f with step 1e-6 |t| (1e-6 at t = 0); both ends must be >= x0."""
+        h = 1e-6 * abs(t) or 1e-6
+        return (self.von_mises_components(t + h)[0]
+                - self.von_mises_components(t - h)[0]) / (2.0 * h)
+
     def _components(self, t: float):
         raise NotImplementedError
 

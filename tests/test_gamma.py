@@ -4,14 +4,10 @@ import pytest
 
 from evt_accompany.errors import DomainError
 from evt_accompany.gamma import (
-    correction_generalized_weibull,
-    correction_logweibull,
-    correction_weibull_like,
     gamma_closed_weibull,
     gamma_exact,
+    gamma_expansion,
     gamma_quadrature,
-    logweibull_alpha_fn,
-    weibull_alpha_fn,
 )
 from evt_accompany.norming import (
     NormingPair,
@@ -123,11 +119,26 @@ def test_quadrature_matches_exact_iterated_log():
     assert q == pytest.approx(e, abs=1e-8)
 
 
-@pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.label)
-@pytest.mark.parametrize("n", [10 ** 3, 10 ** 6])
-def test_route_agreement_on_grid(dist, n):
-    pair = norming_exact(dist, n)
-    guard = -math.log(n) + 0.5
+def _exact_pair(n):
+    return lambda dist: norming_exact(dist, n)
+
+
+# norming-exact pairs, then pairs whose a is not f(b)/g(b): a doubled scale,
+# and the pure closed pair under a tail with alpha != 0
+ROUTE_CASES = [pytest.param(dist, _exact_pair(n), id=f"{n}-{dist.label}")
+               for n in (10 ** 3, 10 ** 6) for dist in FAMILIES] + [
+    pytest.param(ExponentialUnit(),
+                 lambda dist: NormingPair(n=1000, a=2.0, b=math.log(1000.0)),
+                 id="scaled-a-exp"),
+    pytest.param(WeibullLike(1.0, 2.0, 3.0), lambda dist: pure_weibull_pair(1.0, 2.0, 10 ** 8),
+                 id="closed-pure-pair-weibull:c=1,p=2,alpha=3"),
+]
+
+
+@pytest.mark.parametrize("dist, make_pair", ROUTE_CASES)
+def test_route_agreement_on_grid(dist, make_pair):
+    pair = make_pair(dist)
+    guard = -math.log(pair.n) + 0.5
     for i in range(17):
         x = -2.0 + 0.5 * i
         if pair.b + pair.a * x < dist.x0:
@@ -193,46 +204,79 @@ def test_gamma_tends_to_x(dist):
             assert hi <= lo + 1e-12
 
 
-# -- correction predictors ---------------------------------------------------
+# -- correction terms: gamma_expansion ---------------------------------------
 
 def test_correction_generalized_zero_alpha_p1():
+    # p = 1, alpha = 0 is the exponential tail: r = 1, f' = 0, g = 1
     pair = pure_weibull_pair(1.0, 1.0, 10 ** 4)
+    d = WeibullLike(1.0, 1.0, 0.0)
     for x in (-1.0, 0.0, 2.0):
-        assert correction_generalized_weibull(1.0, 1.0, lambda t: 0.0, pair, x) == 0.0
+        assert gamma_expansion(d, pair, x) == 0.0
+
+
+def test_correction_logweibull_zero_at_origin():
+    pair = pure_logweibull_pair(1.0, 2.0, 10 ** 6)
+    assert gamma_expansion(LogWeibullLike(1.0, 2.0, 0.0), pair, 0.0) == 0.0
 
 
 def test_correction_generalized_first_term_only():
-    # C = 1/(cp) = 1/2, p = 2, log n = 16: x = 1 gives 1/(2*2*16) = 0.015625,
-    # matching gamma_exact - x under the canonical pair exactly (p = 2 is finite)
+    # p = 2, log n = 16: -f'(b)/2 = (p-1)/(2 p log n) = 1/64 at x = 1, which is
+    # gamma_exact - x under the canonical pair exactly (p = 2 is finite)
     n = math.exp(16.0)
     pair = pure_weibull_pair(1.0, 2.0, n)  # n rounds to an integer inside
-    got = correction_generalized_weibull(0.5, 2.0, lambda t: 0.0, pair, 1.0)
-    assert got == pytest.approx(1.0 / 64.0, abs=1e-9)
     d = WeibullLike(1.0, 2.0, 0.0)
+    got = gamma_expansion(d, pair, 1.0)
+    assert got == pytest.approx(1.0 / 64.0, abs=1e-9)
     gap = gamma_exact(d, pair, 1.0) - 1.0
     assert got == pytest.approx(gap, rel=1e-9)
+    # and under any a: at a = 2 a_n, r = 2 and gamma - x = x + x^2/b^2
+    scaled = NormingPair(n=pair.n, a=2.0 * pair.a, b=pair.b)
+    gap = gamma_exact(d, scaled, 1.0) - 1.0
+    assert gamma_expansion(d, scaled, 1.0) == pytest.approx(gap, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_correction_pins_the_logweibull_x2_coefficient(p):
+    # -(1/2) C^(1/p) p^((1-p)/p) x^2 log(n)^(1/p - 1) (1 - (p-1)/L), with
+    # C = 1/(cp) and L = (C p log n)^(1/p) = log b for the canonical pair
+    c = 1.0
+    C = 1.0 / (c * p)
+    d = LogWeibullLike(c, p, 0.0)
+    for n in (10 ** 6, 10 ** 8):
+        pair = pure_logweibull_pair(c, p, n)
+        log_n = math.log(n)
+        big_l = (C * p * log_n) ** (1.0 / p)
+        for x in (0.5, 1.5):
+            want = (-0.5 * C ** (1.0 / p) * p ** ((1.0 - p) / p) * x * x
+                    * log_n ** (1.0 / p - 1.0) * (1.0 - (p - 1.0) / big_l))
+            assert gamma_expansion(d, pair, x) == pytest.approx(want, rel=1e-9)
+
+
+def test_correction_weibull_like_values():
+    # ((p-1) x^2/2 - alpha x)/(p log n) under the canonical pair, term by
+    # term: at alpha = 0, r = 1 and g = 1, so the expansion is -f'(b) x^2/2;
+    # the alpha term is pinned to leading order in x, at x = 1e-10, where
+    # the x^2 term is 1e-10 of it
+    for p, alpha in ((0.5, 2.0), (2.0, 3.0)):
+        for n in (10 ** 6, 10 ** 8):
+            pair = pure_weibull_pair(1.0, p, n)
+            for x in (0.5, 1.5):
+                want = (p - 1.0) * x * x / (2.0 * p * math.log(n))
+                got = gamma_expansion(WeibullLike(1.0, p, 0.0), pair, x)
+                assert got == pytest.approx(want, rel=1e-9)
+            want = -alpha * 1e-10 / (p * math.log(n))
+            got = gamma_expansion(WeibullLike(1.0, p, alpha), pair, 1e-10)
+            assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_correction_generalized_with_alpha_term():
     c, p, alpha, n = 1.0, 2.0, 2.0, 10 ** 6
     d = WeibullLike(c, p, alpha)
     pair = pure_weibull_pair(c, p, n)
-    fn = weibull_alpha_fn(c, p, alpha)
     for x in (0.5, 1.0):
-        pred = correction_generalized_weibull(1.0 / (c * p), p, fn, pair, x)
+        pred = gamma_expansion(d, pair, x)
         gap = gamma_exact(d, pair, x) - x
         assert gap / pred == pytest.approx(1.0, abs=0.1)
-
-
-def test_correction_weibull_like_values():
-    assert correction_weibull_like(1.0, 0.0, 10 ** 3, 2.0) == 0.0
-    n = 10 ** 5
-    x = 1.7
-    assert correction_weibull_like(2.0, 0.0, n, x) == pytest.approx(
-        x * x / (4.0 * math.log(n)), rel=1e-13)
-    # p=2, alpha=3, log n = 10, x = 1: (0.5 - 3)/20 = -0.125
-    assert correction_weibull_like(2.0, 3.0, math.exp(10.0), 1.0) == pytest.approx(
-        -0.125, rel=1e-12)
 
 
 def test_correction_weibull_like_tracks_exact():
@@ -241,13 +285,8 @@ def test_correction_weibull_like_tracks_exact():
     pair = pure_weibull_pair(c, p, n)
     for x in (0.5, 1.0, 2.0):
         gap = gamma_exact(d, pair, x) - x
-        pred = correction_weibull_like(p, alpha, n, x)
+        pred = gamma_expansion(d, pair, x)
         assert gap / pred == pytest.approx(1.0, abs=0.1)
-
-
-def test_correction_logweibull_zero_at_origin():
-    pair = pure_logweibull_pair(1.0, 2.0, 10 ** 6)
-    assert correction_logweibull(0.5, 2.0, lambda t: 0.0, pair, 0.0, 10 ** 6) == 0.0
 
 
 def test_correction_logweibull_pure_tracks_exact():
@@ -258,7 +297,7 @@ def test_correction_logweibull_pure_tracks_exact():
         pair = pure_logweibull_pair(c, p, n) if n <= 2 ** 62 else _huge_pure_pair(c, p, n)
         x = 1.0
         gap = gamma_exact(d, pair, x) - x
-        pred = correction_logweibull(1.0 / (c * p), p, lambda t: 0.0, pair, x, n)
+        pred = gamma_expansion(d, pair, x)
         assert pred < 0.0
         assert gap / pred == pytest.approx(1.0, abs=tol)
 
@@ -275,42 +314,51 @@ def test_correction_logweibull_alpha_tracks_exact():
     c, p, alpha, n = 1.0, 2.0, 1.0, 10 ** 8
     d = LogWeibullLike(c, p, alpha)
     pair = pure_logweibull_pair(c, p, n)
-    fn = logweibull_alpha_fn(c, p, alpha)
     for x in (0.5, 1.0, 2.0):
         gap = gamma_exact(d, pair, x) - x
-        pred = correction_logweibull(1.0 / (c * p), p, fn, pair, x, n)
+        pred = gamma_expansion(d, pair, x)
         assert gap / pred == pytest.approx(1.0, abs=0.12)
 
 
 def test_correction_logweibull_steps_with_the_log_weibull_f():
-    # the g-deficit integral runs along b + f(b) v with f(b) = C b log^(1-p) b;
-    # stepping with the Weibull f(b) = C b^(1-p) reads 0.983 at x = 1 here
+    # r = a/f(b) needs the log-Weibull f(b) = C b log^(1-p) b: the 0.015 band
+    # rejects a g-deficit integral stepped with the Weibull f(b) = C b^(1-p),
+    # which reads 0.983 at x = 1 here
     c, p, alpha, n = 1.0, 3.0, 2.0, 10 ** 12
     d = LogWeibullLike(c, p, alpha)
     pair = pure_logweibull_pair(c, p, n)
-    fn = logweibull_alpha_fn(c, p, alpha)
     for x in (0.5, 1.0, 2.0):
         gap = gamma_exact(d, pair, x) - x
-        pred = correction_logweibull(1.0 / (c * p), p, fn, pair, x, n)
+        pred = gamma_expansion(d, pair, x)
         assert gap / pred == pytest.approx(1.0, abs=0.015)
 
 
-def test_correction_logweibull_rejects_small_p():
-    pair = pure_logweibull_pair(1.0, 2.0, 10 ** 4)
-    with pytest.raises(DomainError):
-        correction_logweibull(0.5, 1.0, lambda t: 0.0, pair, 1.0, 10 ** 4)
-    # f(b) = C b log^(1-p) b needs log b > 0
-    with pytest.raises(DomainError, match="b_n > 1"):
-        correction_logweibull(0.5, 2.0, lambda t: 0.0, NormingPair(n=100, a=1.0, b=1.0),
-                              1.0, 100)
+def test_correction_logweibull_needs_b_at_or_above_x0():
+    d = LogWeibullLike(1.0, 2.0, 0.0)  # x0 >= e
+    with pytest.raises(DomainError, match="x0"):
+        gamma_expansion(d, NormingPair(n=100, a=1.0, b=1.0), 0.25)
 
 
 def test_taylor_regime_guard():
-    n = 10 ** 3
-    pair = pure_weibull_pair(1.0, 2.0, n)
-    with pytest.raises(DomainError):
-        correction_weibull_like(2.0, 0.0, n, 100.0)
-    with pytest.raises(DomainError):
-        correction_generalized_weibull(0.5, 2.0, lambda t: 0.0, pair, 100.0)
-    with pytest.raises(DomainError):
-        correction_logweibull(0.5, 2.0, lambda t: 0.0, pair, 100.0, n)
+    # b/(2a) is p log(n)/2 under the Weibull-like canonical pair
+    p, n = 2.0, 10 ** 3
+    d = WeibullLike(1.0, p, 0.0)
+    pair = pure_weibull_pair(1.0, p, n)
+    edge = 0.5 * p * math.log(n)
+    for sign in (1.0, -1.0):
+        gamma_expansion(d, pair, sign * 0.999 * edge)
+        with pytest.raises(DomainError, match="regime"):
+            gamma_expansion(d, pair, sign * 1.001 * edge)
+    with pytest.raises(DomainError, match="regime"):
+        gamma_expansion(d, pair, 100.0)
+
+
+def test_correction_reaches_the_scale():
+    # the iterated-log scale has no closed-form predictor; the expansion
+    # still orders the gap, if only to quadratic order (0.94/0.88/0.79)
+    d = IteratedLogScale(2, 1.0, 1.0)
+    pair = norming_exact(d, 10 ** 6)
+    ratios = [(gamma_exact(d, pair, x) - x) / gamma_expansion(d, pair, x)
+              for x in (0.25, 0.5, 1.0)]
+    assert all(0.75 <= r <= 1.0 for r in ratios)
+    assert ratios == sorted(ratios, reverse=True)
