@@ -35,8 +35,12 @@ QUANTILE_LOG_TOL = 1e-12
 _TOL_SCALE_CAP = 100.0
 _BRACKET_CAP = 200
 _NEWTON_CAP = 100
-# Newton passes plus growth steps: each growth step adds log 2 to log(x - s),
-# and the float range spans fewer than 2,100 doublings.
+# A guard against a search that never ends, not a budget. Growth steps, taken
+# while the bracket has no upper end, may each grow u = log(x - s) by
+# max(log 2, the distance from the start), so that distance at least doubles
+# per step, and at most 13 of them cross the float range (|u| < 745, and
+# 2^12 log 2 > 2 * 745). The other steps have run to 72 on von Mises tails
+# whose c falls steeply at x0, so the cap keeps a wide margin over both.
 _SEARCH_CAP = _NEWTON_CAP + 2100
 _LOG2 = math.log(2.0)
 # levels per cell of the table that starts a handle family's array quantile
@@ -217,8 +221,11 @@ class DistributionSpec:
         log(-log tail), which is close to linear in u there. A step that
         leaves the bracket, is not finite or follows one that did not halve
         |log(log tail / log q)| bisects. Until an upper end is known, a step
-        grows u by at most log 2, and a quantile beyond the float range
-        raises DomainError. It stops when |log_tail(x) - log q| <= 1e-12 *
+        grows u by at most log 2 or the distance u has already come from the
+        search's start, whichever is larger, so the distance can double at
+        each step and a far quantile costs a few steps, not one per doubling
+        of x - s; a quantile beyond the float range raises DomainError. It
+        stops when |log_tail(x) - log q| <= 1e-12 *
         min(max(1, |log q|), 100) or the bracket shrinks to rounding. Each
         iterate is evaluated from the nearer bracket end, so a tail that is an
         integral covers [x0, x] about once per search.
@@ -249,6 +256,7 @@ class DistributionSpec:
                     f"no quantile above x0")
         s = self._shift()
         lo_u, lo_x, lo_f = math.log(start - s), start, log_tail_start
+        u_start = lo_u
         hi_u = hi_x = hi_f = math.inf  # no upper end yet
         x, f = self._start(log_q, start, log_tail_start)
         u = math.log(x - s)
@@ -273,7 +281,7 @@ class DistributionSpec:
                 u, g = 0.5 * (lo_u + hi_u), math.inf
             g_prev = g
             if hi_u == math.inf:
-                u = min(u, lo_u + _LOG2, _LOG_X_MAX)
+                u = min(u, lo_u + max(_LOG2, lo_u - u_start), _LOG_X_MAX)
             x = s + math.exp(u)
             if u - lo_u <= hi_u - u:
                 f = self._log_tail_from(x, lo_x, lo_f)
@@ -574,8 +582,12 @@ class WeibullLike(_PowerFamily):
 
     def _components(self, t: float):
         cp = self.c * self.p
+        try:
+            power = t ** self.p
+        except OverflowError:
+            raise _overflow(t, t, self.p) from None
         f = t ** (1.0 - self.p) / cp
-        g = 1.0 - (self.alpha + self.ell.delta(t)) / (cp * t ** self.p)
+        g = 1.0 - (self.alpha + self.ell.delta(t)) / (cp * power)
         return f, g, 1.0
 
 
@@ -613,8 +625,12 @@ class LogWeibullLike(_PowerFamily):
     def _components(self, t: float):
         cp = self.c * self.p
         lt = math.log(t)
+        try:
+            power = lt ** (self.p - 1.0)
+        except OverflowError:
+            raise _overflow(t, lt, self.p - 1.0) from None
         f = t * lt ** (1.0 - self.p) / cp
-        g = 1.0 - (self.alpha + self.ell.delta(t)) / (cp * lt ** (self.p - 1.0))
+        g = 1.0 - (self.alpha + self.ell.delta(t)) / (cp * power)
         return f, g, 1.0
 
 

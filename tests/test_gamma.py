@@ -94,6 +94,20 @@ def test_exact_below_support_reports_threshold():
         gamma_exact(d, pair, -30.0)
 
 
+def test_components_beyond_the_float_range_are_domain_errors():
+    # t ** p (log t ** (p - 1) for log-Weibull) overflows in the components,
+    # as it does in the tail; every route names the x it was evaluated at
+    weibull = WeibullLike(1.0, 2.0, 1.0)
+    far = NormingPair(n=1000, a=1.0, b=1e200)
+    for call, x in ((lambda: gamma_expansion(weibull, far, 0.5), r"1e\+200"),
+                    (lambda: gamma_quadrature(weibull, far, 0.5), r"1e\+200"),
+                    (lambda: weibull.aux_slope(1e200), r"1\.000001e\+200"),
+                    (lambda: LogWeibullLike(1.0, 300.0).von_mises_components(1e300),
+                     r"1e\+300")):
+        with pytest.raises(DomainError, match=rf"x={x} is outside the float range"):
+            call()
+
+
 # -- gamma_quadrature --------------------------------------------------------
 
 def test_quadrature_exponential_negative_x():

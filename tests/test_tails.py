@@ -208,6 +208,24 @@ def test_closed_form_quantile_takes_two_tail_evaluations(monkeypatch):
     assert len(calls) <= 2
 
 
+@pytest.mark.parametrize("k, log10_n, cap", [(2, 6, 8), (2, 300, 12), (3, 9, 9), (3, 300, 13)])
+def test_handle_quantile_search_gallops_away_from_x0(k, log10_n, cap):
+    # each step may travel as far again as the search has come from x0, so
+    # b_n costs a few integrals, not one per doubling of x (13, 240, 28 and
+    # 610 integrals when a step could only double x)
+    d = IteratedLogScale(k, 1.0, 1.0)
+    calls = []
+    hook = d.log_tail_steps
+
+    def recording(starts, ends):
+        calls.append(ends)
+        return hook(starts, ends)
+
+    d.log_tail_steps = recording
+    norming_exact(d, 10 ** log10_n)
+    assert len(calls) <= cap
+
+
 def test_handle_quantile_tails_walk_the_levels(monkeypatch):
     # simulate_max's levels at n = 1e6; one search from x0 per level took
     # about 800 evaluations, where most levels now take one 15-point rule
@@ -448,6 +466,65 @@ def test_quantile_tails_round_trip_property(dist, log10_q):
     else:
         log_q = math.log(q)
         assert abs(dist.log_tail(x) - log_q) <= 1e-12 * max(1.0, abs(log_q))
+
+
+def von_mises(power, big_c, p, x0, kappa_g, rho_g, kappa_c, rho_c):
+    """A GeneralizedVonMises whose f is C t^(1-p) (power) or C t log^(1-p) t,
+    and whose g and c are 1 + kappa e^(rho (t - x0)), c scaled to c(x0) = 1;
+    rho < 0, so g and c tend to constants, and c falls, so the tail does."""
+    if power:
+        def f(t):
+            return big_c * t ** (1.0 - p)
+    else:
+        def f(t):
+            return big_c * t * math.log(t) ** (1.0 - p)
+    return GeneralizedVonMises(
+        f, lambda t: 1.0 + kappa_g * math.exp(rho_g * (t - x0)),
+        lambda t: (1.0 + kappa_c * math.exp(rho_c * (t - x0))) / (1.0 + kappa_c), x0)
+
+
+@st.composite
+def von_mises_params(draw):
+    # log q >= -691 puts x^p (power) or log^p x below about 691 C p + x0^p
+    # (or log^p x0), give or take the bounded pull of g and c near x0, so
+    # every quantile down to 1e-300 is a float: x < 2e14 for p = 0.2, and
+    # log x < 310 for the log power at p = 1.5
+    power = draw(st.booleans())
+    p = draw(st.floats(0.2, 3.0) if power else st.floats(1.5, 3.0))
+    x0 = draw(st.floats(0.1, 10.0) if power else st.floats(math.e, 20.0))
+    return (power, draw(st.floats(0.2, 5.0)), p, x0,
+            draw(st.floats(-0.5, 1.0)), draw(st.floats(-2.0, -0.05)),
+            draw(st.floats(0.0, 1.0)), draw(st.floats(-2.0, -0.05)))
+
+
+def stop_gap(d, x, q):
+    """How far log tail(x) may lie from log q where the search stops: within
+    1e-12 min(max(1, |log q|), 100), or once its bracket in u = log x is
+    1e-15 max(1, |u|) wide, which on a steep tail leaves more."""
+    u, h = math.log(x), 1e-6
+    slope = (d.log_tail(x * math.exp(h)) - d.log_tail(x)) / h  # d log tail / du
+    return max(1e-12 * min(max(1.0, -math.log(q)), 100.0), 2e-15 * max(1.0, abs(u)) * -slope)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(von_mises_params(), st.floats(-300.0, 0.0), st.integers(1, 300))
+def test_generalized_von_mises_quantiles_and_identity(params, log10_q, log10_n):
+    d = von_mises(*params)
+    q = 10.0 ** log10_q
+    x = d.quantile_tail(q)
+    assert abs(d.log_tail(x) - math.log(q)) <= stop_gap(d, x, q)
+    # the array search (its table and Newton passes) against the scalar one;
+    # tail(x0) = 1, the atom level
+    levels = np.array([1.0, 0.5, q, 1e-30, 1e-300])
+    got = d.quantile_tails(levels)
+    assert got[0] == d.x0
+    for level, x in zip(levels[1:].tolist(), got[1:].tolist()):
+        want = d.quantile_tail(level)
+        assert (abs(d.log_tail(x) - d.log_tail(want))
+                <= stop_gap(d, x, level) + stop_gap(d, want, level))
+    pair = norming_exact(d, 10 ** log10_n)
+    xs, exact, gamma = guarded_xs(d, pair, SupOnGrid(steps=61))
+    assert np.abs(exact - two_term(xs, gamma, pair.n)).max(initial=0.0) <= 1e-10
 
 
 # -- von Mises components ----------------------------------------------------
