@@ -39,9 +39,12 @@ _NEWTON_CAP = 100
 # while the bracket has no upper end, may each grow u = log(x - s) by
 # max(log 2, the distance from the start), so that distance at least doubles
 # per step, and at most 13 of them cross the float range (|u| < 745, and
-# 2^12 log 2 > 2 * 745). The other steps have run to 72 on von Mises tails
-# whose c falls steeply at x0, so the cap keeps a wide margin over both.
-_SEARCH_CAP = _NEWTON_CAP + 2100
+# 2^12 log 2 > 2 * 745). Bisection halves the bracket, and at most 61 halvings
+# take one as wide as the float range to rounding (2 * 745 / 2^61 < 1e-15).
+# The cap is ten times those 13 + 61 steps. The most any search in the tests,
+# demos and benchmark ops takes is 59, and a random run of the von Mises
+# property took 72, on a tail whose c falls steeply at x0.
+_SEARCH_CAP = 10 * (13 + 61)
 _LOG2 = math.log(2.0)
 # levels per cell of the table that starts a handle family's array quantile
 _CELL_LEVELS = 8
@@ -155,9 +158,13 @@ def _levels(q) -> np.ndarray:
     return q
 
 
-def _overflow(x: float, base: float, p: float) -> DomainError:
-    return DomainError(
-        f"tail at x={x!r} is outside the float range ({base!r} ** {p!r} overflows)")
+def _pow(x: float, base: float, p: float) -> float:
+    """base ** p, or a DomainError naming the point x whose tail needs it."""
+    try:
+        return base ** p
+    except OverflowError:
+        raise DomainError(
+            f"tail at x={x!r} is outside the float range ({base!r} ** {p!r} overflows)") from None
 
 
 class DistributionSpec:
@@ -224,7 +231,9 @@ class DistributionSpec:
         grows u by at most log 2 or the distance u has already come from the
         search's start, whichever is larger, so the distance can double at
         each step and a far quantile costs a few steps, not one per doubling
-        of x - s; a quantile beyond the float range raises DomainError. It
+        of x - s. A longer step whose tail cannot be evaluated becomes the
+        upper end to bisect towards; a quantile beyond the float range, or
+        beyond where the tail can be evaluated, raises DomainError. It
         stops when |log_tail(x) - log q| <= 1e-12 *
         min(max(1, |log q|), 100) or the bracket shrinks to rounding. Each
         iterate is evaluated from the nearer bracket end, so a tail that is an
@@ -262,31 +271,48 @@ class DistributionSpec:
         u = math.log(x - s)
         g_prev = math.inf
         for _ in range(_SEARCH_CAP):
-            r = f - log_q
-            if r > 0.0:  # x is below its quantile
-                if u >= _LOG_X_MAX:
-                    raise DomainError(
-                        f"the quantile of {self._label} at log q = {log_q!r} lies beyond "
-                        f"the float range (tail({x!r}) is still above q)")
-                lo_u, lo_x, lo_f = u, x, f
-            else:
-                hi_u, hi_x, hi_f = u, x, f
-            if abs(r) <= tol or hi_u - lo_u <= 1e-15 * max(1.0, abs(lo_u)):
-                return x, f
-            g = abs(math.log(f / log_q)) if f < 0.0 else math.inf
-            f_x, g_x, _ = self._components(x)
-            d = (x - s) * g_x  # -slope * f(x); positive where the tail falls
-            u = u + (r if r > 0.0 else g * f) * f_x / d if d > 0.0 else math.nan
-            if not (lo_u < u < hi_u and g <= 0.5 * g_prev):
+            if f is None:  # x could not be evaluated: bisect below it
+                hi_u, hi_x, hi_f = u, x, math.nan
                 u, g = 0.5 * (lo_u + hi_u), math.inf
+            else:
+                r = f - log_q
+                if r > 0.0:  # x is below its quantile
+                    if u >= _LOG_X_MAX:
+                        raise DomainError(
+                            f"the quantile of {self._label} at log q = {log_q!r} lies beyond "
+                            f"the float range (tail({x!r}) is still above q)")
+                    lo_u, lo_x, lo_f = u, x, f
+                else:
+                    hi_u, hi_x, hi_f = u, x, f
+                if abs(r) <= tol:
+                    return x, f
+                if hi_u - lo_u <= 1e-15 * max(1.0, abs(lo_u)):
+                    if math.isnan(hi_f):
+                        raise DomainError(
+                            f"the quantile of {self._label} at log q = {log_q!r} lies beyond "
+                            f"{hi_x!r}, where its tail cannot be evaluated")
+                    return x, f
+                g = abs(math.log(f / log_q)) if f < 0.0 else math.inf
+                f_x, g_x, _ = self._components(x)
+                d = (x - s) * g_x  # -slope * f(x); positive where the tail falls
+                u = u + (r if r > 0.0 else g * f) * f_x / d if d > 0.0 else math.nan
+                if not (lo_u < u < hi_u and g <= 0.5 * g_prev):
+                    u, g = 0.5 * (lo_u + hi_u), math.inf
             g_prev = g
             if hi_u == math.inf:
                 u = min(u, lo_u + max(_LOG2, lo_u - u_start), _LOG_X_MAX)
             x = s + math.exp(u)
-            if u - lo_u <= hi_u - u:
-                f = self._log_tail_from(x, lo_x, lo_f)
-            else:
-                f = self._log_tail_from(x, hi_x, hi_f)
+            try:
+                if u - lo_u <= hi_u - u or math.isnan(hi_f):
+                    f = self._log_tail_from(x, lo_x, lo_f)
+                else:
+                    f = self._log_tail_from(x, hi_x, hi_f)
+            except EvtError:
+                # a galloping step may overshoot into a range where the tail
+                # (a handle's f, say) is not finite, though the quantile is not
+                if not (u - lo_u > _LOG2 and (hi_u == math.inf or math.isnan(hi_f))):
+                    raise
+                f = None
         raise ConvergenceError(
             f"quantile search of {self._label} exceeded {_SEARCH_CAP} steps "
             f"(bracket in log x: [{lo_u!r}, {hi_u!r}])")
@@ -566,11 +592,7 @@ class WeibullLike(_PowerFamily):
     def _log_tail_raw(self, x: float) -> float:
         if x <= 0.0:
             raise DomainError(f"Weibull-like tail needs x > 0, got {x!r}")
-        try:
-            power = x ** self.p
-        except OverflowError:
-            raise _overflow(x, x, self.p) from None
-        return self.ell.log_value(x) + self.alpha * math.log(x) - self.c * power
+        return self.ell.log_value(x) + self.alpha * math.log(x) - self.c * _pow(x, x, self.p)
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         return ((math.log(self.ell.scale) - log_q) / self.c) ** (1.0 / self.p)
@@ -582,12 +604,8 @@ class WeibullLike(_PowerFamily):
 
     def _components(self, t: float):
         cp = self.c * self.p
-        try:
-            power = t ** self.p
-        except OverflowError:
-            raise _overflow(t, t, self.p) from None
         f = t ** (1.0 - self.p) / cp
-        g = 1.0 - (self.alpha + self.ell.delta(t)) / (cp * power)
+        g = 1.0 - (self.alpha + self.ell.delta(t)) / (cp * _pow(t, t, self.p))
         return f, g, 1.0
 
 
@@ -608,11 +626,7 @@ class LogWeibullLike(_PowerFamily):
         if x < 1.0:
             raise DomainError(f"log-Weibull-like tail needs x >= 1, got {x!r}")
         lx = math.log(x)
-        try:
-            power = lx ** self.p
-        except OverflowError:
-            raise _overflow(x, lx, self.p) from None
-        return self.ell.log_value(x) + self.alpha * lx - self.c * power
+        return self.ell.log_value(x) + self.alpha * lx - self.c * _pow(x, lx, self.p)
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         return np.exp(((math.log(self.ell.scale) - log_q) / self.c) ** (1.0 / self.p))
@@ -625,12 +639,8 @@ class LogWeibullLike(_PowerFamily):
     def _components(self, t: float):
         cp = self.c * self.p
         lt = math.log(t)
-        try:
-            power = lt ** (self.p - 1.0)
-        except OverflowError:
-            raise _overflow(t, lt, self.p - 1.0) from None
         f = t * lt ** (1.0 - self.p) / cp
-        g = 1.0 - (self.alpha + self.ell.delta(t)) / (cp * power)
+        g = 1.0 - (self.alpha + self.ell.delta(t)) / (cp * _pow(t, lt, self.p - 1.0))
         return f, g, 1.0
 
 

@@ -226,6 +226,22 @@ def test_handle_quantile_search_gallops_away_from_x0(k, log10_n, cap):
     assert len(calls) <= cap
 
 
+def test_handle_quantile_search_bisects_below_an_overshoot_it_cannot_evaluate():
+    # log tail = -(2/3)(u^1.5 - 1)/1000 in u = log x, and f overflows past
+    # u ~ 706.15: a galloping step from u ~ 356 lands near 707 on the way to
+    # the root at u ~ 652, and the search must bisect back below it
+    d = GeneralizedVonMises(lambda t: 1000.0 * t / math.sqrt(math.log(t)),
+                            lambda t: 1.0, lambda t: 1.0, math.e)
+    log_q = -11.098
+    x = d.quantile_tail(math.exp(log_q))
+    assert abs(d.log_tail(x) - log_q) <= 1e-12 * abs(log_q)
+    assert abs(math.log(x) - 652.0) < 1.0
+    assert norming_exact(d, 6.6e4).b == pytest.approx(1.3993091240146614e+283, rel=1e-12)
+    # a quantile past the overflow (u ~ 708.9) still raises
+    with pytest.raises(DomainError, match="beyond the float range"):
+        d.quantile_tail(math.exp(-12.55))
+
+
 def test_handle_quantile_tails_walk_the_levels(monkeypatch):
     # simulate_max's levels at n = 1e6; one search from x0 per level took
     # about 800 evaluations, where most levels now take one 15-point rule
