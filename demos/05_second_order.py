@@ -1,9 +1,11 @@
-"""Second-order structure: the H shape, the refined approximant, and the
+"""Second-order structure: the H shape, the second-order approximant, and the
 weighted residual diagnostic.
 
-A family with second-order index rho < 0 admits a rate function A(n) -> 0
-such that (e^-gamma - e^-x)/A(n) converges to a fixed shape; the weighted
-residual scans how well the exact law matches the induced expansion. Run as
+In the Gumbel x scale a family with second-order index rho <= 0 has
+F^n(a x + b) ~ exp(-e^-x (1 + A(n) H_rho(x))) with a rate A(n) -> 0. The
+second_order approximant takes rho = 0 and A(n) = f'(b_n), the slope of the
+family's auxiliary function; the weighted residual scans how well the exact
+law matches the expansion on a constructed rho < 0 tail. Run as
 
     python demos/05_second_order.py
 """
@@ -12,29 +14,33 @@ import math
 
 from evt_accompany import (
     GeneralizedVonMises,
+    IteratedLogScale,
+    LogWeibullLike,
+    SupOnGrid,
     WeibullLike,
+    error_curve,
     evaluate,
     exact_and_gammas,
+    fit_rate,
     gumbel_cdf,
     h_function,
     norming_exact,
-    weibull_preset,
     weighted_residual,
 )
+from evt_accompany.analysis import POWER_IN_LOG_N
 
-print("the two-branch H shape (continuous in rho at 0)")
+print("the Gumbel-scale shape H_rho(x) = (e^(rho x) - 1 - rho x)/rho^2 (x^2/2 at rho = 0)")
 print(f"  {'x':>5s} {'rho=0':>10s} {'rho=-0.5':>10s} {'rho=-1':>10s} {'rho=-2':>10s}")
-for x in (0.5, 1.0, 2.0, math.e, 10.0):
-    row = [h_function(x, r) for r in (0.0, -0.5, -1.0, -2.0)]
-    print(f"  {x:>5.2f} " + " ".join(f"{v:>10.5f}" for v in row))
+for x in (-2.0, -1.0, 0.0, 1.0, 2.0, 4.0):
+    row = [float(h_function(x, r)) for r in (0.0, -0.5, -1.0, -2.0)]
+    print(f"  {x:>5.1f} " + " ".join(f"{v:>10.5f}" for v in row))
 
-print("\nWeibull-like preset (rho = 0, A(n) = 1/(p log n)) on e^(-x^2), n = 1e6")
 d = WeibullLike(1.0, 2.0, 0.0)
 pair = norming_exact(d, 10 ** 6)
-xs = [0.5, 1.0, 2.0, 4.0]
+print(f"\nsecond order on e^(-x^2), n = 1e6: A = f'(b_n) = {d.aux_slope(pair.b):.6f}")
+xs = [-1.0, 0.5, 1.0, 2.0, 4.0]
 exact, gamma = exact_and_gammas(d, pair, xs)
-# second_order's params are (rho, A(n))
-second = evaluate("second_order", xs, gamma, pair.n, 0.0, weibull_preset(2.0, pair.n))
+second = evaluate("second_order", xs, gamma, d, pair)
 print(f"  {'x':>5s} {'exact':>12s} {'gumbel':>12s} {'second order':>13s}")
 for x, e, s in zip(xs, exact.tolist(), second.tolist()):
     print(f"  {x:>5.1f} {e:>12.8f} {gumbel_cdf(x):>12.8f} {s:>13.8f}")
@@ -46,9 +52,18 @@ inst = GeneralizedVonMises(
     g=lambda t: 1.0 - kappa * rho * math.exp(rho * t),
     c=lambda t: math.exp(kappa),
     x0=0.0)
-for n in (10 ** 3, 10 ** 5, 10 ** 7):
+for n in (10 ** 3, 10 ** 5, 10 ** 7, 10 ** 9):
     pair_n = norming_exact(inst, n, centering="logcdf")
-    a_n = abs(kappa) * math.exp(rho * pair_n.b)
+    a_n = kappa * rho * rho * math.exp(rho * pair_n.b)
     r = weighted_residual(inst, n, rho=rho, a_n_value=a_n, eps=0.1)
     print(f"  n = 1e{round(math.log10(n))}:  A(n) = {a_n:.3e}   grid-sup residual = {r:.6f}")
-print("(decreasing along n, as a genuine second-order family should)")
+
+print("\npower-in-log-n exponents of the sup error over n = 1e3..1e300 (12 points)")
+ns = [round(10.0 ** (3.0 + 27.0 * i)) for i in range(12)]
+print(f"  {'family':<40s} {'gumbel':>8s} {'second order':>13s}")
+for dist in (WeibullLike(1.0, 2.0, 0.0), WeibullLike(1.0, 0.5, 2.0),
+             LogWeibullLike(1.0, 2.0, 0.0), IteratedLogScale(2, 1.0, 1.0),
+             IteratedLogScale(3, 1.0, 1.0)):
+    exponents = [fit_rate(error_curve(dist, name, SupOnGrid(), ns), POWER_IN_LOG_N).exponent
+                 for name in ("gumbel", "second_order")]
+    print(f"  {dist.label:<40s} {exponents[0]:>8.3f} {exponents[1]:>13.3f}")

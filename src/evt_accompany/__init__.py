@@ -23,7 +23,6 @@ from .approx import (
     h_function,
     sigma_series,
     two_term,
-    weibull_preset,
 )
 from .errors import (
     ConvergenceError,

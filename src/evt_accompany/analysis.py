@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .approx import APPROXIMANTS, evaluate, exact_and_gammas, gumbel_cdf
+from .approx import evaluate, exact_and_gammas, gumbel_cdf, h_function
 from .errors import DegenerateError, DomainError, EvtError
 from .norming import NormingPair, norming_exact, norming_exacts
 from .tails import DistributionSpec
@@ -89,51 +89,44 @@ class RateFit:
     r_squared: float
 
 
-def _guarded_rows(dist: DistributionSpec, pairs: Sequence[NormingPair], metric: SupOnGrid,
-                  approximant: str | None):
-    """(x, exact law, gamma, keep) over the grid points where the named
-    approximant is defined, the last three with a row per pair: keep masks
-    the points of each row that pass the support and series guards."""
+def _guarded_rows(dist: DistributionSpec, pairs: Sequence[NormingPair], metric: SupOnGrid):
+    """(x, exact law, gamma, keep) over the grid, the last three with a row
+    per pair: keep masks the points of each row that pass the support and
+    series guards."""
     xs = np.array(metric.grid())
-    where = APPROXIMANTS[approximant][1] if approximant is not None else None
-    if where is not None:
-        xs = xs[where(xs)]
     exact, gamma = exact_and_gammas(dist, pairs, xs)
     floors = np.array([-math.log(pair.n) + GUARD_SLACK for pair in pairs])
     return xs, exact, gamma, gamma >= floors[:, None]  # False where gamma is NaN
 
 
-def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid,
-               approximant: str | None = None):
-    """(x, exact law, gamma) as arrays, at the grid points where the named
-    approximant is defined that survive the support and series-convergence
-    guards; one tail evaluation per point."""
-    xs, (exact,), (gamma,), (keep,) = _guarded_rows(dist, [pair], metric, approximant)
+def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid):
+    """(x, exact law, gamma) as arrays, at the grid points that survive the
+    support and series-convergence guards; one tail evaluation per point."""
+    xs, (exact,), (gamma,), (keep,) = _guarded_rows(dist, [pair], metric)
     return xs[keep], exact[keep], gamma[keep]
 
 
 def _curve_points(dist: DistributionSpec, approximant: str, metric: SupOnGrid | AtPoint,
-                  pairs: Sequence[NormingPair], params: Callable[[int], tuple]):
+                  pairs: Sequence[NormingPair]):
     # (n, max |exact - approximant|) per pair, from one exact_and_gammas call
     if isinstance(metric, AtPoint):
         xs = np.array([metric.x])
         exact, gamma = exact_and_gammas(dist, pairs, xs)
         keep = np.ones(gamma.shape, dtype=bool)
     else:
-        xs, exact, gamma, keep = _guarded_rows(dist, pairs, metric, approximant)
+        xs, exact, gamma, keep = _guarded_rows(dist, pairs, metric)
     points = []
     for pair, row_exact, row_gamma, row_keep in zip(pairs, exact, gamma, keep):
         errors = np.abs(row_exact[row_keep] - evaluate(
-            approximant, xs[row_keep], row_gamma[row_keep], pair.n, *params(pair.n)))
+            approximant, xs[row_keep], row_gamma[row_keep], dist, pair))
         points.append((pair.n, float(errors.max(initial=0.0))))
     return points
 
 
 def error_curve(dist: DistributionSpec, approximant: str, metric: SupOnGrid | AtPoint,
-                n_grid: Sequence[int],
-                params: Callable[[int], tuple] = lambda n: ()) -> ErrorCurve:
+                n_grid: Sequence[int]) -> ErrorCurve:
     """max |exact - approximant| over the metric's points per n, under exact
-    norming walked along n_grid; params(n) are the approximant's params at n.
+    norming walked along n_grid.
 
     The whole (n, x) grid is one exact_and_gammas call. Evaluation failures
     are re-raised with the offending n attached, and a failing grid point
@@ -142,12 +135,12 @@ def error_curve(dist: DistributionSpec, approximant: str, metric: SupOnGrid | At
     """
     pairs = norming_exacts(dist, n_grid)
     try:
-        points = _curve_points(dist, approximant, metric, pairs, params)
+        points = _curve_points(dist, approximant, metric, pairs)
     except EvtError:
         points = []
         for pair in pairs:
             try:
-                points += _curve_points(dist, approximant, metric, [pair], params)
+                points += _curve_points(dist, approximant, metric, [pair])
             except EvtError as exc:
                 raise exc.at(f"n={pair.n}") from exc
     return ErrorCurve(dist_label=dist.label, approximant=approximant,
@@ -182,12 +175,13 @@ def fit_rate(curve: ErrorCurve, model: str) -> RateFit:
 def weighted_residual(dist: DistributionSpec, n: int, rho: float,
                       a_n_value: float, eps: float,
                       metric: SupOnGrid | None = None) -> float:
-    """Grid-sup of e^((1-eps)x) |(F^n(ax+b) - Lambda(x))/A(n) + (1/rho) e^(-x+rho x) Lambda(x)|.
+    """Grid-sup of e^((1-eps)x) |(F^n(ax+b) - Lambda(x))/A(n) + Lambda(x) e^-x H_rho(x)|.
 
-    Uses the tail(b) = 1 - e^(-1/n) centering. The reported value is a lower
-    bound of the true sup (the weight grows in x but the scan is a finite
-    grid); it should decrease along n for a family genuinely carrying a
-    rho < 0 second-order structure.
+    Uses the tail(b) = 1 - e^(-1/n) centering. To first order in A(n), a
+    family with second-order index rho has F^n = Lambda(x)(1 - A(n) e^-x
+    H_rho(x)), so the residual falls with A(n) when A(n) is that family's
+    rate. The reported value is a lower bound of the true sup (the weight
+    grows in x but the scan is a finite grid).
     """
     if rho >= 0.0:
         raise DomainError(f"weighted_residual needs rho < 0, got {rho!r}")
@@ -202,7 +196,7 @@ def weighted_residual(dist: DistributionSpec, n: int, rho: float,
     except EvtError as exc:
         raise exc.at(f"n={n}") from exc
     lam = gumbel_cdf(xs)
-    shape = np.exp(-xs + rho * xs) * lam / rho
+    shape = lam * np.exp(-xs) * h_function(xs, rho)
     weighted = np.exp((1.0 - eps) * xs) * np.abs((exact - lam) / a_n_value + shape)
     return float(weighted.max(initial=0.0))
 

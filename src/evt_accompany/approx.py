@@ -180,29 +180,19 @@ def first_order_corrected(x, gamma):
 
 
 def h_function(x, rho: float):
-    """Second-order shape H(x), elementwise: (1/rho)((x^rho - 1)/rho - log x)
-    for rho < 0, continuously extended to log^2(x)/2 at rho = 0. Defined for
-    x > 0 and rho <= 0 only."""
-    x = np.asarray(x, dtype=float)
-    if (x <= 0.0).any():
-        raise DomainError(f"h_function needs x > 0, got {float(x[x <= 0.0][0])!r}")
+    """Second-order shape in the Gumbel x scale, elementwise:
+    H_rho(x) = (e^(rho x) - 1 - rho x)/rho^2 for rho < 0, continuously
+    extended to x^2/2 at rho = 0. Defined for every real x and rho <= 0."""
     if rho > 0.0:
         raise DomainError(f"h_function needs rho <= 0, got {rho!r}")
-    lx = np.log(x)
+    x = np.asarray(x, dtype=float)
     if rho == 0.0:
-        return 0.5 * lx * lx
-    u = rho * lx
-    # the series of (e^u - u - 1)/rho^2 avoids cancellation near rho = 0
-    return np.where(np.abs(u) < 1e-4, lx * lx * (0.5 + u / 6.0 + u * u / 24.0),
-                    (np.expm1(u) - u) / (rho * rho))
-
-
-def weibull_preset(p: float, n: float) -> float:
-    """A(n) = 1/(p log n), the Weibull-like rate scale that second_order pairs
-    with rho = 0."""
-    if p <= 0.0:
-        raise DomainError(f"weibull_preset needs p > 0, got {p!r}")
-    return 1.0 / (p * math.log(n))
+        return 0.5 * x * x
+    u = rho * x
+    # the series of (e^u - u - 1)/rho^2 avoids cancellation near u = 0
+    with np.errstate(over="ignore"):
+        return np.where(np.abs(u) < 1e-4, x * x * (0.5 + u / 6.0 + u * u / 24.0),
+                        (np.expm1(u) - u) / (rho * rho))
 
 
 def _cutoff(gamma: np.ndarray, n: int) -> np.ndarray:
@@ -211,11 +201,11 @@ def _cutoff(gamma: np.ndarray, n: int) -> np.ndarray:
     return np.where(np.isnan(gamma), -math.log(n), gamma)
 
 
-def _accompanying(x, gamma, n):
+def _accompanying(x, gamma, dist, pair):
     # B_n = exp(-e^-gamma) for gamma >= -log n, else 0; at the cutoff itself
     # the closed branch applies: exp(-e^(log n)) = e^-n
-    g = _cutoff(gamma, n)
-    return np.where(g < -math.log(n), 0.0, gumbel_cdf(g))
+    g = _cutoff(gamma, pair.n)
+    return np.where(g < -math.log(pair.n), 0.0, gumbel_cdf(g))
 
 
 def two_term(x, gamma, n: int):
@@ -227,30 +217,34 @@ def two_term(x, gamma, n: int):
         return _shaped(np.exp(-np.exp(-flat) - sigma_series(flat, n) / float(n)), gamma)
 
 
-def _second_order(x, gamma, n, rho, a_n_value):
-    # exp(-e^-x - A(n) H(x)) * exp(-Sigma/n), the second-order-condition law
+def _second_order(x, gamma, dist, pair):
+    # exp(-e^-x (1 + A H_0(x)) - Sigma/n) with A = f'(b_n), the second-order
+    # law of a rho = 0 family; for A < 0 the bracket turns negative at large
+    # |x|, and the exponent is capped at 0 so the law stays in [0, 1]
     require_gammas(x, gamma)
-    return np.exp(-np.exp(-x) - a_n_value * h_function(x, rho) - sigma_series(gamma, n) / float(n))
+    slope = dist.aux_slope(pair.b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = -np.exp(-x) * (1.0 + slope * h_function(x, 0.0))
+    return np.exp(np.fmin(exponent - sigma_series(gamma, pair.n) / float(pair.n), 0.0))
 
 
-# name -> (function of (x, gamma, n, *params) on arrays, and where it is
-# defined as a mask of x, None for everywhere). second_order's params are
-# (rho, A(n)). gamma is NaN below the support edge, where the accompanying
-# and first-order laws take the cutoff gamma = -log n and the series-based
-# ones raise DomainError.
+# name -> function of (x, gamma, dist, pair) on arrays. gamma is NaN below the
+# support edge, where the accompanying and first-order laws take the cutoff
+# gamma = -log n and the series-based ones raise DomainError. Only
+# second_order reads the family, and only its auxiliary slope at b.
 APPROXIMANTS = {
-    "gumbel": (lambda x, gamma, n: gumbel_cdf(x), None),
-    "accompanying": (_accompanying, None),
-    "two_term": (two_term, None),
-    "first_order": (lambda x, gamma, n: first_order_corrected(x, _cutoff(gamma, n)), None),
-    "second_order": (_second_order, lambda x: x > 0.0),  # H(x) involves log x
+    "gumbel": lambda x, gamma, dist, pair: gumbel_cdf(x),
+    "accompanying": _accompanying,
+    "two_term": lambda x, gamma, dist, pair: two_term(x, gamma, pair.n),
+    "first_order": lambda x, gamma, dist, pair: first_order_corrected(x, _cutoff(gamma, pair.n)),
+    "second_order": _second_order,
 }
 
 
-def evaluate(name: str, x, gamma, n: int, *params):
+def evaluate(name: str, x, gamma, dist: DistributionSpec, pair: NormingPair):
     """The approximant `name` at x from gamma(x), as exact_and_gammas returns
-    it, with its params after n. x and gamma are floats or arrays of one
-    shape, and so is the result."""
+    it for dist under pair. x and gamma are floats or arrays of one shape,
+    and so is the result."""
     flat = np.asarray(x, dtype=float).reshape(-1)
-    values = APPROXIMANTS[name][0](flat, np.asarray(gamma, dtype=float).reshape(-1), n, *params)
+    values = APPROXIMANTS[name](flat, np.asarray(gamma, dtype=float).reshape(-1), dist, pair)
     return _shaped(values, x)

@@ -36,7 +36,6 @@ from .approx import (
     exact_and_gammas,
     require_gammas,
     two_term,
-    weibull_preset,
 )
 from .errors import DomainError, EvtError, ParseError
 from .norming import (
@@ -156,32 +155,14 @@ def _single_n(args) -> int:
     return ns[0]
 
 
-def _approx_names(raw: str) -> list[str]:
-    return [tok.strip() for tok in raw.split(",")]
-
-
 def _parse_approx(raw: str) -> list[str]:
-    names = _approx_names(raw)
+    names = [tok.strip() for tok in raw.split(",")]
     for name in names:
         if name not in APPROXIMANTS:
             raise ParseError(
                 f"--approx: unknown approximant {name!r} (expected subset of "
                 f"{', '.join(APPROXIMANTS)})")
     return names
-
-
-def _params(name: str, args, dist: DistributionSpec):
-    """n -> the params of the approximant of that name; second_order takes
-    rho (0 when not given) and A(n) from the flags, or rho = 0 and the
-    Weibull-like preset."""
-    if name != "second_order":
-        return lambda n: ()
-    if args.a_n is not None:
-        return lambda n: (args.rho or 0.0, args.a_n)
-    if isinstance(dist, WeibullLike):
-        return lambda n: (0.0, weibull_preset(dist.p, n))
-    raise DomainError(
-        "second_order needs --a-n for families without the Weibull-like preset")
 
 
 def _finish(out_path: str | None, rows: list[str], summary: list[str]) -> None:
@@ -234,21 +215,16 @@ def _cmd_table(args, dist: DistributionSpec) -> int:
     n = _single_n(args)
     lo, hi, steps = _parse_window(args.x, "--x")
     names = _parse_approx(args.approx) if args.approx else []
-    params = {name: _params(name, args, dist) for name in names}
     pair = norming_exact(dist, n)
     xs = np.array([lo + (hi - lo) * i / (steps - 1) for i in range(steps)])
     try:
         exact, gamma = exact_and_gammas(dist, pair, xs)
         require_gammas(xs, gamma)
         columns = [xs.tolist(), exact.tolist()]
-        for name, (_, where) in APPROXIMANTS.items():
-            cells = [None] * xs.size  # blank where not requested or not defined
-            if name in params:
-                at = np.arange(xs.size) if where is None else np.flatnonzero(where(xs))
-                values = evaluate(name, xs[at], gamma[at], n, *params[name](n))
-                for i, v in zip(at.tolist(), values.tolist()):
-                    cells[i] = v
-            columns.append(cells)
+        for name in APPROXIMANTS:
+            # blank where not requested
+            columns.append(evaluate(name, xs, gamma, dist, pair).tolist() if name in names
+                           else [None] * xs.size)
         columns.append(gamma.tolist())
     except EvtError as exc:
         raise exc.at(f"n={n}") from exc
@@ -263,7 +239,6 @@ def _cmd_rates(args, dist: DistributionSpec) -> int:
     names = _parse_approx(args.approx) if args.approx else []
     if len(names) != 1:
         raise ParseError("--approx: rates takes exactly one approximant")
-    params = _params(names[0], args, dist)
     ns = _resolve_ns(args)
     if args.at is not None and args.sup is not None:
         raise ParseError("--at and --sup are mutually exclusive")
@@ -274,7 +249,7 @@ def _cmd_rates(args, dist: DistributionSpec) -> int:
         metric = SupOnGrid(x_lo=lo, x_hi=hi, steps=steps)
     else:
         metric = SupOnGrid()
-    curve = error_curve(dist, names[0], metric, ns, params)
+    curve = error_curve(dist, names[0], metric, ns)
     rows = [_header(dist.label, "rates"), RATES_COLUMNS]
     summary = [f"rates: dist={dist.label} approx={names[0]} metric={metric.label}"]
     for model in (POWER_IN_N, POWER_IN_LOG_N):
@@ -367,23 +342,18 @@ _ABOUT = ("Scaled-maximum laws in the Gumbel domain: tables, convergence rates, 
           "norming pairs, identity checks, simulation.")
 _HELP = ("-h", "--help")
 _SINGLE_N = "single sample count"
-_SECOND_ORDER_FLAGS = [("--rho", dict(type=_finite,
-                                      help="second-order rho (<= 0, default 0; needs --a-n)")),
-                       ("--a-n", dict(type=_finite, help="second-order A(n) value"))]
 
 # command -> (function, help, --n help, the flags beyond --dist/--n/--n-geom/--out);
 # a flag with a const takes its value only when the next token is not a flag
 _COMMANDS = {
     "table": (_cmd_table, "tabulate exact law and approximants", _SINGLE_N, [
         ("--x", dict(required=True, help="x grid lo:hi:steps")),
-        ("--approx", dict(help="comma list of approximants")),
-        *_SECOND_ORDER_FLAGS]),
+        ("--approx", dict(help="comma list of approximants"))]),
     "rates": (_cmd_rates, "fit error decay across n", "sample count(s)", [
         ("--approx", dict(required=True, help="one approximant")),
         ("--at", dict(type=float, help="fixed-x error metric")),
         ("--sup", dict(const="-2:6:161",
-                       help="sup-error metric, optional window lo:hi:steps")),
-        *_SECOND_ORDER_FLAGS]),
+                       help="sup-error metric, optional window lo:hi:steps"))]),
     "norming": (_cmd_norming, "exact vs closed-form norming", "sample count(s)", []),
     "check-identity": (_cmd_check_identity, "two-term factorization against the exact law",
                        _SINGLE_N, [
@@ -453,12 +423,6 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
     missing = [flag for flag, spec in flags.items() if spec.get("required") and flag not in values]
     if missing:
         raise ParseError(f"{command}: missing required {', '.join(missing)}")
-    if "--rho" in values and "--a-n" not in values:
-        raise ParseError("--rho needs --a-n (without it, second_order takes rho = 0 "
-                         "and the Weibull-like preset)")
-    if "--a-n" in values and "second_order" not in _approx_names(values.get("--approx", "")):
-        raise ParseError("--a-n needs --approx second_order (no other approximant "
-                         "reads A(n) or rho)")
     return SimpleNamespace(command=command, **{
         flag[2:].replace("-", "_"): values.get(flag, spec.get("default"))
         for flag, spec in flags.items()})

@@ -216,7 +216,7 @@ def test_criterion_6_exponential_exactness():
         for x in grid61(d, pair):
             worst_gamma = max(worst_gamma, abs(gamma_exact(d, pair, x) - x))
             worst_law = max(worst_law,
-                            abs(evaluate("accompanying", x, gamma_exact(d, pair, x), n)
+                            abs(evaluate("accompanying", x, gamma_exact(d, pair, x), d, pair)
                                 - gumbel_cdf(x)))
     fit = fit_rate(error_curve(d, "gumbel", SupOnGrid(),
                                [10 ** k for k in range(2, 7)]), POWER_IN_N)

@@ -27,6 +27,7 @@ from evt_accompany.norming import norming_exact
 from evt_accompany.tails import (
     ExponentialUnit,
     GeneralizedVonMises,
+    IteratedLogScale,
     LogWeibullLike,
     WeibullLike,
 )
@@ -131,6 +132,32 @@ def test_fit_exponential_gumbel_sup_curve():
     assert fit.r_squared >= 0.999
 
 
+# the paper's scale: two Weibull rungs, log-Weibull, then iterated logs
+SCALE = [
+    (WeibullLike(1.0, 2.0, 0.0), -1.968),
+    (WeibullLike(1.0, 0.5, 2.0), -1.771),
+    (LogWeibullLike(1.0, 2.0, 0.0), -0.766),
+    (IteratedLogScale(2, 1.0, 1.0), -0.309),
+    (IteratedLogScale(3, 1.0, 1.0), -0.127),
+]
+SCALE_NS = [round(10.0 ** (3.0 + 27.0 * i)) for i in range(12)]  # 1e3 .. 1e300
+
+
+@pytest.mark.parametrize("dist, exponent", SCALE, ids=[d.label for d, _ in SCALE])
+def test_second_order_beats_gumbel_across_the_scale(dist, exponent):
+    # with A = f'(b_n) the second-order law is below the Gumbel limit's sup
+    # error at every n, and on the Weibull rungs it roughly squares its rate
+    gumbel = error_curve(dist, "gumbel", SupOnGrid(), SCALE_NS)
+    second = error_curve(dist, "second_order", SupOnGrid(), SCALE_NS)
+    assert all(s < g for (_, g), (_, s) in zip(gumbel.points, second.points))
+    gumbel_fit = fit_rate(gumbel, POWER_IN_LOG_N)
+    second_fit = fit_rate(second, POWER_IN_LOG_N)
+    assert second_fit.exponent == pytest.approx(exponent, abs=0.01)
+    assert second_fit.exponent < gumbel_fit.exponent
+    if isinstance(dist, WeibullLike):
+        assert second_fit.exponent <= gumbel_fit.exponent - 0.8
+
+
 def test_fit_degenerate_inputs():
     with pytest.raises(DegenerateError):
         fit_rate(synthetic_curve([10, 100], [1e-1, 1e-2]), POWER_IN_N)
@@ -158,17 +185,18 @@ def test_weighted_residual_finite_and_positive():
 
 
 def test_weighted_residual_decreases_along_n():
-    # eps = 0.1 keeps the weighted sup's argmax interior (x ~ 0.5), where the
-    # O(A(n)) transient lives; larger eps pins the sup at x = 0, where the
-    # comparison term is an n-free constant and only solver noise remains
+    # the tail exp(-y + kappa e^(rho y)) has F^n = Lambda (1 - A e^-x H_rho(x))
+    # to first order in A(n) = kappa rho^2 e^(rho b_n), so the residual is
+    # O(A(n)): it falls by e^(rho (b_n' - b_n)), 10x per factor 100 in n
     kappa, rho = -0.2, -0.5
     d = second_order_instance(kappa, rho)
     values = []
-    for n in (10 ** 3, 10 ** 5, 10 ** 7):
+    for n in (10 ** 3, 10 ** 5, 10 ** 7, 10 ** 9):
         pair = norming_exact(d, n, centering="logcdf")
-        a_n = abs(kappa) * math.exp(rho * pair.b)
+        a_n = kappa * rho * rho * math.exp(rho * pair.b)
         values.append(weighted_residual(d, n, rho=rho, a_n_value=a_n, eps=0.1))
-    assert values[0] > values[1] > values[2]
+    assert all(hi < lo for lo, hi in zip(values, values[1:]))
+    assert values[-1] <= values[0] / 100.0
 
 
 def test_weighted_residual_error_names_n_and_the_grid_point():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from evt_accompany.analysis import SupOnGrid, guarded_xs
 from evt_accompany.approx import (
+    APPROXIMANTS,
     evaluate,
     exact_and_gammas,
     exact_max_cdf,
@@ -15,7 +16,6 @@ from evt_accompany.approx import (
     h_function,
     sigma_series,
     two_term,
-    weibull_preset,
 )
 from evt_accompany.errors import DivergenceError, DomainError
 from evt_accompany.gamma import gamma_exact
@@ -61,9 +61,9 @@ def exact_and_gamma(dist, pair, x):
     return float(exact[0]), float(gamma[0])
 
 
-def approx_at(name, dist, pair, x, *params):
+def approx_at(name, dist, pair, x):
     """The approximant `name` at one point, from exact_and_gammas's gamma."""
-    return evaluate(name, x, exact_and_gamma(dist, pair, x)[1], pair.n, *params)
+    return evaluate(name, x, exact_and_gamma(dist, pair, x)[1], dist, pair)
 
 
 # -- exact_max_cdf -----------------------------------------------------------
@@ -129,8 +129,6 @@ def test_handle_law_matches_tail_integrated_from_x0(dist, n):
 @pytest.mark.parametrize("dist", FAMILIES + HANDLE_FAMILIES[1:], ids=lambda d: d.label)
 def test_exact_and_gamma_match_single_point_routes(dist):
     pair = norming_exact(dist, 10 ** 6)
-    kinds = (("gumbel", ()), ("accompanying", ()), ("two_term", ()), ("first_order", ()),
-             ("second_order", (-0.5, 0.01)))
     closed = not isinstance(dist, (IteratedLogScale, GeneralizedVonMises))
     for x in guarded_grid(dist, pair, steps=17):
         _, g = exact_and_gamma(dist, pair, x)
@@ -139,14 +137,12 @@ def test_exact_and_gamma_match_single_point_routes(dist):
             assert repr(g) == repr(want)
         else:
             assert g == pytest.approx(want, abs=1e-12)
-        for name, params in kinds:
-            if name == "second_order" and x <= 0.0:
-                continue
-            got = evaluate(name, [x], [g], pair.n, *params)
+        for name in APPROXIMANTS:
+            got = evaluate(name, [x], [g], dist, pair)
             if closed:
-                assert got == evaluate(name, x, want, pair.n, *params)
+                assert got == evaluate(name, x, want, dist, pair)
             else:
-                assert got == pytest.approx(evaluate(name, x, want, pair.n, *params), abs=1e-13)
+                assert got == pytest.approx(evaluate(name, x, want, dist, pair), abs=1e-13)
 
 
 def test_exact_and_gamma_below_support():
@@ -155,13 +151,14 @@ def test_exact_and_gamma_below_support():
     exact, g = exact_and_gamma(d, pair, -50.0)
     assert math.isnan(g)
     assert exact == exact_max_cdf(d, pair, -50.0)
-    assert evaluate("accompanying", [-50.0], [g], 100)[0] == approx_at("accompanying", d, pair, -50.0)
-    assert evaluate("gumbel", [-50.0], [g], 100)[0] == gumbel_cdf(-50.0)
+    assert evaluate("accompanying", [-50.0], [g], d, pair)[0] == approx_at("accompanying", d, pair, -50.0)
+    assert evaluate("gumbel", [-50.0], [g], d, pair)[0] == gumbel_cdf(-50.0)
     # the first-order charge takes the cutoff gamma = -log n there
-    assert (evaluate("first_order", [-50.0], [g], 100)[0]
+    assert (evaluate("first_order", [-50.0], [g], d, pair)[0]
             == first_order_corrected(-50.0, -math.log(100)))
-    with pytest.raises(DomainError):
-        evaluate("two_term", [-50.0], [g], 100)
+    for name in ("two_term", "second_order"):
+        with pytest.raises(DomainError):
+            evaluate(name, [-50.0], [g], d, pair)
 
 
 # -- the x-grid, every point from b -------------------------------------------
@@ -438,62 +435,90 @@ def test_first_order_consistency_rate():
 # -- h function / second order -------------------------------------------------
 
 def test_h_function_anchors():
-    assert h_function(1.0, 0.0) == 0.0
-    assert h_function(1.0, -1.0) == 0.0
-    assert h_function(math.e, 0.0) == pytest.approx(0.5, rel=1e-14)
-    assert h_function(2.0, -1.0) == pytest.approx(math.log(2.0) - 0.5, rel=1e-12)
+    # H_rho(x) = (e^(rho x) - 1 - rho x)/rho^2 vanishes at x = 0 for every rho
+    for rho in (0.0, -0.5, -1.0):
+        assert h_function(0.0, rho) == 0.0
+    assert h_function(1.0, 0.0) == 0.5
+    assert h_function(-3.0, 0.0) == 4.5
+    assert h_function(math.log(2.0), -1.0) == pytest.approx(math.log(2.0) - 0.5, rel=1e-12)
+    assert h_function(-2.0, -0.5) == pytest.approx(4.0 * (math.e - 2.0), rel=1e-12)
 
 
 def test_h_function_continuous_at_rho_zero():
-    for x in (0.5, 2.0, 10.0):
+    for x in (-3.0, -0.5, 2.0, 10.0):
         assert h_function(x, -1e-9) == pytest.approx(h_function(x, 0.0), rel=1e-6)
 
 
+@pytest.mark.parametrize("rho", [0.0, -0.5, -1.0, -2.0])
+def test_h_function_is_the_quantile_scale_shape_at_log_y(rho):
+    # the quantile-scale shape ((y^rho - 1)/rho - log y)/rho, x^2/2's
+    # log^2(y)/2 at rho = 0, taken at y = e^x
+    for x in (-3.0, -0.5, 0.7, 4.0):
+        y = math.exp(x)
+        want = 0.5 * math.log(y) ** 2 if rho == 0.0 else ((y ** rho - 1.0) / rho - math.log(y)) / rho
+        assert h_function(x, rho) == pytest.approx(want, rel=1e-9)
+
+
 def test_h_function_domain():
-    with pytest.raises(DomainError):
-        h_function(0.0, -1.0)
-    with pytest.raises(DomainError):
-        h_function(-1.0, 0.0)
+    # defined for every real x, but only for rho <= 0
+    xs = np.array([-800.0, -1.0, 0.0, 1.0, 800.0])
+    for rho in (0.0, -0.5):
+        assert np.all(h_function(xs, rho) >= 0.0)
     with pytest.raises(DomainError):
         h_function(2.0, 0.5)
 
 
 def test_second_order_reduces_to_two_term_when_h_vanishes():
-    # at x = 1, H = 0 for every rho, so only the sigma factor differs from
-    # the bare Gumbel exponent
+    # at x = 0, H_0 = 0 whatever A is, so only the sigma factor differs from
+    # the bare Gumbel exponent: exp(-1 - Sigma/n)
     d = WeibullLike(1.0, 2.0, 0.0)
     pair = norming_exact(d, 10 ** 4)
-    g = gamma_exact(d, pair, 1.0)
-    got = evaluate("second_order", 1.0, g, pair.n, 0.0, 0.123)
-    want = math.exp(-math.exp(-1.0) - sigma_series(g, pair.n) / pair.n)
+    g = gamma_exact(d, pair, 0.0)
+    got = evaluate("second_order", 0.0, g, d, pair)
+    want = math.exp(-1.0 - sigma_series(g, pair.n) / pair.n)
     assert got == pytest.approx(want, rel=1e-13)
 
 
-def test_second_order_rejects_nonpositive_x():
-    d = WeibullLike(1.0, 2.0, 0.0)
-    pair = norming_exact(d, 10 ** 4)
-    with pytest.raises(DomainError):
-        evaluate("second_order", 0.0, gamma_exact(d, pair, 0.0), pair.n, 0.0, 0.1)
+def test_second_order_on_exp_equals_two_term():
+    # the unit exponential has f = 1, so A = f'(b) = 0 and gamma = x: the
+    # second-order law is the two-term one, up to the rounding of b + x in
+    # gamma (ulp(b) ~ 1e-13 at n = 1e300), which e^-x <= e^2 amplifies
+    d = ExponentialUnit()
+    for n in (10 ** 3, 10 ** 9, 10 ** 300):
+        pair = norming_exact(d, n)
+        xs, _, gamma = guarded_xs(d, pair, SupOnGrid())
+        assert d.aux_slope(pair.b) == 0.0
+        np.testing.assert_allclose(evaluate("second_order", xs, gamma, d, pair),
+                                   two_term(xs, gamma, n), rtol=1e-11, atol=0.0)
 
 
-def test_second_order_weibull_preset():
-    # rho = 0 with A(n) = 1/(p log n): the rate handle vanishes along n and
-    # the approximant stays a proper probability on x > 0
-    rates = [weibull_preset(2.0, 10 ** k) for k in range(2, 9)]
-    assert all(hi < lo for lo, hi in zip(rates, rates[1:]))
-    assert rates[-1] < 0.03
+def test_second_order_takes_the_families_slope():
+    # for e^(-x^2), f(t) = 1/(2t) and A = f'(b) = -1/(2 b^2): the law is
+    # exp(-e^-x (1 + A x^2/2) - Sigma/n), and it beats the Gumbel limit
     d = WeibullLike(1.0, 2.0, 0.0)
     pair = norming_exact(d, 10 ** 6)
-    for x in (0.5, 1.0, 2.0, 5.0):
-        v = approx_at("second_order", d, pair, x, 0.0, weibull_preset(2.0, pair.n))
-        assert 0.0 < v <= 1.0
+    slope = -0.5 / pair.b ** 2
+    assert d.aux_slope(pair.b) == pytest.approx(slope, rel=1e-9)
+    for x in (-1.0, 0.5, 2.0, 4.0):
+        exact, g = exact_and_gamma(d, pair, x)
+        want = math.exp(-math.exp(-x) * (1.0 + slope * x * x / 2.0)
+                        - sigma_series(g, pair.n) / pair.n)
+        got = evaluate("second_order", x, g, d, pair)
+        assert got == pytest.approx(want, rel=1e-8)
+        assert abs(got - exact) < abs(gumbel_cdf(x) - exact) / 5.0
 
 
-def test_second_order_requires_valid_rho():
-    with pytest.raises(DomainError):
-        evaluate("second_order", 1.0, 1.0, 10 ** 4, 0.5, 0.1)
-    with pytest.raises(DomainError):
-        weibull_preset(0.0, 10 ** 4)
+def test_second_order_is_defined_and_bounded_at_every_x():
+    # A < 0 turns the bracket 1 + A x^2/2 negative at large |x|; the exponent
+    # is capped at 0 there, so the law stays finite and in [0, 1]
+    d = WeibullLike(1.0, 2.0, 0.0)
+    pair = norming_exact(d, 10 ** 6)
+    xs = np.linspace(-12.0, 40.0, 53)
+    exact, gamma = exact_and_gammas(d, pair, xs)
+    with np.errstate(all="raise"):
+        values = evaluate("second_order", xs, gamma, d, pair)
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert values[0] == 1.0  # x = -12 lies past the bracket's negative root
 
 
 # -- dispatcher / ranges -------------------------------------------------------
@@ -503,10 +528,10 @@ def test_evaluate_dispatch_matches_direct_calls():
     pair = norming_exact(d, 10 ** 4)
     x = 1.2
     g = gamma_exact(d, pair, x)
-    assert evaluate("gumbel", x, g, pair.n) == gumbel_cdf(x)
-    assert evaluate("accompanying", x, g, pair.n) == approx_at("accompanying", d, pair, x)
-    assert evaluate("two_term", x, g, pair.n) == two_term(x, g, pair.n)
-    assert evaluate("first_order", x, g, pair.n) == first_order_corrected(x, g)
+    assert evaluate("gumbel", x, g, d, pair) == gumbel_cdf(x)
+    assert evaluate("accompanying", x, g, d, pair) == approx_at("accompanying", d, pair, x)
+    assert evaluate("two_term", x, g, d, pair) == two_term(x, g, pair.n)
+    assert evaluate("first_order", x, g, d, pair) == first_order_corrected(x, g)
 
 
 def test_ranges_on_guarded_grid():

@@ -29,7 +29,6 @@ CLOSED_SPECS = (["exp"]
                    "logweibull:c=1,p=2,alpha=0,ell=const:1",
                    "logweibull:c=1,p=3,alpha=0,ell=const:1"])
 SUP_GRID = [-2.0 + (6.0 - -2.0) * i / 160 for i in range(161)]
-SECOND_ORDER = (-0.5, 0.01)  # (rho, A(n))
 
 
 def scalar_reference(dist, pair, xs):
@@ -62,7 +61,7 @@ def scalar_sigma(g, n):
     raise AssertionError("reference sum did not converge")
 
 
-def scalar_approximant(name, x, g, n):
+def scalar_approximant(name, x, g, dist, pair):
     lam = math.exp(-math.exp(-x))
     if name == "gumbel":
         return lam
@@ -70,11 +69,12 @@ def scalar_approximant(name, x, g, n):
         return math.exp(-math.exp(-g))
     if name == "first_order":
         return lam + math.exp(-math.exp(-x) - x) * (g - x)
+    n = pair.n
     sigma = scalar_sigma(g, n)
     if name == "two_term":
         return math.exp(-math.exp(-g) - sigma / n)
-    h = (math.expm1(-0.5 * math.log(x)) + 0.5 * math.log(x)) / 0.25  # rho = -0.5
-    return math.exp(-math.exp(-x) - 0.01 * h - sigma / n)
+    slope = dist.aux_slope(pair.b)
+    return math.exp(min(-math.exp(-x) * (1.0 + slope * x * x / 2.0) - sigma / n, 0.0))
 
 
 def assert_matches_reference(dist, pair, xs):
@@ -89,12 +89,10 @@ def assert_matches_reference(dist, pair, xs):
     guarded = gamma >= -math.log(pair.n) + GUARD_SLACK
     x, g = np.array(xs)[guarded], gamma[guarded]
     assert x.size >= 100
-    for name, (_, where) in APPROXIMANTS.items():
-        at = np.ones(x.shape, dtype=bool) if where is None else where(x)
-        params = SECOND_ORDER if name == "second_order" else ()
-        got = evaluate(name, x[at], g[at], pair.n, *params)
-        for xv, gv, v in zip(x[at].tolist(), g[at].tolist(), got.tolist()):
-            want_v = scalar_approximant(name, xv, gv, pair.n)
+    for name in APPROXIMANTS:
+        got = evaluate(name, x, g, dist, pair)
+        for xv, gv, v in zip(x.tolist(), g.tolist(), got.tolist()):
+            want_v = scalar_approximant(name, xv, gv, dist, pair)
             assert v == pytest.approx(want_v, rel=LAW_REL, abs=0.0), (name, xv)
 
 

@@ -8,6 +8,7 @@ import signal
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -54,15 +55,30 @@ def test_table_schema_and_exponential_columns(tmp_path):
         assert cells[4] == cells[5] == cells[6] == ""  # not requested
 
 
-def test_table_second_order_blank_at_nonpositive_x(tmp_path):
-    code, payload = run(tmp_path, "t2.csv", [
-        "table", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1", "--n", "1000",
-        "--x", "-1:3:5", "--approx", "second_order"])
+def test_table_second_order_filled_and_bounded_at_every_x(tmp_path):
+    # f'(b) < 0 turns second_order's bracket negative at |x| >~ 7.4 here; the
+    # capped exponent keeps every cell a finite probability, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run(tmp_path, "t2.csv", [
+            "table", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1", "--n", "1000000",
+            "--x", "-12:12:7", "--approx", "second_order"])
     assert code == 0
     _, body = rows(payload)
+    assert len(body) == 7
     for cells in body:
-        x = float(cells[0])
-        assert (cells[6] == "") == (x <= 0.0)
+        assert 0.0 <= float(cells[6]) <= 1.0
+
+
+def test_rates_second_order_runs_on_iterlog(tmp_path):
+    # A(n) = f'(b_n) comes from the family, so the scale's handle families
+    # need no rate handle from the command line
+    code, payload = run(tmp_path, "r.csv", [
+        "rates", "--dist", "iterlog:k=2,a=1,C=1", "--approx", "second_order",
+        "--n-geom", "1000:1e300:12", "--sup"])
+    assert code == 0
+    _, body = rows(payload)
+    assert body[1][0] == "power-in-log-n" and float(body[1][1]) < -0.3
 
 
 def test_check_identity_passes_at_tolerance(tmp_path):
@@ -439,45 +455,27 @@ def test_command_line_contract(argv, summary, capsys):
         assert out.startswith("# evt-accompany v") and summary in err
 
 
-_SECOND_ORDER_TABLE = ["table", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1",
-                       "--n", "1000000", "--x", "0.5:6:3", "--approx", "second_order"]
-
-
-@pytest.mark.parametrize("argv, needle", [
-    (_SECOND_ORDER_TABLE + ["--a-n", "nan"], "--a-n: invalid value 'nan'"),
-    (_SECOND_ORDER_TABLE + ["--a-n", "inf"], "--a-n: invalid value 'inf'"),
-    (_SECOND_ORDER_TABLE + ["--rho", "-inf", "--a-n", "0.01"], "--rho: invalid value '-inf'"),
-    (["check-identity", "--dist", "exp", "--n", "1000", "--x", "-2:6:3", "--tol", "nan"],
-     "--tol: invalid value 'nan'"),
-    # without --a-n, second_order would drop --rho for the rho = 0 preset
-    (_SECOND_ORDER_TABLE + ["--rho", "-0.5"], "--rho needs --a-n"),
-    # nor may --rho go unread when no approximant takes it
-    (_SECOND_ORDER_TABLE[:-2] + ["--rho", "-0.5"], "--rho needs --a-n"),
-    (["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "100:10000:3",
-      "--rho", "-0.5"], "--rho needs --a-n"),
-    # only second_order reads --a-n and --rho
-    (_SECOND_ORDER_TABLE[:-1] + ["gumbel", "--a-n", "0.01"], "--a-n needs --approx second_order"),
-    (_SECOND_ORDER_TABLE[:-2] + ["--a-n", "0.01"], "--a-n needs --approx second_order"),
-    (["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "100:10000:3",
-      "--a-n", "0.01", "--rho", "-0.5"], "--a-n needs --approx second_order"),
-], ids=["a-n nan", "a-n inf", "rho -inf", "tol nan", "rho without a-n",
-        "rho without a-n or approx", "rho without a-n for gumbel",
-        "a-n for gumbel", "a-n without approx", "a-n and rho for gumbel rates"])
-def test_float_flags_must_be_finite_and_rho_needs_a_n(tmp_path, capsys, argv, needle):
-    code, payload = run(tmp_path, "x.csv", argv)
-    err = capsys.readouterr().err
+def test_non_finite_tol_and_at_keep_their_outcomes(tmp_path, capsys):
+    # a non-finite --tol is a malformed flag
+    code, payload = run(tmp_path, "x.csv", ["check-identity", "--dist", "exp", "--n", "1000",
+                                            "--x", "-2:6:3", "--tol", "nan"])
     assert code == 2 and payload == b""
-    assert err.startswith(f"error (ParseError): {needle}"), err
-
-
-def test_rho_with_a_n_and_a_non_finite_at_keep_their_outcomes(tmp_path, capsys):
-    code, payload = run(tmp_path, "x.csv", _SECOND_ORDER_TABLE + ["--rho", "-0.5", "--a-n", "0.01"])
-    assert code == 0 and payload
+    assert capsys.readouterr().err.startswith("error (ParseError): --tol: invalid value 'nan'")
     # a non-finite --at is a grid point outside the domain, not a malformed flag
     code, _ = run(tmp_path, "y.csv", ["rates", "--dist", "exp", "--approx", "gumbel",
                                       "--n-geom", "100:10000:3", "--at", "nan"])
     assert code == 3
     assert capsys.readouterr().err.startswith("error (DomainError): ")
+
+
+@pytest.mark.parametrize("flag", ["--a-n", "--rho"])
+def test_second_order_takes_no_rate_flags(tmp_path, capsys, flag):
+    # A(n) is the family's f'(b_n), and every family the grammar accepts has rho = 0
+    code, payload = run(tmp_path, "x.csv", ["table", "--dist", "exp", "--n", "1000", "--x",
+                                            "0:1:3", "--approx", "second_order", flag, "0.01"])
+    assert code == 2 and payload == b""
+    assert capsys.readouterr().err.startswith(
+        f"error (ParseError): table: unrecognized argument {flag!r}")
 
 
 def test_negative_grid_values_still_parse(tmp_path):

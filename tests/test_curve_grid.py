@@ -29,13 +29,6 @@ from evt_accompany.tails import (
     parse_dist,
 )
 
-SECOND_ORDER = (-0.5, 0.01)  # (rho, A(n))
-
-
-def params(name):
-    return (lambda n: SECOND_ORDER) if name == "second_order" else (lambda n: ())
-
-
 @st.composite
 def families(draw):
     """(family class, its arguments); log-Weibull tails with alpha > 0 and p
@@ -80,17 +73,12 @@ def reference_curve(dist, name, metric, ns):
     points = []
     for pair in norming_exacts(dist, ns):
         try:
-            if isinstance(metric, AtPoint):
-                xs = np.array([metric.x])
-            else:
-                xs = np.array(metric.grid())
-                where = APPROXIMANTS[name][1]
-                xs = xs if where is None else xs[where(xs)]
+            xs = np.array([metric.x] if isinstance(metric, AtPoint) else metric.grid())
             exact, gamma = exact_and_gammas(dist, pair, xs)
             if not isinstance(metric, AtPoint):
                 keep = gamma >= -math.log(pair.n) + GUARD_SLACK
                 xs, exact, gamma = xs[keep], exact[keep], gamma[keep]
-            errors = np.abs(exact - evaluate(name, xs, gamma, pair.n, *params(name)(pair.n)))
+            errors = np.abs(exact - evaluate(name, xs, gamma, dist, pair))
         except EvtError as exc:
             raise exc.at(f"n={pair.n}") from exc
         points.append((pair.n, float(errors.max(initial=0.0))))
@@ -107,7 +95,7 @@ def test_curve_grid_rows_reference_and_identity(family, ns, metric, name):
             assert dist[0] is DomainError
             return
         pairs = outcome(lambda: norming_exacts(dist, ns))
-        curve = outcome(lambda: error_curve(dist, name, metric, ns, params(name)).points)
+        curve = outcome(lambda: error_curve(dist, name, metric, ns).points)
         assert curve == outcome(lambda: reference_curve(dist, name, metric, ns))
         if not isinstance(pairs, list):
             return  # no norming: the curve raised the norming's error, as checked

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from evt_accompany.approx import evaluate, first_order_corrected, sigma_series, two_term
 from evt_accompany.errors import DivergenceError
+from evt_accompany.norming import NormingPair
+from evt_accompany.tails import ExponentialUnit
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -55,7 +57,7 @@ def assert_close(got, want, condition):
 @given(guarded_gamma_and_n())
 def test_accompanying_law_matches_mpmath(case):
     gamma, n = case
-    got = evaluate("accompanying", 0.0, gamma, n)
+    got = evaluate("accompanying", 0.0, gamma, ExponentialUnit(), NormingPair(n=n, a=1.0, b=0.0))
     want = mp.exp(-mp.exp(-mp.mpf(gamma)))
     assert_close(got, want, math.exp(min(-gamma, 700.0)))
 
