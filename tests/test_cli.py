@@ -455,12 +455,30 @@ def test_command_line_contract(argv, summary, capsys):
         assert out.startswith("# evt-accompany v") and summary in err
 
 
-def test_non_finite_tol_and_at_keep_their_outcomes(tmp_path, capsys):
-    # a non-finite --tol is a malformed flag
-    code, payload = run(tmp_path, "x.csv", ["check-identity", "--dist", "exp", "--n", "1000",
-                                            "--x", "-2:6:3", "--tol", "nan"])
+_SECOND_ORDER_TABLE = ["table", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1",
+                       "--n", "1000000", "--x", "0.5:6:3", "--approx", "second_order"]
+
+
+# --a-n and --rho are gone (see test_second_order_takes_no_rate_flags); --tol stays
+@pytest.mark.parametrize("argv, needle", [
+    (["check-identity", "--dist", "exp", "--n", "1000", "--x", "-2:6:3", "--tol", "nan"],
+     "--tol: invalid value 'nan'"),
+], ids=["tol nan"])
+def test_float_flags_must_be_finite_and_rho_needs_a_n(tmp_path, capsys, argv, needle):
+    code, payload = run(tmp_path, "x.csv", argv)
+    err = capsys.readouterr().err
     assert code == 2 and payload == b""
-    assert capsys.readouterr().err.startswith("error (ParseError): --tol: invalid value 'nan'")
+    assert err.startswith(f"error (ParseError): {needle}"), err
+
+
+def test_rho_with_a_n_and_a_non_finite_at_keep_their_outcomes(tmp_path, capsys):
+    # second_order reads A(n) from the family, so --rho with --a-n is now unrecognized
+    code, payload = run(tmp_path, "x.csv", _SECOND_ORDER_TABLE + ["--rho", "-0.5", "--a-n", "0.01"])
+    assert code == 2 and payload == b""
+    assert capsys.readouterr().err.startswith(
+        "error (ParseError): table: unrecognized argument '--rho'")
+    code, payload = run(tmp_path, "x.csv", _SECOND_ORDER_TABLE)
+    assert code == 0 and payload
     # a non-finite --at is a grid point outside the domain, not a malformed flag
     code, _ = run(tmp_path, "y.csv", ["rates", "--dist", "exp", "--approx", "gumbel",
                                       "--n-geom", "100:10000:3", "--at", "nan"])
