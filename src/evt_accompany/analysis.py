@@ -28,10 +28,6 @@ POWER_IN_LOG_N = "power-in-log-n"
 # implementations (never bitwise).
 RNG_ALGORITHM = "philox4x64"
 
-# Series guard: keep gamma >= -log n + GUARD_SLACK so the sigma factor stays
-# summable with a uniformly bounded term count.
-GUARD_SLACK = 0.5
-
 
 @dataclass(frozen=True)
 class SupOnGrid:
@@ -91,12 +87,12 @@ class RateFit:
 
 def _guarded_rows(dist: DistributionSpec, pairs: Sequence[NormingPair], metric: SupOnGrid):
     """(x, exact law, gamma, keep) over the grid, the last three with a row
-    per pair: keep masks the points of each row that pass the support and
-    series guards."""
+    per pair: keep masks the points of each row inside the support where the
+    sigma series converges, gamma > -log n."""
     xs = np.array(metric.grid())
     exact, gamma = exact_and_gammas(dist, pairs, xs)
-    floors = np.array([-math.log(pair.n) + GUARD_SLACK for pair in pairs])
-    return xs, exact, gamma, gamma >= floors[:, None]  # False where gamma is NaN
+    cutoffs = np.array([-math.log(pair.n) for pair in pairs])
+    return xs, exact, gamma, gamma > cutoffs[:, None]  # False where gamma is NaN
 
 
 def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid):

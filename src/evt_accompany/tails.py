@@ -293,9 +293,7 @@ class DistributionSpec:
                             f"{hi_x!r}, where its tail cannot be evaluated")
                     return x, f
                 g = abs(math.log(f / log_q)) if f < 0.0 else math.inf
-                f_x, g_x, _ = self._components(x)
-                d = (x - s) * g_x  # -slope * f(x); positive where the tail falls
-                u = u + (r if r > 0.0 else g * f) * f_x / d if d > 0.0 else math.nan
+                u = u + self._newton_step(x, u, r if r > 0.0 else g * f)
                 if not (lo_u < u < hi_u and g <= 0.5 * g_prev):
                     u, g = 0.5 * (lo_u + hi_u), math.inf
             g_prev = g
@@ -343,6 +341,13 @@ class DistributionSpec:
     def _start(self, log_q: float, start: float, log_tail_start: float):
         # the search's first iterate (x, log tail(x)); closed forms use their inverse
         return start, log_tail_start
+
+    def _newton_step(self, x: float, u: float, y: float) -> float:
+        # the step in u = log(x - s) that lowers log tail by y at its slope
+        # -(x - s) g/f, from the von Mises components; NaN where it does not fall
+        f_x, g_x, _ = self._components(x)
+        d = (x - self._shift()) * g_x
+        return y * f_x / d if d > 0.0 else math.nan
 
     def _shift(self) -> float:
         # the s of the search variable u = log(x - s)
@@ -759,6 +764,11 @@ class _HandleFamily(DistributionSpec):
         # without (log c)'
         s = self._shift()
         return -self._over_f_log(lv) if s == 0.0 else -v * self._over_f(v + s)
+
+    def _newton_step(self, x: float, u: float, y: float) -> float:
+        # the array search's slope: finite where f overflows (iterlog near the float top)
+        slope = float(self._log_slopes(np.array([x - self._shift()]), np.array([u]))[0])
+        return -y / slope if slope < 0.0 else math.nan
 
     def _integral(self, a, b):
         """The integral of g/f from a to b, floats or arrays of one shape."""

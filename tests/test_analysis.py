@@ -84,8 +84,10 @@ def test_error_curve_annotates_failures():
 def test_guarded_grid_respects_cutoff():
     d = ExponentialUnit()
     pair = norming_exact(d, 100)
-    xs = guarded_xs(d, pair, SupOnGrid(x_lo=-8.0, x_hi=2.0, steps=101))[0].tolist()
-    assert all(x >= -math.log(100) + 0.5 for x in xs)
+    metric = SupOnGrid(x_lo=-8.0, x_hi=2.0, steps=101)
+    xs = guarded_xs(d, pair, metric)[0].tolist()
+    # the series' own domain gamma > -log n, with gamma = x for the exponential
+    assert xs == [x for x in metric.grid() if x > -math.log(100)]
     assert xs  # something survives
 
 

@@ -368,13 +368,20 @@ def test_sigma_geometric_tail_bound():
 
 def test_sigma_diverges_at_cutoff():
     # with exact norming, gamma >= -log n everywhere in-support (equality at
-    # the support edge when tail(x0) = 1), so the divergent region is exactly
-    # the boundary point
+    # the support edge when tail(x0) = 1), so the divergent region is at most
+    # the boundary point. At the exponential's edge gamma rounds one ulp
+    # above -log 10, where e^-gamma/n = 1 - 2.2e-16: the series converges
+    # there, and the two-term law is the exact one, F(x0)^n = 0
     d = ExponentialUnit()
     pair = norming_exact(d, 10)
     edge = (d.x0 - pair.b) / pair.a  # -log 10, where b + a x is x0 without rounding
+    g = gamma_exact(d, pair, edge)
+    assert g == math.nextafter(-math.log(10), math.inf)
+    assert math.isfinite(sigma_series(g, pair.n))
+    assert exact_max_cdf(d, pair, edge) == 0.0
+    assert abs(two_term(edge, g, pair.n) - exact_max_cdf(d, pair, edge)) <= 1e-10
     with pytest.raises(DivergenceError):
-        sigma_series(gamma_exact(d, pair, edge), pair.n)
+        sigma_series(-math.log(10), pair.n)
 
 
 # -- two-term / master identity ------------------------------------------------

@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from evt_accompany.analysis import GUARD_SLACK
 from evt_accompany.approx import APPROXIMANTS, evaluate, exact_and_gammas
 from evt_accompany.cli import main
 from evt_accompany.errors import DomainError
@@ -86,7 +85,7 @@ def assert_matches_reference(dist, pair, xs):
             assert math.isnan(got_g), x
         else:
             assert abs(got_g - want_g) <= GAMMA_ABS, x
-    guarded = gamma >= -math.log(pair.n) + GUARD_SLACK
+    guarded = gamma > -math.log(pair.n)
     x, g = np.array(xs)[guarded], gamma[guarded]
     assert x.size >= 100
     for name in APPROXIMANTS:

@@ -97,6 +97,28 @@ def test_check_identity_fails_at_absurd_tolerance(tmp_path):
     assert code == 4
 
 
+def test_check_identity_runs_down_to_the_cutoff(tmp_path):
+    # gamma = x for the exponential, and the window lies just above -log 100
+    # = -4.605, inside the sigma series' domain
+    code, payload = run(tmp_path, "c3.csv", [
+        "check-identity", "--dist", "exp", "--n", "100", "--x", "-4.6:-4.2:5"])
+    assert code == 0
+    _, body = rows(payload)
+    assert [float(cells[1]) for cells in body] == pytest.approx([-4.6, -4.5, -4.4, -4.3, -4.2])
+    assert all(float(cells[4]) <= 1e-10 for cells in body)
+
+
+def test_check_identity_with_no_point_to_check_is_degenerate(tmp_path, capsys):
+    # the whole window lies below the cutoff -log 100, so nothing is checked
+    code, payload = run(tmp_path, "c4.csv", [
+        "check-identity", "--dist", "exp", "--n", "100", "--x", "-8:-5:4"])
+    assert code == 4
+    assert payload == b""
+    assert capsys.readouterr().err.strip() == (
+        "error (DegenerateError): identity check needs a point with gamma > -log n, none on "
+        "--x -8:-5:4 (at n=100) (at dist=exp)")
+
+
 def test_rates_schema_and_power_fit(tmp_path):
     code, payload = run(tmp_path, "r.csv", [
         "rates", "--dist", "exp", "--approx", "accompanying",

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evt_accompany.analysis import GUARD_SLACK, AtPoint, SupOnGrid, error_curve
+from evt_accompany.analysis import AtPoint, SupOnGrid, error_curve
 from evt_accompany.approx import APPROXIMANTS, evaluate, exact_and_gammas, two_term
 from evt_accompany.cli import main
 from evt_accompany.errors import DomainError, EvtError
@@ -76,7 +76,7 @@ def reference_curve(dist, name, metric, ns):
             xs = np.array([metric.x] if isinstance(metric, AtPoint) else metric.grid())
             exact, gamma = exact_and_gammas(dist, pair, xs)
             if not isinstance(metric, AtPoint):
-                keep = gamma >= -math.log(pair.n) + GUARD_SLACK
+                keep = gamma > -math.log(pair.n)
                 xs, exact, gamma = xs[keep], exact[keep], gamma[keep]
             errors = np.abs(exact - evaluate(name, xs, gamma, dist, pair))
         except EvtError as exc:
@@ -110,8 +110,8 @@ def test_curve_grid_rows_reference_and_identity(family, ns, metric, name):
             assert grid[0][i].tobytes() == exact.tobytes()
             assert grid[1][i].tobytes() == gamma.tobytes()
         if isinstance(metric, SupOnGrid):
-            floors = np.array([-math.log(pair.n) + GUARD_SLACK for pair in pairs])
-            for pair, exact, gamma, keep in zip(pairs, *grid, grid[1] >= floors[:, None]):
+            cutoffs = np.array([-math.log(pair.n) for pair in pairs])
+            for pair, exact, gamma, keep in zip(pairs, *grid, grid[1] > cutoffs[:, None]):
                 law = two_term(np.array(xs)[keep], gamma[keep], pair.n)
                 assert np.abs(exact[keep] - law).max(initial=0.0) <= 1e-10
 

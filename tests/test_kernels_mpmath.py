@@ -1,12 +1,15 @@
 """The array kernels of approx against a 50-digit mpmath reference.
 
-Sampled over n up to 1e300 and gamma >= -log n + 0.5, the guarded region in
-which the CLI evaluates the series. Each result may carry a relative error
-of 1e-14 times the condition number of its formula: exp(y) turns an error
-of y's last bit into a relative error |y| times as large, so a law whose
-exponent is -e^-gamma = -1000 cannot be closer than 1000 ulp to the truth.
-Where gamma >= 0 that factor is 1 and the bound is plain 1e-14. A value below
-1e-300 may also round to 0.
+Sampled over n up to 1e300 and gamma >= -log n + 0.5, where the sigma series
+converges at least as fast as (e^-0.5)^k, and, for the series and the
+two-term law, on down to the cutoff gamma = -log n. Each result may carry a
+relative error of 1e-14 times the condition number of its formula: exp(y)
+turns an error of y's last bit into a relative error |y| times as large, so
+a law whose exponent is -e^-gamma = -1000 cannot be closer than 1000 ulp to
+the truth. Where gamma >= 0 that factor is 1 and the bound is plain 1e-14.
+Below -log n + 0.5 the series is also charged its condition number in
+r = e^-gamma/n, which the rounding of r itself brings in and which grows
+without bound as r -> 1. A value below 1e-300 may also round to 0.
 """
 
 import math
@@ -38,6 +41,15 @@ def guarded_gamma_and_n(draw):
     return gamma, n
 
 
+@st.composite
+def near_cutoff_gamma_and_n(draw):
+    # gamma from one ulp above -log n up to -log n + 0.5, the offset log-uniform
+    n = max(2, int(math.exp(draw(st.floats(math.log(2.0), math.log(1e300))))))
+    cutoff = -math.log(n)
+    offset = math.exp(draw(st.floats(math.log(1e-16), math.log(0.5))))
+    return max(cutoff + offset, math.nextafter(cutoff, math.inf)), n
+
+
 def mp_sigma(gamma, n):
     ratio = mp.exp(-gamma) / n
     term, total, k = mp.exp(-2 * gamma), mp.mpf(0), 0
@@ -47,6 +59,15 @@ def mp_sigma(gamma, n):
         k += 1
         if term / (k + 2) < total * mp.mpf(10) ** -55:
             return total
+
+
+def mp_sigma_near_cutoff(gamma, n):
+    """(Sigma, its condition number in r) for r = e^-gamma/n >= e^-0.5, from
+    the closed form e^-2gamma (-log(1 - r) - r)/r^2 = e^-2gamma phi(r), whose
+    condition number r phi'/phi is 1/((1 - r) phi) - 2."""
+    r = mp.exp(-gamma) / n
+    phi = (-mp.log(1 - r) - r) / r ** 2
+    return mp.exp(-2 * gamma) * phi, float(1 / ((1 - r) * phi) - 2)
 
 
 def assert_close(got, want, condition):
@@ -85,6 +106,29 @@ def test_two_term_law_matches_mpmath(case):
 
 
 @settings(max_examples=200, deadline=None)
+@given(near_cutoff_gamma_and_n())
+def test_sigma_matches_mpmath_down_to_the_cutoff(case):
+    gamma, n = case
+    got = sigma_series(gamma, n)
+    want, condition = mp_sigma_near_cutoff(mp.mpf(gamma), n)
+    if mp.exp(-2 * mp.mpf(gamma)) > FLOAT_MAX or want > FLOAT_MAX:
+        assert got == math.inf  # beyond the float range
+    else:
+        assert_close(got, want, condition)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_cutoff_gamma_and_n())
+def test_two_term_law_matches_mpmath_down_to_the_cutoff(case):
+    gamma, n = case
+    got = two_term(0.0, gamma, n)
+    sigma, condition = mp_sigma_near_cutoff(mp.mpf(gamma), n)
+    lead = mp.exp(-mp.mpf(gamma))
+    want = mp.exp(-lead - sigma / n)
+    assert_close(got, want, float(min(lead + max(1.0, condition) * sigma / n, 1e300)))
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.floats(-3.0, 20.0), st.floats(-0.5, 0.5), st.floats(-3.0, 60.0))
 def test_first_order_charge_matches_mpmath(x, shift, far_gamma):
     for gamma in (x + shift, far_gamma):
@@ -109,9 +153,13 @@ def test_sigma_diverges_at_and_below_the_cutoff(n):
 
 
 @pytest.mark.parametrize("n", [10, 10 ** 6, 10 ** 150], ids=["1e1", "1e6", "1e150"])
-def test_sigma_stops_at_the_term_cap(n):
-    # e^-gamma / n = 1 - 1e-9: the terms fall off no faster than 1/k. (Past
-    # n = 1e154 the leading term e^-2gamma itself overflows there.)
+def test_sigma_is_finite_next_to_the_cutoff(n):
+    # e^-gamma / n = 1 - 1e-9, where the terms fall off no faster than 1/k:
+    # Sigma is about 19.72 n^2. (Past n = 1e154 the leading term e^-2gamma
+    # itself overflows there.)
     gamma = -math.log(n) - math.log1p(-1e-9)
-    with pytest.raises(DivergenceError, match="more than 200 terms"):
-        sigma_series(np.array([1.0, gamma]), n)
+    got = sigma_series(np.array([1.0, gamma]), n)
+    assert got[0] == sigma_series(1.0, n)
+    want, condition = mp_sigma_near_cutoff(mp.mpf(gamma), n)
+    assert 19.7 * n * n < want < 19.8 * n * n
+    assert_close(got[1], want, condition)

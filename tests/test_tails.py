@@ -9,7 +9,7 @@ from evt_accompany import quadrature
 from evt_accompany.analysis import SupOnGrid, _min_tail_levels, guarded_xs
 from evt_accompany.approx import two_term
 from evt_accompany.errors import DomainError, ParseError
-from evt_accompany.norming import norming_exact
+from evt_accompany.norming import norming_exact, norming_exacts
 from evt_accompany.tails import (
     DistributionSpec,
     ExponentialUnit,
@@ -224,6 +224,25 @@ def test_handle_quantile_search_gallops_away_from_x0(k, log10_n, cap):
     d.log_tail_steps = recording
     norming_exact(d, 10 ** log10_n)
     assert len(calls) <= cap
+
+
+def test_handle_quantile_search_steps_where_f_overflows():
+    # f = C t lk^-a overflows once C t passes the largest float, but the
+    # search's slope -(log_2 log x)^a / C stays finite: the b_n search near
+    # log x = 709.5 takes Newton steps there (58 integrals when it bisected
+    # instead), and then a = f(b) is still beyond the float range
+    d = IteratedLogScale(3, 1.21936, 2.78562)
+    calls = []
+    hook = d.log_tail_steps
+
+    def recording(starts, ends):
+        calls.append(ends)
+        return hook(starts, ends)
+
+    d.log_tail_steps = recording
+    with pytest.raises(DomainError, match=r"positive and finite, got inf \(at n=70{209}\)$"):
+        norming_exacts(d, [7 * 10 ** 209])
+    assert len(calls) <= 15
 
 
 def test_handle_quantile_search_bisects_below_an_overshoot_it_cannot_evaluate():
