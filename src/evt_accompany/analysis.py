@@ -88,11 +88,15 @@ class RateFit:
 def _guarded_rows(dist: DistributionSpec, pairs: Sequence[NormingPair], metric: SupOnGrid):
     """(x, exact law, gamma, keep) over the grid, the last three with a row
     per pair: keep masks the points of each row inside the support where the
-    sigma series converges, gamma > -log n."""
+    sigma series converges, gamma > -log n. A row with no such point is a
+    DegenerateError, since a sup over it would read 0 and measure nothing."""
     xs = np.array(metric.grid())
     exact, gamma = exact_and_gammas(dist, pairs, xs)
     cutoffs = np.array([-math.log(pair.n) for pair in pairs])
-    return xs, exact, gamma, gamma > cutoffs[:, None]  # False where gamma is NaN
+    keep = gamma > cutoffs[:, None]  # False where gamma is NaN
+    if not keep.any(axis=1).all():
+        raise DegenerateError(f"the window {metric.label} holds no point with gamma > -log n")
+    return xs, exact, gamma, keep
 
 
 def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid):

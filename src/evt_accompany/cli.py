@@ -37,7 +37,7 @@ from .approx import (
     require_gammas,
     two_term,
 )
-from .errors import DegenerateError, DomainError, EvtError, ParseError
+from .errors import DomainError, EvtError, ParseError
 from .norming import (
     norming_exact,
     norming_exacts,
@@ -298,9 +298,6 @@ def _cmd_check_identity(args, dist: DistributionSpec) -> int:
     rows = [_header(dist.label, "check-identity"), IDENTITY_COLUMNS]
     try:
         xs, exact, gamma = guarded_xs(dist, pair, metric)
-        if xs.size == 0:
-            raise DegenerateError(f"identity check needs a point with gamma > -log n, none "
-                                  f"on --x {metric.x_lo:g}:{metric.x_hi:g}:{metric.steps}")
         law = two_term(xs, gamma, n)
     except EvtError as exc:
         raise exc.at(f"n={n}") from exc

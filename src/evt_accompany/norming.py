@@ -130,7 +130,7 @@ def norming_weibull_closed(c: float, p: float, alpha: float,
         root = u ** (1.0 / p)
         a = root / (c * p * u)
         b = root + (1.0 / p) * (root / u) * (
-            (alpha / (p * c)) * math.log(u) + ell.log_value(root) / c)
+            (alpha / (p * c)) * math.log(u) + ell.log_values_deltas(math.log(root))[0] / c)
     return NormingPair(n=n, a=a, b=b, method=CLOSED_FORM)
 
 
@@ -166,7 +166,7 @@ def norming_logweibull_closed(c: float, p: float, alpha: float,
     b = math.exp(log_b)
     cp = c * p
     f = b * log_b ** (1.0 - p) / cp
-    g = 1.0 - (alpha + ell.delta(b)) / (cp * log_b ** (p - 1.0))
+    g = 1.0 - (alpha + ell.log_values_deltas(math.log(b))[1]) / (cp * log_b ** (p - 1.0))
     if g <= 0.0:
         raise DomainError(f"g(b_n) = {g!r} <= 0 at the closed-form b_n = {b!r}")
     return NormingPair(n=n, a=f / g, b=b, method=CLOSED_FORM)

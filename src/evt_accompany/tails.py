@@ -56,8 +56,8 @@ _LOG_X_MAX = math.log(_X_MAX)
 class SlowlyVarying:
     """Slowly varying factor ell(x), either a constant or ell0 * (log x)^beta.
 
-    Only these two shapes are built in because both admit an exact
-    delta(t) = t * (log ell)'(t) (constant: 0, log-power: beta / log t),
+    Only these two shapes are built in because both admit an exact Karamata
+    rate delta(t) = t * (log ell)'(t) (constant: 0, log-power: beta / log t),
     which the correction-term formulas need in closed form. Arbitrary slowly
     varying behaviour enters through GeneralizedVonMises handles instead.
     """
@@ -73,6 +73,9 @@ class SlowlyVarying:
             raise DomainError("slowly varying scale ell0 must be a positive real")
         if not math.isfinite(self.beta):
             raise DomainError("slowly varying exponent beta must be finite")
+        # read on every tail evaluation, so set once (on a frozen instance)
+        object.__setattr__(self, "is_const", self.kind == "const" or self.beta == 0.0)
+        object.__setattr__(self, "_log_scale", math.log(self.scale))
 
     @classmethod
     def const(cls, scale: float = 1.0) -> "SlowlyVarying":
@@ -82,35 +85,14 @@ class SlowlyVarying:
     def log_power(cls, scale: float, beta: float) -> "SlowlyVarying":
         return cls("logpow", float(scale), float(beta))
 
-    @property
-    def is_const(self) -> bool:
-        return self.kind == "const" or self.beta == 0.0
-
-    def log_value(self, x: float) -> float:
-        if self.is_const:
-            return math.log(self.scale)
-        if x <= 1.0:
-            raise DomainError(f"log-power slowly varying factor needs x > 1, got {x!r}")
-        return math.log(self.scale) + self.beta * math.log(math.log(x))
-
-    def value(self, x: float) -> float:
-        return math.exp(self.log_value(x))
-
-    def delta(self, t: float) -> float:
-        """Karamata rate delta(t), with log ell(x) - log ell(y) = integral delta/t."""
-        if self.is_const:
-            return 0.0
-        if t <= 1.0:
-            raise DomainError(f"delta(t) of a log-power factor needs t > 1, got {t!r}")
-        return self.beta / math.log(t)
-
     def log_values_deltas(self, lx):
         """log ell(x) and delta(x) at lx = log x, a float or an array (lx > 0
-        for a log power); a Python float takes math.log, an array np.log."""
+        for a log power); a Python float takes math.log, an array np.log.
+        The one evaluator of ell: tails, components and normings all use it."""
         if self.is_const:
-            return math.log(self.scale), 0.0
+            return self._log_scale, 0.0
         log = math.log if type(lx) is float else np.log
-        return math.log(self.scale) + self.beta * log(lx), self.beta / lx
+        return self._log_scale + self.beta * log(lx), self.beta / lx
 
     @property
     def label(self) -> str:
@@ -222,22 +204,22 @@ class DistributionSpec:
         """The x >= x0 with tail(x) = q, for 0 < q <= tail(x0).
 
         Safeguarded Newton in u = log(x - s), s = 0 if x0 > 0 else x0 - 1,
-        with slope d log tail / du = -(x - s) g/f from the von Mises
-        components (exact when c is constant; the safeguard absorbs the
-        dropped (log c)'). Below the root it steps on log tail, above it on
-        log(-log tail), which is close to linear in u there. A step that
-        leaves the bracket, is not finite or follows one that did not halve
-        |log(log tail / log q)| bisects. Until an upper end is known, a step
-        grows u by at most log 2 or the distance u has already come from the
-        search's start, whichever is larger, so the distance can double at
-        each step and a far quantile costs a few steps, not one per doubling
-        of x - s. A longer step whose tail cannot be evaluated becomes the
-        upper end to bisect towards; a quantile beyond the float range, or
-        beyond where the tail can be evaluated, raises DomainError. It
-        stops when |log_tail(x) - log q| <= 1e-12 *
-        min(max(1, |log q|), 100) or the bracket shrinks to rounding. Each
-        iterate is evaluated from the nearer bracket end, so a tail that is an
-        integral covers [x0, x] about once per search.
+        with the slope d log tail / du of _log_slopes, which the array search
+        shares (exact for the closed forms; a handle family's -(x - s) g/f
+        drops (log c)', which the safeguard absorbs). Below the root it
+        steps on log tail, above it on log(-log tail), which is close to
+        linear in u there. A step that leaves the bracket, is not finite or
+        follows one that did not halve |log(log tail / log q)| bisects. Until
+        an upper end is known, a step grows u by at most log 2 or the
+        distance u has already come from the search's start, whichever is
+        larger, so the distance can double at each step and a far quantile
+        costs a few steps, not one per doubling of x - s. A longer step whose
+        tail cannot be evaluated becomes the upper end to bisect towards; a
+        quantile beyond the float range, or beyond where the tail can be
+        evaluated, raises DomainError. It stops when |log_tail(x) - log q| <=
+        1e-12 * min(max(1, |log q|), 100) or the bracket shrinks to rounding.
+        Each iterate is evaluated from the nearer bracket end, so a tail that
+        is an integral covers [x0, x] about once per search.
         """
         return self.quantile_log_tail(q)[0]
 
@@ -343,11 +325,15 @@ class DistributionSpec:
         return start, log_tail_start
 
     def _newton_step(self, x: float, u: float, y: float) -> float:
-        # the step in u = log(x - s) that lowers log tail by y at its slope
-        # -(x - s) g/f, from the von Mises components; NaN where it does not fall
-        f_x, g_x, _ = self._components(x)
-        d = (x - self._shift()) * g_x
-        return y * f_x / d if d > 0.0 else math.nan
+        # the step in u = log(x - s) that lowers log tail by y at its slope;
+        # NaN where the tail does not fall
+        slope = float(self._log_slopes(x - self._shift(), u))
+        return -y / slope if slope < 0.0 else math.nan
+
+    def _log_slopes(self, v, lv):
+        """d log tail / du at x = v + s, u = lv, Python floats or arrays: the
+        slope of both quantile searches."""
+        raise NotImplementedError
 
     def _shift(self) -> float:
         # the s of the search variable u = log(x - s)
@@ -508,9 +494,9 @@ class _PowerFamily(DistributionSpec):
     h(x) = log x (LogWeibullLike), which share one constructor and one array
     quantile. Subclasses give class data (the spec head _head, the bound
     _p_min that p must exceed, the floor _x0_floor of x0's search, e for a
-    log-power ell) and formulas: the scalar log tail, the closed-form
-    inverse of the alpha = 0, constant-ell member, the log tail with its
-    exact slope in log x on arrays, and the components.
+    log-power ell, and the _x_min that the tail needs x above) and formulas:
+    the closed-form inverse of the alpha = 0, constant-ell member, the log
+    tail with its exact slope in log x, and the components.
     """
 
     def __init__(self, c: float, p: float, alpha: float = 0.0,
@@ -535,9 +521,22 @@ class _PowerFamily(DistributionSpec):
         """The x with log ell0 - c h(x)^p = log q."""
         raise NotImplementedError
 
-    def _log_tails_slopes(self, x: np.ndarray, lx: np.ndarray):
-        """log tail(x) and d log tail / d log x, given lx = log x."""
+    def _log_tails_slopes(self, x, lx):
+        """log tail(x) and d log tail / d log x, given lx = log x, Python
+        floats or arrays: the one formula of the tail."""
         raise NotImplementedError
+
+    def _log_tail_raw(self, x: float) -> float:
+        if not x > self._x_min:
+            raise DomainError(f"{type(self).__name__} tail needs x > {self._x_min:g}, got {x!r}")
+        try:
+            return self._log_tails_slopes(x, math.log(x))[0]
+        except OverflowError:
+            raise DomainError(
+                f"tail at x={x!r} is outside the float range (its log tail overflows)") from None
+
+    def _log_slopes(self, v, lv):
+        return self._log_tails_slopes(v, lv)[1]  # s = 0, as x0 > 0
 
     def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
         return self._log_tails_slopes(z, np.log(z))[0]
@@ -593,16 +592,12 @@ class WeibullLike(_PowerFamily):
     _head = "weibull"
     _p_min = 0.0
     _x0_floor = _E * 2.0 ** -60
-
-    def _log_tail_raw(self, x: float) -> float:
-        if x <= 0.0:
-            raise DomainError(f"Weibull-like tail needs x > 0, got {x!r}")
-        return self.ell.log_value(x) + self.alpha * math.log(x) - self.c * _pow(x, x, self.p)
+    _x_min = 0.0
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         return ((math.log(self.ell.scale) - log_q) / self.c) ** (1.0 / self.p)
 
-    def _log_tails_slopes(self, x: np.ndarray, lx: np.ndarray):
+    def _log_tails_slopes(self, x, lx):
         log_ell, delta = self.ell.log_values_deltas(lx)
         cxp = self.c * x ** self.p
         return log_ell + self.alpha * lx - cxp, self.alpha + delta - self.p * cxp
@@ -610,7 +605,8 @@ class WeibullLike(_PowerFamily):
     def _components(self, t: float):
         cp = self.c * self.p
         f = t ** (1.0 - self.p) / cp
-        g = 1.0 - (self.alpha + self.ell.delta(t)) / (cp * _pow(t, t, self.p))
+        delta = self.ell.log_values_deltas(math.log(t))[1]
+        g = 1.0 - (self.alpha + delta) / (cp * _pow(t, t, self.p))
         return f, g, 1.0
 
 
@@ -626,17 +622,12 @@ class LogWeibullLike(_PowerFamily):
     _head = "logweibull"
     _p_min = 1.0
     _x0_floor = _E
-
-    def _log_tail_raw(self, x: float) -> float:
-        if x < 1.0:
-            raise DomainError(f"log-Weibull-like tail needs x >= 1, got {x!r}")
-        lx = math.log(x)
-        return self.ell.log_value(x) + self.alpha * lx - self.c * _pow(x, lx, self.p)
+    _x_min = 1.0
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         return np.exp(((math.log(self.ell.scale) - log_q) / self.c) ** (1.0 / self.p))
 
-    def _log_tails_slopes(self, x: np.ndarray, lx: np.ndarray):
+    def _log_tails_slopes(self, x, lx):
         log_ell, delta = self.ell.log_values_deltas(lx)
         clp = self.c * lx ** self.p
         return log_ell + self.alpha * lx - clp, self.alpha + delta - self.p * clp / lx
@@ -645,7 +636,8 @@ class LogWeibullLike(_PowerFamily):
         cp = self.c * self.p
         lt = math.log(t)
         f = t * lt ** (1.0 - self.p) / cp
-        g = 1.0 - (self.alpha + self.ell.delta(t)) / (cp * _pow(t, lt, self.p - 1.0))
+        delta = self.ell.log_values_deltas(lt)[1]
+        g = 1.0 - (self.alpha + delta) / (cp * _pow(t, lt, self.p - 1.0))
         return f, g, 1.0
 
 
@@ -654,15 +646,17 @@ class _HandleFamily(DistributionSpec):
 
     The tail integral of g/f runs in s = log t when all its ranges lie in
     t > 0, where wide ranges of slowly varying integrands condition far
-    better, and in t otherwise. Both integrands take arrays of nodes.
+    better, and in t otherwise. Both integrands take arrays of nodes, and
+    the scalar Newton step's slope passes them one float.
     """
 
-    def _over_f(self, t: np.ndarray) -> np.ndarray:
-        """g/f at an array of t."""
+    def _over_f(self, t):
+        """g/f at an array of t, or at one float."""
         raise NotImplementedError
 
-    def _over_f_log(self, s: np.ndarray) -> np.ndarray:
-        """The integrand in s = log t, (g/f)(e^s) e^s, at an array of s."""
+    def _over_f_log(self, s):
+        """The integrand in s = log t, (g/f)(e^s) e^s, at an array of s, or
+        at one float."""
         t = np.exp(s)
         return self._over_f(t) * t
 
@@ -704,10 +698,10 @@ class _HandleFamily(DistributionSpec):
         Hermite interpolant of u in log tail, with the search's slopes,
         starts every level inside the table, and _newton finishes them with
         their cell as bracket, integrating from the nearer cell end and then
-        from the previous iterate, so most levels cost one short integral. Levels beyond the table's ends, by rounding,
-        search from the nearer end. A table that is not finite or rises, or
-        an error, sends all levels through the default walk, which raises
-        what it raises.
+        from the previous iterate, so most levels cost one short integral.
+        Levels beyond the table's ends, by rounding, search from the nearer
+        end. A table that is not finite or rises, or an error, sends all
+        levels through the default walk, which raises what it raises.
         """
         q = _levels(q)
         try:
@@ -759,16 +753,11 @@ class _HandleFamily(DistributionSpec):
         s = self._shift()
         return self.log_tails_from(v + s, anchor[0] + s, anchor[1]), self._log_slopes(v, lv)
 
-    def _log_slopes(self, v: np.ndarray, lv: np.ndarray) -> np.ndarray:
-        # the search's d log tail / du = -(x - s) g/f at x = v + s, u = lv,
-        # without (log c)'
+    def _log_slopes(self, v, lv):
+        # -(x - s) g/f, without (log c)', and finite where f overflows
+        # (iterlog near the float top)
         s = self._shift()
         return -self._over_f_log(lv) if s == 0.0 else -v * self._over_f(v + s)
-
-    def _newton_step(self, x: float, u: float, y: float) -> float:
-        # the array search's slope: finite where f overflows (iterlog near the float top)
-        slope = float(self._log_slopes(np.array([x - self._shift()]), np.array([u]))[0])
-        return -y / slope if slope < 0.0 else math.nan
 
     def _integral(self, a, b):
         """The integral of g/f from a to b, floats or arrays of one shape."""
@@ -804,7 +793,9 @@ class GeneralizedVonMises(_HandleFamily):
         self._f(self._x0)
         self._label = f"vonmises:x0={self._x0:g}"
 
-    def _over_f(self, t: np.ndarray) -> np.ndarray:
+    def _over_f(self, t):
+        if isinstance(t, float):  # one point, from a scalar Newton step
+            return self._g_over_f(float(t))
         return quadrature.elementwise(self._g_over_f)(t)
 
     def _g_over_f(self, t: float) -> float:

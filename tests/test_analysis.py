@@ -91,6 +91,22 @@ def test_guarded_grid_respects_cutoff():
     assert xs  # something survives
 
 
+def test_window_with_no_guarded_point_is_degenerate():
+    # gamma = x for the exponential: -log 100 = -4.6 lies above the whole
+    # window, where a sup would read 0, while -log 1000 = -6.9 keeps two points
+    d = ExponentialUnit()
+    window = SupOnGrid(-8.0, -5.0, 4)
+    empty = "the window sup[-8,-5]x4 holds no point with gamma > -log n"
+    for call, tag in ((lambda: guarded_xs(d, norming_exact(d, 100), window), ""),
+                      (lambda: weighted_residual(d, 100, -0.5, 0.01, 0.5, window), " (at n=100)"),
+                      (lambda: error_curve(d, "accompanying", window, [100, 1000, 10000]),
+                       " (at n=100)")):
+        with pytest.raises(DegenerateError) as info:
+            call()
+        assert str(info.value) == empty + tag
+    assert guarded_xs(d, norming_exact(d, 1000), window)[0].tolist() == [-6.0, -5.0]
+
+
 def test_gumbel_gap_matches_first_order_prediction():
     # (exact - Lambda(x)) / (Lambda(x) e^-x (gamma(x) - x)) stays within 15%
     # of 1 at n = 1e8: the one-term correction explains the Gumbel error

@@ -115,8 +115,21 @@ def test_check_identity_with_no_point_to_check_is_degenerate(tmp_path, capsys):
     assert code == 4
     assert payload == b""
     assert capsys.readouterr().err.strip() == (
-        "error (DegenerateError): identity check needs a point with gamma > -log n, none on "
-        "--x -8:-5:4 (at n=100) (at dist=exp)")
+        "error (DegenerateError): the window sup[-8,-5]x4 holds no point with "
+        "gamma > -log n (at n=100) (at dist=exp)")
+
+
+def test_rates_with_no_point_in_the_sup_window_is_degenerate(tmp_path, capsys):
+    # every cutoff -log n lies above the window: the sup read 0 and the fit
+    # failed on "strictly positive errors", which did not say why
+    code, payload = run(tmp_path, "r4.csv", [
+        "rates", "--dist", "exp", "--approx", "two_term", "--n-geom", "100:10000:3",
+        "--sup", "-12:-9.3:4"])
+    assert code == 4
+    assert payload == b""
+    assert capsys.readouterr().err.strip() == (
+        "error (DegenerateError): the window sup[-12,-9.3]x4 holds no point with "
+        "gamma > -log n (at n=100) (at dist=exp)")
 
 
 def test_rates_schema_and_power_fit(tmp_path):

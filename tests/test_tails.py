@@ -270,9 +270,11 @@ def test_handle_quantile_tails_walk_the_levels(monkeypatch):
     evals = []
     over_f_log = IteratedLogScale._over_f_log
     monkeypatch.setattr(IteratedLogScale, "_over_f_log",
-                        lambda self, s: evals.append(s.size) or over_f_log(self, s))
+                        lambda self, s: np.ndim(s) and evals.append(s.size)
+                        or over_f_log(self, s))
     got = d.quantile_tails(levels)
-    # integrand evaluations: the nodes of every array call
+    # integrand evaluations: the nodes of every array call (a scalar Newton
+    # step's slope passes one float)
     assert sum(evals) <= 20 * levels.size
     monkeypatch.undo()
     # every tenth level against its own search from x0 (all 2,000 take seconds)
@@ -305,6 +307,48 @@ def test_handle_quantile_tails_match_the_walk(d, n):
     s = d._shift()
     assert np.all(np.abs(np.log(got - s) - np.log(want - s)) <= 1e-10)
     assert np.all(got[levels >= d.tail(d.x0)] == d.x0)
+
+
+# every built-in family whose scalar search takes Newton steps, and two
+# handle tails, searched in log x (x0 > 0) and in log(x - x0 + 1) (x0 <= 0)
+NEWTON_FAMILIES = [
+    WeibullLike(1.0, 2.0, 2.0),
+    WeibullLike(1.0, 2.0, 0.0, SlowlyVarying.log_power(1.0, 1.0)),
+    LogWeibullLike(1.0, 2.0, 1.5),
+    IteratedLogScale(2, 1.0, 1.0),
+    IteratedLogScale(3, 1.0, 1.0),
+    GeneralizedVonMises(f=lambda t: math.sqrt(t), g=lambda t: 1.0 + 1.0 / t,
+                        c=lambda t: 1.0, x0=1.0),
+    GeneralizedVonMises(f=lambda t: 1.0, g=lambda t: 1.0, c=c_from(-3.0), x0=-3.0),
+]
+
+
+@pytest.mark.parametrize("d", NEWTON_FAMILIES, ids=lambda d: d.label)
+def test_quantile_search_reads_no_von_mises_components(d, monkeypatch):
+    # the scalar search reads a family through its log tail and _log_slopes
+    # alone, as the array search does
+    def unread(self, t):
+        raise AssertionError("the quantile search read the von Mises components")
+
+    steps = []
+    newton_step = DistributionSpec._newton_step
+    monkeypatch.setattr(type(d), "_components", unread)
+    monkeypatch.setattr(DistributionSpec, "_newton_step",
+                        lambda self, *args: steps.append(args) or newton_step(self, *args))
+    for q in [d.tail(d.x0) * r for r in (0.5, 1e-6, 1e-30)] + [1e-300]:
+        _, log_tail_x = d.quantile_log_tail(q)
+        assert abs(log_tail_x - math.log(q)) <= 1e-12 * min(max(1.0, -math.log(q)), 100.0)
+    assert steps
+
+
+@pytest.mark.parametrize("d", NEWTON_FAMILIES, ids=lambda d: d.label)
+def test_log_slopes_of_floats_equal_those_of_arrays(d):
+    # one hook serves the scalar step (floats) and the array search, bit for bit
+    s = d._shift()
+    v = (d.x0 - s) * np.array([1.0, 1.5, 4.0, 30.0, 1e3])
+    lv = np.log(v)
+    got = [float(d._log_slopes(a, b)) for a, b in zip(v.tolist(), lv.tolist())]
+    assert got == d._log_slopes(v, lv).tolist()
 
 
 def test_handle_quantile_tails_raise_what_the_walk_raises():
@@ -452,9 +496,11 @@ def test_quantile_tails_newton_takes_few_passes(dist, max_passes, monkeypatch):
     passes = []
     evaluate = type(dist)._log_tails_slopes
     monkeypatch.setattr(type(dist), "_log_tails_slopes",
-                        lambda self, x, lx: passes.append(x.size) or evaluate(self, x, lx))
+                        lambda self, x, lx: np.ndim(x) and passes.append(x.size)
+                        or evaluate(self, x, lx))
     dist.quantile_tails(np.geomspace(1e-30, dist.tail(dist.x0), 2000))
-    # the first evaluation is tail(largest float), for the overflow check
+    # array calls only (the scalar tail(x0) takes a float); the first is
+    # tail(largest float), for the overflow check
     assert len(passes) - 1 <= max_passes
 
 
@@ -639,18 +685,21 @@ def test_f_prime_tends_to_zero():
 def test_slowly_varying_ratio_limit():
     for ell in (SlowlyVarying.const(2.0), SlowlyVarying.log_power(1.0, 1.5)):
         for lam in (0.5, 2.0, 10.0):
-            ratios = [ell.value(lam * x) / ell.value(x) for x in (1e3, 1e8, 1e16)]
+            ratios = [math.exp(ell.log_values_deltas(math.log(lam * x))[0]
+                               - ell.log_values_deltas(math.log(x))[0])
+                      for x in (1e3, 1e8, 1e16)]
             gaps = [abs(r - 1.0) for r in ratios]
             assert gaps[0] >= gaps[1] >= gaps[2]
             assert gaps[-1] < 0.25 * gaps[0] or gaps[0] < 1e-12
 
 
 def test_log_power_delta_matches_numeric_derivative():
+    # delta = d log ell / d log t
     ell = SlowlyVarying.log_power(1.0, 0.7)
     for t in (10.0, 1e3, 1e6):
-        h = 1e-5
-        num = (ell.log_value(t * (1 + h)) - ell.log_value(t / (1 + h))) / (2 * math.log(1 + h))
-        assert num == pytest.approx(ell.delta(t), rel=1e-6)
+        h, lt = 1e-5, math.log(t)
+        num = (ell.log_values_deltas(lt + h)[0] - ell.log_values_deltas(lt - h)[0]) / (2 * h)
+        assert num == pytest.approx(ell.log_values_deltas(lt)[1], rel=1e-6)
 
 
 def test_slowly_varying_validation():
