@@ -148,28 +148,42 @@ def error_curve(dist: DistributionSpec, approximant: str, metric: SupOnGrid | At
 
 
 def fit_rate(curve: ErrorCurve, model: str) -> RateFit:
-    """OLS of log error against log n (power-in-n) or log log n (power-in-log-n)."""
+    """OLS of log error against log n (power-in-n) or log log n (power-in-log-n).
+
+    Centred least squares on Python floats: with dx = x - mean x and
+    dy = y - mean y, the slope is sum dx dy / sum dx^2, and r^2 is
+    1 - ss_res/ss_tot with ss_res the sum of (dy - slope dx)^2 and ss_tot
+    that of dy^2. Every sum is a math.fsum, so the slope is within a few
+    ulps of the exact least-squares slope of the logged points.
+    """
     if model not in (POWER_IN_N, POWER_IN_LOG_N):
         raise DomainError(f"unknown rate model {model!r}")
     if len(curve.points) < 3:
         raise DegenerateError(f"rate fit needs >= 3 points, got {len(curve.points)}")
-    if any(e <= 0.0 for _, e in curve.points):
-        raise DegenerateError("rate fit needs strictly positive errors")
+    for n, e in curve.points:
+        if e <= 0.0:
+            raise DegenerateError(
+                f"rate fit needs strictly positive errors, got {e!r} for "
+                f"{curve.metric.label}").at(f"n={n}")
     if model == POWER_IN_N:
-        xs = np.array([math.log(n) for n, _ in curve.points])
+        xs = [math.log(n) for n, _ in curve.points]
     else:
-        xs = np.array([math.log(math.log(n)) for n, _ in curve.points])
-    ys = np.array([math.log(e) for _, e in curve.points])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    ss_res = float(np.dot(resid, resid))
-    centered = ys - ys.mean()
-    ss_tot = float(np.dot(centered, centered))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res == 0.0 else 0.0
-    else:
-        r2 = max(0.0, 1.0 - ss_res / ss_tot)
-    return RateFit(model=model, exponent=float(slope), r_squared=r2)
+        xs = [math.log(math.log(n)) for n, _ in curve.points]
+    if min(xs) == max(xs):
+        raise DegenerateError(
+            f"{model} rate fit needs two distinct abscissae, n={curve.points[0][0]}.."
+            f"{curve.points[-1][0]} round to one")
+    ys = [math.log(e) for _, e in curve.points]
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    dys = [y - y_mean for y in ys]
+    slope = (math.fsum(dx * dy for dx, dy in zip(dxs, dys))
+             / math.fsum(dx * dx for dx in dxs))
+    ss_res = math.fsum((dy - slope * dx) ** 2 for dx, dy in zip(dxs, dys))
+    ss_tot = math.fsum(dy * dy for dy in dys)
+    # ss_tot = 0 only when every dy is 0, and then ss_res = 0 too
+    r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
+    return RateFit(model=model, exponent=slope, r_squared=r2)
 
 
 def weighted_residual(dist: DistributionSpec, n: int, rho: float,

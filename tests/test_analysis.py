@@ -129,16 +129,16 @@ def test_gumbel_gap_matches_first_order_prediction():
 
 def test_fit_exact_power_line():
     fit = fit_rate(synthetic_curve([10, 100, 1000], [1e-1, 1e-2, 1e-3]), POWER_IN_N)
-    assert fit.exponent == pytest.approx(-1.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert fit.exponent == pytest.approx(-1.0, abs=1e-14)
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-14)
 
 
 def test_fit_exact_log_power_line():
     ns = [10 ** 2, 10 ** 4, 10 ** 8]
     errs = [1.0 / math.log(n) for n in ns]
     fit = fit_rate(synthetic_curve(ns, errs), POWER_IN_LOG_N)
-    assert fit.exponent == pytest.approx(-1.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert fit.exponent == pytest.approx(-1.0, abs=1e-14)
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-14)
 
 
 def test_fit_exponential_gumbel_sup_curve():
@@ -179,8 +179,16 @@ def test_second_order_beats_gumbel_across_the_scale(dist, exponent):
 def test_fit_degenerate_inputs():
     with pytest.raises(DegenerateError):
         fit_rate(synthetic_curve([10, 100], [1e-1, 1e-2]), POWER_IN_N)
-    with pytest.raises(DegenerateError):
-        fit_rate(synthetic_curve([10, 100, 1000], [1e-1, 0.0, 1e-3]), POWER_IN_N)
+    # the error names the first n whose error is not positive, and the metric
+    with pytest.raises(DegenerateError) as info:
+        fit_rate(synthetic_curve([10, 100, 1000, 10000], [1e-1, 0.0, 1e-3, 0.0]), POWER_IN_N)
+    assert str(info.value) == (
+        "rate fit needs strictly positive errors, got 0.0 for at:0 (at n=100)")
+    # distinct integers whose logs round to one float: no line through them
+    for model in (POWER_IN_N, POWER_IN_LOG_N):
+        with pytest.raises(DegenerateError, match="two distinct abscissae"):
+            fit_rate(synthetic_curve([10 ** 21, 10 ** 21 + 1, 10 ** 21 + 2],
+                                     [1e-1, 1e-2, 1e-3]), model)
     with pytest.raises(DomainError):
         fit_rate(synthetic_curve([10, 100, 1000], [1e-1, 1e-2, 1e-3]), "cubic")
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -421,6 +422,33 @@ def test_exit_numerical_error_degenerate_fit(tmp_path, capsys):
         "--n", "100,1000", "--at", "1"])
     assert code == 4
     assert "DegenerateError" in capsys.readouterr().err
+
+
+def test_rates_with_a_zero_error_names_the_first_such_n(tmp_path, capsys):
+    # at x = 50 the exact law and the accompanying one both read 1.0
+    code, payload = run(tmp_path, "z.csv", [
+        "rates", "--dist", "exp", "--approx", "accompanying",
+        "--n-geom", "100:1e4:3", "--at", "50"])
+    assert code == 4
+    assert payload == b""
+    assert capsys.readouterr().err.strip() == (
+        "error (DegenerateError): rate fit needs strictly positive errors, got 0.0 "
+        "for at:50 (at n=100) (at dist=exp)")
+
+
+@pytest.mark.parametrize("spec", ["exp", "iterlog:k=2,a=1,C=1"])
+def test_rates_needs_no_linear_algebra(tmp_path, monkeypatch, spec):
+    # the rate fit is closed-form, so no rates run starts LAPACK
+    def refuse(*args, **kwargs):
+        raise AssertionError("rates called into numpy's least squares")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    code, payload = run(tmp_path, "r.csv", [
+        "rates", "--dist", spec, "--approx", "gumbel", "--n-geom", "1000:1e12:5", "--sup"])
+    assert code == 0
+    _, body = rows(payload)
+    assert [cells[0] for cells in body] == ["power-in-n", "power-in-log-n"]
 
 
 # -- stdout mode ------------------------------------------------------------------
