@@ -24,7 +24,7 @@ from . import quadrature
 from .approx import _shaped, exact_and_gammas, require_finite
 from .errors import DomainError
 from .norming import NormingPair
-from .tails import DistributionSpec
+from .tails import DistributionSpec, _below
 
 
 def gamma_exact(dist: DistributionSpec, pair: NormingPair, x):
@@ -56,7 +56,7 @@ def gamma_quadrature(dist: DistributionSpec, pair: NormingPair, x: float) -> flo
     """
     require_finite(x)
     z = pair.b + pair.a * x
-    if z < dist.x0 - 1e-12 * max(1.0, abs(dist.x0)):
+    if _below(z, dist.x0):
         raise DomainError(
             f"evaluation point b + a*x = {z!r} is below x0 = {dist.x0!r} "
             f"(needs x >= {(dist.x0 - pair.b) / pair.a!r})")

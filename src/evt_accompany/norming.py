@@ -17,9 +17,6 @@ from typing import Callable, Sequence
 from .errors import DivergenceError, DomainError, EvtError, MismatchError
 from .tails import DistributionSpec, SlowlyVarying
 
-EXACT_QUANTILE = "exact-quantile"
-CLOSED_FORM = "closed-form"
-
 # Fixed-point refinements used by the closed forms. One pass reproduces the
 # leading asymptotics; the extra passes shrink the types gap enough to be
 # measurable against exact inversion at desk-scale n (see tests).
@@ -28,7 +25,7 @@ _LOGWEIBULL_ITERATIONS = 4
 
 @dataclass(frozen=True)
 class NormingPair:
-    """Location/scale pair for P(M_n <= a*x + b), tagged with its origin.
+    """Location/scale pair for P(M_n <= a*x + b).
 
     Exact pairs also carry log_tail_b = log tail(b) of the family they were
     normed for, so the exact law at b + a x needs only the tail between b
@@ -38,7 +35,6 @@ class NormingPair:
     n: int
     a: float
     b: float
-    method: str = EXACT_QUANTILE
     log_tail_b: float | None = None
 
     def __post_init__(self) -> None:
@@ -98,8 +94,7 @@ def norming_exacts(dist: DistributionSpec, ns: Sequence[int],
             f, g, _ = dist.von_mises_components(b)
             if g <= 0.0:
                 raise DomainError(f"g(b_n) = {g!r} <= 0 at b_n = {b!r}; not a usable scale")
-            pairs.append(NormingPair(n=n, a=f / g, b=b, method=EXACT_QUANTILE,
-                                     log_tail_b=log_tail_b))
+            pairs.append(NormingPair(n=n, a=f / g, b=b, log_tail_b=log_tail_b))
         except EvtError as exc:
             raise exc.at(f"n={n}") from exc
     return pairs
@@ -131,7 +126,7 @@ def norming_weibull_closed(c: float, p: float, alpha: float,
         a = root / (c * p * u)
         b = root + (1.0 / p) * (root / u) * (
             (alpha / (p * c)) * math.log(u) + ell.log_values_deltas(math.log(root))[0] / c)
-    return NormingPair(n=n, a=a, b=b, method=CLOSED_FORM)
+    return NormingPair(n=n, a=a, b=b)
 
 
 def norming_logweibull_closed(c: float, p: float, alpha: float,
@@ -169,7 +164,7 @@ def norming_logweibull_closed(c: float, p: float, alpha: float,
     g = 1.0 - (alpha + ell.log_values_deltas(math.log(b))[1]) / (cp * log_b ** (p - 1.0))
     if g <= 0.0:
         raise DomainError(f"g(b_n) = {g!r} <= 0 at the closed-form b_n = {b!r}")
-    return NormingPair(n=n, a=f / g, b=b, method=CLOSED_FORM)
+    return NormingPair(n=n, a=f / g, b=b)
 
 
 def asymptotic_iterate(residual: Callable[[float, float], float], u: float,

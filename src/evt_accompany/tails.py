@@ -412,54 +412,6 @@ class DistributionSpec:
 
 
 # ---------------------------------------------------------------------------
-# x0 auto-selection
-# ---------------------------------------------------------------------------
-
-def _numeric_slope(raw: Callable[[float], float], x: float) -> float:
-    h = 1e-4 * abs(x)
-    return (raw(x + h) - raw(x - h)) / (2.0 * h)
-
-
-def _admissible(raw: Callable[[float], float], x: float) -> bool:
-    try:
-        return raw(x) <= 0.0 and _numeric_slope(raw, x) < 0.0
-    except (DomainError, ValueError, OverflowError):
-        return False
-
-
-def _auto_x0(raw: Callable[[float], float], floor: float) -> float:
-    """Smallest admissible point on the doubling grid e * 2^j.
-
-    Starts at max(1, e) and doubles outward, as far as the largest float,
-    until the raw tail is <= 1 with a negative numeric slope, then walks the
-    same grid back down toward `floor` so that fast tails (e.g. exp(-x^3))
-    keep their natural support edge and tail(x0) stays near 1. A tail steep
-    enough to underflow to 0 at that grid point is bisected in log x toward
-    the inadmissible point below it, the grid point or `floor`, down to the
-    edge of admissibility. Only the tail above x0 is ever used; everything
-    below is completed by an atom at x0.
-    """
-    x = _E
-    while not _admissible(raw, x):
-        x *= 2.0
-        if x > _X_MAX:
-            raise DomainError("no admissible x0 found on the doubling grid")
-    while x * 0.5 >= floor and _admissible(raw, x * 0.5):
-        x *= 0.5
-    lo = max(x * 0.5, floor)
-    if lo < x and math.exp(raw(x)) == 0.0 and not _admissible(raw, lo):
-        for _ in range(_BRACKET_CAP):
-            mid = math.sqrt(lo * x)
-            if not lo < mid < x:
-                break
-            if _admissible(raw, mid):
-                x = mid
-            else:
-                lo = mid
-    return x
-
-
-# ---------------------------------------------------------------------------
 # Families
 # ---------------------------------------------------------------------------
 
@@ -513,7 +465,7 @@ class _PowerFamily(DistributionSpec):
         self.alpha = float(alpha)
         self.ell = ell if ell is not None else SlowlyVarying.const(1.0)
         floor = _E if self.ell.kind == "logpow" else self._x0_floor
-        self._x0 = _auto_x0(self._log_tail_raw, floor)
+        self._x0 = self._auto_x0(floor)
         self._label = (f"{self._head}:c={self.c:g},p={self.p:g},alpha={self.alpha:g},"
                        f"ell={self.ell.label}")
 
@@ -526,14 +478,60 @@ class _PowerFamily(DistributionSpec):
         floats or arrays: the one formula of the tail."""
         raise NotImplementedError
 
-    def _log_tail_raw(self, x: float) -> float:
+    def _log_tail_slope(self, x: float):
+        """log tail(x) and d log tail / d log x at one float x: the scalar
+        reader of _log_tails_slopes, which both the tail and x0's search use."""
         if not x > self._x_min:
             raise DomainError(f"{type(self).__name__} tail needs x > {self._x_min:g}, got {x!r}")
         try:
-            return self._log_tails_slopes(x, math.log(x))[0]
+            return self._log_tails_slopes(x, math.log(x))
         except OverflowError:
             raise DomainError(
                 f"tail at x={x!r} is outside the float range (its log tail overflows)") from None
+
+    def _log_tail_raw(self, x: float) -> float:
+        return self._log_tail_slope(x)[0]
+
+    def _admissible(self, x: float) -> bool:
+        # x may be x0: the log tail is finite and at most 0 there, and falls
+        # by its exact slope
+        try:
+            log_tail, slope = self._log_tail_slope(x)
+        except DomainError:
+            return False
+        return -math.inf < log_tail <= 0.0 and slope < 0.0
+
+    def _auto_x0(self, floor: float) -> float:
+        """Smallest admissible point on the doubling grid e * 2^j.
+
+        Starts at max(1, e) and doubles outward, as far as the largest float,
+        until the tail is <= 1 and falling (value and exact slope from one
+        _log_tails_slopes call), then walks the same grid back down toward
+        `floor` so that fast tails (e.g. exp(-x^3)) keep their natural support
+        edge and tail(x0) stays near 1. A tail steep enough to underflow to 0 at that
+        grid point is bisected in log x toward the inadmissible point below
+        it, the grid point or `floor`, down to the edge of admissibility.
+        Only the tail above x0 is ever used; everything below is completed by
+        an atom at x0.
+        """
+        x = _E
+        while not self._admissible(x):
+            x *= 2.0
+            if x > _X_MAX:
+                raise DomainError("no admissible x0 found on the doubling grid")
+        while x * 0.5 >= floor and self._admissible(x * 0.5):
+            x *= 0.5
+        lo = max(x * 0.5, floor)
+        if lo < x and math.exp(self._log_tail_raw(x)) == 0.0 and not self._admissible(lo):
+            for _ in range(_BRACKET_CAP):
+                mid = math.sqrt(lo * x)
+                if not lo < mid < x:
+                    break
+                if self._admissible(mid):
+                    x = mid
+                else:
+                    lo = mid
+        return x
 
     def _log_slopes(self, v, lv):
         return self._log_tails_slopes(v, lv)[1]  # s = 0, as x0 > 0

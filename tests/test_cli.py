@@ -368,7 +368,7 @@ def test_steep_weibull_support_edge_is_not_stepped_over(tmp_path):
     assert code == 0
     _, body = rows(payload)
     dist = parse_dist(spec)
-    assert 0.96 < dist.x0 < 0.97 and dist.tail(dist.x0) > 0.99
+    assert dist.x0 == 0.9664101256979731 and dist.tail(dist.x0) > 0.99
     log_q = math.log(1e-3)
     assert abs(dist.log_tail(float(body[0][2])) - log_q) <= QUANTILE_LOG_TOL * -log_q
 

@@ -321,7 +321,7 @@ def _huge_pure_pair(c, p, n):
     log_b = y ** (1.0 / p)
     b = math.exp(log_b)
     a = b * log_b ** (1.0 - p) / (c * p)
-    return NormingPair(n=2 ** 62, a=a, b=b, method="closed-form")
+    return NormingPair(n=2 ** 62, a=a, b=b)
 
 
 def test_correction_logweibull_alpha_tracks_exact():

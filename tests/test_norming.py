@@ -7,8 +7,6 @@ import pytest
 from evt_accompany.cli import _parse_n_geom
 from evt_accompany.errors import DivergenceError, DomainError, MismatchError
 from evt_accompany.norming import (
-    CLOSED_FORM,
-    EXACT_QUANTILE,
     NormingPair,
     asymptotic_iterate,
     norming_exact,
@@ -66,7 +64,6 @@ def test_exact_exponential():
     pair = norming_exact(ExponentialUnit(), 1000)
     assert pair.a == pytest.approx(1.0, abs=1e-14)
     assert pair.b == pytest.approx(math.log(1000.0), rel=1e-13)
-    assert pair.method == EXACT_QUANTILE
 
 
 def test_exact_weibull_p2_analytic():
@@ -246,7 +243,6 @@ def test_weibull_closed_p1():
     pair = norming_weibull_closed(1.0, 1.0, 0.0, CONST1, 10 ** 6)
     assert pair.a == 1.0
     assert pair.b == pytest.approx(math.log(1e6), rel=1e-14)
-    assert pair.method == CLOSED_FORM
 
 
 def test_weibull_closed_p2_scale_and_location():

@@ -737,15 +737,20 @@ def test_auto_x0_doubles_up_to_the_float_range():
     # here the tail exceeds 1 up to log x = 2^100, beyond the float range
     with pytest.raises(DomainError, match="no admissible x0"):
         parse_dist("logweibull:c=1,p=1.01,alpha=2,ell=const:1")
+    # c x^p overflows to inf at every grid point from e up: a log tail of -inf
+    # is no x0 either
+    with pytest.raises(DomainError, match="no admissible x0"):
+        parse_dist("weibull:c=1e308,p=2,alpha=0,ell=const:1")
 
 
 @pytest.mark.parametrize("spec, x0", [
     ("weibull:c=1,p=2,alpha=0,ell=const:1", 2.3577336510745328e-18),  # the floor e 2^-60
     ("weibull:c=1,p=0.5,alpha=2,ell=const:1", 86.98501851068944),  # doubled up
     ("weibull:c=1,p=2,alpha=2,ell=const:1", 1.3591409142295225),  # walked down
-    ("weibull:c=1,p=50,alpha=0,ell=const:1", 6.480888911388028e-07),  # bisected
+    ("weibull:c=1,p=50,alpha=0,ell=const:1", 6.480888911388028e-07),  # e 2^-22: x^50 underflows below
     ("weibull:c=1,p=2,alpha=0,ell=logpow:1:1", math.e),  # a log power stops at e
     ("logweibull:c=1,p=2,alpha=0,ell=const:1", math.e),
+    ("logweibull:c=1,p=20,alpha=2,ell=const:1", 2.8211794563624517),  # bisected
     ("logweibull:c=1,p=1.1281171539682422,alpha=1.965742466111506,ell=const:1",
      1.0561443096899725e+85),
 ])
@@ -756,6 +761,17 @@ def test_power_family_x0_and_label_are_pinned(spec, x0):
     c, p, alpha, ell = (field.partition("=")[2] for field in body.split(","))
     assert d.label == (f"{head}:c={float(c):g},p={float(p):g},alpha={float(alpha):g},"
                        f"ell={ell}")
+
+
+def test_x0_search_reads_the_tail_formula_once_per_grid_point(monkeypatch):
+    # value and exact slope from one call at each of e, e/2, ..., e 2^-60; a
+    # two-sided numeric slope took three calls per point (183)
+    calls = []
+    evaluate = WeibullLike._log_tails_slopes
+    monkeypatch.setattr(WeibullLike, "_log_tails_slopes",
+                        lambda self, x, lx: calls.append(x) or evaluate(self, x, lx))
+    parse_dist("weibull:c=1,p=2,alpha=0,ell=const:1")
+    assert len(calls) <= 61
 
 
 def test_power_families_share_one_grammar_and_constructor():
