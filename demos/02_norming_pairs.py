@@ -10,23 +10,20 @@ become interchangeable. Run as
 
 from evt_accompany import (
     LogWeibullLike,
-    SlowlyVarying,
     WeibullLike,
+    norming_closed,
     norming_exact,
-    norming_logweibull_closed,
-    norming_weibull_closed,
     types_equivalence_gap,
 )
 
-CONST1 = SlowlyVarying.const(1.0)
 
 cases = [
     ("pure Weibull p=2", WeibullLike(1.0, 2.0, 0.0),
-     lambda n: norming_weibull_closed(1.0, 2.0, 0.0, CONST1, n)),
+     lambda n: norming_closed(WeibullLike(1.0, 2.0, 0.0), n)),
     ("Weibull p=2, alpha=2", WeibullLike(1.0, 2.0, 2.0),
-     lambda n: norming_weibull_closed(1.0, 2.0, 2.0, CONST1, n)),
+     lambda n: norming_closed(WeibullLike(1.0, 2.0, 2.0), n)),
     ("log-Weibull p=2, alpha=1", LogWeibullLike(1.0, 2.0, 1.0),
-     lambda n: norming_logweibull_closed(1.0, 2.0, 1.0, CONST1, n)),
+     lambda n: norming_closed(LogWeibullLike(1.0, 2.0, 1.0), n)),
 ]
 
 for label, dist, closed_fn in cases:

@@ -15,18 +15,15 @@ import math
 from evt_accompany import (
     IteratedLogScale,
     LogWeibullLike,
-    SlowlyVarying,
     WeibullLike,
     gamma_closed_weibull,
     gamma_exact,
     gamma_expansion,
     gamma_quadrature,
+    norming_closed,
     norming_exact,
-    norming_logweibull_closed,
-    norming_weibull_closed,
 )
 
-CONST1 = SlowlyVarying.const(1.0)
 
 print("three routes to the same number (pure Weibull p=2, n = 1e6)")
 d = WeibullLike(1.0, 2.0, 0.0)
@@ -56,12 +53,12 @@ def ratios(dist, pair, xs):
 
 n = 10 ** 8
 for p, alpha in ((2.0, 0.0), (0.5, 0.0), (2.0, 3.0)):
-    pure = norming_weibull_closed(1.0, p, 0.0, CONST1, n)
+    pure = norming_closed(WeibullLike(1.0, p, 0.0), n)
     print(f"  Weibull p={p:g} alpha={alpha:g}   measured/predicted  "
           + ratios(WeibullLike(1.0, p, alpha), pure, (0.5, 1.0, 2.0)))
 
 for alpha in (0.0, 1.0):
-    pure = norming_logweibull_closed(1.0, 2.0, 0.0, CONST1, n)
+    pure = norming_closed(LogWeibullLike(1.0, 2.0, 0.0), n)
     print(f"  log-Weibull alpha={alpha:g}      measured/predicted  "
           + ratios(LogWeibullLike(1.0, 2.0, alpha), pure, (0.5, 1.0, 2.0)))
 

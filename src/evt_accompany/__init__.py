@@ -37,11 +37,9 @@ from .errors import (
 from .gamma import gamma_closed_weibull, gamma_exact, gamma_expansion, gamma_quadrature
 from .norming import (
     NormingPair,
-    asymptotic_iterate,
+    norming_closed,
     norming_exact,
     norming_exacts,
-    norming_logweibull_closed,
-    norming_weibull_closed,
     types_equivalence_gap,
 )
 from .tails import (

@@ -37,15 +37,9 @@ from .approx import (
     require_gammas,
     two_term,
 )
-from .errors import DomainError, EvtError, ParseError
-from .norming import (
-    norming_exact,
-    norming_exacts,
-    norming_logweibull_closed,
-    norming_weibull_closed,
-    types_equivalence_gap,
-)
-from .tails import DistributionSpec, LogWeibullLike, WeibullLike, parse_dist
+from .errors import EvtError, ParseError
+from .norming import norming_closed, norming_exact, norming_exacts, types_equivalence_gap
+from .tails import DistributionSpec, parse_dist
 
 TABLE_COLUMNS = ",".join(["x", "exact", *APPROXIMANTS, "gamma"])
 RATES_COLUMNS = "model,exponent,r_squared,n_min,n_max,points"
@@ -261,26 +255,13 @@ def _cmd_rates(args, dist: DistributionSpec) -> int:
     return 0
 
 
-# family -> its closed-form norming, a function of (c, p, alpha, ell, n)
-_CLOSED_NORMINGS = {WeibullLike: norming_weibull_closed,
-                    LogWeibullLike: norming_logweibull_closed}
-
-
 def _cmd_norming(args, dist: DistributionSpec) -> int:
     ns = _resolve_ns(args)
-    closed_norming = _CLOSED_NORMINGS.get(type(dist))
-    if closed_norming is None:
-        raise DomainError(
-            f"no closed-form norming for family {dist.label!r} (Weibull-like and "
-            f"log-Weibull-like only)")
     rows = [_header(dist.label, "norming"), NORMING_COLUMNS]
     last = None
     for exact in norming_exacts(dist, ns):
         n = exact.n
-        try:
-            closed = closed_norming(dist.c, dist.p, dist.alpha, dist.ell, n)
-        except EvtError as exc:
-            raise exc.at(f"n={n}") from exc
+        closed = norming_closed(dist, n)
         ratio_gap, shift_gap = types_equivalence_gap(exact, closed)
         rows.append(",".join([str(n), _fmt(exact.a), _fmt(exact.b), _fmt(closed.a),
                               _fmt(closed.b), _fmt(ratio_gap), _fmt(shift_gap)]))

@@ -40,7 +40,7 @@ _PAIRS = [(0.5 * wk, 0.5 * (wk - wg)) for wk, wg in zip(_WK, _WG)]
 _WEIGHTS = np.array(_PAIRS + [(0.5 * _WK0, 0.5 * (_WK0 - _WG0))] + _PAIRS[::-1])[:, :, None]
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], a, b, depth: int = DEFAULT_DEPTH):
+def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
     """Integrate f from a_i to b_i for each i by adaptive Gauss-Kronrod (7-15).
 
     f maps a 1-D array of nodes to the array of its values. a and b are
@@ -52,8 +52,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b, depth: int = DEFAULT_
     rule is summed in node order and each interval's accepted pieces from a
     to b, so an interval's integral does not depend on the other intervals
     of the call. Raises QuadratureError at once at a non-finite value of f
-    or sum, when a subinterval still fails after `depth` bisections, or when
-    more than MAX_LIVE subintervals are live.
+    or sum, when a subinterval still fails after DEFAULT_DEPTH bisections (read
+    at call time), or when more than MAX_LIVE subintervals are live.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -62,7 +62,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b, depth: int = DEFAULT_
     start, end = a.ravel(), b.ravel()
     total = np.zeros(start.size)
     owner = np.arange(start.size)
-    for level in range(depth + 1):
+    for level in range(DEFAULT_DEPTH + 1):
         if owner.size > MAX_LIVE:
             raise QuadratureError(
                 f"adaptive Gauss-Kronrod needs more than {MAX_LIVE} live subintervals "
@@ -91,7 +91,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b, depth: int = DEFAULT_
             break
         total += np.bincount(owner[done], weights=kronrod[done], minlength=total.size)
         todo = ~done
-        if level == depth:
+        if level == DEFAULT_DEPTH:
             i = np.flatnonzero(todo)[0]
             raise QuadratureError(
                 f"adaptive Gauss-Kronrod hit depth cap on [{float(start[i])!r}, "

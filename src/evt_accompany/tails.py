@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import ConvergenceError, DomainError, EvtError, ParseError
+from .errors import ConvergenceError, DivergenceError, DomainError, EvtError, ParseError
 
 _E = math.e
 
@@ -407,6 +407,11 @@ class DistributionSpec:
     def _components(self, t: float):
         raise NotImplementedError
 
+    def _closed_norming(self, n: int):
+        """(a_n, b_n) of the family's closed-form norming, where it has one."""
+        raise DomainError(f"no closed-form norming for family {self._label!r} (Weibull-like "
+                          f"and log-Weibull-like only)")
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({self._label!r})"
 
@@ -448,7 +453,8 @@ class _PowerFamily(DistributionSpec):
     _p_min that p must exceed, the floor _x0_floor of x0's search, e for a
     log-power ell, and the _x_min that the tail needs x above) and formulas:
     the closed-form inverse of the alpha = 0, constant-ell member, the log
-    tail with its exact slope in log x, and the components.
+    tail with its exact slope in log x, the components, and the closed-form
+    norming pair at u = log(n)/c.
     """
 
     def __init__(self, c: float, p: float, alpha: float = 0.0,
@@ -492,14 +498,14 @@ class _PowerFamily(DistributionSpec):
     def _log_tail_raw(self, x: float) -> float:
         return self._log_tail_slope(x)[0]
 
-    def _admissible(self, x: float) -> bool:
-        # x may be x0: the log tail is finite and at most 0 there, and falls
-        # by its exact slope
+    def _admissible_log_tail(self, x: float) -> float | None:
+        """log tail(x) if x may be x0 (the log tail is finite and at most 0
+        there, and falls by its exact slope), else None."""
         try:
             log_tail, slope = self._log_tail_slope(x)
         except DomainError:
-            return False
-        return -math.inf < log_tail <= 0.0 and slope < 0.0
+            return None
+        return log_tail if -math.inf < log_tail <= 0.0 and slope < 0.0 else None
 
     def _auto_x0(self, floor: float) -> float:
         """Smallest admissible point on the doubling grid e * 2^j.
@@ -510,28 +516,43 @@ class _PowerFamily(DistributionSpec):
         `floor` so that fast tails (e.g. exp(-x^3)) keep their natural support
         edge and tail(x0) stays near 1. A tail steep enough to underflow to 0 at that
         grid point is bisected in log x toward the inadmissible point below
-        it, the grid point or `floor`, down to the edge of admissibility.
+        it, the grid point or `floor`, down to the edge of admissibility. A
+        tail still 0 in floats where this ends is refused, as no level lies
+        below it.
         Only the tail above x0 is ever used; everything below is completed by
         an atom at x0.
         """
         x = _E
-        while not self._admissible(x):
+        while (log_tail := self._admissible_log_tail(x)) is None:
             x *= 2.0
             if x > _X_MAX:
                 raise DomainError("no admissible x0 found on the doubling grid")
-        while x * 0.5 >= floor and self._admissible(x * 0.5):
-            x *= 0.5
+        while x * 0.5 >= floor and (below := self._admissible_log_tail(x * 0.5)) is not None:
+            x, log_tail = x * 0.5, below
         lo = max(x * 0.5, floor)
-        if lo < x and math.exp(self._log_tail_raw(x)) == 0.0 and not self._admissible(lo):
+        if lo < x and math.exp(log_tail) == 0.0 and self._admissible_log_tail(lo) is None:
             for _ in range(_BRACKET_CAP):
                 mid = math.sqrt(lo * x)
                 if not lo < mid < x:
                     break
-                if self._admissible(mid):
-                    x = mid
-                else:
+                if (at_mid := self._admissible_log_tail(mid)) is None:
                     lo = mid
+                else:
+                    x, log_tail = mid, at_mid
+        if math.exp(log_tail) == 0.0:
+            raise DomainError(f"{type(self).__name__} tail underflows to 0 at its x0 = {x!r} "
+                              f"(log tail {log_tail!r})")
         return x
+
+    def _closed_norming(self, n: int):
+        u = math.log(n) / self.c
+        if u <= 1.0:
+            raise DomainError(f"the closed-form norming needs log(n)/c > 1, got {u!r}")
+        return self._closed_pair(u)
+
+    def _closed_pair(self, u: float):
+        """(a_n, b_n) of the closed-form norming at u = log(n)/c > 1."""
+        raise NotImplementedError
 
     def _log_slopes(self, v, lv):
         return self._log_tails_slopes(v, lv)[1]  # s = 0, as x0 > 0
@@ -607,6 +628,21 @@ class WeibullLike(_PowerFamily):
         g = 1.0 - (self.alpha + delta) / (cp * _pow(t, t, self.p))
         return f, g, 1.0
 
+    def _closed_pair(self, u: float):
+        """a = (1/(cp)) u^(1/p - 1) and
+        b = u^(1/p) + (1/p) u^(1/p - 1) [ (alpha/(pc)) log u + log(ell(u^(1/p)))/c ],
+        at p = 1 a = 1/c and b = u + (alpha log u + log ell(u))/c.
+
+        The ell term enters with a plus sign; that is what exact inversion of
+        the tail gives (take logs and solve for x), and the sign the types
+        gap test confirms.
+        """
+        c, p = self.c, self.p
+        root = u ** (1.0 / p)
+        log_ell = self.ell.log_values_deltas(math.log(root))[0]
+        b = root + (1.0 / p) * (root / u) * ((self.alpha / (p * c)) * math.log(u) + log_ell / c)
+        return root / (c * p * u), b
+
 
 class LogWeibullLike(_PowerFamily):
     """Tail ell(x) * x^alpha * exp(-c log^p x) for x >= x0 >= e, with c > 0, p > 1.
@@ -637,6 +673,40 @@ class LogWeibullLike(_PowerFamily):
         delta = self.ell.log_values_deltas(lt)[1]
         g = 1.0 - (self.alpha + delta) / (cp * _pow(t, lt, self.p - 1.0))
         return f, g, 1.0
+
+    def _closed_pair(self, u: float):
+        """Solves the fixed point of
+            y = u + (alpha/c) y^(1/p) + log(ell(exp(y^(1/p))))/c
+        by four substitutions from y0 = u (the alpha term is the integral of
+        the g-deficit along the tail, done in closed form for the built-in ell
+        menu), then b = exp(y^(1/p)) and a = f(b)/g(b). One substitution gives
+        the leading asymptotics; the others shrink the types gap enough to be
+        measured against exact inversion at desk-scale n. A defect that grows
+        on two successive substitutions is a DivergenceError.
+        """
+        c, inv_p = self.c, 1.0 / self.p
+
+        def defect(y: float) -> float:
+            if not y > 0.0:  # y ** inv_p would be complex
+                raise DivergenceError(
+                    f"log-Weibull fixed-point iterate is not positive: y = {y!r}")
+            root = y ** inv_p
+            return y - u - (self.alpha / c) * root - self.ell.log_values_deltas(root)[0] / c
+
+        y, last, grew = u, defect(u), 0
+        for _ in range(4):
+            y -= last
+            step = defect(y)
+            grew = grew + 1 if abs(step) > abs(last) else 0
+            if grew >= 2:
+                raise DivergenceError(
+                    f"asymptotic iteration defect grew twice in a row (last {abs(step)!r})")
+            last = step
+        b = math.exp(y ** inv_p)
+        f, g, _ = self._components(b)
+        if g <= 0.0:
+            raise DomainError(f"g(b_n) = {g!r} <= 0 at the closed-form b_n = {b!r}")
+        return f / g, b
 
 
 class _HandleFamily(DistributionSpec):

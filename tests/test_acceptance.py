@@ -37,9 +37,8 @@ from evt_accompany.cli import (
 )
 from evt_accompany.gamma import gamma_exact, gamma_expansion, gamma_quadrature
 from evt_accompany.norming import (
+    norming_closed,
     norming_exact,
-    norming_logweibull_closed,
-    norming_weibull_closed,
     types_equivalence_gap,
 )
 from evt_accompany.tails import (
@@ -49,8 +48,6 @@ from evt_accompany.tails import (
     SlowlyVarying,
     WeibullLike,
 )
-
-CONST1 = SlowlyVarying.const(1.0)
 
 
 def report(num, name, ok, detail):
@@ -144,14 +141,14 @@ def test_criterion_4_correction_formulas():
     checks = []
     for p, alpha in ((2.0, 0.0), (0.5, 0.0), (2.0, 3.0)):
         dist = WeibullLike(1.0, p, alpha)
-        pair = norming_weibull_closed(1.0, p, 0.0, CONST1, n)  # canonical pure pair
+        pair = norming_closed(WeibullLike(1.0, p, 0.0), n)  # canonical pure pair
         for x in xs:
             gap = gamma_exact(dist, pair, x) - x
             checks.append((f"weibull p={p:g} alpha={alpha:g} x={x:g}",
                            gap / gamma_expansion(dist, pair, x)))
     for alpha in (0.0, 1.0):
         dist = LogWeibullLike(1.0, 2.0, alpha)
-        pair = norming_logweibull_closed(1.0, 2.0, 0.0, CONST1, n)
+        pair = norming_closed(LogWeibullLike(1.0, 2.0, 0.0), n)
         for x in xs:
             gap = gamma_exact(dist, pair, x) - x
             checks.append((f"logweibull alpha={alpha:g} x={x:g}",
@@ -175,7 +172,7 @@ def test_criterion_5_norming_closed_forms():
     for p in (0.5, 1.0, 2.0, 3.0):
         d = WeibullLike(1.0, p, 0.0)
         gaps = [types_equivalence_gap(norming_exact(d, n),
-                                      norming_weibull_closed(1.0, p, 0.0, CONST1, n))
+                                      norming_closed(WeibullLike(1.0, p, 0.0), n))
                 for n in grid]
         worst = max(max(r, s) for r, s in gaps)
         ok &= worst <= 1e-8
@@ -185,14 +182,14 @@ def test_criterion_5_norming_closed_forms():
     cases = [
         ("weibull alpha=2",
          WeibullLike(1.0, 2.0, 2.0),
-         lambda n: norming_weibull_closed(1.0, 2.0, 2.0, CONST1, n), grid),
+         lambda n: norming_closed(WeibullLike(1.0, 2.0, 2.0), n), grid),
         ("weibull logpow ell",
          WeibullLike(1.0, 2.0, 0.0, SlowlyVarying.log_power(2.0, 1.0)),
-         lambda n: norming_weibull_closed(
-             1.0, 2.0, 0.0, SlowlyVarying.log_power(2.0, 1.0), n), grid),
+         lambda n: norming_closed(
+             WeibullLike(1.0, 2.0, 0.0, SlowlyVarying.log_power(2.0, 1.0)), n), grid),
         ("logweibull alpha=1",
          LogWeibullLike(1.0, 2.0, 1.0),
-         lambda n: norming_logweibull_closed(1.0, 2.0, 1.0, CONST1, n), grid),
+         lambda n: norming_closed(LogWeibullLike(1.0, 2.0, 1.0), n), grid),
     ]
     for label, dist, closed, ns in cases:
         gaps = [types_equivalence_gap(norming_exact(dist, n), closed(n)) for n in ns]

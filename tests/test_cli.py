@@ -24,6 +24,7 @@ from evt_accompany.cli import (
     TABLE_COLUMNS,
     main,
 )
+from evt_accompany.errors import DomainError
 from evt_accompany.tails import QUANTILE_LOG_TOL, parse_dist
 
 
@@ -384,9 +385,11 @@ def test_steep_logweibull_x0_is_refined_but_stays_at_least_e(tmp_path):
     assert math.e < dist.x0 < 2.0 * math.e and dist.tail(dist.x0) > 0.99
     log_q = math.log(1e-3)
     assert abs(dist.log_tail(float(body[0][2])) - log_q) <= QUANTILE_LOG_TOL * -log_q
-    # tail(e) = e^-1000 underflows, but x0 >= e holds: no refinement below it
+    # tail(e) = e^-1000 underflows, and x0 >= e holds: no refinement below
+    # it, so no level lies below tail(x0) and the spec is refused
     spec = "logweibull:c=3000,p=2,alpha=2000,ell=const:1"
-    assert parse_dist(spec).x0 == math.e
+    with pytest.raises(DomainError, match=r"underflows to 0 at its x0 = 2\.718281828459045 "):
+        parse_dist(spec)
     code, _ = run(tmp_path, "m.csv", ["norming", "--dist", spec, "--n", "1000"])
     assert code == 3
 
@@ -398,9 +401,12 @@ def test_exit_parse_error_negative_seed(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error (ParseError): --seed")
 
 
-def test_exit_domain_error_no_closed_form(tmp_path):
+def test_exit_domain_error_no_closed_form(tmp_path, capsys):
     code, _ = run(tmp_path, "x.csv", ["norming", "--dist", "exp", "--n", "1000"])
     assert code == 3
+    assert capsys.readouterr().err == (
+        "error (DomainError): no closed-form norming for family 'exp' (Weibull-like and "
+        "log-Weibull-like only) (at n=1000) (at dist=exp)\n")
 
 
 def test_closed_logweibull_iterate_below_zero_is_a_divergence_error(tmp_path, capsys):

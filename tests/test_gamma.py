@@ -11,19 +11,16 @@ from evt_accompany.gamma import (
 )
 from evt_accompany.norming import (
     NormingPair,
+    norming_closed,
     norming_exact,
-    norming_logweibull_closed,
-    norming_weibull_closed,
 )
 from evt_accompany.tails import (
     ExponentialUnit,
     IteratedLogScale,
     LogWeibullLike,
-    SlowlyVarying,
     WeibullLike,
 )
 
-CONST1 = SlowlyVarying.const(1.0)
 N_E16 = round(math.exp(16.0))
 
 FAMILIES = [
@@ -40,11 +37,11 @@ FAMILIES = [
 
 def pure_weibull_pair(c, p, n):
     """Canonical pair b = (log(n)/c)^(1/p), a = b^(1-p)/(cp) as a NormingPair."""
-    return norming_weibull_closed(c, p, 0.0, CONST1, n)
+    return norming_closed(WeibullLike(c, p, 0.0), n)
 
 
 def pure_logweibull_pair(c, p, n):
-    return norming_logweibull_closed(c, p, 0.0, CONST1, n)
+    return norming_closed(LogWeibullLike(c, p, 0.0), n)
 
 
 # -- gamma_exact -------------------------------------------------------------

@@ -8,11 +8,9 @@ from evt_accompany.cli import _parse_n_geom
 from evt_accompany.errors import DivergenceError, DomainError, MismatchError
 from evt_accompany.norming import (
     NormingPair,
-    asymptotic_iterate,
+    norming_closed,
     norming_exact,
     norming_exacts,
-    norming_logweibull_closed,
-    norming_weibull_closed,
     types_equivalence_gap,
 )
 from evt_accompany.tails import (
@@ -23,7 +21,6 @@ from evt_accompany.tails import (
     WeibullLike,
 )
 
-CONST1 = SlowlyVarying.const(1.0)
 N_E16 = round(math.exp(16.0))
 N_E8 = round(math.exp(8.0))
 
@@ -45,17 +42,6 @@ def iterlog_log_tail_ref(dist, x):
     with mpmath.workdps(30):
         s0, s = mpmath.log(mpmath.mpf(dist.x0)), mpmath.log(mpmath.mpf(x))
         return float(-(primitive(s) - primitive(s0)) / dist.C)
-
-
-def newton_log_fixed_point(u, tol=1e-14):
-    """64-bit Newton oracle for y - u - log y = 0."""
-    y = u
-    for _ in range(100):
-        step = (y - u - math.log(y)) / (1.0 - 1.0 / y)
-        y -= step
-        if abs(step) < tol * y:
-            return y
-    raise AssertionError("Newton oracle did not converge")
 
 
 # -- norming_exact -----------------------------------------------------------
@@ -134,7 +120,7 @@ def test_exact_pair_carries_log_tail_at_b(dist):
     else:
         assert pair.log_tail_b == dist.log_tail(pair.b)
     assert pair.log_tail_b == pytest.approx(-math.log(1e6), rel=1e-11)
-    assert norming_weibull_closed(1.0, 2.0, 0.0, CONST1, 10 ** 6).log_tail_b is None
+    assert norming_closed(WeibullLike(1.0, 2.0, 0.0), 10 ** 6).log_tail_b is None
 
 
 def test_exact_requires_reachable_quantile():
@@ -240,13 +226,13 @@ def test_walk_errors_name_their_n():
 # -- closed forms ------------------------------------------------------------
 
 def test_weibull_closed_p1():
-    pair = norming_weibull_closed(1.0, 1.0, 0.0, CONST1, 10 ** 6)
+    pair = norming_closed(WeibullLike(1.0, 1.0, 0.0), 10 ** 6)
     assert pair.a == 1.0
     assert pair.b == pytest.approx(math.log(1e6), rel=1e-14)
 
 
 def test_weibull_closed_p2_scale_and_location():
-    pair = norming_weibull_closed(1.0, 2.0, 0.0, CONST1, N_E16)
+    pair = norming_closed(WeibullLike(1.0, 2.0, 0.0), N_E16)
     assert pair.a == pytest.approx(0.125, abs=1e-8)
     assert pair.b == pytest.approx(4.0, abs=1e-8)
 
@@ -256,7 +242,7 @@ def test_weibull_closed_matches_exact_for_pure_weibull():
         d = WeibullLike(1.0, p, 0.0)
         n = 10 ** 6
         exact = norming_exact(d, n)
-        closed = norming_weibull_closed(1.0, p, 0.0, CONST1, n)
+        closed = norming_closed(d, n)
         ratio_gap, shift_gap = types_equivalence_gap(exact, closed)
         assert ratio_gap <= 1e-8
         assert shift_gap <= 1e-8
@@ -264,14 +250,14 @@ def test_weibull_closed_matches_exact_for_pure_weibull():
 
 def test_weibull_closed_rejects_small_n():
     with pytest.raises(DomainError):
-        norming_weibull_closed(10.0, 2.0, 0.0, CONST1, 2)
+        norming_closed(WeibullLike(10.0, 2.0, 0.0), 2)
 
 
 def test_logweibull_closed_pure_case():
     # for alpha = 0, const ell, the fixed point is y = log(n)/c exactly
     n = N_E8
     y = math.log(n)
-    pair = norming_logweibull_closed(1.0, 2.0, 0.0, CONST1, n)
+    pair = norming_closed(LogWeibullLike(1.0, 2.0, 0.0), n)
     b_want = math.exp(math.sqrt(y))
     a_want = b_want / (2.0 * math.sqrt(y))
     assert pair.b == pytest.approx(b_want, rel=1e-13)
@@ -285,53 +271,53 @@ def test_logweibull_closed_tracks_exact():
     n = 10 ** 6
     d = LogWeibullLike(1.0, 2.0, 1.0)
     exact = norming_exact(d, n)
-    closed = norming_logweibull_closed(1.0, 2.0, 1.0, CONST1, n)
+    closed = norming_closed(d, n)
     assert abs(closed.b / exact.b - 1.0) <= 2.0 / math.log(n)
 
 
 def test_logweibull_closed_rejects_p_at_most_one():
     with pytest.raises(DomainError):
-        norming_logweibull_closed(1.0, 1.0, 0.0, CONST1, 1000)
+        norming_closed(LogWeibullLike(1.0, 1.0, 0.0), 1000)
     with pytest.raises(DomainError):
-        norming_logweibull_closed(1.0, 0.5, 0.0, CONST1, 1000)
+        norming_closed(LogWeibullLike(1.0, 0.5, 0.0), 1000)
 
 
-# -- asymptotic iteration ----------------------------------------------------
-
-def test_iterate_zero_correction_is_identity():
-    for iterations in (1, 3, 7):
-        assert asymptotic_iterate(lambda y, u: y - u, 5.0, iterations) == 5.0
-
-
-def test_iterate_two_steps_log_equation():
-    # y - log y = u at u = 100: two substitutions give u + log(u + log u)
-    got = asymptotic_iterate(lambda y, u: y - u - math.log(y), 100.0, iterations=2)
-    want = 100.0 + math.log(100.0 + math.log(100.0))
-    assert got == pytest.approx(want, rel=1e-15)
-    assert got == pytest.approx(104.650, abs=5e-4)
-
-
-def test_iterate_three_steps_matches_newton():
-    for u in (50.0, 100.0, 1000.0, 1e5):
-        got = asymptotic_iterate(lambda y, u0: y - u0 - math.log(y), u, iterations=3)
-        assert got == pytest.approx(newton_log_fixed_point(u), rel=1e-3)
+@pytest.mark.parametrize("ell, ns, bound", [
+    (SlowlyVarying.const(2.0), [10 ** k for k in range(3, 31)], 1e-12),
+    (SlowlyVarying.log_power(1.0, 1.0), [10 ** 30], 0.01),
+], ids=["const:2", "logpow:1:1"])
+def test_weibull_closed_p1_keeps_the_ell_term(ell, ns, bound):
+    # at p = 1 the general formula holds: b = u + (alpha log u + log ell(u))/c.
+    # Without the ell term, const:2 left a shift gap of log 2 at every n, and
+    # logpow:1:1 one of 1.44 at n = 1e30
+    dist = WeibullLike(1.0, 1.0, 0.0, ell)
+    for n in ns:
+        gaps = types_equivalence_gap(norming_exact(dist, n), norming_closed(dist, n))
+        assert max(gaps) <= bound
 
 
-def test_iterate_logweibull_instance_vs_quantile():
-    # log-scale fixed point for c=1, p=2, alpha=1 compared to exact inversion
-    n = 10 ** 8
-    d = LogWeibullLike(1.0, 2.0, 1.0)
-    u = math.log(n)
-    y = asymptotic_iterate(lambda y, u0: y - u0 - math.sqrt(y), u, iterations=3)
-    b_iter = math.exp(math.sqrt(y))
-    b_exact = d.quantile_tail(1.0 / n)
-    assert abs(b_iter / b_exact - 1.0) <= 5.0 / math.log(n)
+def test_closed_logweibull_defect_growth_is_a_divergence_error():
+    # alpha/c = 100 drives the fixed-point defect up on two substitutions
+    with pytest.raises(DivergenceError, match=r"grew twice in a row .* \(at n=1000\)$"):
+        norming_closed(LogWeibullLike(0.2, 2.0, 20.0), 1000)
 
 
-def test_iterate_divergence_guard():
-    # correction 10*y pushes the defect up every step
-    with pytest.raises(DivergenceError):
-        asymptotic_iterate(lambda y, u: y - u - 10.0 * y, 1.0, iterations=5)
+@pytest.mark.parametrize("dist, n", [
+    (WeibullLike(1.0, 0.005, 0.0), 10 ** 300),  # u ** 200 overflows
+    (LogWeibullLike(0.0465423, 1.09562, 0.0881377, SlowlyVarying.const(0.228435)),
+     10 ** 6),  # exp(y^(1/p)) overflows
+], ids=["weibull", "logweibull"])
+def test_closed_overflow_is_a_domain_error_naming_n(dist, n):
+    with pytest.raises(DomainError, match=rf"overflows a float \(at n={n}\)$"):
+        norming_closed(dist, n)
+
+
+@pytest.mark.parametrize("dist", [ExponentialUnit(), IteratedLogScale(2, 1.0, 1.0)],
+                         ids=lambda d: d.label)
+def test_only_power_families_have_a_closed_norming(dist):
+    with pytest.raises(DomainError, match=rf"^no closed-form norming for family "
+                                          rf"'{dist.label}' .* \(at n=1000\)$"):
+        norming_closed(dist, 1000)
 
 
 # -- types equivalence -------------------------------------------------------
@@ -369,13 +355,9 @@ def test_types_gap_mismatched_n():
                               NormingPair(n=11, a=1.0, b=0.0))
 
 
-def _gap_series(dist, closed_fn, n_grid):
-    out = []
-    for n in n_grid:
-        exact = norming_exact(dist, n)
-        closed = closed_fn(n)
-        out.append(types_equivalence_gap(exact, closed))
-    return out
+def _gap_series(dist, n_grid):
+    return [types_equivalence_gap(norming_exact(dist, n), norming_closed(dist, n))
+            for n in n_grid]
 
 
 N_GRID = [10 ** k for k in range(3, 10)]
@@ -398,7 +380,7 @@ def _settles(seq, small=0.1):
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, 2.0])
 def test_weibull_grid_gaps_settle(c, p, alpha):
     dist = WeibullLike(c, p, alpha)
-    gaps = _gap_series(dist, lambda n: norming_weibull_closed(c, p, alpha, CONST1, n), N_GRID)
+    gaps = _gap_series(dist, N_GRID)
     ratios = [g[0] for g in gaps]
     shifts = [g[1] for g in gaps]
     assert _settles(ratios) and _settles(shifts)
@@ -415,7 +397,7 @@ def test_weibull_grid_gaps_settle(c, p, alpha):
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, 2.0])
 def test_logweibull_grid_gaps_settle(c, p, alpha):
     dist = LogWeibullLike(c, p, alpha)
-    gaps = _gap_series(dist, lambda n: norming_logweibull_closed(c, p, alpha, CONST1, n), N_GRID)
+    gaps = _gap_series(dist, N_GRID)
     ratios = [g[0] for g in gaps]
     shifts = [g[1] for g in gaps]
     assert _settles(ratios) and _settles(shifts)
@@ -428,7 +410,7 @@ def test_logpower_ell_gaps_settle():
     ell = SlowlyVarying.log_power(1.0, 1.0)
     dist = WeibullLike(1.0, 2.0, 0.0, ell)
     grid = [10 ** k for k in range(4, 10)]
-    gaps = _gap_series(dist, lambda n: norming_weibull_closed(1.0, 2.0, 0.0, ell, n), grid)
+    gaps = _gap_series(dist, grid)
     assert gaps[-1][0] <= 0.05
     assert gaps[-1][1] <= 0.1
     assert gaps[-1][1] <= gaps[-2][1] <= gaps[-3][1]

@@ -57,10 +57,11 @@ def test_a_jump_converges_once_its_intervals_cannot_be_split():
     assert quadrature.integrate(step, 0.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
-def test_depth_cap_raises():
+def test_depth_cap_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "DEFAULT_DEPTH", 5)
     step = lambda t: np.where(t < 1.0 / 3.0, 0.0, 1.0)  # noqa: E731
     with pytest.raises(QuadratureError, match="depth cap"):
-        quadrature.integrate(step, 0.0, 1.0, depth=5)
+        quadrature.integrate(step, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -763,6 +763,15 @@ def test_power_family_x0_and_label_are_pinned(spec, x0):
                        f"ell={ell}")
 
 
+def test_x0_whose_tail_underflows_is_refused():
+    # log tail = -1e300 x^2 is finite, at most 0 and falling at every grid
+    # point from e down to the floor e 2^-60, where it is still -5.6e264: the
+    # tail is 0 in floats there, so no level could be inverted
+    with pytest.raises(DomainError, match=r"^WeibullLike tail underflows to 0 at its "
+                                          r"x0 = 2\.3577336510745328e-18 \(log tail -5\.5"):
+        parse_dist("weibull:c=1e300,p=2,alpha=0,ell=const:1")
+
+
 def test_x0_search_reads_the_tail_formula_once_per_grid_point(monkeypatch):
     # value and exact slope from one call at each of e, e/2, ..., e 2^-60; a
     # two-sided numeric slope took three calls per point (183)
