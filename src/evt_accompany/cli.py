@@ -259,9 +259,12 @@ def _cmd_norming(args, dist: DistributionSpec) -> int:
     ns = _resolve_ns(args)
     rows = [_header(dist.label, "norming"), NORMING_COLUMNS]
     last = None
+    # the first closed pair before the walk: a family with none is refused
+    # without integrating its tail
+    first = norming_closed(dist, ns[0])
     for exact in norming_exacts(dist, ns):
         n = exact.n
-        closed = norming_closed(dist, n)
+        closed = first if n == first.n else norming_closed(dist, n)
         ratio_gap, shift_gap = types_equivalence_gap(exact, closed)
         rows.append(",".join([str(n), _fmt(exact.a), _fmt(exact.b), _fmt(closed.a),
                               _fmt(closed.b), _fmt(ratio_gap), _fmt(shift_gap)]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,9 @@ _WG0 = 0.417959183673469387755102040816327
 _FRACTIONS = 0.5 * (1.0 + np.array([-x for x in _XK] + [0.0] + list(reversed(_XK))))[:, None]
 _PAIRS = [(0.5 * wk, 0.5 * (wk - wg)) for wk, wg in zip(_WK, _WG)]
 _WEIGHTS = np.array(_PAIRS + [(0.5 * _WK0, 0.5 * (_WK0 - _WG0))] + _PAIRS[::-1])[:, :, None]
+# a single interval's node fractions, and the weight pairs as Python floats
+_FLAT_FRACTIONS = _FRACTIONS.ravel()
+_FLOAT_WEIGHTS = _WEIGHTS[:, :, 0].tolist()
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
@@ -54,7 +58,17 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
     of the call. Raises QuadratureError at once at a non-finite value of f
     or sum, when a subinterval still fails after DEFAULT_DEPTH bisections (read
     at call time), or when more than MAX_LIVE subintervals are live.
+
+    A single interval (a and b floats or ints) whose first rule passes is
+    summed on Python floats, bit-identical to the array pass and cheaper: an
+    iterlog Newton step's integral takes about 5 us instead of 20, 3 of them
+    in f. One whose first rule fails or overflows takes the array pass,
+    which evaluates that rule again.
     """
+    if isinstance(a, (float, int)) and isinstance(b, (float, int)):
+        total = _first_rule(f, float(a), float(b))
+        if total is not None:
+            return total
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
@@ -103,6 +117,31 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
         end = np.column_stack((mid, end[todo])).ravel()
     total = total.reshape(shape)
     return float(total) if total.ndim == 0 else total
+
+
+def _first_rule(f, a: float, b: float) -> float | None:
+    """The array pass's first 15-point rule on the one interval [a, b], summed
+    on floats node by node as np.add.accumulate sums it; None where the rule
+    fails its test or its sums overflow."""
+    width = b - a
+    nodes = a + width * _FLAT_FRACTIONS
+    values = np.asarray(f(nodes), dtype=float).reshape(nodes.shape).tolist()
+    # -0.0 + x is x for every x, so the sums start as accumulate's first term
+    kronrod = diff = -0.0
+    for (wk, wd), v in zip(_FLOAT_WEIGHTS, values):
+        kronrod += wk * v
+        diff += wd * v
+    kronrod, diff = width * kronrod, width * diff
+    if not (math.isfinite(kronrod) and math.isfinite(diff)):
+        # a non-finite value makes the Kronrod sum non-finite, its weights
+        # being positive; finite values leave an overflow to the array pass
+        for t, v in zip(nodes.tolist(), values):
+            if not math.isfinite(v):
+                raise QuadratureError(f"integrand is not finite at t={t!r} (value {v!r})")
+        return None
+    if abs(diff) <= max(TOL, (32.0 * _EPS) * abs(kronrod)):
+        return 0.0 + kronrod  # the array pass's total starts at +0.0
+    return None
 
 
 def elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evt_accompany
+from evt_accompany import quadrature
 from evt_accompany.cli import (
     IDENTITY_COLUMNS,
     NORMING_COLUMNS,
@@ -407,6 +408,20 @@ def test_exit_domain_error_no_closed_form(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error (DomainError): no closed-form norming for family 'exp' (Weibull-like and "
         "log-Weibull-like only) (at n=1000) (at dist=exp)\n")
+
+
+def test_norming_refuses_a_family_without_closed_form_before_the_walk(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the exact walk of this grid makes a few hundred tail integrals
+    calls = []
+    integrate = quadrature.integrate
+    monkeypatch.setattr(quadrature, "integrate", lambda *a: calls.append(1) or integrate(*a))
+    code, payload = run(tmp_path, "x.csv", ["norming", "--dist", "iterlog:k=3,a=1,C=1",
+                                            "--n-geom", "1000:1e300:40"])
+    assert (code, payload, calls) == (3, b"", [])
+    assert capsys.readouterr().err == (
+        "error (DomainError): no closed-form norming for family 'iterlog:k=3,a=1,C=1' "
+        "(Weibull-like and log-Weibull-like only) (at n=1000) (at dist=iterlog:k=3,a=1,C=1)\n")
 
 
 def test_closed_logweibull_iterate_below_zero_is_a_divergence_error(tmp_path, capsys):
