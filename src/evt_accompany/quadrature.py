@@ -88,8 +88,10 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
             i = np.flatnonzero(~np.isfinite(values))[0]
             raise QuadratureError(f"integrand is not finite at t={float(nodes.flat[i])!r} "
                                   f"(value {float(values.flat[i])!r})")
-        # accumulate adds node by node, whatever the number of intervals
-        sums = width * np.add.accumulate(_WEIGHTS * values[:, None, :], axis=0)[-1]
+        # accumulate adds node by node, whatever the number of intervals; a
+        # sum that overflows is raised below, not warned about
+        with np.errstate(over="ignore"):
+            sums = width * np.add.accumulate(_WEIGHTS * values[:, None, :], axis=0)[-1]
         kronrod, size = sums[0], np.abs(sums)
         if np.count_nonzero(np.isfinite(size)) < size.size:
             i = np.flatnonzero(~np.isfinite(size).all(axis=0))[0]

@@ -301,24 +301,11 @@ class DistributionSpec:
         """quantile_tail over an array of levels in (0, 1], completed by the
         atom: levels q >= tail(x0) map to x0.
 
-        This default walks the levels in decreasing order, and each search
-        starts from the previous quantile, so a tail that is an integral
-        covers [x0, largest quantile] about once. ExponentialUnit uses
-        -log q; the other families run the same Newton search on all levels
-        at once (_newton) and the handle families fall back on this walk.
+        Every family gives its own: ExponentialUnit uses -log q, and the
+        others run quantile_tail's Newton search on all levels at once
+        (_newton), the handle families from a table of their log tails.
         """
-        q = _levels(q)
-        f0 = self._log_tail_raw(self._x0)
-        levels = q.ravel().tolist()
-        xs = np.full(len(levels), self._x0)
-        x = f = None
-        for i in np.argsort(q.ravel())[::-1].tolist():
-            # the atom test uses math.log, as quantile_tail does, so a level
-            # within an ulp of tail(x0) never reaches its out-of-range check
-            if math.log(levels[i]) < f0:
-                x, f = self.quantile_log_tail(levels[i], x, f)
-                xs[i] = x
-        return xs.reshape(q.shape)
+        raise NotImplementedError
 
     def _start(self, log_q: float, start: float, log_tail_start: float):
         # the search's first iterate (x, log tail(x)); closed forms use their inverse
@@ -755,37 +742,31 @@ class _HandleFamily(DistributionSpec):
             log_tail[away] += self.log_tail_steps(start[away], row[away])
         return out
 
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def quantile_tails(self, q) -> np.ndarray:
         """quantile_tail over an array of levels in (0, 1], completed by the
         atom: levels q >= tail(x0) map to x0.
 
         The largest and the smallest level below tail(x0) are searched as
-        quantile_tail, the second from the first's quantile. Between the two
-        quantiles a table of log tails, uniform in u = log(x - s) with a cell
-        per _CELL_LEVELS levels, takes one log_tail_steps call. Its cubic
-        Hermite interpolant of u in log tail, with the search's slopes,
-        starts every level inside the table, and _newton finishes them with
-        their cell as bracket, integrating from the nearer cell end and then
-        from the previous iterate, so most levels cost one short integral.
-        Levels beyond the table's ends, by rounding, search from the nearer
-        end. A table that is not finite or rises, or an error, sends all
-        levels through the default walk, which raises what it raises.
+        quantile_tail, the second from the first's quantile, and an error of
+        either search is raised as it is. Between the two quantiles a table
+        of log tails, uniform in u = log(x - s) with a cell per _CELL_LEVELS
+        levels, takes one log_tail_steps call; a table that rises is a
+        DomainError naming its cell, as no tail rises. Its cubic Hermite
+        interpolant of u in log tail, with the search's slopes, starts every
+        level inside the table, and _newton finishes them with their cell as
+        bracket, integrating from the nearer cell end and then from the
+        previous iterate, so most levels cost one short integral. Levels
+        beyond the table's ends, by rounding, search from the nearer end.
         """
         q = _levels(q)
-        try:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                xs = self._tabled_quantiles(q.ravel())
-        except EvtError:
-            xs = None
-        return super().quantile_tails(q) if xs is None else xs.reshape(q.shape)
-
-    def _tabled_quantiles(self, q: np.ndarray) -> np.ndarray | None:
+        shape, q = q.shape, q.ravel()
         # math.log, as quantile_tail takes it, for the atom test and the searches
         lq = np.array([math.log(v) for v in q.tolist()])
         xs = np.full(q.size, self._x0)
         inside = np.flatnonzero(lq < self._log_tail_raw(self._x0))
         if inside.size == 0:
-            return xs
+            return xs.reshape(shape)
         order = inside[np.argsort(-lq[inside], kind="stable")]
         first = self.quantile_log_tail(float(q[order[0]]))
         last = self.quantile_log_tail(float(q[order[-1]]), *first)
@@ -796,15 +777,19 @@ class _HandleFamily(DistributionSpec):
         tx[0], tx[-1] = first[0], last[0]
         u = np.log(tx - s)
         tf = np.cumsum(np.concatenate(([first[1]], self.log_tail_steps(tx[:-1], tx[1:]))))
-        if not (np.isfinite(tf).all() and (np.diff(tf) <= 0.0).all()):
-            return None
+        rises = np.diff(tf) > 0.0
+        if rises.any():
+            i = int(np.argmax(rises))
+            raise DomainError(
+                f"the log tail of {self._label} rises from {float(tf[i])!r} at "
+                f"x={float(tx[i])!r} to {float(tf[i + 1])!r} at x={float(tx[i + 1])!r}")
         lq = lq[order]
         for ends, start in ((lq >= tf[0], first), (lq < tf[-1], last)):
             for i in order[ends].tolist():
                 xs[i] = self.quantile_log_tail(float(q[i]), *start)[0]
         inner = (lq < tf[0]) & (lq >= tf[-1])
         if not inner.any():
-            return xs
+            return xs.reshape(shape)
         lq = lq[inner]
         j = np.searchsorted(-tf, -lq) - 1  # tf[j] > lq >= tf[j + 1]
         h = tf[j + 1] - tf[j]
@@ -815,7 +800,7 @@ class _HandleFamily(DistributionSpec):
         u0 = np.where((u[j] < u0) & (u0 < u[j + 1]), u0, 0.5 * (u[j] + u[j + 1]))
         end = np.where(u0 - u[j] <= u[j + 1] - u0, j, j + 1)  # the nearer cell end
         xs[order[inner]] = self._newton(lq, np.exp(u0), u[j], u[j + 1], (tx[end] - s, tf[end]))
-        return xs
+        return xs.reshape(shape)
 
     def _log_tails_slopes_from(self, v, lv, anchor):
         s = self._shift()
@@ -916,6 +901,16 @@ class IteratedLogScale(_HandleFamily):
         self.C = float(C)
         self._x0 = exp_tower(k) + 1.0
         self._label = f"iterlog:k={self.k},a={self.a:g},C={self.C:g}"
+        # the largest x where (log_k x)^a and the integrand (log_k x)^a / C,
+        # which grow with x, stay a factor e (spare for rounding) below the
+        # largest float
+        try:
+            x_max = math.exp((_LOG_X_MAX - 1.0 + min(0.0, math.log(self.C))) / self.a)
+            for _ in range(k):  # from log_k x to x
+                x_max = math.exp(x_max)
+        except OverflowError:
+            x_max = math.inf
+        self._x_max = x_max
 
     def aux_f(self, t: float) -> float:
         lk = iterated_log(t, self.k)
@@ -928,6 +923,17 @@ class IteratedLogScale(_HandleFamily):
         for _ in range(self.k - 1):
             s = np.log(s)
         return s ** self.a / self.C
+
+    def _integral(self, a, b):
+        # a range that reaches past _x_max is refused before its integrand
+        # overflows; quadrature nodes lie inside the range
+        if self._x_max < math.inf:
+            top = float(np.max(np.maximum(a, b), initial=-math.inf))
+            if top > self._x_max:
+                raise DomainError(
+                    f"tail at x={top!r} is outside the float range ((log_{self.k} x) ** "
+                    f"{self.a!r} / {self.C!r} overflows past x={self._x_max!r})")
+        return super()._integral(a, b)
 
     def _components(self, t: float):
         return self.aux_f(t), 1.0, 1.0

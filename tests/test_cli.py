@@ -226,6 +226,32 @@ def test_exit_domain_error_unrepresentable_tower(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["table", "--dist", "iterlog:k=2,a=1e300,C=1", "--n", "1000", "--x", "-2:6:3"],
+    ["check-identity", "--dist", "iterlog:k=2,a=1e10,C=1", "--n", "1000"],
+], ids=lambda argv: argv[0])
+def test_iterlog_integrand_overflow_is_a_domain_error(tmp_path, capsys, argv):
+    # (log_2 x)^a overflows at x0 = e^e + 1 already, so log tail(x0) is
+    # refused before any integrand or Newton slope is evaluated
+    code, payload = run(tmp_path, "x.csv", argv)
+    assert code == 3
+    assert payload == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error (DomainError): tail at x=16.154262241479262 is outside the "
+                          "float range ((log_2 x) ** ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_iterlog_below_its_integrand_overflow_checks_its_identity(tmp_path):
+    # a = 400 keeps (log_2 x)^a a float up to x ~ 5.8e155, far above b_1000
+    code, payload = run(tmp_path, "x.csv", [
+        "check-identity", "--dist", "iterlog:k=2,a=400,C=1", "--n", "1000"])
+    assert code == 0
+    assert b"\n1000,0.0,0.3676954247713183,0.36769542477096406,3.542166560066562e-13\n" in payload
+
+
 def test_exit_domain_error_non_finite_x(tmp_path, capsys):
     # an infinite end point puts NaN on the grid
     code, _ = run(tmp_path, "x.csv", [

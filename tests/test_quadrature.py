@@ -105,6 +105,17 @@ def test_a_non_finite_value_raises_before_any_bisection(bad):
         assert str(err.value) == f"integrand is not finite at t={first!r} (value {bad!r})"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sums_that_overflow_raise_without_a_warning():
+    # 1e308 over a width of 10: the float rule overflows to inf and hands the
+    # interval to the array pass, whose product would warn before it raised
+    big = lambda t: np.full(t.shape, 1e308)  # noqa: E731
+    for ends in [(0.0, 10.0), (np.array([0.0, 0.0]), np.array([1.0, 10.0]))]:
+        with pytest.raises(QuadratureError) as err:
+            quadrature.integrate(big, *ends)
+        assert str(err.value) == "Gauss-Kronrod sums overflow on [0.0, 10.0]"
+
+
 def test_live_subintervals_are_capped():
     # noise never passes the test, so every pass doubles the live intervals
     rng = np.random.default_rng(0)

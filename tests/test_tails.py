@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -297,16 +298,81 @@ def c_from(x0):
 ], ids=lambda d: d.label)
 @pytest.mark.parametrize("n", [10, 10**4, 10**12])
 def test_handle_quantile_tails_match_the_walk(d, n):
-    # the table, its Hermite starts and the Newton passes against the default
-    # walk of scalar searches; both stop within 1e-12 max(1, |log q|) of
+    # the table, its Hermite starts and the Newton passes against one scalar
+    # search from x0 per level; both stop within 1e-12 max(1, |log q|) of
     # log q, and a slope |d log tail / d log(x - s)| above 0.3 keeps the two
     # within 1e-10 in log(x - s)
     levels = _min_tail_levels(np.random.Generator(np.random.Philox(3)).random(300), n)
     got = d.quantile_tails(levels)
-    want = DistributionSpec.quantile_tails(d, levels)
+    f0 = d.log_tail(d.x0)
+    want = np.array([d.x0 if math.log(q) >= f0 else d.quantile_tail(q)
+                     for q in levels.tolist()])
     s = d._shift()
     assert np.all(np.abs(np.log(got - s) - np.log(want - s)) <= 1e-10)
     assert np.all(got[levels >= d.tail(d.x0)] == d.x0)
+
+
+EDGE_FAMILIES = [
+    IteratedLogScale(2, 1.0, 1.0),
+    IteratedLogScale(3, 1.0, 1.0),
+    GeneralizedVonMises(f=lambda t: 1.0, g=lambda t: 1.0, c=c_from(-3.0), x0=-3.0),
+]
+
+
+def edge_levels(d, case):
+    top = d.tail(d.x0)  # 1 for iterlog, 1/2 for the von Mises tail
+    if case == "repeated":
+        return top * np.array([0.3, 1e-5, 0.3, 1e-12, 1e-5, 1e-5, 0.3, 1e-12, 1e-12])
+    if case == "atoms":
+        return np.array([1.0, 0.5 * top, top, 1e-20 * top, 1.0])
+    # unsorted; with 8 levels a cell, 1-3 levels make a table of one cell,
+    # 9 of two and 17 of three
+    m = int(case)
+    return np.random.default_rng(m).permutation(top * np.geomspace(1e-30, 0.9, m))
+
+
+@pytest.mark.parametrize("case", ["1", "2", "3", "9", "17", "repeated", "atoms"])
+@pytest.mark.parametrize("d", EDGE_FAMILIES, ids=lambda d: d.label)
+def test_handle_quantile_tails_at_edge_sizes(d, case):
+    # the one array path at table sizes of one to three cells, on repeated
+    # levels and on the atom levels 1 and tail(x0), against scalar searches
+    levels = edge_levels(d, case)
+    got = d.quantile_tails(levels)
+    assert got.shape == levels.shape
+    f0 = d.log_tail(d.x0)
+    for q, x in zip(levels.tolist(), got.tolist()):
+        if q == 1.0 or q == d.tail(d.x0):
+            assert x == d.x0
+        if math.log(q) < f0:
+            want = d.quantile_tail(q)
+            assert (abs(d.log_tail(x) - d.log_tail(want))
+                    <= stop_gap(d, x, q) + stop_gap(d, want, q))
+    for q in set(levels.tolist()):
+        assert len(set(got[levels == q].tolist())) == 1
+
+
+def test_handle_quantile_tails_refuse_a_rising_table():
+    # c rises from 1/2 to 1 around t = 5, faster than e^-(t - 1) falls, so
+    # the tail rises on about [4.95, 5.04] and takes some values three times;
+    # a search there would return one of those roots and give no sign of it
+    d = GeneralizedVonMises(f=lambda t: 1.0, g=lambda t: 1.0,
+                            c=lambda t: 0.5 + 0.5 / (1.0 + math.exp(-100.0 * (t - 5.0))),
+                            x0=1.0)
+    with pytest.raises(DomainError, match=r"^the log tail of vonmises:x0=1 rises ") as err:
+        d.quantile_tails(np.geomspace(1e-8, 0.1, 2000))
+    lo, hi = (float(x) for x in re.findall(r"at x=(\S+?)(?: |$)", str(err.value)))
+    assert 4.9 <= lo < hi <= 5.1
+
+
+def test_handle_quantile_tails_name_the_smallest_level_beyond_the_float_range():
+    # as the power families do; a walk from the largest level named the
+    # first level it could not reach, log q = L - 1
+    d = IteratedLogScale(3, 0.417223, 14.7561)
+    top = d.log_tail(1.7e308)
+    levels = np.exp([top + 5.0, top - 1.0, top - 3.0])
+    with pytest.raises(DomainError, match="beyond the float range") as err:
+        d.quantile_tails(levels)
+    assert f"at log q = {math.log(levels[2])!r} " in str(err.value)
 
 
 # every built-in family whose scalar search takes Newton steps, and two
@@ -352,7 +418,8 @@ def test_log_slopes_of_floats_equal_those_of_arrays(d):
 
 
 def test_handle_quantile_tails_raise_what_the_walk_raises():
-    # f turns non-positive at t = 10, between the quantiles of the levels
+    # f turns non-positive at t = 10, between the quantiles of the levels:
+    # the table's integral raises it
     d = GeneralizedVonMises(f=lambda t: 1.0 if t < 10.0 else -1.0,
                             g=lambda t: 1.0, c=lambda t: 1.0, x0=0.0)
     with pytest.raises(DomainError, match="f must be positive"):
@@ -580,10 +647,11 @@ def von_mises_params(draw):
 
 def stop_gap(d, x, q):
     """How far log tail(x) may lie from log q where the search stops: within
-    1e-12 min(max(1, |log q|), 100), or once its bracket in u = log x is
+    1e-12 min(max(1, |log q|), 100), or once its bracket in u = log(x - s) is
     1e-15 max(1, |u|) wide, which on a steep tail leaves more."""
-    u, h = math.log(x), 1e-6
-    slope = (d.log_tail(x * math.exp(h)) - d.log_tail(x)) / h  # d log tail / du
+    s, h = d._shift(), 1e-6
+    u = math.log(x - s)
+    slope = (d.log_tail(s + (x - s) * math.exp(h)) - d.log_tail(x)) / h  # d log tail / du
     return max(1e-12 * min(max(1.0, -math.log(q)), 100.0), 2e-15 * max(1.0, abs(u)) * -slope)
 
 
