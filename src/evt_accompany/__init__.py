@@ -11,7 +11,6 @@ from .analysis import (
     fit_rate,
     guarded_xs,
     simulate_max,
-    weighted_residual,
 )
 from .approx import (
     APPROXIMANTS,
@@ -20,7 +19,6 @@ from .approx import (
     exact_max_cdf,
     first_order_corrected,
     gumbel_cdf,
-    h_function,
     sigma_series,
     two_term,
 )

@@ -1,5 +1,5 @@
-"""Convergence measurement: error curves across n, decay-rate fits, the
-weighted second-order residual, and Monte Carlo sanity checks.
+"""Convergence measurement: error curves across n, decay-rate fits and
+Monte Carlo sanity checks.
 
 The headline quantity: how fast an approximant closes on the exact scaled
 maximum law. Accompanying-law errors decay like a power of n; the fixed
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import evaluate, exact_and_gammas, gumbel_cdf, h_function
+from .approx import evaluate, exact_and_gammas
 from .errors import DegenerateError, DomainError, EvtError
 from .norming import NormingPair, norming_exact, norming_exacts
 from .tails import DistributionSpec
@@ -184,35 +184,6 @@ def fit_rate(curve: ErrorCurve, model: str) -> RateFit:
     # ss_tot = 0 only when every dy is 0, and then ss_res = 0 too
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     return RateFit(model=model, exponent=slope, r_squared=r2)
-
-
-def weighted_residual(dist: DistributionSpec, n: int, rho: float,
-                      a_n_value: float, eps: float,
-                      metric: SupOnGrid | None = None) -> float:
-    """Grid-sup of e^((1-eps)x) |(F^n(ax+b) - Lambda(x))/A(n) + Lambda(x) e^-x H_rho(x)|.
-
-    Uses the tail(b) = 1 - e^(-1/n) centering. To first order in A(n), a
-    family with second-order index rho has F^n = Lambda(x)(1 - A(n) e^-x
-    H_rho(x)), so the residual falls with A(n) when A(n) is that family's
-    rate. The reported value is a lower bound of the true sup (the weight
-    grows in x but the scan is a finite grid).
-    """
-    if rho >= 0.0:
-        raise DomainError(f"weighted_residual needs rho < 0, got {rho!r}")
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"weighted_residual needs eps in (0,1), got {eps!r}")
-    if a_n_value == 0.0:
-        raise DomainError("weighted_residual needs a nonzero A(n)")
-    metric = metric if metric is not None else SupOnGrid()
-    pair = norming_exact(dist, n, centering="logcdf")
-    try:
-        xs, exact, _ = guarded_xs(dist, pair, metric)
-    except EvtError as exc:
-        raise exc.at(f"n={n}") from exc
-    lam = gumbel_cdf(xs)
-    shape = lam * np.exp(-xs) * h_function(xs, rho)
-    weighted = np.exp((1.0 - eps) * xs) * np.abs((exact - lam) / a_n_value + shape)
-    return float(weighted.max(initial=0.0))
 
 
 def _min_tail_levels(u: np.ndarray, n: int) -> np.ndarray:

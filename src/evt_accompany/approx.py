@@ -168,22 +168,6 @@ def first_order_corrected(x, gamma):
         return np.exp(-u) + np.exp(-u - x) * (gamma - x)
 
 
-def h_function(x, rho: float):
-    """Second-order shape in the Gumbel x scale, elementwise:
-    H_rho(x) = (e^(rho x) - 1 - rho x)/rho^2 for rho < 0, continuously
-    extended to x^2/2 at rho = 0. Defined for every real x and rho <= 0."""
-    if rho > 0.0:
-        raise DomainError(f"h_function needs rho <= 0, got {rho!r}")
-    x = np.asarray(x, dtype=float)
-    if rho == 0.0:
-        return 0.5 * x * x
-    u = rho * x
-    # the series of (e^u - u - 1)/rho^2 avoids cancellation near u = 0
-    with np.errstate(over="ignore"):
-        return np.where(np.abs(u) < 1e-4, x * x * (0.5 + u / 6.0 + u * u / 24.0),
-                        (np.expm1(u) - u) / (rho * rho))
-
-
 def _cutoff(gamma: np.ndarray, n: int) -> np.ndarray:
     # below the support edge the tail ratio is 1/tail(b) = n: gamma = -log n,
     # the exact cutoff boundary
@@ -207,13 +191,13 @@ def two_term(x, gamma, n: int):
 
 
 def _second_order(x, gamma, dist, pair):
-    # exp(-e^-x (1 + A H_0(x)) - Sigma/n) with A = f'(b_n), the second-order
+    # exp(-e^-x (1 + A x^2/2) - Sigma/n) with A = f'(b_n), the second-order
     # law of a rho = 0 family; for A < 0 the bracket turns negative at large
     # |x|, and the exponent is capped at 0 so the law stays in [0, 1]
     require_gammas(x, gamma)
     slope = dist.aux_slope(pair.b)
     with np.errstate(over="ignore", invalid="ignore"):
-        exponent = -np.exp(-x) * (1.0 + slope * h_function(x, 0.0))
+        exponent = -np.exp(-x) * (1.0 + slope * (0.5 * x * x))
     return np.exp(np.fmin(exponent - sigma_series(gamma, pair.n) / float(pair.n), 0.0))
 
 

@@ -41,46 +41,38 @@ class NormingPair:
             raise DomainError(f"norming location b must be finite, got {self.b!r}")
 
 
-def norming_exact(dist: DistributionSpec, n: int, centering: str = "quantile") -> NormingPair:
-    """b_n by exact tail inversion, a_n = f(b_n)/g(b_n).
-
-    centering="quantile" solves tail(b) = 1/n (the default); "logcdf" solves
-    tail(b) = 1 - e^(-1/n), which pins F(b_n)^n = e^-1 exactly; the
-    weighted-residual diagnostic expects that convention. The two are
-    types-equivalent. This is norming_exacts on a one-point grid.
+def norming_exact(dist: DistributionSpec, n: int) -> NormingPair:
+    """b_n by exact tail inversion, solving tail(b) = 1/n, and
+    a_n = f(b_n)/g(b_n). This is norming_exacts on a one-point grid.
     """
-    return norming_exacts(dist, [n], centering)[0]
+    return norming_exacts(dist, [n])[0]
 
 
-def _level(n: int, centering: str) -> float:
+def _level(n: int) -> float:
     if n < 2:
         raise DomainError(f"norming_exact needs n >= 2, got {n!r}")
     try:
-        inv_n = 1.0 / n
+        return 1.0 / n
     except OverflowError:
         raise DomainError(f"norming_exact needs n within the float range, "
                           f"got n >= 2**{n.bit_length() - 1}") from None
-    return inv_n if centering == "quantile" else -math.expm1(-inv_n)
 
 
-def norming_exacts(dist: DistributionSpec, ns: Sequence[int],
-                   centering: str = "quantile") -> list[NormingPair]:
-    """[norming_exact(dist, n, centering) for n in ns], walked along the n-grid.
+def norming_exacts(dist: DistributionSpec, ns: Sequence[int]) -> list[NormingPair]:
+    """[norming_exact(dist, n) for n in ns], walked along the n-grid.
 
     ns must be strictly increasing. The first b is searched from x0; each
     later b is searched from the previous (b, log tail(b)), so a tail that
     is an integral covers [x0, b] about once over the whole grid. Each
     pair's log_tail_b is the search's own last iterate. Errors name their n.
     """
-    if centering not in ("quantile", "logcdf"):
-        raise DomainError(f"unknown centering {centering!r}")
     ns = [int(n) for n in ns]
     if any(hi <= lo for lo, hi in zip(ns, ns[1:])):
         raise DomainError(f"norming_exacts needs strictly increasing n, got {ns!r}")
     pairs: list[NormingPair] = []
     for n in ns:
         try:
-            q = _level(n, centering)
+            q = _level(n)
             if pairs:
                 prev = pairs[-1]
                 b, log_tail_b = dist.quantile_log_tail(q, prev.b, prev.log_tail_b)

@@ -749,7 +749,8 @@ class _HandleFamily(DistributionSpec):
 
         The largest and the smallest level below tail(x0) are searched as
         quantile_tail, the second from the first's quantile, and an error of
-        either search is raised as it is. Between the two quantiles a table
+        either search is raised as it is; those two levels, repeats included,
+        take the searches' results. Between the two quantiles a table
         of log tails, uniform in u = log(x - s) with a cell per _CELL_LEVELS
         levels, takes one log_tail_steps call; a table that rises is a
         DomainError naming its cell, as no tail rises. Its cubic Hermite
@@ -784,10 +785,13 @@ class _HandleFamily(DistributionSpec):
                 f"the log tail of {self._label} rises from {float(tf[i])!r} at "
                 f"x={float(tx[i])!r} to {float(tf[i + 1])!r} at x={float(tx[i + 1])!r}")
         lq = lq[order]
+        xs[order[lq == lq[0]]] = first[0]
+        xs[order[lq == lq[-1]]] = last[0]
+        between = (lq < lq[0]) & (lq > lq[-1])
         for ends, start in ((lq >= tf[0], first), (lq < tf[-1], last)):
-            for i in order[ends].tolist():
+            for i in order[between & ends].tolist():
                 xs[i] = self.quantile_log_tail(float(q[i]), *start)[0]
-        inner = (lq < tf[0]) & (lq >= tf[-1])
+        inner = between & (lq < tf[0]) & (lq >= tf[-1])
         if not inner.any():
             return xs.reshape(shape)
         lq = lq[inner]

@@ -15,7 +15,6 @@ from evt_accompany.analysis import (
     _min_tail_levels,
     guarded_xs,
     simulate_max,
-    weighted_residual,
 )
 from evt_accompany.approx import (
     exact_and_gammas,
@@ -26,7 +25,6 @@ from evt_accompany.errors import DegenerateError, DomainError
 from evt_accompany.norming import norming_exact
 from evt_accompany.tails import (
     ExponentialUnit,
-    GeneralizedVonMises,
     IteratedLogScale,
     LogWeibullLike,
     WeibullLike,
@@ -98,7 +96,6 @@ def test_window_with_no_guarded_point_is_degenerate():
     window = SupOnGrid(-8.0, -5.0, 4)
     empty = "the window sup[-8,-5]x4 holds no point with gamma > -log n"
     for call, tag in ((lambda: guarded_xs(d, norming_exact(d, 100), window), ""),
-                      (lambda: weighted_residual(d, 100, -0.5, 0.01, 0.5, window), " (at n=100)"),
                       (lambda: error_curve(d, "accompanying", window, [100, 1000, 10000]),
                        " (at n=100)")):
         with pytest.raises(DegenerateError) as info:
@@ -191,59 +188,6 @@ def test_fit_degenerate_inputs():
                                      [1e-1, 1e-2, 1e-3]), model)
     with pytest.raises(DomainError):
         fit_rate(synthetic_curve([10, 100, 1000], [1e-1, 1e-2, 1e-3]), "cubic")
-
-
-# -- weighted residual ------------------------------------------------------------
-
-def second_order_instance(kappa=-0.2, rho=-0.5):
-    """Tail exp(-y + kappa e^(rho y)) via handles: g(t) = 1 - kappa rho e^(rho t)."""
-    return GeneralizedVonMises(
-        f=lambda t: 1.0,
-        g=lambda t: 1.0 - kappa * rho * math.exp(rho * t),
-        c=lambda t: math.exp(kappa),
-        x0=0.0)
-
-
-def test_weighted_residual_finite_and_positive():
-    d = second_order_instance()
-    r = weighted_residual(d, 10 ** 4, rho=-0.5, a_n_value=1e-3, eps=0.5)
-    assert math.isfinite(r) and r > 0.0
-
-
-def test_weighted_residual_decreases_along_n():
-    # the tail exp(-y + kappa e^(rho y)) has F^n = Lambda (1 - A e^-x H_rho(x))
-    # to first order in A(n) = kappa rho^2 e^(rho b_n), so the residual is
-    # O(A(n)): it falls by e^(rho (b_n' - b_n)), 10x per factor 100 in n
-    kappa, rho = -0.2, -0.5
-    d = second_order_instance(kappa, rho)
-    values = []
-    for n in (10 ** 3, 10 ** 5, 10 ** 7, 10 ** 9):
-        pair = norming_exact(d, n, centering="logcdf")
-        a_n = kappa * rho * rho * math.exp(rho * pair.b)
-        values.append(weighted_residual(d, n, rho=rho, a_n_value=a_n, eps=0.1))
-    assert all(hi < lo for lo, hi in zip(values, values[1:]))
-    assert values[-1] <= values[0] / 100.0
-
-
-def test_weighted_residual_error_names_n_and_the_grid_point():
-    # f turns non-positive at t = 10: b + a x crosses it near x = 3.1
-    d = GeneralizedVonMises(f=lambda t: 1.0 if t < 10.0 else -1.0,
-                            g=lambda t: 1.0, c=lambda t: 1.0, x0=0.0)
-    pair = norming_exact(d, 1000, centering="logcdf")
-    first_bad = next(x for x in SupOnGrid().grid() if pair.b + pair.a * x >= 10.0)
-    with pytest.raises(DomainError, match="f must be positive") as info:
-        weighted_residual(d, 1000, rho=-0.5, a_n_value=1e-3, eps=0.5)
-    assert str(info.value).endswith(f" (at grid x={first_bad!r}) (at n=1000)")
-
-
-def test_weighted_residual_domain_checks():
-    d = second_order_instance()
-    with pytest.raises(DomainError):
-        weighted_residual(d, 100, rho=0.0, a_n_value=1e-3, eps=0.5)
-    with pytest.raises(DomainError):
-        weighted_residual(d, 100, rho=-1.0, a_n_value=1e-3, eps=1.5)
-    with pytest.raises(DomainError):
-        weighted_residual(d, 100, rho=-1.0, a_n_value=0.0, eps=0.5)
 
 
 # -- simulation --------------------------------------------------------------------

@@ -13,7 +13,6 @@ from evt_accompany.approx import (
     exact_max_cdf,
     first_order_corrected,
     gumbel_cdf,
-    h_function,
     sigma_series,
     two_term,
 )
@@ -439,44 +438,10 @@ def test_first_order_consistency_rate():
         assert ratio <= 0.3
 
 
-# -- h function / second order -------------------------------------------------
-
-def test_h_function_anchors():
-    # H_rho(x) = (e^(rho x) - 1 - rho x)/rho^2 vanishes at x = 0 for every rho
-    for rho in (0.0, -0.5, -1.0):
-        assert h_function(0.0, rho) == 0.0
-    assert h_function(1.0, 0.0) == 0.5
-    assert h_function(-3.0, 0.0) == 4.5
-    assert h_function(math.log(2.0), -1.0) == pytest.approx(math.log(2.0) - 0.5, rel=1e-12)
-    assert h_function(-2.0, -0.5) == pytest.approx(4.0 * (math.e - 2.0), rel=1e-12)
-
-
-def test_h_function_continuous_at_rho_zero():
-    for x in (-3.0, -0.5, 2.0, 10.0):
-        assert h_function(x, -1e-9) == pytest.approx(h_function(x, 0.0), rel=1e-6)
-
-
-@pytest.mark.parametrize("rho", [0.0, -0.5, -1.0, -2.0])
-def test_h_function_is_the_quantile_scale_shape_at_log_y(rho):
-    # the quantile-scale shape ((y^rho - 1)/rho - log y)/rho, x^2/2's
-    # log^2(y)/2 at rho = 0, taken at y = e^x
-    for x in (-3.0, -0.5, 0.7, 4.0):
-        y = math.exp(x)
-        want = 0.5 * math.log(y) ** 2 if rho == 0.0 else ((y ** rho - 1.0) / rho - math.log(y)) / rho
-        assert h_function(x, rho) == pytest.approx(want, rel=1e-9)
-
-
-def test_h_function_domain():
-    # defined for every real x, but only for rho <= 0
-    xs = np.array([-800.0, -1.0, 0.0, 1.0, 800.0])
-    for rho in (0.0, -0.5):
-        assert np.all(h_function(xs, rho) >= 0.0)
-    with pytest.raises(DomainError):
-        h_function(2.0, 0.5)
-
+# -- second order ------------------------------------------------------------
 
 def test_second_order_reduces_to_two_term_when_h_vanishes():
-    # at x = 0, H_0 = 0 whatever A is, so only the sigma factor differs from
+    # at x = 0, x^2/2 = 0 whatever A is, so only the sigma factor differs from
     # the bare Gumbel exponent: exp(-1 - Sigma/n)
     d = WeibullLike(1.0, 2.0, 0.0)
     pair = norming_exact(d, 10 ** 4)

@@ -1,8 +1,10 @@
-"""Handle-family tails and grid gammas against a 50-digit mpmath reference.
+"""Handle-family tails, grid gammas and array quantiles against a 50-digit
+mpmath reference.
 
 For IteratedLogScale(k, a, C) the tail exponent in s = log t is
 (1/C) times the integral of (log_(k-1) s)^a ds, which mpmath integrates
-to 50 digits by tanh-sinh quadrature.
+to 50 digits by tanh-sinh quadrature. At k = 2, a = C = 1 that integral is
+closed, s log s - s, and shares nothing with the package's quadrature.
 """
 
 import math
@@ -10,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from evt_accompany.analysis import _min_tail_levels
 from evt_accompany.approx import exact_and_gammas
 from evt_accompany.norming import norming_exact
 from evt_accompany.tails import IteratedLogScale
@@ -62,3 +65,22 @@ def test_grid_gammas(k, a, C, n):
         assert abs(g - float(want)) <= 3e-14, x
         checked += 1
     assert checked >= 25
+
+
+@pytest.mark.parametrize("size", [7, 50, 2000])
+@pytest.mark.parametrize("n", [10 ** 3, 10 ** 6, 10 ** 300], ids=["1e3", "1e6", "1e300"])
+def test_array_quantiles_against_the_closed_iterlog_tail(n, size):
+    # simulate_max's levels; every quantile stops within the search's rule,
+    # 1e-12 min(max(1, |log q|), 100), of log q, with 1e-15 |log q| for the
+    # rounding of its own log tail
+    dist = IteratedLogScale(2, 1.0, 1.0)
+    levels = _min_tail_levels(np.random.Generator(np.random.Philox(7)).random(size), n)
+    got = dist.quantile_tails(levels)
+    with mp.workdps(50):
+        s0 = mp.log(mp.mpf(dist.x0))
+        c0 = s0 * mp.log(s0) - s0
+        for q, x in zip(levels.tolist(), got.tolist()):
+            s = mp.log(mp.mpf(x))
+            log_q = mp.log(mp.mpf(q))
+            gap = abs(-(s * mp.log(s) - s - c0) - log_q)
+            assert gap <= 1e-12 * min(max(1.0, abs(float(log_q))), 100.0) + 1e-15 * abs(log_q), q

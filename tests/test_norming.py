@@ -75,24 +75,9 @@ def test_exact_weibull_alpha_bisection_oracle():
     assert pair.a == pytest.approx(1.0 / (1.0 - 1.0 / b_oracle), rel=1e-10)
 
 
-def test_exact_centering_options():
-    d = ExponentialUnit()
-    default = norming_exact(d, 10 ** 4)
-    alt = norming_exact(d, 10 ** 4, centering="logcdf")
-    # tail(b) = 1 - e^(-1/n) instead of 1/n; shift is O(1/n) in units of a
-    assert alt.b == pytest.approx(-math.log(-math.expm1(-1e-4)), rel=1e-12)
-    ratio_gap, shift_gap = types_equivalence_gap(default, alt)
-    assert ratio_gap == 0.0
-    assert 0.0 < shift_gap < 1e-4
-    with pytest.raises(DomainError):
-        norming_exact(d, 100, centering="banana")
-
-
 def test_exact_rejects_n_beyond_float_range():
     with pytest.raises(DomainError, match="float range"):
         norming_exact(WeibullLike(1.0, 2.0, 0.0), 10 ** 400)
-    with pytest.raises(DomainError):
-        norming_exact(WeibullLike(1.0, 2.0, 0.0), 10 ** 400, centering="logcdf")
 
 
 @pytest.mark.parametrize("dist, b_approx", [
@@ -170,10 +155,10 @@ def test_walk_matches_fresh_closed_form_pairs(dist):
             assert abs(pair.n * dist.tail(pair.b) - 1.0) <= 1e-10  # the bench's oracle
 
 
-@pytest.mark.parametrize("centering", ["quantile", "logcdf"])
+@pytest.mark.parametrize("centering", ["quantile"])  # tail(b) = 1/n
 def test_walk_exponential_pairs_are_bit_identical(centering):
-    for pair in norming_exacts(ExponentialUnit(), WALK_NS, centering):
-        q = 1.0 / pair.n if centering == "quantile" else -math.expm1(-1.0 / pair.n)
+    for pair in norming_exacts(ExponentialUnit(), WALK_NS):
+        q = 1.0 / pair.n
         assert pair == NormingPair(n=pair.n, a=1.0, b=-math.log(q), log_tail_b=math.log(q))
 
 

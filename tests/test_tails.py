@@ -283,6 +283,23 @@ def test_handle_quantile_tails_walk_the_levels(monkeypatch):
         assert x == pytest.approx(d.quantile_tail(q), rel=1e-11)
 
 
+def test_handle_quantile_tails_take_the_end_levels_from_their_searches(monkeypatch):
+    # the smallest level's quantile is the second scalar search's result; in
+    # the Newton passes its root sits at the top of its table cell, where
+    # every step bisects, 35 passes for that one level of these 7
+    d = IteratedLogScale(3, 1.0, 1.0)
+    levels = _min_tail_levels(np.random.Generator(np.random.Philox(7)).random(7), 10**6)
+    passes = []
+    slopes_from = type(d)._log_tails_slopes_from
+    monkeypatch.setattr(type(d), "_log_tails_slopes_from",
+                        lambda self, *args: passes.append(1) or slopes_from(self, *args))
+    got = d.quantile_tails(levels)
+    assert len(passes) <= 4
+    monkeypatch.undo()
+    for q, x in zip(levels.tolist(), got.tolist()):
+        assert abs(d.log_tail(x) - math.log(q)) <= stop_gap(d, x, q)
+
+
 def c_from(x0):
     # c(x0) = 1/2, rising to 1; (log c)' is what the Newton slope leaves out
     return lambda t: 1.0 - 0.5 * math.exp(x0 - t)
