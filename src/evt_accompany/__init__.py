@@ -43,7 +43,6 @@ from .norming import (
 from .tails import (
     DistributionSpec,
     ExponentialUnit,
-    GeneralizedVonMises,
     IteratedLogScale,
     LogWeibullLike,
     SlowlyVarying,

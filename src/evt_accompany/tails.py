@@ -9,8 +9,7 @@ only maxima evaluation and sampling ever touch that completion, never the
 tail operations themselves (they require x >= x0).
 
 All objects are immutable after construction and every operation is a pure
-function of its inputs, so concurrent evaluation over grids is safe as long
-as caller-supplied function handles are themselves pure.
+function of its inputs, so concurrent evaluation over grids is safe.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,11 +40,10 @@ _NEWTON_CAP = 100
 # 2^12 log 2 > 2 * 745). Bisection halves the bracket, and at most 61 halvings
 # take one as wide as the float range to rounding (2 * 745 / 2^61 < 1e-15).
 # The cap is ten times those 13 + 61 steps. The most any search in the tests,
-# demos and benchmark ops takes is 59, and a random run of the von Mises
-# property took 72, on a tail whose c falls steeply at x0.
+# demos and benchmark ops takes is 35.
 _SEARCH_CAP = 10 * (13 + 61)
 _LOG2 = math.log(2.0)
-# levels per cell of the table that starts a handle family's array quantile
+# levels per cell of the table that starts IteratedLogScale's array quantile
 _CELL_LEVELS = 8
 _X_MAX = sys.float_info.max
 _LOG_X_MAX = math.log(_X_MAX)
@@ -58,8 +55,7 @@ class SlowlyVarying:
 
     Only these two shapes are built in because both admit an exact Karamata
     rate delta(t) = t * (log ell)'(t) (constant: 0, log-power: beta / log t),
-    which the correction-term formulas need in closed form. Arbitrary slowly
-    varying behaviour enters through GeneralizedVonMises handles instead.
+    which the correction-term formulas need in closed form.
     """
 
     kind: str  # "const" | "logpow"
@@ -204,22 +200,21 @@ class DistributionSpec:
         """The x >= x0 with tail(x) = q, for 0 < q <= tail(x0).
 
         Safeguarded Newton in u = log(x - s), s = 0 if x0 > 0 else x0 - 1,
-        with the slope d log tail / du of _log_slopes, which the array search
-        shares (exact for the closed forms; a handle family's -(x - s) g/f
-        drops (log c)', which the safeguard absorbs). Below the root it
-        steps on log tail, above it on log(-log tail), which is close to
-        linear in u there. A step that leaves the bracket, is not finite or
-        follows one that did not halve |log(log tail / log q)| bisects. Until
-        an upper end is known, a step grows u by at most log 2 or the
-        distance u has already come from the search's start, whichever is
-        larger, so the distance can double at each step and a far quantile
-        costs a few steps, not one per doubling of x - s. A longer step whose
-        tail cannot be evaluated becomes the upper end to bisect towards; a
-        quantile beyond the float range, or beyond where the tail can be
-        evaluated, raises DomainError. It stops when |log_tail(x) - log q| <=
-        1e-12 * min(max(1, |log q|), 100) or the bracket shrinks to rounding.
-        Each iterate is evaluated from the nearer bracket end, so a tail that
-        is an integral covers [x0, x] about once per search.
+        with the exact slope d log tail / du of _log_slopes, which the array
+        search shares. Below the root it steps on log tail, above it on
+        log(-log tail), which is close to linear in u there. A step that
+        leaves the bracket, is not finite or follows one that did not halve
+        |log(log tail / log q)| bisects. Until an upper end is known, a step
+        grows u by at most log 2 or the distance u has already come from the
+        search's start, whichever is larger, so the distance can double at
+        each step and a far quantile costs a few steps, not one per doubling
+        of x - s. A longer step whose tail cannot be evaluated becomes the
+        upper end to bisect towards; a quantile beyond the float range, or
+        beyond where the tail can be evaluated, raises DomainError. It stops
+        when |log_tail(x) - log q| <= 1e-12 * min(max(1, |log q|), 100) or
+        the bracket shrinks to rounding. Each iterate is evaluated from the
+        nearer bracket end, so IteratedLogScale, whose tail is an integral,
+        covers [x0, x] about once per search.
         """
         return self.quantile_log_tail(q)[0]
 
@@ -289,7 +284,8 @@ class DistributionSpec:
                     f = self._log_tail_from(x, hi_x, hi_f)
             except EvtError:
                 # a galloping step may overshoot into a range where the tail
-                # (a handle's f, say) is not finite, though the quantile is not
+                # cannot be evaluated (an iterlog integral that fails to
+                # converge, say), though the quantile can
                 if not (u - lo_u > _LOG2 and (hi_u == math.inf or math.isnan(hi_f))):
                     raise
                 f = None
@@ -303,7 +299,7 @@ class DistributionSpec:
 
         Every family gives its own: ExponentialUnit uses -log q, and the
         others run quantile_tail's Newton search on all levels at once
-        (_newton), the handle families from a table of their log tails.
+        (_newton), IteratedLogScale from a table of its log tails.
         """
         raise NotImplementedError
 
@@ -696,201 +692,18 @@ class LogWeibullLike(_PowerFamily):
         return f / g, b
 
 
-class _HandleFamily(DistributionSpec):
-    """Shared tail evaluation for families defined through g/f handles.
-
-    The tail integral of g/f runs in s = log t when all its ranges lie in
-    t > 0, where wide ranges of slowly varying integrands condition far
-    better, and in t otherwise. Both integrands take arrays of nodes, and
-    the scalar Newton step's slope passes them one float.
-    """
-
-    def _over_f(self, t):
-        """g/f at an array of t, or at one float."""
-        raise NotImplementedError
-
-    def _over_f_log(self, s):
-        """The integrand in s = log t, (g/f)(e^s) e^s, at an array of s, or
-        at one float."""
-        t = np.exp(s)
-        return self._over_f(t) * t
-
-    def _log_c(self, x):
-        return 0.0
-
-    def _log_tail_raw(self, x: float) -> float:
-        return self._log_c(x) - self._integral(self._x0, x)
-
-    def _log_tail_from(self, x: float, anchor: float, log_tail_anchor: float) -> float:
-        return log_tail_anchor + self.log_tail_steps(anchor, x)
-
-    def log_tail_steps(self, starts, ends):
-        """log tail(ends) - log tail(starts) at points >= x0, floats or arrays
-        of one shape, with every integral in one quadrature call; so
-        log_tail_from(x, anchor, f) is f + log_tail_steps(anchor, x)."""
-        return (self._log_c(ends) - self._log_c(starts)) - self._integral(starts, ends)
-
-    def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
-        """log_tail_anchor + log_tail_steps(anchor, z), with one quadrature
-        call per row of a 2-D z (a 1-D z is one row; one call over a many-row
-        grid measured slower) and none for points at their anchor."""
-        starts = np.full(z.shape, anchor)
-        out = np.full(z.shape, log_tail_anchor)
-        for row, start, log_tail in zip(np.atleast_2d(z), np.atleast_2d(starts),
-                                        np.atleast_2d(out)):
-            away = row != start
-            log_tail[away] += self.log_tail_steps(start[away], row[away])
-        return out
-
-    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def quantile_tails(self, q) -> np.ndarray:
-        """quantile_tail over an array of levels in (0, 1], completed by the
-        atom: levels q >= tail(x0) map to x0.
-
-        The largest and the smallest level below tail(x0) are searched as
-        quantile_tail, the second from the first's quantile, and an error of
-        either search is raised as it is; those two levels, repeats included,
-        take the searches' results. Between the two quantiles a table
-        of log tails, uniform in u = log(x - s) with a cell per _CELL_LEVELS
-        levels, takes one log_tail_steps call; a table that rises is a
-        DomainError naming its cell, as no tail rises. Its cubic Hermite
-        interpolant of u in log tail, with the search's slopes, starts every
-        level inside the table, and _newton finishes them with their cell as
-        bracket, integrating from the nearer cell end and then from the
-        previous iterate, so most levels cost one short integral. Levels
-        beyond the table's ends, by rounding, search from the nearer end.
-        """
-        q = _levels(q)
-        shape, q = q.shape, q.ravel()
-        # math.log, as quantile_tail takes it, for the atom test and the searches
-        lq = np.array([math.log(v) for v in q.tolist()])
-        xs = np.full(q.size, self._x0)
-        inside = np.flatnonzero(lq < self._log_tail_raw(self._x0))
-        if inside.size == 0:
-            return xs.reshape(shape)
-        order = inside[np.argsort(-lq[inside], kind="stable")]
-        first = self.quantile_log_tail(float(q[order[0]]))
-        last = self.quantile_log_tail(float(q[order[-1]]), *first)
-        s = self._shift()
-        u = np.linspace(math.log(first[0] - s), math.log(last[0] - s),
-                        inside.size // _CELL_LEVELS + 2)
-        tx = s + np.exp(u)
-        tx[0], tx[-1] = first[0], last[0]
-        u = np.log(tx - s)
-        tf = np.cumsum(np.concatenate(([first[1]], self.log_tail_steps(tx[:-1], tx[1:]))))
-        rises = np.diff(tf) > 0.0
-        if rises.any():
-            i = int(np.argmax(rises))
-            raise DomainError(
-                f"the log tail of {self._label} rises from {float(tf[i])!r} at "
-                f"x={float(tx[i])!r} to {float(tf[i + 1])!r} at x={float(tx[i + 1])!r}")
-        lq = lq[order]
-        xs[order[lq == lq[0]]] = first[0]
-        xs[order[lq == lq[-1]]] = last[0]
-        between = (lq < lq[0]) & (lq > lq[-1])
-        for ends, start in ((lq >= tf[0], first), (lq < tf[-1], last)):
-            for i in order[between & ends].tolist():
-                xs[i] = self.quantile_log_tail(float(q[i]), *start)[0]
-        inner = between & (lq < tf[0]) & (lq >= tf[-1])
-        if not inner.any():
-            return xs.reshape(shape)
-        lq = lq[inner]
-        j = np.searchsorted(-tf, -lq) - 1  # tf[j] > lq >= tf[j + 1]
-        h = tf[j + 1] - tf[j]
-        m = 1.0 / self._log_slopes(tx - s, u)  # du / d log tail at the table points
-        t = (lq - tf[j]) / h
-        u0 = ((1.0 + 2.0 * t) * u[j] + t * h * m[j]) * (1.0 - t) ** 2 \
-            + ((3.0 - 2.0 * t) * u[j + 1] + (t - 1.0) * h * m[j + 1]) * t ** 2
-        u0 = np.where((u[j] < u0) & (u0 < u[j + 1]), u0, 0.5 * (u[j] + u[j + 1]))
-        end = np.where(u0 - u[j] <= u[j + 1] - u0, j, j + 1)  # the nearer cell end
-        xs[order[inner]] = self._newton(lq, np.exp(u0), u[j], u[j + 1], (tx[end] - s, tf[end]))
-        return xs.reshape(shape)
-
-    def _log_tails_slopes_from(self, v, lv, anchor):
-        s = self._shift()
-        return self.log_tails_from(v + s, anchor[0] + s, anchor[1]), self._log_slopes(v, lv)
-
-    def _log_slopes(self, v, lv):
-        # -(x - s) g/f, without (log c)', and finite where f overflows
-        # (iterlog near the float top)
-        s = self._shift()
-        return -self._over_f_log(lv) if s == 0.0 else -v * self._over_f(v + s)
-
-    def _integral(self, a, b):
-        """The integral of g/f from a to b, floats or arrays of one shape."""
-        if not isinstance(a, np.ndarray):
-            if a == b:
-                return 0.0
-            positive = min(a, b) > 0.0
-        else:
-            positive = (np.minimum(a, b) > 0.0).all()
-        if positive:
-            return quadrature.integrate(self._over_f_log, np.log(a), np.log(b))
-        return quadrature.integrate(self._over_f, a, b)
-
-
-class GeneralizedVonMises(_HandleFamily):
-    """Tail c(x) * exp(-integral_{x0}^{x} g(t)/f(t) dt) from caller handles.
-
-    The handles must be pure; f positive with f' -> 0, g -> 1, and c tending
-    to a positive constant with c(x0) <= 1. Smoothness obligations that need
-    second derivatives (f^2 c'' -> 0) cannot be checked numerically here and
-    remain the caller's responsibility.
-    """
-
-    def __init__(self, f: Callable[[float], float], g: Callable[[float], float],
-                 c: Callable[[float], float], x0: float) -> None:
-        self.f = f
-        self.g = g
-        self.c = c
-        self._x0 = float(x0)
-        c0 = c(self._x0)
-        if not (0.0 < c0 <= 1.0):
-            raise DomainError(f"c(x0) = {c0!r} must lie in (0, 1] for a valid tail")
-        self._f(self._x0)
-        self._label = f"vonmises:x0={self._x0:g}"
-
-    def _over_f(self, t):
-        if isinstance(t, float):  # one point, from a scalar Newton step
-            return self._g_over_f(float(t))
-        return quadrature.elementwise(self._g_over_f)(t)
-
-    def _g_over_f(self, t: float) -> float:
-        ft = self._f(t)
-        return self.g(t) / ft
-
-    def _f(self, t: float) -> float:
-        """f(t), which must be positive and finite."""
-        ft = self.f(t)
-        if ft <= 0.0:
-            raise DomainError(f"auxiliary function f must be positive, got f({t!r}) = {ft!r}")
-        if not math.isfinite(ft):
-            # g/f would be 0 there, and the tail integral would stop growing
-            raise DomainError(f"auxiliary function f({t!r}) = {ft!r} is beyond the float range")
-        return ft
-
-    def _log_c(self, x):
-        # every integral's ends pass through here (x0 through __init__), so f
-        # is checked at them as well as at the quadrature's nodes
-        if np.ndim(x):
-            return np.array([self._log_c(v) for v in x.tolist()])
-        self._f(x)
-        cx = self.c(x)
-        if cx <= 0.0:
-            raise DomainError(f"c(x) must be positive, got c({x!r}) = {cx!r}")
-        return math.log(cx)
-
-    def _components(self, t: float):
-        return self.f(t), self.g(t), self.c(t)
-
-
-class IteratedLogScale(_HandleFamily):
+class IteratedLogScale(DistributionSpec):
     """Scale family with f(t) = C * t * (log_(k) t)^(-a), g = 1, c = 1.
 
     The iterated-log order k >= 2 grades tail heaviness inside the Gumbel
     domain beyond the Weibull-like (k = 0 flavour) and log-Weibull-like
     (k = 1 flavour) classes. x0 sits just above the k-fold exponential tower
     of 1, so every intermediate logarithm stays positive, and tail(x0) = 1.
+
+    The log tail is minus the integral of g/f, taken in s = log t (x0 > 1),
+    where wide ranges of this slowly varying integrand condition far better.
+    The integrand takes an array of nodes, and the scalar Newton step's
+    slope passes it one float.
     """
 
     def __init__(self, k: int, a: float, C: float) -> None:
@@ -922,22 +735,117 @@ class IteratedLogScale(_HandleFamily):
             raise DomainError(f"log_({self.k})(t) must be positive at t = {t!r}")
         return self.C * t * lk ** (-self.a)
 
-    def _over_f_log(self, s: np.ndarray) -> np.ndarray:
-        # g/f (e^s) e^s = (log_(k-1) s)^a / C
+    def _over_f_log(self, s):
+        """The integrand in s = log t, (g/f)(e^s) e^s = (log_(k-1) s)^a / C,
+        at an array of s, or at one float."""
         for _ in range(self.k - 1):
             s = np.log(s)
         return s ** self.a / self.C
 
+    def _log_tail_raw(self, x: float) -> float:
+        return 0.0 - self._integral(self._x0, x)
+
+    def _log_tail_from(self, x: float, anchor: float, log_tail_anchor: float) -> float:
+        return log_tail_anchor + self.log_tail_steps(anchor, x)
+
+    def log_tail_steps(self, starts, ends):
+        """log tail(ends) - log tail(starts) at points >= x0, floats or arrays
+        of one shape, with every integral in one quadrature call; so
+        log_tail_from(x, anchor, f) is f + log_tail_steps(anchor, x)."""
+        # 0.0 - keeps the log tail of an empty range +0.0
+        return 0.0 - self._integral(starts, ends)
+
+    def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
+        """log_tail_anchor + log_tail_steps(anchor, z), with one quadrature
+        call per row of a 2-D z (a 1-D z is one row; one call over a many-row
+        grid measured slower) and none for points at their anchor."""
+        starts = np.full(z.shape, anchor)
+        out = np.full(z.shape, log_tail_anchor)
+        for row, start, log_tail in zip(np.atleast_2d(z), np.atleast_2d(starts),
+                                        np.atleast_2d(out)):
+            away = row != start
+            log_tail[away] += self.log_tail_steps(start[away], row[away])
+        return out
+
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def quantile_tails(self, q) -> np.ndarray:
+        """quantile_tail over an array of levels in (0, 1], completed by the
+        atom: levels q >= tail(x0) map to x0.
+
+        The largest and the smallest level below tail(x0) are searched as
+        quantile_tail, the second from the first's quantile, and an error of
+        either search is raised as it is; those two levels, repeats included,
+        take the searches' results. Between the two quantiles a table
+        of log tails, uniform in u = log x with a cell per _CELL_LEVELS
+        levels, takes one log_tail_steps call; it falls, as each step is minus
+        an integral of a positive integrand. Its cubic Hermite interpolant of
+        u in log tail, with the search's slopes, starts every level inside
+        the table, and _newton finishes them with their cell as bracket,
+        integrating from the nearer cell end and then from the previous
+        iterate, so most levels cost one short integral. Levels beyond the
+        table's ends, by rounding, search from the nearer end.
+        """
+        q = _levels(q)
+        shape, q = q.shape, q.ravel()
+        # math.log, as quantile_tail takes it, for the atom test and the searches
+        lq = np.array([math.log(v) for v in q.tolist()])
+        xs = np.full(q.size, self._x0)
+        inside = np.flatnonzero(lq < self._log_tail_raw(self._x0))
+        if inside.size == 0:
+            return xs.reshape(shape)
+        order = inside[np.argsort(-lq[inside], kind="stable")]
+        first = self.quantile_log_tail(float(q[order[0]]))
+        last = self.quantile_log_tail(float(q[order[-1]]), *first)
+        u = np.linspace(math.log(first[0]), math.log(last[0]),
+                        inside.size // _CELL_LEVELS + 2)
+        tx = np.exp(u)
+        tx[0], tx[-1] = first[0], last[0]
+        u = np.log(tx)
+        tf = np.cumsum(np.concatenate(([first[1]], self.log_tail_steps(tx[:-1], tx[1:]))))
+        lq = lq[order]
+        xs[order[lq == lq[0]]] = first[0]
+        xs[order[lq == lq[-1]]] = last[0]
+        between = (lq < lq[0]) & (lq > lq[-1])
+        for ends, start in ((lq >= tf[0], first), (lq < tf[-1], last)):
+            for i in order[between & ends].tolist():
+                xs[i] = self.quantile_log_tail(float(q[i]), *start)[0]
+        inner = between & (lq < tf[0]) & (lq >= tf[-1])
+        if not inner.any():
+            return xs.reshape(shape)
+        lq = lq[inner]
+        j = np.searchsorted(-tf, -lq) - 1  # tf[j] > lq >= tf[j + 1]
+        h = tf[j + 1] - tf[j]
+        m = 1.0 / self._log_slopes(tx, u)  # du / d log tail at the table points
+        t = (lq - tf[j]) / h
+        u0 = ((1.0 + 2.0 * t) * u[j] + t * h * m[j]) * (1.0 - t) ** 2 \
+            + ((3.0 - 2.0 * t) * u[j + 1] + (t - 1.0) * h * m[j + 1]) * t ** 2
+        u0 = np.where((u[j] < u0) & (u0 < u[j + 1]), u0, 0.5 * (u[j] + u[j + 1]))
+        end = np.where(u0 - u[j] <= u[j + 1] - u0, j, j + 1)  # the nearer cell end
+        xs[order[inner]] = self._newton(lq, np.exp(u0), u[j], u[j + 1], (tx[end], tf[end]))
+        return xs.reshape(shape)
+
+    def _log_tails_slopes_from(self, v, lv, anchor):
+        return self.log_tails_from(v, *anchor), self._log_slopes(v, lv)
+
+    def _log_slopes(self, v, lv):
+        # d log tail / d log x = -(log_(k-1) log x)^a / C, finite where f
+        # overflows near the float top
+        return -self._over_f_log(lv)
+
     def _integral(self, a, b):
-        # a range that reaches past _x_max is refused before its integrand
-        # overflows; quadrature nodes lie inside the range
+        """The integral of g/f from a to b, floats or arrays of one shape.
+
+        A range that reaches past _x_max is refused before its integrand
+        overflows; quadrature nodes lie inside the range."""
         if self._x_max < math.inf:
             top = float(np.max(np.maximum(a, b), initial=-math.inf))
             if top > self._x_max:
                 raise DomainError(
                     f"tail at x={top!r} is outside the float range ((log_{self.k} x) ** "
                     f"{self.a!r} / {self.C!r} overflows past x={self._x_max!r})")
-        return super()._integral(a, b)
+        if not isinstance(a, np.ndarray) and a == b:
+            return 0.0
+        return quadrature.integrate(self._over_f_log, np.log(a), np.log(b))
 
     def _components(self, t: float):
         return self.aux_f(t), 1.0, 1.0

@@ -239,8 +239,19 @@ def test_simulate_rejects_negative_seed():
         simulate_max(ExponentialUnit(), 10, 5, seed=-1)
 
 
-# Kolmogorov band: sqrt(m) * D <= 2.47 has false-alarm probability 1e-5.
+# Kolmogorov band: sqrt(m) * D <= 2.47, sqrt(log(2 / 1e-5) / 2) rounded
+# down, has false-alarm probability 1e-5.
 KS_LIMIT = 2.47
+
+
+def scaled_ks(dist, n, samples):
+    """sqrt(m) times the Kolmogorov distance between m scaled maxima and the
+    package's exact law F^n(a x + b)."""
+    m = samples.size
+    pair = norming_exact(dist, n)
+    cdf, _ = exact_and_gammas(dist, pair, np.sort(samples))
+    i = np.arange(1, m + 1)
+    return math.sqrt(m) * max(np.max(i / m - cdf), np.max(cdf - (i - 1) / m))
 
 
 @pytest.mark.parametrize("dist, n, seed", [
@@ -250,13 +261,19 @@ KS_LIMIT = 2.47
     (WeibullLike(1.0, 2.0, 2.0), 10 ** 4, 14),  # no closed-form quantile: scalar loop
 ], ids=lambda v: getattr(v, "label", str(v)))
 def test_simulate_kolmogorov_band_against_exact_law(dist, n, seed):
-    m = 2000
-    samples = np.sort(simulate_max(dist, n, m, seed=seed))
+    assert scaled_ks(dist, n, simulate_max(dist, n, 2000, seed=seed)) <= KS_LIMIT
+
+
+@pytest.mark.parametrize("p, seed", [(0.5, 15), (2.0, 16)])
+def test_numpy_weibull_maxima_kolmogorov_band_against_exact_law(p, seed):
+    # numpy's Weibull sampler draws the tail exp(-x^p), weibull:c=1,p=P,
+    # alpha=0,ell=const:1, without the package's quantile search: 2,000
+    # maxima of n = 1000 draws each against the package's F^n
+    n, m = 1000, 2000
+    dist = WeibullLike(1.0, p, 0.0)
+    maxima = np.random.default_rng(seed).weibull(p, size=(m, n)).max(axis=1)
     pair = norming_exact(dist, n)
-    cdf, _ = exact_and_gammas(dist, pair, samples)
-    i = np.arange(1, m + 1)
-    d = max(np.max(i / m - cdf), np.max(cdf - (i - 1) / m))
-    assert math.sqrt(m) * d <= KS_LIMIT
+    assert scaled_ks(dist, n, (maxima - pair.b) / pair.a) <= KS_LIMIT
 
 
 def test_min_tail_levels_follow_the_minimum_law():

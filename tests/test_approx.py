@@ -21,7 +21,6 @@ from evt_accompany.gamma import gamma_exact
 from evt_accompany.norming import norming_exact
 from evt_accompany.tails import (
     ExponentialUnit,
-    GeneralizedVonMises,
     IteratedLogScale,
     LogWeibullLike,
     WeibullLike,
@@ -99,11 +98,10 @@ def test_exact_cdf_atom_completion_below_support():
     assert exact_max_cdf(d, pair, -1e9) == pytest.approx(floor, rel=1e-12)
 
 
-# tail e^-(t^2 - 1) on [1, inf), given through handles: f = 1/(2t), g = c = 1
 HANDLE_FAMILIES = [
     IteratedLogScale(2, 1.0, 1.0),
     IteratedLogScale(3, 1.0, 1.0),
-    GeneralizedVonMises(f=lambda t: 0.5 / t, g=lambda t: 1.0, c=lambda t: 1.0, x0=1.0),
+    IteratedLogScale(2, 2.5, 0.5),
 ]
 
 
@@ -128,7 +126,7 @@ def test_handle_law_matches_tail_integrated_from_x0(dist, n):
 @pytest.mark.parametrize("dist", FAMILIES + HANDLE_FAMILIES[1:], ids=lambda d: d.label)
 def test_exact_and_gamma_match_single_point_routes(dist):
     pair = norming_exact(dist, 10 ** 6)
-    closed = not isinstance(dist, (IteratedLogScale, GeneralizedVonMises))
+    closed = not isinstance(dist, IteratedLogScale)
     for x in guarded_grid(dist, pair, steps=17):
         _, g = exact_and_gamma(dist, pair, x)
         want = gamma_exact(dist, pair, x)
@@ -262,16 +260,24 @@ def test_grid_integrates_each_point_from_b():
 
 
 def test_grid_walk_names_the_failing_point():
-    # f turns non-positive at t = 10, inside the grid's reach; the first
-    # failing point is the first past 10, also where the grid ends there and
-    # no quadrature node of its integral from b lies past 10
-    dist = GeneralizedVonMises(f=lambda t: 1.0 if t < 10.0 else -1.0,
-                               g=lambda t: 1.0, c=lambda t: 1.0, x0=0.0)
+    # the tail cannot be evaluated from the point b + 3.075 a on, inside the
+    # grid's reach; the first failing point is the first grid point past it,
+    # also where the grid ends there
+    dist = IteratedLogScale(2, 1.0, 1.0)
     pair = norming_exact(dist, 1000)
-    first_bad = next(x for x in SUP_GRID if pair.b + pair.a * x >= 10.0)
+    edge = pair.b + 3.075 * pair.a
+    steps = dist.log_tail_steps
+
+    def failing(starts, ends):
+        if np.max(ends) >= edge:
+            raise DomainError(f"tail cannot be evaluated past {edge!r}")
+        return steps(starts, ends)
+
+    dist.log_tail_steps = failing
+    first_bad = next(x for x in SUP_GRID if pair.b + pair.a * x >= edge)
     assert first_bad == 3.1000000000000005
     for xs in (SUP_GRID, SUP_GRID[:SUP_GRID.index(first_bad) + 1]):
-        with pytest.raises(DomainError, match="f must be positive") as info:
+        with pytest.raises(DomainError, match="cannot be evaluated past") as info:
             exact_and_gammas(dist, pair, xs)
         assert str(info.value).endswith(f" (at grid x={first_bad!r})")
 

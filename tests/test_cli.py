@@ -294,18 +294,29 @@ def test_grid_errors_name_n_and_the_grid_point(tmp_path, capsys):
 
 
 def test_check_identity_error_names_n_and_the_grid_point(tmp_path, capsys, monkeypatch):
-    # a library-only family whose f turns non-positive at t = 10, inside the grid
+    # an iterlog tail that cannot be evaluated past b + 2 a, inside the grid
     import evt_accompany.cli as cli
-    from evt_accompany.tails import GeneralizedVonMises
+    from evt_accompany.norming import norming_exact
+    from evt_accompany.tails import IteratedLogScale
 
-    dist = GeneralizedVonMises(f=lambda t: 1.0 if t < 10.0 else -1.0,
-                               g=lambda t: 1.0, c=lambda t: 1.0, x0=0.0)
+    dist = IteratedLogScale(2, 1.0, 1.0)
+    pair = norming_exact(dist, 1000)
+    edge = pair.b + 2.0 * pair.a
+    steps = dist.log_tail_steps
+
+    def failing(starts, ends):
+        if np.max(ends) >= edge:
+            raise DomainError(f"tail cannot be evaluated past {edge!r}")
+        return steps(starts, ends)
+
+    dist.log_tail_steps = failing
     monkeypatch.setattr(cli, "parse_dist", lambda spec: dist)
-    code, _ = run(tmp_path, "x.csv", ["check-identity", "--dist", "gvm", "--n", "1000"])
+    code, _ = run(tmp_path, "x.csv", ["check-identity", "--dist", dist.label, "--n", "1000"])
     assert code == 3
     err = capsys.readouterr().err.strip()
-    assert err.startswith("error (DomainError): auxiliary function f must be positive")
-    assert re.search(r" \(at grid x=[0-9.]+\) \(at n=1000\) \(at dist=vonmises:x0=0\)$", err)
+    assert err.startswith("error (DomainError): tail cannot be evaluated past")
+    assert re.search(r" \(at grid x=[0-9.]+\) \(at n=1000\) "
+                     r"\(at dist=iterlog:k=2,a=1,C=1\)$", err)
 
 
 # b at n = 1e300 is about 1e1200 for this tail, beyond the float range

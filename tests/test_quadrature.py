@@ -7,7 +7,7 @@ import pytest
 
 from evt_accompany import quadrature
 from evt_accompany.errors import QuadratureError
-from evt_accompany.tails import GeneralizedVonMises, IteratedLogScale
+from evt_accompany.tails import IteratedLogScale
 
 
 class Counted:
@@ -57,11 +57,11 @@ def test_an_interval_integrates_alike_alone_and_in_any_batch():
     # is summed on floats, one that fails takes the array pass; both must
     # give the bits of the batch
     rng = np.random.default_rng(24)
-    vm = GeneralizedVonMises(f=lambda t: 2.0 * t ** -0.5,
-                             g=lambda t: 1.0 + 0.5 * math.exp(1.0 - t), c=lambda t: 1.0, x0=1.0)
     # iterlog k = 2 integrands (log s)^alpha in s = log t, and an elementwise one
+    elementwise = quadrature.elementwise(
+        lambda t: 0.5 * math.sqrt(t) * (1.0 + 0.5 * math.exp(1.0 - t)))
     cases = [(lambda s, alpha=alpha: np.log(s) ** alpha, 1.01, 700.0)
-             for alpha in (0.5, 1.0, 1.7, 3.0)] + [(vm._over_f, 1.0, 1e6)]
+             for alpha in (0.5, 1.0, 1.7, 3.0)] + [(elementwise, 1.0, 1e6)]
     bisected = 0
     for f, lo, hi in cases:
         a = np.exp(rng.uniform(math.log(lo), math.log(hi), 480))
@@ -125,13 +125,7 @@ def test_live_subintervals_are_capped():
     assert f.nodes <= 2 * 15 * quadrature.MAX_LIVE
 
 
-# -- the handle families' work ---------------------------------------------------
-
-def flat_handle():
-    # log tail = log(1 - e^-t / 2) - t: g/f = 1, so the integrand is flat in t
-    return GeneralizedVonMises(f=lambda t: 1.0, g=lambda t: 1.0,
-                               c=lambda t: 1.0 - 0.5 * math.exp(-t), x0=0.0)
-
+# -- the iterated-log family's work ---------------------------------------------
 
 def count_nodes(monkeypatch, cls, name):
     # integrand nodes: array calls only, as a scalar Newton step passes one float
@@ -142,25 +136,33 @@ def count_nodes(monkeypatch, cls, name):
     return counted
 
 
-def test_flat_integrand_anchored_far_out_takes_few_nodes(monkeypatch):
-    # adaptive Simpson in s = log t took 1,025 evaluations here, e^s being far
-    # from flat on its scale; the first 15-point rule passes
-    d = flat_handle()
-    log_tail_345 = d.log_tail(345.0)
-    nodes = count_nodes(monkeypatch, GeneralizedVonMises, "_over_f")
-    got = d.log_tail_from(690.0, 345.0, log_tail_345)
-    assert sum(nodes) == 15
-    assert got == pytest.approx(math.log1p(-0.5 * math.exp(-690.0)) - 690.0, rel=1e-14)
+def closed_iterlog_log_tail(x, x0):
+    # k = 2, a = C = 1: log tail = -[(s log s - s) - (s0 log s0 - s0)], s = log x
+    s, s0 = math.log(x), math.log(x0)
+    return -((s * math.log(s) - s) - (s0 * math.log(s0) - s0))
 
 
-def test_flat_integrand_deep_quantile_takes_few_nodes(monkeypatch):
-    # adaptive Simpson took 6,125 evaluations; 11 single-interval integrals,
-    # one of whose first rules fails and is evaluated again in its array pass
-    d = flat_handle()
-    nodes = count_nodes(monkeypatch, GeneralizedVonMises, "_over_f")
+def test_iterlog_anchored_far_out_takes_few_nodes(monkeypatch):
+    # log s over s = log t in [345, 690]: the first 15-point rule fails, on
+    # floats and again in the array pass, and its two halves pass
+    d = IteratedLogScale(2, 1.0, 1.0)
+    lo, hi = math.exp(345.0), math.exp(690.0)
+    log_tail_lo = d.log_tail(lo)
+    nodes = count_nodes(monkeypatch, IteratedLogScale, "_over_f_log")
+    got = d.log_tail_from(hi, lo, log_tail_lo)
+    assert sum(nodes) == 60
+    want = closed_iterlog_log_tail(hi, d.x0) - closed_iterlog_log_tail(lo, d.x0)
+    assert got - log_tail_lo == pytest.approx(want, rel=1e-14)
+
+
+def test_iterlog_deep_quantile_takes_few_nodes(monkeypatch):
+    # 20 integrals on the way to x ~ 6.2e72, most of them one 15-point rule
+    d = IteratedLogScale(2, 1.0, 1.0)
+    nodes = count_nodes(monkeypatch, IteratedLogScale, "_over_f_log")
     x = d.quantile_tail(1e-300)
-    assert sum(nodes) == 180
-    assert x == pytest.approx(300.0 * math.log(10.0), rel=1e-12)
+    assert sum(nodes) <= 360
+    log_q = math.log(1e-300)
+    assert abs(closed_iterlog_log_tail(x, d.x0) - log_q) <= 1e-12 * 100.0 + 1e-15 * -log_q
 
 
 def test_iterlog_log_tail_to_the_float_range_takes_few_rules(monkeypatch):
