@@ -2,7 +2,7 @@
 
 Each family lives in the Gumbel max-domain of attraction and exposes the
 same surface: log-scale tail evaluation, tail quantiles, and the von Mises
-components (f, g, c) with 1 - F(x) = c(x) exp(-integral g/f). Run as
+components (f, g) with 1 - F(x) = (1 - F(x0)) exp(-integral_{x0}^x g/f). Run as
 
     python demos/01_tail_families.py
 """

@@ -44,8 +44,11 @@ class SupOnGrid:
             raise DomainError("SupOnGrid needs steps >= 2")
 
     def grid(self) -> list[float]:
-        w = (self.x_hi - self.x_lo) / (self.steps - 1)
-        return [self.x_lo + w * i for i in range(self.steps)]
+        """lo + (hi - lo) * i / (steps - 1), rounded in that order, for
+        i < steps - 1, then hi itself (lo + (hi - lo) may round off it):
+        every sup grid and the x column of `table`."""
+        span, last = self.x_hi - self.x_lo, self.steps - 1
+        return [self.x_lo + span * i / last for i in range(last)] + [self.x_hi]
 
     @property
     def label(self) -> str:

@@ -58,7 +58,7 @@ def _header(dist_label: str, cmd: str, extra: str = "") -> str:
     return line + (f" {extra}" if extra else "")
 
 
-def _parse_window(raw: str, flag: str):
+def _parse_window(raw: str, flag: str) -> SupOnGrid:
     parts = raw.split(":")
     if len(parts) != 3:
         raise ParseError(f"{flag}: expected lo:hi:steps, got {raw!r}")
@@ -70,7 +70,7 @@ def _parse_window(raw: str, flag: str):
         raise ParseError(f"{flag}: needs lo < hi, got {raw!r}")
     if steps < 2:
         raise ParseError(f"{flag}: needs steps >= 2, got {raw!r}")
-    return lo, hi, steps
+    return SupOnGrid(x_lo=lo, x_hi=hi, steps=steps)
 
 
 def _finite(raw: str) -> float:
@@ -143,7 +143,7 @@ def _resolve_ns(args) -> list[int]:
 
 
 def _single_n(args) -> int:
-    ns = _resolve_ns(args)
+    ns = _parse_n_list(args.n, "--n")
     if len(ns) != 1:
         raise ParseError(f"--n: this command takes exactly one n, got {len(ns)}")
     return ns[0]
@@ -207,10 +207,10 @@ def _finish(out_path: str | None, rows: list[str], summary: list[str]) -> None:
 
 def _cmd_table(args, dist: DistributionSpec) -> int:
     n = _single_n(args)
-    lo, hi, steps = _parse_window(args.x, "--x")
+    window = _parse_window(args.x, "--x")
     names = _parse_approx(args.approx) if args.approx else []
     pair = norming_exact(dist, n)
-    xs = np.array([lo + (hi - lo) * i / (steps - 1) for i in range(steps)])
+    xs = np.array(window.grid())
     try:
         exact, gamma = exact_and_gammas(dist, pair, xs)
         require_gammas(xs, gamma)
@@ -225,7 +225,7 @@ def _cmd_table(args, dist: DistributionSpec) -> int:
     rows = [_header(dist.label, "table"), TABLE_COLUMNS]
     for row in zip(*columns):
         rows.append(",".join("" if v is None else repr(v) for v in row))
-    _finish(args.out, rows, [f"table: {steps} rows for dist={dist.label} n={n}"])
+    _finish(args.out, rows, [f"table: {window.steps} rows for dist={dist.label} n={n}"])
     return 0
 
 
@@ -239,8 +239,7 @@ def _cmd_rates(args, dist: DistributionSpec) -> int:
     if args.at is not None:
         metric = AtPoint(float(args.at))
     elif args.sup is not None:
-        lo, hi, steps = _parse_window(args.sup, "--sup")
-        metric = SupOnGrid(x_lo=lo, x_hi=hi, steps=steps)
+        metric = _parse_window(args.sup, "--sup")
     else:
         metric = SupOnGrid()
     curve = error_curve(dist, names[0], metric, ns)
@@ -276,8 +275,7 @@ def _cmd_norming(args, dist: DistributionSpec) -> int:
 
 def _cmd_check_identity(args, dist: DistributionSpec) -> int:
     n = _single_n(args)
-    window = _parse_window(args.x, "--x") if args.x else (-2.0, 6.0, 61)
-    metric = SupOnGrid(x_lo=window[0], x_hi=window[1], steps=window[2])
+    metric = _parse_window(args.x, "--x") if args.x else SupOnGrid(steps=61)
     pair = norming_exact(dist, n)
     rows = [_header(dist.label, "check-identity"), IDENTITY_COLUMNS]
     try:
@@ -325,20 +323,23 @@ def _cmd_simulate(args, dist: DistributionSpec) -> int:
 _ABOUT = ("Scaled-maximum laws in the Gumbel domain: tables, convergence rates, "
           "norming pairs, identity checks, simulation.")
 _HELP = ("-h", "--help")
-_SINGLE_N = "single sample count"
+# the n flags: one n, or an n grid given as a list or a geometric range
+_SINGLE_N = [("--n", dict(required=True, help="single sample count"))]
+_N_GRID = [("--n", dict(help="sample count(s)")),
+           ("--n-geom", dict(help="geometric n grid start:stop:count"))]
 
-# command -> (function, help, --n help, the flags beyond --dist/--n/--n-geom/--out);
+# command -> (function, help, n flags, the flags beyond --dist, the n flags and --out);
 # a flag with a const takes its value only when the next token is not a flag
 _COMMANDS = {
     "table": (_cmd_table, "tabulate exact law and approximants", _SINGLE_N, [
         ("--x", dict(required=True, help="x grid lo:hi:steps")),
         ("--approx", dict(help="comma list of approximants"))]),
-    "rates": (_cmd_rates, "fit error decay across n", "sample count(s)", [
+    "rates": (_cmd_rates, "fit error decay across n", _N_GRID, [
         ("--approx", dict(required=True, help="one approximant")),
         ("--at", dict(type=float, help="fixed-x error metric")),
         ("--sup", dict(const="-2:6:161",
                        help="sup-error metric, optional window lo:hi:steps"))]),
-    "norming": (_cmd_norming, "exact vs closed-form norming", "sample count(s)", []),
+    "norming": (_cmd_norming, "exact vs closed-form norming", _N_GRID, []),
     "check-identity": (_cmd_check_identity, "two-term factorization against the exact law",
                        _SINGLE_N, [
         ("--x", dict(help="x grid lo:hi:steps (default -2:6:61)")),
@@ -351,11 +352,11 @@ _COMMANDS = {
 
 
 def _flags(command: str) -> dict[str, dict]:
+    _, _, n_flags, extra = _COMMANDS[command]
     return dict([("--dist", dict(required=True, help="distribution spec string")),
-                 ("--n", dict(help=_COMMANDS[command][2])),
-                 ("--n-geom", dict(help="geometric n grid start:stop:count")),
+                 *n_flags,
                  ("--out", dict(help="CSV output path (stdout when omitted)")),
-                 *_COMMANDS[command][3]])
+                 *extra])
 
 
 def _help(command: str | None) -> str:

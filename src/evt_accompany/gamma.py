@@ -46,13 +46,11 @@ def gamma_exact(dist: DistributionSpec, pair: NormingPair, x):
 def gamma_quadrature(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
     """gamma via the integral form, at one point, for any pair (a, b).
 
-    gamma(x) = integral_0^x [ a g(b+av)/f(b+av) - 1 ] dv
-               - log( c(b+ax)/c(b) ) + x
+    gamma(x) = integral_0^x [ a g(b+av)/f(b+av) - 1 ] dv + x
 
     which is the tail integral of g/f from b to b + a x in v = (t - b)/a.
-    For the built-in families the c-ratio is 0 (constant c). Algebraically
-    equal to the tail-ratio route; numerically an independent check, so it
-    checks the support edge itself.
+    Algebraically equal to the tail-ratio route; numerically an independent
+    check, so it checks the support edge itself.
     """
     require_finite(x)
     z = pair.b + pair.a * x
@@ -60,25 +58,21 @@ def gamma_quadrature(dist: DistributionSpec, pair: NormingPair, x: float) -> flo
         raise DomainError(
             f"evaluation point b + a*x = {z!r} is below x0 = {dist.x0!r} "
             f"(needs x >= {(dist.x0 - pair.b) / pair.a!r})")
-    c_b = dist.von_mises_components(pair.b)[2]
 
     def integrand(v: float) -> float:
-        f_v, g_v, _ = dist.von_mises_components(pair.b + pair.a * v)
+        f_v, g_v = dist.von_mises_components(pair.b + pair.a * v)
         return pair.a * g_v / f_v - 1.0
 
-    total = quadrature.integrate(quadrature.elementwise(integrand), 0.0, x)
-    c_z = dist.von_mises_components(z)[2]
-    return total - math.log(c_z / c_b) + x
+    return quadrature.integrate(quadrature.elementwise(integrand), 0.0, x) + x
 
 
 def gamma_expansion(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
-    """Predicted gamma(x) - x from the von Mises components (f, g, c) at b.
+    """Predicted gamma(x) - x from the von Mises components (f, g) at b.
 
     With r = a/f(b), the integral form of gamma_quadrature expanded to first
     order in f'(b) and in g - 1:
 
         (r - 1) x - r^2 f'(b) x^2/2 + r integral_0^x (g(b+av) - 1) dv
-            - log( c(b+ax)/c(b) )
 
     Under the canonical pairs r = 1. Weibull-like tails have f'(b) =
     -(p-1)/(p log n) and a g-term of -alpha x/(p log n) to leading order,
@@ -93,13 +87,11 @@ def gamma_expansion(dist: DistributionSpec, pair: NormingPair, x: float) -> floa
     if not abs(x) <= bound:
         raise DomainError(
             f"|x| = {abs(x)!r} outside the expansion's regime |x| <= b/(2a) = {bound!r}")
-    f_b, _, c_b = dist.von_mises_components(pair.b)
-    r = pair.a / f_b
+    r = pair.a / dist.von_mises_components(pair.b)[0]
     deficit = quadrature.integrate(quadrature.elementwise(
         lambda v: dist.von_mises_components(pair.b + pair.a * v)[1] - 1.0), 0.0, x)
-    c_z = dist.von_mises_components(pair.b + pair.a * x)[2]
     return ((r - 1.0) * x - r * r * dist.aux_slope(pair.b) * x * x / 2.0
-            + r * deficit - math.log(c_z / c_b))
+            + r * deficit)
 
 
 def gamma_closed_weibull(p: float, n: float, x: float) -> float:

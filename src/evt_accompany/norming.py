@@ -78,10 +78,7 @@ def norming_exacts(dist: DistributionSpec, ns: Sequence[int]) -> list[NormingPai
                 b, log_tail_b = dist.quantile_log_tail(q, prev.b, prev.log_tail_b)
             else:
                 b, log_tail_b = dist.quantile_log_tail(q)
-            f, g, _ = dist.von_mises_components(b)
-            if g <= 0.0:
-                raise DomainError(f"g(b_n) = {g!r} <= 0 at b_n = {b!r}; not a usable scale")
-            pairs.append(NormingPair(n=n, a=f / g, b=b, log_tail_b=log_tail_b))
+            pairs.append(NormingPair(n=n, a=dist._norming_scale(b), b=b, log_tail_b=log_tail_b))
         except EvtError as exc:
             raise exc.at(f"n={n}") from exc
     return pairs

@@ -2,7 +2,8 @@
 
 Every family exposes the upper tail P(X > x) = 1 - F(x) for x >= x0 on the
 log scale, the tail quantile, and its von Mises representation components
-(f, g, c) with 1 - F(x) = c(x) * exp(-integral_{x0}^{x} g(t)/f(t) dt).
+(f, g) with 1 - F(x) = (1 - F(x0)) * exp(-integral_{x0}^{x} g(t)/f(t) dt).
+The constant in front cancels from every tail ratio, so no family carries it.
 
 Below x0 the distribution is completed with an atom at x0 of mass F(x0);
 only maxima evaluation and sampling ever touch that completion, never the
@@ -97,19 +98,8 @@ class SlowlyVarying:
         return f"logpow:{self.scale:g}:{self.beta:g}"
 
 
-def iterated_log(t: float, k: int) -> float:
-    """k-fold composition log(log(...log(t))). DomainError on a nonpositive intermediate."""
-    v = t
-    for i in range(k):
-        if v <= 0.0:
-            raise DomainError(
-                f"iterated log of order {k} undefined at t={t!r} (level {i} hit {v!r})")
-        v = math.log(v)
-    return v
-
-
 def exp_tower(k: int) -> float:
-    """exp applied k times to 1; iterated_log(exp_tower(k), k) == 1.
+    """exp applied k times to 1, so log applied k times to it gives 1.
 
     DomainError when the tower is not representable as a float (k >= 4).
     """
@@ -375,7 +365,7 @@ class DistributionSpec:
     # -- von Mises components ----------------------------------------------
 
     def von_mises_components(self, t: float):
-        """(f(t), g(t), c(t)) of the representation at t >= x0."""
+        """(f(t), g(t)) of the representation at t >= x0."""
         if _below(t, self._x0):
             raise DomainError(f"von Mises components need t >= x0 = {self._x0!r}, got {t!r}")
         return self._components(t)
@@ -389,6 +379,14 @@ class DistributionSpec:
 
     def _components(self, t: float):
         raise NotImplementedError
+
+    def _norming_scale(self, b: float) -> float:
+        """a_n = f(b_n)/g(b_n), the norming scale at b_n; DomainError where
+        g(b_n) <= 0."""
+        f, g = self._components(b)
+        if g <= 0.0:
+            raise DomainError(f"g(b_n) = {g!r} <= 0 at b_n = {b!r}; not a usable scale")
+        return f / g
 
     def _closed_norming(self, n: int):
         """(a_n, b_n) of the family's closed-form norming, where it has one."""
@@ -405,7 +403,7 @@ class DistributionSpec:
 
 class ExponentialUnit(DistributionSpec):
     """Unit exponential: 1 - F(x) = e^-x on [0, inf). The calibration family:
-    all three von Mises components are constant, so the scaled maximum law is
+    both von Mises components are constant, so the scaled maximum law is
     within O(1/n) of the Gumbel limit."""
 
     def __init__(self) -> None:
@@ -426,7 +424,7 @@ class ExponentialUnit(DistributionSpec):
         return 0.0 - np.log(_levels(q))
 
     def _components(self, t: float):
-        return 1.0, 1.0, 1.0
+        return 1.0, 1.0
 
 
 class _PowerFamily(DistributionSpec):
@@ -609,7 +607,7 @@ class WeibullLike(_PowerFamily):
         f = t ** (1.0 - self.p) / cp
         delta = self.ell.log_values_deltas(math.log(t))[1]
         g = 1.0 - (self.alpha + delta) / (cp * _pow(t, t, self.p))
-        return f, g, 1.0
+        return f, g
 
     def _closed_pair(self, u: float):
         """a = (1/(cp)) u^(1/p - 1) and
@@ -655,7 +653,7 @@ class LogWeibullLike(_PowerFamily):
         f = t * lt ** (1.0 - self.p) / cp
         delta = self.ell.log_values_deltas(lt)[1]
         g = 1.0 - (self.alpha + delta) / (cp * _pow(t, lt, self.p - 1.0))
-        return f, g, 1.0
+        return f, g
 
     def _closed_pair(self, u: float):
         """Solves the fixed point of
@@ -686,14 +684,11 @@ class LogWeibullLike(_PowerFamily):
                     f"asymptotic iteration defect grew twice in a row (last {abs(step)!r})")
             last = step
         b = math.exp(y ** inv_p)
-        f, g, _ = self._components(b)
-        if g <= 0.0:
-            raise DomainError(f"g(b_n) = {g!r} <= 0 at the closed-form b_n = {b!r}")
-        return f / g, b
+        return self._norming_scale(b), b
 
 
 class IteratedLogScale(DistributionSpec):
-    """Scale family with f(t) = C * t * (log_(k) t)^(-a), g = 1, c = 1.
+    """Scale family with f(t) = C * t * (log_(k) t)^(-a) and g = 1.
 
     The iterated-log order k >= 2 grades tail heaviness inside the Gumbel
     domain beyond the Weibull-like (k = 0 flavour) and log-Weibull-like
@@ -728,12 +723,6 @@ class IteratedLogScale(DistributionSpec):
         except OverflowError:
             x_max = math.inf
         self._x_max = x_max
-
-    def aux_f(self, t: float) -> float:
-        lk = iterated_log(t, self.k)
-        if lk <= 0.0:
-            raise DomainError(f"log_({self.k})(t) must be positive at t = {t!r}")
-        return self.C * t * lk ** (-self.a)
 
     def _over_f_log(self, s):
         """The integrand in s = log t, (g/f)(e^s) e^s = (log_(k-1) s)^a / C,
@@ -848,7 +837,11 @@ class IteratedLogScale(DistributionSpec):
         return quadrature.integrate(self._over_f_log, np.log(a), np.log(b))
 
     def _components(self, t: float):
-        return self.aux_f(t), 1.0, 1.0
+        # log_k t > 0 for t >= x0 (1 - 1e-12), as x0 = exp_tower(k) + 1
+        lk = t
+        for _ in range(self.k):
+            lk = math.log(lk)
+        return self.C * t * lk ** (-self.a), 1.0
 
 
 # ---------------------------------------------------------------------------

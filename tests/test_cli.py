@@ -524,7 +524,9 @@ def test_csv_to_stdout_when_out_omitted(capsys):
 
 # -- argument parsing ---------------------------------------------------------------
 
-_COMMON_FLAGS = ["--dist", "--n", "--n-geom", "--out"]
+_COMMON_FLAGS = ["--dist", "--n", "--out"]
+# --n-geom only where the command takes an n grid
+_N_GEOM = {"rates", "norming"}
 _RATES = ["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "100:10000:3"]
 
 # (argv, text of the summary when it parses, None for help and parse errors)
@@ -563,17 +565,54 @@ def test_command_line_contract(argv, summary, capsys):
         assert code == 0 and not err
         usage = out.splitlines()[0]
         assert usage.startswith("usage: evt-accompany ")
+        words = set(re.findall(r"[\w-]+", usage))
         if argv[0] in cli._COMMANDS:
             names = _COMMON_FLAGS + [flag for flag, _ in cli._COMMANDS[argv[0]][3]]
+            assert ("--n-geom" in words) == (argv[0] in _N_GEOM), usage
         else:
             names = list(cli._COMMANDS)
-        assert set(names) <= set(re.findall(r"[\w-]+", usage)), usage
+        assert set(names) <= words, usage
     elif summary is None:
         assert code == 2 and not out
         assert err.startswith("error (ParseError): "), err
     else:
         assert code == 0, err
         assert out.startswith("# evt-accompany v") and summary in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--dist", "exp", "--n-geom", "1000:2000:2", "--x", "-2:6:3"],
+    ["check-identity", "--dist", "exp", "--n-geom", "1000:2000:2"],
+    ["simulate", "--dist", "exp", "--n-geom", "1000:2000:2", "--reps", "3"],
+])
+def test_single_n_commands_take_no_n_grid(argv, capsys):
+    # a geometric grid has at least 2 values, so it could never name one n
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith(f"error (ParseError): {argv[0]}: unrecognized argument '--n-geom'")
+    assert main(argv[:3] + argv[5:]) == 2
+    assert f"{argv[0]}: missing required --n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["-2:6:61", "-2:6:161", "0.1:0.3:7", "-5:-1.8:3"])
+def test_table_and_check_identity_share_one_x_grid(tmp_path, window):
+    # lo + (hi - lo) * i / (steps - 1) for both, ending on hi itself, where
+    # lo + (hi - lo) reads -1.7999999999999998 on -5:-1.8:3; lo + w * i, w
+    # the step, read 1.0666666666666664 where this reads 1.0666666666666669
+    # on -2:6:61
+    code, table = run(tmp_path, "t.csv", [
+        "table", "--dist", "exp", "--n", "1000", "--x", window, "--approx", "two_term"])
+    assert code == 0
+    code, identity = run(tmp_path, "i.csv", [
+        "check-identity", "--dist", "exp", "--n", "1000", "--x", window])
+    assert code == 0
+    lo, hi, steps = window.split(":")
+    xs = [cells[0] for cells in rows(table)[1]]
+    assert xs == [cells[1] for cells in rows(identity)[1]]
+    last = int(steps) - 1
+    assert xs == [repr(float(lo) + (float(hi) - float(lo)) * i / last)
+                  for i in range(last)] + [repr(float(hi))]
 
 
 _SECOND_ORDER_TABLE = ["table", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1",

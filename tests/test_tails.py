@@ -18,7 +18,6 @@ from evt_accompany.tails import (
     SlowlyVarying,
     WeibullLike,
     exp_tower,
-    iterated_log,
     parse_dist,
 )
 
@@ -634,20 +633,18 @@ def test_iterated_log_quantiles_and_identity(d, log10_q, log10_n):
 # -- von Mises components ----------------------------------------------------
 
 def test_components_exponential_flavour_constant():
-    f, g, c = WeibullLike(1.0, 1.0, 0.0).von_mises_components(7.0)
-    assert (f, g, c) == (1.0, 1.0, 1.0)
+    assert WeibullLike(1.0, 1.0, 0.0).von_mises_components(7.0) == (1.0, 1.0)
 
 
 def test_components_weibull_p2():
-    f, g, c = WeibullLike(1.0, 2.0, 0.0).von_mises_components(10.0)
+    f, g = WeibullLike(1.0, 2.0, 0.0).von_mises_components(10.0)
     assert f == pytest.approx(0.05, abs=1e-15)
     assert g == 1.0
-    assert c == 1.0
 
 
 def test_components_logweibull_alpha3():
     t = math.e ** 4
-    f, g, _ = LogWeibullLike(1.0, 2.0, 3.0).von_mises_components(t)
+    f, g = LogWeibullLike(1.0, 2.0, 3.0).von_mises_components(t)
     assert f == pytest.approx(t / 8.0, rel=1e-13)
     assert g == pytest.approx(0.625, abs=1e-13)
 
@@ -655,9 +652,26 @@ def test_components_logweibull_alpha3():
 def test_components_iterated_log():
     il = IteratedLogScale(2, 1.0, 1.0)
     t = 1e4
-    f, g, c = il.von_mises_components(t)
+    f, g = il.von_mises_components(t)
     assert f == pytest.approx(t / math.log(math.log(t)), rel=1e-13)
-    assert g == 1.0 and c == 1.0
+    assert g == 1.0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("a", [0.5, 3.0])
+def test_iterated_log_f_is_positive_at_the_lowest_admitted_t(k, a):
+    # x0 (1 - 1e-12) is the lowest t the components admit; log_k t is still
+    # above 1 there (x0 = exp_tower(k) + 1), so f needs no check of its own
+    d = IteratedLogScale(k, a, 0.5)
+    t = d.x0 * (1.0 - 1e-12)
+    f, g = d.von_mises_components(t)
+    assert math.isfinite(f) and f > 0.0 and g == 1.0
+    lk = t
+    for _ in range(k):
+        lk = math.log(lk)
+    assert f == 0.5 * t * lk ** -a
+    with pytest.raises(DomainError, match="need t >= x0"):
+        d.von_mises_components(d.x0 * (1.0 - 1e-11))
 
 
 @pytest.mark.parametrize("dist", BUILTINS, ids=lambda d: d.label)
@@ -666,27 +680,31 @@ def test_g_tends_to_one(dist):
     for t in (1e2, 1e3, 1e4, 1e5):
         if t < dist.x0:
             t = dist.x0 + t
-        _, g, _ = dist.von_mises_components(t)
+        _, g = dist.von_mises_components(t)
         gaps.append(abs(g - 1.0))
     for lo, hi in zip(gaps, gaps[1:]):
         assert hi <= lo + 1e-15
 
 
-@pytest.mark.parametrize("dist", [d for d in BUILTINS
-                                  if isinstance(d, (WeibullLike, LogWeibullLike))],
+@pytest.mark.parametrize("dist", BUILTINS + [IteratedLogScale(3, 1.0, 1.0)],
                          ids=lambda d: d.label)
 def test_representation_consistency(dist):
-    # the closed-form log tail must agree with -integral of g/f from x0
-    for x in (dist.x0 + 3.0, 50.0, 1e3):
+    # tail(x) = tail(x0) exp(-integral of g/f from x0): the log tail, closed
+    # form or quadrature, less its value at x0 is minus that integral
+    for x in (dist.x0 + 3.0, 10.0 * dist.x0, 50.0, 1e3):
         if x <= dist.x0:
             continue
         direct = dist.log_tail(x) - dist.log_tail(dist.x0)
         lo = max(dist.x0, 1e-300)
+
+        def integrand(s):
+            # the components are the pair (f, g); the constant is tail(x0)
+            f, g = dist.von_mises_components(math.exp(s))
+            return math.exp(s) * g / f
+
         # in s = log t, as IteratedLogScale integrates
         integral = quadrature.integrate(
-            quadrature.elementwise(lambda s: math.exp(s) * dist.von_mises_components(
-                math.exp(s))[1] / dist.von_mises_components(math.exp(s))[0]),
-            math.log(lo), math.log(x))
+            quadrature.elementwise(integrand), math.log(lo), math.log(x))
         assert direct == pytest.approx(-integral, rel=1e-8, abs=1e-10)
 
 
@@ -829,10 +847,10 @@ def test_weibull_log_tail_below_zero_is_a_domain_error():
 
 
 def test_iterated_log_tower_guard():
-    assert iterated_log(exp_tower(2), 2) == pytest.approx(1.0, abs=1e-12)
-    assert iterated_log(2.0, 2) == pytest.approx(math.log(math.log(2.0)), abs=1e-15)
+    assert math.log(math.log(exp_tower(2))) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
-        iterated_log(0.5, 2)  # first log goes negative, second is undefined
+        # at 2, log log t < 0; the components refuse t below x0 before any log
+        IteratedLogScale(2, 1.0, 1.0).von_mises_components(2.0)
     with pytest.raises(DomainError):
         IteratedLogScale(1, 1.0, 1.0)
 
