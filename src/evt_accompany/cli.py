@@ -9,12 +9,13 @@ summary goes to stdout (stderr when the CSV itself occupies stdout).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import stat
 import sys
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +47,8 @@ RATES_COLUMNS = "model,exponent,r_squared,n_min,n_max,points"
 NORMING_COLUMNS = "n,a_exact,b_exact,a_closed,b_closed,ratio_gap,shift_gap"
 IDENTITY_COLUMNS = "n,x,exact,two_term,abs_gap"
 SIMULATE_COLUMNS = "replication,scaled_max"
+# rows per write of a CSV, and per float conversion in simulate
+_BLOCK_ROWS = 4096
 
 
 def _fmt(v: float) -> str:
@@ -159,41 +162,62 @@ def _parse_approx(raw: str) -> list[str]:
     return names
 
 
-def _finish(out_path: str | None, rows: list[str], summary: list[str]) -> None:
+def _blocks(rows: Iterable[str]) -> Iterator[str]:
+    """The CSV text of rows, _BLOCK_ROWS rows at a time."""
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        yield "\n".join(block) + "\n"
+
+
+def _finish(out_path: str | None, rows: Iterable[str], summary: list[str]) -> None:
     """The CSV rows to out_path (stdout when None), and the summary to the
     channel the CSV does not occupy.
 
-    An existing out_path is cut to the new length and rewritten in place:
-    on ext4, truncating a file to 0 bytes makes its close start writeback,
-    and once the old data is on disk the truncate frees its blocks; either
-    costs more than the write. A write that stops partway (a full disk,
-    Ctrl-C) cuts the file to what was written, so it holds a prefix of the
-    new CSV and nothing older.
+    rows may be any iterable, a generator included: they are written in
+    blocks of _BLOCK_ROWS as they arrive, so the whole CSV is never held in
+    memory. Callers compute every number before the first row, so a command
+    that fails leaves out_path untouched.
+
+    An existing out_path is rewritten in place and, after the last block,
+    cut to the length written when it was longer: on ext4, truncating a
+    file to 0 bytes makes its close start writeback, and once the old data
+    is on disk the truncate frees its blocks; either costs more than the
+    write. A file no longer than the new CSV gets no cut at all: ext4 takes
+    a journal handle even for a cut to the same length, and now and then
+    that waits milliseconds on a journal commit. A write that stops partway
+    (a full disk, Ctrl-C) cuts the file to what was written, so it holds a
+    prefix of the new CSV and nothing older. A process killed outright gets
+    no cut: the file then holds the written prefix followed by the old
+    file's bytes beyond it.
     """
-    payload = "\n".join(rows) + "\n"
     if out_path is None:
-        sys.stdout.write(payload)
+        for block in _blocks(rows):
+            sys.stdout.write(block)
     else:
         try:
             fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
         except OSError as exc:
             raise ParseError(f"--out: cannot write {out_path!r}: "
                              f"{exc.strerror or exc}") from None
-        data = memoryview(payload.encode())  # the CSV is ASCII
-        written, regular = 0, False
+        written, old_size = 0, 0
         try:
             # /dev/null and pipes have no length to cut
-            regular = stat.S_ISREG(os.fstat(fd).st_mode)
-            if regular:
-                os.ftruncate(fd, len(data))
-            while written < len(data):
-                written += os.write(fd, data[written:])
+            st = os.fstat(fd)
+            old_size = st.st_size if stat.S_ISREG(st.st_mode) else 0
+            for block in _blocks(rows):
+                data, start = memoryview(block.encode()), written  # the CSV is ASCII
+                # counted on every write, so a failure reports the bytes
+                # that reached the file, partial writes included
+                while written < start + len(data):
+                    written += os.write(fd, data[written - start:])
+            if old_size > written:
+                os.ftruncate(fd, written)
         except BaseException as exc:
-            if regular:
+            if old_size > written:
                 os.ftruncate(fd, written)
             if isinstance(exc, OSError):
                 raise ParseError(f"--out: writing {out_path!r} stopped after {written} "
-                                 f"of {len(data)} bytes: {exc.strerror or exc}") from None
+                                 f"bytes: {exc.strerror or exc}") from None
             raise
         finally:
             os.close(fd)
@@ -304,15 +328,15 @@ def _cmd_simulate(args, dist: DistributionSpec) -> int:
     if args.seed < 0:
         raise ParseError(f"--seed: needs a non-negative integer, got {args.seed!r}")
     samples = simulate_max(dist, n, args.reps, seed=args.seed)
-    rows = [_header(dist.label, "simulate", extra=f"seed={args.seed} rng={RNG_ALGORITHM}"),
-            SIMULATE_COLUMNS]
+    header = [_header(dist.label, "simulate", extra=f"seed={args.seed} rng={RNG_ALGORITHM}"),
+              SIMULATE_COLUMNS]
     # Python floats format faster than numpy scalars, with the same repr;
     # converting in blocks keeps a whole-array list out of the peak memory
-    for start in range(0, samples.size, 4096):
-        for i, v in enumerate(samples[start:start + 4096].tolist(), start):
-            rows.append(f"{i},{_fmt(v)}")
-    _finish(args.out, rows, [f"simulate: dist={dist.label} n={n} reps={args.reps} "
-                             f"mean={samples.mean():.6f} max={samples.max():.6f}"])
+    rows = (f"{i},{v!r}" for start in range(0, samples.size, _BLOCK_ROWS)
+            for i, v in enumerate(samples[start:start + _BLOCK_ROWS].tolist(), start))
+    _finish(args.out, itertools.chain(header, rows),
+            [f"simulate: dist={dist.label} n={n} reps={args.reps} "
+             f"mean={samples.mean():.6f} max={samples.max():.6f}"])
     return 0
 
 
