@@ -196,8 +196,12 @@ def _min_tail_levels(u: np.ndarray, n: int) -> np.ndarray:
     [0, 1) draws it exactly; u = 0 gives the level 1. DomainError when n is
     so large that log(u)/n underflows and a level rounds to 0.
     """
+    # one new array, updated in place; the caller's u is left as it was
     with np.errstate(divide="ignore"):
-        q = -np.expm1(np.log(u) / n)
+        q = np.log(u)
+    q /= n
+    np.expm1(q, out=q)
+    np.negative(q, out=q)
     if not q.all():
         raise DomainError(
             f"simulate_max: n={n} is too large to sample, a minimum tail level "
@@ -228,7 +232,9 @@ def simulate_max(dist: DistributionSpec, n: int, replications: int,
         maxima = dist.quantile_tails(_min_tail_levels(rng.random(replications), n))
     except EvtError as exc:
         raise exc.at(f"n={n}") from exc
-    return (maxima - pair.b) / pair.a
+    maxima -= pair.b
+    maxima /= pair.a
+    return maxima
 
 
 def empirical_cdf(samples: np.ndarray, xs: Sequence[float]) -> np.ndarray:

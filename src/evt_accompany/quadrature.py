@@ -14,9 +14,12 @@ from .errors import QuadratureError
 # Each bisection halves the target of both halves.
 TOL = 1e-12
 DEFAULT_DEPTH = 60
-# live subintervals across all intervals of one call; past it the call fails
+# live subintervals across the intervals of one chunk; past it the call fails
 # instead of growing its node array without bound
 MAX_LIVE = 1 << 15
+# a call's intervals are integrated this many at a time, so any number of
+# them is accepted and each chunk may still bisect its way up to MAX_LIVE
+_CHUNK = MAX_LIVE // 8
 _EPS = 2.2204460492503131e-16
 
 # Kronrod nodes on [-1, 1], ascending, with the Kronrod weights and the
@@ -55,9 +58,11 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
     |Kronrod|), d its number of bisections, unless it is one ulp wide. Each
     rule is summed in node order and each interval's accepted pieces from a
     to b, so an interval's integral does not depend on the other intervals
-    of the call. Raises QuadratureError at once at a non-finite value of f
-    or sum, when a subinterval still fails after DEFAULT_DEPTH bisections (read
-    at call time), or when more than MAX_LIVE subintervals are live.
+    of the call. The intervals are integrated _CHUNK at a time, which that
+    independence leaves bit-identical to one pass over all of them. Raises
+    QuadratureError at once at a non-finite value of f or sum, when a
+    subinterval still fails after DEFAULT_DEPTH bisections (read at call
+    time), or when more than MAX_LIVE subintervals of one chunk are live.
 
     A single interval (a and b floats or ints) whose first rule passes is
     summed on Python floats, bit-identical to the array pass and cheaper: an
@@ -74,6 +79,16 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
         a, b = np.broadcast_arrays(a, b)
     shape = a.shape
     start, end = a.ravel(), b.ravel()
+    total = np.empty(start.size)
+    for i in range(0, start.size, _CHUNK):
+        chunk = slice(i, i + _CHUNK)
+        total[chunk] = _integrate_chunk(f, start[chunk], end[chunk])
+    total = total.reshape(shape)
+    return float(total) if total.ndim == 0 else total
+
+
+def _integrate_chunk(f, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """integrate's array pass over the 1-D interval ends start and end."""
     total = np.zeros(start.size)
     owner = np.arange(start.size)
     for level in range(DEFAULT_DEPTH + 1):
@@ -117,8 +132,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
         mid = mid[todo]
         start = np.column_stack((start[todo], mid)).ravel()
         end = np.column_stack((mid, end[todo])).ravel()
-    total = total.reshape(shape)
-    return float(total) if total.ndim == 0 else total
+    return total
 
 
 def _first_rule(f, a: float, b: float) -> float | None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,3 +293,27 @@ def test_simulate_at_huge_n_is_finite_or_a_domain_error():
     # a level that underflows to 0 has no quantile
     with pytest.raises(DomainError, match="underflows"):
         _min_tail_levels(np.array([0.5, 1.0 - 2.0 ** -53]), 10 ** 308)
+
+
+@pytest.mark.parametrize("dist, per_rep", [
+    (ExponentialUnit(), 20),
+    (WeibullLike(1.0, 2.0, 2.0), 64),
+    (LogWeibullLike(1.0, 2.0, 0.0), 64),
+    (IteratedLogScale(2, 1.0, 1.0), 160),
+], ids=lambda v: getattr(v, "label", str(v)))
+def test_simulate_memory_per_replication_is_a_few_arrays(dist, per_rep):
+    # the traced peak of simulate_max from 50,000 to 200,000 replications, in
+    # bytes a replication, where one float array a replication long costs 8:
+    # levels and maxima updated in place, and the quantile searches of the
+    # power and iterlog families run in blocks of levels and of intervals
+    def traced_peak(reps):
+        tracemalloc.start()
+        try:
+            simulate_max(dist, 1000, reps, seed=7)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    simulate_max(dist, 1000, 100, seed=7)  # lazy imports and caches first
+    growth = (traced_peak(200_000) - traced_peak(50_000)) / 150_000
+    assert growth <= per_rep, f"{growth:.1f} bytes per replication"

@@ -116,6 +116,21 @@ def test_sums_that_overflow_raise_without_a_warning():
         assert str(err.value) == "Gauss-Kronrod sums overflow on [0.0, 10.0]"
 
 
+def test_any_number_of_intervals_integrates_alike_in_slices():
+    # more intervals than MAX_LIVE: the call integrates them in chunks, each
+    # interval alone, so the whole equals its 4,000-interval slices bit for
+    # bit, signs of zero included, though the slices and chunks do not align
+    rng = np.random.default_rng(30)
+    f = lambda s: np.log(s) ** 1.7  # noqa: E731
+    a = np.exp(rng.uniform(math.log(1.01), math.log(700.0), 40_000))
+    b = np.clip(a * np.exp(rng.uniform(-1.0, 1.0, a.size)), 1.01, 700.0)
+    whole = quadrature.integrate(f, a, b)
+    slices = np.concatenate([quadrature.integrate(f, a[i:i + 4000], b[i:i + 4000])
+                             for i in range(0, a.size, 4000)])
+    assert a.size > quadrature.MAX_LIVE
+    assert np.array_equal(whole.view(np.int64), slices.view(np.int64))
+
+
 def test_live_subintervals_are_capped():
     # noise never passes the test, so every pass doubles the live intervals
     rng = np.random.default_rng(0)

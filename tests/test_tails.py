@@ -17,6 +17,7 @@ from evt_accompany.tails import (
     LogWeibullLike,
     SlowlyVarying,
     WeibullLike,
+    _NEWTON_BLOCK,
     exp_tower,
     parse_dist,
 )
@@ -268,6 +269,14 @@ def test_handle_quantile_search_bisects_below_an_overshoot_it_cannot_evaluate():
     assert x == pytest.approx(5066874.936, rel=1e-9)
 
 
+def test_handle_quantile_search_still_meets_the_live_subinterval_cap():
+    # (log_2 s)^700 bisects on the rounding noise of its 700th power until
+    # one integral has more than MAX_LIVE live subintervals; chunking a
+    # call's intervals leaves that guard on bisection growth in place
+    with pytest.raises(QuadratureError, match="live subintervals"):
+        IteratedLogScale(3, 700.0, 1.0).quantile_tail(1e-30)
+
+
 def test_handle_quantile_tails_walk_the_levels(monkeypatch):
     # simulate_max's levels at n = 1e6; one search from x0 per level took
     # about 800 evaluations, where most levels now take one 15-point rule
@@ -341,13 +350,15 @@ def edge_levels(case):
         return np.array([0.3, 1e-5, 0.3, 1e-12, 1e-5, 1e-5, 0.3, 1e-12, 1e-12])
     if case == "atoms":  # tail(x0) = 1
         return np.array([1.0, 0.5, 1.0, 1e-20, 1.0])
+    if case == "only-atoms":  # no level to search
+        return np.ones(4)
     # unsorted; with 8 levels a cell, 1-3 levels make a table of one cell,
     # 9 of two and 17 of three
     m = int(case)
     return np.random.default_rng(m).permutation(np.geomspace(1e-30, 0.9, m))
 
 
-@pytest.mark.parametrize("case", ["1", "2", "3", "9", "17", "repeated", "atoms"])
+@pytest.mark.parametrize("case", ["1", "2", "3", "9", "17", "repeated", "atoms", "only-atoms"])
 @pytest.mark.parametrize("d", EDGE_FAMILIES, ids=lambda d: d.label)
 def test_handle_quantile_tails_at_edge_sizes(d, case):
     # the one array path at table sizes of one to three cells, on repeated
@@ -364,6 +375,51 @@ def test_handle_quantile_tails_at_edge_sizes(d, case):
                     <= stop_gap(d, x, q) + stop_gap(d, want, q))
     for q in set(levels.tolist()):
         assert len(set(got[levels == q].tolist())) == 1
+
+
+def test_handle_quantile_tails_search_levels_beyond_the_table_from_its_nearer_end():
+    # the two end searches stop within tolerance of their levels, here the
+    # first below log q and the last above it, so the table of log tails
+    # between their quantiles misses a level just under the first level and
+    # one just over the last; each is searched from the nearer end's quantile
+    d = IteratedLogScale(2, 1.0, 1.0)
+    top, bottom = 0.4, 1e-50
+    first = d.quantile_log_tail(top)
+    last = d.quantile_log_tail(bottom, *first)
+    assert first[1] < math.log(top) and last[1] > math.log(bottom)
+    near_top = math.exp(0.5 * (first[1] + math.log(top)))
+    near_bottom = math.exp(0.5 * (last[1] + math.log(bottom)))
+    assert first[1] <= math.log(near_top) < math.log(top)
+    assert math.log(bottom) < math.log(near_bottom) < last[1]
+    starts = []
+    search = d.quantile_log_tail
+
+    def recording(q, *start):
+        starts.append(start)
+        return search(q, *start)
+
+    d.quantile_log_tail = recording
+    levels = np.array([near_bottom, top, 1e-20, near_top, bottom])
+    got = d.quantile_tails(levels)
+    assert starts == [(), first, first, last]
+    for q, x in zip(levels.tolist(), got.tolist()):
+        want = search(q)[0]
+        assert abs(d.log_tail(x) - math.log(q)) <= stop_gap(d, x, q)
+        assert (abs(d.log_tail(x) - d.log_tail(want))
+                <= stop_gap(d, x, q) + stop_gap(d, want, q))
+
+
+@pytest.mark.parametrize("k", [_NEWTON_BLOCK - 1, _NEWTON_BLOCK, _NEWTON_BLOCK + 1])
+@pytest.mark.parametrize("dist", [WeibullLike(1.0, 2.0, 2.0), LogWeibullLike(1.0, 2.0, 1.5)],
+                         ids=lambda d: d.label)
+def test_power_quantile_tails_do_not_depend_on_the_other_levels(dist, k):
+    # the Newton passes run on blocks of _NEWTON_BLOCK levels; a level's
+    # quantile is the same bits whichever block it falls in
+    levels = _min_tail_levels(np.random.Generator(np.random.Philox(5)).random(
+        2 * _NEWTON_BLOCK + 3), 1000)
+    whole = dist.quantile_tails(levels)
+    alone = dist.quantile_tails(levels[:k])
+    assert np.array_equal(whole[:k].view(np.int64), alone.view(np.int64))
 
 
 def test_handle_quantile_tails_name_the_smallest_level_beyond_the_float_range():
