@@ -17,7 +17,7 @@ import numpy as np
 
 from .approx import evaluate, exact_and_gammas
 from .errors import DegenerateError, DomainError, EvtError
-from .norming import NormingPair, norming_exact, norming_exacts
+from .norming import NormingPair, norming_exact, norming_exacts, require_resolved
 from .tails import DistributionSpec
 
 POWER_IN_N = "power-in-n"
@@ -219,7 +219,8 @@ def simulate_max(dist: DistributionSpec, n: int, replications: int,
     exact law with one uniform per replication, so time and memory are
     O(replications) whatever n is. All levels are inverted with one
     dist.quantile_tails call. Deterministic for a fixed non-negative seed
-    (Philox counter stream). Errors name their n.
+    (Philox counter stream). Errors name their n; a pair whose b + a x
+    cannot resolve x is refused (norming.require_resolved).
     """
     if replications < 1:
         raise DomainError(f"simulate_max needs replications >= 1, got {replications!r}")
@@ -227,6 +228,7 @@ def simulate_max(dist: DistributionSpec, n: int, replications: int,
         raise DomainError(f"simulate_max needs a non-negative seed, got {seed!r}")
     n = int(n)
     pair = norming_exact(dist, n)
+    require_resolved(pair)
     rng = np.random.Generator(np.random.Philox(seed))
     try:
         maxima = dist.quantile_tails(_min_tail_levels(rng.random(replications), n))

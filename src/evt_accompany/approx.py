@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceError, DomainError, EvtError
-from .norming import NormingPair
+from .norming import NormingPair, require_resolved
 from .tails import DistributionSpec
 
 # the first 36 terms of sigma_series's phi(r) = sum_k r^k/(k+2), highest first
@@ -68,9 +68,12 @@ def exact_and_gammas(dist: DistributionSpec, pairs: NormingPair | Sequence[Normi
     non-finite x, b + a x or log tail, or a failed call, is redone point by
     point from b, row by row in grid order, by the scalar log_tail_from, so
     the first one raises its typed error, naming its x; a finite x whose
-    b + a x leaves the float range is a DomainError.
+    b + a x leaves the float range is a DomainError, and so is a pair whose
+    b + a x cannot resolve x at all (norming.require_resolved).
     """
     rows = [pairs] if isinstance(pairs, NormingPair) else list(pairs)
+    for pair in rows:
+        require_resolved(pair)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     table = np.array([(pair.a, pair.b, float(pair.n),
                        pair.log_tail_b if pair.log_tail_b is not None else dist.log_tail(pair.b))

@@ -47,7 +47,7 @@ RATES_COLUMNS = "model,exponent,r_squared,n_min,n_max,points"
 NORMING_COLUMNS = "n,a_exact,b_exact,a_closed,b_closed,ratio_gap,shift_gap"
 IDENTITY_COLUMNS = "n,x,exact,two_term,abs_gap"
 SIMULATE_COLUMNS = "replication,scaled_max"
-# rows per write of a CSV, and per float conversion in simulate
+# rows per write of a CSV, and per formatting of simulate's rows
 _BLOCK_ROWS = 4096
 
 
@@ -169,14 +169,16 @@ def _blocks(rows: Iterable[str]) -> Iterator[str]:
         yield "\n".join(block) + "\n"
 
 
-def _finish(out_path: str | None, rows: Iterable[str], summary: list[str]) -> None:
-    """The CSV rows to out_path (stdout when None), and the summary to the
+def _finish(out_path: str | None, blocks: Iterable[str], summary: list[str]) -> None:
+    """The CSV text to out_path (stdout when None), and the summary to the
     channel the CSV does not occupy.
 
-    rows may be any iterable, a generator included: they are written in
-    blocks of _BLOCK_ROWS as they arrive, so the whole CSV is never held in
-    memory. Callers compute every number before the first row, so a command
-    that fails leaves out_path untouched.
+    blocks are pieces of the CSV text, each a run of whole rows (callers
+    make them of at most _BLOCK_ROWS rows, with _blocks or, in simulate,
+    with rows.numbered_rows), and may be any iterable, a generator
+    included: each is written as it arrives, so the whole CSV is never held
+    in memory. Callers compute every number before the first row, so a
+    command that fails leaves out_path untouched.
 
     An existing out_path is rewritten in place and, after the last block,
     cut to the length written when it was longer: on ext4, truncating a
@@ -191,7 +193,7 @@ def _finish(out_path: str | None, rows: Iterable[str], summary: list[str]) -> No
     file's bytes beyond it.
     """
     if out_path is None:
-        for block in _blocks(rows):
+        for block in blocks:
             sys.stdout.write(block)
     else:
         try:
@@ -204,7 +206,7 @@ def _finish(out_path: str | None, rows: Iterable[str], summary: list[str]) -> No
             # /dev/null and pipes have no length to cut
             st = os.fstat(fd)
             old_size = st.st_size if stat.S_ISREG(st.st_mode) else 0
-            for block in _blocks(rows):
+            for block in blocks:
                 data, start = memoryview(block.encode()), written  # the CSV is ASCII
                 # counted on every write, so a failure reports the bytes
                 # that reached the file, partial writes included
@@ -249,7 +251,7 @@ def _cmd_table(args, dist: DistributionSpec) -> int:
     rows = [_header(dist.label, "table"), TABLE_COLUMNS]
     for row in zip(*columns):
         rows.append(",".join("" if v is None else repr(v) for v in row))
-    _finish(args.out, rows, [f"table: {window.steps} rows for dist={dist.label} n={n}"])
+    _finish(args.out, _blocks(rows), [f"table: {window.steps} rows for dist={dist.label} n={n}"])
     return 0
 
 
@@ -274,7 +276,7 @@ def _cmd_rates(args, dist: DistributionSpec) -> int:
         rows.append(",".join([model, _fmt(fit.exponent), _fmt(fit.r_squared),
                               str(ns[0]), str(ns[-1]), str(len(ns))]))
         summary.append(f"  {model}: exponent={fit.exponent:.4f} r2={fit.r_squared:.5f}")
-    _finish(args.out, rows, summary)
+    _finish(args.out, _blocks(rows), summary)
     return 0
 
 
@@ -292,8 +294,8 @@ def _cmd_norming(args, dist: DistributionSpec) -> int:
         rows.append(",".join([str(n), _fmt(exact.a), _fmt(exact.b), _fmt(closed.a),
                               _fmt(closed.b), _fmt(ratio_gap), _fmt(shift_gap)]))
         last = (ratio_gap, shift_gap)
-    _finish(args.out, rows, [f"norming: dist={dist.label} n-count={len(ns)} "
-                             f"final gaps ratio={last[0]:.3g} shift={last[1]:.3g}"])
+    _finish(args.out, _blocks(rows), [f"norming: dist={dist.label} n-count={len(ns)} "
+                                      f"final gaps ratio={last[0]:.3g} shift={last[1]:.3g}"])
     return 0
 
 
@@ -312,8 +314,9 @@ def _cmd_check_identity(args, dist: DistributionSpec) -> int:
         rows.append(",".join([str(n), *map(repr, row)]))
     worst = float(gaps.max(initial=0.0))
     ok = worst <= args.tol
-    _finish(args.out, rows, [f"check-identity: dist={dist.label} n={n} max|gap|={worst:.3e} "
-                             f"tol={args.tol:.3e} -> {'OK' if ok else 'FAIL'}"])
+    _finish(args.out, _blocks(rows),
+            [f"check-identity: dist={dist.label} n={n} max|gap|={worst:.3e} "
+             f"tol={args.tol:.3e} -> {'OK' if ok else 'FAIL'}"])
     if not ok:
         print(f"error: identity violated: max gap {worst!r} > tol {args.tol!r}",
               file=sys.stderr)
@@ -328,13 +331,18 @@ def _cmd_simulate(args, dist: DistributionSpec) -> int:
     if args.seed < 0:
         raise ParseError(f"--seed: needs a non-negative integer, got {args.seed!r}")
     samples = simulate_max(dist, n, args.reps, seed=args.seed)
+    # imported here, as only simulate needs it: the other commands start
+    # without compiling it (the package may run without cached bytecode)
+    from .rows import numbered_rows
     header = [_header(dist.label, "simulate", extra=f"seed={args.seed} rng={RNG_ALGORITHM}"),
               SIMULATE_COLUMNS]
-    # Python floats format faster than numpy scalars, with the same repr;
-    # converting in blocks keeps a whole-array list out of the peak memory
-    rows = (f"{i},{v!r}" for start in range(0, samples.size, _BLOCK_ROWS)
-            for i, v in enumerate(samples[start:start + _BLOCK_ROWS].tolist(), start))
-    _finish(args.out, itertools.chain(header, rows),
+    # blocks of _BLOCK_ROWS lines, as _blocks cuts them, the header's in the first
+    first = _BLOCK_ROWS - len(header)
+    blocks = itertools.chain(
+        ["\n".join(header) + "\n" + numbered_rows(0, samples[:first])],
+        (numbered_rows(start, samples[start:start + _BLOCK_ROWS])
+         for start in range(first, samples.size, _BLOCK_ROWS)))
+    _finish(args.out, blocks,
             [f"simulate: dist={dist.label} n={n} reps={args.reps} "
              f"mean={samples.mean():.6f} max={samples.max():.6f}"])
     return 0

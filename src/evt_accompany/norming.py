@@ -41,6 +41,26 @@ class NormingPair:
             raise DomainError(f"norming location b must be finite, got {self.b!r}")
 
 
+# the largest ulp(b)/a at which b + a x still resolves x: 2^-26 keeps half
+# of x's 53 bits
+RESOLUTION = 2.0 ** -26
+
+
+def require_resolved(pair: NormingPair) -> None:
+    """DomainError when b + a x cannot resolve the scaled coordinate x.
+
+    Near b, b + a x in floats is a multiple of ulp(b), so x is quantised to
+    ulp(b)/a, and gamma(x) and the laws built on it with it. Past RESOLUTION
+    a command would print numbers with about half their digits wrong; the
+    pair itself is still right, and norming prints it.
+    """
+    step = math.ulp(pair.b) / pair.a
+    if step > RESOLUTION:
+        raise DomainError(
+            f"a_n={pair.a!r} is too small against b_n={pair.b!r} at n={pair.n}: b_n + a_n x "
+            f"resolves x only to ulp(b_n)/a_n = {step:.3g}, above 2^-26")
+
+
 def norming_exact(dist: DistributionSpec, n: int) -> NormingPair:
     """b_n by exact tail inversion, solving tail(b) = 1/n, and
     a_n = f(b_n)/g(b_n). This is norming_exacts on a one-point grid.

@@ -353,6 +353,53 @@ def test_simulate_quantile_errors_name_their_n(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# iterlog's a_n/b_n is C (log_k b_n)^-a, so a small C leaves b + a x unable
+# to resolve x: gamma would be quantised to ulp(b_n)/a_n. Past 2^-26 every
+# command that scales x refuses the pair; below it, gamma keeps within a few
+# of those steps of the quadrature route, which integrates in x itself.
+
+@pytest.mark.parametrize("n", [1000, 10 ** 9, 10 ** 300], ids=["1e3", "1e9", "1e300"])
+@pytest.mark.parametrize("C", ["1e-06", "1e-10", "1e-13", "1e-15", "1e-17"])
+def test_a_pair_that_cannot_resolve_x_is_refused(tmp_path, capsys, C, n):
+    from evt_accompany.gamma import gamma_quadrature
+    from evt_accompany.norming import norming_exact
+
+    spec = f"iterlog:k=2,a=1,C={C}"
+    code, payload = run(tmp_path, "t.csv", ["table", "--dist", spec, "--n", str(n),
+                                            "--x", "-2:6:17"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    pair = norming_exact(parse_dist(spec), n)
+    step = math.ulp(pair.b) / pair.a
+    # measured: C = 1e-6 reads at most 2.3e-10, C = 1e-10 already 2.3e-6
+    assert (code == 0) == (C == "1e-06")
+    if code:
+        assert code == 3
+        assert err.startswith(f"error (DomainError): a_n={pair.a!r} is too small against "
+                              f"b_n={pair.b!r} at n={pair.n}: "), err
+        return
+    dist = parse_dist(spec)
+    for cells in rows(payload)[1]:
+        x, gamma = float(cells[0]), float(cells[-1])
+        if pair.b + pair.a * x >= dist.x0:
+            assert abs(gamma - gamma_quadrature(dist, pair, x)) <= 16 * step + 1e-12, (x, step)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--reps", "10"],
+    ["rates", "--approx", "accompanying", "--n-geom", "1000:1e9:3", "--sup"],
+    ["check-identity"],
+], ids=lambda argv: argv[0])
+def test_every_command_that_scales_x_refuses_an_unresolved_pair(tmp_path, capsys, argv):
+    argv = argv[:1] + ["--dist", "iterlog:k=3,a=1,C=1e-13"] + argv[1:]
+    if "--n-geom" not in argv:
+        argv += ["--n", "1000"]
+    code, payload = run(tmp_path, "x.csv", argv)
+    err = capsys.readouterr().err
+    assert code == 3 and not payload and "Traceback" not in err
+    assert "is too small against b_n=" in err and "at n=1000:" in err, err
+
+
 def test_n_flags_accept_integral_float_literals(tmp_path):
     code, payload = run(tmp_path, "n.csv", [
         "norming", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1", "--n", "1e3,1.5e4,1E300"])
@@ -872,7 +919,9 @@ def dist_specs(draw):
     kind = draw(st.sampled_from(["weibull", "logweibull", "iterlog"]))
     if kind == "iterlog":
         k = draw(st.sampled_from([2, 3, 4]))
-        return f"iterlog:k={k},a={draw(st.floats(0.1, 5.0))!r},C={draw(st.floats(0.1, 5.0))!r}"
+        # C log-uniform down to 1e-17, where b + a x no longer resolves x
+        C = 10.0 ** draw(st.floats(-17.0, math.log10(5.0)))
+        return f"iterlog:k={k},a={draw(st.floats(0.1, 5.0))!r},C={C!r}"
     scale = draw(st.floats(0.1, 10.0))
     if draw(st.booleans()):
         ell = f"const:{scale!r}"
