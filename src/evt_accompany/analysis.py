@@ -27,6 +27,9 @@ POWER_IN_LOG_N = "power-in-log-n"
 # output metadata so runs are reproducible in distribution across
 # implementations (never bitwise).
 RNG_ALGORITHM = "philox4x64"
+# replications per quantile_tails call in simulate_max, so that the levels and
+# the quantile search's working arrays stay this long however many there are
+_QUANTILE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -196,12 +199,8 @@ def _min_tail_levels(u: np.ndarray, n: int) -> np.ndarray:
     [0, 1) draws it exactly; u = 0 gives the level 1. DomainError when n is
     so large that log(u)/n underflows and a level rounds to 0.
     """
-    # one new array, updated in place; the caller's u is left as it was
     with np.errstate(divide="ignore"):
-        q = np.log(u)
-    q /= n
-    np.expm1(q, out=q)
-    np.negative(q, out=q)
+        q = -np.expm1(np.log(u) / n)
     if not q.all():
         raise DomainError(
             f"simulate_max: n={n} is too large to sample, a minimum tail level "
@@ -216,26 +215,34 @@ def simulate_max(dist: DistributionSpec, n: int, replications: int,
     Inverse-transform sampling through the tail quantile with the atom
     completion at x0. A batch maximum is the quantile of the smallest of its
     n uniform tail levels, and that smallest level is drawn directly from its
-    exact law with one uniform per replication, so time and memory are
-    O(replications) whatever n is. All levels are inverted with one
-    dist.quantile_tails call. Deterministic for a fixed non-negative seed
-    (Philox counter stream). Errors name their n; a pair whose b + a x
-    cannot resolve x is refused (norming.require_resolved).
+    exact law with one uniform per replication, so time is O(replications)
+    whatever n is. Levels are drawn and inverted _QUANTILE_BLOCK at a time,
+    one dist.quantile_tails call each, so memory beyond the maxima is
+    bounded. Deterministic for a fixed non-negative seed (Philox counter
+    stream, which the blocks continue). Errors name their n; a pair whose
+    b + a x cannot resolve x is refused (norming.require_resolved), and so is
+    a count of replications too large to hold.
     """
-    if replications < 1:
-        raise DomainError(f"simulate_max needs replications >= 1, got {replications!r}")
+    if not isinstance(replications, (int, np.integer)) or replications < 1:
+        raise DomainError(f"simulate_max needs an integer replications >= 1, got {replications!r}")
     if seed < 0:
         raise DomainError(f"simulate_max needs a non-negative seed, got {seed!r}")
+    try:
+        maxima = np.empty(replications)
+    except (MemoryError, ValueError):  # past the address space, or numpy's size cap
+        raise DomainError(
+            f"simulate_max: {replications} replications are too many to hold") from None
     n = int(n)
     pair = norming_exact(dist, n)
     require_resolved(pair)
     rng = np.random.Generator(np.random.Philox(seed))
-    try:
-        maxima = dist.quantile_tails(_min_tail_levels(rng.random(replications), n))
-    except EvtError as exc:
-        raise exc.at(f"n={n}") from exc
-    maxima -= pair.b
-    maxima /= pair.a
+    for start in range(0, replications, _QUANTILE_BLOCK):
+        levels = _min_tail_levels(rng.random(min(_QUANTILE_BLOCK, replications - start)), n)
+        try:
+            block = dist.quantile_tails(levels)
+        except EvtError as exc:
+            raise exc.at(f"n={n}") from exc
+        maxima[start:start + levels.size] = (block - pair.b) / pair.a
     return maxima
 
 

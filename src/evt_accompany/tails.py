@@ -46,9 +46,6 @@ _SEARCH_CAP = 10 * (13 + 61)
 _LOG2 = math.log(2.0)
 # levels per cell of the table that starts IteratedLogScale's array quantile
 _CELL_LEVELS = 8
-# levels per block of _newton, which runs its passes on one block at a time, so
-# its per-level arrays stay this long however many levels there are
-_NEWTON_BLOCK = 8192
 _X_MAX = sys.float_info.max
 _LOG_X_MAX = math.log(_X_MAX)
 
@@ -316,28 +313,18 @@ class DistributionSpec:
         return 0.0 if self._x0 > 0.0 else self._x0 - 1.0
 
     def _newton(self, lq: np.ndarray, v: np.ndarray, lo, hi, anchor=None) -> np.ndarray:
-        """quantile_tail's Newton passes on all levels, _NEWTON_BLOCK at a
-        time; returns x.
+        """quantile_tail's Newton passes on all levels at once; returns x.
 
         The iterates are v = x - s with u = log v: lq are the log levels, v
         their first iterates, and lo < hi the ends of their brackets in u,
-        floats or arrays. Each pass takes the log tails and slopes of a
-        block's iterates from one _log_tails_slopes_from call. A family whose
-        tail is an integral passes the (v, log tail) arrays `anchor` to
-        integrate the first pass from, and each later pass integrates from
-        the previous iterates; closed forms pass none. A level's iterates
-        depend on its own values only, so the blocks change no bit.
+        floats or arrays. Each pass takes the log tails and slopes of all
+        iterates from one _log_tails_slopes_from call. A family whose tail
+        is an integral passes the (v, log tail) arrays `anchor` to integrate
+        the first pass from, and each later pass integrates from the
+        previous iterates; closed forms pass none. A level's iterates depend
+        on its own values only, and the working arrays are as long as lq:
+        simulate_max bounds their length by inverting its levels in blocks.
         """
-        out = np.empty_like(v)
-        lo, hi = np.broadcast_to(lo, lq.shape), np.broadcast_to(hi, lq.shape)
-        for i in range(0, lq.size, _NEWTON_BLOCK):
-            block = slice(i, i + _NEWTON_BLOCK)
-            anchor_b = None if anchor is None else (anchor[0][block], anchor[1][block])
-            out[block] = self._newton_block(lq[block], v[block], lo[block], hi[block], anchor_b)
-        return out
-
-    def _newton_block(self, lq: np.ndarray, v: np.ndarray, lo, hi, anchor) -> np.ndarray:
-        # _newton on one block of levels
         out = np.empty_like(v)
         idx = np.arange(lq.size)
         tol = QUANTILE_LOG_TOL * np.clip(np.abs(lq), 1.0, _TOL_SCALE_CAP)
@@ -434,10 +421,8 @@ class ExponentialUnit(DistributionSpec):
         return -log_q, log_q
 
     def quantile_tails(self, q) -> np.ndarray:
-        x = np.log(_levels(q))
         # 0.0 - log q rather than -log q, so the atom level 1 maps to +0.0 = x0
-        np.subtract(0.0, x, out=x)
-        return x
+        return 0.0 - np.log(_levels(q))
 
     def _components(self, t: float):
         return 1.0, 1.0

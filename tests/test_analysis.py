@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from evt_accompany.analysis import (
+    _QUANTILE_BLOCK,
     POWER_IN_LOG_N,
     POWER_IN_N,
     AtPoint,
@@ -235,6 +236,12 @@ def test_simulate_rejects_bad_replications():
         simulate_max(ExponentialUnit(), 10, 0, seed=1)
 
 
+@pytest.mark.parametrize("replications", [2.0, 1000.5, "1000", None])
+def test_simulate_rejects_a_replication_count_that_is_not_an_integer(replications):
+    with pytest.raises(DomainError, match=f"got {replications!r}"):
+        simulate_max(ExponentialUnit(), 10, replications, seed=1)
+
+
 def test_simulate_rejects_negative_seed():
     with pytest.raises(DomainError, match="seed"):
         simulate_max(ExponentialUnit(), 10, 5, seed=-1)
@@ -295,17 +302,15 @@ def test_simulate_at_huge_n_is_finite_or_a_domain_error():
         _min_tail_levels(np.array([0.5, 1.0 - 2.0 ** -53]), 10 ** 308)
 
 
-@pytest.mark.parametrize("dist, per_rep", [
-    (ExponentialUnit(), 20),
-    (WeibullLike(1.0, 2.0, 2.0), 64),
-    (LogWeibullLike(1.0, 2.0, 0.0), 64),
-    (IteratedLogScale(2, 1.0, 1.0), 160),
-], ids=lambda v: getattr(v, "label", str(v)))
-def test_simulate_memory_per_replication_is_a_few_arrays(dist, per_rep):
+SAMPLED_FAMILIES = [ExponentialUnit(), WeibullLike(1.0, 2.0, 2.0), LogWeibullLike(1.0, 2.0, 0.0),
+                    IteratedLogScale(2, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("dist", SAMPLED_FAMILIES, ids=lambda d: d.label)
+def test_simulate_memory_per_replication_is_a_few_arrays(dist):
     # the traced peak of simulate_max from 50,000 to 200,000 replications, in
-    # bytes a replication, where one float array a replication long costs 8:
-    # levels and maxima updated in place, and the quantile searches of the
-    # power and iterlog families run in blocks of levels and of intervals
+    # bytes a replication: the maxima, one float array a replication long, 8;
+    # the levels and every quantile search's arrays are a block long
     def traced_peak(reps):
         tracemalloc.start()
         try:
@@ -316,4 +321,27 @@ def test_simulate_memory_per_replication_is_a_few_arrays(dist, per_rep):
 
     simulate_max(dist, 1000, 100, seed=7)  # lazy imports and caches first
     growth = (traced_peak(200_000) - traced_peak(50_000)) / 150_000
-    assert growth <= per_rep, f"{growth:.1f} bytes per replication"
+    assert growth <= 12, f"{growth:.1f} bytes per replication"
+
+
+@pytest.mark.parametrize("reps", [_QUANTILE_BLOCK - 1, _QUANTILE_BLOCK, _QUANTILE_BLOCK + 1])
+@pytest.mark.parametrize("dist", SAMPLED_FAMILIES[:3], ids=lambda d: d.label)
+def test_simulate_blocks_change_no_bit_of_the_closed_families(dist, reps):
+    # the Philox stream runs on across blocks, and a closed family's quantile
+    # depends on its own level only, so fewer replications are a prefix
+    whole = simulate_max(dist, 1000, 2 * _QUANTILE_BLOCK + 3, seed=11)
+    part = simulate_max(dist, 1000, reps, seed=11)
+    assert np.array_equal(whole[:reps].view(np.int64), part.view(np.int64))
+
+
+def test_simulate_inverts_iterlog_one_block_at_a_time():
+    # each block of maxima is the block's levels through one quantile_tails
+    # call, whose table spans that block only
+    dist, n, reps = IteratedLogScale(2, 1.0, 1.0), 1000, 2 * _QUANTILE_BLOCK + 3
+    samples = simulate_max(dist, n, reps, seed=11)
+    levels = _min_tail_levels(np.random.Generator(np.random.Philox(11)).random(reps), n)
+    pair = norming_exact(dist, n)
+    for start in range(0, reps, _QUANTILE_BLOCK):
+        block = slice(start, start + _QUANTILE_BLOCK)
+        want = (dist.quantile_tails(levels[block]) - pair.b) / pair.a
+        assert np.array_equal(samples[block].view(np.int64), want.view(np.int64))

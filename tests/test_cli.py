@@ -902,6 +902,20 @@ def test_simulate_csv_memory_does_not_grow_with_its_length(tmp_path, capsys):
     assert growth <= 48, f"{growth:.1f} bytes per replication"
 
 
+@pytest.mark.parametrize("reps", [2 ** 55, 2 ** 62])
+def test_simulate_refuses_reps_too_many_to_hold(tmp_path, capsys, reps):
+    # 2^55 samples need 2^58 bytes, past any 64-bit address space, and 2^62
+    # past numpy's size cap: both refused before any memory is touched, with
+    # an existing --out left as it was
+    out = tmp_path / "s.csv"
+    out.write_bytes(b"older\n")
+    assert main(_SIMULATE + ["--reps", str(reps), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"error (DomainError): simulate_max: {reps} replications are too many "
+                   f"to hold (at dist=exp)\n")
+    assert out.read_bytes() == b"older\n"
+
+
 @pytest.mark.parametrize("where", ["missing/x.csv", "."], ids=["missing dir", "a directory"])
 def test_unwritable_out_is_a_parse_error(tmp_path, capsys, where):
     path = os.path.join(tmp_path, where)

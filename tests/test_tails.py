@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evt_accompany import quadrature
-from evt_accompany.analysis import SupOnGrid, _min_tail_levels, guarded_xs
+from evt_accompany.analysis import _QUANTILE_BLOCK, SupOnGrid, _min_tail_levels, guarded_xs
 from evt_accompany.approx import two_term
 from evt_accompany.errors import DomainError, ParseError, QuadratureError
 from evt_accompany.norming import norming_exact, norming_exacts
@@ -17,7 +17,6 @@ from evt_accompany.tails import (
     LogWeibullLike,
     SlowlyVarying,
     WeibullLike,
-    _NEWTON_BLOCK,
     exp_tower,
     parse_dist,
 )
@@ -409,14 +408,15 @@ def test_handle_quantile_tails_search_levels_beyond_the_table_from_its_nearer_en
                 <= stop_gap(d, x, q) + stop_gap(d, want, q))
 
 
-@pytest.mark.parametrize("k", [_NEWTON_BLOCK - 1, _NEWTON_BLOCK, _NEWTON_BLOCK + 1])
+@pytest.mark.parametrize("k", [_QUANTILE_BLOCK - 1, _QUANTILE_BLOCK, _QUANTILE_BLOCK + 1])
 @pytest.mark.parametrize("dist", [WeibullLike(1.0, 2.0, 2.0), LogWeibullLike(1.0, 2.0, 1.5)],
                          ids=lambda d: d.label)
 def test_power_quantile_tails_do_not_depend_on_the_other_levels(dist, k):
-    # the Newton passes run on blocks of _NEWTON_BLOCK levels; a level's
-    # quantile is the same bits whichever block it falls in
+    # a level's quantile is the same bits whatever other levels share its
+    # call, so simulate_max's blocks of _QUANTILE_BLOCK levels change no bit;
+    # one call here spans more than two of them
     levels = _min_tail_levels(np.random.Generator(np.random.Philox(5)).random(
-        2 * _NEWTON_BLOCK + 3), 1000)
+        2 * _QUANTILE_BLOCK + 3), 1000)
     whole = dist.quantile_tails(levels)
     alone = dist.quantile_tails(levels[:k])
     assert np.array_equal(whole[:k].view(np.int64), alone.view(np.int64))
