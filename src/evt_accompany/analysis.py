@@ -17,7 +17,7 @@ import numpy as np
 
 from .approx import evaluate, exact_and_gammas
 from .errors import DegenerateError, DomainError, EvtError
-from .norming import NormingPair, norming_exact, norming_exacts, require_resolved
+from .norming import NormingPair, as_integer, norming_exact, norming_exacts, require_resolved
 from .tails import DistributionSpec
 
 POWER_IN_N = "power-in-n"
@@ -221,18 +221,17 @@ def simulate_max(dist: DistributionSpec, n: int, replications: int,
     bounded. Deterministic for a fixed non-negative seed (Philox counter
     stream, which the blocks continue). Errors name their n; a pair whose
     b + a x cannot resolve x is refused (norming.require_resolved), and so is
-    a count of replications too large to hold.
+    a count of replications too large to hold. n, replications and seed are
+    read by norming.as_integer, so a float or a string is refused.
     """
-    if not isinstance(replications, (int, np.integer)) or replications < 1:
-        raise DomainError(f"simulate_max needs an integer replications >= 1, got {replications!r}")
-    if seed < 0:
-        raise DomainError(f"simulate_max needs a non-negative seed, got {seed!r}")
+    n = as_integer(n, 2, "simulate_max needs an integer n")
+    replications = as_integer(replications, 1, "simulate_max needs an integer replications")
+    seed = as_integer(seed, 0, "simulate_max needs an integer seed")
     try:
         maxima = np.empty(replications)
     except (MemoryError, ValueError):  # past the address space, or numpy's size cap
         raise DomainError(
             f"simulate_max: {replications} replications are too many to hold") from None
-    n = int(n)
     pair = norming_exact(dist, n)
     require_resolved(pair)
     rng = np.random.Generator(np.random.Philox(seed))

@@ -11,6 +11,7 @@ pairs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,6 +62,20 @@ def require_resolved(pair: NormingPair) -> None:
             f"resolves x only to ulp(b_n)/a_n = {step:.3g}, above 2^-26")
 
 
+def as_integer(value, least: int, what: str) -> int:
+    """value as an int >= least. operator.index reads it, so Python and numpy
+    integers pass and a float or a string, which int() would cut or parse,
+    does not; either, or a value below least, is the DomainError
+    "<what> >= <least>, got <value>"."""
+    try:
+        whole = operator.index(value)
+    except TypeError:
+        whole = least - 1
+    if whole < least:
+        raise DomainError(f"{what} >= {least}, got {value!r}")
+    return whole
+
+
 def norming_exact(dist: DistributionSpec, n: int) -> NormingPair:
     """b_n by exact tail inversion, solving tail(b) = 1/n, and
     a_n = f(b_n)/g(b_n). This is norming_exacts on a one-point grid.
@@ -69,8 +84,6 @@ def norming_exact(dist: DistributionSpec, n: int) -> NormingPair:
 
 
 def _level(n: int) -> float:
-    if n < 2:
-        raise DomainError(f"norming_exact needs n >= 2, got {n!r}")
     try:
         return 1.0 / n
     except OverflowError:
@@ -86,7 +99,7 @@ def norming_exacts(dist: DistributionSpec, ns: Sequence[int]) -> list[NormingPai
     is an integral covers [x0, b] about once over the whole grid. Each
     pair's log_tail_b is the search's own last iterate. Errors name their n.
     """
-    ns = [int(n) for n in ns]
+    ns = [as_integer(n, 2, "norming_exact needs an integer n") for n in ns]
     if any(hi <= lo for lo, hi in zip(ns, ns[1:])):
         raise DomainError(f"norming_exacts needs strictly increasing n, got {ns!r}")
     pairs: list[NormingPair] = []
@@ -108,9 +121,7 @@ def norming_closed(dist: DistributionSpec, n: int) -> NormingPair:
     """The family's closed-form norming pair at n, the twin of norming_exact:
     Weibull-like and log-Weibull-like families hold one, other families raise
     DomainError. Errors, an overflow among them, name n."""
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"norming_closed needs n >= 2, got {n!r}")
+    n = as_integer(n, 2, "norming_closed needs an integer n")
     try:
         a, b = dist._closed_norming(n)
         return NormingPair(n=n, a=a, b=b)

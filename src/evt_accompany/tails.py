@@ -35,7 +35,7 @@ _TOL_SCALE_CAP = 100.0
 _BRACKET_CAP = 200
 _NEWTON_CAP = 100
 # A guard against a search that never ends, not a budget. Growth steps, taken
-# while the bracket has no upper end, may each grow u = log(x - s) by
+# while the bracket has no upper end, may each grow u = log x by
 # max(log 2, the distance from the start), so that distance at least doubles
 # per step, and at most 13 of them cross the float range (|u| < 745, and
 # 2^12 log 2 > 2 * 745). Bisection halves the bracket, and at most 61 halvings
@@ -189,22 +189,22 @@ class DistributionSpec:
     def quantile_tail(self, q: float) -> float:
         """The x >= x0 with tail(x) = q, for 0 < q <= tail(x0).
 
-        Safeguarded Newton in u = log(x - s), s = 0 if x0 > 0 else x0 - 1,
-        with the exact slope d log tail / du of _log_slopes, which the array
-        search shares. Below the root it steps on log tail, above it on
-        log(-log tail), which is close to linear in u there. A step that
-        leaves the bracket, is not finite or follows one that did not halve
-        |log(log tail / log q)| bisects. Until an upper end is known, a step
-        grows u by at most log 2 or the distance u has already come from the
-        search's start, whichever is larger, so the distance can double at
-        each step and a far quantile costs a few steps, not one per doubling
-        of x - s. A longer step whose tail cannot be evaluated becomes the
-        upper end to bisect towards; a quantile beyond the float range, or
-        beyond where the tail can be evaluated, raises DomainError. It stops
-        when |log_tail(x) - log q| <= 1e-12 * min(max(1, |log q|), 100) or
-        the bracket shrinks to rounding. Each iterate is evaluated from the
-        nearer bracket end, so IteratedLogScale, whose tail is an integral,
-        covers [x0, x] about once per search.
+        Safeguarded Newton in u = log x (ExponentialUnit answers with its
+        inverse -log q instead), with the exact slope d log tail / du of
+        _log_slopes, which the array search shares. Below the root it steps on
+        log tail, above it on log(-log tail), which is close to linear in u
+        there. A step that leaves the bracket, is not finite or follows one
+        that did not halve |log(log tail / log q)| bisects. Until an upper end
+        is known, a step grows u by at most log 2 or the distance u has
+        already come from the search's start, whichever is larger, so the
+        distance can double at each step and a far quantile costs a few steps,
+        not one per doubling of x. A longer step whose tail cannot be
+        evaluated becomes the upper end to bisect towards; a quantile beyond
+        the float range, or beyond where the tail can be evaluated, raises
+        DomainError. It stops when |log_tail(x) - log q| <= 1e-12 *
+        min(max(1, |log q|), 100) or the bracket shrinks to rounding. Each
+        iterate is evaluated from the nearer bracket end, so IteratedLogScale,
+        whose tail is an integral, covers [x0, x] about once per search.
         """
         return self.quantile_log_tail(q)[0]
 
@@ -230,12 +230,11 @@ class DistributionSpec:
                 raise DomainError(
                     f"q={q!r} exceeds tail(x0)={math.exp(log_tail_start)!r}; "
                     f"no quantile above x0")
-        s = self._shift()
-        lo_u, lo_x, lo_f = math.log(start - s), start, log_tail_start
+        lo_u, lo_x, lo_f = math.log(start), start, log_tail_start
         u_start = lo_u
         hi_u = hi_x = hi_f = math.inf  # no upper end yet
         x, f = self._start(log_q, start, log_tail_start)
-        u = math.log(x - s)
+        u = math.log(x)
         g_prev = math.inf
         for _ in range(_SEARCH_CAP):
             if f is None:  # x could not be evaluated: bisect below it
@@ -266,7 +265,7 @@ class DistributionSpec:
             g_prev = g
             if hi_u == math.inf:
                 u = min(u, lo_u + max(_LOG2, lo_u - u_start), _LOG_X_MAX)
-            x = s + math.exp(u)
+            x = math.exp(u)
             try:
                 if u - lo_u <= hi_u - u or math.isnan(hi_f):
                     f = self._log_tail_from(x, lo_x, lo_f)
@@ -298,70 +297,66 @@ class DistributionSpec:
         return start, log_tail_start
 
     def _newton_step(self, x: float, u: float, y: float) -> float:
-        # the step in u = log(x - s) that lowers log tail by y at its slope;
+        # the step in u = log x that lowers log tail by y at its slope;
         # NaN where the tail does not fall
-        slope = float(self._log_slopes(x - self._shift(), u))
+        slope = float(self._log_slopes(x, u))
         return -y / slope if slope < 0.0 else math.nan
 
-    def _log_slopes(self, v, lv):
-        """d log tail / du at x = v + s, u = lv, Python floats or arrays: the
-        slope of both quantile searches."""
+    def _log_slopes(self, x, lx):
+        """d log tail / d log x at x, given lx = log x, Python floats or
+        arrays: the slope of both quantile searches."""
         raise NotImplementedError
 
-    def _shift(self) -> float:
-        # the s of the search variable u = log(x - s)
-        return 0.0 if self._x0 > 0.0 else self._x0 - 1.0
-
-    def _newton(self, lq: np.ndarray, v: np.ndarray, lo, hi, anchor=None) -> np.ndarray:
+    def _newton(self, lq: np.ndarray, x: np.ndarray, lo, hi, anchor=None) -> np.ndarray:
         """quantile_tail's Newton passes on all levels at once; returns x.
 
-        The iterates are v = x - s with u = log v: lq are the log levels, v
-        their first iterates, and lo < hi the ends of their brackets in u,
-        floats or arrays. Each pass takes the log tails and slopes of all
-        iterates from one _log_tails_slopes_from call. A family whose tail
-        is an integral passes the (v, log tail) arrays `anchor` to integrate
-        the first pass from, and each later pass integrates from the
-        previous iterates; closed forms pass none. A level's iterates depend
-        on its own values only, and the working arrays are as long as lq:
-        simulate_max bounds their length by inverting its levels in blocks.
+        lq are the log levels, x their first iterates, and lo < hi the ends of
+        their brackets in u = log x, floats or arrays. Each pass takes the log
+        tails and slopes of all iterates from one _log_tails_slopes_from call.
+        A family whose tail is an integral passes the (x, log tail) arrays
+        `anchor` to integrate the first pass from, and each later pass
+        integrates from the previous iterates; closed forms pass none. A
+        level's iterates depend on its own values only, and the working arrays
+        are as long as lq: simulate_max bounds their length by inverting its
+        levels in blocks.
         """
-        out = np.empty_like(v)
+        out = np.empty_like(x)
         idx = np.arange(lq.size)
         tol = QUANTILE_LOG_TOL * np.clip(np.abs(lq), 1.0, _TOL_SCALE_CAP)
         g_prev = np.full(lq.shape, np.inf)
         for _ in range(_NEWTON_CAP):
-            lv = np.log(v)
-            f, slope = self._log_tails_slopes_from(v, lv, anchor)
+            lx = np.log(x)
+            f, slope = self._log_tails_slopes_from(x, lx, anchor)
             r = f - lq
             below = r > 0.0  # x is below its quantile
-            lo = np.where(below, lv, lo)
-            hi = np.where(below, hi, lv)
+            lo = np.where(below, lx, lo)
+            hi = np.where(below, hi, lx)
             done = (np.abs(r) <= tol) | (hi - lo <= 1e-15 * np.maximum(1.0, np.abs(lo)))
-            out[idx[done]] = v[done]
+            out[idx[done]] = x[done]
             todo = ~done
             if not todo.any():
-                return out + self._shift()
+                return out
             g = np.log(f / lq)  # log(-log tail) - log(-log q)
-            u = (lv - np.where(below, r, g * f) / slope)[todo]
+            u = (lx - np.where(below, r, g * f) / slope)[todo]
             g = np.abs(g[todo])
             lq, tol, lo, hi, idx = lq[todo], tol[todo], lo[todo], hi[todo], idx[todo]
             if anchor is not None:
-                anchor = v[todo], f[todo]
+                anchor = x[todo], f[todo]
             # from a point where the tail is nearly flat, Newton can jump back
             # and forth across the root without closing in; the halving test
             # turns such a step into a bisection
             bisect = ~((lo < u) & (u < hi) & (g <= 0.5 * g_prev[todo]))
             u[bisect] = 0.5 * (lo[bisect] + hi[bisect])
             g_prev = np.where(bisect, np.inf, g)
-            v = np.exp(u)
+            x = np.exp(u)
         raise ConvergenceError(
             f"array quantile of {self._label} exceeded {_NEWTON_CAP} Newton passes "
             f"({idx.size} levels left, e.g. log q = {float(lq[0])!r})")
 
-    def _log_tails_slopes_from(self, v, lv, anchor):
-        """log tail(x) and d log tail / du at x = v + s, u = lv, for _newton,
-        given anchor = (v, log tail) arrays of points to integrate from."""
-        raise NotImplementedError
+    def _log_tails_slopes_from(self, x, lx, anchor):
+        """log tail(x) and d log tail / d log x at x, lx = log x, for _newton,
+        given anchor = (x, log tail) arrays of points to integrate from."""
+        return self.log_tails_from(x, *anchor), self._log_slopes(x, lx)
 
     # -- von Mises components ----------------------------------------------
 
@@ -417,7 +412,14 @@ class ExponentialUnit(DistributionSpec):
     def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
         return -z
 
-    def _start(self, log_q: float, start: float, log_tail_start: float):
+    def quantile_log_tail(self, q: float, start: float | None = None,
+                          log_tail_start: float | None = None):
+        # the inverse -log q, which needs no start
+        if not (0.0 < q):
+            raise DomainError(f"quantile_tail needs q in (0, tail(x0)], got {q!r}")
+        log_q = math.log(q)
+        if log_q > 0.0:
+            raise DomainError(f"q={q!r} exceeds tail(x0)=1.0; no quantile above x0")
         return -log_q, log_q
 
     def quantile_tails(self, q) -> np.ndarray:
@@ -536,8 +538,8 @@ class _PowerFamily(DistributionSpec):
         """(a_n, b_n) of the closed-form norming at u = log(n)/c > 1."""
         raise NotImplementedError
 
-    def _log_slopes(self, v, lv):
-        return self._log_tails_slopes(v, lv)[1]  # s = 0, as x0 > 0
+    def _log_slopes(self, x, lx):
+        return self._log_tails_slopes(x, lx)[1]
 
     def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
         return self._log_tails_slopes(z, np.log(z))[0]
@@ -578,8 +580,8 @@ class _PowerFamily(DistributionSpec):
             x[inside] = self._newton(lq, self._closed_start(lq), math.log(self._x0), _LOG_X_MAX)
         return x
 
-    def _log_tails_slopes_from(self, v, lv, anchor):
-        return self._log_tails_slopes(v, lv)  # s = 0, as x0 > 0
+    def _log_tails_slopes_from(self, x, lx, anchor):
+        return self._log_tails_slopes(x, lx)
 
 
 class WeibullLike(_PowerFamily):
@@ -814,13 +816,10 @@ class IteratedLogScale(DistributionSpec):
         xs[order[inner]] = self._newton(lq, np.exp(u0), u[j], u[j + 1], (tx[end], tf[end]))
         return xs.reshape(shape)
 
-    def _log_tails_slopes_from(self, v, lv, anchor):
-        return self.log_tails_from(v, *anchor), self._log_slopes(v, lv)
-
-    def _log_slopes(self, v, lv):
+    def _log_slopes(self, x, lx):
         # d log tail / d log x = -(log_(k-1) log x)^a / C, finite where f
         # overflows near the float top
-        return -self._over_f_log(lv)
+        return -self._over_f_log(lx)
 
     def _integral(self, a, b):
         """The integral of g/f from a to b, floats or arrays of one shape.

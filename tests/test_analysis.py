@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,8 @@ from evt_accompany.approx import (
     gumbel_cdf,
 )
 from evt_accompany.errors import DegenerateError, DomainError
-from evt_accompany.norming import norming_exact
+from evt_accompany.gamma import gamma_closed_weibull, gamma_quadrature
+from evt_accompany.norming import NormingPair, norming_closed, norming_exact, norming_exacts
 from evt_accompany.tails import (
     ExponentialUnit,
     IteratedLogScale,
@@ -245,6 +247,56 @@ def test_simulate_rejects_a_replication_count_that_is_not_an_integer(replication
 def test_simulate_rejects_negative_seed():
     with pytest.raises(DomainError, match="seed"):
         simulate_max(ExponentialUnit(), 10, 5, seed=-1)
+
+
+# operator.index, not int(): a float or a string n or seed is refused rather
+# than cut (2.5 to 2) or parsed ("10" to 10)
+@pytest.mark.parametrize("call, message", [
+    (lambda: norming_exact(ExponentialUnit(), 2.5), "norming_exact needs an integer n >= 2, got 2.5"),
+    (lambda: norming_exacts(ExponentialUnit(), [10.0, 100.7]), "n >= 2, got 10.0"),
+    (lambda: norming_exacts(ExponentialUnit(), [10, 100.7]), "n >= 2, got 100.7"),
+    (lambda: norming_closed(WeibullLike(1.0, 2.0, 0.0), 2.5),
+     "norming_closed needs an integer n >= 2, got 2.5"),
+    (lambda: simulate_max(ExponentialUnit(), 2.5, 3, seed=1),
+     "simulate_max needs an integer n >= 2, got 2.5"),
+    (lambda: simulate_max(ExponentialUnit(), "10", 3, seed=1), "n >= 2, got '10'"),
+    (lambda: simulate_max(ExponentialUnit(), 10, 3, seed=1.5),
+     "simulate_max needs an integer seed >= 0, got 1.5"),
+    (lambda: simulate_max(ExponentialUnit(), 10, 3, seed=None), "seed >= 0, got None"),
+    (lambda: simulate_max(ExponentialUnit(), 10, 3, seed=-1), "seed >= 0, got -1"),
+], ids=["norming_exact-float", "norming_exacts-float", "norming_exacts-second", "closed-float",
+        "simulate-float-n", "simulate-str-n", "simulate-float-seed", "simulate-none-seed",
+        "simulate-negative-seed"])
+def test_integer_arguments_are_read_exactly(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
+
+
+def test_numpy_integer_arguments_are_integers():
+    d = ExponentialUnit()
+    got = simulate_max(d, np.int64(10), np.int32(3), seed=np.uint8(1))
+    assert got.tolist() == simulate_max(d, 10, 3, seed=1).tolist()
+    assert norming_exacts(d, np.array([10, 100])) == norming_exacts(d, [10, 100])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SupOnGrid(1.0, 1.0), "SupOnGrid needs x_lo < x_hi"),
+    (lambda: SupOnGrid(-2.0, 6.0, 1), "SupOnGrid needs steps >= 2"),
+    (lambda: synthetic_curve([100, 100], [0.1, 0.2]), "n values must be strictly increasing"),
+    (lambda: synthetic_curve([100, 1000], [0.1, math.nan]), "errors must be finite"),
+    (lambda: NormingPair(n=1, a=1.0, b=0.0), "norming needs n >= 2, got 1"),
+    (lambda: NormingPair(n=10, a=1.0, b=math.inf), "norming location b must be finite"),
+    (lambda: norming_closed(WeibullLike(1.0, 2.0, 0.0), 1),
+     "norming_closed needs an integer n >= 2, got 1"),
+    (lambda: gamma_quadrature(ExponentialUnit(), NormingPair(n=10, a=1.0, b=math.log(10.0)), -5.0),
+     "is below x0 = 0.0"),
+    (lambda: gamma_closed_weibull(0.0, 100, 1.0), "gamma_closed_weibull needs p > 0"),
+    (lambda: gamma_closed_weibull(2.0, 1, 1.0), "needs n >= 2, got 1"),
+], ids=["grid-span", "grid-steps", "curve-order", "curve-nan", "pair-n", "pair-b",
+        "closed-n", "quadrature-below-x0", "closed-gamma-p", "closed-gamma-n"])
+def test_library_refusals_name_their_argument(build, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        build()
 
 
 # Kolmogorov band: sqrt(m) * D <= 2.47, sqrt(log(2 / 1e-5) / 2) rounded

@@ -578,28 +578,60 @@ _COMMON_FLAGS = ["--dist", "--n", "--out"]
 _N_GEOM = {"rates", "norming"}
 _RATES = ["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "100:10000:3"]
 
-# (argv, text of the summary when it parses, None for help and parse errors)
+# (argv, text of the summary when it parses, the start of the message of a
+# parse error, or None for help)
 _COMMAND_LINES = [
     (["--help"], None),
-    ([], None),
-    (["bogus", "--dist", "exp"], None),
+    ([], "error (ParseError): missing command"),
+    (["bogus", "--dist", "exp"], "error (ParseError): unknown command 'bogus'"),
     (["table", "--help"], None),
     (["rates", "-h"], None),
     (["norming", "--help"], None),
     (["check-identity", "--help"], None),
     (["simulate", "--help"], None),
-    (["table", "--dist", "exp", "--n", "10"], None),
-    (["rates", "--dist", "exp", "--n-geom", "100:1000:3"], None),
-    (["simulate", "--dist", "exp", "--n", "10", "--reps", "x"], None),
-    (["table", "--dist", "exp", "--n", "10", "--x", "0:1:3", "--bogus", "1"], None),
+    (["table", "--dist", "exp", "--n", "10"], "error (ParseError): table: missing required --x"),
+    (["rates", "--dist", "exp", "--n-geom", "100:1000:3"],
+     "error (ParseError): rates: missing required --approx"),
+    (["simulate", "--dist", "exp", "--n", "10", "--reps", "x"],
+     "error (ParseError): --reps: invalid value 'x'"),
+    (["table", "--dist", "exp", "--n", "10", "--x", "0:1:3", "--bogus", "1"],
+     "error (ParseError): table: unrecognized argument '--bogus'"),
     # a prefix of a flag is not the flag
-    (["rates", "--dist", "exp", "--app", "gumbel", "--n-geom", "100:10000:3", "--sup"], None),
-    (["table", "--dist", "exp", "--n", "10", "--x"], None),
-    (["check-identity", "--dist", "exp", "--n", "1000", "--tol", "tight"], None),
+    (["rates", "--dist", "exp", "--app", "gumbel", "--n-geom", "100:10000:3", "--sup"],
+     "error (ParseError): rates: unrecognized argument '--app'"),
+    (["table", "--dist", "exp", "--n", "10", "--x"], "error (ParseError): --x: expected a value"),
+    (["check-identity", "--dist", "exp", "--n", "1000", "--tol", "tight"],
+     "error (ParseError): --tol: invalid value 'tight'"),
     # --sup without a value takes its default window, also before another flag
     (_RATES + ["--sup", "--approx", "accompanying"], "approx=accompanying metric=sup[-2,6]x161"),
     (_RATES + ["--sup", "-2:6:11"], "metric=sup[-2,6]x11"),
     (["table", "--dist", "exp", "--n", "1000", "--x=-2:6:9"], "table: 9 rows"),
+    (["table", "--dist", "exp", "--n", "1000", "--x", "-2:6"],
+     "error (ParseError): --x: expected lo:hi:steps, got '-2:6'"),
+    (["table", "--dist", "exp", "--n", "1000", "--x", "-2:six:9"],
+     "error (ParseError): --x: malformed window '-2:six:9'"),
+    (["table", "--dist", "exp", "--n", "1000", "--x", "-2:6:1"],
+     "error (ParseError): --x: needs steps >= 2"),
+    (["table", "--dist", "exp", "--n", "1", "--x", "-2:6:9"],
+     "error (ParseError): --n: every n must be >= 2"),
+    (["rates", "--dist", "exp", "--approx", "gumbel", "--n", "1000,100"],
+     "error (ParseError): --n: n values must be strictly increasing"),
+    (["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "100:10000"],
+     "error (ParseError): --n-geom: expected start:stop:count"),
+    (["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "10000:100:3"],
+     "error (ParseError): --n-geom: needs 2 <= start < stop"),
+    (_RATES + ["--n", "100"], "error (ParseError): --n and --n-geom are mutually exclusive"),
+    (["rates", "--dist", "exp", "--approx", "gumbel"],
+     "error (ParseError): one of --n or --n-geom is required"),
+    (["table", "--dist", "exp", "--n", "10,100", "--x", "-2:6:9"],
+     "error (ParseError): --n: this command takes exactly one n, got 2"),
+    (["table", "--dist", "exp", "--n", "1000", "--x", "-2:6:9", "--approx", "gumbel,bogus"],
+     "error (ParseError): --approx: unknown approximant 'bogus'"),
+    (_RATES + ["--at", "1", "--sup"], "error (ParseError): --at and --sup are mutually exclusive"),
+    (["simulate", "--dist", "exp", "--n", "1000", "--reps", "0"],
+     "error (ParseError): --reps: needs a positive count, got 0"),
+    # neither --at nor --sup: the default window
+    (_RATES, "approx=gumbel metric=sup[-2,6]x161"),
 ]
 
 
@@ -621,9 +653,9 @@ def test_command_line_contract(argv, summary, capsys):
         else:
             names = list(cli._COMMANDS)
         assert set(names) <= words, usage
-    elif summary is None:
+    elif summary.startswith("error (ParseError): "):
         assert code == 2 and not out
-        assert err.startswith("error (ParseError): "), err
+        assert err.startswith(summary), err
     else:
         assert code == 0, err
         assert out.startswith("# evt-accompany v") and summary in err

@@ -233,8 +233,8 @@ def test_correction_logweibull_zero_at_origin():
 def test_correction_generalized_first_term_only():
     # p = 2, log n = 16: -f'(b)/2 = (p-1)/(2 p log n) = 1/64 at x = 1, which is
     # gamma_exact - x under the canonical pair exactly (p = 2 is finite)
-    n = math.exp(16.0)
-    pair = pure_weibull_pair(1.0, 2.0, n)  # n rounds to an integer inside
+    n = int(math.exp(16.0))  # norming_closed takes an integer n only
+    pair = pure_weibull_pair(1.0, 2.0, n)
     d = WeibullLike(1.0, 2.0, 0.0)
     got = gamma_expansion(d, pair, 1.0)
     assert got == pytest.approx(1.0 / 64.0, abs=1e-9)

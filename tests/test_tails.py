@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,10 +167,34 @@ def test_quantile_log_tail_pairs_the_quantile_with_its_log_tail(dist):
             assert log_tail_x == dist.log_tail(x)
 
 
+def _bits(pair):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return tuple(v.hex() for v in pair)
+
+
 def test_quantile_log_tail_exponential_is_closed_form():
-    assert ExponentialUnit().quantile_log_tail(0.3) == (-math.log(0.3), math.log(0.3))
-    assert ExponentialUnit().quantile_log_tail(0.3, 5.0, -5.0) == (-math.log(0.3),
-                                                                  math.log(0.3))
+    # the atom level 1, a deep level and the smallest positive float; a start
+    # changes no bit, as the inverse needs none
+    for q in (0.3, 1.0, 1e-300, 5e-324):
+        want = _bits((-math.log(q), math.log(q)))  # -log 1 is -0.0
+        assert _bits(ExponentialUnit().quantile_log_tail(q)) == want
+        assert _bits(ExponentialUnit().quantile_log_tail(q, 5.0, -5.0)) == want
+
+
+@pytest.mark.parametrize("dist", [ExponentialUnit(), WeibullLike(1.0, 2.0, 2.0)],
+                         ids=lambda d: d.label)
+def test_quantile_log_tail_refuses_levels_outside_its_range(dist):
+    # exp inverts its tail in closed form and the others search for it; both
+    # give the same two messages
+    for q in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match=r"^quantile_tail needs q in \(0, tail\(x0\)\], "
+                                              f"got {q!r}$"):
+            dist.quantile_log_tail(q)
+    top = re.escape(repr(dist.tail(dist.x0)))
+    for q in (1.5, math.inf):
+        with pytest.raises(DomainError, match=f"^q={q!r} exceeds tail\\(x0\\)={top}; "
+                                              f"no quantile above x0$"):
+            dist.quantile_log_tail(q)
 
 
 def test_quantile_log_tail_resumes_from_a_start():
@@ -942,11 +967,30 @@ def test_parse_rejections_name_the_field():
         "weibull:c=1,p=2,alpha=0,ell=weird:1": "ell",
         "iterlog:k=1,a=1,C=1": "'k'",
         "iterlog:k=2,a=0,C=1": "'a'",
+        "iterlog:k=2,a=1,C=0": "'C'",
         "gumbelzilla:c=1": "gumbelzilla",
+        "weibull:c=inf,p=2,alpha=0,ell=const:1": "field 'c': must be finite",
+        "weibull:c=1,p=2,alpha=0,ell=const:1:2": "const takes one value",
+        "weibull:c=1,p=2,alpha=0,ell=const:0": "const scale must be > 0",
+        "weibull:c=1,p=2,alpha=0,ell=logpow:1": "logpow takes two values",
+        "weibull:c=1,p=2,alpha=0,ell=logpow:-1:1": "logpow scale must be > 0",
+        "weibull:c=1,p,alpha=0,ell=const:1": "malformed field 'p'",
+        "weibull:c=1,c=2,p=2,alpha=0,ell=const:1": "duplicate field 'c'",
     }
     for spec, needle in cases.items():
         with pytest.raises(ParseError, match=needle):
             parse_dist(spec)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SlowlyVarying("power", 1.0), "unknown slowly varying kind 'power'"),
+    (lambda: SlowlyVarying.log_power(1.0, math.inf), "exponent beta must be finite"),
+    (lambda: IteratedLogScale(2, 0.0, 1.0), "IteratedLogScale needs a > 0"),
+    (lambda: IteratedLogScale(2, 1.0, -1.0), "IteratedLogScale needs C > 0"),
+], ids=["ell-kind", "ell-beta", "iterlog-a", "iterlog-C"])
+def test_family_constructors_refuse_out_of_domain_parameters(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
 
 
 def test_parse_is_exact_about_numbers():
