@@ -5,6 +5,10 @@ log scale, the tail quantile, and its von Mises representation components
 (f, g) with 1 - F(x) = (1 - F(x0)) * exp(-integral_{x0}^{x} g(t)/f(t) dt).
 The constant in front cancels from every tail ratio, so no family carries it.
 
+A family gives its tail through one hook, _log_tails_slopes_from (log tail
+and its slope in log x, on floats or arrays), and stores log tail(x0) once;
+DistributionSpec derives every tail value and both quantile searches.
+
 Below x0 the distribution is completed with an atom at x0 of mass F(x0);
 only maxima evaluation and sampling ever touch that completion, never the
 tail operations themselves (they require x >= x0).
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .errors import ConvergenceError, DivergenceError, DomainError, EvtError, ParseError
+from .errors import ConvergenceError, DomainError, EvtError, ParseError
 
 _E = math.e
 
@@ -114,8 +118,9 @@ def exp_tower(k: int) -> float:
 
 
 def _below(x: float, x0: float) -> bool:
-    # tolerate float round-trip noise (e.g. exp(log(x0))) a few ulp under x0
-    return x < x0 - 1e-12 * max(1.0, abs(x0))
+    # tolerate float round-trip noise (e.g. exp(log(x0))) a few ulp under x0;
+    # NaN is below
+    return not x >= x0 - 1e-12 * max(1.0, abs(x0))
 
 
 def _levels(q) -> np.ndarray:
@@ -136,9 +141,12 @@ def _pow(x: float, base: float, p: float) -> float:
 
 
 class DistributionSpec:
-    """Base class for tail families. Subclasses set _x0 and _label."""
+    """Base class for tail families. Subclasses set _x0, _log_tail_x0 =
+    log tail(x0) and _label, and give the tail hook _log_tails_slopes_from;
+    every tail value and both quantile searches read it."""
 
     _x0: float
+    _log_tail_x0: float
     _label: str
 
     @property
@@ -151,11 +159,30 @@ class DistributionSpec:
 
     # -- tail surface ------------------------------------------------------
 
+    def _log_tails_slopes_from(self, x, lx, anchor, log_tail_anchor):
+        """log tail(x) and d log tail / d log x at points x >= x0, given
+        lx = log x, Python floats or arrays of one shape: the family's one
+        tail hook. A tail that is an integral integrates from the points
+        anchor >= x0, where log tail is log_tail_anchor; closed forms ignore
+        both."""
+        raise NotImplementedError
+
+    def _read_tail(self, x: float, anchor: float, log_tail_anchor: float):
+        """(log tail(x), d log tail / d log x) at one float x > 0, as Python
+        floats: the hook's float reader. A log tail that overflows is a
+        DomainError naming x."""
+        try:
+            log_tail, slope = self._log_tails_slopes_from(x, math.log(x), anchor, log_tail_anchor)
+        except OverflowError:
+            raise DomainError(
+                f"tail at x={x!r} is outside the float range (its log tail overflows)") from None
+        return log_tail, float(slope)
+
     def log_tail(self, x: float) -> float:
         """log(1 - F(x)) for x >= x0, evaluated entirely on the log scale."""
         if _below(x, self._x0):
             raise DomainError(f"log_tail needs x >= x0 = {self._x0!r}, got {x!r}")
-        return self._log_tail_raw(x)
+        return self.log_tail_from(x, self._x0, self._log_tail_x0)
 
     def tail(self, x: float) -> float:
         """P(X > x) in (0, 1] for x >= x0."""
@@ -165,24 +192,23 @@ class DistributionSpec:
         """log_tail(x), given log_tail_anchor = log_tail(anchor) at another point >= x0.
 
         Families whose tail is an integral only integrate between anchor and
-        x; closed forms ignore the anchor and return exactly log_tail(x).
+        x; closed forms ignore the anchor and return exactly log_tail(x). An
+        x at x0, or a few ulp under it, takes the stored log tail(x0).
         """
-        if _below(min(x, anchor), self._x0):
+        if _below(x, self._x0) or _below(anchor, self._x0):
             raise DomainError(f"log_tail_from needs both points >= x0 = {self._x0!r}")
-        return self._log_tail_from(x, anchor, log_tail_anchor)
+        if x <= self._x0:
+            return self._log_tail_x0
+        return self._read_tail(x, anchor, log_tail_anchor)[0]
 
     def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
         """log_tail over an array z of points >= x0, given log_tail_anchor =
         log_tail(anchor) at points >= x0, arrays of z's shape or, for a 2-D
         z, columns of one per row: the array twin of log_tail_from. Closed
         forms ignore the anchors."""
-        raise NotImplementedError
-
-    def _log_tail_raw(self, x: float) -> float:
-        raise NotImplementedError
-
-    def _log_tail_from(self, x: float, anchor: float, log_tail_anchor: float) -> float:
-        return self._log_tail_raw(x)
+        with np.errstate(divide="ignore"):  # log 0 = -inf at exp's x0 = 0
+            lz = np.log(z)
+        return self._log_tails_slopes_from(z, lz, anchor, log_tail_anchor)[0]
 
     # -- quantile ----------------------------------------------------------
 
@@ -190,8 +216,9 @@ class DistributionSpec:
         """The x >= x0 with tail(x) = q, for 0 < q <= tail(x0).
 
         Safeguarded Newton in u = log x (ExponentialUnit answers with its
-        inverse -log q instead), with the exact slope d log tail / du of
-        _log_slopes, which the array search shares. Below the root it steps on
+        inverse -log q instead), with the exact slope d log tail / du that
+        each iterate's one read of _log_tails_slopes_from returns, as the
+        array search's passes do. Below the root it steps on
         log tail, above it on log(-log tail), which is close to linear in u
         there. A step that leaves the bracket, is not finite or follows one
         that did not halve |log(log tail / log q)| bisects. Until an upper end
@@ -225,7 +252,7 @@ class DistributionSpec:
         log_q = math.log(q)
         tol = QUANTILE_LOG_TOL * min(max(1.0, abs(log_q)), _TOL_SCALE_CAP)
         if start is None or log_tail_start < log_q - tol:
-            start, log_tail_start = self._x0, self._log_tail_raw(self._x0)
+            start, log_tail_start = self._x0, self._log_tail_x0
             if log_q > log_tail_start:
                 raise DomainError(
                     f"q={q!r} exceeds tail(x0)={math.exp(log_tail_start)!r}; "
@@ -233,8 +260,9 @@ class DistributionSpec:
         lo_u, lo_x, lo_f = math.log(start), start, log_tail_start
         u_start = lo_u
         hi_u = hi_x = hi_f = math.inf  # no upper end yet
-        x, f = self._start(log_q, start, log_tail_start)
+        x = self._start(log_q, start)
         u = math.log(x)
+        f, slope = self._read_tail(x, start, log_tail_start)
         g_prev = math.inf
         for _ in range(_SEARCH_CAP):
             if f is None:  # x could not be evaluated: bisect below it
@@ -259,7 +287,10 @@ class DistributionSpec:
                             f"{hi_x!r}, where its tail cannot be evaluated")
                     return x, f
                 g = abs(math.log(f / log_q)) if f < 0.0 else math.inf
-                u = u + self._newton_step(x, u, r if r > 0.0 else g * f)
+                # the step that lowers log tail by y at the slope; NaN where
+                # the tail does not fall
+                y = r if r > 0.0 else g * f
+                u = u + (-y / slope if slope < 0.0 else math.nan)
                 if not (lo_u < u < hi_u and g <= 0.5 * g_prev):
                     u, g = 0.5 * (lo_u + hi_u), math.inf
             g_prev = g
@@ -268,9 +299,9 @@ class DistributionSpec:
             x = math.exp(u)
             try:
                 if u - lo_u <= hi_u - u or math.isnan(hi_f):
-                    f = self._log_tail_from(x, lo_x, lo_f)
+                    f, slope = self._read_tail(x, lo_x, lo_f)
                 else:
-                    f = self._log_tail_from(x, hi_x, hi_f)
+                    f, slope = self._read_tail(x, hi_x, hi_f)
             except EvtError:
                 # a galloping step may overshoot into a range where the tail
                 # cannot be evaluated (an iterlog integral that fails to
@@ -292,33 +323,23 @@ class DistributionSpec:
         """
         raise NotImplementedError
 
-    def _start(self, log_q: float, start: float, log_tail_start: float):
-        # the search's first iterate (x, log tail(x)); closed forms use their inverse
-        return start, log_tail_start
+    def _start(self, log_q: float, start: float) -> float:
+        # the search's first iterate; closed forms use their inverse
+        return start
 
-    def _newton_step(self, x: float, u: float, y: float) -> float:
-        # the step in u = log x that lowers log tail by y at its slope;
-        # NaN where the tail does not fall
-        slope = float(self._log_slopes(x, u))
-        return -y / slope if slope < 0.0 else math.nan
-
-    def _log_slopes(self, x, lx):
-        """d log tail / d log x at x, given lx = log x, Python floats or
-        arrays: the slope of both quantile searches."""
-        raise NotImplementedError
-
-    def _newton(self, lq: np.ndarray, x: np.ndarray, lo, hi, anchor=None) -> np.ndarray:
+    def _newton(self, lq: np.ndarray, x: np.ndarray, lo, hi, anchor=None,
+                log_tail_anchor=None) -> np.ndarray:
         """quantile_tail's Newton passes on all levels at once; returns x.
 
         lq are the log levels, x their first iterates, and lo < hi the ends of
         their brackets in u = log x, floats or arrays. Each pass takes the log
         tails and slopes of all iterates from one _log_tails_slopes_from call.
-        A family whose tail is an integral passes the (x, log tail) arrays
-        `anchor` to integrate the first pass from, and each later pass
-        integrates from the previous iterates; closed forms pass none. A
-        level's iterates depend on its own values only, and the working arrays
-        are as long as lq: simulate_max bounds their length by inverting its
-        levels in blocks.
+        A family whose tail is an integral passes the arrays `anchor` and
+        `log_tail_anchor` of points to integrate the first pass from, and
+        each later pass integrates from the previous iterates; closed forms
+        pass none. A level's iterates depend on its own values only, and the
+        working arrays are as long as lq: simulate_max bounds their length by
+        inverting its levels in blocks.
         """
         out = np.empty_like(x)
         idx = np.arange(lq.size)
@@ -326,7 +347,7 @@ class DistributionSpec:
         g_prev = np.full(lq.shape, np.inf)
         for _ in range(_NEWTON_CAP):
             lx = np.log(x)
-            f, slope = self._log_tails_slopes_from(x, lx, anchor)
+            f, slope = self._log_tails_slopes_from(x, lx, anchor, log_tail_anchor)
             r = f - lq
             below = r > 0.0  # x is below its quantile
             lo = np.where(below, lx, lo)
@@ -341,7 +362,7 @@ class DistributionSpec:
             g = np.abs(g[todo])
             lq, tol, lo, hi, idx = lq[todo], tol[todo], lo[todo], hi[todo], idx[todo]
             if anchor is not None:
-                anchor = x[todo], f[todo]
+                anchor, log_tail_anchor = x[todo], f[todo]
             # from a point where the tail is nearly flat, Newton can jump back
             # and forth across the root without closing in; the halving test
             # turns such a step into a bisection
@@ -353,18 +374,14 @@ class DistributionSpec:
             f"array quantile of {self._label} exceeded {_NEWTON_CAP} Newton passes "
             f"({idx.size} levels left, e.g. log q = {float(lq[0])!r})")
 
-    def _log_tails_slopes_from(self, x, lx, anchor):
-        """log tail(x) and d log tail / d log x at x, lx = log x, for _newton,
-        given anchor = (x, log tail) arrays of points to integrate from."""
-        return self.log_tails_from(x, *anchor), self._log_slopes(x, lx)
-
     # -- von Mises components ----------------------------------------------
 
     def von_mises_components(self, t: float):
-        """(f(t), g(t)) of the representation at t >= x0."""
+        """(f(t), g(t)) of the representation at t >= x0; a t a few ulp
+        under x0 reads x0."""
         if _below(t, self._x0):
             raise DomainError(f"von Mises components need t >= x0 = {self._x0!r}, got {t!r}")
-        return self._components(t)
+        return self._components(max(t, self._x0))
 
     def aux_slope(self, t: float) -> float:
         """f'(t), the slope of the auxiliary function, by a central difference
@@ -403,14 +420,11 @@ class ExponentialUnit(DistributionSpec):
     within O(1/n) of the Gumbel limit."""
 
     def __init__(self) -> None:
-        self._x0 = 0.0
+        self._x0, self._log_tail_x0 = 0.0, -0.0
         self._label = "exp"
 
-    def _log_tail_raw(self, x: float) -> float:
-        return -x
-
-    def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
-        return -z
+    def _log_tails_slopes_from(self, x, lx, anchor, log_tail_anchor):
+        return -x, -x
 
     def quantile_log_tail(self, q: float, start: float | None = None,
                           log_tail_start: float | None = None):
@@ -434,10 +448,10 @@ class _PowerFamily(DistributionSpec):
     """Tails ell(x) x^alpha exp(-c h(x)^p), with h(x) = x (WeibullLike) or
     h(x) = log x (LogWeibullLike), which share one constructor and one array
     quantile. Subclasses give class data (the spec head _head, the bound
-    _p_min that p must exceed, the floor _x0_floor of x0's search, e for a
-    log-power ell, and the _x_min that the tail needs x above) and formulas:
-    the closed-form inverse of the alpha = 0, constant-ell member, the log
-    tail with its exact slope in log x, the components, and the closed-form
+    _p_min that p must exceed, and the floor _x0_floor of x0's search, e for
+    a log-power ell) and formulas: the closed-form inverse of the alpha = 0,
+    constant-ell member, the log tail with its exact slope in log x (the
+    tail hook, which ignores anchors), the components, and the closed-form
     norming pair at u = log(n)/c.
     """
 
@@ -455,7 +469,7 @@ class _PowerFamily(DistributionSpec):
         self.alpha = float(alpha)
         self.ell = ell if ell is not None else SlowlyVarying.const(1.0)
         floor = _E if self.ell.kind == "logpow" else self._x0_floor
-        self._x0 = self._auto_x0(floor)
+        self._x0, self._log_tail_x0 = self._auto_x0(floor)
         self._label = (f"{self._head}:c={self.c:g},p={self.p:g},alpha={self.alpha:g},"
                        f"ell={self.ell.label}")
 
@@ -463,40 +477,22 @@ class _PowerFamily(DistributionSpec):
         """The x with log ell0 - c h(x)^p = log q."""
         raise NotImplementedError
 
-    def _log_tails_slopes(self, x, lx):
-        """log tail(x) and d log tail / d log x, given lx = log x, Python
-        floats or arrays: the one formula of the tail."""
-        raise NotImplementedError
-
-    def _log_tail_slope(self, x: float):
-        """log tail(x) and d log tail / d log x at one float x: the scalar
-        reader of _log_tails_slopes, which both the tail and x0's search use."""
-        if not x > self._x_min:
-            raise DomainError(f"{type(self).__name__} tail needs x > {self._x_min:g}, got {x!r}")
-        try:
-            return self._log_tails_slopes(x, math.log(x))
-        except OverflowError:
-            raise DomainError(
-                f"tail at x={x!r} is outside the float range (its log tail overflows)") from None
-
-    def _log_tail_raw(self, x: float) -> float:
-        return self._log_tail_slope(x)[0]
-
     def _admissible_log_tail(self, x: float) -> float | None:
         """log tail(x) if x may be x0 (the log tail is finite and at most 0
         there, and falls by its exact slope), else None."""
         try:
-            log_tail, slope = self._log_tail_slope(x)
+            log_tail, slope = self._read_tail(x, None, None)
         except DomainError:
             return None
         return log_tail if -math.inf < log_tail <= 0.0 and slope < 0.0 else None
 
-    def _auto_x0(self, floor: float) -> float:
-        """Smallest admissible point on the doubling grid e * 2^j.
+    def _auto_x0(self, floor: float):
+        """(x0, log tail(x0)) at the smallest admissible point on the
+        doubling grid e * 2^j.
 
         Starts at max(1, e) and doubles outward, as far as the largest float,
         until the tail is <= 1 and falling (value and exact slope from one
-        _log_tails_slopes call), then walks the same grid back down toward
+        read of the tail hook), then walks the same grid back down toward
         `floor` so that fast tails (e.g. exp(-x^3)) keep their natural support
         edge and tail(x0) stays near 1. A tail steep enough to underflow to 0 at that
         grid point is bisected in log x toward the inadmissible point below
@@ -526,7 +522,7 @@ class _PowerFamily(DistributionSpec):
         if math.exp(log_tail) == 0.0:
             raise DomainError(f"{type(self).__name__} tail underflows to 0 at its x0 = {x!r} "
                               f"(log tail {log_tail!r})")
-        return x
+        return x, log_tail
 
     def _closed_norming(self, n: int):
         u = math.log(n) / self.c
@@ -538,21 +534,14 @@ class _PowerFamily(DistributionSpec):
         """(a_n, b_n) of the closed-form norming at u = log(n)/c > 1."""
         raise NotImplementedError
 
-    def _log_slopes(self, x, lx):
-        return self._log_tails_slopes(x, lx)[1]
-
-    def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
-        return self._log_tails_slopes(z, np.log(z))[0]
-
     def _closed_start(self, log_q):
         # the closed-form inverse clipped to [x0, largest float]; it is NaN for a
         # level above ell0 and inf past the float range, so callers hold errstate
         return np.fmin(np.fmax(self._closed_inverse(log_q), self._x0), _X_MAX)
 
-    def _start(self, log_q: float, start: float, log_tail_start: float):
+    def _start(self, log_q: float, start: float) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
-            x = float(self._closed_start(np.float64(log_q)))
-        return x, self._log_tail_raw(x)
+            return float(self._closed_start(np.float64(log_q)))
 
     def quantile_tails(self, q) -> np.ndarray:
         """quantile_tail over an array of levels in (0, 1], completed by the
@@ -561,27 +550,25 @@ class _PowerFamily(DistributionSpec):
         quantile_tail's safeguarded Newton on all levels at once, from the
         closed-form start; for alpha = 0 and constant ell that start already
         meets the tolerance and is returned unchanged. The slope is the exact
-        one of _log_tails_slopes. The levels are checked against
+        one of the tail hook. The levels are checked against
         tail(largest float) first, so every bracket has both ends from the
         outset: log x0 and the log of the largest float.
         """
         log_q = np.log(_levels(q))
         x = np.full(log_q.shape, self._x0)
-        inside = log_q < self._log_tail_raw(self._x0)
+        inside = log_q < self._log_tail_x0
         if not inside.any():
             return x
         lq = log_q[inside]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f_max = self._log_tails_slopes(np.array(_X_MAX), np.array(_LOG_X_MAX))[0]
+            f_max = self._log_tails_slopes_from(np.array(_X_MAX), np.array(_LOG_X_MAX),
+                                                None, None)[0]
             if lq.min() < f_max:
                 raise DomainError(
                     f"a quantile of {self._label} overflows a float (smallest level "
                     f"{float(np.exp(lq.min()))!r})")
             x[inside] = self._newton(lq, self._closed_start(lq), math.log(self._x0), _LOG_X_MAX)
         return x
-
-    def _log_tails_slopes_from(self, x, lx, anchor):
-        return self._log_tails_slopes(x, lx)
 
 
 class WeibullLike(_PowerFamily):
@@ -595,12 +582,11 @@ class WeibullLike(_PowerFamily):
     _head = "weibull"
     _p_min = 0.0
     _x0_floor = _E * 2.0 ** -60
-    _x_min = 0.0
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         return ((math.log(self.ell.scale) - log_q) / self.c) ** (1.0 / self.p)
 
-    def _log_tails_slopes(self, x, lx):
+    def _log_tails_slopes_from(self, x, lx, anchor, log_tail_anchor):
         log_ell, delta = self.ell.log_values_deltas(lx)
         cxp = self.c * x ** self.p
         return log_ell + self.alpha * lx - cxp, self.alpha + delta - self.p * cxp
@@ -640,12 +626,11 @@ class LogWeibullLike(_PowerFamily):
     _head = "logweibull"
     _p_min = 1.0
     _x0_floor = _E
-    _x_min = 1.0
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         return np.exp(((math.log(self.ell.scale) - log_q) / self.c) ** (1.0 / self.p))
 
-    def _log_tails_slopes(self, x, lx):
+    def _log_tails_slopes_from(self, x, lx, anchor, log_tail_anchor):
         log_ell, delta = self.ell.log_values_deltas(lx)
         clp = self.c * lx ** self.p
         return log_ell + self.alpha * lx - clp, self.alpha + delta - self.p * clp / lx
@@ -665,14 +650,17 @@ class LogWeibullLike(_PowerFamily):
         the g-deficit along the tail, done in closed form for the built-in ell
         menu), then b = exp(y^(1/p)) and a = f(b)/g(b). One substitution gives
         the leading asymptotics; the others shrink the types gap enough to be
-        measured against exact inversion at desk-scale n. A defect that grows
-        on two successive substitutions is a DivergenceError.
+        measured against exact inversion at desk-scale n. An iterate that is
+        not positive, or a defect that grows on two successive substitutions,
+        is a DomainError: the closed form's asymptotic regime is not reached
+        at this n.
         """
         c, inv_p = self.c, 1.0 / self.p
 
         def defect(y: float) -> float:
             if not y > 0.0:  # y ** inv_p would be complex
-                raise DivergenceError(
+                raise DomainError(
+                    f"the closed form's asymptotic regime is not reached at this n: "
                     f"log-Weibull fixed-point iterate is not positive: y = {y!r}")
             root = y ** inv_p
             return y - u - (self.alpha / c) * root - self.ell.log_values_deltas(root)[0] / c
@@ -683,7 +671,8 @@ class LogWeibullLike(_PowerFamily):
             step = defect(y)
             grew = grew + 1 if abs(step) > abs(last) else 0
             if grew >= 2:
-                raise DivergenceError(
+                raise DomainError(
+                    f"the closed form's asymptotic regime is not reached at this n: "
                     f"asymptotic iteration defect grew twice in a row (last {abs(step)!r})")
             last = step
         b = math.exp(y ** inv_p)
@@ -700,8 +689,8 @@ class IteratedLogScale(DistributionSpec):
 
     The log tail is minus the integral of g/f, taken in s = log t (x0 > 1),
     where wide ranges of this slowly varying integrand condition far better.
-    The integrand takes an array of nodes, and the scalar Newton step's
-    slope passes it one float.
+    The integrand takes an array of nodes, and the slope of a float read of
+    the tail hook passes it one float.
     """
 
     def __init__(self, k: int, a: float, C: float) -> None:
@@ -714,7 +703,7 @@ class IteratedLogScale(DistributionSpec):
         self.k = k
         self.a = float(a)
         self.C = float(C)
-        self._x0 = exp_tower(k) + 1.0
+        self._x0, self._log_tail_x0 = exp_tower(k) + 1.0, 0.0
         self._label = f"iterlog:k={self.k},a={self.a:g},C={self.C:g}"
         # the largest x where (log_k x)^a and the integrand (log_k x)^a / C,
         # which grow with x, stay a factor e (spare for rounding) below the
@@ -734,11 +723,10 @@ class IteratedLogScale(DistributionSpec):
             s = np.log(s)
         return s ** self.a / self.C
 
-    def _log_tail_raw(self, x: float) -> float:
-        return 0.0 - self._integral(self._x0, x)
-
-    def _log_tail_from(self, x: float, anchor: float, log_tail_anchor: float) -> float:
-        return log_tail_anchor + self.log_tail_steps(anchor, x)
+    def _log_tails_slopes_from(self, x, lx, anchor, log_tail_anchor):
+        # d log tail / d log x = -(log_(k-1) log x)^a / C, finite where f
+        # overflows near the float top
+        return log_tail_anchor + self.log_tail_steps(anchor, x), -self._over_f_log(lx)
 
     def log_tail_steps(self, starts, ends):
         """log tail(ends) - log tail(starts) at points >= x0, floats or arrays
@@ -782,7 +770,7 @@ class IteratedLogScale(DistributionSpec):
         # math.log, as quantile_tail takes it, for the atom test and the searches
         lq = np.array([math.log(v) for v in q.tolist()])
         xs = np.full(q.size, self._x0)
-        inside = np.flatnonzero(lq < self._log_tail_raw(self._x0))
+        inside = np.flatnonzero(lq < self._log_tail_x0)
         if inside.size == 0:
             return xs.reshape(shape)
         order = inside[np.argsort(-lq[inside], kind="stable")]
@@ -807,19 +795,14 @@ class IteratedLogScale(DistributionSpec):
         lq = lq[inner]
         j = np.searchsorted(-tf, -lq) - 1  # tf[j] > lq >= tf[j + 1]
         h = tf[j + 1] - tf[j]
-        m = 1.0 / self._log_slopes(tx, u)  # du / d log tail at the table points
+        m = -1.0 / self._over_f_log(u)  # du / d log tail at the table points
         t = (lq - tf[j]) / h
         u0 = ((1.0 + 2.0 * t) * u[j] + t * h * m[j]) * (1.0 - t) ** 2 \
             + ((3.0 - 2.0 * t) * u[j + 1] + (t - 1.0) * h * m[j + 1]) * t ** 2
         u0 = np.where((u[j] < u0) & (u0 < u[j + 1]), u0, 0.5 * (u[j] + u[j + 1]))
         end = np.where(u0 - u[j] <= u[j + 1] - u0, j, j + 1)  # the nearer cell end
-        xs[order[inner]] = self._newton(lq, np.exp(u0), u[j], u[j + 1], (tx[end], tf[end]))
+        xs[order[inner]] = self._newton(lq, np.exp(u0), u[j], u[j + 1], tx[end], tf[end])
         return xs.reshape(shape)
-
-    def _log_slopes(self, x, lx):
-        # d log tail / d log x = -(log_(k-1) log x)^a / C, finite where f
-        # overflows near the float top
-        return -self._over_f_log(lx)
 
     def _integral(self, a, b):
         """The integral of g/f from a to b, floats or arrays of one shape.

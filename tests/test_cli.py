@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import evt_accompany
 from evt_accompany import quadrature
 from evt_accompany.analysis import RNG_ALGORITHM, simulate_max
+from evt_accompany.approx import APPROXIMANTS
 from evt_accompany.cli import (
     IDENTITY_COLUMNS,
     NORMING_COLUMNS,
@@ -510,15 +511,17 @@ def test_norming_refuses_a_family_without_closed_form_before_the_walk(tmp_path, 
         "(Weibull-like and log-Weibull-like only) (at n=1000) (at dist=iterlog:k=3,a=1,C=1)\n")
 
 
-def test_closed_logweibull_iterate_below_zero_is_a_divergence_error(tmp_path, capsys):
+def test_closed_logweibull_iterate_below_zero_is_a_domain_error(tmp_path, capsys):
     # the fixed-point iterate of the closed-form norming goes negative here,
-    # where y ** (1/p) would be complex
+    # where y ** (1/p) would be complex: the closed form's asymptotic regime
+    # is not reached at this n
     code, _ = run(tmp_path, "x.csv", [
         "norming", "--dist", "logweibull:c=4.256370307962582,p=1.5103992641596542,"
         "alpha=-8.629761913137253,ell=logpow:9.494696836249073:1e-16", "--n", "199509"])
-    assert code == 4
+    assert code == 3
     err = capsys.readouterr().err.strip()
-    assert err.startswith("error (DivergenceError)")
+    assert err.startswith("error (DomainError): the closed form's asymptotic regime is not "
+                          "reached at this n: log-Weibull fixed-point iterate is not positive")
     assert err.endswith(" (at n=199509) (at dist=logweibull:c=4.25637,p=1.5104,"
                         "alpha=-8.62976,ell=logpow:9.4947:1e-16)")
 
@@ -981,8 +984,14 @@ def dist_specs(draw):
 
 @st.composite
 def command_lines(draw):
-    command = draw(st.sampled_from(["norming", "simulate", "table", "check-identity"]))
-    n = max(2, round(10.0 ** draw(st.floats(math.log10(2.0), 300.0))))
+    command = draw(st.sampled_from(["norming", "simulate", "table", "check-identity", "rates"]))
+    log10_n = draw(st.floats(math.log10(2.0), 300.0))
+    n = max(2, round(10.0 ** log10_n))
+    if command == "rates":
+        stop = max(n + 1, round(10.0 ** draw(st.floats(log10_n, 300.0))))
+        return [command, "--dist", draw(dist_specs()),
+                "--n-geom", f"{n}:{stop}:{draw(st.integers(2, 9))}",
+                "--approx", draw(st.sampled_from(list(APPROXIMANTS))), "--sup"]
     argv = [command, "--dist", draw(dist_specs()), "--n", str(n)]
     if command == "simulate":
         argv += ["--reps", str(draw(st.integers(1, 50))), "--seed", str(draw(st.integers(0, 99)))]

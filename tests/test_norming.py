@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evt_accompany.cli import _parse_n_geom
-from evt_accompany.errors import DivergenceError, DomainError, MismatchError
+from evt_accompany.errors import DomainError, MismatchError
 from evt_accompany.norming import (
     NormingPair,
     norming_closed,
@@ -281,9 +281,12 @@ def test_weibull_closed_p1_keeps_the_ell_term(ell, ns, bound):
         assert max(gaps) <= bound
 
 
-def test_closed_logweibull_defect_growth_is_a_divergence_error():
-    # alpha/c = 100 drives the fixed-point defect up on two substitutions
-    with pytest.raises(DivergenceError, match=r"grew twice in a row .* \(at n=1000\)$"):
+def test_closed_logweibull_defect_growth_is_a_domain_error():
+    # alpha/c = 100 drives the fixed-point defect up on two substitutions:
+    # the closed form's asymptotic regime is not reached at n = 1000
+    with pytest.raises(DomainError, match=r"^the closed form's asymptotic regime is not "
+                                          r"reached at this n: .*grew twice in a row .* "
+                                          r"\(at n=1000\)$"):
         norming_closed(LogWeibullLike(0.2, 2.0, 20.0), 1000)
 
 

@@ -221,31 +221,28 @@ def test_quantile_log_tail_is_fresh_at_the_bracket_collapse_exit():
 
 
 def test_closed_form_quantile_takes_two_tail_evaluations(monkeypatch):
-    # tail(x0) for the range check, then the closed-form start, which already
-    # meets the tolerance (doubling out from x0 = e 2^-60 took about 50)
+    # the range check takes the stored tail(x0), then the closed-form start
+    # already meets the tolerance (doubling out from x0 = e 2^-60 took about 50)
     d = WeibullLike(1.0, 2.0, 0.0)
     calls = []
-    raw = WeibullLike._log_tail_raw
-    monkeypatch.setattr(WeibullLike, "_log_tail_raw",
-                        lambda self, x: calls.append(x) or raw(self, x))
+    hook = WeibullLike._log_tails_slopes_from
+    monkeypatch.setattr(WeibullLike, "_log_tails_slopes_from",
+                        lambda self, x, *args: calls.append(x) or hook(self, x, *args))
     d.quantile_tail(1e-6)
     assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("k, log10_n, cap", [(2, 6, 8), (2, 300, 12), (3, 9, 9), (3, 300, 13)])
-def test_handle_quantile_search_gallops_away_from_x0(k, log10_n, cap):
+def test_handle_quantile_search_gallops_away_from_x0(k, log10_n, cap, monkeypatch):
     # each step may travel as far again as the search has come from x0, so
     # b_n costs a few integrals, not one per doubling of x (13, 240, 28 and
-    # 610 integrals when a step could only double x)
+    # 610 integrals when a step could only double x); the read at the start
+    # is a zero-width step, which takes no integral
     d = IteratedLogScale(k, 1.0, 1.0)
     calls = []
-    hook = d.log_tail_steps
-
-    def recording(starts, ends):
-        calls.append(ends)
-        return hook(starts, ends)
-
-    d.log_tail_steps = recording
+    integrate = quadrature.integrate
+    monkeypatch.setattr(quadrature, "integrate",
+                        lambda f, a, b: calls.append(b) or integrate(f, a, b))
     norming_exact(d, 10 ** log10_n)
     assert len(calls) <= cap
 
@@ -330,8 +327,10 @@ def test_handle_quantile_tails_take_the_end_levels_from_their_searches(monkeypat
     levels = _min_tail_levels(np.random.Generator(np.random.Philox(7)).random(7), 10**6)
     passes = []
     slopes_from = type(d)._log_tails_slopes_from
+    # array calls only: the scalar searches read the hook at one float
     monkeypatch.setattr(type(d), "_log_tails_slopes_from",
-                        lambda self, *args: passes.append(1) or slopes_from(self, *args))
+                        lambda self, x, *args: np.ndim(x) and passes.append(1)
+                        or slopes_from(self, x, *args))
     got = d.quantile_tails(levels)
     assert len(passes) <= 4
     monkeypatch.undo()
@@ -473,16 +472,16 @@ NEWTON_FAMILIES = [
 
 @pytest.mark.parametrize("d", NEWTON_FAMILIES, ids=lambda d: d.label)
 def test_quantile_search_reads_no_von_mises_components(d, monkeypatch):
-    # the scalar search reads a family through its log tail and _log_slopes
-    # alone, as the array search does
+    # the scalar search reads a family through its tail hook alone, as the
+    # array search does
     def unread(self, t):
         raise AssertionError("the quantile search read the von Mises components")
 
     steps = []
-    newton_step = DistributionSpec._newton_step
+    hook = type(d)._log_tails_slopes_from
     monkeypatch.setattr(type(d), "_components", unread)
-    monkeypatch.setattr(DistributionSpec, "_newton_step",
-                        lambda self, *args: steps.append(args) or newton_step(self, *args))
+    monkeypatch.setattr(type(d), "_log_tails_slopes_from",
+                        lambda self, *args: steps.append(args) or hook(self, *args))
     for q in [d.tail(d.x0) * r for r in (0.5, 1e-6, 1e-30)] + [1e-300]:
         _, log_tail_x = d.quantile_log_tail(q)
         assert abs(log_tail_x - math.log(q)) <= 1e-12 * min(max(1.0, -math.log(q)), 100.0)
@@ -491,11 +490,15 @@ def test_quantile_search_reads_no_von_mises_components(d, monkeypatch):
 
 @pytest.mark.parametrize("d", NEWTON_FAMILIES, ids=lambda d: d.label)
 def test_log_slopes_of_floats_equal_those_of_arrays(d):
-    # one hook serves the scalar step (floats) and the array search, bit for bit
+    # one hook serves the scalar reads (floats) and the array search, bit for
+    # bit, log tails and slopes alike
     v = d.x0 * np.array([1.0, 1.5, 4.0, 30.0, 1e3])
     lv = np.log(v)
-    got = [float(d._log_slopes(a, b)) for a, b in zip(v.tolist(), lv.tolist())]
-    assert got == d._log_slopes(v, lv).tolist()
+    x0, f0 = d.x0, d.log_tail(d.x0)
+    got = [tuple(map(float, d._log_tails_slopes_from(a, b, x0, f0)))
+           for a, b in zip(v.tolist(), lv.tolist())]
+    f, slope = d._log_tails_slopes_from(v, lv, np.full(v.shape, x0), np.full(v.shape, f0))
+    assert got == list(zip(f.tolist(), slope.tolist()))
 
 
 def test_handle_quantile_tails_raise_what_the_walk_raises():
@@ -592,7 +595,7 @@ def test_quantile_tails_returns_the_closed_form_start_bit_for_bit(dist):
 def test_array_log_tail_and_slope_match_the_scalar_tail(dist):
     # the Newton step's log tail and exact slope d log tail / d log x
     xs = dist.x0 * np.array([1.5, 4.0, 30.0, 1e3])
-    f, slope = dist._log_tails_slopes(xs, np.log(xs))
+    f, slope = dist._log_tails_slopes_from(xs, np.log(xs), None, None)
     for x, fx, sx in zip(xs.tolist(), f, slope):
         assert fx == pytest.approx(dist.log_tail(x), rel=1e-13, abs=1e-13)
         h = 1e-5
@@ -616,10 +619,10 @@ def test_array_log_tail_and_slope_match_the_scalar_tail(dist):
 def test_quantile_tails_newton_takes_few_passes(dist, max_passes, monkeypatch):
     # Newton from the closed-form start; bisection alone would need ~50 passes
     passes = []
-    evaluate = type(dist)._log_tails_slopes
-    monkeypatch.setattr(type(dist), "_log_tails_slopes",
-                        lambda self, x, lx: np.ndim(x) and passes.append(x.size)
-                        or evaluate(self, x, lx))
+    evaluate = type(dist)._log_tails_slopes_from
+    monkeypatch.setattr(type(dist), "_log_tails_slopes_from",
+                        lambda self, x, *args: np.ndim(x) and passes.append(x.size)
+                        or evaluate(self, x, *args))
     dist.quantile_tails(np.geomspace(1e-30, dist.tail(dist.x0), 2000))
     # array calls only (the scalar tail(x0) takes a float); the first is
     # tail(largest float), for the overflow check
@@ -741,16 +744,16 @@ def test_components_iterated_log():
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("a", [0.5, 3.0])
 def test_iterated_log_f_is_positive_at_the_lowest_admitted_t(k, a):
-    # x0 (1 - 1e-12) is the lowest t the components admit; log_k t is still
-    # above 1 there (x0 = exp_tower(k) + 1), so f needs no check of its own
+    # x0 (1 - 1e-12) is the lowest t the components admit, and it reads x0;
+    # log_k t is above 1 there (x0 = exp_tower(k) + 1), so f needs no check
+    # of its own
     d = IteratedLogScale(k, a, 0.5)
-    t = d.x0 * (1.0 - 1e-12)
-    f, g = d.von_mises_components(t)
+    f, g = d.von_mises_components(d.x0 * (1.0 - 1e-12))
     assert math.isfinite(f) and f > 0.0 and g == 1.0
-    lk = t
+    lk = d.x0
     for _ in range(k):
         lk = math.log(lk)
-    assert f == 0.5 * t * lk ** -a
+    assert f == 0.5 * d.x0 * lk ** -a
     with pytest.raises(DomainError, match="need t >= x0"):
         d.von_mises_components(d.x0 * (1.0 - 1e-11))
 
@@ -898,9 +901,9 @@ def test_x0_search_reads_the_tail_formula_once_per_grid_point(monkeypatch):
     # value and exact slope from one call at each of e, e/2, ..., e 2^-60; a
     # two-sided numeric slope took three calls per point (183)
     calls = []
-    evaluate = WeibullLike._log_tails_slopes
-    monkeypatch.setattr(WeibullLike, "_log_tails_slopes",
-                        lambda self, x, lx: calls.append(x) or evaluate(self, x, lx))
+    evaluate = WeibullLike._log_tails_slopes_from
+    monkeypatch.setattr(WeibullLike, "_log_tails_slopes_from",
+                        lambda self, x, *args: calls.append(x) or evaluate(self, x, *args))
     parse_dist("weibull:c=1,p=2,alpha=0,ell=const:1")
     assert len(calls) <= 61
 
@@ -922,9 +925,45 @@ def test_power_families_share_one_grammar_and_constructor():
 
 def test_weibull_log_tail_below_zero_is_a_domain_error():
     # pure Weibull has x0 of about 2.4e-18, so -5e-13 passes the 1e-12 slack
-    # of the x >= x0 test and reaches the tail formula's own check
-    with pytest.raises(DomainError, match="needs x > 0"):
-        WeibullLike(1.0, 2.0).log_tail(-5e-13)
+    # of the x >= x0 test and reads x0 itself; NaN is below every x0
+    d = WeibullLike(1.0, 2.0)
+    assert d.log_tail(-5e-13) == d.log_tail(d.x0)
+    with pytest.raises(DomainError, match="needs x >= x0"):
+        d.log_tail(math.nan)
+
+
+SUPPORT_EDGE_FAMILIES = [ExponentialUnit(), WeibullLike(1.0, 2.0), LogWeibullLike(1.0, 2.0, 1.0),
+                         IteratedLogScale(2, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("d", SUPPORT_EDGE_FAMILIES, ids=lambda d: d.label)
+def test_support_edge_reads_x0_and_refuses_nan(d):
+    # a point a few ulp under x0 is x0 itself, so no tail exceeds tail(x0)
+    # (exp read 1.0000000000001 at -1e-13); NaN is below x0, a DomainError
+    # (exp returned NaN, iterlog raised a QuadratureError)
+    x0, f0 = d.x0, d.log_tail(d.x0)
+    edge = x0 - 5e-13
+    assert d.log_tail(edge) == f0
+    assert d.tail(edge) == d.tail(x0) <= 1.0
+    assert d.log_tail_from(edge, x0, f0) == f0
+    assert d.von_mises_components(edge) == d.von_mises_components(x0)
+    for call in (d.log_tail, d.tail, d.von_mises_components,
+                 lambda x: d.log_tail_from(x, x0, f0),
+                 lambda x: d.log_tail_from(x0, x, f0)):
+        with pytest.raises(DomainError, match="x0"):
+            call(math.nan)
+
+
+def test_power_quantile_search_reads_its_formula_once_per_iterate(monkeypatch):
+    # value and slope of each iterate from one read; reading them apart took
+    # 42 reads on 23 points for this walk
+    d = parse_dist("weibull:c=1,p=2,alpha=2,ell=logpow:1:1")
+    reads = []
+    hook = WeibullLike._log_tails_slopes_from
+    monkeypatch.setattr(WeibullLike, "_log_tails_slopes_from",
+                        lambda self, x, *args: reads.append(x) or hook(self, x, *args))
+    norming_exacts(d, [10 ** 3, 10 ** 6, 10 ** 9, 10 ** 30, 10 ** 300])
+    assert reads and len(reads) == len(set(reads))
 
 
 def test_iterated_log_tower_guard():
