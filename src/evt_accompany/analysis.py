@@ -18,7 +18,7 @@ import numpy as np
 from .approx import evaluate, exact_and_gammas
 from .errors import DegenerateError, DomainError, EvtError
 from .norming import NormingPair, as_integer, norming_exact, norming_exacts, require_resolved
-from .tails import DistributionSpec
+from .tails import DistributionSpec, _float_text
 
 POWER_IN_N = "power-in-n"
 POWER_IN_LOG_N = "power-in-log-n"
@@ -41,8 +41,9 @@ class SupOnGrid:
     steps: int = 161
 
     def __post_init__(self) -> None:
-        if not (self.x_lo < self.x_hi):
-            raise DomainError("SupOnGrid needs x_lo < x_hi")
+        if not (self.x_lo < self.x_hi and math.isfinite(self.x_hi - self.x_lo)):
+            raise DomainError(f"SupOnGrid needs x_lo < x_hi a finite span apart, got "
+                              f"x_lo={self.x_lo!r}, x_hi={self.x_hi!r}")
         if self.steps < 2:
             raise DomainError("SupOnGrid needs steps >= 2")
 
@@ -55,7 +56,7 @@ class SupOnGrid:
 
     @property
     def label(self) -> str:
-        return f"sup[{self.x_lo:g},{self.x_hi:g}]x{self.steps}"
+        return f"sup[{_float_text(self.x_lo)},{_float_text(self.x_hi)}]x{self.steps}"
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class AtPoint:
 
     @property
     def label(self) -> str:
-        return f"at:{self.x:g}"
+        return f"at:{_float_text(self.x)}"
 
 
 @dataclass(frozen=True)

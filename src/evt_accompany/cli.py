@@ -76,10 +76,10 @@ def _parse_window(raw: str, flag: str) -> SupOnGrid:
     return SupOnGrid(x_lo=lo, x_hi=hi, steps=steps)
 
 
-def _finite(raw: str) -> float:
-    """The float of raw, which must be finite."""
+def _tolerance(raw: str) -> float:
+    """The float of raw, which must be finite and >= 0."""
     value = float(raw)
-    if not math.isfinite(value):
+    if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(raw)
     return value
 
@@ -375,7 +375,7 @@ _COMMANDS = {
     "check-identity": (_cmd_check_identity, "two-term factorization against the exact law",
                        _SINGLE_N, [
         ("--x", dict(help="x grid lo:hi:steps (default -2:6:61)")),
-        ("--tol", dict(type=_finite, default=1e-10,
+        ("--tol", dict(type=_tolerance, default=1e-10,
                        help="identity tolerance (default 1e-10)"))]),
     "simulate": (_cmd_simulate, "Monte Carlo scaled maxima", _SINGLE_N, [
         ("--reps", dict(type=int, required=True, help="replication count")),

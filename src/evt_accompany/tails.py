@@ -13,8 +13,9 @@ Below x0 the distribution is completed with an atom at x0 of mass F(x0);
 only maxima evaluation and sampling ever touch that completion, never the
 tail operations themselves (they require x >= x0).
 
-All objects are immutable after construction and every operation is a pure
-function of its inputs, so concurrent evaluation over grids is safe.
+No operation changes a family (x0, label and the parameters are plain
+attributes set once), and every operation is a pure function of its
+inputs, so concurrent evaluation over grids is safe.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import numpy as np
 
 from . import quadrature
 from .errors import ConvergenceError, DomainError, EvtError, ParseError
-
-_E = math.e
 
 # Root tolerance for quantile inversion, relative on the log-tail scale up to
 # |log q| = _TOL_SCALE_CAP and absolute (1e-10) beyond: the exact law at b_n
@@ -74,9 +73,11 @@ class SlowlyVarying:
             raise DomainError("slowly varying scale ell0 must be a positive real")
         if not math.isfinite(self.beta):
             raise DomainError("slowly varying exponent beta must be finite")
-        # read on every tail evaluation, so set once (on a frozen instance)
+        # set once on the frozen instance; the first two are read on every tail evaluation
         object.__setattr__(self, "is_const", self.kind == "const" or self.beta == 0.0)
         object.__setattr__(self, "_log_scale", math.log(self.scale))
+        object.__setattr__(self, "label", f"{self.kind}:{_float_text(self.scale)}" + (
+            "" if self.kind == "const" else f":{_float_text(self.beta)}"))
 
     @classmethod
     def const(cls, scale: float = 1.0) -> "SlowlyVarying":
@@ -95,11 +96,10 @@ class SlowlyVarying:
         log = math.log if type(lx) is float else np.log
         return self._log_scale + self.beta * log(lx), self.beta / lx
 
-    @property
-    def label(self) -> str:
-        if self.kind == "const":
-            return f"const:{self.scale:g}"
-        return f"logpow:{self.scale:g}:{self.beta:g}"
+
+def _float_text(v: float) -> str:
+    # repr less a trailing ".0": a label's exact spec text, read back by parse_dist
+    return repr(float(v)).removesuffix(".0")
 
 
 def exp_tower(k: int) -> float:
@@ -141,21 +141,13 @@ def _pow(x: float, base: float, p: float) -> float:
 
 
 class DistributionSpec:
-    """Base class for tail families. Subclasses set _x0, _log_tail_x0 =
-    log tail(x0) and _label, and give the tail hook _log_tails_slopes_from;
+    """Base class for tail families. Subclasses set x0, _log_tail_x0 =
+    log tail(x0) and label, and give the tail hook _log_tails_slopes_from;
     every tail value and both quantile searches read it."""
 
-    _x0: float
+    x0: float
     _log_tail_x0: float
-    _label: str
-
-    @property
-    def x0(self) -> float:
-        return self._x0
-
-    @property
-    def label(self) -> str:
-        return self._label
+    label: str
 
     # -- tail surface ------------------------------------------------------
 
@@ -180,9 +172,9 @@ class DistributionSpec:
 
     def log_tail(self, x: float) -> float:
         """log(1 - F(x)) for x >= x0, evaluated entirely on the log scale."""
-        if _below(x, self._x0):
-            raise DomainError(f"log_tail needs x >= x0 = {self._x0!r}, got {x!r}")
-        return self.log_tail_from(x, self._x0, self._log_tail_x0)
+        if _below(x, self.x0):
+            raise DomainError(f"log_tail needs x >= x0 = {self.x0!r}, got {x!r}")
+        return self.log_tail_from(x, self.x0, self._log_tail_x0)
 
     def tail(self, x: float) -> float:
         """P(X > x) in (0, 1] for x >= x0."""
@@ -195,9 +187,9 @@ class DistributionSpec:
         x; closed forms ignore the anchor and return exactly log_tail(x). An
         x at x0, or a few ulp under it, takes the stored log tail(x0).
         """
-        if _below(x, self._x0) or _below(anchor, self._x0):
-            raise DomainError(f"log_tail_from needs both points >= x0 = {self._x0!r}")
-        if x <= self._x0:
+        if _below(x, self.x0) or _below(anchor, self.x0):
+            raise DomainError(f"log_tail_from needs both points >= x0 = {self.x0!r}")
+        if x <= self.x0:
             return self._log_tail_x0
         return self._read_tail(x, anchor, log_tail_anchor)[0]
 
@@ -252,7 +244,7 @@ class DistributionSpec:
         log_q = math.log(q)
         tol = QUANTILE_LOG_TOL * min(max(1.0, abs(log_q)), _TOL_SCALE_CAP)
         if start is None or log_tail_start < log_q - tol:
-            start, log_tail_start = self._x0, self._log_tail_x0
+            start, log_tail_start = self.x0, self._log_tail_x0
             if log_q > log_tail_start:
                 raise DomainError(
                     f"q={q!r} exceeds tail(x0)={math.exp(log_tail_start)!r}; "
@@ -260,7 +252,7 @@ class DistributionSpec:
         lo_u, lo_x, lo_f = math.log(start), start, log_tail_start
         u_start = lo_u
         hi_u = hi_x = hi_f = math.inf  # no upper end yet
-        x = self._start(log_q, start)
+        x = float(self._start(log_q, start))
         u = math.log(x)
         f, slope = self._read_tail(x, start, log_tail_start)
         g_prev = math.inf
@@ -273,7 +265,7 @@ class DistributionSpec:
                 if r > 0.0:  # x is below its quantile
                     if u >= _LOG_X_MAX:
                         raise DomainError(
-                            f"the quantile of {self._label} at log q = {log_q!r} lies beyond "
+                            f"the quantile of {self.label} at log q = {log_q!r} lies beyond "
                             f"the float range (tail({x!r}) is still above q)")
                     lo_u, lo_x, lo_f = u, x, f
                 else:
@@ -283,7 +275,7 @@ class DistributionSpec:
                 if hi_u - lo_u <= 1e-15 * max(1.0, abs(lo_u)):
                     if math.isnan(hi_f):
                         raise DomainError(
-                            f"the quantile of {self._label} at log q = {log_q!r} lies beyond "
+                            f"the quantile of {self.label} at log q = {log_q!r} lies beyond "
                             f"{hi_x!r}, where its tail cannot be evaluated")
                     return x, f
                 g = abs(math.log(f / log_q)) if f < 0.0 else math.inf
@@ -310,7 +302,7 @@ class DistributionSpec:
                     raise
                 f = None
         raise ConvergenceError(
-            f"quantile search of {self._label} exceeded {_SEARCH_CAP} steps "
+            f"quantile search of {self.label} exceeded {_SEARCH_CAP} steps "
             f"(bracket in log x: [{lo_u!r}, {hi_u!r}])")
 
     def quantile_tails(self, q) -> np.ndarray:
@@ -323,7 +315,7 @@ class DistributionSpec:
         """
         raise NotImplementedError
 
-    def _start(self, log_q: float, start: float) -> float:
+    def _start(self, log_q, start):
         # the search's first iterate; closed forms use their inverse
         return start
 
@@ -371,7 +363,7 @@ class DistributionSpec:
             g_prev = np.where(bisect, np.inf, g)
             x = np.exp(u)
         raise ConvergenceError(
-            f"array quantile of {self._label} exceeded {_NEWTON_CAP} Newton passes "
+            f"array quantile of {self.label} exceeded {_NEWTON_CAP} Newton passes "
             f"({idx.size} levels left, e.g. log q = {float(lq[0])!r})")
 
     # -- von Mises components ----------------------------------------------
@@ -379,9 +371,9 @@ class DistributionSpec:
     def von_mises_components(self, t: float):
         """(f(t), g(t)) of the representation at t >= x0; a t a few ulp
         under x0 reads x0."""
-        if _below(t, self._x0):
-            raise DomainError(f"von Mises components need t >= x0 = {self._x0!r}, got {t!r}")
-        return self._components(max(t, self._x0))
+        if _below(t, self.x0):
+            raise DomainError(f"von Mises components need t >= x0 = {self.x0!r}, got {t!r}")
+        return self._components(max(t, self.x0))
 
     def aux_slope(self, t: float) -> float:
         """f'(t), the slope of the auxiliary function, by a central difference
@@ -403,11 +395,11 @@ class DistributionSpec:
 
     def _closed_norming(self, n: int):
         """(a_n, b_n) of the family's closed-form norming, where it has one."""
-        raise DomainError(f"no closed-form norming for family {self._label!r} (Weibull-like "
+        raise DomainError(f"no closed-form norming for family {self.label!r} (Weibull-like "
                           f"and log-Weibull-like only)")
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"{type(self).__name__}({self._label!r})"
+        return f"{type(self).__name__}({self.label!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +412,8 @@ class ExponentialUnit(DistributionSpec):
     within O(1/n) of the Gumbel limit."""
 
     def __init__(self) -> None:
-        self._x0, self._log_tail_x0 = 0.0, -0.0
-        self._label = "exp"
+        self.x0, self._log_tail_x0 = 0.0, -0.0
+        self.label = "exp"
 
     def _log_tails_slopes_from(self, x, lx, anchor, log_tail_anchor):
         return -x, -x
@@ -468,10 +460,10 @@ class _PowerFamily(DistributionSpec):
         self.p = float(p)
         self.alpha = float(alpha)
         self.ell = ell if ell is not None else SlowlyVarying.const(1.0)
-        floor = _E if self.ell.kind == "logpow" else self._x0_floor
-        self._x0, self._log_tail_x0 = self._auto_x0(floor)
-        self._label = (f"{self._head}:c={self.c:g},p={self.p:g},alpha={self.alpha:g},"
-                       f"ell={self.ell.label}")
+        floor = math.e if self.ell.kind == "logpow" else self._x0_floor
+        self.x0, self._log_tail_x0 = self._auto_x0(floor)
+        self.label = (f"{self._head}:c={_float_text(self.c)},p={_float_text(self.p)},"
+                      f"alpha={_float_text(self.alpha)},ell={self.ell.label}")
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         """The x with log ell0 - c h(x)^p = log q."""
@@ -502,7 +494,7 @@ class _PowerFamily(DistributionSpec):
         Only the tail above x0 is ever used; everything below is completed by
         an atom at x0.
         """
-        x = _E
+        x = math.e
         while (log_tail := self._admissible_log_tail(x)) is None:
             x *= 2.0
             if x > _X_MAX:
@@ -534,14 +526,12 @@ class _PowerFamily(DistributionSpec):
         """(a_n, b_n) of the closed-form norming at u = log(n)/c > 1."""
         raise NotImplementedError
 
-    def _closed_start(self, log_q):
-        # the closed-form inverse clipped to [x0, largest float]; it is NaN for a
-        # level above ell0 and inf past the float range, so callers hold errstate
-        return np.fmin(np.fmax(self._closed_inverse(log_q), self._x0), _X_MAX)
-
-    def _start(self, log_q: float, start: float) -> float:
+    def _start(self, log_q, start):
+        # the closed-form inverse at a float or an array of log levels, clipped
+        # to [x0, largest float] (it is NaN above ell0, inf past the float range)
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(self._closed_start(np.float64(log_q)))
+            inverse = self._closed_inverse(np.asarray(log_q, dtype=float))
+            return np.fmin(np.fmax(inverse, self.x0), _X_MAX)
 
     def quantile_tails(self, q) -> np.ndarray:
         """quantile_tail over an array of levels in (0, 1], completed by the
@@ -555,7 +545,7 @@ class _PowerFamily(DistributionSpec):
         outset: log x0 and the log of the largest float.
         """
         log_q = np.log(_levels(q))
-        x = np.full(log_q.shape, self._x0)
+        x = np.full(log_q.shape, self.x0)
         inside = log_q < self._log_tail_x0
         if not inside.any():
             return x
@@ -565,9 +555,9 @@ class _PowerFamily(DistributionSpec):
                                                 None, None)[0]
             if lq.min() < f_max:
                 raise DomainError(
-                    f"a quantile of {self._label} overflows a float (smallest level "
+                    f"a quantile of {self.label} overflows a float (smallest level "
                     f"{float(np.exp(lq.min()))!r})")
-            x[inside] = self._newton(lq, self._closed_start(lq), math.log(self._x0), _LOG_X_MAX)
+            x[inside] = self._newton(lq, self._start(lq, None), math.log(self.x0), _LOG_X_MAX)
         return x
 
 
@@ -581,7 +571,7 @@ class WeibullLike(_PowerFamily):
 
     _head = "weibull"
     _p_min = 0.0
-    _x0_floor = _E * 2.0 ** -60
+    _x0_floor = math.e * 2.0 ** -60
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         return ((math.log(self.ell.scale) - log_q) / self.c) ** (1.0 / self.p)
@@ -625,7 +615,7 @@ class LogWeibullLike(_PowerFamily):
 
     _head = "logweibull"
     _p_min = 1.0
-    _x0_floor = _E
+    _x0_floor = math.e
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         return np.exp(((math.log(self.ell.scale) - log_q) / self.c) ** (1.0 / self.p))
@@ -703,8 +693,8 @@ class IteratedLogScale(DistributionSpec):
         self.k = k
         self.a = float(a)
         self.C = float(C)
-        self._x0, self._log_tail_x0 = exp_tower(k) + 1.0, 0.0
-        self._label = f"iterlog:k={self.k},a={self.a:g},C={self.C:g}"
+        self.x0, self._log_tail_x0 = exp_tower(k) + 1.0, 0.0
+        self.label = f"iterlog:k={self.k},a={_float_text(self.a)},C={_float_text(self.C)}"
         # the largest x where (log_k x)^a and the integrand (log_k x)^a / C,
         # which grow with x, stay a factor e (spare for rounding) below the
         # largest float
@@ -729,11 +719,21 @@ class IteratedLogScale(DistributionSpec):
         return log_tail_anchor + self.log_tail_steps(anchor, x), -self._over_f_log(lx)
 
     def log_tail_steps(self, starts, ends):
-        """log tail(ends) - log tail(starts) at points >= x0, floats or arrays
-        of one shape, with every integral in one quadrature call; so
-        log_tail_from(x, anchor, f) is f + log_tail_steps(anchor, x)."""
+        """log tail(ends) - log tail(starts), minus the integral of g/f, at
+        points >= x0, floats or arrays of one shape, with every integral in one
+        quadrature call; so log_tail_from(x, anchor, f) is f +
+        log_tail_steps(anchor, x). A range that reaches past _x_max is refused
+        before its integrand overflows; quadrature nodes lie inside the range."""
+        if self._x_max < math.inf:
+            top = float(np.max(np.maximum(starts, ends), initial=-math.inf))
+            if top > self._x_max:
+                raise DomainError(
+                    f"tail at x={top!r} is outside the float range ((log_{self.k} x) ** "
+                    f"{self.a!r} / {self.C!r} overflows past x={self._x_max!r})")
+        if not isinstance(starts, np.ndarray) and starts == ends:
+            return 0.0
         # 0.0 - keeps the log tail of an empty range +0.0
-        return 0.0 - self._integral(starts, ends)
+        return 0.0 - quadrature.integrate(self._over_f_log, np.log(starts), np.log(ends))
 
     def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
         """log_tail_anchor + log_tail_steps(anchor, z), with one quadrature
@@ -769,7 +769,7 @@ class IteratedLogScale(DistributionSpec):
         shape, q = q.shape, q.ravel()
         # math.log, as quantile_tail takes it, for the atom test and the searches
         lq = np.array([math.log(v) for v in q.tolist()])
-        xs = np.full(q.size, self._x0)
+        xs = np.full(q.size, self.x0)
         inside = np.flatnonzero(lq < self._log_tail_x0)
         if inside.size == 0:
             return xs.reshape(shape)
@@ -803,21 +803,6 @@ class IteratedLogScale(DistributionSpec):
         end = np.where(u0 - u[j] <= u[j + 1] - u0, j, j + 1)  # the nearer cell end
         xs[order[inner]] = self._newton(lq, np.exp(u0), u[j], u[j + 1], tx[end], tf[end])
         return xs.reshape(shape)
-
-    def _integral(self, a, b):
-        """The integral of g/f from a to b, floats or arrays of one shape.
-
-        A range that reaches past _x_max is refused before its integrand
-        overflows; quadrature nodes lie inside the range."""
-        if self._x_max < math.inf:
-            top = float(np.max(np.maximum(a, b), initial=-math.inf))
-            if top > self._x_max:
-                raise DomainError(
-                    f"tail at x={top!r} is outside the float range ((log_{self.k} x) ** "
-                    f"{self.a!r} / {self.C!r} overflows past x={self._x_max!r})")
-        if not isinstance(a, np.ndarray) and a == b:
-            return 0.0
-        return quadrature.integrate(self._over_f_log, np.log(a), np.log(b))
 
     def _components(self, t: float):
         # log_k t > 0 for t >= x0 (1 - 1e-12), as x0 = exp_tower(k) + 1

@@ -28,7 +28,7 @@ from evt_accompany.cli import (
     TABLE_COLUMNS,
     main,
 )
-from evt_accompany.errors import DomainError
+from evt_accompany.errors import DomainError, EvtError
 from evt_accompany.tails import QUANTILE_LOG_TOL, parse_dist
 
 
@@ -515,15 +515,15 @@ def test_closed_logweibull_iterate_below_zero_is_a_domain_error(tmp_path, capsys
     # the fixed-point iterate of the closed-form norming goes negative here,
     # where y ** (1/p) would be complex: the closed form's asymptotic regime
     # is not reached at this n
-    code, _ = run(tmp_path, "x.csv", [
-        "norming", "--dist", "logweibull:c=4.256370307962582,p=1.5103992641596542,"
-        "alpha=-8.629761913137253,ell=logpow:9.494696836249073:1e-16", "--n", "199509"])
+    spec = ("logweibull:c=4.256370307962582,p=1.5103992641596542,"
+            "alpha=-8.629761913137253,ell=logpow:9.494696836249073:1e-16")
+    code, _ = run(tmp_path, "x.csv", ["norming", "--dist", spec, "--n", "199509"])
     assert code == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("error (DomainError): the closed form's asymptotic regime is not "
                           "reached at this n: log-Weibull fixed-point iterate is not positive")
-    assert err.endswith(" (at n=199509) (at dist=logweibull:c=4.25637,p=1.5104,"
-                        "alpha=-8.62976,ell=logpow:9.4947:1e-16)")
+    # the tag names the exact spec, not a rounding of it
+    assert err.endswith(f" (at n=199509) (at dist={spec})")
 
 
 def test_exit_numerical_error_degenerate_fit(tmp_path, capsys):
@@ -582,7 +582,7 @@ _N_GEOM = {"rates", "norming"}
 _RATES = ["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "100:10000:3"]
 
 # (argv, text of the summary when it parses, the start of the message of a
-# parse error, or None for help)
+# parse or domain error, or None for help)
 _COMMAND_LINES = [
     (["--help"], None),
     ([], "error (ParseError): missing command"),
@@ -605,6 +605,19 @@ _COMMAND_LINES = [
     (["table", "--dist", "exp", "--n", "10", "--x"], "error (ParseError): --x: expected a value"),
     (["check-identity", "--dist", "exp", "--n", "1000", "--tol", "tight"],
      "error (ParseError): --tol: invalid value 'tight'"),
+    # a tolerance no gap can meet is refused before any work
+    (["check-identity", "--dist", "exp", "--n", "1000", "--tol", "-1"],
+     "error (ParseError): --tol: invalid value '-1'"),
+    # a window whose span is not finite is refused as the window, not as a NaN x
+    (["table", "--dist", "exp", "--n", "1000", "--x", "-inf:6:3"],
+     "error (DomainError): SupOnGrid needs x_lo < x_hi a finite span apart, "
+     "got x_lo=-inf, x_hi=6.0"),
+    (["table", "--dist", "exp", "--n", "1000", "--x", "-1e308:1e308:3"],
+     "error (DomainError): SupOnGrid needs x_lo < x_hi a finite span apart, "
+     "got x_lo=-1e+308, x_hi=1e+308"),
+    (_RATES + ["--sup", "-inf:6:5"],
+     "error (DomainError): SupOnGrid needs x_lo < x_hi a finite span apart, "
+     "got x_lo=-inf, x_hi=6.0"),
     # --sup without a value takes its default window, also before another flag
     (_RATES + ["--sup", "--approx", "accompanying"], "approx=accompanying metric=sup[-2,6]x161"),
     (_RATES + ["--sup", "-2:6:11"], "metric=sup[-2,6]x11"),
@@ -656,8 +669,8 @@ def test_command_line_contract(argv, summary, capsys):
         else:
             names = list(cli._COMMANDS)
         assert set(names) <= words, usage
-    elif summary.startswith("error (ParseError): "):
-        assert code == 2 and not out
+    elif summary.startswith("error ("):
+        assert code == (2 if summary.startswith("error (ParseError): ") else 3) and not out
         assert err.startswith(summary), err
     else:
         assert code == 0, err
@@ -980,6 +993,21 @@ def dist_specs(draw):
              else st.floats(1.0, 10.0, exclude_min=True))
     alpha = draw(st.floats(-20.0, 20.0))
     return f"{kind}:c={draw(st.floats(0.1, 10.0))!r},p={p!r},alpha={alpha!r},ell={ell}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(dist_specs())
+def test_labels_rebuild_their_distribution(spec):
+    # a label, as a header or an (at dist=...) tag prints it, is the exact
+    # spec: parsing it gives back the same family to the bit
+    try:
+        d = parse_dist(spec)
+    except EvtError:
+        return
+    again = parse_dist(d.label)
+    assert (again.label, again.x0) == (d.label, d.x0)
+    for x in (d.x0 * 1.5 + 0.5, d.x0 * 2.0 + 1.0, d.x0 * 4.0 + 3.0):
+        assert again.log_tail(x).hex() == d.log_tail(x).hex(), (spec, x)
 
 
 @st.composite
