@@ -47,12 +47,12 @@ class SupOnGrid:
         if self.steps < 2:
             raise DomainError("SupOnGrid needs steps >= 2")
 
-    def grid(self) -> list[float]:
+    def grid(self) -> np.ndarray:
         """lo + (hi - lo) * i / (steps - 1), rounded in that order, for
         i < steps - 1, then hi itself (lo + (hi - lo) may round off it):
         every sup grid and the x column of `table`."""
         span, last = self.x_hi - self.x_lo, self.steps - 1
-        return [self.x_lo + span * i / last for i in range(last)] + [self.x_hi]
+        return np.append(self.x_lo + span * np.arange(last) / last, self.x_hi)
 
     @property
     def label(self) -> str:
@@ -97,7 +97,7 @@ def _guarded_rows(dist: DistributionSpec, pairs: Sequence[NormingPair], metric: 
     per pair: keep masks the points of each row inside the support where the
     sigma series converges, gamma > -log n. A row with no such point is a
     DegenerateError, since a sup over it would read 0 and measure nothing."""
-    xs = np.array(metric.grid())
+    xs = metric.grid()
     exact, gamma = exact_and_gammas(dist, pairs, xs)
     cutoffs = np.array([-math.log(pair.n) for pair in pairs])
     keep = gamma > cutoffs[:, None]  # False where gamma is NaN

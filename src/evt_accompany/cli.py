@@ -38,7 +38,7 @@ from .approx import (
     require_gammas,
     two_term,
 )
-from .errors import EvtError, ParseError
+from .errors import DomainError, EvtError, ParseError
 from .norming import norming_closed, norming_exact, norming_exacts, types_equivalence_gap
 from .tails import DistributionSpec, parse_dist
 
@@ -51,14 +51,20 @@ SIMULATE_COLUMNS = "replication,scaled_max"
 _BLOCK_ROWS = 4096
 
 
-def _fmt(v: float) -> str:
-    # repr of a float is the shortest decimal that round-trips binary64
-    return repr(float(v))
-
-
 def _header(dist_label: str, cmd: str, extra: str = "") -> str:
     line = f"# evt-accompany v{__version__} dist={dist_label} cmd={cmd}"
     return line + (f" {extra}" if extra else "")
+
+
+def _holdable(count: int, flag: str, raw: str) -> int:
+    """count, or a DomainError when count float64 values cannot be held:
+    probed, as simulate_max probes its replications, before any work."""
+    try:
+        np.empty(count)
+    except (MemoryError, ValueError):  # past the address space, or numpy's size cap
+        raise DomainError(f"{flag}: a count of {count} is too many to hold, "
+                          f"in {raw!r}") from None
+    return count
 
 
 def _parse_window(raw: str, flag: str) -> SupOnGrid:
@@ -73,7 +79,7 @@ def _parse_window(raw: str, flag: str) -> SupOnGrid:
         raise ParseError(f"{flag}: needs lo < hi, got {raw!r}")
     if steps < 2:
         raise ParseError(f"{flag}: needs steps >= 2, got {raw!r}")
-    return SupOnGrid(x_lo=lo, x_hi=hi, steps=steps)
+    return SupOnGrid(x_lo=lo, x_hi=hi, steps=_holdable(steps, flag, raw))
 
 
 def _tolerance(raw: str) -> float:
@@ -127,7 +133,7 @@ def _parse_n_geom(raw: str, flag: str) -> list[int]:
         raise ParseError(f"{flag}: needs 2 <= start < stop and count >= 2, got {raw!r}")
     la, lb = math.log(start), math.log(stop)
     out: list[int] = []
-    for i in range(count):
+    for i in range(_holdable(count, flag, raw)):
         # the last point is stop itself, not exp(log stop) rounded
         n = stop if i == count - 1 else round(math.exp(la + (lb - la) * i / (count - 1)))
         if not out or n > out[-1]:
@@ -162,11 +168,16 @@ def _parse_approx(raw: str) -> list[str]:
     return names
 
 
-def _blocks(rows: Iterable[str]) -> Iterator[str]:
-    """The CSV text of rows, _BLOCK_ROWS rows at a time."""
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-        yield "\n".join(block) + "\n"
+def _csv(header: Sequence[str], row_format: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """The header lines, then row_format % row for each row of columns,
+    _BLOCK_ROWS lines a block, the header's in the first. A block's slices
+    become Python numbers (.tolist()) only as it is formatted, so %r writes
+    repr, not numpy 2's "np.float64(...)", and one block at most is text."""
+    text, line, start = "".join(f"{h}\n" for h in header), row_format + "\n", 0
+    for stop in range(_BLOCK_ROWS - len(header), len(columns[0]) + _BLOCK_ROWS, _BLOCK_ROWS):
+        rows = zip(*(column[start:stop].tolist() for column in columns))
+        yield text + "".join([line % row for row in rows])
+        text, start = "", stop
 
 
 def _finish(out_path: str | None, blocks: Iterable[str], summary: list[str]) -> None:
@@ -174,7 +185,7 @@ def _finish(out_path: str | None, blocks: Iterable[str], summary: list[str]) -> 
     channel the CSV does not occupy.
 
     blocks are pieces of the CSV text, each a run of whole rows (callers
-    make them of at most _BLOCK_ROWS rows, with _blocks or, in simulate,
+    make them of at most _BLOCK_ROWS rows, with _csv or, in simulate,
     with rows.numbered_rows), and may be any iterable, a generator
     included: each is written as it arrives, so the whole CSV is never held
     in memory. Callers compute every number before the first row, so a
@@ -236,22 +247,18 @@ def _cmd_table(args, dist: DistributionSpec) -> int:
     window = _parse_window(args.x, "--x")
     names = _parse_approx(args.approx) if args.approx else []
     pair = norming_exact(dist, n)
-    xs = np.array(window.grid())
+    xs = window.grid()
     try:
         exact, gamma = exact_and_gammas(dist, pair, xs)
         require_gammas(xs, gamma)
-        columns = [xs.tolist(), exact.tolist()]
-        for name in APPROXIMANTS:
-            # blank where not requested
-            columns.append(evaluate(name, xs, gamma, dist, pair).tolist() if name in names
-                           else [None] * xs.size)
-        columns.append(gamma.tolist())
+        columns = [xs, exact, *(evaluate(name, xs, gamma, dist, pair)
+                                for name in APPROXIMANTS if name in names), gamma]
     except EvtError as exc:
         raise exc.at(f"n={n}") from exc
-    rows = [_header(dist.label, "table"), TABLE_COLUMNS]
-    for row in zip(*columns):
-        rows.append(",".join("" if v is None else repr(v) for v in row))
-    _finish(args.out, _blocks(rows), [f"table: {window.steps} rows for dist={dist.label} n={n}"])
+    fields = ["%r" if name in names else "" for name in APPROXIMANTS]  # blank if not requested
+    _finish(args.out, _csv([_header(dist.label, "table"), TABLE_COLUMNS],
+                           ",".join(["%r", "%r", *fields, "%r"]), columns),
+            [f"table: {window.steps} rows for dist={dist.label} n={n}"])
     return 0
 
 
@@ -269,33 +276,33 @@ def _cmd_rates(args, dist: DistributionSpec) -> int:
     else:
         metric = SupOnGrid()
     curve = error_curve(dist, names[0], metric, ns)
-    rows = [_header(dist.label, "rates"), RATES_COLUMNS]
-    summary = [f"rates: dist={dist.label} approx={names[0]} metric={metric.label}"]
-    for model in (POWER_IN_N, POWER_IN_LOG_N):
-        fit = fit_rate(curve, model)
-        rows.append(",".join([model, _fmt(fit.exponent), _fmt(fit.r_squared),
-                              str(ns[0]), str(ns[-1]), str(len(ns))]))
-        summary.append(f"  {model}: exponent={fit.exponent:.4f} r2={fit.r_squared:.5f}")
-    _finish(args.out, _blocks(rows), summary)
+    fits = [fit_rate(curve, model) for model in (POWER_IN_N, POWER_IN_LOG_N)]
+    columns = [np.array([getattr(fit, field) for fit in fits])
+               for field in ("model", "exponent", "r_squared")]
+    _finish(args.out, _csv([_header(dist.label, "rates"), RATES_COLUMNS],
+                           f"%s,%r,%r,{ns[0]},{ns[-1]},{len(ns)}", columns),
+            [f"rates: dist={dist.label} approx={names[0]} metric={metric.label}",
+             *(f"  {fit.model}: exponent={fit.exponent:.4f} r2={fit.r_squared:.5f}"
+               for fit in fits)])
     return 0
 
 
 def _cmd_norming(args, dist: DistributionSpec) -> int:
     ns = _resolve_ns(args)
-    rows = [_header(dist.label, "norming"), NORMING_COLUMNS]
-    last = None
     # the first closed pair before the walk: a family with none is refused
     # without integrating its tail
     first = norming_closed(dist, ns[0])
+    values = []  # per n: a_exact, b_exact, a_closed, b_closed, ratio_gap, shift_gap
     for exact in norming_exacts(dist, ns):
-        n = exact.n
-        closed = first if n == first.n else norming_closed(dist, n)
-        ratio_gap, shift_gap = types_equivalence_gap(exact, closed)
-        rows.append(",".join([str(n), _fmt(exact.a), _fmt(exact.b), _fmt(closed.a),
-                              _fmt(closed.b), _fmt(ratio_gap), _fmt(shift_gap)]))
-        last = (ratio_gap, shift_gap)
-    _finish(args.out, _blocks(rows), [f"norming: dist={dist.label} n-count={len(ns)} "
-                                      f"final gaps ratio={last[0]:.3g} shift={last[1]:.3g}"])
+        closed = first if exact.n == first.n else norming_closed(dist, exact.n)
+        values.append((exact.a, exact.b, closed.a, closed.b,
+                       *types_equivalence_gap(exact, closed)))
+    # n as Python ints, which a float64 or uint64 column would round past 2^63
+    columns = [np.array(ns, dtype=object), *np.array(values).T]
+    _finish(args.out, _csv([_header(dist.label, "norming"), NORMING_COLUMNS],
+                           "%d,%r,%r,%r,%r,%r,%r", columns),
+            [f"norming: dist={dist.label} n-count={len(ns)} "
+             f"final gaps ratio={values[-1][4]:.3g} shift={values[-1][5]:.3g}"])
     return 0
 
 
@@ -303,18 +310,16 @@ def _cmd_check_identity(args, dist: DistributionSpec) -> int:
     n = _single_n(args)
     metric = _parse_window(args.x, "--x") if args.x else SupOnGrid(steps=61)
     pair = norming_exact(dist, n)
-    rows = [_header(dist.label, "check-identity"), IDENTITY_COLUMNS]
     try:
         xs, exact, gamma = guarded_xs(dist, pair, metric)
         law = two_term(xs, gamma, n)
     except EvtError as exc:
         raise exc.at(f"n={n}") from exc
     gaps = np.abs(exact - law)
-    for row in zip(xs.tolist(), exact.tolist(), law.tolist(), gaps.tolist()):
-        rows.append(",".join([str(n), *map(repr, row)]))
     worst = float(gaps.max(initial=0.0))
     ok = worst <= args.tol
-    _finish(args.out, _blocks(rows),
+    _finish(args.out, _csv([_header(dist.label, "check-identity"), IDENTITY_COLUMNS],
+                           f"{n},%r,%r,%r,%r", [xs, exact, law, gaps]),
             [f"check-identity: dist={dist.label} n={n} max|gap|={worst:.3e} "
              f"tol={args.tol:.3e} -> {'OK' if ok else 'FAIL'}"])
     if not ok:
@@ -336,7 +341,7 @@ def _cmd_simulate(args, dist: DistributionSpec) -> int:
     from .rows import numbered_rows
     header = [_header(dist.label, "simulate", extra=f"seed={args.seed} rng={RNG_ALGORITHM}"),
               SIMULATE_COLUMNS]
-    # blocks of _BLOCK_ROWS lines, as _blocks cuts them, the header's in the first
+    # blocks of _BLOCK_ROWS lines, as _csv cuts them, the header's in the first
     first = _BLOCK_ROWS - len(header)
     blocks = itertools.chain(
         ["\n".join(header) + "\n" + numbered_rows(0, samples[:first])],

@@ -441,10 +441,10 @@ class _PowerFamily(DistributionSpec):
     h(x) = log x (LogWeibullLike), which share one constructor and one array
     quantile. Subclasses give class data (the spec head _head, the bound
     _p_min that p must exceed, and the floor _x0_floor of x0's search, e for
-    a log-power ell) and formulas: the closed-form inverse of the alpha = 0,
-    constant-ell member, the log tail with its exact slope in log x (the
-    tail hook, which ignores anchors), the components, and the closed-form
-    norming pair at u = log(n)/c.
+    an ell that is not constant) and formulas: the closed-form inverse of
+    the alpha = 0, constant-ell member, the log tail with its exact slope in
+    log x (the tail hook, which ignores anchors), the components, and the
+    closed-form norming pair at u = log(n)/c.
     """
 
     def __init__(self, c: float, p: float, alpha: float = 0.0,
@@ -460,7 +460,7 @@ class _PowerFamily(DistributionSpec):
         self.p = float(p)
         self.alpha = float(alpha)
         self.ell = ell if ell is not None else SlowlyVarying.const(1.0)
-        floor = math.e if self.ell.kind == "logpow" else self._x0_floor
+        floor = self._x0_floor if self.ell.is_const else math.e
         self.x0, self._log_tail_x0 = self._auto_x0(floor)
         self.label = (f"{self._head}:c={_float_text(self.c)},p={_float_text(self.p)},"
                       f"alpha={_float_text(self.alpha)},ell={self.ell.label}")

@@ -61,6 +61,18 @@ def test_table_schema_and_exponential_columns(tmp_path):
         assert cells[4] == cells[5] == cells[6] == ""  # not requested
 
 
+def test_table_runs_on_a_log_power_of_exponent_zero(tmp_path):
+    # ell=logpow:1:0 is the constant ell, with x0 far below x = b_n + 0 a_n
+    code, payload = run(tmp_path, "t.csv", [
+        "table", "--dist", "weibull:c=1,p=2,alpha=0,ell=logpow:1:0", "--n", "1000",
+        "--x", "0:1:2"])
+    assert code == 0
+    assert payload.decode().startswith(f"# evt-accompany v{evt_accompany.__version__} "
+                                       f"dist=weibull:c=1,p=2,alpha=0,ell=logpow:1:0 cmd=table\n")
+    _, body = rows(payload)
+    assert len(body) == 2
+
+
 def test_table_second_order_filled_and_bounded_at_every_x(tmp_path):
     # f'(b) < 0 turns second_order's bracket negative at |x| >~ 7.4 here; the
     # capped exponent keeps every cell a finite probability, with no warning
@@ -808,18 +820,23 @@ def test_out_to_devnull(capsys):
     assert capsys.readouterr().out.startswith("table: 3 rows")
 
 
+def _main_in_child(argv, timeout=120, **kwargs):
+    """main(argv) in a child process, its output captured as text."""
+    src = os.path.dirname(os.path.dirname(evt_accompany.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from evt_accompany.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=timeout, **kwargs)
+
+
 def _main_under_file_size_limit(argv, limit):
     """main(argv) in a child process whose files may not grow past limit bytes."""
     def limit_file_size():
         resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
         signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 
-    src = os.path.dirname(os.path.dirname(evt_accompany.__file__))
-    return subprocess.run(
-        [sys.executable, "-c", "import sys; from evt_accompany.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", *argv],
-        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-        preexec_fn=limit_file_size, capture_output=True, text=True, timeout=120)
+    return _main_in_child(argv, preexec_fn=limit_file_size)
 
 
 def test_a_write_that_fails_partway_leaves_a_prefix_of_the_new_csv(tmp_path):
@@ -948,6 +965,51 @@ def test_simulate_csv_memory_does_not_grow_with_its_length(tmp_path, capsys):
     traced_peak(10)  # lazy imports and caches before the measured runs
     growth = (traced_peak(40000) - traced_peak(10000)) / 30000
     assert growth <= 48, f"{growth:.1f} bytes per replication"
+
+
+_GRID_ARGV = {
+    "table": ["table", "--dist", "exp", "--n", "1000", "--approx", "gumbel,accompanying", "--x"],
+    "check-identity": ["check-identity", "--dist", "exp", "--n", "1000", "--x"],
+}
+
+
+@pytest.mark.parametrize("command", list(_GRID_ARGV))
+def test_grid_csv_memory_per_row_is_bounded(tmp_path, capsys, command):
+    # rows formatted block by block from the arrays take about 74 bytes a row
+    # at 2x10^5 rows; every row held as a string took 372 (table) and 298
+    def traced_peak(steps):
+        tracemalloc.start()
+        try:
+            assert main(_GRID_ARGV[command] + [f"-2:6:{steps}",
+                                               "--out", str(tmp_path / "g.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(10)  # lazy imports and caches before the measured run
+    per_row = traced_peak(200000) / 200000
+    assert per_row <= 120, f"{per_row:.1f} bytes per row"
+
+
+_TOO_MANY = 2 ** 55  # 2^58 bytes of floats, past any 64-bit address space
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--dist", "exp", "--n", "1000", "--x", f"-2:6:{_TOO_MANY}"],
+    ["check-identity", "--dist", "exp", "--n", "1000", "--x", f"-2:6:{_TOO_MANY}"],
+    ["rates", "--dist", "exp", "--approx", "gumbel", "--n", "100,1000,10000",
+     "--sup", f"-2:6:{_TOO_MANY}"],
+    ["rates", "--dist", "exp", "--approx", "gumbel", "--sup",
+     "--n-geom", f"100:10000:{_TOO_MANY}"],
+    ["norming", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1",
+     "--n-geom", f"1000:1000000:{_TOO_MANY}"],
+], ids=["table --x", "check-identity --x", "rates --sup", "rates --n-geom", "norming --n-geom"])
+def test_counts_too_many_to_hold_are_refused_before_any_work(argv):
+    # in a child process: a count looped over or allocated would not end
+    proc = _main_in_child(argv, timeout=30)
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith(f"error (DomainError): {argv[-2]}: a count of {_TOO_MANY} "
+                                  f"is too many to hold, in "), proc.stderr
 
 
 @pytest.mark.parametrize("reps", [2 ** 55, 2 ** 62])

@@ -885,6 +885,18 @@ def test_power_family_x0_and_label_are_pinned(spec, x0):
     assert d.label == spec
 
 
+def test_a_log_power_of_exponent_zero_is_the_constant_ell():
+    # ell = (log x)^0 is constant, so x0's search takes the constant's floor
+    # e 2^-60, not e: both specs give one family to the bit, each keeping
+    # its own label
+    logpow, const = (parse_dist(f"weibull:c=1,p=2,alpha=0,ell={ell}")
+                     for ell in ("logpow:1:0", "const:1"))
+    assert logpow.x0 == const.x0 == 2.3577336510745328e-18
+    assert logpow.label == "weibull:c=1,p=2,alpha=0,ell=logpow:1:0"
+    for x in (0.5, 1.0, 3.0):
+        assert logpow.log_tail(x).hex() == const.log_tail(x).hex()
+
+
 def test_x0_whose_tail_underflows_is_refused():
     # log tail = -1e300 x^2 is finite, at most 0 and falling at every grid
     # point from e down to the floor e 2^-60, where it is still -5.6e264: the
