@@ -105,7 +105,7 @@ def exact_and_gammas(dist: DistributionSpec, pairs: NormingPair | Sequence[Normi
     # NaN below x0; -0.0 at x = 0, where log_tail(z) is log_tail(b)
     gamma = -(log_tail - log_tail_b)
     if not inside.all():
-        log_tail[~inside] = dist.log_tail(dist.x0)
+        log_tail[~inside] = dist._log_tail_x0
     exact = _law(log_tail, n)
     return (exact[0], gamma[0]) if isinstance(pairs, NormingPair) else (exact, gamma)
 

@@ -21,6 +21,7 @@ MAX_LIVE = 1 << 15
 # them is accepted and each chunk may still bisect its way up to MAX_LIVE
 _CHUNK = MAX_LIVE // 8
 _EPS = 2.2204460492503131e-16
+NOISE = 32.0  # integrate's default relative rounding noise of f, in units of eps
 
 # Kronrod nodes on [-1, 1], ascending, with the Kronrod weights and the
 # Kronrod weights less those of the embedded 7-point Gauss rule, so one sum
@@ -47,15 +48,16 @@ _FLAT_FRACTIONS = _FRACTIONS.ravel()
 _FLOAT_WEIGHTS = _WEIGHTS[:, :, 0].tolist()
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
+def integrate(f: Callable[[np.ndarray], np.ndarray], a, b, noise: float = NOISE):
     """Integrate f from a_i to b_i for each i by adaptive Gauss-Kronrod (7-15).
 
     f maps a 1-D array of nodes to the array of its values. a and b are
     floats (a float is returned) or arrays of one shape (an array of that
     shape is returned); a > b gives the signed integral. Every pass applies
     the 15-point Kronrod rule to all live subintervals in one call of f and
-    bisects each one whose |Kronrod - Gauss| exceeds max(TOL 2^-d, 32 eps
-    |Kronrod|), d its number of bisections, unless it is one ulp wide. Each
+    bisects each one whose |Kronrod - Gauss| exceeds max(TOL 2^-d, noise eps
+    |Kronrod|), d its number of bisections, unless it is one ulp wide: noise
+    is the relative rounding noise of f, which no bisection reduces. Each
     rule is summed in node order and each interval's accepted pieces from a
     to b, so an interval's integral does not depend on the other intervals
     of the call. The intervals are integrated _CHUNK at a time, which that
@@ -71,7 +73,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
     which evaluates that rule again.
     """
     if isinstance(a, (float, int)) and isinstance(b, (float, int)):
-        total = _first_rule(f, float(a), float(b))
+        total = _first_rule(f, float(a), float(b), noise)
         if total is not None:
             return total
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -82,12 +84,12 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
     total = np.empty(start.size)
     for i in range(0, start.size, _CHUNK):
         chunk = slice(i, i + _CHUNK)
-        total[chunk] = _integrate_chunk(f, start[chunk], end[chunk])
+        total[chunk] = _integrate_chunk(f, start[chunk], end[chunk], noise)
     total = total.reshape(shape)
     return float(total) if total.ndim == 0 else total
 
 
-def _integrate_chunk(f, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+def _integrate_chunk(f, start: np.ndarray, end: np.ndarray, noise: float) -> np.ndarray:
     """integrate's array pass over the 1-D interval ends start and end."""
     total = np.zeros(start.size)
     owner = np.arange(start.size)
@@ -112,7 +114,7 @@ def _integrate_chunk(f, start: np.ndarray, end: np.ndarray) -> np.ndarray:
             i = np.flatnonzero(~np.isfinite(size).all(axis=0))[0]
             raise QuadratureError(f"Gauss-Kronrod sums overflow on [{float(start[i])!r}, "
                                   f"{float(end[i])!r}]")
-        done = size[1] <= np.maximum(TOL * 0.5 ** level, (32.0 * _EPS) * size[0])
+        done = size[1] <= np.maximum(TOL * 0.5 ** level, (noise * _EPS) * size[0])
         if np.count_nonzero(done) < done.size:
             # bisecting an interval one ulp wide only repeats it; keep its rule
             mid = start + 0.5 * width
@@ -135,7 +137,7 @@ def _integrate_chunk(f, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     return total
 
 
-def _first_rule(f, a: float, b: float) -> float | None:
+def _first_rule(f, a: float, b: float, noise: float) -> float | None:
     """The array pass's first 15-point rule on the one interval [a, b], summed
     on floats node by node as np.add.accumulate sums it; None where the rule
     fails its test or its sums overflow."""
@@ -155,7 +157,7 @@ def _first_rule(f, a: float, b: float) -> float | None:
             if not math.isfinite(v):
                 raise QuadratureError(f"integrand is not finite at t={t!r} (value {v!r})")
         return None
-    if abs(diff) <= max(TOL, (32.0 * _EPS) * abs(kronrod)):
+    if abs(diff) <= max(TOL, (noise * _EPS) * abs(kronrod)):
         return 0.0 + kronrod  # the array pass's total starts at +0.0
     return None
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .errors import ConvergenceError, DomainError, EvtError, ParseError
+from .errors import ConvergenceError, DomainError, ParseError
 
 # Root tolerance for quantile inversion, relative on the log-tail scale up to
 # |log q| = _TOL_SCALE_CAP and absolute (1e-10) beyond: the exact law at b_n
@@ -148,6 +148,10 @@ class DistributionSpec:
     x0: float
     _log_tail_x0: float
     label: str
+    # the largest x where the tail can be evaluated, and the relative rounding
+    # noise (in eps) of a tail that is an integral: quantile_log_tail reads both
+    _x_top: float = _X_MAX
+    _noise: float = quadrature.NOISE
 
     # -- tail surface ------------------------------------------------------
 
@@ -217,13 +221,15 @@ class DistributionSpec:
         is known, a step grows u by at most log 2 or the distance u has
         already come from the search's start, whichever is larger, so the
         distance can double at each step and a far quantile costs a few steps,
-        not one per doubling of x. A longer step whose tail cannot be
-        evaluated becomes the upper end to bisect towards; a quantile beyond
-        the float range, or beyond where the tail can be evaluated, raises
+        not one per doubling of x, and no step passes the family's top, the
+        largest x where its tail can be evaluated (the largest float, or
+        lower for IteratedLogScale); a quantile beyond that top raises
         DomainError. It stops when |log_tail(x) - log q| <= 1e-12 *
         min(max(1, |log q|), 100) or the bracket shrinks to rounding. Each
         iterate is evaluated from the nearer bracket end, so IteratedLogScale,
-        whose tail is an integral, covers [x0, x] about once per search.
+        whose tail is an integral, covers [x0, x] about once per search; but
+        not from an upper end so far below log q that the rounding noise of
+        the family's quadrature over the way back would exceed the tolerance.
         """
         return self.quantile_log_tail(q)[0]
 
@@ -250,57 +256,45 @@ class DistributionSpec:
                     f"q={q!r} exceeds tail(x0)={math.exp(log_tail_start)!r}; "
                     f"no quantile above x0")
         lo_u, lo_x, lo_f = math.log(start), start, log_tail_start
-        u_start = lo_u
+        u_start, u_top = lo_u, math.log(self._x_top)
+        # an upper end whose log tail lies below far is not read from: the
+        # rounding noise of the integral back from it would exceed tol
+        far = log_q - tol / (self._noise * sys.float_info.epsilon)
         hi_u = hi_x = hi_f = math.inf  # no upper end yet
         x = float(self._start(log_q, start))
         u = math.log(x)
         f, slope = self._read_tail(x, start, log_tail_start)
         g_prev = math.inf
         for _ in range(_SEARCH_CAP):
-            if f is None:  # x could not be evaluated: bisect below it
-                hi_u, hi_x, hi_f = u, x, math.nan
-                u, g = 0.5 * (lo_u + hi_u), math.inf
+            r = f - log_q
+            if r > 0.0:  # x is below its quantile
+                if u >= u_top:
+                    top = ("the float range" if self._x_top == _X_MAX else
+                           f"x={self._x_top!r}, where its tail can last be evaluated")
+                    raise DomainError(
+                        f"the quantile of {self.label} at log q = {log_q!r} lies beyond "
+                        f"{top} (tail({x!r}) is still above q)")
+                lo_u, lo_x, lo_f = u, x, f
             else:
-                r = f - log_q
-                if r > 0.0:  # x is below its quantile
-                    if u >= _LOG_X_MAX:
-                        raise DomainError(
-                            f"the quantile of {self.label} at log q = {log_q!r} lies beyond "
-                            f"the float range (tail({x!r}) is still above q)")
-                    lo_u, lo_x, lo_f = u, x, f
-                else:
-                    hi_u, hi_x, hi_f = u, x, f
-                if abs(r) <= tol:
-                    return x, f
-                if hi_u - lo_u <= 1e-15 * max(1.0, abs(lo_u)):
-                    if math.isnan(hi_f):
-                        raise DomainError(
-                            f"the quantile of {self.label} at log q = {log_q!r} lies beyond "
-                            f"{hi_x!r}, where its tail cannot be evaluated")
-                    return x, f
-                g = abs(math.log(f / log_q)) if f < 0.0 else math.inf
-                # the step that lowers log tail by y at the slope; NaN where
-                # the tail does not fall
-                y = r if r > 0.0 else g * f
-                u = u + (-y / slope if slope < 0.0 else math.nan)
-                if not (lo_u < u < hi_u and g <= 0.5 * g_prev):
-                    u, g = 0.5 * (lo_u + hi_u), math.inf
+                hi_u, hi_x, hi_f = u, x, f
+            if abs(r) <= tol or hi_u - lo_u <= 1e-15 * max(1.0, abs(lo_u)):
+                return x, f
+            g = abs(math.log(f / log_q)) if f < 0.0 else math.inf
+            # the step that lowers log tail by y at the slope; NaN where
+            # the tail does not fall
+            y = r if r > 0.0 else g * f
+            u = u + (-y / slope if slope < 0.0 else math.nan)
+            if not (lo_u < u < hi_u and g <= 0.5 * g_prev):
+                u, g = 0.5 * (lo_u + hi_u), math.inf
             g_prev = g
             if hi_u == math.inf:
-                u = min(u, lo_u + max(_LOG2, lo_u - u_start), _LOG_X_MAX)
-            x = math.exp(u)
-            try:
-                if u - lo_u <= hi_u - u or math.isnan(hi_f):
-                    f, slope = self._read_tail(x, lo_x, lo_f)
-                else:
-                    f, slope = self._read_tail(x, hi_x, hi_f)
-            except EvtError:
-                # a galloping step may overshoot into a range where the tail
-                # cannot be evaluated (an iterlog integral that fails to
-                # converge, say), though the quantile can
-                if not (u - lo_u > _LOG2 and (hi_u == math.inf or math.isnan(hi_f))):
-                    raise
-                f = None
+                u = min(u, lo_u + max(_LOG2, lo_u - u_start), u_top)
+            # exp may round above the top it was clamped to
+            x = min(math.exp(u), self._x_top)
+            if u - lo_u <= hi_u - u or hi_f < far:
+                f, slope = self._read_tail(x, lo_x, lo_f)
+            else:
+                f, slope = self._read_tail(x, hi_x, hi_f)
         raise ConvergenceError(
             f"quantile search of {self.label} exceeded {_SEARCH_CAP} steps "
             f"(bracket in log x: [{lo_u!r}, {hi_u!r}])")
@@ -695,16 +689,17 @@ class IteratedLogScale(DistributionSpec):
         self.C = float(C)
         self.x0, self._log_tail_x0 = exp_tower(k) + 1.0, 0.0
         self.label = f"iterlog:k={self.k},a={_float_text(self.a)},C={_float_text(self.C)}"
-        # the largest x where (log_k x)^a and the integrand (log_k x)^a / C,
-        # which grow with x, stay a factor e (spare for rounding) below the
-        # largest float
+        # the top: the largest x where (log_k x)^a and the integrand
+        # (log_k x)^a / C, which grow with x, stay a factor e (spare for
+        # rounding) below the largest float
         try:
-            x_max = math.exp((_LOG_X_MAX - 1.0 + min(0.0, math.log(self.C))) / self.a)
+            self._x_top = math.exp((_LOG_X_MAX - 1.0 + min(0.0, math.log(self.C))) / self.a)
             for _ in range(k):  # from log_k x to x
-                x_max = math.exp(x_max)
+                self._x_top = math.exp(self._x_top)
         except OverflowError:
-            x_max = math.inf
-        self._x_max = x_max
+            self._x_top = _X_MAX
+        # the integrand's a-th power multiplies the rounding of log_(k-1) s by a
+        self._noise = max(quadrature.NOISE, 2.0 * self.a)
 
     def _over_f_log(self, s):
         """The integrand in s = log t, (g/f)(e^s) e^s = (log_(k-1) s)^a / C,
@@ -722,18 +717,19 @@ class IteratedLogScale(DistributionSpec):
         """log tail(ends) - log tail(starts), minus the integral of g/f, at
         points >= x0, floats or arrays of one shape, with every integral in one
         quadrature call; so log_tail_from(x, anchor, f) is f +
-        log_tail_steps(anchor, x). A range that reaches past _x_max is refused
-        before its integrand overflows; quadrature nodes lie inside the range."""
-        if self._x_max < math.inf:
+        log_tail_steps(anchor, x). A range past the top _x_top is refused
+        before its integrand overflows; quadrature nodes lie inside it."""
+        if self._x_top < _X_MAX:
             top = float(np.max(np.maximum(starts, ends), initial=-math.inf))
-            if top > self._x_max:
+            if top > self._x_top:
                 raise DomainError(
                     f"tail at x={top!r} is outside the float range ((log_{self.k} x) ** "
-                    f"{self.a!r} / {self.C!r} overflows past x={self._x_max!r})")
+                    f"{self.a!r} / {self.C!r} overflows past x={self._x_top!r})")
         if not isinstance(starts, np.ndarray) and starts == ends:
             return 0.0
         # 0.0 - keeps the log tail of an empty range +0.0
-        return 0.0 - quadrature.integrate(self._over_f_log, np.log(starts), np.log(ends))
+        return 0.0 - quadrature.integrate(self._over_f_log, np.log(starts), np.log(ends),
+                                          noise=self._noise)
 
     def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
         """log_tail_anchor + log_tail_steps(anchor, z), with one quadrature

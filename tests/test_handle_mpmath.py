@@ -145,3 +145,20 @@ def test_exact_law_and_gamma_match_the_closed_tail(n):
             want_law = mp.exp(n * mp.log1p(-mp.exp(log_tail_z)))
             assert abs(got_law - want_law) <= 1e-15 * log_n, x
             assert abs(got_gamma - (log_tail_b - log_tail_z)) <= 3e-14 + 2.0 ** -52 * log_n, x
+
+
+@pytest.mark.parametrize("a", [700.0, 1000.0, 3000.0])
+@pytest.mark.parametrize("q", [1e-3, 1e-30, 1e-300])
+def test_quantiles_at_large_a(a, q):
+    # (log_2 s)^a carries about a eps of rounding noise, which the family's
+    # quadrature floor of 2a eps accepts. The search stops within its rule of
+    # log q, or once its bracket is 1e-15 u wide, u = log x, over which the
+    # log tail moves by at most its slope (log_2 u)^a times that width
+    dist = IteratedLogScale(3, a, 1.0)
+    x = dist.quantile_tail(q)
+    log_q = math.log(q)
+    u = math.log(x)
+    collapse = math.log(math.log(u)) ** a * 1e-15 * u
+    with mp.workdps(45):
+        got = -mp_integral(dist, dist.x0, x)
+        assert abs(got - log_q) <= stop_rule(log_q) + collapse, x

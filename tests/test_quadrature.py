@@ -140,6 +140,18 @@ def test_live_subintervals_are_capped():
     assert f.nodes <= 2 * 15 * quadrature.MAX_LIVE
 
 
+def test_the_noise_floor_accepts_a_power_s_rounding():
+    # (log log s)^700 carries about 700 eps of relative rounding noise, which
+    # the default floor of 32 eps bisects on until the live cap; at noise
+    # 1400 the same integral converges to the 40-digit value, 12081.1637671212
+    f = lambda s: np.log(np.log(s)) ** 700  # noqa: E731
+    with pytest.raises(QuadratureError, match="live subintervals"):
+        quadrature.integrate(f, 15.154, 15.9)
+    got = quadrature.integrate(f, 15.154, 15.9, noise=1400.0)
+    assert got == pytest.approx(12081.16376712120568, rel=1e-13)
+    assert quadrature.integrate(f, np.array([15.154]), 15.9, noise=1400.0).tolist() == [got]
+
+
 # -- the iterated-log family's work ---------------------------------------------
 
 def count_nodes(monkeypatch, cls, name):

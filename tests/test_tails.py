@@ -242,7 +242,7 @@ def test_handle_quantile_search_gallops_away_from_x0(k, log10_n, cap, monkeypatc
     calls = []
     integrate = quadrature.integrate
     monkeypatch.setattr(quadrature, "integrate",
-                        lambda f, a, b: calls.append(b) or integrate(f, a, b))
+                        lambda f, a, b, **kw: calls.append(b) or integrate(f, a, b, **kw))
     norming_exact(d, 10 ** log10_n)
     assert len(calls) <= cap
 
@@ -266,16 +266,17 @@ def test_handle_quantile_search_steps_where_f_overflows():
     assert len(calls) <= 15
 
 
-def test_handle_quantile_search_bisects_below_an_overshoot_it_cannot_evaluate():
+def test_handle_quantile_search_evaluates_its_overshoot_at_large_a():
     # the integrand (log_2 s)^700 climbs from 1 at s0 ~ log x0 so steeply that
-    # its integral to the first galloping step, 2 x0 ~ 7.6e6, fails to
-    # converge; the root lies at 5.07e6, and the search must bisect back
-    # below the step instead of raising
+    # the first galloping step, 2 x0 ~ 7.6e6, overshoots the root at 5.07e6
+    # (log tail -5265 against log q = -6.9); under a noise floor of 2a eps
+    # that step's integral converges, where 32 eps bisected it past the cap
     d = IteratedLogScale(3, 700.0, 1.0)
-    raised = []
+    raised, ends_read = [], []
     steps = d.log_tail_steps
 
     def recording(starts, ends):
+        ends_read.append(ends)
         try:
             return steps(starts, ends)
         except QuadratureError:
@@ -285,17 +286,27 @@ def test_handle_quantile_search_bisects_below_an_overshoot_it_cannot_evaluate():
     d.log_tail_steps = recording
     log_q = math.log(1e-3)
     x = d.quantile_tail(1e-3)
-    assert raised and min(raised) > x
+    assert not raised and max(ends_read) == pytest.approx(2.0 * d.x0, rel=1e-14)
     assert abs(d.log_tail(x) - log_q) <= 1e-12 * abs(log_q)
     assert x == pytest.approx(5066874.936, rel=1e-9)
 
 
-def test_handle_quantile_search_still_meets_the_live_subinterval_cap():
-    # (log_2 s)^700 bisects on the rounding noise of its 700th power until
-    # one integral has more than MAX_LIVE live subintervals; chunking a
-    # call's intervals leaves that guard on bisection growth in place
-    with pytest.raises(QuadratureError, match="live subintervals"):
-        IteratedLogScale(3, 700.0, 1.0).quantile_tail(1e-30)
+def test_handle_quantile_search_at_large_a_matches_mpmath():
+    # (log_2 s)^700 carries about 700 eps of rounding noise, so under a flat
+    # 32 eps floor this quantile's integrals bisected past MAX_LIVE live
+    # subintervals (that guard is tested in tests/test_quadrature.py); under
+    # the family's 2a eps the search returns, and a 40-digit integral puts
+    # its log tail within the stop rule of log q
+    mpmath = pytest.importorskip("mpmath")
+    d = IteratedLogScale(3, 700.0, 1.0)
+    log_q = math.log(1e-30)
+    x = d.quantile_tail(1e-30)
+    with mpmath.mp.workdps(40):
+        s0, s = mpmath.log(mpmath.mpf(d.x0)), mpmath.log(mpmath.mpf(x))
+        log_tail = -mpmath.quad(lambda t: mpmath.log(mpmath.log(t)) ** 700,
+                                mpmath.linspace(s0, s, 9))
+    assert x == pytest.approx(5.826e6, rel=1e-3)
+    assert abs(float(log_tail) - log_q) <= 1e-12 * abs(log_q)
 
 
 def test_handle_quantile_tails_walk_the_levels(monkeypatch):
@@ -527,6 +538,25 @@ def test_handle_quantile_beyond_the_float_range_is_a_domain_error():
         d.quantile_tail(1e-3)
     x = d.quantile_tail(0.1)
     assert x == pytest.approx(4.7914786508670e195, rel=1e-11)
+    assert abs(d.log_tail(x) - math.log(0.1)) <= 1e-12 * math.log(10.0)
+
+
+def test_handle_quantile_beyond_the_top_is_a_domain_error():
+    # (log s)^400 / 1e308 passes the largest float over e past the top
+    # x = 5.76e155, where the log tail is still -3.43: the search reads
+    # no point above the top (a galloping step overran it before), and names
+    # it when the quantile lies beyond
+    d = IteratedLogScale(2, 400.0, 1e308)
+    ends_read = []
+    steps = d.log_tail_steps
+    d.log_tail_steps = lambda starts, ends: ends_read.append(ends) or steps(starts, ends)
+    top = re.escape(repr(d._x_top))
+    with pytest.raises(DomainError, match=f"lies beyond x={top}, where its tail can last be "
+                                          f"evaluated"):
+        d.quantile_tail(1e-3)
+    assert max(ends_read) == d._x_top == pytest.approx(5.762e155, rel=1e-3)
+    x = d.quantile_tail(0.1)
+    assert x == pytest.approx(7.356e154, rel=1e-3)
     assert abs(d.log_tail(x) - math.log(0.1)) <= 1e-12 * math.log(10.0)
 
 
