@@ -38,7 +38,7 @@ from .approx import (
     require_gammas,
     two_term,
 )
-from .errors import DomainError, EvtError, ParseError
+from .errors import DomainError, EvtError, MismatchError, ParseError
 from .norming import norming_closed, norming_exact, norming_exacts, types_equivalence_gap
 from .tails import DistributionSpec, parse_dist
 
@@ -318,15 +318,17 @@ def _cmd_check_identity(args, dist: DistributionSpec) -> int:
     gaps = np.abs(exact - law)
     worst = float(gaps.max(initial=0.0))
     ok = worst <= args.tol
+    # a failed check's summary is its typed error line, after the CSV is written
     _finish(args.out, _csv([_header(dist.label, "check-identity"), IDENTITY_COLUMNS],
                            f"{n},%r,%r,%r,%r", [xs, exact, law, gaps]),
             [f"check-identity: dist={dist.label} n={n} max|gap|={worst:.3e} "
-             f"tol={args.tol:.3e} -> {'OK' if ok else 'FAIL'}"])
-    if not ok:
-        print(f"error: identity violated: max gap {worst!r} > tol {args.tol!r}",
-              file=sys.stderr)
-        return 4
-    return 0
+             f"tol={args.tol:.3e} -> OK"] if ok else [])
+    if ok:
+        return 0
+    # the two laws that must agree do not: a numerical failure, so exit 4
+    _report(MismatchError(f"identity violated: max gap {worst!r} > tol {args.tol!r}")
+            .at(f"n={n}").at(f"dist={dist.label}"))
+    return 4
 
 
 def _cmd_simulate(args, dist: DistributionSpec) -> int:
@@ -450,6 +452,10 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
         for flag, spec in flags.items()})
 
 
+def _report(exc: Exception) -> None:
+    print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
@@ -462,7 +468,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise exc.at(f"dist={dist.label}") from exc
     except (EvtError, ValueError, ArithmeticError) as exc:
         # the last resort: a numerical failure without a typed error exits 4
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        _report(exc)
         return getattr(exc, "exit_code", 4)
 
 

@@ -102,6 +102,40 @@ def _float_text(v: float) -> str:
     return repr(float(v)).removesuffix(".0")
 
 
+def _parse_float(key: str, raw: str) -> float:
+    try:
+        v = float(raw)
+    except ValueError:
+        raise ParseError(f"field {key!r}: not a number: {raw!r}") from None
+    if not math.isfinite(v):
+        raise ParseError(f"field {key!r}: must be finite, got {raw!r}")
+    return v
+
+
+def _parse_int(key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"field {key!r}: not an integer: {raw!r}") from None
+
+
+def _parse_ell(key: str, raw: str) -> SlowlyVarying:
+    kind, *values = raw.split(":")
+    count = {"const": 1, "logpow": 2}.get(kind)
+    if count is None:
+        raise ParseError(f"field {key!r}: unknown form {kind!r} (expected const or logpow)")
+    if len(values) != count:
+        raise ParseError(f"field {key!r}: {kind} takes {('one value', 'two values')[count - 1]}, "
+                         f"got {raw!r}")
+    return SlowlyVarying(kind, *[_parse_float(key, v) for v in values])
+
+
+# a spec field's kind: its reader (syntax only) and its writer, the reader's inverse
+_FLOAT = (_parse_float, _float_text)
+_INT = (_parse_int, str)
+_ELL = (_parse_ell, lambda ell: ell.label)
+
+
 def exp_tower(k: int) -> float:
     """exp applied k times to 1, so log applied k times to it gives 1.
 
@@ -143,11 +177,13 @@ def _pow(x: float, base: float, p: float) -> float:
 class DistributionSpec:
     """Base class for tail families. Subclasses set x0, _log_tail_x0 =
     log tail(x0) and label, and give the tail hook _log_tails_slopes_from;
-    every tail value and both quantile searches read it."""
+    every tail value and both quantile searches read it. Each also names
+    its spec head _head and fields _fields, {parameter: kind} in order."""
 
     x0: float
     _log_tail_x0: float
     label: str
+    _fields: dict = {}
     # the largest x where the tail can be evaluated, and the relative rounding
     # noise (in eps) of a tail that is an integral: quantile_log_tail reads both
     _x_top: float = _X_MAX
@@ -392,6 +428,12 @@ class DistributionSpec:
         raise DomainError(f"no closed-form norming for family {self.label!r} (Weibull-like "
                           f"and log-Weibull-like only)")
 
+    def _spec_label(self) -> str:
+        # the exact spec, which parse_dist reads back to this family to the bit
+        body = ",".join([f"{key}={write(getattr(self, key))}"
+                         for key, (_, write) in self._fields.items()])
+        return f"{self._head}:{body}" if body else self._head
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({self.label!r})"
 
@@ -405,9 +447,11 @@ class ExponentialUnit(DistributionSpec):
     both von Mises components are constant, so the scaled maximum law is
     within O(1/n) of the Gumbel limit."""
 
+    _head = "exp"
+
     def __init__(self) -> None:
         self.x0, self._log_tail_x0 = 0.0, -0.0
-        self.label = "exp"
+        self.label = self._spec_label()
 
     def _log_tails_slopes_from(self, x, lx, anchor, log_tail_anchor):
         return -x, -x
@@ -432,14 +476,16 @@ class ExponentialUnit(DistributionSpec):
 
 class _PowerFamily(DistributionSpec):
     """Tails ell(x) x^alpha exp(-c h(x)^p), with h(x) = x (WeibullLike) or
-    h(x) = log x (LogWeibullLike), which share one constructor and one array
-    quantile. Subclasses give class data (the spec head _head, the bound
-    _p_min that p must exceed, and the floor _x0_floor of x0's search, e for
-    an ell that is not constant) and formulas: the closed-form inverse of
-    the alpha = 0, constant-ell member, the log tail with its exact slope in
-    log x (the tail hook, which ignores anchors), the components, and the
-    closed-form norming pair at u = log(n)/c.
+    h(x) = log x (LogWeibullLike), which share one constructor, one spec
+    and one array quantile. Subclasses give class data (the spec head _head,
+    the bound _p_min that p must exceed, and the floor _x0_floor of x0's
+    search, e for an ell that is not constant) and formulas: the closed-form
+    inverse of the alpha = 0, constant-ell member, the log tail with its
+    exact slope in log x (the tail hook, which ignores anchors), the
+    components, and the closed-form norming pair at u = log(n)/c.
     """
+
+    _fields = {"c": _FLOAT, "p": _FLOAT, "alpha": _FLOAT, "ell": _ELL}
 
     def __init__(self, c: float, p: float, alpha: float = 0.0,
                  ell: SlowlyVarying | None = None) -> None:
@@ -456,8 +502,7 @@ class _PowerFamily(DistributionSpec):
         self.ell = ell if ell is not None else SlowlyVarying.const(1.0)
         floor = self._x0_floor if self.ell.is_const else math.e
         self.x0, self._log_tail_x0 = self._auto_x0(floor)
-        self.label = (f"{self._head}:c={_float_text(self.c)},p={_float_text(self.p)},"
-                      f"alpha={_float_text(self.alpha)},ell={self.ell.label}")
+        self.label = self._spec_label()
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         """The x with log ell0 - c h(x)^p = log q."""
@@ -677,6 +722,9 @@ class IteratedLogScale(DistributionSpec):
     the tail hook passes it one float.
     """
 
+    _head = "iterlog"
+    _fields = {"k": _INT, "a": _FLOAT, "C": _FLOAT}
+
     def __init__(self, k: int, a: float, C: float) -> None:
         if not (isinstance(k, int) and k >= 2):
             raise DomainError("IteratedLogScale needs integer k >= 2")
@@ -688,7 +736,7 @@ class IteratedLogScale(DistributionSpec):
         self.a = float(a)
         self.C = float(C)
         self.x0, self._log_tail_x0 = exp_tower(k) + 1.0, 0.0
-        self.label = f"iterlog:k={self.k},a={_float_text(self.a)},C={_float_text(self.C)}"
+        self.label = self._spec_label()
         # the top: the largest x where (log_k x)^a and the integrand
         # (log_k x)^a / C, which grow with x, stay a factor e (spare for
         # rounding) below the largest float
@@ -812,37 +860,7 @@ class IteratedLogScale(DistributionSpec):
 # Spec-string grammar
 # ---------------------------------------------------------------------------
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        raise ParseError(f"field {key!r}: not a number: {raw!r}") from None
-    if not math.isfinite(v):
-        raise ParseError(f"field {key!r}: must be finite, got {raw!r}")
-    return v
-
-
-def _parse_ell(raw: str) -> SlowlyVarying:
-    parts = raw.split(":")
-    if parts[0] == "const":
-        if len(parts) != 2:
-            raise ParseError(f"field 'ell': const takes one value, got {raw!r}")
-        scale = _parse_float("ell", parts[1])
-        if scale <= 0.0:
-            raise ParseError(f"field 'ell': const scale must be > 0, got {raw!r}")
-        return SlowlyVarying.const(scale)
-    if parts[0] == "logpow":
-        if len(parts) != 3:
-            raise ParseError(f"field 'ell': logpow takes two values, got {raw!r}")
-        scale = _parse_float("ell", parts[1])
-        beta = _parse_float("ell", parts[2])
-        if scale <= 0.0:
-            raise ParseError(f"field 'ell': logpow scale must be > 0, got {raw!r}")
-        return SlowlyVarying.log_power(scale, beta)
-    raise ParseError(f"field 'ell': unknown form {parts[0]!r} (expected const or logpow)")
-
-
-def _key_values(body: str, wanted: tuple[str, ...]) -> dict[str, str]:
+def _key_values(body: str, wanted: dict) -> dict[str, str]:
     out: dict[str, str] = {}
     for chunk in body.split(","):
         if "=" not in chunk:
@@ -859,53 +877,31 @@ def _key_values(body: str, wanted: tuple[str, ...]) -> dict[str, str]:
     return out
 
 
-_POWER_FAMILIES = {family._head: family for family in (WeibullLike, LogWeibullLike)}
+_FAMILIES = {family._head: family
+             for family in (ExponentialUnit, WeibullLike, LogWeibullLike, IteratedLogScale)}
 
 
 def parse_dist(spec: str) -> DistributionSpec:
     """Parse the distribution grammar used by the CLI and config files.
 
-    Forms:
+    Forms, one per family of _FAMILIES (its head, then its fields in order):
         exp
         weibull:c=<f>,p=<f>,alpha=<f>,ell=const:<f>
         weibull:c=<f>,p=<f>,alpha=<f>,ell=logpow:<f>:<f>
         logweibull:c=<f>,p=<f>,alpha=<f>,ell=...
         iterlog:k=<int>,a=<f>,C=<f>
 
-    Unknown keys, missing keys, and out-of-domain values are rejected with a
-    message naming the offending field.
+    The grammar checks syntax only: an unknown family, an unknown, missing,
+    duplicate or malformed field, or a value that is not a finite number (an
+    integer for k) is a ParseError naming the field. A value outside the
+    domain (c <= 0, say) is the constructor's DomainError, naming it.
     """
-    spec = spec.strip()
-    if spec == "exp":
-        return ExponentialUnit()
-    head, _, body = spec.partition(":")
-    family = _POWER_FAMILIES.get(head)
-    if family is not None:
-        # ell values contain ':' so key=value splitting on ',' stays unambiguous
-        fields = _key_values(body, ("c", "p", "alpha", "ell"))
-        c = _parse_float("c", fields["c"])
-        p = _parse_float("p", fields["p"])
-        alpha = _parse_float("alpha", fields["alpha"])
-        ell = _parse_ell(fields["ell"])
-        if c <= 0.0:
-            raise ParseError(f"field 'c': must be > 0, got {fields['c']!r}")
-        if p <= family._p_min:
-            raise ParseError(
-                f"field 'p': must be > {family._p_min:g} for {head}, got {fields['p']!r}")
-        return family(c, p, alpha, ell)
-    if head == "iterlog":
-        fields = _key_values(body, ("k", "a", "C"))
-        try:
-            k = int(fields["k"])
-        except ValueError:
-            raise ParseError(f"field 'k': not an integer: {fields['k']!r}") from None
-        a = _parse_float("a", fields["a"])
-        big_c = _parse_float("C", fields["C"])
-        if k < 2:
-            raise ParseError(f"field 'k': must be >= 2, got {fields['k']!r}")
-        if a <= 0.0:
-            raise ParseError(f"field 'a': must be > 0, got {fields['a']!r}")
-        if big_c <= 0.0:
-            raise ParseError(f"field 'C': must be > 0, got {fields['C']!r}")
-        return IteratedLogScale(k, a, big_c)
-    raise ParseError(f"unknown distribution family {head!r}")
+    head, sep, body = spec.strip().partition(":")
+    family = _FAMILIES.get(head)
+    if family is None:
+        raise ParseError(f"unknown distribution family {head!r}")
+    if sep and not family._fields:
+        raise ParseError(f"family {head!r} takes no fields, got {body!r}")
+    # ell values contain ':' so key=value splitting on ',' stays unambiguous
+    raw = _key_values(body, family._fields) if family._fields else {}
+    return family(*[read(key, raw[key]) for key, (read, _) in family._fields.items()])

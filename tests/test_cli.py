@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evt_accompany
@@ -109,10 +109,16 @@ def test_check_identity_passes_at_tolerance(tmp_path):
     assert all(float(cells[4]) <= 1e-10 for cells in body)
 
 
-def test_check_identity_fails_at_absurd_tolerance(tmp_path):
-    code, _ = run(tmp_path, "c2.csv", [
+def test_check_identity_fails_at_absurd_tolerance(tmp_path, capsys):
+    # the CSV is written, and the verdict is a typed error line and exit 4
+    code, payload = run(tmp_path, "c2.csv", [
         "check-identity", "--dist", "exp", "--n", "100", "--tol", "1e-18"])
     assert code == 4
+    assert len(rows(payload)[1]) == 61
+    out, err = capsys.readouterr()
+    assert not out
+    assert re.fullmatch(r"error \(MismatchError\): identity violated: max gap \S+ > tol 1e-18 "
+                        r"\(at n=100\) \(at dist=exp\)\n", err), err
 
 
 def test_check_identity_runs_down_to_the_cutoff(tmp_path):
@@ -659,6 +665,13 @@ _COMMAND_LINES = [
     (_RATES + ["--at", "1", "--sup"], "error (ParseError): --at and --sup are mutually exclusive"),
     (["simulate", "--dist", "exp", "--n", "1000", "--reps", "0"],
      "error (ParseError): --reps: needs a positive count, got 0"),
+    # the grammar refuses syntax (exit 2); the family, values outside its domain (exit 3)
+    (["table", "--dist", "exp:c=1", "--n", "1000", "--x", "-2:6:3"],
+     "error (ParseError): family 'exp' takes no fields, got 'c=1'"),
+    (["table", "--dist", "weibull:c=-1,p=2,alpha=0,ell=const:1", "--n", "1000", "--x", "-2:6:3"],
+     "error (DomainError): WeibullLike needs c > 0"),
+    (["table", "--dist", "iterlog:k=1,a=1,C=1", "--n", "1000", "--x", "-2:6:3"],
+     "error (DomainError): IteratedLogScale needs integer k >= 2"),
     # neither --at nor --sup: the default window
     (_RATES, "approx=gumbel metric=sup[-2,6]x161"),
 ]
@@ -1103,6 +1116,10 @@ def command_lines(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(command_lines())
+# check-identity verdicts past --tol on iterlog with a small C
+@example(["check-identity", "--dist", "iterlog:k=2,a=1,C=1e-7", "--n", "1000"])
+@example(["check-identity", "--dist", "iterlog:k=2,a=2,C=5.6e-08", "--n", "2",
+          "--x", "0.301:2.301:6"])
 def test_cli_fuzz_exits_with_a_category_and_no_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -12,6 +12,7 @@ from evt_accompany.approx import two_term
 from evt_accompany.errors import DomainError, ParseError, QuadratureError
 from evt_accompany.norming import norming_exact, norming_exacts
 from evt_accompany.tails import (
+    _FAMILIES,
     DistributionSpec,
     ExponentialUnit,
     IteratedLogScale,
@@ -948,10 +949,6 @@ def test_x0_search_reads_the_tail_formula_once_per_grid_point(monkeypatch):
 
 
 def test_power_families_share_one_grammar_and_constructor():
-    with pytest.raises(ParseError, match=r"field 'p': must be > 0 for weibull, got '0'"):
-        parse_dist("weibull:c=1,p=0,alpha=0,ell=const:1")
-    with pytest.raises(ParseError, match=r"field 'p': must be > 1 for logweibull, got '1'"):
-        parse_dist("logweibull:c=1,p=1,alpha=0,ell=const:1")
     for family, p_min in ((WeibullLike, 0), (LogWeibullLike, 1)):
         name = family.__name__
         with pytest.raises(DomainError, match=f"^{name} needs c > 0$"):
@@ -1039,25 +1036,69 @@ def test_parse_rejections_name_the_field():
     cases = {
         "weibull:c=1,p=2,alpha=0": "ell",
         "weibull:c=1,p=2,alpha=0,ell=const:1,bogus=3": "bogus",
-        "weibull:c=-1,p=2,alpha=0,ell=const:1": "'c'",
-        "weibull:c=1,p=0,alpha=0,ell=const:1": "'p'",
-        "logweibull:c=1,p=1,alpha=0,ell=const:1": "'p'",
         "weibull:c=1,p=2,alpha=0,ell=weird:1": "ell",
-        "iterlog:k=1,a=1,C=1": "'k'",
-        "iterlog:k=2,a=0,C=1": "'a'",
-        "iterlog:k=2,a=1,C=0": "'C'",
         "gumbelzilla:c=1": "gumbelzilla",
         "weibull:c=inf,p=2,alpha=0,ell=const:1": "field 'c': must be finite",
         "weibull:c=1,p=2,alpha=0,ell=const:1:2": "const takes one value",
-        "weibull:c=1,p=2,alpha=0,ell=const:0": "const scale must be > 0",
         "weibull:c=1,p=2,alpha=0,ell=logpow:1": "logpow takes two values",
-        "weibull:c=1,p=2,alpha=0,ell=logpow:-1:1": "logpow scale must be > 0",
         "weibull:c=1,p,alpha=0,ell=const:1": "malformed field 'p'",
         "weibull:c=1,c=2,p=2,alpha=0,ell=const:1": "duplicate field 'c'",
     }
     for spec, needle in cases.items():
         with pytest.raises(ParseError, match=needle):
             parse_dist(spec)
+
+
+# every field of every family in the grammar's table: a valid value, a value
+# that is not a number with the start of its ParseError, and the values outside
+# the family's domain with the start of the constructor's DomainError, which
+# names the parameter (any finite alpha is inside)
+_SPEC_FIELDS = {
+    "weibull": {"c": "1", "p": "2", "alpha": "0", "ell": "const:1"},
+    "logweibull": {"c": "1", "p": "2", "alpha": "0", "ell": "const:1"},
+    "iterlog": {"k": "2", "a": "1", "C": "1"},
+}
+_NOT_A_NUMBER = {"k": ("2.5", "not an integer"), "ell": ("logpow:1:x", "not a number")}
+_OUT_OF_DOMAIN = {
+    ("weibull", "c"): (["0", "-0", "-1"], "WeibullLike needs c > 0"),
+    ("weibull", "p"): (["0", "-2"], "WeibullLike needs p > 0"),
+    ("weibull", "alpha"): ([], None),
+    ("weibull", "ell"): (["const:0", "logpow:-1:1"], "slowly varying scale ell0 must be"),
+    ("logweibull", "c"): (["0", "-1"], "LogWeibullLike needs c > 0"),
+    ("logweibull", "p"): (["1", "0.5"], "LogWeibullLike needs p > 1"),
+    ("logweibull", "alpha"): ([], None),
+    ("logweibull", "ell"): (["const:-2", "logpow:0:1"], "slowly varying scale ell0 must be"),
+    ("iterlog", "k"): (["1", "0", "-3"], "IteratedLogScale needs integer k >= 2"),
+    ("iterlog", "a"): (["0", "-1"], "IteratedLogScale needs a > 0"),
+    ("iterlog", "C"): (["0", "-1e-300"], "IteratedLogScale needs C > 0"),
+}
+
+
+@pytest.mark.parametrize("head, key", [(head, key) for head, family in _FAMILIES.items()
+                                       for key in family._fields],
+                         ids=lambda v: v)
+def test_the_grammar_refuses_syntax_and_the_family_its_domain(head, key):
+    family = _FAMILIES[head]
+
+    def spec(value):
+        return f"{head}:" + ",".join(f"{k}={value if k == key else _SPEC_FIELDS[head][k]}"
+                                     for k in family._fields)
+
+    assert type(parse_dist(spec(_SPEC_FIELDS[head][key]))) is family
+    raw, needle = _NOT_A_NUMBER.get(key, ("one", "not a number"))
+    with pytest.raises(ParseError, match=f"^field {key!r}: {needle}: "):
+        parse_dist(spec(raw))
+    values, message = _OUT_OF_DOMAIN[head, key]
+    for value in values:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            parse_dist(spec(value))
+
+
+@pytest.mark.parametrize("spec", ["exp:", "exp:c=1", " exp:c=1,p=2 "])
+def test_exp_takes_no_fields(spec):
+    # exp is a known family, not an unknown one
+    with pytest.raises(ParseError, match=r"^family 'exp' takes no fields, got "):
+        parse_dist(spec)
 
 
 @pytest.mark.parametrize("build, message", [
