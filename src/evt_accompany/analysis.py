@@ -45,7 +45,7 @@ class SupOnGrid:
             raise DomainError(f"SupOnGrid needs x_lo < x_hi a finite span apart, got "
                               f"x_lo={self.x_lo!r}, x_hi={self.x_hi!r}")
         if self.steps < 2:
-            raise DomainError("SupOnGrid needs steps >= 2")
+            raise DomainError(f"SupOnGrid needs steps >= 2, got {self.steps!r}")
 
     def grid(self) -> np.ndarray:
         """lo + (hi - lo) * i / (steps - 1), rounded in that order, for

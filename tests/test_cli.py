@@ -217,10 +217,15 @@ def test_exit_parse_error_bad_dist(tmp_path, capsys):
     assert "field" in capsys.readouterr().err
 
 
-def test_exit_parse_error_bad_grid(tmp_path):
+def test_exit_parse_error_bad_grid(tmp_path, capsys):
+    # a reversed window is a value outside SupOnGrid's domain (exit 3); two
+    # approximants where rates takes one is a malformed command line (exit 2)
     code, _ = run(tmp_path, "x.csv", [
         "table", "--dist", "exp", "--n", "100", "--x", "5:1:3"])
-    assert code == 2
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error (DomainError): SupOnGrid needs x_lo < x_hi a finite span apart, "
+        "got x_lo=5.0, x_hi=1.0 (at dist=exp)\n")
     code, _ = run(tmp_path, "x.csv", [
         "rates", "--dist", "exp", "--approx", "gumbel,accompanying",
         "--n-geom", "100:1000:3", "--at", "0"])
@@ -448,9 +453,13 @@ def test_n_flags_accept_integral_float_literals(tmp_path):
 def test_n_flags_reject_non_integral_literals(tmp_path, capsys, flag, value, needle):
     code, _ = run(tmp_path, "x.csv", [
         "norming", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1", flag, value])
-    assert code == 2
+    # an n beyond the float range is a value outside the domain, refused as
+    # norming_exact refuses it; the rest are not integer literals at all
+    kind, exit_code = (("DomainError", 3) if needle == "beyond the float range"
+                       else ("ParseError", 2))
+    assert code == exit_code
     err = capsys.readouterr().err
-    assert err.startswith(f"error (ParseError): {flag}: ")
+    assert err.startswith(f"error ({kind}): {flag}: ")
     assert needle in err
 
 
@@ -503,8 +512,10 @@ def test_steep_logweibull_x0_is_refined_but_stays_at_least_e(tmp_path):
 def test_exit_parse_error_negative_seed(tmp_path, capsys):
     code, _ = run(tmp_path, "x.csv", [
         "simulate", "--dist", "exp", "--n", "10", "--reps", "5", "--seed", "-1"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error (ParseError): --seed")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error (DomainError): simulate_max needs an integer seed >= 0, got -1 "
+        "(at dist=exp)\n")
 
 
 def test_exit_domain_error_no_closed_form(tmp_path, capsys):
@@ -645,12 +656,27 @@ _COMMAND_LINES = [
      "error (ParseError): --x: expected lo:hi:steps, got '-2:6'"),
     (["table", "--dist", "exp", "--n", "1000", "--x", "-2:six:9"],
      "error (ParseError): --x: malformed window '-2:six:9'"),
+    # a value that parses but lies outside the domain is the library's DomainError (exit 3)
     (["table", "--dist", "exp", "--n", "1000", "--x", "-2:6:1"],
-     "error (ParseError): --x: needs steps >= 2"),
+     "error (DomainError): SupOnGrid needs steps >= 2, got 1 (at dist=exp)"),
+    (["table", "--dist", "exp", "--n", "1000", "--x", "0:1:-5"],
+     "error (DomainError): SupOnGrid needs steps >= 2, got -5 (at dist=exp)"),
+    (["table", "--dist", "exp", "--n", "1000", "--x", "6:-2:3"],
+     "error (DomainError): SupOnGrid needs x_lo < x_hi a finite span apart, "
+     "got x_lo=6.0, x_hi=-2.0 (at dist=exp)"),
+    (["table", "--dist", "exp", "--n", "1000", "--x", "nan:1:3"],
+     "error (DomainError): SupOnGrid needs x_lo < x_hi a finite span apart, "
+     "got x_lo=nan, x_hi=1.0 (at dist=exp)"),
     (["table", "--dist", "exp", "--n", "1", "--x", "-2:6:9"],
-     "error (ParseError): --n: every n must be >= 2"),
+     "error (DomainError): norming_exact needs an integer n >= 2, got 1 (at dist=exp)"),
+    (["simulate", "--dist", "exp", "--n", "1", "--reps", "5"],
+     "error (DomainError): simulate_max needs an integer n >= 2, got 1 (at dist=exp)"),
     (["rates", "--dist", "exp", "--approx", "gumbel", "--n", "1000,100"],
-     "error (ParseError): --n: n values must be strictly increasing"),
+     "error (DomainError): norming_exacts needs strictly increasing n, got [1000, 100] "
+     "(at dist=exp)"),
+    (["rates", "--dist", "exp", "--approx", "gumbel", "--n", "100,100,1000"],
+     "error (DomainError): norming_exacts needs strictly increasing n, got [100, 100, 1000] "
+     "(at dist=exp)"),
     (["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "100:10000"],
      "error (ParseError): --n-geom: expected start:stop:count"),
     (["rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "10000:100:3"],
@@ -664,7 +690,10 @@ _COMMAND_LINES = [
      "error (ParseError): --approx: unknown approximant 'bogus'"),
     (_RATES + ["--at", "1", "--sup"], "error (ParseError): --at and --sup are mutually exclusive"),
     (["simulate", "--dist", "exp", "--n", "1000", "--reps", "0"],
-     "error (ParseError): --reps: needs a positive count, got 0"),
+     "error (DomainError): simulate_max needs an integer replications >= 1, got 0 "
+     "(at dist=exp)"),
+    (["simulate", "--dist", "exp", "--n", "1000", "--reps", "5", "--seed", "-1"],
+     "error (DomainError): simulate_max needs an integer seed >= 0, got -1 (at dist=exp)"),
     # the grammar refuses syntax (exit 2); the family, values outside its domain (exit 3)
     (["table", "--dist", "exp:c=1", "--n", "1000", "--x", "-2:6:3"],
      "error (ParseError): family 'exp' takes no fields, got 'c=1'"),
