@@ -32,9 +32,20 @@ RNG_ALGORITHM = "philox4x64"
 _QUANTILE_BLOCK = 8192
 
 
+def allocate(count: int, message: str) -> np.ndarray:
+    """np.empty(count), or the DomainError message when the allocator refuses
+    count float64 values outright: past the address space, or numpy's size
+    cap. A count it only reserves (10^9 on a 7 GB host) passes."""
+    try:
+        return np.empty(count)
+    except (MemoryError, ValueError):
+        raise DomainError(message) from None
+
+
 @dataclass(frozen=True)
 class SupOnGrid:
-    """Sup of pointwise absolute errors over the guarded x-grid."""
+    """Sup of pointwise absolute errors over the guarded x-grid. A grid of
+    more steps than can be held is refused as it is built."""
 
     x_lo: float = -2.0
     x_hi: float = 6.0
@@ -46,6 +57,7 @@ class SupOnGrid:
                               f"x_lo={self.x_lo!r}, x_hi={self.x_hi!r}")
         if self.steps < 2:
             raise DomainError(f"SupOnGrid needs steps >= 2, got {self.steps!r}")
+        allocate(self.steps, f"SupOnGrid: a count of {self.steps} is too many to hold")
 
     def grid(self) -> np.ndarray:
         """lo + (hi - lo) * i / (steps - 1), rounded in that order, for
@@ -228,11 +240,8 @@ def simulate_max(dist: DistributionSpec, n: int, replications: int,
     n = as_integer(n, 2, "simulate_max needs an integer n")
     replications = as_integer(replications, 1, "simulate_max needs an integer replications")
     seed = as_integer(seed, 0, "simulate_max needs an integer seed")
-    try:
-        maxima = np.empty(replications)
-    except (MemoryError, ValueError):  # past the address space, or numpy's size cap
-        raise DomainError(
-            f"simulate_max: {replications} replications are too many to hold") from None
+    maxima = allocate(replications,
+                      f"simulate_max: {replications} replications are too many to hold")
     pair = norming_exact(dist, n)
     require_resolved(pair)
     rng = np.random.Generator(np.random.Philox(seed))

@@ -26,6 +26,7 @@ from .analysis import (
     RNG_ALGORITHM,
     AtPoint,
     SupOnGrid,
+    allocate,
     error_curve,
     fit_rate,
     guarded_xs,
@@ -56,17 +57,6 @@ def _header(dist_label: str, cmd: str, extra: str = "") -> str:
     return line + (f" {extra}" if extra else "")
 
 
-def _holdable(count: int, flag: str, raw: str) -> int:
-    """count, or a DomainError when count float64 values cannot be held:
-    probed, as simulate_max probes its replications, before any work."""
-    try:
-        np.empty(count)
-    except (MemoryError, ValueError):  # past the address space, or numpy's size cap
-        raise DomainError(f"{flag}: a count of {count} is too many to hold, "
-                          f"in {raw!r}") from None
-    return count
-
-
 def _parse_window(raw: str, flag: str) -> SupOnGrid:
     parts = raw.split(":")
     if len(parts) != 3:
@@ -75,9 +65,8 @@ def _parse_window(raw: str, flag: str) -> SupOnGrid:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ParseError(f"{flag}: malformed window {raw!r}") from None
-    window = SupOnGrid(x_lo=lo, x_hi=hi, steps=steps)  # refuses the bounds
-    _holdable(steps, flag, raw)
-    return window
+    # refuses the bounds, and a count too many to hold before any work
+    return SupOnGrid(x_lo=lo, x_hi=hi, steps=steps)
 
 
 def _tolerance(raw: str) -> float:
@@ -120,9 +109,10 @@ def _parse_n_geom(raw: str, flag: str) -> list[int]:
         raise ParseError(f"{flag}: malformed geometric grid {raw!r}") from None
     if start < 2 or stop <= start or count < 2:
         raise ParseError(f"{flag}: needs 2 <= start < stop and count >= 2, got {raw!r}")
+    allocate(count, f"{flag}: a count of {count} is too many to hold, in {raw!r}")
     la, lb = math.log(start), math.log(stop)
     out: list[int] = []
-    for i in range(_holdable(count, flag, raw)):
+    for i in range(count):
         # the last point is stop itself, not exp(log stop) rounded
         n = stop if i == count - 1 else round(math.exp(la + (lb - la) * i / (count - 1)))
         if not out or n > out[-1]:
@@ -312,12 +302,10 @@ def _cmd_check_identity(args, dist: DistributionSpec) -> int:
                            f"{n},%r,%r,%r,%r", [xs, exact, law, gaps]),
             [f"check-identity: dist={dist.label} n={n} max|gap|={worst:.3e} "
              f"tol={args.tol:.3e} -> OK"] if ok else [])
-    if ok:
-        return 0
-    # the two laws that must agree do not: a numerical failure, so exit 4
-    _report(MismatchError(f"identity violated: max gap {worst!r} > tol {args.tol!r}")
-            .at(f"n={n}").at(f"dist={dist.label}"))
-    return 4
+    if not ok:  # the two laws that must agree do not
+        raise MismatchError(
+            f"identity violated: max gap {worst!r} > tol {args.tol!r}").at(f"n={n}")
+    return 0
 
 
 def _cmd_simulate(args, dist: DistributionSpec) -> int:
@@ -437,10 +425,6 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
         for flag, spec in flags.items()})
 
 
-def _report(exc: Exception) -> None:
-    print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
@@ -453,7 +437,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise exc.at(f"dist={dist.label}") from exc
     except (EvtError, ValueError, ArithmeticError) as exc:
         # the last resort: a numerical failure without a typed error exits 4
-        _report(exc)
+        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 4)
 
 

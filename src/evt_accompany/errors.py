@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Three exit-code categories for the CLI: parse (2), domain (3), numerical (4).
-Library code raises the specific class; the CLI maps it to the category.
+Library code raises the specific class; the CLI exits with its exit_code. A
+MismatchError, such as check-identity's verdict, is numerical (4).
 """
 
 
@@ -26,9 +27,10 @@ class DomainError(EvtError):
 
 
 class MismatchError(EvtError):
-    """Two objects that must agree (e.g. norming pairs sharing n) do not."""
+    """Two objects that must agree (norming pairs sharing n, check-identity's
+    two laws) do not: a numerical failure, exit 4."""
 
-    exit_code = 3
+    exit_code = 4
 
 
 class QuadratureError(EvtError):

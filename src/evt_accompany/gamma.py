@@ -27,6 +27,12 @@ from .norming import NormingPair
 from .tails import DistributionSpec, _below
 
 
+def _below_x0(dist: DistributionSpec, pair: NormingPair, z: float) -> DomainError:
+    """The error for an evaluation point z = b + a*x below the support edge."""
+    return DomainError(f"evaluation point b + a*x = {z!r} is below x0 = {dist.x0!r} "
+                       f"(needs x >= {(dist.x0 - pair.b) / pair.a!r})")
+
+
 def gamma_exact(dist: DistributionSpec, pair: NormingPair, x):
     """gamma via the tail ratio, entirely in log-tail space. The ground truth.
 
@@ -36,10 +42,7 @@ def gamma_exact(dist: DistributionSpec, pair: NormingPair, x):
     gamma = exact_and_gammas(dist, pair, x)[1]
     below = np.isnan(gamma)
     if below.any():
-        x_below = float(np.reshape(x, -1)[below][0])
-        raise DomainError(
-            f"evaluation point b + a*x = {pair.b + pair.a * x_below!r} is below x0 = "
-            f"{dist.x0!r} (needs x >= {(dist.x0 - pair.b) / pair.a!r})")
+        raise _below_x0(dist, pair, pair.b + pair.a * float(np.reshape(x, -1)[below][0]))
     return _shaped(gamma, x)
 
 
@@ -55,9 +58,7 @@ def gamma_quadrature(dist: DistributionSpec, pair: NormingPair, x: float) -> flo
     require_finite(x)
     z = pair.b + pair.a * x
     if _below(z, dist.x0):
-        raise DomainError(
-            f"evaluation point b + a*x = {z!r} is below x0 = {dist.x0!r} "
-            f"(needs x >= {(dist.x0 - pair.b) / pair.a!r})")
+        raise _below_x0(dist, pair, z)
 
     def integrand(v: float) -> float:
         f_v, g_v = dist.von_mises_components(pair.b + pair.a * v)

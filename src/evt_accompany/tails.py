@@ -212,8 +212,6 @@ class DistributionSpec:
 
     def log_tail(self, x: float) -> float:
         """log(1 - F(x)) for x >= x0, evaluated entirely on the log scale."""
-        if _below(x, self.x0):
-            raise DomainError(f"log_tail needs x >= x0 = {self.x0!r}, got {x!r}")
         return self.log_tail_from(x, self.x0, self._log_tail_x0)
 
     def tail(self, x: float) -> float:
@@ -228,7 +226,8 @@ class DistributionSpec:
         x at x0, or a few ulp under it, takes the stored log tail(x0).
         """
         if _below(x, self.x0) or _below(anchor, self.x0):
-            raise DomainError(f"log_tail_from needs both points >= x0 = {self.x0!r}")
+            raise DomainError(f"log_tail_from needs x >= x0 = {self.x0!r} and anchor >= x0, "
+                              f"got x={x!r}, anchor={anchor!r}")
         if x <= self.x0:
             return self._log_tail_x0
         return self._read_tail(x, anchor, log_tail_anchor)[0]
@@ -243,6 +242,17 @@ class DistributionSpec:
         return self._log_tails_slopes_from(z, lz, anchor, log_tail_anchor)[0]
 
     # -- quantile ----------------------------------------------------------
+
+    def _log_level(self, q: float) -> float:
+        """log q for a level 0 < q <= tail(x0), or a DomainError: the one
+        level check of every quantile_log_tail."""
+        if not (0.0 < q):
+            raise DomainError(f"quantile_tail needs q in (0, tail(x0)], got {q!r}")
+        log_q = math.log(q)
+        if log_q > self._log_tail_x0:
+            raise DomainError(f"q={q!r} exceeds tail(x0)={math.exp(self._log_tail_x0)!r}; "
+                              f"no quantile above x0")
+        return log_q
 
     def quantile_tail(self, q: float) -> float:
         """The x >= x0 with tail(x) = q, for 0 < q <= tail(x0).
@@ -279,18 +289,12 @@ class DistributionSpec:
         levels passes the previous quantile, and a tail that is an integral
         then covers only the ground between the two quantiles. A start whose
         tail is already below q (beyond tolerance) falls back to x0, as does
-        no start.
+        no start. A level above tail(x0) is refused, with a start or without.
         """
-        if not (0.0 < q):
-            raise DomainError(f"quantile_tail needs q in (0, tail(x0)], got {q!r}")
-        log_q = math.log(q)
+        log_q = self._log_level(q)
         tol = QUANTILE_LOG_TOL * min(max(1.0, abs(log_q)), _TOL_SCALE_CAP)
         if start is None or log_tail_start < log_q - tol:
             start, log_tail_start = self.x0, self._log_tail_x0
-            if log_q > log_tail_start:
-                raise DomainError(
-                    f"q={q!r} exceeds tail(x0)={math.exp(log_tail_start)!r}; "
-                    f"no quantile above x0")
         lo_u, lo_x, lo_f = math.log(start), start, log_tail_start
         u_start, u_top = lo_u, math.log(self._x_top)
         # an upper end whose log tail lies below far is not read from: the
@@ -459,11 +463,7 @@ class ExponentialUnit(DistributionSpec):
     def quantile_log_tail(self, q: float, start: float | None = None,
                           log_tail_start: float | None = None):
         # the inverse -log q, which needs no start
-        if not (0.0 < q):
-            raise DomainError(f"quantile_tail needs q in (0, tail(x0)], got {q!r}")
-        log_q = math.log(q)
-        if log_q > 0.0:
-            raise DomainError(f"q={q!r} exceeds tail(x0)=1.0; no quantile above x0")
+        log_q = self._log_level(q)
         return -log_q, log_q
 
     def quantile_tails(self, q) -> np.ndarray:

@@ -286,6 +286,8 @@ def test_numpy_integer_arguments_are_integers():
     (lambda: SupOnGrid(-1e308, 1e308),
      "SupOnGrid needs x_lo < x_hi a finite span apart, got x_lo=-1e+308, x_hi=1e+308"),
     (lambda: SupOnGrid(-2.0, 6.0, 1), "SupOnGrid needs steps >= 2"),
+    (lambda: SupOnGrid(-2.0, 6.0, 2 ** 55),  # 2^58 bytes, past any 64-bit address space
+     f"SupOnGrid: a count of {2 ** 55} is too many to hold"),
     (lambda: synthetic_curve([100, 100], [0.1, 0.2]), "n values must be strictly increasing"),
     (lambda: synthetic_curve([100, 1000], [0.1, math.nan]), "errors must be finite"),
     (lambda: NormingPair(n=1, a=1.0, b=0.0), "norming needs n >= 2, got 1"),
@@ -296,7 +298,8 @@ def test_numpy_integer_arguments_are_integers():
      "is below x0 = 0.0"),
     (lambda: gamma_closed_weibull(0.0, 100, 1.0), "gamma_closed_weibull needs p > 0"),
     (lambda: gamma_closed_weibull(2.0, 1, 1.0), "needs n >= 2, got 1"),
-], ids=["grid-span", "grid-infinite", "grid-span-overflow", "grid-steps", "curve-order",
+], ids=["grid-span", "grid-infinite", "grid-span-overflow", "grid-steps", "grid-too-many",
+        "curve-order",
         "curve-nan", "pair-n", "pair-b", "closed-n", "quadrature-below-x0", "closed-gamma-p", "closed-gamma-n"])
 def test_library_refusals_name_their_argument(build, message):
     with pytest.raises(DomainError, match=re.escape(message)):

@@ -28,7 +28,7 @@ from evt_accompany.cli import (
     TABLE_COLUMNS,
     main,
 )
-from evt_accompany.errors import DomainError, EvtError
+from evt_accompany.errors import DomainError, EvtError, MismatchError
 from evt_accompany.tails import QUANTILE_LOG_TOL, parse_dist
 
 
@@ -110,7 +110,9 @@ def test_check_identity_passes_at_tolerance(tmp_path):
 
 
 def test_check_identity_fails_at_absurd_tolerance(tmp_path, capsys):
-    # the CSV is written, and the verdict is a typed error line and exit 4
+    # the CSV is written, and the verdict is a typed error line and its
+    # class's exit code, 4
+    assert MismatchError.exit_code == 4
     code, payload = run(tmp_path, "c2.csv", [
         "check-identity", "--dist", "exp", "--n", "100", "--tol", "1e-18"])
     assert code == 4
@@ -1037,22 +1039,28 @@ def test_grid_csv_memory_per_row_is_bounded(tmp_path, capsys, command):
 _TOO_MANY = 2 ** 55  # 2^58 bytes of floats, past any 64-bit address space
 
 
-@pytest.mark.parametrize("argv", [
-    ["table", "--dist", "exp", "--n", "1000", "--x", f"-2:6:{_TOO_MANY}"],
-    ["check-identity", "--dist", "exp", "--n", "1000", "--x", f"-2:6:{_TOO_MANY}"],
-    ["rates", "--dist", "exp", "--approx", "gumbel", "--n", "100,1000,10000",
-     "--sup", f"-2:6:{_TOO_MANY}"],
-    ["rates", "--dist", "exp", "--approx", "gumbel", "--sup",
-     "--n-geom", f"100:10000:{_TOO_MANY}"],
-    ["norming", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1",
-     "--n-geom", f"1000:1000000:{_TOO_MANY}"],
+_WINDOW_TOO_MANY = f"SupOnGrid: a count of {_TOO_MANY} is too many to hold"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--dist", "exp", "--n", "1000", "--x", f"-2:6:{_TOO_MANY}"], _WINDOW_TOO_MANY),
+    (["check-identity", "--dist", "exp", "--n", "1000", "--x", f"-2:6:{_TOO_MANY}"],
+     _WINDOW_TOO_MANY),
+    (["rates", "--dist", "exp", "--approx", "gumbel", "--n", "100,1000,10000",
+      "--sup", f"-2:6:{_TOO_MANY}"], _WINDOW_TOO_MANY),
+    (["rates", "--dist", "exp", "--approx", "gumbel", "--sup",
+      "--n-geom", f"100:10000:{_TOO_MANY}"],
+     f"--n-geom: a count of {_TOO_MANY} is too many to hold, in "),
+    (["norming", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1",
+      "--n-geom", f"1000:1000000:{_TOO_MANY}"],
+     f"--n-geom: a count of {_TOO_MANY} is too many to hold, in "),
 ], ids=["table --x", "check-identity --x", "rates --sup", "rates --n-geom", "norming --n-geom"])
-def test_counts_too_many_to_hold_are_refused_before_any_work(argv):
-    # in a child process: a count looped over or allocated would not end
+def test_counts_too_many_to_hold_are_refused_before_any_work(argv, message):
+    # in a child process: a count looped over or allocated would not end;
+    # a window is refused by SupOnGrid, an --n-geom count by the CLI
     proc = _main_in_child(argv, timeout=30)
     assert proc.returncode == 3 and "Traceback" not in proc.stderr, proc.stderr
-    assert proc.stderr.startswith(f"error (DomainError): {argv[-2]}: a count of {_TOO_MANY} "
-                                  f"is too many to hold, in "), proc.stderr
+    assert proc.stderr.startswith(f"error (DomainError): {message}"), proc.stderr
 
 
 @pytest.mark.parametrize("reps", [2 ** 55, 2 ** 62])

@@ -186,16 +186,19 @@ def test_quantile_log_tail_exponential_is_closed_form():
                          ids=lambda d: d.label)
 def test_quantile_log_tail_refuses_levels_outside_its_range(dist):
     # exp inverts its tail in closed form and the others search for it; both
-    # give the same two messages
+    # give the same two messages, with a start or without: a level just
+    # above tail(x0), within the search's tolerance, is refused too
     for q in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError, match=r"^quantile_tail needs q in \(0, tail\(x0\)\], "
                                               f"got {q!r}$"):
             dist.quantile_log_tail(q)
-    top = re.escape(repr(dist.tail(dist.x0)))
-    for q in (1.5, math.inf):
-        with pytest.raises(DomainError, match=f"^q={q!r} exceeds tail\\(x0\\)={top}; "
-                                              f"no quantile above x0$"):
-            dist.quantile_log_tail(q)
+    f0 = dist.log_tail(dist.x0)
+    top = re.escape(repr(math.exp(f0)))
+    for q in (1.5, math.inf, math.exp(f0 + 1e-13)):
+        for start in ((), (dist.x0, f0)):
+            with pytest.raises(DomainError, match=f"^q={re.escape(repr(q))} exceeds "
+                                                  f"tail\\(x0\\)={top}; no quantile above x0$"):
+                dist.quantile_log_tail(q, *start)
 
 
 def test_quantile_log_tail_resumes_from_a_start():
