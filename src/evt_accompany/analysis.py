@@ -55,8 +55,7 @@ class SupOnGrid:
         if not (self.x_lo < self.x_hi and math.isfinite(self.x_hi - self.x_lo)):
             raise DomainError(f"SupOnGrid needs x_lo < x_hi a finite span apart, got "
                               f"x_lo={self.x_lo!r}, x_hi={self.x_hi!r}")
-        if self.steps < 2:
-            raise DomainError(f"SupOnGrid needs steps >= 2, got {self.steps!r}")
+        as_integer(self.steps, 2, "SupOnGrid needs an integer steps")
         allocate(self.steps, f"SupOnGrid: a count of {self.steps} is too many to hold")
 
     def grid(self) -> np.ndarray:
@@ -106,13 +105,15 @@ class RateFit:
 
 def _guarded_rows(dist: DistributionSpec, pairs: Sequence[NormingPair], metric: SupOnGrid):
     """(x, exact law, gamma, keep) over the grid, the last three with a row
-    per pair: keep masks the points of each row inside the support where the
-    sigma series converges, gamma > -log n. A row with no such point is a
-    DegenerateError, since a sup over it would read 0 and measure nothing."""
+    per pair: keep masks the points of each row inside the support, b + a x
+    >= x0, where the sigma series converges, gamma > -log n. A row with no
+    such point is a DegenerateError, since a sup over it would read 0 and
+    measure nothing."""
     xs = metric.grid()
     exact, gamma = exact_and_gammas(dist, pairs, xs)
-    cutoffs = np.array([-math.log(pair.n) for pair in pairs])
-    keep = gamma > cutoffs[:, None]  # False where gamma is NaN
+    # b + a x as exact_and_gammas forms it, which has refused one off the float range
+    a, b, cutoff = np.array([(pair.a, pair.b, -math.log(pair.n)) for pair in pairs]).T[..., None]
+    keep = (b + a * xs >= dist.x0) & (gamma > cutoff)
     if not keep.any(axis=1).all():
         raise DegenerateError(f"the window {metric.label} holds no point with gamma > -log n")
     return xs, exact, gamma, keep

@@ -11,6 +11,9 @@ two-term evaluation must reproduce exact_max_cdf to rounding noise wherever
 the series converges (gamma > -log n). That identity is the module's master
 oracle. Dropping the Sigma factor gives the accompanying law, which trades
 an O(1/n) error for the Gumbel limit's logarithmic one.
+
+Below the support edge x0 there is one convention, the atom completion: the
+tail is tail(x0) there, and the law, gamma and every approximant read it.
 """
 
 from __future__ import annotations
@@ -64,35 +67,40 @@ def exact_and_gammas(dist: DistributionSpec, pairs: NormingPair | Sequence[Normi
     tail(b) included, comes from one dist.log_tails_from call anchored at
     each row's b: closed forms evaluate their formula, and a tail that is an
     integral integrates every point from its own row's b. Below the support
-    edge the law is the atom completion F(x0)^n and gamma is NaN. A
-    non-finite x, b + a x or log tail, or a failed call, is redone point by
-    point from b, row by row in grid order, by the scalar log_tail_from, so
-    the first one raises its typed error, naming its x; a finite x whose
-    b + a x leaves the float range is a DomainError, and so is a pair whose
-    b + a x cannot resolve x at all (norming.require_resolved).
+    edge the tail is the atom completion's tail(x0): the law is F(x0)^n and
+    gamma is -log(n tail(x0)), the completion's gamma under a pair with
+    tail(b) = 1/n, as every norming pair of the package is; log n is taken
+    of the integer n, so where tail(x0) = 1 it is sigma_series's edge -log n
+    exactly. A non-finite x, b + a x or log tail, or a failed call, is redone
+    point by point from b, row by row in grid order, by the scalar
+    log_tail_from, so the first one raises its typed error, naming its x; a
+    finite x whose b + a x leaves the float range is a DomainError, and so
+    is a pair whose b + a x cannot resolve x at all
+    (norming.require_resolved).
     """
     rows = [pairs] if isinstance(pairs, NormingPair) else list(pairs)
     for pair in rows:
         require_resolved(pair)
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    table = np.array([(pair.a, pair.b, float(pair.n),
+    table = np.array([(pair.a, pair.b, float(pair.n), -math.log(pair.n),
                        pair.log_tail_b if pair.log_tail_b is not None else dist.log_tail(pair.b))
-                      for pair in rows]).reshape(-1, 4)
-    a, b, n, log_tail_b = table.T[..., None]  # columns of the rows' a, b, n and log tail(b)
+                      for pair in rows]).reshape(-1, 5)
+    # columns of the rows' a, b, n, -log n and log tail(b)
+    a, b, n, minus_log_n, log_tail_b = table.T[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
         z = b + a * xs
     inside = z >= dist.x0
-    # a point below the support edge is taken at b meanwhile; each row's last
-    # column is b itself
+    # a point below the support edge is taken at b meanwhile, and its value
+    # replaced by log tail(x0); each row's last column is b itself
     at = np.concatenate((np.where(inside, z, b), b), axis=1)
     try:
         with np.errstate(all="ignore"):
             values = dist.log_tails_from(at, b, log_tail_b)
     except EvtError:  # redone below, which raises it again naming its x
         values = np.concatenate((np.full(z.shape, math.nan), log_tail_b), axis=1)
-    log_tail = np.where(inside, values[:, :-1], math.nan)
+    log_tail = np.where(inside, values[:, :-1], dist._log_tail_x0)
     log_tail_b = values[:, -1:]
-    for i, j in zip(*np.nonzero(~np.isfinite(z) | (inside & ~np.isfinite(log_tail)))):
+    for i, j in zip(*np.nonzero(~np.isfinite(z) | ~np.isfinite(log_tail))):
         x, zi, pair = float(xs[j]), float(z[i, j]), rows[i]
         require_finite(x)
         if not math.isfinite(zi):
@@ -102,10 +110,8 @@ def exact_and_gammas(dist: DistributionSpec, pairs: NormingPair | Sequence[Normi
             log_tail[i, j] = dist.log_tail_from(zi, pair.b, float(log_tail_b[i, 0]))
         except EvtError as exc:
             raise exc.at(f"grid x={x!r}") from exc
-    # NaN below x0; -0.0 at x = 0, where log_tail(z) is log_tail(b)
-    gamma = -(log_tail - log_tail_b)
-    if not inside.all():
-        log_tail[~inside] = dist._log_tail_x0
+    # -0.0 at x = 0, where log_tail(z) is log_tail(b)
+    gamma = np.where(inside, -(log_tail - log_tail_b), minus_log_n - dist._log_tail_x0)
     exact = _law(log_tail, n)
     return (exact[0], gamma[0]) if isinstance(pairs, NormingPair) else (exact, gamma)
 
@@ -121,14 +127,6 @@ def exact_max_cdf(dist: DistributionSpec, pair: NormingPair, x):
 # Approximants, elementwise over x and gamma(x)
 # ---------------------------------------------------------------------------
 
-def require_gammas(x: np.ndarray, gamma: np.ndarray) -> None:
-    """DomainError naming the first x whose gamma is NaN (below the support edge)."""
-    below = np.isnan(gamma)
-    if below.any():
-        raise DomainError(f"x = {float(x[below][0])!r} puts b + a x below the support edge x0; "
-                          f"gamma is defined only at x0 <= b + a x")
-
-
 def gumbel_cdf(x):
     """The Gumbel limit exp(-e^-x), elementwise."""
     with np.errstate(over="ignore"):
@@ -140,7 +138,8 @@ def sigma_series(gamma, n: int):
     an array; the result has its shape.
 
     Converges iff r = e^-gamma/n < 1, i.e. gamma > -log n; outside that the
-    series diverges and the accompanying law's cutoff branch is in force.
+    series diverges, a DivergenceError. Below the support edge of a family
+    with tail(x0) = 1, gamma is -log n itself, where it diverges.
     Summed, Sigma = e^-2gamma phi(r) with phi(r) = sum_k r^k/(k+2) =
     (-log1p(-r) - r)/r^2. The closed form cancels for small r, so below
     r = 0.35 phi is the series' first 36 terms by Horner (the rest is below
@@ -171,24 +170,10 @@ def first_order_corrected(x, gamma):
         return np.exp(-u) + np.exp(-u - x) * (gamma - x)
 
 
-def _cutoff(gamma: np.ndarray, n: int) -> np.ndarray:
-    # below the support edge the tail ratio is 1/tail(b) = n: gamma = -log n,
-    # the exact cutoff boundary
-    return np.where(np.isnan(gamma), -math.log(n), gamma)
-
-
-def _accompanying(x, gamma, dist, pair):
-    # B_n = exp(-e^-gamma) for gamma >= -log n, else 0; at the cutoff itself
-    # the closed branch applies: exp(-e^(log n)) = e^-n
-    g = _cutoff(gamma, pair.n)
-    return np.where(g < -math.log(pair.n), 0.0, gumbel_cdf(g))
-
-
 def two_term(x, gamma, n: int):
     """exp(-e^-gamma) * exp(-Sigma/n) at x from gamma(x), floats or arrays of
-    one shape; equals exact_max_cdf up to rounding."""
+    one shape, read from gamma alone; equals exact_max_cdf up to rounding."""
     flat = np.asarray(gamma, dtype=float).reshape(-1)
-    require_gammas(np.asarray(x, dtype=float).reshape(-1), flat)
     with np.errstate(over="ignore"):
         return _shaped(np.exp(-np.exp(-flat) - sigma_series(flat, n) / float(n)), gamma)
 
@@ -197,22 +182,20 @@ def _second_order(x, gamma, dist, pair):
     # exp(-e^-x (1 + A x^2/2) - Sigma/n) with A = f'(b_n), the second-order
     # law of a rho = 0 family; for A < 0 the bracket turns negative at large
     # |x|, and the exponent is capped at 0 so the law stays in [0, 1]
-    require_gammas(x, gamma)
     slope = dist.aux_slope(pair.b)
     with np.errstate(over="ignore", invalid="ignore"):
         exponent = -np.exp(-x) * (1.0 + slope * (0.5 * x * x))
     return np.exp(np.fmin(exponent - sigma_series(gamma, pair.n) / float(pair.n), 0.0))
 
 
-# name -> function of (x, gamma, dist, pair) on arrays. gamma is NaN below the
-# support edge, where the accompanying and first-order laws take the cutoff
-# gamma = -log n and the series-based ones raise DomainError. Only
-# second_order reads the family, and only its auxiliary slope at b.
+# name -> function of (x, gamma, dist, pair) on arrays, gamma as
+# exact_and_gammas returns it, the atom completion's below the support edge.
+# Only second_order reads the family, and only its auxiliary slope at b.
 APPROXIMANTS = {
     "gumbel": lambda x, gamma, dist, pair: gumbel_cdf(x),
-    "accompanying": _accompanying,
+    "accompanying": lambda x, gamma, dist, pair: gumbel_cdf(gamma),
     "two_term": lambda x, gamma, dist, pair: two_term(x, gamma, pair.n),
-    "first_order": lambda x, gamma, dist, pair: first_order_corrected(x, _cutoff(gamma, pair.n)),
+    "first_order": lambda x, gamma, dist, pair: first_order_corrected(x, gamma),
     "second_order": _second_order,
 }
 
@@ -220,7 +203,13 @@ APPROXIMANTS = {
 def evaluate(name: str, x, gamma, dist: DistributionSpec, pair: NormingPair):
     """The approximant `name` at x from gamma(x), as exact_and_gammas returns
     it for dist under pair. x and gamma are floats or arrays of one shape,
-    and so is the result."""
+    and so is the result. A NaN gamma, which exact_and_gammas never returns,
+    is a DomainError naming its x."""
     flat = np.asarray(x, dtype=float).reshape(-1)
-    values = APPROXIMANTS[name](flat, np.asarray(gamma, dtype=float).reshape(-1), dist, pair)
+    g = np.asarray(gamma, dtype=float).reshape(-1)
+    undefined = np.isnan(g)
+    if undefined.any():
+        raise DomainError(f"gamma is NaN at x = {float(flat[undefined][0])!r}; an approximant "
+                          f"needs gamma as exact_and_gammas returns it")
+    values = APPROXIMANTS[name](flat, g, dist, pair)
     return _shaped(values, x)

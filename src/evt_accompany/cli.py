@@ -9,6 +9,7 @@ summary goes to stdout (stderr when the CSV itself occupies stdout).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -36,7 +37,6 @@ from .approx import (
     APPROXIMANTS,
     evaluate,
     exact_and_gammas,
-    require_gammas,
     two_term,
 )
 from .errors import DomainError, EvtError, MismatchError, ParseError
@@ -110,14 +110,25 @@ def _parse_n_geom(raw: str, flag: str) -> list[int]:
     if start < 2 or stop <= start or count < 2:
         raise ParseError(f"{flag}: needs 2 <= start < stop and count >= 2, got {raw!r}")
     allocate(count, f"{flag}: a count of {count} is too many to hold, in {raw!r}")
-    la, lb = math.log(start), math.log(stop)
-    out: list[int] = []
-    for i in range(count):
-        # the last point is stop itself, not exp(log stop) rounded
-        n = stop if i == count - 1 else round(math.exp(la + (lb - la) * i / (count - 1)))
-        if not out or n > out[-1]:
-            out.append(n)
-    return out
+    la, lb, last = math.log(start), math.log(stop), count - 1
+
+    def at(i: int) -> int:
+        return round(math.exp(la + (lb - la) * i / last))
+
+    # at(i) grows with i below last, as each of its steps is monotone, so each
+    # next value is found by galloping and bisection, not by visiting every
+    # index: the grid has at most stop - start + 1 values however large count is
+    out, i = [at(0)], 0
+    while True:
+        step = 1  # at(i) <= out[-1] throughout the gallop
+        while i + step < last and at(i + step) <= out[-1]:
+            i, step = i + step, 2 * step
+        i += bisect.bisect_right(range(i, min(i + step, last)), out[-1], key=at)
+        if i == last:
+            break
+        out.append(at(i))
+    # the last point is stop itself, not exp(log stop) rounded
+    return out + [stop] if stop > out[-1] else out
 
 
 def _resolve_ns(args) -> list[int]:
@@ -229,7 +240,6 @@ def _cmd_table(args, dist: DistributionSpec) -> int:
     xs = window.grid()
     try:
         exact, gamma = exact_and_gammas(dist, pair, xs)
-        require_gammas(xs, gamma)
         columns = [xs, exact, *(evaluate(name, xs, gamma, dist, pair)
                                 for name in APPROXIMANTS if name in names), gamma]
     except EvtError as exc:

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import quadrature
 from .approx import _shaped, exact_and_gammas, require_finite
 from .errors import DomainError
@@ -27,23 +25,14 @@ from .norming import NormingPair
 from .tails import DistributionSpec, _below
 
 
-def _below_x0(dist: DistributionSpec, pair: NormingPair, z: float) -> DomainError:
-    """The error for an evaluation point z = b + a*x below the support edge."""
-    return DomainError(f"evaluation point b + a*x = {z!r} is below x0 = {dist.x0!r} "
-                       f"(needs x >= {(dist.x0 - pair.b) / pair.a!r})")
-
-
 def gamma_exact(dist: DistributionSpec, pair: NormingPair, x):
     """gamma via the tail ratio, entirely in log-tail space. The ground truth.
 
     exact_and_gammas's second array: x is a float or an array, and gamma has
-    its shape. DomainError below the support edge, where gamma is undefined.
+    its shape. Below the support edge it is the atom completion's gamma,
+    -log(n tail(x0)).
     """
-    gamma = exact_and_gammas(dist, pair, x)[1]
-    below = np.isnan(gamma)
-    if below.any():
-        raise _below_x0(dist, pair, pair.b + pair.a * float(np.reshape(x, -1)[below][0]))
-    return _shaped(gamma, x)
+    return _shaped(exact_and_gammas(dist, pair, x)[1], x)
 
 
 def gamma_quadrature(dist: DistributionSpec, pair: NormingPair, x: float) -> float:
@@ -58,7 +47,8 @@ def gamma_quadrature(dist: DistributionSpec, pair: NormingPair, x: float) -> flo
     require_finite(x)
     z = pair.b + pair.a * x
     if _below(z, dist.x0):
-        raise _below_x0(dist, pair, z)
+        raise DomainError(f"evaluation point b + a*x = {z!r} is below x0 = {dist.x0!r} "
+                          f"(needs x >= {(dist.x0 - pair.b) / pair.a!r})")
 
     def integrand(v: float) -> float:
         f_v, g_v = dist.von_mises_components(pair.b + pair.a * v)

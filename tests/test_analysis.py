@@ -24,7 +24,7 @@ from evt_accompany.approx import (
     exact_max_cdf,
     gumbel_cdf,
 )
-from evt_accompany.errors import DegenerateError, DomainError
+from evt_accompany.errors import DegenerateError, DivergenceError, DomainError
 from evt_accompany.gamma import gamma_closed_weibull, gamma_quadrature
 from evt_accompany.norming import NormingPair, norming_closed, norming_exact, norming_exacts
 from evt_accompany.tails import (
@@ -32,6 +32,7 @@ from evt_accompany.tails import (
     IteratedLogScale,
     LogWeibullLike,
     WeibullLike,
+    parse_dist,
 )
 
 
@@ -78,9 +79,22 @@ def test_error_curve_requires_increasing_grid():
 
 
 def test_error_curve_annotates_failures():
-    d = WeibullLike(1.0, 0.5, 2.0)  # x0 ~ 87: the two-term route needs gamma there
-    with pytest.raises(DomainError, match="n=100"):
-        error_curve(d, "two_term", AtPoint(-50.0), [100])
+    # x = -50 is below x0 = 0, where gamma = -log n and the two-term series diverges
+    with pytest.raises(DivergenceError, match="n=100"):
+        error_curve(ExponentialUnit(), "two_term", AtPoint(-50.0), [100])
+
+
+def test_accompanying_error_below_the_edge_reads_the_completed_tail():
+    # tail(x0) = t0 = 6.18e-4; at x = -60 every n puts b + a x below x0, where
+    # the law is (1 - t0)^n and the accompanying law exp(-n t0)
+    d = parse_dist("weibull:c=1,p=2,alpha=0,ell=logpow:1:1")
+    ns = [10000, 20000, 40000]
+    curve = error_curve(d, "accompanying", AtPoint(-60.0), ns)
+    t0 = d.tail(d.x0)
+    want = [abs(math.exp(-n * t0) * math.expm1(n * (math.log1p(-t0) + t0))) for n in ns]
+    for (n, got), w in zip(curve.points, want):
+        assert got == pytest.approx(w, rel=1e-9), n
+    assert [f"{e:.3e}" for _, e in curve.points] == ["3.952e-06", "1.635e-08", "1.400e-13"]
 
 
 def test_guarded_grid_respects_cutoff():
@@ -285,7 +299,8 @@ def test_numpy_integer_arguments_are_integers():
      "SupOnGrid needs x_lo < x_hi a finite span apart, got x_lo=-inf, x_hi=6.0"),
     (lambda: SupOnGrid(-1e308, 1e308),
      "SupOnGrid needs x_lo < x_hi a finite span apart, got x_lo=-1e+308, x_hi=1e+308"),
-    (lambda: SupOnGrid(-2.0, 6.0, 1), "SupOnGrid needs steps >= 2"),
+    (lambda: SupOnGrid(-2.0, 6.0, 1), "SupOnGrid needs an integer steps >= 2, got 1"),
+    (lambda: SupOnGrid(-2.0, 6.0, 2.5), "SupOnGrid needs an integer steps >= 2, got 2.5"),
     (lambda: SupOnGrid(-2.0, 6.0, 2 ** 55),  # 2^58 bytes, past any 64-bit address space
      f"SupOnGrid: a count of {2 ** 55} is too many to hold"),
     (lambda: synthetic_curve([100, 100], [0.1, 0.2]), "n values must be strictly increasing"),
@@ -298,7 +313,8 @@ def test_numpy_integer_arguments_are_integers():
      "is below x0 = 0.0"),
     (lambda: gamma_closed_weibull(0.0, 100, 1.0), "gamma_closed_weibull needs p > 0"),
     (lambda: gamma_closed_weibull(2.0, 1, 1.0), "needs n >= 2, got 1"),
-], ids=["grid-span", "grid-infinite", "grid-span-overflow", "grid-steps", "grid-too-many",
+], ids=["grid-span", "grid-infinite", "grid-span-overflow", "grid-steps", "grid-steps-float",
+        "grid-too-many",
         "curve-order",
         "curve-nan", "pair-n", "pair-b", "closed-n", "quadrature-below-x0", "closed-gamma-p", "closed-gamma-n"])
 def test_library_refusals_name_their_argument(build, message):

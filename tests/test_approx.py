@@ -54,7 +54,8 @@ def guarded_grid(dist, pair, lo=-2.0, hi=6.0, steps=61, slack=0.5):
 
 
 def exact_and_gamma(dist, pair, x):
-    """(law, gamma) at one point through exact_and_gammas; gamma is NaN below x0."""
+    """(law, gamma) at one point through exact_and_gammas; below x0, the atom
+    completion's -log(n tail(x0))."""
     exact, gamma = exact_and_gammas(dist, pair, [x])
     return float(exact[0]), float(gamma[0])
 
@@ -146,16 +147,20 @@ def test_exact_and_gamma_below_support():
     d = WeibullLike(1.0, 0.5, 2.0)  # x0 ~ 87, tail(x0) ~ 0.67
     pair = norming_exact(d, 100)
     exact, g = exact_and_gamma(d, pair, -50.0)
-    assert math.isnan(g)
+    assert g == -math.log(100) - d._log_tail_x0  # -log(n tail(x0)), the atom completion's
     assert exact == exact_max_cdf(d, pair, -50.0)
     assert evaluate("accompanying", [-50.0], [g], d, pair)[0] == approx_at("accompanying", d, pair, -50.0)
+    assert evaluate("accompanying", [-50.0], [g], d, pair)[0] == gumbel_cdf(g)
     assert evaluate("gumbel", [-50.0], [g], d, pair)[0] == gumbel_cdf(-50.0)
-    # the first-order charge takes the cutoff gamma = -log n there
-    assert (evaluate("first_order", [-50.0], [g], d, pair)[0]
-            == first_order_corrected(-50.0, -math.log(100)))
+    # the first-order charge takes the completion's gamma there
+    assert evaluate("first_order", [-50.0], [g], d, pair)[0] == first_order_corrected(-50.0, g)
+    # the identity holds with r = tail(x0) < 1, so the two-term law is the law
+    assert evaluate("two_term", [-50.0], [g], d, pair)[0] == pytest.approx(exact, rel=1e-13)
+    assert math.isfinite(evaluate("second_order", [-50.0], [g], d, pair)[0])
+    # a NaN gamma, which exact_and_gammas never returns, is refused naming its x
     for name in ("two_term", "second_order"):
-        with pytest.raises(DomainError):
-            evaluate(name, [-50.0], [g], d, pair)
+        with pytest.raises(DomainError, match="x = -50.0"):
+            evaluate(name, [-50.0], [math.nan], d, pair)
 
 
 # -- the x-grid, every point from b -------------------------------------------
@@ -222,13 +227,12 @@ def test_grid_walk_unsorted_repeated_and_below_support(dist):
     xs = [3.0, below, 0.5, -0.5, 3.0, below - 7.0, 0.0, 0.5, -0.5]
     got = points(exact_and_gammas(dist, pair, xs))
     assert got[0] == got[4] and got[2] == got[7] and got[3] == got[8]
-    assert math.isnan(got[1][1]) and math.isnan(got[5][1])
+    assert got[1][1] == got[5][1] == -math.log(100) - dist._log_tail_x0
     assert got[1][0] == got[5][0] == exact_max_cdf(dist, pair, below)
     for x, (exact, g) in zip(xs, got):
         want_exact, want_g = exact_and_gamma(dist, pair, x)
         assert exact == pytest.approx(want_exact, rel=1e-13, abs=1e-15)
-        if not math.isnan(want_g):
-            assert g == pytest.approx(want_g, abs=1e-12)
+        assert g == pytest.approx(want_g, abs=1e-12)
     assert [a.size for a in exact_and_gammas(dist, pair, [])] == [0, 0]
 
 

@@ -31,7 +31,8 @@ SUP_GRID = [-2.0 + (6.0 - -2.0) * i / 160 for i in range(161)]
 
 
 def scalar_reference(dist, pair, xs):
-    """[(law, gamma)] point by point on Python floats, gamma NaN below x0."""
+    """[(law, gamma)] point by point on Python floats; below x0, the atom
+    completion's law and gamma, -log(n tail(x0))."""
     a, b, n = pair.a, pair.b, pair.n
 
     def law(log_s):
@@ -42,7 +43,7 @@ def scalar_reference(dist, pair, xs):
     for x in xs:
         z = b + a * x
         if z < dist.x0:
-            out.append((law(dist.log_tail(dist.x0)), math.nan))
+            out.append((law(dist.log_tail(dist.x0)), -math.log(n) - dist.log_tail(dist.x0)))
             continue
         log_tail_z = dist.log_tail_from(z, b, pair.log_tail_b)
         out.append((law(log_tail_z), -(log_tail_z - pair.log_tail_b)))
@@ -81,10 +82,7 @@ def assert_matches_reference(dist, pair, xs):
     want = scalar_reference(dist, pair, xs)
     for x, got_law, got_g, (want_law, want_g) in zip(xs, exact, gamma, want):
         assert got_law == pytest.approx(want_law, rel=LAW_REL, abs=0.0), x
-        if math.isnan(want_g):
-            assert math.isnan(got_g), x
-        else:
-            assert abs(got_g - want_g) <= GAMMA_ABS, x
+        assert abs(got_g - want_g) <= GAMMA_ABS, x
     guarded = gamma > -math.log(pair.n)
     x, g = np.array(xs)[guarded], gamma[guarded]
     assert x.size >= 100
@@ -132,7 +130,7 @@ def test_handle_rows_pairs_and_points_agree_bit_for_bit(dist):
         assert repr(gamma[row].tolist()) == repr(one_gamma.tolist())
         want = [g for _, g in scalar_reference(dist, pair, SUP_GRID)]
         assert repr(gamma[row].tolist()) == repr(want)
-        assert sum(not math.isnan(g) for g in want) >= 100
+        assert sum(pair.b + pair.a * x >= dist.x0 for x in SUP_GRID) >= 100
 
 
 @pytest.mark.parametrize("spec", ["weibull:c=1,p=0.5,alpha=2,ell=const:1",
@@ -149,7 +147,10 @@ def test_support_edge_is_exactly_z_below_x0(spec):
     exact, gamma = exact_and_gammas(dist, pair, xs)
     below = np.array([pair.b + pair.a * x < dist.x0 for x in xs])
     assert below.any() and not below.all()
-    np.testing.assert_array_equal(np.isnan(gamma), below)
+    # below the edge, the completion's gamma; on and above it, the tail ratio
+    np.testing.assert_array_equal(gamma[below], -math.log(pair.n) - dist.log_tail(dist.x0))
+    want = np.array([g for _, g in scalar_reference(dist, pair, xs)])
+    assert (abs(gamma[~below] - want[~below]) <= GAMMA_ABS).all()
     s = dist.tail(dist.x0)
     atom = 0.0 if s >= 1.0 else math.exp(pair.n * math.log1p(-s))
     assert exact[below] == pytest.approx(atom, rel=LAW_REL, abs=1e-300)
@@ -179,7 +180,7 @@ def test_a_point_exactly_on_the_support_edge_is_inside(spec):
     assert pair.b + pair.a * -2.0 == dist.x0 > pair.b + pair.a * just_below
     exact, gamma = exact_and_gammas(dist, pair, [-2.0, just_below])
     assert gamma[0] == pytest.approx(pair.log_tail_b - dist.log_tail(dist.x0), abs=1e-12)
-    assert math.isnan(gamma[1])
+    assert gamma[1] == -math.log(100) - dist.log_tail(dist.x0)
 
 
 @pytest.mark.parametrize("spec", [CLOSED_SPECS[4], "iterlog:k=3,a=1,C=1"])

@@ -26,6 +26,7 @@ from evt_accompany.cli import (
     RATES_COLUMNS,
     SIMULATE_COLUMNS,
     TABLE_COLUMNS,
+    _parse_n_geom,
     main,
 )
 from evt_accompany.errors import DomainError, EvtError, MismatchError
@@ -235,12 +236,36 @@ def test_exit_parse_error_bad_grid(tmp_path, capsys):
 
 
 def test_exit_domain_error_below_support(tmp_path, capsys):
-    # the gamma column needs b + a x >= x0; this grid dives far below it
-    code, _ = run(tmp_path, "x.csv", [
-        "table", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1", "--n", "1000",
-        "--x", "-50:-40:3", "--approx", "gumbel"])
-    assert code == 3
-    assert "DomainError" in capsys.readouterr().err
+    # this grid dives far below x0, where every column reads the atom
+    # completion: the law F(x0)^n and gamma = -log(n tail(x0))
+    spec = "weibull:c=1,p=2,alpha=0,ell=const:1"
+    code, payload = run(tmp_path, "x.csv", [
+        "table", "--dist", spec, "--n", "1000", "--x", "-50:-40:3", "--approx", "gumbel"])
+    assert code == 0
+    dist = parse_dist(spec)
+    edge = repr(-math.log(1000) - dist.log_tail(dist.x0))
+    assert rows(payload)[1] == [[x, "0.0", "0.0", "", "", "", "", edge]
+                                for x in ("-50.0", "-45.0", "-40.0")]
+    # with tail(x0) = 1 that gamma is -log n, where the sigma series diverges
+    code, payload = run(tmp_path, "y.csv", [
+        "table", "--dist", "exp", "--n", "1000", "--x", "-12:-8:3", "--approx", "two_term"])
+    assert (code, payload) == (4, b"")
+    err = capsys.readouterr().err
+    assert "error (DivergenceError)" in err and "(at n=1000)" in err
+    assert "Traceback" not in err
+
+
+def test_table_on_a_completed_edge_gives_the_two_term_law(tmp_path):
+    # tail(x0) = 6.18e-4 for the log-power Weibull: below x0 the identity
+    # holds with r = tail(x0) < 1, so the series column is the law itself
+    code, payload = run(tmp_path, "t.csv", [
+        "table", "--dist", "weibull:c=1,p=2,alpha=0,ell=logpow:1:1", "--n", "10000",
+        "--x", "-4:-2:3", "--approx", "two_term"])
+    assert code == 0
+    _, body = rows(payload)
+    assert len(body) == 3
+    for cells in body:
+        assert abs(float(cells[4]) - float(cells[1])) <= 1e-15, cells
 
 
 def test_exit_domain_error_unrepresentable_tower(tmp_path, capsys):
@@ -440,6 +465,45 @@ def test_n_flags_accept_integral_float_literals(tmp_path):
     # the last point of a geometric grid is stop exactly, not exp(log stop)
     assert {cells[4] for cells in body} == {str(10 ** 300)}
     assert {cells[5] for cells in body} == {"12"}
+
+
+def n_geom_by_every_index(start, stop, count):
+    """The geometric n grid by evaluating every index, each rounded value kept
+    when it grows: the reference for _parse_n_geom."""
+    la, lb = math.log(start), math.log(stop)
+    out = []
+    for i in range(count):
+        n = stop if i == count - 1 else round(math.exp(la + (lb - la) * i / (count - 1)))
+        if not out or n > out[-1]:
+            out.append(n)
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(2, 1000), st.integers(2, 10 ** 20),
+                 st.integers(2 ** 53 - 10 ** 4, 2 ** 53 + 10 ** 4)),
+       st.one_of(st.integers(1, 100), st.integers(1, 10 ** 7), st.integers(1, 10 ** 30)),
+       st.integers(2, 3000))
+@example(2, 1, 2)
+@example(2 ** 53, 10 ** 4, 3000)
+@example(100, 9900, 3000)
+def test_n_geom_matches_the_walk_over_every_index(start, gap, count):
+    raw = f"{start}:{start + gap}:{count}"
+    assert _parse_n_geom(raw, "--n-geom") == n_geom_by_every_index(start, start + gap, count)
+
+
+def test_n_geom_does_not_visit_every_index(monkeypatch):
+    # 10^7 indices give the 9,901 integers from 100 to 10^4; the grid
+    # gallops past the indices that round to a value it already has
+    calls, exp = [0], math.exp
+
+    def counting_exp(v):
+        calls[0] += 1
+        return exp(v)
+
+    monkeypatch.setattr(math, "exp", counting_exp)
+    assert _parse_n_geom("100:10000:10000000", "--n-geom") == list(range(100, 10001))
+    assert calls[0] < 10 ** 6
 
 
 @pytest.mark.parametrize("flag, value, needle", [
@@ -660,9 +724,9 @@ _COMMAND_LINES = [
      "error (ParseError): --x: malformed window '-2:six:9'"),
     # a value that parses but lies outside the domain is the library's DomainError (exit 3)
     (["table", "--dist", "exp", "--n", "1000", "--x", "-2:6:1"],
-     "error (DomainError): SupOnGrid needs steps >= 2, got 1 (at dist=exp)"),
+     "error (DomainError): SupOnGrid needs an integer steps >= 2, got 1 (at dist=exp)"),
     (["table", "--dist", "exp", "--n", "1000", "--x", "0:1:-5"],
-     "error (DomainError): SupOnGrid needs steps >= 2, got -5 (at dist=exp)"),
+     "error (DomainError): SupOnGrid needs an integer steps >= 2, got -5 (at dist=exp)"),
     (["table", "--dist", "exp", "--n", "1000", "--x", "6:-2:3"],
      "error (DomainError): SupOnGrid needs x_lo < x_hi a finite span apart, "
      "got x_lo=6.0, x_hi=-2.0 (at dist=exp)"),

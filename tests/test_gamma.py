@@ -87,8 +87,11 @@ def test_exact_increasing_in_x():
 def test_exact_below_support_reports_threshold():
     d = WeibullLike(1.0, 0.5, 2.0)  # x0 ~ 87
     pair = norming_exact(d, 10 ** 3)
+    # the tail ratio takes the atom completion there, -log(n tail(x0)); the
+    # integral form has no value below x0 and names the threshold
+    assert gamma_exact(d, pair, -30.0) == -math.log(10 ** 3) - d.log_tail(d.x0)
     with pytest.raises(DomainError, match="needs x >="):
-        gamma_exact(d, pair, -30.0)
+        gamma_quadrature(d, pair, -30.0)
 
 
 def test_components_beyond_the_float_range_are_domain_errors():

@@ -84,8 +84,8 @@ def test_grid_gammas(k, a, C, n):
     # every fourth point of the grid, each reference integrated from b
     for x, g in zip(SUP_GRID[::4], gamma[::4].tolist()):
         z = pair.b + pair.a * x
-        if z < dist.x0:
-            assert math.isnan(g)
+        if z < dist.x0:  # the atom completion's -log(n tail(x0)), tail(x0) = 1
+            assert g == -math.log(n) - dist.log_tail(dist.x0) == -math.log(n)
             continue
         # gamma = log tail(b) - log tail(z), the integral from b to z
         want = mp_integral(dist, pair.b, z) if z >= pair.b else -mp_integral(dist, z, pair.b)
