@@ -106,16 +106,18 @@ class RateFit:
 def _guarded_rows(dist: DistributionSpec, pairs: Sequence[NormingPair], metric: SupOnGrid):
     """(x, exact law, gamma, keep) over the grid, the last three with a row
     per pair: keep masks the points of each row inside the support, b + a x
-    >= x0, where the sigma series converges, gamma > -log n. A row with no
-    such point is a DegenerateError, since a sup over it would read 0 and
-    measure nothing."""
+    >= x0, where the sigma series converges, gamma > -log n. The first row
+    with no such point is a DegenerateError naming its n, since a sup over
+    it would read 0 and measure nothing."""
     xs = metric.grid()
     exact, gamma = exact_and_gammas(dist, pairs, xs)
     # b + a x as exact_and_gammas forms it, which has refused one off the float range
     a, b, cutoff = np.array([(pair.a, pair.b, -math.log(pair.n)) for pair in pairs]).T[..., None]
     keep = (b + a * xs >= dist.x0) & (gamma > cutoff)
-    if not keep.any(axis=1).all():
-        raise DegenerateError(f"the window {metric.label} holds no point with gamma > -log n")
+    for pair, row_keep in zip(pairs, keep):
+        if not row_keep.any():
+            raise DegenerateError(f"the window {metric.label} holds no point with "
+                                  f"gamma > -log n").at(f"n={pair.n}")
     return xs, exact, gamma, keep
 
 
@@ -126,9 +128,18 @@ def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid):
     return xs[keep], exact[keep], gamma[keep]
 
 
-def _curve_points(dist: DistributionSpec, approximant: str, metric: SupOnGrid | AtPoint,
-                  pairs: Sequence[NormingPair]):
-    # (n, max |exact - approximant|) per pair, from one exact_and_gammas call
+def error_curve(dist: DistributionSpec, approximant: str, metric: SupOnGrid | AtPoint,
+                n_grid: Sequence[int]) -> ErrorCurve:
+    """max |exact - approximant| over the metric's points per n, under exact
+    norming walked along n_grid.
+
+    One pass: the whole (n, x) grid is one exact_and_gammas call, and each
+    n's approximant is evaluated on its row. Every failure names its n, and
+    a failing grid point its x too: a failure of the law over the grid comes
+    first, then an empty window (SupOnGrid), then a failing approximant,
+    each at its first n.
+    """
+    pairs = norming_exacts(dist, n_grid)
     if isinstance(metric, AtPoint):
         xs = np.array([metric.x])
         exact, gamma = exact_and_gammas(dist, pairs, xs)
@@ -140,29 +151,6 @@ def _curve_points(dist: DistributionSpec, approximant: str, metric: SupOnGrid | 
         errors = np.abs(row_exact[row_keep] - evaluate(
             approximant, xs[row_keep], row_gamma[row_keep], dist, pair))
         points.append((pair.n, float(errors.max(initial=0.0))))
-    return points
-
-
-def error_curve(dist: DistributionSpec, approximant: str, metric: SupOnGrid | AtPoint,
-                n_grid: Sequence[int]) -> ErrorCurve:
-    """max |exact - approximant| over the metric's points per n, under exact
-    norming walked along n_grid.
-
-    The whole (n, x) grid is one exact_and_gammas call. Evaluation failures
-    are re-raised with the offending n attached, and a failing grid point
-    also names its x: on any error the curve is evaluated again one n at a
-    time, so the error raised is that of the first failing n.
-    """
-    pairs = norming_exacts(dist, n_grid)
-    try:
-        points = _curve_points(dist, approximant, metric, pairs)
-    except EvtError:
-        points = []
-        for pair in pairs:
-            try:
-                points += _curve_points(dist, approximant, metric, [pair])
-            except EvtError as exc:
-                raise exc.at(f"n={pair.n}") from exc
     return ErrorCurve(dist_label=dist.label, approximant=approximant,
                       metric=metric, points=tuple(points))
 

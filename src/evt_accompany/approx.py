@@ -8,9 +8,10 @@ tail(b) = 1/n,
 
 holds exactly (it is the Taylor series of n log(1-s) regrouped), so the
 two-term evaluation must reproduce exact_max_cdf to rounding noise wherever
-the series converges (gamma > -log n). That identity is the module's master
-oracle. Dropping the Sigma factor gives the accompanying law, which trades
-an O(1/n) error for the Gumbel limit's logarithmic one.
+the series converges (gamma > -log n), and at its edge gamma = -log n, where
+Sigma = inf and both read 0. That identity is the module's master oracle.
+Dropping the Sigma factor gives the accompanying law, which trades an O(1/n)
+error for the Gumbel limit's logarithmic one.
 
 Below the support edge x0 there is one convention, the atom completion: the
 tail is tail(x0) there, and the law, gamma and every approximant read it.
@@ -71,22 +72,25 @@ def exact_and_gammas(dist: DistributionSpec, pairs: NormingPair | Sequence[Normi
     gamma is -log(n tail(x0)), the completion's gamma under a pair with
     tail(b) = 1/n, as every norming pair of the package is; log n is taken
     of the integer n, so where tail(x0) = 1 it is sigma_series's edge -log n
-    exactly. A non-finite x, b + a x or log tail, or a failed call, is redone
-    point by point from b, row by row in grid order, by the scalar
-    log_tail_from, so the first one raises its typed error, naming its x; a
-    finite x whose b + a x leaves the float range is a DomainError, and so
-    is a pair whose b + a x cannot resolve x at all
-    (norming.require_resolved).
+    exactly. Every error ends with its row's "(at n=...)". Row by row, each
+    pair is checked to resolve x (norming.require_resolved, a DomainError)
+    and its tail at b read, before any grid point; then a non-finite x,
+    b + a x or log tail, or a failed call, is redone point by point from b,
+    row by row in grid order, by the scalar log_tail_from, so the first one
+    raises its typed error, naming its x; a finite x whose b + a x leaves
+    the float range is a DomainError.
     """
     rows = [pairs] if isinstance(pairs, NormingPair) else list(pairs)
-    for pair in rows:
-        require_resolved(pair)
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    table = np.array([(pair.a, pair.b, float(pair.n), -math.log(pair.n),
-                       pair.log_tail_b if pair.log_tail_b is not None else dist.log_tail(pair.b))
-                      for pair in rows]).reshape(-1, 5)
-    # columns of the rows' a, b, n, -log n and log tail(b)
-    a, b, n, minus_log_n, log_tail_b = table.T[..., None]
+    anchors = []  # each row's a, b, n, -log n and log tail(b)
+    for pair in rows:
+        try:
+            require_resolved(pair)
+            anchors.append((pair.a, pair.b, float(pair.n), -math.log(pair.n),
+                            dist.log_tail(pair.b) if pair.log_tail_b is None else pair.log_tail_b))
+        except EvtError as exc:
+            raise exc.at(f"n={pair.n}") from exc
+    a, b, n, minus_log_n, log_tail_b = np.array(anchors).reshape(-1, 5).T[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
         z = b + a * xs
     inside = z >= dist.x0
@@ -96,20 +100,21 @@ def exact_and_gammas(dist: DistributionSpec, pairs: NormingPair | Sequence[Normi
     try:
         with np.errstate(all="ignore"):
             values = dist.log_tails_from(at, b, log_tail_b)
-    except EvtError:  # redone below, which raises it again naming its x
+    except EvtError:  # redone below, which raises it again naming its x and n
         values = np.concatenate((np.full(z.shape, math.nan), log_tail_b), axis=1)
     log_tail = np.where(inside, values[:, :-1], dist._log_tail_x0)
     log_tail_b = values[:, -1:]
     for i, j in zip(*np.nonzero(~np.isfinite(z) | ~np.isfinite(log_tail))):
         x, zi, pair = float(xs[j]), float(z[i, j]), rows[i]
-        require_finite(x)
-        if not math.isfinite(zi):
-            raise DomainError(f"b + a x = {pair.b!r} + {pair.a!r} x is outside the float "
-                              f"range").at(f"grid x={x!r}")
         try:
+            require_finite(x)
+            if not math.isfinite(zi):
+                raise DomainError(f"b + a x = {pair.b!r} + {pair.a!r} x is outside the float "
+                                  f"range")
             log_tail[i, j] = dist.log_tail_from(zi, pair.b, float(log_tail_b[i, 0]))
-        except EvtError as exc:
-            raise exc.at(f"grid x={x!r}") from exc
+        except EvtError as exc:  # x is named unless require_finite refused it
+            named = exc.at(f"grid x={x!r}") if math.isfinite(x) else exc
+            raise named.at(f"n={pair.n}") from exc
     # -0.0 at x = 0, where log_tail(z) is log_tail(b)
     gamma = np.where(inside, -(log_tail - log_tail_b), minus_log_n - dist._log_tail_x0)
     exact = _law(log_tail, n)
@@ -137,9 +142,11 @@ def sigma_series(gamma, n: int):
     """Sigma = sum_{k>=0} exp(-(k+2) gamma) / ((k+2) n^k) at gamma, a float or
     an array; the result has its shape.
 
-    Converges iff r = e^-gamma/n < 1, i.e. gamma > -log n; outside that the
-    series diverges, a DivergenceError. Below the support edge of a family
-    with tail(x0) = 1, gamma is -log n itself, where it diverges.
+    Converges iff r = e^-gamma/n < 1, i.e. gamma > -log n. At gamma = -log n,
+    gamma below the support edge of a family with tail(x0) = 1, its positive
+    terms sum to inf, which is returned (the edge is found by comparing gamma
+    with -log n: e^-gamma/n rounds to 1 +- ulp there); below it, or at a
+    NaN, the series diverges, a DivergenceError.
     Summed, Sigma = e^-2gamma phi(r) with phi(r) = sum_k r^k/(k+2) =
     (-log1p(-r) - r)/r^2. The closed form cancels for small r, so below
     r = 0.35 phi is the series' first 36 terms by Horner (the rest is below
@@ -148,16 +155,16 @@ def sigma_series(gamma, n: int):
     overflows.
     """
     g = np.asarray(gamma, dtype=float).reshape(-1)
-    n = float(n)
-    diverge = ~(g > -math.log(n))
+    n, cutoff = float(n), -math.log(n)
+    diverge = ~(g >= cutoff)
     if diverge.any():
         raise DivergenceError(f"sigma series diverges at gamma = {float(g[diverge][0])!r} "
-                              f"<= -log n = {-math.log(n)!r}")
-    r = np.exp(-g) / n  # < 1 by the check above
+                              f"< -log n = {cutoff!r}")
+    r = np.exp(-g) / n  # < 1 above the edge, and not read at it
     # the closed form is 0/0 where r * r underflows (and not taken); Sigma may overflow
     with np.errstate(all="ignore"):
         phi = np.where(r > 0.35, (-np.log1p(-r) - r) / (r * r), np.polyval(_PHI_COEFFS, r))
-        return _shaped(np.exp(-2.0 * g) * phi, gamma)
+        return _shaped(np.where(g > cutoff, np.exp(-2.0 * g) * phi, math.inf), gamma)
 
 
 def first_order_corrected(x, gamma):
@@ -172,7 +179,8 @@ def first_order_corrected(x, gamma):
 
 def two_term(x, gamma, n: int):
     """exp(-e^-gamma) * exp(-Sigma/n) at x from gamma(x), floats or arrays of
-    one shape, read from gamma alone; equals exact_max_cdf up to rounding."""
+    one shape, read from gamma alone; equals exact_max_cdf up to rounding,
+    and is 0 at gamma = -log n, where Sigma = inf."""
     flat = np.asarray(gamma, dtype=float).reshape(-1)
     with np.errstate(over="ignore"):
         return _shaped(np.exp(-np.exp(-flat) - sigma_series(flat, n) / float(n)), gamma)
@@ -181,11 +189,13 @@ def two_term(x, gamma, n: int):
 def _second_order(x, gamma, dist, pair):
     # exp(-e^-x (1 + A x^2/2) - Sigma/n) with A = f'(b_n), the second-order
     # law of a rho = 0 family; for A < 0 the bracket turns negative at large
-    # |x|, and the exponent is capped at 0 so the law stays in [0, 1]
+    # |x|, and the exponent is capped at 0 so the law stays in [0, 1]; where
+    # Sigma = inf the law is 0, whatever the bracket
     slope = dist.aux_slope(pair.b)
+    sigma = sigma_series(gamma, pair.n) / float(pair.n)
     with np.errstate(over="ignore", invalid="ignore"):
         exponent = -np.exp(-x) * (1.0 + slope * (0.5 * x * x))
-    return np.exp(np.fmin(exponent - sigma_series(gamma, pair.n) / float(pair.n), 0.0))
+        return np.where(sigma == math.inf, 0.0, np.exp(np.fmin(exponent - sigma, 0.0)))
 
 
 # name -> function of (x, gamma, dist, pair) on arrays, gamma as
@@ -204,12 +214,16 @@ def evaluate(name: str, x, gamma, dist: DistributionSpec, pair: NormingPair):
     """The approximant `name` at x from gamma(x), as exact_and_gammas returns
     it for dist under pair. x and gamma are floats or arrays of one shape,
     and so is the result. A NaN gamma, which exact_and_gammas never returns,
-    is a DomainError naming its x."""
+    is a DomainError naming its x; every error ends with "(at n=...)" of
+    pair."""
     flat = np.asarray(x, dtype=float).reshape(-1)
     g = np.asarray(gamma, dtype=float).reshape(-1)
     undefined = np.isnan(g)
-    if undefined.any():
-        raise DomainError(f"gamma is NaN at x = {float(flat[undefined][0])!r}; an approximant "
-                          f"needs gamma as exact_and_gammas returns it")
-    values = APPROXIMANTS[name](flat, g, dist, pair)
+    try:
+        if undefined.any():
+            raise DomainError(f"gamma is NaN at x = {float(flat[undefined][0])!r}; an "
+                              f"approximant needs gamma as exact_and_gammas returns it")
+        values = APPROXIMANTS[name](flat, g, dist, pair)
+    except EvtError as exc:
+        raise exc.at(f"n={pair.n}") from exc
     return _shaped(values, x)

@@ -10,13 +10,12 @@ summary goes to stdout (stderr when the CSV itself occupies stdout).
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import os
 import stat
 import sys
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +47,7 @@ RATES_COLUMNS = "model,exponent,r_squared,n_min,n_max,points"
 NORMING_COLUMNS = "n,a_exact,b_exact,a_closed,b_closed,ratio_gap,shift_gap"
 IDENTITY_COLUMNS = "n,x,exact,two_term,abs_gap"
 SIMULATE_COLUMNS = "replication,scaled_max"
-# rows per write of a CSV, and per formatting of simulate's rows
+# lines per write of a CSV, the header's counted in the first
 _BLOCK_ROWS = 4096
 
 
@@ -158,28 +157,35 @@ def _parse_approx(raw: str) -> list[str]:
     return names
 
 
-def _csv(header: Sequence[str], row_format: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
-    """The header lines, then row_format % row for each row of columns,
-    _BLOCK_ROWS lines a block, the header's in the first. A block's slices
-    become Python numbers (.tolist()) only as it is formatted, so %r writes
-    repr, not numpy 2's "np.float64(...)", and one block at most is text."""
-    text, line, start = "".join(f"{h}\n" for h in header), row_format + "\n", 0
-    for stop in range(_BLOCK_ROWS - len(header), len(columns[0]) + _BLOCK_ROWS, _BLOCK_ROWS):
-        rows = zip(*(column[start:stop].tolist() for column in columns))
-        yield text + "".join([line % row for row in rows])
+def _csv(header: Sequence[str], count: int, rows: Callable[[int, int], str]) -> Iterator[str]:
+    """The CSV of the header lines and count rows in blocks of _BLOCK_ROWS
+    lines, the header's in the first: rows(start, stop) is the text of the
+    rows [start, stop), stop possibly past count, each ending in a newline.
+    One block at most is text at a time."""
+    text, start = "".join(f"{h}\n" for h in header), 0
+    for stop in range(_BLOCK_ROWS - len(header), count + _BLOCK_ROWS, _BLOCK_ROWS):
+        yield text + rows(start, stop)
         text, start = "", stop
+
+
+def _lines(row_format: str, columns: Sequence[np.ndarray]) -> Callable[[int, int], str]:
+    """_csv's rows as row_format % row over the rows of columns. A block's
+    slices become Python numbers (.tolist()) only as it is formatted, so %r
+    writes repr, not numpy 2's "np.float64(...)"."""
+    line = row_format + "\n"
+    return lambda start, stop: "".join(
+        [line % row for row in zip(*(column[start:stop].tolist() for column in columns))])
 
 
 def _finish(out_path: str | None, blocks: Iterable[str], summary: list[str]) -> None:
     """The CSV text to out_path (stdout when None), and the summary to the
     channel the CSV does not occupy.
 
-    blocks are pieces of the CSV text, each a run of whole rows (callers
-    make them of at most _BLOCK_ROWS rows, with _csv or, in simulate,
-    with rows.numbered_rows), and may be any iterable, a generator
-    included: each is written as it arrives, so the whole CSV is never held
-    in memory. Callers compute every number before the first row, so a
-    command that fails leaves out_path untouched.
+    blocks are pieces of the CSV text, each a run of whole lines (every
+    command makes them with _csv, at most _BLOCK_ROWS lines each), and may
+    be any iterable, a generator included: each is written as it arrives,
+    so the whole CSV is never held in memory. Callers compute every number
+    before the first row, so a command that fails leaves out_path untouched.
 
     An existing out_path is rewritten in place and, after the last block,
     cut to the length written when it was longer: on ext4, truncating a
@@ -238,15 +244,12 @@ def _cmd_table(args, dist: DistributionSpec) -> int:
     names = _parse_approx(args.approx) if args.approx else []
     pair = norming_exact(dist, n)
     xs = window.grid()
-    try:
-        exact, gamma = exact_and_gammas(dist, pair, xs)
-        columns = [xs, exact, *(evaluate(name, xs, gamma, dist, pair)
-                                for name in APPROXIMANTS if name in names), gamma]
-    except EvtError as exc:
-        raise exc.at(f"n={n}") from exc
+    exact, gamma = exact_and_gammas(dist, pair, xs)
+    columns = [xs, exact, *(evaluate(name, xs, gamma, dist, pair)
+                            for name in APPROXIMANTS if name in names), gamma]
     fields = ["%r" if name in names else "" for name in APPROXIMANTS]  # blank if not requested
-    _finish(args.out, _csv([_header(dist.label, "table"), TABLE_COLUMNS],
-                           ",".join(["%r", "%r", *fields, "%r"]), columns),
+    _finish(args.out, _csv([_header(dist.label, "table"), TABLE_COLUMNS], xs.size,
+                           _lines(",".join(["%r", "%r", *fields, "%r"]), columns)),
             [f"table: {window.steps} rows for dist={dist.label} n={n}"])
     return 0
 
@@ -268,8 +271,8 @@ def _cmd_rates(args, dist: DistributionSpec) -> int:
     fits = [fit_rate(curve, model) for model in (POWER_IN_N, POWER_IN_LOG_N)]
     columns = [np.array([getattr(fit, field) for fit in fits])
                for field in ("model", "exponent", "r_squared")]
-    _finish(args.out, _csv([_header(dist.label, "rates"), RATES_COLUMNS],
-                           f"%s,%r,%r,{ns[0]},{ns[-1]},{len(ns)}", columns),
+    _finish(args.out, _csv([_header(dist.label, "rates"), RATES_COLUMNS], len(fits),
+                           _lines(f"%s,%r,%r,{ns[0]},{ns[-1]},{len(ns)}", columns)),
             [f"rates: dist={dist.label} approx={names[0]} metric={metric.label}",
              *(f"  {fit.model}: exponent={fit.exponent:.4f} r2={fit.r_squared:.5f}"
                for fit in fits)])
@@ -288,8 +291,8 @@ def _cmd_norming(args, dist: DistributionSpec) -> int:
                        *types_equivalence_gap(exact, closed)))
     # n as Python ints, which a float64 or uint64 column would round past 2^63
     columns = [np.array(ns, dtype=object), *np.array(values).T]
-    _finish(args.out, _csv([_header(dist.label, "norming"), NORMING_COLUMNS],
-                           "%d,%r,%r,%r,%r,%r,%r", columns),
+    _finish(args.out, _csv([_header(dist.label, "norming"), NORMING_COLUMNS], len(ns),
+                           _lines("%d,%r,%r,%r,%r,%r,%r", columns)),
             [f"norming: dist={dist.label} n-count={len(ns)} "
              f"final gaps ratio={values[-1][4]:.3g} shift={values[-1][5]:.3g}"])
     return 0
@@ -299,17 +302,15 @@ def _cmd_check_identity(args, dist: DistributionSpec) -> int:
     n = _single_n(args)
     metric = _parse_window(args.x, "--x")
     pair = norming_exact(dist, n)
-    try:
-        xs, exact, gamma = guarded_xs(dist, pair, metric)
-        law = two_term(xs, gamma, n)
-    except EvtError as exc:
-        raise exc.at(f"n={n}") from exc
+    xs, exact, gamma = guarded_xs(dist, pair, metric)
+    # gamma > -log n on the guarded grid, where the series converges
+    law = two_term(xs, gamma, n)
     gaps = np.abs(exact - law)
     worst = float(gaps.max(initial=0.0))
     ok = worst <= args.tol
     # a failed check's summary is its typed error line, after the CSV is written
-    _finish(args.out, _csv([_header(dist.label, "check-identity"), IDENTITY_COLUMNS],
-                           f"{n},%r,%r,%r,%r", [xs, exact, law, gaps]),
+    _finish(args.out, _csv([_header(dist.label, "check-identity"), IDENTITY_COLUMNS], xs.size,
+                           _lines(f"{n},%r,%r,%r,%r", [xs, exact, law, gaps])),
             [f"check-identity: dist={dist.label} n={n} max|gap|={worst:.3e} "
              f"tol={args.tol:.3e} -> OK"] if ok else [])
     if not ok:  # the two laws that must agree do not
@@ -326,13 +327,8 @@ def _cmd_simulate(args, dist: DistributionSpec) -> int:
     from .rows import numbered_rows
     header = [_header(dist.label, "simulate", extra=f"seed={args.seed} rng={RNG_ALGORITHM}"),
               SIMULATE_COLUMNS]
-    # blocks of _BLOCK_ROWS lines, as _csv cuts them, the header's in the first
-    first = _BLOCK_ROWS - len(header)
-    blocks = itertools.chain(
-        ["\n".join(header) + "\n" + numbered_rows(0, samples[:first])],
-        (numbered_rows(start, samples[start:start + _BLOCK_ROWS])
-         for start in range(first, samples.size, _BLOCK_ROWS)))
-    _finish(args.out, blocks,
+    _finish(args.out, _csv(header, samples.size,
+                           lambda start, stop: numbered_rows(start, samples[start:stop])),
             [f"simulate: dist={dist.label} n={n} reps={args.reps} "
              f"mean={samples.mean():.6f} max={samples.max():.6f}"])
     return 0

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from evt_accompany import analysis
 from evt_accompany.analysis import (
     _QUANTILE_BLOCK,
     POWER_IN_LOG_N,
@@ -20,11 +21,12 @@ from evt_accompany.analysis import (
     simulate_max,
 )
 from evt_accompany.approx import (
+    evaluate,
     exact_and_gammas,
     exact_max_cdf,
     gumbel_cdf,
 )
-from evt_accompany.errors import DegenerateError, DivergenceError, DomainError
+from evt_accompany.errors import DegenerateError, DomainError
 from evt_accompany.gamma import gamma_closed_weibull, gamma_quadrature
 from evt_accompany.norming import NormingPair, norming_closed, norming_exact, norming_exacts
 from evt_accompany.tails import (
@@ -79,9 +81,52 @@ def test_error_curve_requires_increasing_grid():
 
 
 def test_error_curve_annotates_failures():
-    # x = -50 is below x0 = 0, where gamma = -log n and the two-term series diverges
-    with pytest.raises(DivergenceError, match="n=100"):
-        error_curve(ExponentialUnit(), "two_term", AtPoint(-50.0), [100])
+    # a = 2 log n > 1 for the p = 0.5 Weibull, so b + a x leaves the float
+    # range at x = 1.7e308 for every n; the first n is named
+    with pytest.raises(DomainError, match=r"outside the float range") as info:
+        error_curve(WeibullLike(1.0, 0.5, 0.0), "two_term", AtPoint(1.7e308), [100, 1000])
+    assert str(info.value).endswith(" (at grid x=1.7e+308) (at n=100)")
+
+
+def test_error_curve_is_one_pass(monkeypatch):
+    # b + a x overflows at x = 1.8e306 from n = 1e25 on (a = 2 log n > 100),
+    # and at the grid point before it only from n = 1e30: the one call over
+    # the whole (n, x) grid names the first failing row and its first point
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exact_and_gammas(*args)
+
+    monkeypatch.setattr(analysis, "exact_and_gammas", counted)
+    ns = [10 ** k for k in (3, 6, 10, 15, 20, 25, 30)]
+    with pytest.raises(DomainError) as info:
+        error_curve(WeibullLike(1.0, 0.5, 0.0), "accompanying", SupOnGrid(-2.0, 1.8e306, 5), ns)
+    assert str(info.value).endswith(" (at grid x=1.8e+306) (at n=10000000000000000000000000)")
+    assert len(calls) == 1
+
+
+def test_library_failures_name_their_n():
+    d = WeibullLike(1.0, 0.5, 0.0)
+    pairs = norming_exacts(d, [100, 10 ** 30])
+    # the law over a grid: a point of the second row only
+    with pytest.raises(DomainError) as info:
+        exact_and_gammas(d, pairs, [-1.0, 1.5e306])
+    assert str(info.value).endswith(f" (at grid x=1.5e+306) (at n={10 ** 30})")
+    # a pair that cannot resolve x, second of two rows
+    coarse = NormingPair(n=1000, a=1e-12, b=pairs[0].b)
+    with pytest.raises(DomainError, match=r"resolves x only to ") as info:
+        exact_and_gammas(d, [pairs[0], coarse], [0.0])
+    assert str(info.value).endswith(" (at n=1000)")
+    # an empty window
+    with pytest.raises(DegenerateError) as info:
+        guarded_xs(ExponentialUnit(), norming_exact(ExponentialUnit(), 100),
+                   SupOnGrid(-8.0, -5.0, 4))
+    assert str(info.value).endswith(" (at n=100)")
+    # an approximant
+    with pytest.raises(DomainError, match=r"gamma is NaN at x = 0.0") as info:
+        evaluate("accompanying", np.array([0.0]), np.array([math.nan]), d, pairs[0])
+    assert str(info.value).endswith(" (at n=100)")
 
 
 def test_accompanying_error_below_the_edge_reads_the_completed_tail():
@@ -113,7 +158,7 @@ def test_window_with_no_guarded_point_is_degenerate():
     d = ExponentialUnit()
     window = SupOnGrid(-8.0, -5.0, 4)
     empty = "the window sup[-8,-5]x4 holds no point with gamma > -log n"
-    for call, tag in ((lambda: guarded_xs(d, norming_exact(d, 100), window), ""),
+    for call, tag in ((lambda: guarded_xs(d, norming_exact(d, 100), window), " (at n=100)"),
                       (lambda: error_curve(d, "accompanying", window, [100, 1000, 10000]),
                        " (at n=100)")):
         with pytest.raises(DegenerateError) as info:

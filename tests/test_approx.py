@@ -283,7 +283,7 @@ def test_grid_walk_names_the_failing_point():
     for xs in (SUP_GRID, SUP_GRID[:SUP_GRID.index(first_bad) + 1]):
         with pytest.raises(DomainError, match="cannot be evaluated past") as info:
             exact_and_gammas(dist, pair, xs)
-        assert str(info.value).endswith(f" (at grid x={first_bad!r})")
+        assert str(info.value).endswith(f" (at grid x={first_bad!r}) (at n=1000)")
 
 
 @pytest.mark.parametrize("dist", [WeibullLike(1.0, 2.0, 0.0), IteratedLogScale(2, 1.0, 1.0)],
@@ -389,8 +389,12 @@ def test_sigma_diverges_at_cutoff():
     assert math.isfinite(sigma_series(g, pair.n))
     assert exact_max_cdf(d, pair, edge) == 0.0
     assert abs(two_term(edge, g, pair.n) - exact_max_cdf(d, pair, edge)) <= 1e-10
+    # at -log 10 itself the positive series sums to inf, and the two-term
+    # law is that same F(x0)^n = 0; below it the series diverges
+    assert sigma_series(-math.log(10), pair.n) == math.inf
+    assert two_term(edge, -math.log(10), pair.n) == 0.0
     with pytest.raises(DivergenceError):
-        sigma_series(-math.log(10), pair.n)
+        sigma_series(math.nextafter(-math.log(10), -math.inf), pair.n)
 
 
 # -- two-term / master identity ------------------------------------------------

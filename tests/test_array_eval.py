@@ -200,9 +200,9 @@ def test_unsorted_repeated_and_empty_grids(spec):
 def test_non_finite_points_raise_in_walk_order():
     dist = parse_dist(CLOSED_SPECS[2])
     pair = norming_exact(dist, 1000)
-    with pytest.raises(DomainError, match=r"must be finite, got inf$"):
+    with pytest.raises(DomainError, match=r"must be finite, got inf \(at n=1000\)$"):
         exact_and_gammas(dist, pair, [-1.0, math.inf, 1.0, -math.inf])
-    with pytest.raises(DomainError, match=r"must be finite, got -inf$"):
+    with pytest.raises(DomainError, match=r"must be finite, got -inf \(at n=1000\)$"):
         exact_and_gammas(dist, pair, [-1.0, -math.inf, 1.0])
 
 

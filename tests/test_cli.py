@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import evt_accompany
 from evt_accompany import quadrature
-from evt_accompany.analysis import RNG_ALGORITHM, simulate_max
+from evt_accompany.analysis import RNG_ALGORITHM, SupOnGrid, simulate_max
 from evt_accompany.approx import APPROXIMANTS
 from evt_accompany.cli import (
     IDENTITY_COLUMNS,
@@ -246,13 +246,16 @@ def test_exit_domain_error_below_support(tmp_path, capsys):
     edge = repr(-math.log(1000) - dist.log_tail(dist.x0))
     assert rows(payload)[1] == [[x, "0.0", "0.0", "", "", "", "", edge]
                                 for x in ("-50.0", "-45.0", "-40.0")]
-    # with tail(x0) = 1 that gamma is -log n, where the sigma series diverges
-    code, payload = run(tmp_path, "y.csv", [
-        "table", "--dist", "exp", "--n", "1000", "--x", "-12:-8:3", "--approx", "two_term"])
-    assert (code, payload) == (4, b"")
-    err = capsys.readouterr().err
-    assert "error (DivergenceError)" in err and "(at n=1000)" in err
-    assert "Traceback" not in err
+    # with tail(x0) = 1 that gamma is -log n, where the sigma series sums to
+    # inf: the two-term and second-order columns read the law, F(x0)^n = 0
+    for approx in ("two_term", "second_order"):
+        code, payload = run(tmp_path, "y.csv", [
+            "table", "--dist", "exp", "--n", "1000", "--x", "-12:-8:3", "--approx", approx])
+        assert code == 0
+        assert [row[1:] for row in rows(payload)[1]] == [
+            ["0.0", *("0.0" if name == approx else "" for name in APPROXIMANTS),
+             repr(-math.log(1000))]] * 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_table_on_a_completed_edge_gives_the_two_term_law(tmp_path):
@@ -991,20 +994,56 @@ def test_an_interrupted_write_leaves_a_prefix_of_the_new_csv(tmp_path, monkeypat
 _SIMULATE = ["simulate", "--dist", "exp", "--n", "1000", "--seed", "7"]
 
 
-@pytest.mark.parametrize("reps", [4095, 4096, 4097, 8193])
-def test_simulate_csv_is_whole_across_block_boundaries(tmp_path, capsys, reps):
-    argv = _SIMULATE + ["--reps", str(reps)]
+_TABLE = ["table", "--dist", "exp", "--n", "1000", "--approx", "gumbel,accompanying"]
+
+
+class _CountedStdout(io.StringIO):
+    """A stdout that keeps the line count of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text.count("\n"))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(_SIMULATE + ["--reps", str(reps)], id=str(reps))
+      for reps in (4095, 4096, 4097, 8193)),
+    *(pytest.param(_TABLE + ["--x", f"-2:6:{steps}"], id=f"table-{steps}")
+      for steps in (4094, 4095, 4096, 8190))])
+def test_simulate_csv_is_whole_across_block_boundaries(tmp_path, monkeypatch, argv):
+    # every command cuts its CSV in one place: stdout and --out get the same
+    # bytes, in writes of 4,096 lines (the first counting the two header
+    # lines) but the last
+    real_write, writes = os.write, []
+
+    def counted(fd, data):
+        writes.append(bytes(data).count(b"\n"))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", counted)
     code, payload = run(tmp_path, "s.csv", argv)
-    assert code == 0
-    capsys.readouterr()
-    assert main(argv) == 0
-    assert capsys.readouterr().out.encode() == payload
-    samples = simulate_max(parse_dist("exp"), 1000, reps, seed=7).tolist()
-    lines = [f"# evt-accompany v{evt_accompany.__version__} dist=exp cmd=simulate "
-             f"seed=7 rng={RNG_ALGORITHM}", SIMULATE_COLUMNS,
-             *(f"{i},{v!r}" for i, v in enumerate(samples))]
-    assert payload == ("\n".join(lines) + "\n").encode()
+    stdout = _CountedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert (code, main(argv)) == (0, 0)
+    assert stdout.getvalue().encode() == payload
+    lines = payload.count(b"\n")
+    assert writes == stdout.writes == [4096] * ((lines - 1) // 4096) + [(lines - 1) % 4096 + 1]
     _, body = rows(payload)
+    if argv[0] == "table":
+        steps = int(argv[-1].split(":")[-1])
+        assert [cells[0] for cells in body] == [
+            repr(x) for x in SupOnGrid(-2.0, 6.0, steps).grid().tolist()]
+        return
+    reps = int(argv[-1])
+    samples = simulate_max(parse_dist("exp"), 1000, reps, seed=7).tolist()
+    want = [f"# evt-accompany v{evt_accompany.__version__} dist=exp cmd=simulate "
+            f"seed=7 rng={RNG_ALGORITHM}", SIMULATE_COLUMNS,
+            *(f"{i},{v!r}" for i, v in enumerate(samples))]
+    assert payload == ("\n".join(want) + "\n").encode()
     assert [int(cells[0]) for cells in body] == list(range(reps))
 
 

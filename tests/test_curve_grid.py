@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evt_accompany.analysis import AtPoint, SupOnGrid, error_curve
@@ -69,24 +69,29 @@ def outcome(fn):
 
 
 def reference_curve(dist, name, metric, ns):
-    """error_curve's points by one exact_and_gammas call per n."""
+    """error_curve's points by one exact_and_gammas call per n, every n's
+    law before any approximant, so a failure is the first failing n's of
+    the first step to fail. (Every window drawn here holds x >= 1, where
+    gamma > -log n, so none is empty.)"""
+    pairs = norming_exacts(dist, ns)
+    xs = np.array([metric.x] if isinstance(metric, AtPoint) else metric.grid())
+    laws = [exact_and_gammas(dist, pair, xs) for pair in pairs]
     points = []
-    for pair in norming_exacts(dist, ns):
-        try:
-            xs = np.array([metric.x] if isinstance(metric, AtPoint) else metric.grid())
-            exact, gamma = exact_and_gammas(dist, pair, xs)
-            if not isinstance(metric, AtPoint):
-                keep = gamma > -math.log(pair.n)
-                xs, exact, gamma = xs[keep], exact[keep], gamma[keep]
-            errors = np.abs(exact - evaluate(name, xs, gamma, dist, pair))
-        except EvtError as exc:
-            raise exc.at(f"n={pair.n}") from exc
+    for pair, (exact, gamma) in zip(pairs, laws):
+        keep = (np.full(xs.shape, True) if isinstance(metric, AtPoint)
+                else gamma > -math.log(pair.n))
+        errors = np.abs(exact[keep] - evaluate(name, xs[keep], gamma[keep], dist, pair))
         points.append((pair.n, float(errors.max(initial=0.0))))
     return tuple(points)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(families(), n_grids(), metrics(), st.sampled_from(list(APPROXIMANTS)))
+# b + a x leaves the float range from the n = 1e25 row on: the drawn windows
+# never reach a failing row
+@example((WeibullLike, (1.0, 0.5, 0.0, SlowlyVarying.log_power(1.0, 0.0))),
+         [10 ** k for k in (3, 6, 10, 15, 20, 25, 30)], SupOnGrid(-2.0, 1.8e306, 5),
+         "accompanying")
 def test_curve_grid_rows_reference_and_identity(family, ns, metric, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning is a defect too
@@ -102,9 +107,14 @@ def test_curve_grid_rows_reference_and_identity(family, ns, metric, name):
         xs = [metric.x] if isinstance(metric, AtPoint) else metric.grid()
         rows = [outcome(lambda: exact_and_gammas(dist, pair, xs)) for pair in pairs]
         grid = outcome(lambda: exact_and_gammas(dist, pairs, xs))
-        failed = [row for row in rows if not isinstance(row[0], np.ndarray)]
-        if failed:
-            assert grid == failed[0]  # the first failing row's error
+        failing = [i for i, row in enumerate(rows) if not isinstance(row[0], np.ndarray)]
+        if failing:
+            # the first failing row's error, naming its n; every row's pair
+            # and tail at b (all that an empty grid reads) come before any point
+            anchors = [i for i, pair in enumerate(pairs) if not isinstance(
+                outcome(lambda: exact_and_gammas(dist, pair, []))[0], np.ndarray)]
+            first = (anchors or failing)[0]
+            assert grid == rows[first] and grid[1].endswith(f" (at n={pairs[first].n})")
             return
         for i, (exact, gamma) in enumerate(rows):
             assert grid[0][i].tobytes() == exact.tobytes()
@@ -152,7 +162,7 @@ def test_overflowing_b_plus_a_x_is_a_domain_error_naming_x(spec):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"is outside the float range") as info:
             exact_and_gammas(dist, pair, [-1.0, 1.0, 1.7e308])
-        assert str(info.value).endswith(" (at grid x=1.7e+308)")
+        assert str(info.value).endswith(" (at grid x=1.7e+308) (at n=1000000)")
         with pytest.raises(DomainError, match=r"is outside the float range"):
             exact_and_gammas(dist, [pair, pair], [-1.7e308, 0.0])
 

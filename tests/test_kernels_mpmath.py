@@ -145,7 +145,12 @@ def test_first_order_charge_matches_mpmath(x, shift, far_gamma):
 
 @pytest.mark.parametrize("n", [10, 10 ** 6, 10 ** 300], ids=["1e1", "1e6", "1e300"])
 def test_sigma_diverges_at_and_below_the_cutoff(n):
-    for gamma in (-math.log(n), -math.log(n) - 1.0):
+    # at gamma = -log n the positive series sums to inf, and the two-term
+    # law is 0, F(x0)^n where tail(x0) = 1; below it the series diverges
+    edge = -math.log(n)
+    assert sigma_series(np.array([1.0, edge]), n).tolist() == [sigma_series(1.0, n), math.inf]
+    assert two_term(0.0, edge, n) == 0.0
+    for gamma in (math.nextafter(edge, -math.inf), edge - 1.0, math.nan):
         with pytest.raises(DivergenceError, match="diverges"):
             sigma_series(np.array([1.0, gamma]), n)
         with pytest.raises(DivergenceError, match="diverges"):
