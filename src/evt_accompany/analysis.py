@@ -22,6 +22,8 @@ from .tails import DistributionSpec, _float_text
 
 POWER_IN_N = "power-in-n"
 POWER_IN_LOG_N = "power-in-log-n"
+# each rate model's abscissa as a function of n, in the order rates writes them
+RATE_MODELS = {POWER_IN_N: math.log, POWER_IN_LOG_N: lambda n: math.log(math.log(n))}
 
 # Counter-based splittable generator (numpy's Philox); the name is recorded in
 # output metadata so runs are reproducible in distribution across
@@ -44,8 +46,8 @@ def allocate(count: int, message: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SupOnGrid:
-    """Sup of pointwise absolute errors over the guarded x-grid. A grid of
-    more steps than can be held is refused as it is built."""
+    """Sup of pointwise absolute errors over the grid points guarded_xs keeps.
+    A grid of more steps than can be held is refused as it is built."""
 
     x_lo: float = -2.0
     x_hi: float = 6.0
@@ -72,9 +74,13 @@ class SupOnGrid:
 
 @dataclass(frozen=True)
 class AtPoint:
-    """Absolute error at one fixed scaled coordinate."""
+    """Absolute error at one fixed scaled coordinate: a one-point window,
+    guarded as SupOnGrid's is, so empty where gamma <= -log n."""
 
     x: float
+
+    def grid(self) -> np.ndarray:
+        return np.array([self.x])
 
     @property
     def label(self) -> str:
@@ -103,17 +109,16 @@ class RateFit:
     r_squared: float
 
 
-def _guarded_rows(dist: DistributionSpec, pairs: Sequence[NormingPair], metric: SupOnGrid):
-    """(x, exact law, gamma, keep) over the grid, the last three with a row
-    per pair: keep masks the points of each row inside the support, b + a x
-    >= x0, where the sigma series converges, gamma > -log n. The first row
-    with no such point is a DegenerateError naming its n, since a sup over
-    it would read 0 and measure nothing."""
+def _guarded_rows(dist: DistributionSpec, pairs: Sequence[NormingPair],
+                  metric: SupOnGrid | AtPoint):
+    """(x, exact law, gamma, keep) over the metric's grid, the last three with
+    a row per pair: keep masks the points of each row where the sigma series
+    converges, gamma > -log n (the atom completion's gamma below x0), the one
+    rule of every metric. The first row with no such point is a
+    DegenerateError naming its n, since an error over it would read 0."""
     xs = metric.grid()
     exact, gamma = exact_and_gammas(dist, pairs, xs)
-    # b + a x as exact_and_gammas forms it, which has refused one off the float range
-    a, b, cutoff = np.array([(pair.a, pair.b, -math.log(pair.n)) for pair in pairs]).T[..., None]
-    keep = (b + a * xs >= dist.x0) & (gamma > cutoff)
+    keep = gamma > np.array([-math.log(pair.n) for pair in pairs])[:, None]
     for pair, row_keep in zip(pairs, keep):
         if not row_keep.any():
             raise DegenerateError(f"the window {metric.label} holds no point with "
@@ -121,31 +126,27 @@ def _guarded_rows(dist: DistributionSpec, pairs: Sequence[NormingPair], metric: 
     return xs, exact, gamma, keep
 
 
-def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid):
-    """(x, exact law, gamma) as arrays, at the grid points that survive the
-    support and series-convergence guards; one tail evaluation per point."""
+def guarded_xs(dist: DistributionSpec, pair: NormingPair, metric: SupOnGrid | AtPoint):
+    """(x, exact law, gamma) as arrays, at the metric's points where the
+    series converges, gamma > -log n; one tail evaluation per point."""
     xs, (exact,), (gamma,), (keep,) = _guarded_rows(dist, [pair], metric)
     return xs[keep], exact[keep], gamma[keep]
 
 
 def error_curve(dist: DistributionSpec, approximant: str, metric: SupOnGrid | AtPoint,
                 n_grid: Sequence[int]) -> ErrorCurve:
-    """max |exact - approximant| over the metric's points per n, under exact
-    norming walked along n_grid.
+    """max |exact - approximant| per n over the metric's points that
+    guarded_xs keeps (an at-point as a window), under exact norming walked
+    along n_grid.
 
     One pass: the whole (n, x) grid is one exact_and_gammas call, and each
     n's approximant is evaluated on its row. Every failure names its n, and
     a failing grid point its x too: a failure of the law over the grid comes
-    first, then an empty window (SupOnGrid), then a failing approximant,
-    each at its first n.
+    first, then an empty window, then a failing approximant, each at its
+    first n.
     """
     pairs = norming_exacts(dist, n_grid)
-    if isinstance(metric, AtPoint):
-        xs = np.array([metric.x])
-        exact, gamma = exact_and_gammas(dist, pairs, xs)
-        keep = np.ones(gamma.shape, dtype=bool)
-    else:
-        xs, exact, gamma, keep = _guarded_rows(dist, pairs, metric)
+    xs, exact, gamma, keep = _guarded_rows(dist, pairs, metric)
     points = []
     for pair, row_exact, row_gamma, row_keep in zip(pairs, exact, gamma, keep):
         errors = np.abs(row_exact[row_keep] - evaluate(
@@ -156,7 +157,7 @@ def error_curve(dist: DistributionSpec, approximant: str, metric: SupOnGrid | At
 
 
 def fit_rate(curve: ErrorCurve, model: str) -> RateFit:
-    """OLS of log error against log n (power-in-n) or log log n (power-in-log-n).
+    """OLS of log error against RATE_MODELS[model](n): log n or log log n.
 
     Centred least squares on Python floats: with dx = x - mean x and
     dy = y - mean y, the slope is sum dx dy / sum dx^2, and r^2 is
@@ -164,7 +165,7 @@ def fit_rate(curve: ErrorCurve, model: str) -> RateFit:
     that of dy^2. Every sum is a math.fsum, so the slope is within a few
     ulps of the exact least-squares slope of the logged points.
     """
-    if model not in (POWER_IN_N, POWER_IN_LOG_N):
+    if model not in RATE_MODELS:
         raise DomainError(f"unknown rate model {model!r}")
     if len(curve.points) < 3:
         raise DegenerateError(f"rate fit needs >= 3 points, got {len(curve.points)}")
@@ -173,10 +174,7 @@ def fit_rate(curve: ErrorCurve, model: str) -> RateFit:
             raise DegenerateError(
                 f"rate fit needs strictly positive errors, got {e!r} for "
                 f"{curve.metric.label}").at(f"n={n}")
-    if model == POWER_IN_N:
-        xs = [math.log(n) for n, _ in curve.points]
-    else:
-        xs = [math.log(math.log(n)) for n, _ in curve.points]
+    xs = [RATE_MODELS[model](n) for n, _ in curve.points]
     if min(xs) == max(xs):
         raise DegenerateError(
             f"{model} rate fit needs two distinct abscissae, n={curve.points[0][0]}.."

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    POWER_IN_LOG_N,
-    POWER_IN_N,
+    RATE_MODELS,
     RNG_ALGORITHM,
     AtPoint,
     SupOnGrid,
@@ -268,7 +267,7 @@ def _cmd_rates(args, dist: DistributionSpec) -> int:
     else:
         metric = SupOnGrid()
     curve = error_curve(dist, names[0], metric, ns)
-    fits = [fit_rate(curve, model) for model in (POWER_IN_N, POWER_IN_LOG_N)]
+    fits = [fit_rate(curve, model) for model in RATE_MODELS]
     columns = [np.array([getattr(fit, field) for fit in fits])
                for field in ("model", "exponent", "r_squared")]
     _finish(args.out, _csv([_header(dist.label, "rates"), RATES_COLUMNS], len(fits),

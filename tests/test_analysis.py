@@ -142,6 +142,14 @@ def test_accompanying_error_below_the_edge_reads_the_completed_tail():
     assert [f"{e:.3e}" for _, e in curve.points] == ["3.952e-06", "1.635e-08", "1.400e-13"]
 
 
+def test_an_at_point_past_the_series_edge_is_an_empty_window():
+    # iterlog k=2 has tail(x0) = 1: at n = 10 its edge lies at x = -1.26, and
+    # x = -3 below it has gamma = -log n, where an error would read 0
+    with pytest.raises(DegenerateError) as info:
+        error_curve(IteratedLogScale(2, 1.0, 1.0), "accompanying", AtPoint(-3.0), [10, 100])
+    assert str(info.value) == "the window at:-3 holds no point with gamma > -log n (at n=10)"
+
+
 def test_guarded_grid_respects_cutoff():
     d = ExponentialUnit()
     pair = norming_exact(d, 100)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import evt_accompany
 from evt_accompany import quadrature
-from evt_accompany.analysis import RNG_ALGORITHM, SupOnGrid, simulate_max
+from evt_accompany.analysis import RNG_ALGORITHM, SupOnGrid, guarded_xs, simulate_max
 from evt_accompany.approx import APPROXIMANTS
 from evt_accompany.cli import (
     IDENTITY_COLUMNS,
@@ -30,6 +30,7 @@ from evt_accompany.cli import (
     main,
 )
 from evt_accompany.errors import DomainError, EvtError, MismatchError
+from evt_accompany.norming import norming_exact
 from evt_accompany.tails import QUANTILE_LOG_TOL, parse_dist
 
 
@@ -156,6 +157,36 @@ def test_rates_with_no_point_in_the_sup_window_is_degenerate(tmp_path, capsys):
     assert payload == b""
     assert capsys.readouterr().err.strip() == (
         "error (DegenerateError): the window sup[-12,-9.3]x4 holds no point with "
+        "gamma > -log n (at n=100) (at dist=exp)")
+
+
+def test_check_identity_keeps_the_completion_below_the_edge(tmp_path):
+    # tail(x0) < 1: below the edge (x <= -2 at n = 1e4) gamma is the atom
+    # completion's -log(n tail(x0)) > -log n, so the series rule alone keeps
+    # every point, and the identity holds there with r = tail(x0)
+    dist = "weibull:c=1,p=2,alpha=0,ell=logpow:1:1"
+    code, payload = run(tmp_path, "c5.csv", [
+        "check-identity", "--dist", dist, "--n", "10000", "--x", "-4:0:5"])
+    assert code == 0
+    _, body = rows(payload)
+    assert len(body) == 5
+    below = [cells for cells in body if float(cells[1]) <= -2.0]
+    assert len(below) == 3 and all(float(cells[4]) <= 1e-15 for cells in below)
+    d = parse_dist(dist)
+    xs = guarded_xs(d, norming_exact(d, 10000), SupOnGrid(-4.0, 0.0, 5))[0]
+    assert xs.tolist() == [-4.0, -3.0, -2.0, -1.0, 0.0]
+
+
+def test_rates_at_a_point_on_the_series_edge_is_degenerate(tmp_path, capsys):
+    # gamma = -log n at x = -50 for the exponential, below its edge: the
+    # one-point window is empty, as a sup window with no point is
+    code, payload = run(tmp_path, "r5.csv", [
+        "rates", "--dist", "exp", "--approx", "gumbel", "--n-geom", "100:1e4:3",
+        "--at", "-50"])
+    assert code == 4
+    assert payload == b""
+    assert capsys.readouterr().err.strip() == (
+        "error (DegenerateError): the window at:-50 holds no point with "
         "gamma > -log n (at n=100) (at dist=exp)")
 
 

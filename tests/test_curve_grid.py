@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from evt_accompany.analysis import AtPoint, SupOnGrid, error_curve
 from evt_accompany.approx import APPROXIMANTS, evaluate, exact_and_gammas, two_term
 from evt_accompany.cli import main
-from evt_accompany.errors import DomainError, EvtError
+from evt_accompany.errors import DegenerateError, DomainError, EvtError
 from evt_accompany.norming import norming_exact, norming_exacts
 from evt_accompany.tails import (
     IteratedLogScale,
@@ -70,16 +70,19 @@ def outcome(fn):
 
 def reference_curve(dist, name, metric, ns):
     """error_curve's points by one exact_and_gammas call per n, every n's
-    law before any approximant, so a failure is the first failing n's of
-    the first step to fail. (Every window drawn here holds x >= 1, where
-    gamma > -log n, so none is empty.)"""
+    law before any window is tested, and every window before any
+    approximant, so a failure is the first failing n's of the first step to
+    fail. Either metric keeps the points where gamma > -log n."""
     pairs = norming_exacts(dist, ns)
-    xs = np.array([metric.x] if isinstance(metric, AtPoint) else metric.grid())
+    xs = metric.grid()
     laws = [exact_and_gammas(dist, pair, xs) for pair in pairs]
+    keeps = [gamma > -math.log(pair.n) for pair, (_, gamma) in zip(pairs, laws)]
+    for pair, keep in zip(pairs, keeps):
+        if not keep.any():
+            raise DegenerateError(f"the window {metric.label} holds no point with "
+                                  f"gamma > -log n").at(f"n={pair.n}")
     points = []
-    for pair, (exact, gamma) in zip(pairs, laws):
-        keep = (np.full(xs.shape, True) if isinstance(metric, AtPoint)
-                else gamma > -math.log(pair.n))
+    for pair, (exact, gamma), keep in zip(pairs, laws, keeps):
         errors = np.abs(exact[keep] - evaluate(name, xs[keep], gamma[keep], dist, pair))
         points.append((pair.n, float(errors.max(initial=0.0))))
     return tuple(points)
@@ -92,6 +95,9 @@ def reference_curve(dist, name, metric, ns):
 @example((WeibullLike, (1.0, 0.5, 0.0, SlowlyVarying.log_power(1.0, 0.0))),
          [10 ** k for k in (3, 6, 10, 15, 20, 25, 30)], SupOnGrid(-2.0, 1.8e306, 5),
          "accompanying")
+# an at-point below the edge of a tail(x0) = 1 family, gamma = -log n: none of
+# the drawn metrics reaches an empty window
+@example((IteratedLogScale, (2, 1.0, 1.0)), [10, 100], AtPoint(-3.0), "accompanying")
 def test_curve_grid_rows_reference_and_identity(family, ns, metric, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning is a defect too
@@ -104,7 +110,7 @@ def test_curve_grid_rows_reference_and_identity(family, ns, metric, name):
         assert curve == outcome(lambda: reference_curve(dist, name, metric, ns))
         if not isinstance(pairs, list):
             return  # no norming: the curve raised the norming's error, as checked
-        xs = [metric.x] if isinstance(metric, AtPoint) else metric.grid()
+        xs = metric.grid()
         rows = [outcome(lambda: exact_and_gammas(dist, pair, xs)) for pair in pairs]
         grid = outcome(lambda: exact_and_gammas(dist, pairs, xs))
         failing = [i for i, row in enumerate(rows) if not isinstance(row[0], np.ndarray)]
@@ -119,11 +125,10 @@ def test_curve_grid_rows_reference_and_identity(family, ns, metric, name):
         for i, (exact, gamma) in enumerate(rows):
             assert grid[0][i].tobytes() == exact.tobytes()
             assert grid[1][i].tobytes() == gamma.tobytes()
-        if isinstance(metric, SupOnGrid):
-            cutoffs = np.array([-math.log(pair.n) for pair in pairs])
-            for pair, exact, gamma, keep in zip(pairs, *grid, grid[1] > cutoffs[:, None]):
-                law = two_term(np.array(xs)[keep], gamma[keep], pair.n)
-                assert np.abs(exact[keep] - law).max(initial=0.0) <= 1e-10
+        cutoffs = np.array([-math.log(pair.n) for pair in pairs])
+        for pair, exact, gamma, keep in zip(pairs, *grid, grid[1] > cutoffs[:, None]):
+            law = two_term(xs[keep], gamma[keep], pair.n)
+            assert np.abs(exact[keep] - law).max(initial=0.0) <= 1e-10
 
 
 def test_many_pairs_shapes():
