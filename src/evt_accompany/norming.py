@@ -103,14 +103,11 @@ def norming_exacts(dist: DistributionSpec, ns: Sequence[int]) -> list[NormingPai
     if any(hi <= lo for lo, hi in zip(ns, ns[1:])):
         raise DomainError(f"norming_exacts needs strictly increasing n, got {ns!r}")
     pairs: list[NormingPair] = []
+    start = (None, None)
     for n in ns:
         try:
-            q = _level(n)
-            if pairs:
-                prev = pairs[-1]
-                b, log_tail_b = dist.quantile_log_tail(q, prev.b, prev.log_tail_b)
-            else:
-                b, log_tail_b = dist.quantile_log_tail(q)
+            b, log_tail_b = dist.quantile_log_tail(_level(n), *start)
+            start = (b, log_tail_b)
             pairs.append(NormingPair(n=n, a=dist._norming_scale(b), b=b, log_tail_b=log_tail_b))
         except EvtError as exc:
             raise exc.at(f"n={n}") from exc

@@ -7,11 +7,15 @@ The constant in front cancels from every tail ratio, so no family carries it.
 
 A family gives its tail through one hook, _log_tails_slopes_from (log tail
 and its slope in log x, on floats or arrays), and stores log tail(x0) once;
-DistributionSpec derives every tail value and both quantile searches.
+DistributionSpec derives every tail value and the scalar quantile search.
+The array quantile quantile_tails has one front door there too: it checks
+the levels, keeps their shape and applies the atom below, and each family
+gives only its search of the remaining levels, _quantiles.
 
-Below x0 the distribution is completed with an atom at x0 of mass F(x0);
-only maxima evaluation and sampling ever touch that completion, never the
-tail operations themselves (they require x >= x0).
+Below x0 the distribution is completed with an atom at x0 of mass F(x0).
+Maxima evaluation, sampling and the array quantile complete by it (levels
+at or above tail(x0) map to x0); the scalar tail operations refuse it
+instead (they require x >= x0, and quantile_tail a level <= tail(x0)).
 
 No operation changes a family (x0, label and the parameters are plain
 attributes set once), and every operation is a pure function of its
@@ -155,14 +159,6 @@ def _below(x: float, x0: float) -> bool:
     # tolerate float round-trip noise (e.g. exp(log(x0))) a few ulp under x0;
     # NaN is below
     return not x >= x0 - 1e-12 * max(1.0, abs(x0))
-
-
-def _levels(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    bad = ~((q > 0.0) & (q <= 1.0))
-    if bad.any():
-        raise DomainError(f"quantile_tails needs levels in (0, 1], got {float(q[bad].flat[0])!r}")
-    return q
 
 
 def _pow(x: float, base: float, p: float) -> float:
@@ -341,12 +337,27 @@ class DistributionSpec:
 
     def quantile_tails(self, q) -> np.ndarray:
         """quantile_tail over an array of levels in (0, 1], completed by the
-        atom: levels q >= tail(x0) map to x0.
-
-        Every family gives its own: ExponentialUnit uses -log q, and the
-        others run quantile_tail's Newton search on all levels at once
-        (_newton), IteratedLogScale from a table of its log tails.
+        atom: levels with log q >= log tail(x0) map to x0. The result has q's
+        shape; only the levels below tail(x0) reach the family's search
+        _quantiles, flat and with their logs.
         """
+        q = np.asarray(q, dtype=float)
+        bad = ~((q > 0.0) & (q <= 1.0))
+        if bad.any():
+            raise DomainError(
+                f"quantile_tails needs levels in (0, 1], got {float(q[bad].flat[0])!r}")
+        log_q = np.log(q)
+        xs = np.full(q.shape, self.x0)
+        inside = log_q < self._log_tail_x0
+        if inside.any():
+            xs[inside] = self._quantiles(q[inside], log_q[inside])
+        return xs
+
+    def _quantiles(self, q: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+        """The quantiles of flat levels q below tail(x0), given log_q = np.log(q):
+        quantile_tails' search. ExponentialUnit uses -log q, and the others run
+        quantile_tail's Newton search on all levels at once (_newton),
+        IteratedLogScale from a table of its log tails."""
         raise NotImplementedError
 
     def _start(self, log_q, start):
@@ -466,9 +477,8 @@ class ExponentialUnit(DistributionSpec):
         log_q = self._log_level(q)
         return -log_q, log_q
 
-    def quantile_tails(self, q) -> np.ndarray:
-        # 0.0 - log q rather than -log q, so the atom level 1 maps to +0.0 = x0
-        return 0.0 - np.log(_levels(q))
+    def _quantiles(self, q, log_q):
+        return -log_q
 
     def _components(self, t: float):
         return 1.0, 1.0
@@ -481,8 +491,9 @@ class _PowerFamily(DistributionSpec):
     the bound _p_min that p must exceed, and the floor _x0_floor of x0's
     search, e for an ell that is not constant) and formulas: the closed-form
     inverse of the alpha = 0, constant-ell member, the log tail with its
-    exact slope in log x (the tail hook, which ignores anchors), the
-    components, and the closed-form norming pair at u = log(n)/c.
+    exact slope in log x (the tail hook, which ignores anchors), the peak of
+    that slope, the components, and the closed-form norming pair at
+    u = log(n)/c.
     """
 
     _fields = {"c": _FLOAT, "p": _FLOAT, "alpha": _FLOAT, "ell": _ELL}
@@ -503,6 +514,40 @@ class _PowerFamily(DistributionSpec):
         floor = self._x0_floor if self.ell.is_const else math.e
         self.x0, self._log_tail_x0 = self._auto_x0(floor)
         self.label = self._spec_label()
+        if self.alpha > 0.0 > self.ell.beta:
+            self._refuse_a_rise()
+
+    def _refuse_a_rise(self) -> None:
+        """A DomainError naming an x above x0 where the log tail rises.
+
+        Only alpha > 0 > beta can rise: in L = log x the slope of the log
+        tail, alpha + beta/L less the power term's slope, then has one
+        interior maximum, at _slope_peak. The slope is < 0 at x0, so the tail
+        falls everywhere above x0 unless that peak lies above log x0 and the
+        slope there, or at the log of the largest float if that is lower, is
+        >= 0. The power term's slope is compared in logs, so that no x ** p
+        can overflow where c x^p is a float (c = 1e-320, p = 2 rises from
+        x = 148 on, and x^2 overflows from x = 1.3e154 on).
+        """
+        lx = min(self._slope_peak(), _LOG_X_MAX)
+        if lx <= math.log(self.x0):
+            return
+        rest, log_power = self.alpha + self.ell.beta / lx, self._log_power_slope(lx)
+        if rest > 0.0 and math.log(rest) >= log_power:
+            x, slope = math.exp(lx), rest - math.exp(log_power)
+            raise DomainError(
+                f"{type(self).__name__} tail rises above x0 = {self.x0!r}: its log tail "
+                f"grows at x={x!r} (slope {slope!r} in log x), so it is not a tail")
+
+    def _slope_peak(self) -> float:
+        """L = log x where the slope of the log tail in L peaks, for
+        alpha > 0 > beta, or an L <= log x0 for a peak that is not above x0;
+        an L past the log of the largest float may stand for a peak beyond it."""
+        raise NotImplementedError
+
+    def _log_power_slope(self, lx: float) -> float:
+        """log of the slope of c h(x)^p in log x, at lx = log x."""
+        raise NotImplementedError
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         """The x with log ell0 - c h(x)^p = log q."""
@@ -572,32 +617,22 @@ class _PowerFamily(DistributionSpec):
             inverse = self._closed_inverse(np.asarray(log_q, dtype=float))
             return np.fmin(np.fmax(inverse, self.x0), _X_MAX)
 
-    def quantile_tails(self, q) -> np.ndarray:
-        """quantile_tail over an array of levels in (0, 1], completed by the
-        atom: levels q >= tail(x0) map to x0.
-
-        quantile_tail's safeguarded Newton on all levels at once, from the
+    def _quantiles(self, q, log_q):
+        """quantile_tail's safeguarded Newton on all levels at once, from the
         closed-form start; for alpha = 0 and constant ell that start already
         meets the tolerance and is returned unchanged. The slope is the exact
         one of the tail hook. The levels are checked against
         tail(largest float) first, so every bracket has both ends from the
         outset: log x0 and the log of the largest float.
         """
-        log_q = np.log(_levels(q))
-        x = np.full(log_q.shape, self.x0)
-        inside = log_q < self._log_tail_x0
-        if not inside.any():
-            return x
-        lq = log_q[inside]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f_max = self._log_tails_slopes_from(np.array(_X_MAX), np.array(_LOG_X_MAX),
                                                 None, None)[0]
-            if lq.min() < f_max:
+            if log_q.min() < f_max:
                 raise DomainError(
                     f"a quantile of {self.label} overflows a float (smallest level "
-                    f"{float(np.exp(lq.min()))!r})")
-            x[inside] = self._newton(lq, self._start(lq, None), math.log(self.x0), _LOG_X_MAX)
-        return x
+                    f"{float(np.exp(log_q.min()))!r})")
+            return self._newton(log_q, self._start(log_q, None), math.log(self.x0), _LOG_X_MAX)
 
 
 class WeibullLike(_PowerFamily):
@@ -614,6 +649,24 @@ class WeibullLike(_PowerFamily):
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         return ((math.log(self.ell.scale) - log_q) / self.c) ** (1.0 / self.p)
+
+    def _slope_peak(self) -> float:
+        # the slope alpha + beta/L - p c e^(pL) peaks where
+        # 2 log L + p L = log(|beta| / (p^2 c)); the left side rises and is
+        # concave in L, so Newton from log x0 climbs to the root without
+        # passing it, and a root at or below log x0 returns log x0
+        rhs = math.log(-self.ell.beta) - 2.0 * math.log(self.p) - math.log(self.c)
+        lx = math.log(self.x0)
+        for _ in range(_BRACKET_CAP):
+            step = (rhs - 2.0 * math.log(lx) - self.p * lx) / (2.0 / lx + self.p)
+            if not step > 1e-15 * lx or lx > _LOG_X_MAX:
+                break
+            lx += step
+        return lx
+
+    def _log_power_slope(self, lx):
+        # log(p c e^(pL))
+        return math.log(self.p) + math.log(self.c) + self.p * lx
 
     def _log_tails_slopes_from(self, x, lx, anchor, log_tail_anchor):
         log_ell, delta = self.ell.log_values_deltas(lx)
@@ -658,6 +711,18 @@ class LogWeibullLike(_PowerFamily):
 
     def _closed_inverse(self, log_q: np.ndarray) -> np.ndarray:
         return np.exp(((math.log(self.ell.scale) - log_q) / self.c) ** (1.0 / self.p))
+
+    def _slope_peak(self) -> float:
+        # the slope alpha + beta/L - p c L^(p-1) peaks at
+        # L^p = |beta| / (p (p - 1) c), taken in logs; a peak past
+        # e^7 > log of the largest float reads as e^7
+        log_peak = (math.log(-self.ell.beta) - math.log(self.p) - math.log(self.p - 1.0)
+                    - math.log(self.c)) / self.p
+        return math.exp(min(log_peak, 7.0))
+
+    def _log_power_slope(self, lx):
+        # log(p c L^(p-1))
+        return math.log(self.p) + math.log(self.c) + (self.p - 1.0) * math.log(lx)
 
     def _log_tails_slopes_from(self, x, lx, anchor, log_tail_anchor):
         log_ell, delta = self.ell.log_values_deltas(lx)
@@ -792,14 +857,11 @@ class IteratedLogScale(DistributionSpec):
         return out
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def quantile_tails(self, q) -> np.ndarray:
-        """quantile_tail over an array of levels in (0, 1], completed by the
-        atom: levels q >= tail(x0) map to x0.
-
-        The largest and the smallest level below tail(x0) are searched as
-        quantile_tail, the second from the first's quantile, and an error of
-        either search is raised as it is; those two levels, repeats included,
-        take the searches' results. Between the two quantiles a table
+    def _quantiles(self, q, log_q):
+        """The largest and the smallest level are searched as quantile_tail,
+        the second from the first's quantile, and an error of either search
+        is raised as it is; those two levels, repeats included, take the
+        searches' results. Between the two quantiles a table
         of log tails, uniform in u = log x with a cell per _CELL_LEVELS
         levels, takes one log_tail_steps call; it falls, as each step is minus
         an integral of a positive integrand. Its cubic Hermite interpolant of
@@ -809,19 +871,13 @@ class IteratedLogScale(DistributionSpec):
         iterate, so most levels cost one short integral. Levels beyond the
         table's ends, by rounding, search from the nearer end.
         """
-        q = _levels(q)
-        shape, q = q.shape, q.ravel()
-        # math.log, as quantile_tail takes it, for the atom test and the searches
+        # math.log, as quantile_tail takes it, for the searches
         lq = np.array([math.log(v) for v in q.tolist()])
-        xs = np.full(q.size, self.x0)
-        inside = np.flatnonzero(lq < self._log_tail_x0)
-        if inside.size == 0:
-            return xs.reshape(shape)
-        order = inside[np.argsort(-lq[inside], kind="stable")]
+        xs = np.empty(q.size)
+        order = np.argsort(-lq, kind="stable")
         first = self.quantile_log_tail(float(q[order[0]]))
         last = self.quantile_log_tail(float(q[order[-1]]), *first)
-        u = np.linspace(math.log(first[0]), math.log(last[0]),
-                        inside.size // _CELL_LEVELS + 2)
+        u = np.linspace(math.log(first[0]), math.log(last[0]), q.size // _CELL_LEVELS + 2)
         tx = np.exp(u)
         tx[0], tx[-1] = first[0], last[0]
         u = np.log(tx)
@@ -835,7 +891,7 @@ class IteratedLogScale(DistributionSpec):
                 xs[i] = self.quantile_log_tail(float(q[i]), *start)[0]
         inner = between & (lq < tf[0]) & (lq >= tf[-1])
         if not inner.any():
-            return xs.reshape(shape)
+            return xs
         lq = lq[inner]
         j = np.searchsorted(-tf, -lq) - 1  # tf[j] > lq >= tf[j + 1]
         h = tf[j + 1] - tf[j]
@@ -846,7 +902,7 @@ class IteratedLogScale(DistributionSpec):
         u0 = np.where((u[j] < u0) & (u0 < u[j + 1]), u0, 0.5 * (u[j] + u[j + 1]))
         end = np.where(u0 - u[j] <= u[j + 1] - u0, j, j + 1)  # the nearer cell end
         xs[order[inner]] = self._newton(lq, np.exp(u0), u[j], u[j + 1], tx[end], tf[end])
-        return xs.reshape(shape)
+        return xs
 
     def _components(self, t: float):
         # log_k t > 0 for t >= x0 (1 - 1e-12), as x0 = exp_tower(k) + 1

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evt_accompany
-from evt_accompany import quadrature
+from evt_accompany import quadrature, tails
 from evt_accompany.analysis import RNG_ALGORITHM, SupOnGrid, guarded_xs, simulate_max
 from evt_accompany.approx import APPROXIMANTS
 from evt_accompany.cli import (
@@ -310,6 +310,50 @@ def test_exit_domain_error_unrepresentable_tower(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "error (DomainError)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [
+    "weibull:c=1e-10,p=1,alpha=1,ell=logpow:1:-5",
+    "logweibull:c=0.001,p=2,alpha=1,ell=logpow:1:-5",
+])
+@pytest.mark.parametrize("argv", [
+    ["table", "--n", "1000", "--x", "-2:6:3"],
+    ["check-identity", "--n", "1000"],
+    ["norming", "--n-geom", "1000:1e9:3"],
+    ["simulate", "--n", "1000", "--reps", "100", "--seed", "5"],
+    ["rates", "--approx", "gumbel", "--n-geom", "1000:1e9:3", "--at", "1"],
+], ids=lambda argv: argv[0])
+def test_exit_domain_error_tail_rising_above_x0(tmp_path, capsys, spec, argv):
+    # alpha > 0 > beta: the log tail climbs above 0 far above x0; every
+    # command read it as a tail and exited 0
+    code, payload = run(tmp_path, "x.csv", [argv[0], "--dist", spec, *argv[1:]])
+    assert code == 3
+    assert payload == b""
+    err = capsys.readouterr().err
+    assert re.match(r"error \(DomainError\): (Log)?WeibullLike tail rises above x0 = "
+                    r"5\.43656365691809: its log tail grows at x=", err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap, argv, message", [
+    ("_SEARCH_CAP", ["norming", "--n-geom", "1000:1e9:3"],
+     "quantile search of {} exceeded 1 steps (bracket in log x: ["),
+    ("_NEWTON_CAP", ["simulate", "--n", "1000", "--reps", "100", "--seed", "5"],
+     "array quantile of {} exceeded 1 Newton passes (100 levels left, e.g. log q = "),
+], ids=["search", "newton"])
+def test_exit_convergence_error_past_a_search_cap(tmp_path, capsys, monkeypatch, cap, argv,
+                                                  message):
+    # the caps only guard against a search that never ends; at 1 they stop
+    # the alpha = 2 searches, which start from the alpha = 0 inverse
+    spec = "weibull:c=1,p=2,alpha=2,ell=const:1"
+    monkeypatch.setattr(tails, cap, 1)
+    code, payload = run(tmp_path, "x.csv", [argv[0], "--dist", spec, *argv[1:]])
+    assert code == 4
+    assert payload == b""
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error (ConvergenceError): " + message.format(spec))
+    assert err.endswith(f"(at n=1000) (at dist={spec})")
     assert "Traceback" not in err
 
 

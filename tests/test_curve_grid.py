@@ -32,7 +32,8 @@ from evt_accompany.tails import (
 @st.composite
 def families(draw):
     """(family class, its arguments); log-Weibull tails with alpha > 0 and p
-    near 1 may rise through the whole float range, a DomainError."""
+    near 1 may rise through the whole float range, and power tails with
+    alpha > 0 > beta may rise above x0, a DomainError."""
     kind = draw(st.sampled_from([WeibullLike, LogWeibullLike, IteratedLogScale]))
     if kind is IteratedLogScale:
         return kind, (draw(st.sampled_from([2, 3])), draw(st.floats(0.5, 3.0)),

@@ -1,9 +1,10 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evt_accompany import quadrature
@@ -19,6 +20,7 @@ from evt_accompany.tails import (
     LogWeibullLike,
     SlowlyVarying,
     WeibullLike,
+    _PowerFamily,
     exp_tower,
     parse_dist,
 )
@@ -663,17 +665,45 @@ def test_quantile_tails_newton_takes_few_passes(dist, max_passes, monkeypatch):
     assert len(passes) - 1 <= max_passes
 
 
-def test_quantile_tails_rejects_levels_outside_unit_interval():
-    for dist in (ExponentialUnit(), WeibullLike(1.0, 2.0, 0.0), WeibullLike(1.0, 2.0, 2.0)):
-        for bad in (0.0, -1e-3, 1.5, math.nan):
-            with pytest.raises(DomainError):
-                dist.quantile_tails(np.array([0.5, bad]))
-
-
 def test_quantile_tails_overflow_is_a_domain_error():
     # log x = (745 / 0.01)^(2/3) ~ 1770 at the smallest positive level
     with pytest.raises(DomainError):
         LogWeibullLike(0.01, 1.5, 0.0).quantile_tails(np.array([5e-324]))
+
+
+# one family per search: the inverse, Newton with tail(x0) < 1 and with a
+# log-power ell, and the table of an integral tail
+FRONT_DOOR_FAMILIES = [ExponentialUnit(), WeibullLike(1.0, 2.0, 2.0),
+                       LogWeibullLike(0.5, 3.0, 2.0, SlowlyVarying.log_power(2.0, -0.5)),
+                       IteratedLogScale(2, 1.0, 1.0)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", FRONT_DOOR_FAMILIES, ids=lambda d: d.label)
+def test_quantile_tails_keep_the_shape_and_complete_by_the_atom(d):
+    # 2-D levels: a front door that handed the family its levels unflattened
+    # raised an IndexError on the searching families
+    levels = np.geomspace(1e-40, 0.5, 24).reshape(4, 6)
+    levels[0, 0] = levels[2, 3] = 1.0
+    levels[1, 4] = levels[3, 5] = d.tail(d.x0)
+    got = d.quantile_tails(levels)
+    assert got.shape == levels.shape
+    atoms = np.zeros(levels.shape, dtype=bool)
+    atoms[0, 0] = atoms[2, 3] = atoms[1, 4] = atoms[3, 5] = True
+    assert np.all(got[atoms] == d.x0)
+    for level, x in zip(levels[~atoms].tolist(), got[~atoms].tolist()):
+        want = d.quantile_tail(level)
+        assert (abs(d.log_tail(x) - d.log_tail(want))
+                <= stop_gap(d, x, level) + stop_gap(d, want, level))
+
+
+@pytest.mark.parametrize("d", FRONT_DOOR_FAMILIES, ids=lambda d: d.label)
+def test_quantile_tails_rejects_levels_outside_unit_interval(d):
+    # one message from every family
+    for bad in (0.0, -1e-3, 1.5, math.nan):
+        with pytest.raises(DomainError) as info:
+            d.quantile_tails(np.array([[0.5, 0.25], [bad, 0.1]]))
+        assert str(info.value) == f"quantile_tails needs levels in (0, 1], got {bad!r}"
 
 
 @st.composite
@@ -938,6 +968,54 @@ def test_x0_whose_tail_underflows_is_refused():
     with pytest.raises(DomainError, match=r"^WeibullLike tail underflows to 0 at its "
                                           r"x0 = 2\.3577336510745328e-18 \(log tail -5\.5"):
         parse_dist("weibull:c=1e300,p=2,alpha=0,ell=const:1")
+
+
+RISING = [
+    # x0 = 5.437, log tail(x0) = -0.94, and the log tail reaches +6.3 near x = 6e9
+    "weibull:c=1e-10,p=1,alpha=1,ell=logpow:1:-5",
+    # the log tail reaches +219 near x = 1e215
+    "logweibull:c=0.001,p=2,alpha=1,ell=logpow:1:-5",
+    # rises from x = 148 on; its slope peaks at x = 3e157, where x^2 overflows
+    "weibull:c=1e-320,p=2,alpha=1,ell=logpow:1:-5",
+]
+
+
+@pytest.mark.parametrize("spec", RISING)
+def test_a_tail_that_rises_above_x0_is_refused(spec, monkeypatch):
+    with pytest.raises(DomainError, match=r"tail rises above x0 = 5\.43656365691809: ") as info:
+        parse_dist(spec)
+    x = float(re.search(r"its log tail grows at x=(\S+) \(slope ", str(info.value)).group(1))
+    assert x > 5.43656365691809
+    # admitted without the refusal, the family's tail exceeds 1 above x0
+    monkeypatch.setattr(_PowerFamily, "_refuse_a_rise", lambda self: None)
+    d = parse_dist(spec)
+    lx = np.linspace(math.log(d.x0), 300.0, 3001)
+    assert d._log_tails_slopes_from(np.exp(lx), lx, None, None)[0].max() > 0.0
+
+
+@st.composite
+def rising_candidates(draw):
+    """Power families with alpha > 0 > beta, the only ones whose slope in
+    log x can turn positive above x0; a DomainError is a refused draw."""
+    kind = draw(st.sampled_from([WeibullLike, LogWeibullLike]))
+    c = 10.0 ** draw(st.floats(-12.0, 1.0))
+    p = draw(st.floats(0.2, 5.0) if kind is WeibullLike else st.floats(1.05, 4.0))
+    ell = SlowlyVarying.log_power(draw(st.floats(0.1, 10.0)), draw(st.floats(-8.0, -0.01)))
+    try:
+        return kind(c, p, draw(st.floats(0.01, 5.0)), ell)
+    except DomainError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rising_candidates())
+def test_every_admitted_power_tail_falls_above_x0(d):
+    lx = np.linspace(math.log(d.x0), math.log(sys.float_info.max), 20001)
+    with np.errstate(over="ignore"):  # c x^p past the float range: log tail -inf
+        f, slope = d._log_tails_slopes_from(np.exp(lx), lx, None, None)
+    assert np.all(slope < 0.0)
+    f0 = d.log_tail(d.x0)
+    assert np.all(f[np.isfinite(f)] <= f0 + 1e-12 * max(1.0, abs(f0)))
 
 
 def test_x0_search_reads_the_tail_formula_once_per_grid_point(monkeypatch):
