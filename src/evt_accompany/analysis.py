@@ -243,6 +243,11 @@ def simulate_max(dist: DistributionSpec, n: int, replications: int,
 
 
 def empirical_cdf(samples: np.ndarray, xs: Sequence[float]) -> np.ndarray:
-    """Fraction of samples <= x for each x."""
+    """Fraction of samples <= x for each x. Empty samples, or a NaN sample,
+    are a DomainError."""
     data = np.sort(np.asarray(samples))
+    if not data.size:
+        raise DomainError("empirical_cdf needs at least one sample")
+    if np.isnan(data[-1]):  # sort puts NaN last
+        raise DomainError("empirical_cdf needs samples that are not NaN")
     return np.searchsorted(data, np.asarray(xs), side="right") / data.size

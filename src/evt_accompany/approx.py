@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceError, DomainError, EvtError
-from .norming import NormingPair, require_resolved
+from .norming import NormingPair, _float_n, require_resolved
 from .tails import DistributionSpec
 
 # the first 36 terms of sigma_series's phi(r) = sum_k r^k/(k+2), highest first
@@ -146,7 +146,8 @@ def sigma_series(gamma, n: int):
     gamma below the support edge of a family with tail(x0) = 1, its positive
     terms sum to inf, which is returned (the edge is found by comparing gamma
     with -log n: e^-gamma/n rounds to 1 +- ulp there); below it, or at a
-    NaN, the series diverges, a DivergenceError.
+    NaN, the series diverges, a DivergenceError. An n below 2 or beyond
+    the float range is a DomainError.
     Summed, Sigma = e^-2gamma phi(r) with phi(r) = sum_k r^k/(k+2) =
     (-log1p(-r) - r)/r^2. The closed form cancels for small r, so below
     r = 0.35 phi is the series' first 36 terms by Horner (the rest is below
@@ -155,7 +156,7 @@ def sigma_series(gamma, n: int):
     overflows.
     """
     g = np.asarray(gamma, dtype=float).reshape(-1)
-    n, cutoff = float(n), -math.log(n)
+    n, cutoff = _float_n(n, "sigma_series"), -math.log(n)
     diverge = ~(g >= cutoff)
     if diverge.any():
         raise DivergenceError(f"sigma series diverges at gamma = {float(g[diverge][0])!r} "
@@ -213,16 +214,18 @@ APPROXIMANTS = {
 def evaluate(name: str, x, gamma, dist: DistributionSpec, pair: NormingPair):
     """The approximant `name` at x from gamma(x), as exact_and_gammas returns
     it for dist under pair. x and gamma are floats or arrays of one shape,
-    and so is the result. A NaN gamma, which exact_and_gammas never returns,
-    is a DomainError naming its x; every error ends with "(at n=...)" of
-    pair."""
+    and so is the result. A non-finite x (require_finite's error) or gamma,
+    which exact_and_gammas never returns, is a DomainError naming the first
+    such x; every error ends with "(at n=...)" of pair."""
     flat = np.asarray(x, dtype=float).reshape(-1)
     g = np.asarray(gamma, dtype=float).reshape(-1)
-    undefined = np.isnan(g)
+    bad = np.flatnonzero(~(np.isfinite(flat) & np.isfinite(g)))
     try:
-        if undefined.any():
-            raise DomainError(f"gamma is NaN at x = {float(flat[undefined][0])!r}; an "
-                              f"approximant needs gamma as exact_and_gammas returns it")
+        if bad.size:
+            xi, gi = float(flat[bad[0]]), float(g[bad[0]])
+            require_finite(xi)
+            raise DomainError(f"gamma is {'NaN' if math.isnan(gi) else repr(gi)} at x = {xi!r}; "
+                              f"an approximant needs gamma as exact_and_gammas returns it")
         values = APPROXIMANTS[name](flat, g, dist, pair)
     except EvtError as exc:
         raise exc.at(f"n={pair.n}") from exc

@@ -31,12 +31,7 @@ from .analysis import (
     guarded_xs,
     simulate_max,
 )
-from .approx import (
-    APPROXIMANTS,
-    evaluate,
-    exact_and_gammas,
-    two_term,
-)
+from .approx import APPROXIMANTS, evaluate, exact_and_gammas
 from .errors import DomainError, EvtError, MismatchError, ParseError
 from .norming import norming_closed, norming_exact, norming_exacts, types_equivalence_gap
 from .tails import DistributionSpec, parse_dist
@@ -303,7 +298,7 @@ def _cmd_check_identity(args, dist: DistributionSpec) -> int:
     pair = norming_exact(dist, n)
     xs, exact, gamma = guarded_xs(dist, pair, metric)
     # gamma > -log n on the guarded grid, where the series converges
-    law = two_term(xs, gamma, n)
+    law = evaluate("two_term", xs, gamma, dist, pair)
     gaps = np.abs(exact - law)
     worst = float(gaps.max(initial=0.0))
     ok = worst <= args.tol

@@ -90,12 +90,14 @@ def gamma_closed_weibull(p: float, n: float, x: float) -> float:
 
     gamma(x) = log(n) * ((1 + x/(p log n))^p - 1), which is exact (not just
     asymptotic) when b = (log(n)/c)^(1/p) and a = b^(1-p)/(cp). At p = 1 it
-    collapses to gamma(x) = x.
+    collapses to gamma(x) = x. n may be any real n >= 2, an int past the
+    float range too; a NaN or infinite p, n or x is a DomainError.
     """
-    if p <= 0.0:
-        raise DomainError(f"gamma_closed_weibull needs p > 0, got {p!r}")
-    if n < 2:
-        raise DomainError(f"needs n >= 2, got {n!r}")
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"gamma_closed_weibull needs a finite p > 0, got {p!r}")
+    if not 2 <= n < math.inf:
+        raise DomainError(f"gamma_closed_weibull needs a finite n >= 2, got {n!r}")
+    require_finite(x)
     log_n = math.log(n)
     base = 1.0 + x / (p * log_n)
     if base <= 0.0:

@@ -34,8 +34,7 @@ class NormingPair:
     log_tail_b: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError(f"norming needs n >= 2, got {self.n!r}")
+        _float_n(self.n, "norming")
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise DomainError(f"norming scale a must be positive and finite, got {self.a!r}")
         if not math.isfinite(self.b):
@@ -62,6 +61,22 @@ def require_resolved(pair: NormingPair) -> None:
             f"resolves x only to ulp(b_n)/a_n = {step:.3g}, above 2^-26")
 
 
+def _float_n(n, what: str) -> float:
+    """float(n) for an n >= 2 within the float range: the one rule for n of
+    every pair and series. Otherwise the DomainError "<what> needs n >= 2"
+    (a NaN too) or "<what> needs n within the float range"."""
+    if not n >= 2:
+        raise DomainError(f"{what} needs n >= 2, got {n!r}")
+    try:
+        value = float(n)
+    except OverflowError:
+        raise DomainError(f"{what} needs n within the float range, "
+                          f"got n >= 2**{n.bit_length() - 1}") from None
+    if value == math.inf:
+        raise DomainError(f"{what} needs n within the float range, got {n!r}")
+    return value
+
+
 def as_integer(value, least: int, what: str) -> int:
     """value as an int >= least. operator.index reads it, so Python and numpy
     integers pass and a float or a string, which int() would cut or parse,
@@ -83,14 +98,6 @@ def norming_exact(dist: DistributionSpec, n: int) -> NormingPair:
     return norming_exacts(dist, [n])[0]
 
 
-def _level(n: int) -> float:
-    try:
-        return 1.0 / n
-    except OverflowError:
-        raise DomainError(f"norming_exact needs n within the float range, "
-                          f"got n >= 2**{n.bit_length() - 1}") from None
-
-
 def norming_exacts(dist: DistributionSpec, ns: Sequence[int]) -> list[NormingPair]:
     """[norming_exact(dist, n) for n in ns], walked along the n-grid.
 
@@ -106,7 +113,7 @@ def norming_exacts(dist: DistributionSpec, ns: Sequence[int]) -> list[NormingPai
     start = (None, None)
     for n in ns:
         try:
-            b, log_tail_b = dist.quantile_log_tail(_level(n), *start)
+            b, log_tail_b = dist.quantile_log_tail(1.0 / _float_n(n, "norming_exact"), *start)
             start = (b, log_tail_b)
             pairs.append(NormingPair(n=n, a=dist._norming_scale(b), b=b, log_tail_b=log_tail_b))
         except EvtError as exc:

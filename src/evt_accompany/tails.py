@@ -219,11 +219,15 @@ class DistributionSpec:
 
         Families whose tail is an integral only integrate between anchor and
         x; closed forms ignore the anchor and return exactly log_tail(x). An
-        x at x0, or a few ulp under it, takes the stored log tail(x0).
+        x at x0, or a few ulp under it, takes the stored log tail(x0). A
+        non-finite x, anchor or log_tail_anchor is a DomainError, on every
+        family.
         """
-        if _below(x, self.x0) or _below(anchor, self.x0):
+        if (_below(x, self.x0) or _below(anchor, self.x0) or math.inf in (x, anchor)
+                or not math.isfinite(log_tail_anchor)):
             raise DomainError(f"log_tail_from needs x >= x0 = {self.x0!r} and anchor >= x0, "
-                              f"got x={x!r}, anchor={anchor!r}")
+                              f"both < inf, and a finite log_tail_anchor, got x={x!r}, "
+                              f"anchor={anchor!r}, log_tail_anchor={log_tail_anchor!r}")
         if x <= self.x0:
             return self._log_tail_x0
         return self._read_tail(x, anchor, log_tail_anchor)[0]
@@ -355,9 +359,10 @@ class DistributionSpec:
 
     def _quantiles(self, q: np.ndarray, log_q: np.ndarray) -> np.ndarray:
         """The quantiles of flat levels q below tail(x0), given log_q = np.log(q):
-        quantile_tails' search. ExponentialUnit uses -log q, and the others run
-        quantile_tail's Newton search on all levels at once (_newton),
-        IteratedLogScale from a table of its log tails."""
+        quantile_tails' search. Every family reads its levels' logs from
+        log_q and takes none again. ExponentialUnit uses -log q, and the
+        others run quantile_tail's Newton search on all levels at once
+        (_newton), IteratedLogScale from a table of its log tails."""
         raise NotImplementedError
 
     def _start(self, log_q, start):
@@ -414,10 +419,11 @@ class DistributionSpec:
     # -- von Mises components ----------------------------------------------
 
     def von_mises_components(self, t: float):
-        """(f(t), g(t)) of the representation at t >= x0; a t a few ulp
-        under x0 reads x0."""
-        if _below(t, self.x0):
-            raise DomainError(f"von Mises components need t >= x0 = {self.x0!r}, got {t!r}")
+        """(f(t), g(t)) of the representation at a finite t >= x0; a t a few
+        ulp under x0 reads x0."""
+        if _below(t, self.x0) or t == math.inf:
+            raise DomainError(f"von Mises components need t >= x0 = {self.x0!r} and t < inf, "
+                              f"got {t!r}")
         return self._components(max(t, self.x0))
 
     def aux_slope(self, t: float) -> float:
@@ -859,9 +865,10 @@ class IteratedLogScale(DistributionSpec):
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def _quantiles(self, q, log_q):
         """The largest and the smallest level are searched as quantile_tail,
-        the second from the first's quantile, and an error of either search
-        is raised as it is; those two levels, repeats included, take the
-        searches' results. Between the two quantiles a table
+        on the float level, the second from the first's quantile, and an
+        error of either search is raised as it is; those two levels, repeats
+        included, take the searches' results. Every other comparison of
+        levels reads log_q. Between the two quantiles a table
         of log tails, uniform in u = log x with a cell per _CELL_LEVELS
         levels, takes one log_tail_steps call; it falls, as each step is minus
         an integral of a positive integrand. Its cubic Hermite interpolant of
@@ -871,8 +878,7 @@ class IteratedLogScale(DistributionSpec):
         iterate, so most levels cost one short integral. Levels beyond the
         table's ends, by rounding, search from the nearer end.
         """
-        # math.log, as quantile_tail takes it, for the searches
-        lq = np.array([math.log(v) for v in q.tolist()])
+        lq = log_q
         xs = np.empty(q.size)
         order = np.argsort(-lq, kind="stable")
         first = self.quantile_log_tail(float(q[order[0]]))

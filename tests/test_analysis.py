@@ -25,6 +25,8 @@ from evt_accompany.approx import (
     exact_and_gammas,
     exact_max_cdf,
     gumbel_cdf,
+    sigma_series,
+    two_term,
 )
 from evt_accompany.errors import DegenerateError, DomainError
 from evt_accompany.gamma import gamma_closed_weibull, gamma_quadrature
@@ -364,8 +366,8 @@ def test_numpy_integer_arguments_are_integers():
      "norming_closed needs an integer n >= 2, got 1"),
     (lambda: gamma_quadrature(ExponentialUnit(), NormingPair(n=10, a=1.0, b=math.log(10.0)), -5.0),
      "is below x0 = 0.0"),
-    (lambda: gamma_closed_weibull(0.0, 100, 1.0), "gamma_closed_weibull needs p > 0"),
-    (lambda: gamma_closed_weibull(2.0, 1, 1.0), "needs n >= 2, got 1"),
+    (lambda: gamma_closed_weibull(0.0, 100, 1.0), "gamma_closed_weibull needs a finite p > 0"),
+    (lambda: gamma_closed_weibull(2.0, 1, 1.0), "needs a finite n >= 2, got 1"),
 ], ids=["grid-span", "grid-infinite", "grid-span-overflow", "grid-steps", "grid-steps-float",
         "grid-too-many",
         "curve-order",
@@ -373,6 +375,59 @@ def test_numpy_integer_arguments_are_integers():
 def test_library_refusals_name_their_argument(build, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         build()
+
+
+_W = WeibullLike(1.0, 2.0)
+_W_PAIR = norming_exact(_W, 1000)
+_ITERLOG = IteratedLogScale(2, 1.0, 1.0)
+_READ_FAMILIES = {"exp": ExponentialUnit(), "weibull": _W,
+                  "logweibull": LogWeibullLike(1.0, 2.0, 1.0), "iterlog": _ITERLOG}
+
+# (entry, bad argument) rows: each public entry refuses its bad argument
+# with a DomainError and no RuntimeWarning, not a NaN, an inf, a wrong
+# number or another exception; a later refusal is one more row
+BAD_ARGUMENTS = [
+    *[pytest.param(lambda v, name=name: evaluate(name, v, 0.0, _W, _W_PAIR), math.nan,
+                   id=f"evaluate-{name}-x-nan")
+      for name in ("gumbel", "first_order", "second_order")],
+    pytest.param(lambda v: evaluate("first_order", v, 0.0, _W, _W_PAIR), math.inf,
+                 id="evaluate-x-inf"),
+    pytest.param(lambda v: evaluate("first_order", v, 0.0, _W, _W_PAIR), -math.inf,
+                 id="evaluate-x-minus-inf"),
+    pytest.param(lambda v: evaluate("first_order", 0.0, v, _W, _W_PAIR), math.inf,
+                 id="evaluate-gamma-inf"),
+    pytest.param(lambda v: evaluate("accompanying", np.zeros(2), np.array([0.0, v]), _W, _W_PAIR),
+                 -math.inf, id="evaluate-gamma-minus-inf"),
+    *[pytest.param(read, math.inf, id=f"{label}-{kind}-inf")
+      for kind, d in _READ_FAMILIES.items()
+      for label, read in (("log_tail", d.log_tail), ("tail", d.tail),
+                          ("components", d.von_mises_components))],
+    pytest.param(lambda v: _ITERLOG.log_tail_from(5e3, v, 0.0), math.inf,
+                 id="log_tail_from-anchor-inf"),
+    pytest.param(lambda v: ExponentialUnit().log_tail_from(1.0, 0.0, v), math.nan,
+                 id="log_tail_from-log-tail-anchor-nan"),
+    pytest.param(lambda v: norming_closed(_W, v), 2 ** 2000, id="norming_closed-n-huge"),
+    pytest.param(lambda v: NormingPair(n=v, a=1.0, b=0.0), 2 ** 2000, id="pair-n-huge"),
+    pytest.param(lambda v: NormingPair(n=v, a=1.0, b=0.0), math.nan, id="pair-n-nan"),
+    *[pytest.param(lambda v: sigma_series(0.0, v), n, id=f"sigma_series-n-{n}")
+      for n in (0, -5, 2 ** 2000)],
+    pytest.param(lambda v: two_term(0.0, 0.0, v), 0, id="two_term-n-0"),
+    *[pytest.param(call, bad, id=f"gamma_closed_weibull-{name}-{bad}")
+      for name, call in (("p", lambda v: gamma_closed_weibull(v, 100, 1.0)),
+                         ("n", lambda v: gamma_closed_weibull(2.0, v, 1.0)),
+                         ("x", lambda v: gamma_closed_weibull(2.0, 100, v)))
+      for bad in (math.nan, math.inf)],
+    pytest.param(lambda v: empirical_cdf(v, [0.0]), np.array([]), id="empirical_cdf-empty"),
+    pytest.param(lambda v: empirical_cdf(v, [2.0]), np.array([math.nan, 1.0]),
+                 id="empirical_cdf-nan"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, bad", BAD_ARGUMENTS)
+def test_public_entries_refuse_bad_arguments(call, bad):
+    with pytest.raises(DomainError):
+        call(bad)
 
 
 # Kolmogorov band: sqrt(m) * D <= 2.47, sqrt(log(2 / 1e-5) / 2) rounded
