@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import evaluate, exact_and_gammas
+from .approx import _approximant, _require_finite_inputs, evaluate, exact_and_gammas
 from .errors import DegenerateError, DomainError, EvtError
 from .norming import NormingPair, as_integer, norming_exact, norming_exacts, require_resolved
 from .tails import DistributionSpec, _float_text
@@ -96,8 +96,8 @@ class ErrorCurve:
 
     def __post_init__(self) -> None:
         ns = [n for n, _ in self.points]
-        if any(hi <= lo for lo, hi in zip(ns, ns[1:])):
-            raise DomainError("error-curve n values must be strictly increasing")
+        if any(not hi > lo for lo, hi in zip([1] + ns, ns)):
+            raise DomainError("error-curve n values must be strictly increasing from 2")
         if any(not math.isfinite(e) for _, e in self.points):
             raise DomainError("error-curve errors must be finite")
 
@@ -143,8 +143,9 @@ def error_curve(dist: DistributionSpec, approximant: str, metric: SupOnGrid | At
     n's approximant is evaluated on its row. Every failure names its n, and
     a failing grid point its x too: a failure of the law over the grid comes
     first, then an empty window, then a failing approximant, each at its
-    first n.
+    first n. An unknown approximant is refused before any of it.
     """
+    _approximant(approximant)
     pairs = norming_exacts(dist, n_grid)
     xs, exact, gamma, keep = _guarded_rows(dist, pairs, metric)
     points = []
@@ -243,9 +244,11 @@ def simulate_max(dist: DistributionSpec, n: int, replications: int,
 
 
 def empirical_cdf(samples: np.ndarray, xs: Sequence[float]) -> np.ndarray:
-    """Fraction of samples <= x for each x. Empty samples, or a NaN sample,
-    are a DomainError."""
-    data = np.sort(np.asarray(samples))
+    """Fraction of samples <= x for each x; samples of any shape are read
+    flat. Empty samples, a NaN sample, or a scaled coordinate x that is not
+    finite (the approximants' check) are a DomainError."""
+    _require_finite_inputs(xs, 0.0)
+    data = np.sort(samples, axis=None)
     if not data.size:
         raise DomainError("empirical_cdf needs at least one sample")
     if np.isnan(data[-1]):  # sort puts NaN last

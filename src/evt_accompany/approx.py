@@ -38,6 +38,23 @@ def require_finite(x: float) -> None:
         raise DomainError(f"scaled coordinate x must be finite, got {x!r}")
 
 
+def _require_finite_inputs(x, gamma):
+    """x and gamma, floats or arrays of one shape, as flat float arrays: the
+    one input check of the approximant kernels and of evaluate. A non-finite
+    x (require_finite's error) or gamma, which exact_and_gammas never
+    returns, is a DomainError naming the first such x."""
+    flat = np.asarray(x, dtype=float).reshape(-1)
+    g = np.asarray(gamma, dtype=float).reshape(-1)
+    if not (np.isfinite(flat).all() and np.isfinite(g).all()):
+        bad = np.flatnonzero(~(np.isfinite(flat) & np.isfinite(g)))[0]
+        # a float beside an array is its one element
+        xi, gi = float(flat[bad % flat.size]), float(g[bad % g.size])
+        require_finite(xi)
+        raise DomainError(f"gamma is {'NaN' if math.isnan(gi) else repr(gi)} at x = {xi!r}; "
+                          f"an approximant needs gamma as exact_and_gammas returns it")
+    return flat, g
+
+
 def _shaped(values: np.ndarray, like):
     """values, computed over the flattened like, as a float for a scalar like
     and in the shape of like otherwise."""
@@ -98,8 +115,7 @@ def exact_and_gammas(dist: DistributionSpec, pairs: NormingPair | Sequence[Normi
     # replaced by log tail(x0); each row's last column is b itself
     at = np.concatenate((np.where(inside, z, b), b), axis=1)
     try:
-        with np.errstate(all="ignore"):
-            values = dist.log_tails_from(at, b, log_tail_b)
+        values = dist.log_tails_from(at, b, log_tail_b)
     except EvtError:  # redone below, which raises it again naming its x and n
         values = np.concatenate((np.full(z.shape, math.nan), log_tail_b), axis=1)
     log_tail = np.where(inside, values[:, :-1], dist._log_tail_x0)
@@ -133,7 +149,14 @@ def exact_max_cdf(dist: DistributionSpec, pair: NormingPair, x):
 # ---------------------------------------------------------------------------
 
 def gumbel_cdf(x):
-    """The Gumbel limit exp(-e^-x), elementwise."""
+    """The Gumbel limit exp(-e^-x), elementwise; a non-finite x is
+    _require_finite_inputs's DomainError."""
+    _require_finite_inputs(x, 0.0)
+    return _gumbel(x)
+
+
+def _gumbel(x):
+    # gumbel_cdf on checked input, as APPROXIMANTS reads it
     with np.errstate(over="ignore"):
         return np.exp(-np.exp(-x))
 
@@ -171,11 +194,20 @@ def sigma_series(gamma, n: int):
 def first_order_corrected(x, gamma):
     """Lambda(x) + Lambda(x) e^-x (gamma - x), elementwise: the one-term Gumbel
     correction. A charge, not a law: values may leave [0, 1] slightly and are
-    not clamped."""
-    with np.errstate(over="ignore"):
+    not clamped. A non-finite x or gamma is _require_finite_inputs's
+    DomainError."""
+    _require_finite_inputs(x, gamma)
+    return _first_order(x, gamma)
+
+
+def _first_order(x, gamma):
+    # first_order_corrected on checked input, as APPROXIMANTS reads it
+    with np.errstate(over="ignore", invalid="ignore"):
         u = np.exp(-x)
-        # the weight Lambda(x) e^-x is taken on the log scale, as exp(-u - x)
-        return np.exp(-u) + np.exp(-u - x) * (gamma - x)
+        # the weight Lambda(x) e^-x is taken on the log scale, as exp(-u - x);
+        # where gamma - x overflows, |x| is so large that the weight is 0
+        weight = np.exp(-u - x)
+        return np.exp(-u) + np.where(weight > 0.0, weight * (gamma - x), 0.0)
 
 
 def two_term(x, gamma, n: int):
@@ -203,30 +235,30 @@ def _second_order(x, gamma, dist, pair):
 # exact_and_gammas returns it, the atom completion's below the support edge.
 # Only second_order reads the family, and only its auxiliary slope at b.
 APPROXIMANTS = {
-    "gumbel": lambda x, gamma, dist, pair: gumbel_cdf(x),
-    "accompanying": lambda x, gamma, dist, pair: gumbel_cdf(gamma),
+    "gumbel": lambda x, gamma, dist, pair: _gumbel(x),
+    "accompanying": lambda x, gamma, dist, pair: _gumbel(gamma),
     "two_term": lambda x, gamma, dist, pair: two_term(x, gamma, pair.n),
-    "first_order": lambda x, gamma, dist, pair: first_order_corrected(x, gamma),
+    "first_order": lambda x, gamma, dist, pair: _first_order(x, gamma),
     "second_order": _second_order,
 }
+
+
+def _approximant(name: str):
+    """APPROXIMANTS[name], or a DomainError naming the valid names."""
+    if name not in APPROXIMANTS:
+        raise DomainError(f"unknown approximant {name!r} (expected one of "
+                          f"{', '.join(APPROXIMANTS)})")
+    return APPROXIMANTS[name]
 
 
 def evaluate(name: str, x, gamma, dist: DistributionSpec, pair: NormingPair):
     """The approximant `name` at x from gamma(x), as exact_and_gammas returns
     it for dist under pair. x and gamma are floats or arrays of one shape,
-    and so is the result. A non-finite x (require_finite's error) or gamma,
-    which exact_and_gammas never returns, is a DomainError naming the first
-    such x; every error ends with "(at n=...)" of pair."""
-    flat = np.asarray(x, dtype=float).reshape(-1)
-    g = np.asarray(gamma, dtype=float).reshape(-1)
-    bad = np.flatnonzero(~(np.isfinite(flat) & np.isfinite(g)))
+    and so is the result. An unknown name is _approximant's DomainError, and
+    a non-finite x or gamma _require_finite_inputs's; every error ends with
+    "(at n=...)" of pair."""
     try:
-        if bad.size:
-            xi, gi = float(flat[bad[0]]), float(g[bad[0]])
-            require_finite(xi)
-            raise DomainError(f"gamma is {'NaN' if math.isnan(gi) else repr(gi)} at x = {xi!r}; "
-                              f"an approximant needs gamma as exact_and_gammas returns it")
-        values = APPROXIMANTS[name](flat, g, dist, pair)
+        values = _approximant(name)(*_require_finite_inputs(x, gamma), dist, pair)
     except EvtError as exc:
         raise exc.at(f"n={pair.n}") from exc
     return _shaped(values, x)

@@ -91,7 +91,9 @@ def gamma_closed_weibull(p: float, n: float, x: float) -> float:
     gamma(x) = log(n) * ((1 + x/(p log n))^p - 1), which is exact (not just
     asymptotic) when b = (log(n)/c)^(1/p) and a = b^(1-p)/(cp). At p = 1 it
     collapses to gamma(x) = x. n may be any real n >= 2, an int past the
-    float range too; a NaN or infinite p, n or x is a DomainError.
+    float range too; a NaN or infinite p, n or x is a DomainError, and so is
+    a gamma that overflows a float (a large x, or a p so small that
+    x/(p log n) does).
     """
     if not 0.0 < p < math.inf:
         raise DomainError(f"gamma_closed_weibull needs a finite p > 0, got {p!r}")
@@ -105,4 +107,10 @@ def gamma_closed_weibull(p: float, n: float, x: float) -> float:
             f"x = {x!r} is below the representable range (needs x > {-p * log_n!r})")
     if p == 1.0:
         return float(x)
-    return log_n * math.expm1(p * math.log1p(x / (p * log_n)))
+    try:
+        gamma = log_n * math.expm1(p * math.log1p(x / (p * log_n)))
+    except OverflowError:
+        gamma = math.inf
+    if gamma == math.inf:
+        raise DomainError(f"gamma_closed_weibull overflows a float at x={x!r} (p={p!r}, n={n!r})")
+    return gamma

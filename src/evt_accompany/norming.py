@@ -39,6 +39,8 @@ class NormingPair:
             raise DomainError(f"norming scale a must be positive and finite, got {self.a!r}")
         if not math.isfinite(self.b):
             raise DomainError(f"norming location b must be finite, got {self.b!r}")
+        if not (self.log_tail_b is None or math.isfinite(self.log_tail_b)):
+            raise DomainError(f"norming log tail(b) must be finite, got {self.log_tail_b!r}")
 
 
 # the largest ulp(b)/a at which b + a x still resolves x: 2^-26 keeps half

@@ -223,8 +223,7 @@ class DistributionSpec:
         non-finite x, anchor or log_tail_anchor is a DomainError, on every
         family.
         """
-        if (_below(x, self.x0) or _below(anchor, self.x0) or math.inf in (x, anchor)
-                or not math.isfinite(log_tail_anchor)):
+        if self._refuses(x, anchor, log_tail_anchor):
             raise DomainError(f"log_tail_from needs x >= x0 = {self.x0!r} and anchor >= x0, "
                               f"both < inf, and a finite log_tail_anchor, got x={x!r}, "
                               f"anchor={anchor!r}, log_tail_anchor={log_tail_anchor!r}")
@@ -232,20 +231,44 @@ class DistributionSpec:
             return self._log_tail_x0
         return self._read_tail(x, anchor, log_tail_anchor)[0]
 
+    def _refuses(self, x: float, anchor: float, log_tail_anchor: float) -> bool:
+        """Whether x or anchor lies below x0 (beyond a few ulp) or at inf, or
+        log_tail_anchor is not finite, NaN in any of them included: the one
+        argument rule of log_tail_from, log_tail_steps and a quantile
+        search's start."""
+        return (_below(x, self.x0) or _below(anchor, self.x0) or math.inf in (x, anchor)
+                or not math.isfinite(log_tail_anchor))
+
     def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
         """log_tail over an array z of points >= x0, given log_tail_anchor =
         log_tail(anchor) at points >= x0, arrays of z's shape or, for a 2-D
-        z, columns of one per row: the array twin of log_tail_from. Closed
-        forms ignore the anchors."""
-        with np.errstate(divide="ignore"):  # log 0 = -inf at exp's x0 = 0
-            lz = np.log(z)
-        return self._log_tails_slopes_from(z, lz, anchor, log_tail_anchor)[0]
+        z, columns of one per row: the array twin of log_tail_from, which
+        each family evaluates in _log_tails. Closed forms ignore the anchors.
+        A log tail that is not finite, as at a point that is not, is a
+        DomainError naming the first such point."""
+        with np.errstate(all="ignore"):  # log 0 = -inf at exp's x0 = 0
+            values = self._log_tails(z, anchor, log_tail_anchor)
+        if not np.isfinite(values).all():
+            i = np.flatnonzero(~np.isfinite(values))[0]
+            raise DomainError(f"log_tails_from needs points >= x0 = {self.x0!r} with finite "
+                              f"log tails, got log tail {float(values.flat[i])!r} at "
+                              f"x={float(np.ravel(z)[i])!r}")
+        return values
+
+    def _log_tails(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
+        # log_tails_from's evaluation: the tail hook
+        return self._log_tails_slopes_from(z, np.log(z), anchor, log_tail_anchor)[0]
 
     # -- quantile ----------------------------------------------------------
 
-    def _log_level(self, q: float) -> float:
+    def _log_level(self, q: float, start=None, log_tail_start=None) -> float:
         """log q for a level 0 < q <= tail(x0), or a DomainError: the one
-        level check of every quantile_log_tail."""
+        argument check of every quantile_log_tail, which also refuses a start
+        and its log tail that log_tail_from would refuse as an anchor."""
+        if start is not None and self._refuses(start, start, log_tail_start):
+            raise DomainError(f"a quantile search needs a start >= x0 = {self.x0!r}, < inf, "
+                              f"with a finite log tail, got start={start!r}, "
+                              f"log_tail_start={log_tail_start!r}")
         if not (0.0 < q):
             raise DomainError(f"quantile_tail needs q in (0, tail(x0)], got {q!r}")
         log_q = math.log(q)
@@ -288,12 +311,14 @@ class DistributionSpec:
         log tail(start), the bracket starts there: a walk along decreasing
         levels passes the previous quantile, and a tail that is an integral
         then covers only the ground between the two quantiles. A start whose
-        tail is already below q (beyond tolerance) falls back to x0, as does
-        no start. A level above tail(x0) is refused, with a start or without.
+        tail is already below q (beyond tolerance) falls back to x0, as do a
+        start at x0 (or a few ulp under it) and no start. A level above
+        tail(x0), or a start that log_tail_from would refuse as an anchor, is
+        refused.
         """
-        log_q = self._log_level(q)
+        log_q = self._log_level(q, start, log_tail_start)
         tol = QUANTILE_LOG_TOL * min(max(1.0, abs(log_q)), _TOL_SCALE_CAP)
-        if start is None or log_tail_start < log_q - tol:
+        if start is None or start <= self.x0 or log_tail_start < log_q - tol:
             start, log_tail_start = self.x0, self._log_tail_x0
         lo_u, lo_x, lo_f = math.log(start), start, log_tail_start
         u_start, u_top = lo_u, math.log(self._x_top)
@@ -479,8 +504,8 @@ class ExponentialUnit(DistributionSpec):
 
     def quantile_log_tail(self, q: float, start: float | None = None,
                           log_tail_start: float | None = None):
-        # the inverse -log q, which needs no start
-        log_q = self._log_level(q)
+        # the inverse -log q, which needs no start (but checks it)
+        log_q = self._log_level(q, start, log_tail_start)
         return -log_q, log_q
 
     def _quantiles(self, q, log_q):
@@ -837,20 +862,27 @@ class IteratedLogScale(DistributionSpec):
         points >= x0, floats or arrays of one shape, with every integral in one
         quadrature call; so log_tail_from(x, anchor, f) is f +
         log_tail_steps(anchor, x). A range past the top _x_top is refused
-        before its integrand overflows; quadrature nodes lie inside it."""
-        if self._x_top < _X_MAX:
-            top = float(np.max(np.maximum(starts, ends), initial=-math.inf))
-            if top > self._x_top:
+        before its integrand overflows, and so is a NaN point or one below
+        x0; quadrature nodes lie inside [x0, _x_top]."""
+        low, top = starts, ends
+        if isinstance(starts, np.ndarray) or isinstance(ends, np.ndarray):
+            low = float(np.minimum(starts, ends).min(initial=self.x0))
+            top = float(np.maximum(starts, ends).max(initial=self.x0))
+        if not (self.x0 <= low <= self._x_top and self.x0 <= top <= self._x_top):  # or NaN
+            if max(low, top) > self._x_top:
                 raise DomainError(
-                    f"tail at x={top!r} is outside the float range ((log_{self.k} x) ** "
-                    f"{self.a!r} / {self.C!r} overflows past x={self._x_top!r})")
+                    f"tail at x={max(low, top)!r} is outside the float range ((log_{self.k} x) "
+                    f"** {self.a!r} / {self.C!r} overflows past x={self._x_top!r})")
+            if self._refuses(low, top, 0.0):
+                raise DomainError(f"log_tail_steps needs points >= x0 = {self.x0!r}, got "
+                                  f"{low!r} and {top!r}")
         if not isinstance(starts, np.ndarray) and starts == ends:
             return 0.0
         # 0.0 - keeps the log tail of an empty range +0.0
         return 0.0 - quadrature.integrate(self._over_f_log, np.log(starts), np.log(ends),
                                           noise=self._noise)
 
-    def log_tails_from(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
+    def _log_tails(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
         """log_tail_anchor + log_tail_steps(anchor, z), with one quadrature
         call per row of a 2-D z (a 1-D z is one row; one call over a many-row
         grid measured slower) and none for points at their anchor."""

