@@ -425,9 +425,12 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
         for flag, spec in flags.items()})
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _run(argv: Sequence[str]) -> int:
+    """argv's command, its errors tagged with the dist; stdout is flushed
+    before it returns or raises, so a write it still holds fails here, not in
+    the interpreter's flush at exit."""
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = _parse_args(argv)
         if args is None:
             return 0
         dist = parse_dist(args.dist)
@@ -435,6 +438,28 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _COMMANDS[args.command][0](args, dist)
         except EvtError as exc:
             raise exc.at(f"dist={dist.label}") from exc
+    finally:
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        try:
+            return _run(sys.argv[1:] if argv is None else argv)
+        except BrokenPipeError as exc:  # the reader of stdout left early
+            # what stdout still holds goes to the null device, so the exit
+            # flush prints no "Exception ignored"; a stdout with no file
+            # descriptor (a StringIO) is left as it is
+            try:
+                fd = sys.stdout.fileno()
+            except (OSError, ValueError):
+                pass
+            else:
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+            raise ParseError(f"stdout: writing stopped: {exc.strerror}") from None
     except (EvtError, ValueError, ArithmeticError) as exc:
         # the last resort: a numerical failure without a typed error exits 4
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

@@ -256,7 +256,15 @@ class DistributionSpec:
         return values
 
     def _log_tails(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
-        # log_tails_from's evaluation: the tail hook
+        # log_tails_from's evaluation: the tail hook, whose closed forms would
+        # read their formulas below x0, so a point there is refused, NaN
+        # included, and one a few ulp under x0 reads x0, as in log_tail_from
+        if not z.min(initial=self.x0) >= self.x0:
+            below = [x for x in np.ravel(z).tolist() if _below(x, self.x0)]
+            if below:
+                raise DomainError(f"log_tails_from needs points >= x0 = {self.x0!r}, "
+                                  f"got x={below[0]!r}")
+            z = np.maximum(z, self.x0)
         return self._log_tails_slopes_from(z, np.log(z), anchor, log_tail_anchor)[0]
 
     # -- quantile ----------------------------------------------------------

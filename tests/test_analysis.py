@@ -45,6 +45,7 @@ from evt_accompany.tails import (
     LogWeibullLike,
     SlowlyVarying,
     WeibullLike,
+    _below,
     parse_dist,
 )
 
@@ -437,11 +438,12 @@ def _bad_n(v):
 class Kind:
     """A parameter kind: its good values (one call each; several for a name),
     its odd values, and the odd values it refuses, with the error. A kind of
-    the family has each as a function of the family."""
+    the family has its values as functions of the family, and its predicate
+    reads the family too."""
 
     good: tuple
     odd: tuple
-    refuses: object = lambda v: False  # a predicate on an odd value
+    refuses: object = lambda v, *family: False  # a predicate on an odd value
     error: type = DomainError
     of_family: bool = False
     elementwise: bool = False  # a float or an array, of one shape with its fellows
@@ -485,28 +487,36 @@ KINDS = {
                     (np.array([]), np.array([math.nan, 1.0]), np.array(1.0),
                      np.array([math.inf, 1.0]), np.array([-math.inf])),
                     lambda v: v.size == 0 or np.isnan(v).any()),
-    "metric": Kind((AtPoint(0.5),), tuple(map(AtPoint, FLOATS)) + (SupOnGrid(),),
+    "metric": Kind((AtPoint(0.5),), tuple(map(AtPoint, FLOATS))
+                   + (SupOnGrid(), SupOnGrid(-8e307, 8e307, 3), SupOnGrid(-2.0, 6.0, 2)),
                    lambda v: isinstance(v, AtPoint) and _not_finite(v.x)),
     "curve": Kind((synthetic_curve([10, 100, 1000], [1e-1, 1e-2, 1e-3]),),
                   (synthetic_curve([10, 100], [1e-1, 1e-2]),
                    synthetic_curve([10, 100, 1000], [1e-1, 0.0, 1e-3]),
                    synthetic_curve([10, 100, 1000], [5e-324, 1e308, 1.0]),
-                   synthetic_curve([2, 3, 4], [1e-1, 1e-2, 1e-3]))),
+                   synthetic_curve([2, 3, 4], [1e-1, 1e-2, 1e-3]),
+                   synthetic_curve([10, 10 ** 150, 10 ** 300], [1e308, 1.0, 5e-324]),
+                   synthetic_curve([10, 10 ** 150, 10 ** 300], [5e-324, 1.0, 1e308]))),
     # of the family
     "dist": Kind(lambda d: (d,), lambda d: (), of_family=True),
     "pair": Kind(lambda d: (norming_exact(d, 1000),),
-                 lambda d: (NormingPair(1000, 1e-300, d.x0 + 1.0), NormingPair(2, 1.0, d.x0)),
+                 lambda d: (NormingPair(1000, 1e-300, d.x0 + 1.0), NormingPair(2, 1.0, d.x0),
+                            NormingPair(1000, 1.0, d.x0 - 1.0),
+                            NormingPair(1000, 1e300, d.x0 + 1.0), NormingPair(1000, 1.0, 1e300),
+                            NormingPair(10 ** 300, 1.0, d.x0 + 1.0)),
                  of_family=True),
-    "point": Kind(lambda d: (d.x0 + 1.0,), lambda d: FLOATS + (d.x0,), _not_finite,
-                  of_family=True),
+    "point": Kind(lambda d: (d.x0 + 1.0,), lambda d: FLOATS + (d.x0,),
+                  lambda v, d: _not_finite(v), of_family=True),
     "points": Kind(lambda d: (d.x0 + 1.0,),
                    lambda d: FLOATS + _with(d.x0 + 1.0, (math.nan, math.inf, -math.inf, -1e308)),
-                   _not_finite, of_family=True, elementwise=True),
+                   lambda v, d: _not_finite(v), of_family=True, elementwise=True),
+    # a point below x0, by log_tail_from's tolerance, is no point of the tail
     "point array": Kind(lambda d: (np.array([d.x0 + 1.0, d.x0 + 2.0]),),
-                        lambda d: _with(d.x0 + 1.0, FLOATS + (d.x0,)), _not_finite,
+                        lambda d: _with(d.x0 + 1.0, FLOATS + (d.x0, d.x0 - 1.0)),
+                        lambda v, d: _not_finite(v) or any(_below(x, d.x0) for x in v.tolist()),
                         of_family=True),
-    "log tail": Kind(lambda d: (d.log_tail(d.x0 + 1.0),), lambda d: FLOATS, _not_finite,
-                     of_family=True),
+    "log tail": Kind(lambda d: (d.log_tail(d.x0 + 1.0),), lambda d: FLOATS,
+                     lambda v, d: _not_finite(v), of_family=True),
     # log_tails_from's anchors, which closed forms document as unread
     "anchor": Kind(lambda d: (d.x0 + 1.0,), lambda d: FLOATS + (d.x0,), of_family=True),
     "anchor log tail": Kind(lambda d: (d.log_tail(d.x0 + 1.0),), lambda d: FLOATS,
@@ -617,7 +627,8 @@ def _calls():
                         modes = ", ".join(_label(a) for j, a in enumerate(args)
                                           if j != i and len(goods[j]) > 1)
                         key = f"{name}{f'[{modes}]' if modes else ''}{at} {params[i]}={_label(v)}"
-                        yield key, call, args, kind.error if kind.refuses(v) else None
+                        refused = kind.refuses(v, d) if kind.of_family else kind.refuses(v)
+                        yield key, call, args, kind.error if refused else None
 
 
 def _outcome(call, args):

@@ -125,6 +125,20 @@ def test_check_identity_fails_at_absurd_tolerance(tmp_path, capsys):
                         r"\(at n=100\) \(at dist=exp\)\n", err), err
 
 
+def test_check_identity_verdict_at_the_default_tolerance(tmp_path, capsys):
+    # log tail(b_n) + log n is -2.6e-8 on this small C, which the gamma taken
+    # against log tail(b_n) carries into a gap of 9.7e-9: the verdict names
+    # n and the exact spec rebuilt from the parsed C
+    code, payload = run(tmp_path, "v.csv", [
+        "check-identity", "--dist", "iterlog:k=2,a=1,C=1e-7", "--n", "1000"])
+    assert code == 4
+    assert len(rows(payload)[1]) == 61
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error (MismatchError): identity violated: "), err
+    assert err.endswith("(at n=1000) (at dist=iterlog:k=2,a=1,C=1e-07)\n"), err
+
+
 def test_check_identity_runs_down_to_the_cutoff(tmp_path):
     # gamma = x for the exponential, and the window lies just above -log 100
     # = -4.605, inside the sigma series' domain
@@ -225,6 +239,24 @@ def test_simulate_schema_and_seed(tmp_path):
     assert [line.split(",")[0] for line in lines[2:]] == [str(i) for i in range(10)]
 
 
+@pytest.mark.parametrize("spec, n, reps", [
+    ("exp", "1000", 1000),
+    ("iterlog:k=2,a=1,C=1", "1000000", 200),
+    # iterlog tables of one level and of fewer levels than a cell
+    ("iterlog:k=3,a=1,C=1", "1000000", 1),
+    ("iterlog:k=3,a=1,C=1", "1000000", 9),
+    # more levels than the quadrature's cap of 32,768 live subintervals
+    ("iterlog:k=2,a=1,C=1", "1000", 40000),
+])
+def test_simulate_runs_on_few_and_many_replications(tmp_path, spec, n, reps):
+    code, payload = run(tmp_path, "s.csv", [
+        "simulate", "--dist", spec, "--n", n, "--reps", str(reps), "--seed", "7"])
+    assert code == 0
+    _, body = rows(payload)
+    assert [int(cells[0]) for cells in body] == list(range(reps))
+    assert all(math.isfinite(float(cells[1])) for cells in body)
+
+
 # -- determinism ----------------------------------------------------------------
 
 def test_byte_identical_reruns(tmp_path):
@@ -236,10 +268,23 @@ def test_byte_identical_reruns(tmp_path):
                      "--seed", "123"],
         "rates": ["rates", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1",
                   "--approx", "accompanying", "--n-geom", "100:100000:4", "--at", "1"],
+        "rates-iterlog": ["rates", "--dist", "iterlog:k=2,a=1,C=1", "--approx", "gumbel",
+                          "--n-geom", "1000:1e300:12", "--sup"],
     }.items():
         _, first = run(tmp_path, f"{name}_a.csv", argv)
         _, second = run(tmp_path, f"{name}_b.csv", argv)
         assert first == second and first
+
+
+def test_a_header_label_reruns_to_the_same_bytes(tmp_path):
+    # a header names the exact distribution: its dist= spec is the spec given
+    spec = "weibull:c=1.23456789,p=2.5,alpha=0.3,ell=const:1.5"
+    tail = ["--n", "1000", "--x", "-2:6:5"]
+    code, first = run(tmp_path, "label.csv", ["table", "--dist", spec, *tail])
+    assert code == 0
+    label = re.search(r" dist=(\S+) ", first.decode().split("\n")[0]).group(1)
+    assert label == spec
+    assert run(tmp_path, "relabel.csv", ["table", "--dist", label, *tail]) == (0, first)
 
 
 # -- exit codes -------------------------------------------------------------------
@@ -300,6 +345,19 @@ def test_table_on_a_completed_edge_gives_the_two_term_law(tmp_path):
     assert len(body) == 3
     for cells in body:
         assert abs(float(cells[4]) - float(cells[1])) <= 1e-15, cells
+
+
+def test_table_window_across_the_series_edge_has_every_row(tmp_path):
+    # -log 100 = -4.6 splits this window: below it the two-term law reads
+    # the law F(x0)^n = 0, above it the series
+    code, payload = run(tmp_path, "t.csv", [
+        "table", "--dist", "exp", "--n", "100", "--x", "-6:6:13", "--approx", "two_term"])
+    assert code == 0
+    _, body = rows(payload)
+    assert [cells[0] for cells in body] == [repr(float(x)) for x in range(-6, 7)]
+    assert [cells[1] for cells in body[:2]] == [cells[4] for cells in body[:2]] == ["0.0"] * 2
+    for cells in body[2:]:
+        assert abs(float(cells[4]) - float(cells[1])) <= 1e-15 + 1e-12 * float(cells[1]), cells
 
 
 def test_exit_domain_error_unrepresentable_tower(tmp_path, capsys):
@@ -372,6 +430,21 @@ def test_iterlog_integrand_overflow_is_a_domain_error(tmp_path, capsys, argv):
     assert err.startswith("error (DomainError): tail at x=16.154262241479262 is outside the "
                           "float range ((log_2 x) ** ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, n", [
+    ("iterlog:k=2,a=1,C=1", "1000000"),
+    # b_n far above x0, which galloping steps reach in a few integrals
+    ("iterlog:k=3,a=1,C=1", "1e300"),
+    # (log_2 s)^700 carries about 700 eps of rounding noise, which the
+    # family's quadrature floor of 2a eps accepts
+    ("iterlog:k=3,a=700,C=1", "1000"),
+    ("iterlog:k=3,a=700,C=1", "1e30"),
+])
+def test_iterlog_check_identity_holds_far_out_and_at_steep_a(tmp_path, spec, n):
+    code, payload = run(tmp_path, "c.csv", ["check-identity", "--dist", spec, "--n", n])
+    assert code == 0
+    assert all(float(cells[4]) <= 1e-10 for cells in rows(payload)[1])
 
 
 @pytest.mark.filterwarnings("error")
@@ -845,6 +918,13 @@ _COMMAND_LINES = [
      "error (DomainError): WeibullLike needs c > 0"),
     (["table", "--dist", "iterlog:k=1,a=1,C=1", "--n", "1000", "--x", "-2:6:3"],
      "error (DomainError): IteratedLogScale needs integer k >= 2"),
+    (["table", "--dist", "weibull:c=1", "--n", "1000", "--x", "-2:6:3"],
+     "error (ParseError): missing field 'p'"),
+    (["table", "--dist", "weibull:c=1e300,p=2,alpha=0,ell=const:1", "--n", "1000", "--x", "-2:6:3"],
+     "error (DomainError): WeibullLike tail underflows to 0 at its x0 = "),
+    # an n past the float range is outside the domain, as norming_exact refuses it
+    (["norming", "--dist", "weibull:c=1,p=2,alpha=0,ell=const:1", "--n", "1e400"],
+     "error (DomainError): --n: '1e400' is beyond the float range"),
     # neither --at nor --sup: the default window
     (_RATES, "approx=gumbel metric=sup[-2,6]x161"),
 ]
@@ -1007,14 +1087,18 @@ def test_out_to_devnull(capsys):
     assert capsys.readouterr().out.startswith("table: 3 rows")
 
 
+def _child_env():
+    """The environment of a child process that imports this package."""
+    src = os.path.dirname(os.path.dirname(evt_accompany.__file__))
+    return {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def _main_in_child(argv, timeout=120, **kwargs):
     """main(argv) in a child process, its output captured as text."""
-    src = os.path.dirname(os.path.dirname(evt_accompany.__file__))
     return subprocess.run(
         [sys.executable, "-c", "import sys; from evt_accompany.cli import main; "
          "sys.exit(main(sys.argv[1:]))", *argv],
-        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-        capture_output=True, text=True, timeout=timeout, **kwargs)
+        env=_child_env(), capture_output=True, text=True, timeout=timeout, **kwargs)
 
 
 def _main_under_file_size_limit(argv, limit):
@@ -1263,6 +1347,53 @@ def test_unwritable_out_is_a_parse_error(tmp_path, capsys, where):
     assert code == 2 and not out and "Traceback" not in err
     assert err.startswith(f"error (ParseError): --out: cannot write {path!r}: "), err
     assert err.rstrip().endswith("(at dist=exp)"), err
+
+
+# -- the process boundary ------------------------------------------------------
+
+_CLOSED = "error (ParseError): stdout: writing stopped: Broken pipe"
+# (argv, exit code, stderr, which is this one line, whether stdout is a pipe
+# its reader closed before the start)
+_PROCESS_CASES = [
+    (["table", "--dist", "exp", "--n", "1000", "--x", "-2:6:9"], 0,
+     "table: 9 rows for dist=exp n=1000", False),
+    (["table", "--dist", "weibull:c=1", "--n", "1000", "--x", "-2:6:3"], 2,
+     "error (ParseError): missing field 'p'", False),
+    (["table", "--dist", "exp", "--n", "1000", "--x", "6:-2:3"], 3,
+     "error (DomainError): SupOnGrid needs x_lo < x_hi", False),
+    # the CSV is written before the verdict
+    (["check-identity", "--dist", "exp", "--n", "100", "--tol", "1e-18"], 4,
+     "error (MismatchError): identity violated: max gap ", False),
+    # a block longer than stdout's buffer is written through at once; the
+    # help waits in the buffer until main flushes it
+    (_SIMULATE + ["--reps", "1000"], 2, _CLOSED, True),
+    (["--help"], 2, _CLOSED, True),
+]
+
+
+def test_console_contract_at_the_process_boundary(tmp_path):
+    # python -m evt_accompany.cli as a shell runs it, every case at once: its
+    # exit code and one typed line on stderr, and no traceback, no warning and
+    # no exception the interpreter ignored in its flush at exit
+    procs = []
+    for i, (argv, _, _, closed) in enumerate(_PROCESS_CASES):
+        if closed:
+            read, stdout = os.pipe()
+            os.close(read)
+        else:
+            stdout = os.open(tmp_path / f"{i}.out", os.O_WRONLY | os.O_CREAT)
+        with open(tmp_path / f"{i}.err", "w") as stderr:
+            procs.append(subprocess.Popen([sys.executable, "-m", "evt_accompany.cli", *argv],
+                                          stdout=stdout, stderr=stderr, env=_child_env()))
+        os.close(stdout)
+    for i, ((argv, code, line, closed), proc) in enumerate(zip(_PROCESS_CASES, procs)):
+        assert proc.wait(timeout=60) == code, argv
+        err = (tmp_path / f"{i}.err").read_text()
+        assert err.startswith(line) and err.count("\n") == 1, (argv, err)
+        assert not re.search("Traceback|Warning|Exception ignored", err), (argv, err)
+        if not closed:
+            out = (tmp_path / f"{i}.out").read_text()
+            assert out.startswith("# evt-accompany v") if code in (0, 4) else not out, argv
 
 
 # -- fuzz ----------------------------------------------------------------------

@@ -1074,6 +1074,18 @@ def test_support_edge_reads_x0_and_refuses_nan(d):
             call(math.nan)
 
 
+@pytest.mark.parametrize("d", SUPPORT_EDGE_FAMILIES[:3], ids=lambda d: d.label)
+def test_closed_form_array_reads_keep_to_the_support(d):
+    # a closed form's formula reads on below x0 (exp's array log tails read
+    # [1, -1] at [-1, 1]): the array read takes a point a few ulp under x0 as
+    # x0, as log_tail_from does, and refuses one below that or NaN
+    x0, f0 = d.x0, d.log_tail(d.x0)
+    assert d.log_tails_from(np.array([x0 - 5e-13, x0]), x0, f0).tolist() == [f0, f0]
+    for x in (x0 - 1.0, math.nan):
+        with pytest.raises(DomainError, match=re.escape(f"needs points >= x0 = {x0!r}, got x=")):
+            d.log_tails_from(np.array([x0 + 1.0, x]), x0, f0)
+
+
 def test_power_quantile_search_reads_its_formula_once_per_iterate(monkeypatch):
     # value and slope of each iterate from one read; reading them apart took
     # 42 reads on 23 points for this walk
