@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import _approximant, _require_finite_inputs, evaluate, exact_and_gammas
+from .approx import _approximant, _require_finite_inputs, _shaped, evaluate, exact_and_gammas
 from .errors import DegenerateError, DomainError, EvtError
 from .norming import NormingPair, as_integer, norming_exact, norming_exacts, require_resolved
 from .tails import DistributionSpec, _float_text
@@ -243,14 +243,14 @@ def simulate_max(dist: DistributionSpec, n: int, replications: int,
     return maxima
 
 
-def empirical_cdf(samples: np.ndarray, xs: Sequence[float]) -> np.ndarray:
-    """Fraction of samples <= x for each x; samples of any shape are read
-    flat. Empty samples, a NaN sample, or a scaled coordinate x that is not
-    finite (the approximants' check) are a DomainError."""
-    _require_finite_inputs(xs, 0.0)
+def empirical_cdf(samples: np.ndarray, xs: Sequence[float]):
+    """Fraction of samples <= x for each x, shaped as the approximants are;
+    samples of any shape are read flat. Empty samples, a NaN sample, or an x
+    that is not finite (the approximants' check) are a DomainError."""
+    xs, _, like = _require_finite_inputs(xs, 0.0)
     data = np.sort(samples, axis=None)
     if not data.size:
         raise DomainError("empirical_cdf needs at least one sample")
     if np.isnan(data[-1]):  # sort puts NaN last
         raise DomainError("empirical_cdf needs samples that are not NaN")
-    return np.searchsorted(data, np.asarray(xs), side="right") / data.size
+    return _shaped(np.searchsorted(data, xs, side="right") / data.size, like)

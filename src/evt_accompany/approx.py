@@ -39,20 +39,24 @@ def require_finite(x: float) -> None:
 
 
 def _require_finite_inputs(x, gamma):
-    """x and gamma, floats or arrays of one shape, as flat float arrays: the
-    one input check of the approximant kernels and of evaluate. A non-finite
-    x (require_finite's error) or gamma, which exact_and_gammas never
-    returns, is a DomainError naming the first such x."""
-    flat = np.asarray(x, dtype=float).reshape(-1)
-    g = np.asarray(gamma, dtype=float).reshape(-1)
+    """x and gamma, floats or arrays whose shapes broadcast, as flat float
+    arrays of one length, and an array of their shape for _shaped: the one
+    input check of the approximant kernels, of evaluate and of empirical_cdf's
+    points. Shapes that do not broadcast, a non-finite x (require_finite's
+    error) or gamma, which exact_and_gammas never returns, are DomainErrors."""
+    try:
+        like, g = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(gamma, dtype=float))
+    except ValueError:
+        raise DomainError(f"x of shape {np.shape(x)} and gamma of shape {np.shape(gamma)} "
+                          f"do not broadcast") from None
+    flat, g = like.reshape(-1), g.reshape(-1)
     if not (np.isfinite(flat).all() and np.isfinite(g).all()):
         bad = np.flatnonzero(~(np.isfinite(flat) & np.isfinite(g)))[0]
-        # a float beside an array is its one element
-        xi, gi = float(flat[bad % flat.size]), float(g[bad % g.size])
+        xi, gi = float(flat[bad]), float(g[bad])
         require_finite(xi)
         raise DomainError(f"gamma is {'NaN' if math.isnan(gi) else repr(gi)} at x = {xi!r}; "
                           f"an approximant needs gamma as exact_and_gammas returns it")
-    return flat, g
+    return flat, g, like
 
 
 def _shaped(values: np.ndarray, like):
@@ -151,8 +155,8 @@ def exact_max_cdf(dist: DistributionSpec, pair: NormingPair, x):
 def gumbel_cdf(x):
     """The Gumbel limit exp(-e^-x), elementwise; a non-finite x is
     _require_finite_inputs's DomainError."""
-    _require_finite_inputs(x, 0.0)
-    return _gumbel(x)
+    flat, _, like = _require_finite_inputs(x, 0.0)
+    return _shaped(_gumbel(flat), like)
 
 
 def _gumbel(x):
@@ -194,10 +198,10 @@ def sigma_series(gamma, n: int):
 def first_order_corrected(x, gamma):
     """Lambda(x) + Lambda(x) e^-x (gamma - x), elementwise: the one-term Gumbel
     correction. A charge, not a law: values may leave [0, 1] slightly and are
-    not clamped. A non-finite x or gamma is _require_finite_inputs's
-    DomainError."""
-    _require_finite_inputs(x, gamma)
-    return _first_order(x, gamma)
+    not clamped. Its inputs are _require_finite_inputs's to check and to
+    shape."""
+    flat, g, like = _require_finite_inputs(x, gamma)
+    return _shaped(_first_order(flat, g), like)
 
 
 def _first_order(x, gamma):
@@ -253,12 +257,12 @@ def _approximant(name: str):
 
 def evaluate(name: str, x, gamma, dist: DistributionSpec, pair: NormingPair):
     """The approximant `name` at x from gamma(x), as exact_and_gammas returns
-    it for dist under pair. x and gamma are floats or arrays of one shape,
-    and so is the result. An unknown name is _approximant's DomainError, and
-    a non-finite x or gamma _require_finite_inputs's; every error ends with
-    "(at n=...)" of pair."""
+    it for dist under pair, in the shape _require_finite_inputs gives x and
+    gamma, which it checks. An unknown name is _approximant's DomainError;
+    every error ends with "(at n=...)" of pair."""
     try:
-        values = _approximant(name)(*_require_finite_inputs(x, gamma), dist, pair)
+        kernel, (flat, g, like) = _approximant(name), _require_finite_inputs(x, gamma)
+        values = kernel(flat, g, dist, pair)
     except EvtError as exc:
         raise exc.at(f"n={pair.n}") from exc
-    return _shaped(values, x)
+    return _shaped(values, like)

@@ -10,6 +10,7 @@ summary goes to stdout (stderr when the CSV itself occupies stdout).
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 import os
 import stat
@@ -195,7 +196,7 @@ def _finish(out_path: str | None, blocks: Iterable[str], summary: list[str]) -> 
     """
     if out_path is None:
         for block in blocks:
-            sys.stdout.write(block)
+            _console("stdout", block)
     else:
         try:
             fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -225,7 +226,25 @@ def _finish(out_path: str | None, blocks: Iterable[str], summary: list[str]) -> 
         finally:
             os.close(fd)
     for line in summary:
-        print(line, file=sys.stderr if out_path is None else sys.stdout)
+        _console("stderr" if out_path is None else "stdout", line + "\n")
+
+
+def _console(name: str, text: str) -> None:
+    """text to sys.stdout or sys.stderr, by name, flushed: every console write.
+    A stream closed at start (None) or failing, as when its reader left, is a
+    ParseError naming it, and its file descriptor, if any, then points at the
+    null device, so the interpreter's exit flush prints nothing."""
+    stream = getattr(sys, name)
+    try:
+        stream.write(text)
+        stream.flush()
+    except (AttributeError, OSError) as exc:  # AttributeError: None has no write
+        with contextlib.suppress(AttributeError, OSError):  # no descriptor, as a StringIO
+            fd, null = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise ParseError(f"{name}: writing stopped: "
+                         f"{getattr(exc, 'strerror', None) or 'closed'}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +413,7 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
     begin with "-" (as in "--x -2:6:9"). The last of a repeated flag wins.
     """
     if argv and argv[0] in _HELP:
-        sys.stdout.write(_help(None))
+        _console("stdout", _help(None))
         return None
     if not argv or argv[0] not in _COMMANDS:
         found = f"unknown command {argv[0]!r}" if argv else "missing command"
@@ -402,7 +421,7 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
     command, flags, values, i = argv[0], _flags(argv[0]), {}, 1
     while i < len(argv):
         if argv[i] in _HELP:
-            sys.stdout.write(_help(command))
+            _console("stdout", _help(command))
             return None
         flag, eq, value = argv[i].partition("=")
         if flag not in flags:
@@ -426,43 +445,25 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
 
 
 def _run(argv: Sequence[str]) -> int:
-    """argv's command, its errors tagged with the dist; stdout is flushed
-    before it returns or raises, so a write it still holds fails here, not in
-    the interpreter's flush at exit."""
+    """argv's command, its errors tagged with the dist."""
+    args = _parse_args(argv)
+    if args is None:
+        return 0
+    dist = parse_dist(args.dist)
     try:
-        args = _parse_args(argv)
-        if args is None:
-            return 0
-        dist = parse_dist(args.dist)
-        try:
-            return _COMMANDS[args.command][0](args, dist)
-        except EvtError as exc:
-            raise exc.at(f"dist={dist.label}") from exc
-    finally:
-        if sys.stdout is not None:  # None when fd 1 was closed at start
-            sys.stdout.flush()
+        return _COMMANDS[args.command][0](args, dist)
+    except EvtError as exc:
+        raise exc.at(f"dist={dist.label}") from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        try:
-            return _run(sys.argv[1:] if argv is None else argv)
-        except BrokenPipeError as exc:  # the reader of stdout left early
-            # what stdout still holds goes to the null device, so the exit
-            # flush prints no "Exception ignored"; a stdout with no file
-            # descriptor (a StringIO) is left as it is
-            try:
-                fd = sys.stdout.fileno()
-            except (OSError, ValueError):
-                pass
-            else:
-                null = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(null, fd)
-                os.close(null)
-            raise ParseError(f"stdout: writing stopped: {exc.strerror}") from None
+        return _run(sys.argv[1:] if argv is None else argv)
     except (EvtError, ValueError, ArithmeticError) as exc:
-        # the last resort: a numerical failure without a typed error exits 4
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        # the last resort: a numerical failure without a typed error exits 4;
+        # where stderr cannot take the line, the exit code still stands
+        with contextlib.suppress(ParseError):
+            _console("stderr", f"error ({type(exc).__name__}): {exc}\n")
         return getattr(exc, "exit_code", 4)
 
 

@@ -244,8 +244,15 @@ class DistributionSpec:
         log_tail(anchor) at points >= x0, arrays of z's shape or, for a 2-D
         z, columns of one per row: the array twin of log_tail_from, which
         each family evaluates in _log_tails. Closed forms ignore the anchors.
-        A log tail that is not finite, as at a point that is not, is a
-        DomainError naming the first such point."""
+        A point below x0 by log_tail_from's tolerance, NaN included, or one
+        whose log tail is not finite is a DomainError naming the first such
+        point; one within the tolerance reads x0, as in log_tail_from."""
+        if not z.min(initial=self.x0) >= self.x0:
+            below = [x for x in np.ravel(z).tolist() if _below(x, self.x0)]
+            if below:
+                raise DomainError(f"log_tails_from needs points >= x0 = {self.x0!r}, "
+                                  f"got x={below[0]!r}")
+            z = np.maximum(z, self.x0)
         with np.errstate(all="ignore"):  # log 0 = -inf at exp's x0 = 0
             values = self._log_tails(z, anchor, log_tail_anchor)
         if not np.isfinite(values).all():
@@ -256,15 +263,7 @@ class DistributionSpec:
         return values
 
     def _log_tails(self, z: np.ndarray, anchor, log_tail_anchor) -> np.ndarray:
-        # log_tails_from's evaluation: the tail hook, whose closed forms would
-        # read their formulas below x0, so a point there is refused, NaN
-        # included, and one a few ulp under x0 reads x0, as in log_tail_from
-        if not z.min(initial=self.x0) >= self.x0:
-            below = [x for x in np.ravel(z).tolist() if _below(x, self.x0)]
-            if below:
-                raise DomainError(f"log_tails_from needs points >= x0 = {self.x0!r}, "
-                                  f"got x={below[0]!r}")
-            z = np.maximum(z, self.x0)
+        # log_tails_from's evaluation at points z >= x0: the tail hook
         return self._log_tails_slopes_from(z, np.log(z), anchor, log_tail_anchor)[0]
 
     # -- quantile ----------------------------------------------------------
@@ -867,14 +866,19 @@ class IteratedLogScale(DistributionSpec):
 
     def log_tail_steps(self, starts, ends):
         """log tail(ends) - log tail(starts), minus the integral of g/f, at
-        points >= x0, floats or arrays of one shape, with every integral in one
-        quadrature call; so log_tail_from(x, anchor, f) is f +
-        log_tail_steps(anchor, x). A range past the top _x_top is refused
-        before its integrand overflows, and so is a NaN point or one below
-        x0; quadrature nodes lie inside [x0, _x_top]."""
+        points >= x0, floats or arrays whose shapes broadcast (or a
+        DomainError), in one quadrature call; so log_tail_from(x, anchor, f)
+        is f + log_tail_steps(anchor, x). A point log_tail_from refuses is
+        refused, one it reads as x0 read so, and a range past the top _x_top
+        refused before its integrand overflows: nodes lie in [x0, _x_top]."""
         low, top = starts, ends
-        if isinstance(starts, np.ndarray) or isinstance(ends, np.ndarray):
-            low = float(np.minimum(starts, ends).min(initial=self.x0))
+        arrays = isinstance(starts, np.ndarray) or isinstance(ends, np.ndarray)
+        if arrays:
+            try:
+                low = float(np.minimum(starts, ends).min(initial=self.x0))
+            except ValueError:
+                raise DomainError(f"log_tail_steps needs points whose shapes broadcast, got "
+                                  f"{np.shape(starts)} and {np.shape(ends)}") from None
             top = float(np.maximum(starts, ends).max(initial=self.x0))
         if not (self.x0 <= low <= self._x_top and self.x0 <= top <= self._x_top):  # or NaN
             if max(low, top) > self._x_top:
@@ -884,7 +888,8 @@ class IteratedLogScale(DistributionSpec):
             if self._refuses(low, top, 0.0):
                 raise DomainError(f"log_tail_steps needs points >= x0 = {self.x0!r}, got "
                                   f"{low!r} and {top!r}")
-        if not isinstance(starts, np.ndarray) and starts == ends:
+            starts, ends = np.maximum(starts, self.x0), np.maximum(ends, self.x0)
+        if not arrays and starts == ends:
             return 0.0
         # 0.0 - keeps the log tail of an empty range +0.0
         return 0.0 - quadrature.integrate(self._over_f_log, np.log(starts), np.log(ends),

@@ -407,9 +407,11 @@ def test_library_refusals_name_their_argument(build, message):
 # Every public entry, called on odd arguments one at a time, returns a finite
 # answer or raises an EvtError, and where the kind of the odd argument
 # documents a refusal, it raises that refusal's error, all under
-# warnings.simplefilter("error"). ROWS gives the kinds of each public name's
-# parameters and METHODS those of the family methods; a public name with no
-# row fails the sweep, so a new name comes with its row.
+# warnings.simplefilter("error"). Its answer also keeps the package's two
+# rules (_rule): the shape of an elementwise entry, and the support edge of a
+# tail read. ROWS gives the kinds of each public name's parameters and METHODS
+# those of the family methods; a public name with no row fails the sweep, so
+# a new name comes with its row.
 
 FLOATS = (0.0, -0.0, 1.0, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan, 1e-320, 5e-324,
           700.0, -700.0)
@@ -432,6 +434,11 @@ def _not_finite(v):
 
 def _bad_n(v):
     return not 2 <= v < 2 ** 1024
+
+
+def _edge(d):
+    # a point under x0 by half log_tail_from's tolerance, which reads x0
+    return d.x0 - 0.5e-12 * max(1.0, abs(d.x0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -457,6 +464,8 @@ _ARRAY_ODD = _with(0.5, (math.nan, math.inf, -math.inf, 1e308))
 KINDS = {
     "x": Kind((0.5,), FLOATS, _not_finite),
     "xs": Kind((0.5,), FLOATS + _ARRAY_ODD, _not_finite, elementwise=True),
+    # exact_and_gammas's points, which it reads flat whatever their shape
+    "grid": Kind((0.5,), FLOATS + _ARRAY_ODD, _not_finite),
     "gamma": Kind((0.5,), FLOATS + _ARRAY_ODD, _not_finite, elementwise=True),
     # the series reads any gamma: NaN and -inf diverge, +inf sums to 0
     "series gamma": Kind((0.5,), FLOATS + _ARRAY_ODD,
@@ -505,20 +514,22 @@ KINDS = {
                             NormingPair(1000, 1e300, d.x0 + 1.0), NormingPair(1000, 1.0, 1e300),
                             NormingPair(10 ** 300, 1.0, d.x0 + 1.0)),
                  of_family=True),
-    "point": Kind(lambda d: (d.x0 + 1.0,), lambda d: FLOATS + (d.x0,),
+    # the point kinds hold _edge(d), which POINT_READS take as x0
+    "point": Kind(lambda d: (d.x0 + 1.0,), lambda d: FLOATS + (d.x0, _edge(d)),
                   lambda v, d: _not_finite(v), of_family=True),
     "points": Kind(lambda d: (d.x0 + 1.0,),
-                   lambda d: FLOATS + _with(d.x0 + 1.0, (math.nan, math.inf, -math.inf, -1e308)),
+                   lambda d: FLOATS + (_edge(d),) + _with(d.x0 + 1.0, (
+                       math.nan, math.inf, -math.inf, -1e308, _edge(d))),
                    lambda v, d: _not_finite(v), of_family=True, elementwise=True),
     # a point below x0, by log_tail_from's tolerance, is no point of the tail
     "point array": Kind(lambda d: (np.array([d.x0 + 1.0, d.x0 + 2.0]),),
-                        lambda d: _with(d.x0 + 1.0, FLOATS + (d.x0, d.x0 - 1.0)),
+                        lambda d: _with(d.x0 + 1.0, FLOATS + (d.x0, d.x0 - 1.0, _edge(d))),
                         lambda v, d: _not_finite(v) or any(_below(x, d.x0) for x in v.tolist()),
                         of_family=True),
     "log tail": Kind(lambda d: (d.log_tail(d.x0 + 1.0),), lambda d: FLOATS,
                      lambda v, d: _not_finite(v), of_family=True),
     # log_tails_from's anchors, which closed forms document as unread
-    "anchor": Kind(lambda d: (d.x0 + 1.0,), lambda d: FLOATS + (d.x0,), of_family=True),
+    "anchor": Kind(lambda d: (d.x0 + 1.0,), lambda d: FLOATS + (d.x0, _edge(d)), of_family=True),
     "anchor log tail": Kind(lambda d: (d.log_tail(d.x0 + 1.0),), lambda d: FLOATS,
                             of_family=True),
 }
@@ -537,7 +548,7 @@ ROWS = {
     "simulate_max": ("dist", "n", "count", "seed"),
     "APPROXIMANTS": RECORD,
     "evaluate": ("name", "xs", "gamma", "dist", "pair"),
-    "exact_and_gammas": ("dist", "pair", "xs"),
+    "exact_and_gammas": ("dist", "pair", "grid"),
     "exact_max_cdf": ("dist", "pair", "xs"),
     "first_order_corrected": ("xs", "gamma"),
     "gumbel_cdf": ("xs",),
@@ -573,6 +584,17 @@ METHODS = {
     "aux_slope": ("point",),
     "log_tail_steps": ("points", "points"),  # IteratedLogScale's
 }
+POINT_KINDS = {"point", "points", "point array", "anchor"}
+# the family's reads at points, which take a point just under x0 as x0, and
+# those of them that answer a log tail, at most log tail(x0), with its index
+# in the answer (None: the answer itself)
+POINT_READS = {"log_tail", "tail", "log_tail_from", "log_tails_from", "quantile_log_tail",
+               "log_tail_steps", "von_mises_components"}
+LOG_TAIL_READS = {"log_tail": None, "log_tail_from": None, "log_tails_from": None,
+                  "quantile_log_tail": 1}
+# the shapes beside which an odd value of an elementwise kind meets its
+# elementwise fellows: its own first, then a second one
+FELLOW_SHAPES = {(): ((), (2,)), (2,): ((2,), (), (3,))}
 
 
 def _label(v):
@@ -600,9 +622,10 @@ def _of_family(entries):
 
 
 def _calls():
-    """(id, call, args, refusal) for each generated call: each row on its good
-    values, and then each odd value of each parameter in turn; a row that
-    reads no kind of the family is called on the first family only."""
+    """(id, call, args, refusal, rule) for each generated call: each row on
+    its good values, and then each odd value of each parameter in turn, its
+    elementwise fellows in each of FELLOW_SHAPES; a row that reads no kind
+    of the family is called on the first family only."""
     for family, d in SWEPT_FAMILIES.items():
         rows = [(name, getattr(d, name), entries) for name, entries in METHODS.items()
                 if hasattr(d, name)]
@@ -612,23 +635,71 @@ def _calls():
             params = list(inspect.signature(call).parameters)
             at = f"@{family}" if name in METHODS or _of_family(entries) else ""
             # an entry is a kind, a (good value, kind) pair, or None
-            kinds = [KINDS[e[1] if isinstance(e, tuple) else e] if e else None for e in entries]
+            names = [e[1] if isinstance(e, tuple) else e for e in entries]
+            kinds = [KINDS[e] if e else None for e in names]
             goods = [(None,) if kind is None else (e[0],) if isinstance(e, tuple)
                      else kind.values("good", d) for e, kind in zip(entries, kinds)]
             for args in itertools.product(*goods):
-                yield f"{name}{at}({', '.join(map(_label, args))})", call, args, None
+                yield (f"{name}{at}({', '.join(map(_label, args))})", call, args, None,
+                       _rule(name, d, names, args, None))
             for i, kind in enumerate(kinds):
+                paired = kind and kind.elementwise and sum(bool(k and k.elementwise)
+                                                           for k in kinds) > 1
                 for v in kind.values("odd", d) if kind else ():
-                    # an odd array's elementwise fellows take its shape
-                    fellows = [tuple(np.full(np.shape(v), g) for g in good)
-                               if np.ndim(v) and other and other.elementwise else good
-                               for good, other in zip(goods, kinds)]
-                    for args in itertools.product(*fellows[:i], (v,), *fellows[i + 1:]):
-                        modes = ", ".join(_label(a) for j, a in enumerate(args)
-                                          if j != i and len(goods[j]) > 1)
-                        key = f"{name}{f'[{modes}]' if modes else ''}{at} {params[i]}={_label(v)}"
-                        refused = kind.refuses(v, d) if kind.of_family else kind.refuses(v)
-                        yield key, call, args, kind.error if refused else None
+                    refused = kind.refuses(v, d) if kind.of_family else kind.refuses(v)
+                    for shape in FELLOW_SHAPES[np.shape(v)] if paired else (np.shape(v),):
+                        fellows = [tuple(np.full(shape, g) for g in good)
+                                   if shape and other and other.elementwise else good
+                                   for good, other in zip(goods, kinds)]
+                        beside = "" if shape == np.shape(v) else f" beside shape {shape}"
+                        error = (DomainError if shape == (3,) else kind.error if refused
+                                 else None)
+                        for args in itertools.product(*fellows[:i], (v,), *fellows[i + 1:]):
+                            modes = ", ".join(_label(a) for j, a in enumerate(args)
+                                              if j != i and len(goods[j]) > 1)
+                            yield (f"{name}{f'[{modes}]' if modes else ''}{at} "
+                                   f"{params[i]}={_label(v)}{beside}", call, args, error,
+                                   _rule(name, d, names, args, i))
+
+
+def _rule(name, d, names, args, odd):
+    """The rules an answer keeps beyond being finite, as a function of the
+    call and its outcome to a fault or None; names are the kinds of the
+    call's parameters, and odd is the index of its odd argument. An
+    elementwise entry (one with elementwise kinds) returns a float on scalars
+    and an array of their broadcast shape otherwise. A read at points gives
+    at a point just under x0 (_edge(d)) what it gives at x0, and where every
+    argument but its first is good, its log tail is at most log tail(x0)."""
+    shapes = [np.shape(a) for a, k in zip(args, names) if k and KINDS[k].elementwise]
+    twin = None
+    if name in POINT_READS and odd is not None and names[odd] in POINT_KINDS:
+        v, edge = args[odd], _edge(d)
+        if np.any(np.asarray(v) == edge):
+            twin = (*args[:odd], np.where(v == edge, d.x0, v) if np.ndim(v) else d.x0,
+                    *args[odd + 1:])
+
+    def fault(call, got):
+        if shapes and not isinstance(got, Exception):
+            shape = np.broadcast_shapes(*shapes)
+            if not (type(got) is float if shape == () else
+                    isinstance(got, np.ndarray) and got.shape == shape):
+                return f"returns {got!r}, not {'a float' if shape == () else shape}"
+        if name in LOG_TAIL_READS and odd in (None, 0) and not isinstance(got, Exception):
+            which = LOG_TAIL_READS[name]
+            log_tail = got if which is None else got[which]
+            if np.any(log_tail > d._log_tail_x0):
+                return f"reads log tail {log_tail!r} above log tail(x0) = {d._log_tail_x0!r}"
+        if twin is not None and not _same(got, at_x0 := _outcome(call, twin)):
+            return f"gives {got!r}, but {at_x0!r} at x0 = {d.x0!r}"
+        return None
+    return fault
+
+
+def _same(a, b):
+    # one outcome: the same exception type, or equal answers
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b)
+    return np.array_equal(a, b)
 
 
 def _outcome(call, args):
@@ -641,26 +712,44 @@ def _outcome(call, args):
             return exc
 
 
+def _explicit(name, family, args, odd=None):
+    # a hand-made call of a method of ROWS or METHODS, with its rule
+    d, kinds = SWEPT_FAMILIES[family], METHODS.get(name) or ROWS[name]
+    call = getattr(d, name) if name in METHODS else getattr(evt, name)
+    return (f"{name}@{family}({', '.join(map(_label, args))})", call, args, None,
+            _rule(name, d, kinds, args, odd))
+
+
+_ITERLOG = SWEPT_FAMILIES["iterlog"]
 # calls with two odd arguments, which the generator, one odd argument at a
-# time, does not make: gamma - x overflows where the weight is 0
-EXPLICIT = [(f"first_order_corrected({x!r}, {g!r})", first_order_corrected, (x, g), None)
-            for x, g in ((1e308, -1e308), (-1e308, 1e308))]
+# time, does not make: gamma - x overflows where the weight is 0, and reads from
+# the support edge x0 to a point just under it, or from that point
+EXPLICIT = [
+    *(_explicit("first_order_corrected", "exp", (x, g)) for x, g in ((1e308, -1e308),
+                                                                     (-1e308, 1e308))),
+    _explicit("log_tail_steps", "iterlog", (_ITERLOG.x0, _edge(_ITERLOG)), 1),
+    _explicit("log_tails_from", "iterlog", (np.array([_edge(_ITERLOG)]), _ITERLOG.x0, 0.0), 0),
+    _explicit("log_tail_from", "iterlog", (2.0 * _ITERLOG.x0, _edge(_ITERLOG), 0.0), 1),
+]
 
 
 @functools.cache
 def _sweep():
-    return {key: (refusal, _outcome(call, args))
-            for key, call, args, refusal in itertools.chain(_calls(), EXPLICIT)}
+    # the rules are kept where no refusal is due
+    return {key: (refusal, got, None if refusal else rule(call, got))
+            for key, call, args, refusal, rule in itertools.chain(_calls(), EXPLICIT)
+            for got in (_outcome(call, args),)}
 
 
-def _fault(refusal, got):
+def _fault(refusal, got, broken):
+    # broken: the fault _rule found, if any
     if refusal is not None:
         return None if isinstance(got, refusal) else f"gives {got!r}, not a {refusal.__name__}"
     if isinstance(got, EvtError):
-        return None
+        return broken
     if isinstance(got, Exception):
         return f"raises {type(got).__name__}: {got}"
-    return None if _finite(got) else f"returns {got!r}"
+    return broken if _finite(got) else f"returns {got!r}"
 
 
 def test_public_entries_keep_the_contract():
@@ -674,8 +763,8 @@ def test_public_entries_keep_the_contract():
     for name, kinds in ROWS.items():
         if kinds != RECORD:
             assert len(kinds) == len(inspect.signature(getattr(evt, name)).parameters), name
-    faults = [f"{key} {fault}" for key, (refusal, got) in _sweep().items()
-              if (fault := _fault(refusal, got))]
+    faults = [f"{key} {fault}" for key, outcome in _sweep().items()
+              if (fault := _fault(*outcome))]
     assert not faults, "\n".join(faults)
 
 
@@ -708,7 +797,7 @@ FOLDED = {
 
 @pytest.mark.parametrize("key", FOLDED.values(), ids=FOLDED)
 def test_public_entries_refuse_bad_arguments(key):
-    refusal, got = _sweep()[key]
+    refusal, got, _ = _sweep()[key]
     assert refusal is DomainError and isinstance(got, DomainError), got
 
 

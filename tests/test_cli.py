@@ -1351,49 +1351,70 @@ def test_unwritable_out_is_a_parse_error(tmp_path, capsys, where):
 
 # -- the process boundary ------------------------------------------------------
 
-_CLOSED = "error (ParseError): stdout: writing stopped: Broken pipe"
-# (argv, exit code, stderr, which is this one line, whether stdout is a pipe
-# its reader closed before the start)
+_LEFT = "error (ParseError): stdout: writing stopped: Broken pipe"
+_SHUT = "error (ParseError): stdout: writing stopped: closed"
+# a console stream's states: a file the test reads, closed at the start, or a
+# pipe whose reader closed it before the start
+OPEN, CLOSED, LEFT = "open", "closed", "reader left"
+_CHECK_18 = ["check-identity", "--dist", "exp", "--n", "100", "--tol", "1e-18"]
+# (argv, exit code, stderr, which is this one line where stderr is open,
+# whether an open stdout gets the CSV, the states of stdout and stderr)
 _PROCESS_CASES = [
     (["table", "--dist", "exp", "--n", "1000", "--x", "-2:6:9"], 0,
-     "table: 9 rows for dist=exp n=1000", False),
+     "table: 9 rows for dist=exp n=1000", True, OPEN, OPEN),
     (["table", "--dist", "weibull:c=1", "--n", "1000", "--x", "-2:6:3"], 2,
-     "error (ParseError): missing field 'p'", False),
+     "error (ParseError): missing field 'p'", False, OPEN, OPEN),
     (["table", "--dist", "exp", "--n", "1000", "--x", "6:-2:3"], 3,
-     "error (DomainError): SupOnGrid needs x_lo < x_hi", False),
+     "error (DomainError): SupOnGrid needs x_lo < x_hi", False, OPEN, OPEN),
     # the CSV is written before the verdict
-    (["check-identity", "--dist", "exp", "--n", "100", "--tol", "1e-18"], 4,
-     "error (MismatchError): identity violated: max gap ", False),
-    # a block longer than stdout's buffer is written through at once; the
-    # help waits in the buffer until main flushes it
-    (_SIMULATE + ["--reps", "1000"], 2, _CLOSED, True),
-    (["--help"], 2, _CLOSED, True),
+    (_CHECK_18, 4, "error (MismatchError): identity violated: max gap ", True, OPEN, OPEN),
+    # a block longer than stdout's buffer is written through at once, and
+    # the help is flushed as it is written
+    (_SIMULATE + ["--reps", "1000"], 2, _LEFT, False, LEFT, OPEN),
+    (["--help"], 2, _LEFT, False, LEFT, OPEN),
+    (_SHORT_TABLE, 2, _SHUT + " (at dist=exp)", False, CLOSED, OPEN),
+    (["--help"], 2, _SHUT, False, CLOSED, OPEN),
+    # the CSV is written, and the summary on stderr is not; nor is the error
+    # line, and the exit codes of the two typed errors stand
+    (_SHORT_TABLE, 2, None, True, OPEN, CLOSED),
+    (_SHORT_TABLE, 2, None, True, OPEN, LEFT),
+    (["table", "--dist", "nope", "--n", "1000", "--x", "-2:6:3"], 2, None, False, OPEN, CLOSED),
+    (_CHECK_18, 4, None, True, OPEN, CLOSED),
 ]
 
 
 def test_console_contract_at_the_process_boundary(tmp_path):
     # python -m evt_accompany.cli as a shell runs it, every case at once: its
-    # exit code and one typed line on stderr, and no traceback, no warning and
-    # no exception the interpreter ignored in its flush at exit
+    # exit code and one typed line on an open stderr, and no traceback, no
+    # warning and no exception the interpreter ignored in its flush at exit,
+    # which would also exit 120
     procs = []
-    for i, (argv, _, _, closed) in enumerate(_PROCESS_CASES):
-        if closed:
-            read, stdout = os.pipe()
-            os.close(read)
-        else:
-            stdout = os.open(tmp_path / f"{i}.out", os.O_WRONLY | os.O_CREAT)
-        with open(tmp_path / f"{i}.err", "w") as stderr:
-            procs.append(subprocess.Popen([sys.executable, "-m", "evt_accompany.cli", *argv],
-                                          stdout=stdout, stderr=stderr, env=_child_env()))
-        os.close(stdout)
-    for i, ((argv, code, line, closed), proc) in enumerate(zip(_PROCESS_CASES, procs)):
-        assert proc.wait(timeout=60) == code, argv
-        err = (tmp_path / f"{i}.err").read_text()
-        assert err.startswith(line) and err.count("\n") == 1, (argv, err)
-        assert not re.search("Traceback|Warning|Exception ignored", err), (argv, err)
-        if not closed:
-            out = (tmp_path / f"{i}.out").read_text()
-            assert out.startswith("# evt-accompany v") if code in (0, 4) else not out, argv
+    for i, (argv, *_, out, err) in enumerate(_PROCESS_CASES):
+        fds, states = [], (out, err)
+        for name, state in zip(("out", "err"), states):
+            if state == LEFT:
+                read, fd = os.pipe()
+                os.close(read)
+            else:
+                fd = os.open(tmp_path / f"{i}.{name}", os.O_WRONLY | os.O_CREAT)
+            fds.append(fd)
+        closed = [fd for fd, state in zip((1, 2), states) if state == CLOSED]
+        procs.append(subprocess.Popen([sys.executable, "-m", "evt_accompany.cli", *argv],
+                                      stdout=fds[0], stderr=fds[1], env=_child_env(),
+                                      preexec_fn=lambda closed=closed: list(map(os.close, closed))))
+        for fd in fds:
+            os.close(fd)
+    for i, ((argv, code, line, csv, out, err), proc) in enumerate(zip(_PROCESS_CASES, procs)):
+        assert proc.wait(timeout=60) == code, (argv, out, err)
+        if err == OPEN:
+            text = (tmp_path / f"{i}.err").read_text()
+            assert text.startswith(line) and text.count("\n") == 1, (argv, text)
+            assert not re.search("Traceback|Warning|Exception ignored", text), (argv, text)
+        if out == OPEN:
+            text = (tmp_path / f"{i}.out").read_text()
+            assert text.startswith("# evt-accompany v") if csv else not text, (argv, err)
+            # and no summary or error line: a closed stderr sends none to stdout
+            assert not re.search(r"^([\w-]+: |error \()", text, re.M), (argv, err, text)
 
 
 # -- fuzz ----------------------------------------------------------------------
