@@ -4,8 +4,10 @@ Python's repr writes them.
 `simulate` writes up to millions of rows `f"{i},{v!r}"`, and float repr was
 almost all of its time. numbered_rows lays a block of rows out in one uint8
 matrix: shortest_digits certifies repr's digits for nearly every value with
-exact integer and float arithmetic, and any value it cannot certify is
-written by repr_row, repr itself, and spliced in at its place.
+exact integer and float arithmetic, taking their count in closed form from
+the two ends of the value's rounding interval, as the shortest-digit methods
+of Steele & White (1990) and Adams (Ryu, 2018) do, and any value it cannot
+certify is written by repr_row, repr itself, and spliced in at its place.
 """
 
 from __future__ import annotations
@@ -26,31 +28,6 @@ def repr_row(i: int, v: float) -> str:
     return f"{i},{v!r}\n"
 
 
-def _nearest_inside(w: np.ndarray, f: np.ndarray, h_int: np.ndarray, h_frac: np.ndarray,
-                    unit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For V = w + f (int64 w, f in [-1/2, 1)) and h = h_int + h_frac, the
-    positions of the V whose nearest multiple of unit lies within h of
-    them, that multiple over unit, and whether it lies at exactly h or ties
-    with the next multiple (when it cannot be certified)."""
-    half = unit // 2
-    lead = w // unit
-    rem = w - lead * unit
-    up = rem > half
-    tie = rem == half
-    up |= tie & (f > 0.0)
-    tie &= f == 0.0
-    # dist - h = gap + (g - h_frac), |g - h_frac| < 2: its sign is exact,
-    # and so is its value when |gap| < 4, which the equality needs
-    gap = np.where(up, unit - rem, rem)
-    gap -= h_int
-    diff = np.where(up, -f, f)
-    diff -= h_frac
-    diff += gap
-    inside = np.flatnonzero(diff <= 0.0)
-    lead += up
-    return inside, lead[inside], (diff[inside] == 0.0) | tie[inside]
-
-
 def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, ...]:
     """(ok, q, digits, after): where ok, repr(float(v)) is |v|'s shortest
     digits q (an int64 of `digits` digits) with `after` of them after the
@@ -62,12 +39,14 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, ...]:
     h = ulp(v)/2, is symmetric, so repr's digits are the nearest decimal of
     the fewest digits strictly inside it. With k chosen so that
     V = |v| 10^k lies in (1e16, 1e17), V is formed exactly as int64 W plus a
-    fraction F by a Dekker product (10^k, k <= 22, is exact), each shorter
-    length rounds W by int64 division, and each distance is compared with
-    h = 10^k 2^(e-54) exactly: its integer part first, then the fractions
-    on one binary grid fine enough to hold them exactly. ok is False where
-    this cannot certify the digits: an exact tie, a distance equal to h, a
-    candidate that carries to a power of ten, or a v outside the cases above.
+    fraction F in [0, 1) by a Dekker product (10^k, k <= 22, is exact), and
+    so are lo and hi, the integer ends of [V - h, V + h], h = 10^k 2^(e-54).
+    The count of digits dropped from 17 is the largest r with a multiple of
+    10^r in [lo, hi], which hi's last digits give in closed form, and W is
+    rounded once to the nearest such multiple by int64 division. ok is False
+    where this cannot certify the digits: an exact tie, a distance equal to
+    h, a candidate that carries to a power of ten, or a v outside the cases
+    above.
     """
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1e16)
@@ -81,7 +60,7 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, ...]:
     v = a * _POW10[k]
     k += v < 1e16
     k -= v >= 1e17
-    # V = v + err exactly (Dekker's product), then V = W + F, F in [-1/2, 1);
+    # V = v + err exactly (Dekker's product), then V = W + F, F in [0, 1);
     # spent arrays are freed or reused at once, to keep the block's peak low
     v = a * _POW10[k]
     a_hi = a * 134217729.0
@@ -100,37 +79,49 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, ...]:
     w = v.astype(np.int64)
     w += whole.astype(np.int64)
     del v, whole
-    borrow = frac < -0.5
+    # V, F and h = 10^k 2^(e-54) are multiples of 2^(e + k - 54), with
+    # e + k - 54 > -48, and h < 12: so F + 1, F + h, F - h and an integer
+    # below 16 minus F are exact in binary64
+    borrow = frac < 0.0
     w -= borrow
-    frac += borrow  # exact: frac is in (-1, -1/2) where it adds 1
+    frac += borrow
     fast &= (w > 10 ** 16) & (w < 10 ** 17 - 1)
-    # h = h_int + h_frac; V, F and h are multiples of 2^(e + k - 54), and
-    # e + k - 54 > -48, so F - h_frac and any integer of magnitude below 4
-    # plus it are exact in binary64
-    h_frac = np.ldexp(_POW10[k], e - 54)  # h, until its integer part is taken out
-    h_int = np.floor(h_frac)
-    h_frac -= h_int
-    h_int = h_int.astype(np.int64)
-    # 17 digits: the nearest integer to V is always inside, as h > 1/2
-    q = w + (frac > 0.5)
-    cut = np.zeros(values.size, dtype=np.int64)  # digits dropped from the 17
-    edge = np.abs(frac) == 0.5
-    rows = np.flatnonzero(fast)
-    w, f, h_int, h_frac = w[rows], frac[rows], h_int[rows], h_frac[rows]
-    # a length whose nearest candidate is inside has every longer one inside
-    # too, so lengths are tried downward, on the rows still inside
-    for r in range(1, 17):
-        inside, nearest, at_edge = _nearest_inside(w, f, h_int, h_frac, 10 ** r)
-        if not inside.size:
-            break
-        rows = rows[inside]
-        q[rows] = nearest
-        cut[rows] = r
-        edge[rows] = at_edge
-        w, f, h_int, h_frac = w[inside], f[inside], h_int[inside], h_frac[inside]
+    h = np.ldexp(_POW10[k], e - 54)
+    hi = w + np.floor(frac + h).astype(np.int64)
+    span = hi - w - np.ceil(frac - h).astype(np.int64)  # hi - lo, below 23
+    # a multiple of 10^r lies in [lo, hi] iff hi mod 10^r <= span; as
+    # span < 100, for r >= 2 that holds iff it holds for 100 and hi // 100
+    # ends in r - 2 zeros, which four halving tests count on those rows
+    cut = (hi % 10 <= span).astype(np.int64)
+    cut += hi % 100 <= span
+    rows = np.flatnonzero(cut == 2)
+    top, zeros = hi[rows] // 100, 0
+    for p in (8, 4, 2, 1):
+        whole = top % 10 ** p == 0
+        zeros += p * whole
+        top = np.where(whole, top // 10 ** p, top)
+    cut[rows] += np.minimum(zeros, 14)
+    # W rounded once to the nearest multiple of 10^cut; past, twice V's
+    # distance above the midpoint of the two candidates, has an exact sign
+    unit = _POW10_INT[cut]
+    q = w // unit
+    past = (w - q * unit) * 2 - unit + 2.0 * frac
+    q += past > 0.0
+    edge = (past == 0.0) | (np.abs((q * unit - w) - frac) == h)
     k -= cut
     digits = np.subtract(17, cut, out=cut)
     return fast & ~edge & (q < _POW10_INT[digits]), q, digits, k
+
+
+def _write_digits(row: np.ndarray, cols: np.ndarray, n: np.ndarray, width: np.ndarray) -> None:
+    """Write each row's n right-aligned: its decimal digit j, counted from
+    the right, at column cols[j] where j < width, and a NUL elsewhere."""
+    sure = int(width.min())
+    for j, col in enumerate(cols.tolist()):
+        nxt = n // 10
+        char = n - nxt * 10 + 48
+        row[:, col] = char if j < sure else np.where(j < width, char, 0)
+        n = nxt
 
 
 def numbered_rows(start: int, values: np.ndarray) -> str:
@@ -141,38 +132,29 @@ def numbered_rows(start: int, values: np.ndarray) -> str:
     ok, q, digits, after = shortest_digits(values)
     if not ok.any():
         return "".join(repr_row(start + i, v) for i, v in enumerate(values.tolist()))
+    # rows left to repr take an ok row's layout, and are blanked below
+    first = int(ok.argmax())
+    digits[~ok], after[~ok] = digits[first], after[first]
     # written digits: the leading "0" and the zeros after the point included
     width = np.maximum(digits, after + 1)
-    top, sure = int(width[ok].max()), int(digits[ok].min())
-    lo_after, hi_after = int(after[ok].min()), int(after[ok].max())
-    after[~ok] = lo_after
-    index_width = len(str(start + m - 1))
+    lo_after, hi_after, top = int(after.min()), int(after.max()), int(width.max())
+    i = np.arange(start, start + m, dtype=np.int64)
+    index_width = np.searchsorted(_POW10_INT[1:], i, side="right") + 1
+    left = int(index_width[-1])
     # columns: index, ",", sign, then the number right-aligned, its digit j
     # (from the right) followed by a column for the point when j is a
     # possible count of digits after it, then "\n"; a blank is a NUL
-    row = np.zeros((m, index_width + 2 + top + hi_after - lo_after + 2), dtype=np.uint8)
-    i = np.arange(start, start + m, dtype=np.int64)
-    for j in range(index_width):
-        nxt = i // 10
-        char = i - nxt * 10 + 48
-        # every index has its units digit; a higher one is blank once i is 0
-        row[:, index_width - 1 - j] = char if j == 0 else np.where(i > 0, char, 0)
-        i = nxt
-    row[:, index_width] = ord(",")
-    row[:, index_width + 1] = np.where(values < 0.0, ord("-"), 0)
+    row = np.zeros((m, left + 2 + top + hi_after - lo_after + 2), dtype=np.uint8)
+    _write_digits(row, np.arange(left - 1, -1, -1), i, index_width)
+    row[:, left] = ord(",")
+    row[:, left + 1] = np.where(values < 0.0, ord("-"), 0)
     row[:, -1] = ord("\n")
-    col = row.shape[1] - 1
-    point = np.empty(hi_after + 1, dtype=np.int64)
-    for j in range(top):
-        if lo_after <= j <= hi_after:
-            col -= 1
-            point[j] = col
-        col -= 1
-        nxt = q // 10
-        char = q - nxt * 10 + 48
-        row[:, col] = char if j < sure else np.where(j < width, char, 0)
-        q = nxt
-    row[np.arange(m), point[after]] = ord(".")
+    # digit j's column lies left of "\n", of digits 0..j-1 and of the
+    # point's columns among them
+    place = np.arange(top)
+    cols = row.shape[1] - 2 - place - np.clip(place - lo_after + 1, 0, hi_after - lo_after + 1)
+    _write_digits(row, cols, q, width)
+    row[np.arange(m), cols[after] + 1] = ord(".")
     # a row left to repr is one \x01, where its text is spliced in
     back = np.flatnonzero(~ok)
     row[back] = 0

@@ -247,6 +247,7 @@ class DistributionSpec:
         A point below x0 by log_tail_from's tolerance, NaN included, or one
         whose log tail is not finite is a DomainError naming the first such
         point; one within the tolerance reads x0, as in log_tail_from."""
+        z = np.asarray(z, dtype=float)
         if not z.min(initial=self.x0) >= self.x0:
             below = [x for x in np.ravel(z).tolist() if _below(x, self.x0)]
             if below:
@@ -460,7 +461,10 @@ class DistributionSpec:
 
     def aux_slope(self, t: float) -> float:
         """f'(t), the slope of the auxiliary function, by a central difference
-        of f with step 1e-6 |t| (1e-6 at t = 0); both ends must be >= x0."""
+        of f with step 1e-6 |t| (1e-6 at t = 0); both ends must be >= x0. A t
+        a few ulp under x0 reads x0, as in von_mises_components."""
+        if not _below(t, self.x0):
+            t = max(t, self.x0)
         h = 1e-6 * abs(t) or 1e-6
         return (self.von_mises_components(t + h)[0]
                 - self.von_mises_components(t - h)[0]) / (2.0 * h)

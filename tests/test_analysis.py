@@ -589,7 +589,7 @@ POINT_KINDS = {"point", "points", "point array", "anchor"}
 # those of them that answer a log tail, at most log tail(x0), with its index
 # in the answer (None: the answer itself)
 POINT_READS = {"log_tail", "tail", "log_tail_from", "log_tails_from", "quantile_log_tail",
-               "log_tail_steps", "von_mises_components"}
+               "log_tail_steps", "von_mises_components", "aux_slope"}
 LOG_TAIL_READS = {"log_tail": None, "log_tail_from": None, "log_tails_from": None,
                   "quantile_log_tail": 1}
 # the shapes beside which an odd value of an elementwise kind meets its

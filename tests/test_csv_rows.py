@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evt_accompany import rows
-from evt_accompany.analysis import simulate_max
+from evt_accompany.analysis import SupOnGrid, simulate_max
 from evt_accompany.cli import _BLOCK_ROWS
 from evt_accompany.rows import numbered_rows
 from evt_accompany.tails import parse_dist
@@ -63,6 +63,11 @@ TARGETED = {
                  1.7976931348623157e308],
     "nines": [0.9999999999999999, 9.999999999999998, 99999.99999999999, 0.00099999999999999,
               9.99999999999999e15],
+    # the x columns of `table`: short decimals whose digits end many places
+    # before the 17th
+    "grid points": [x for lo, hi, steps in ((-2.0, 6.0, 161), (-2.0, 6.0, 61), (-1.5, 6.0, 16),
+                                            (-2.0, 6.0, 801), (-12.0, 12.0, 7))
+                    for x in SupOnGrid(lo, hi, steps).grid().tolist()],
 }
 
 
@@ -70,6 +75,15 @@ TARGETED = {
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
 def test_targeted_values_are_written_as_repr_writes_them(name, sign):
     assert_rows(0, sign * np.array(TARGETED[name]))
+
+
+def test_grid_points_are_certified_but_integers_and_powers_of_two():
+    # 148 of the 161 points of `table --x -2:6:161`: repr writes the rest,
+    # where v is an integer or its rounding interval is not symmetric
+    xs = SupOnGrid(-2.0, 6.0, 161).grid()
+    ok = rows.shortest_digits(xs)[0]
+    assert xs[~ok].tolist() == [-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0,
+                                5.0, 6.0]
 
 
 @pytest.mark.parametrize("start", [0, 5, 95, 99990, 999_999_990])

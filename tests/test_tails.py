@@ -1086,6 +1086,15 @@ def test_closed_form_array_reads_keep_to_the_support(d):
             d.log_tails_from(np.array([x0 + 1.0, x]), x0, f0)
 
 
+@pytest.mark.parametrize("d", SUPPORT_EDGE_FAMILIES, ids=lambda d: d.label)
+def test_array_read_takes_a_list_of_points(d):
+    # z is read by np.asarray, as every array entry reads its points (a list
+    # raised AttributeError: 'list' object has no attribute 'min')
+    x0, f0 = d.x0, d.log_tail(d.x0)
+    z = [x0 + 1.0, x0 + 2.0]
+    assert np.array_equal(d.log_tails_from(z, x0, f0), d.log_tails_from(np.array(z), x0, f0))
+
+
 def test_power_quantile_search_reads_its_formula_once_per_iterate(monkeypatch):
     # value and slope of each iterate from one read; reading them apart took
     # 42 reads on 23 points for this walk
